@@ -119,8 +119,7 @@ def sweep_lock_timeout(timeouts: List[float] = [0.0002, 0.002, 0.8, 5.0],
     for timeout in timeouts:
         config = ArpPathConfig(lock_timeout=timeout)
         protocol = spec("arppath", arppath_config=config)
-        net = build_and_warm(netfpga_demo, protocol, seed=seed,
-                             keep_trace_records=False)
+        net = build_and_warm(netfpga_demo, protocol, seed=seed)
         series = PingSeries(net.host("A"), net.host("B").ip, count=10,
                             interval=0.2)
         series.start()
@@ -150,8 +149,7 @@ def _run_repair_scenario(config: ArpPathConfig, seed: int = 0,
             net.mark_static_roles()
         return net
 
-    net = build_and_warm(topo, protocol, seed=seed,
-                         keep_trace_records=False)
+    net = build_and_warm(topo, protocol, seed=seed)
     source, sink = stream_between(net.host("A"), net.host("B"), fps=100.0)
     source.start()
     net.run(1.0)

@@ -84,7 +84,7 @@ def run_case(proxy: bool, rows: int = 3, cols: int = 3, rounds: int = 3,
             host.arp_cache.timeout = round_spacing / 2
         return net
 
-    net = build_and_warm(topo, protocol, seed=seed, keep_trace_records=False)
+    net = build_and_warm(topo, protocol, seed=seed)
     net.sim.tracer.reset()
 
     hosts = sorted(net.hosts)

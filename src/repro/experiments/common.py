@@ -81,11 +81,17 @@ def default_comparison() -> List[ProtocolSpec]:
 
 def build_and_warm(topology: Callable[..., Network], protocol: ProtocolSpec,
                    seed: int = 0, trace_hops: bool = False,
-                   keep_trace_records: bool = True,
                    **topo_kwargs) -> Network:
-    """Instantiate *topology* under *protocol* and run its warmup."""
+    """Instantiate *topology* under *protocol* and run its warmup.
+
+    Warm-up is always count-only: control-plane traffic (BPDUs, LSPs,
+    hellos) bumps the tracer's counters but is never materialised as
+    records. An experiment that evaluates per-link records switches
+    ``net.sim.tracer.keep_records = True`` right after the
+    ``tracer.reset()`` that opens its measured window.
+    """
     sim = Simulator(seed=seed, trace_hops=trace_hops,
-                    keep_trace_records=keep_trace_records)
+                    keep_trace_records=False)
     net = topology(sim, protocol.factory, **topo_kwargs)
     net.run(protocol.warmup)
     return net

@@ -83,7 +83,7 @@ def run_protocol(protocol: ProtocolSpec, params: DemoParams = DemoParams(),
                  probes: int = 20, seed: int = 0) -> ProtocolLatency:
     """Measure one protocol on the demo topology."""
     net = build_and_warm(netfpga_demo, protocol, seed=seed, trace_hops=True,
-                         keep_trace_records=False, params=params)
+                         params=params)
     observer = PathObserver(net, "B")
     series = PingSeries(net.host("A"), net.host("B").ip, count=probes,
                         interval=0.05)

@@ -107,7 +107,7 @@ def run_protocol(protocol: ProtocolSpec, failures: int = 2,
     equivalent of pulling the cable the video is flowing through.
     """
     net = build_and_warm(netfpga_demo, protocol, seed=seed, trace_hops=True,
-                         keep_trace_records=False, params=params)
+                         params=params)
     observer = PathObserver(net, "B")
     source, sink = stream_between(net.host("A"), net.host("B"), fps=fps)
     source.start()

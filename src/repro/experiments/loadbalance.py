@@ -72,10 +72,12 @@ def run_protocol(protocol: ProtocolSpec, pods: int = 4,
         return fat_tree(sim, factory, pods=pods,
                         hosts_per_edge=hosts_per_edge, seed=seed)
 
-    net = build_and_warm(topo, protocol, seed=seed, keep_trace_records=True)
+    net = build_and_warm(topo, protocol, seed=seed)
     if not resolve_under_load:
         all_pairs_arp_warmup(net, spacing=5e-3)
     net.sim.tracer.reset()
+    # fabric_load reads per-link records: retain them from here on only.
+    net.sim.tracer.keep_records = True
 
     matrix = TrafficMatrix(net)
     matrix.all_pairs(packets=packets, interval=interval, size=size)

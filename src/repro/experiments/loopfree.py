@@ -75,9 +75,8 @@ def _duplicate_deliveries(net) -> Dict[int, int]:
                   if link.name not in fabric}
     counts: Dict[tuple, int] = {}
     for rec in net.sim.tracer.records:
-        if rec.kind != DELIVERED or rec.link not in host_links:
-            continue
-        if rec.dst != "ff:ff:ff:ff:ff:ff":
+        if (rec.kind != DELIVERED or rec.link not in host_links
+                or not rec.is_broadcast):
             continue
         key = (rec.frame_uid, rec.link)
         counts[key] = counts.get(key, 0) + 1
@@ -97,9 +96,11 @@ def run_protocol(protocol: ProtocolSpec, topology_name: str = "grid",
         "ring": lambda sim, factory: ring(sim, factory, 6),
     }
     builder = builders[topology_name]
-    net = build_and_warm(builder, protocol, seed=seed,
-                         keep_trace_records=True)
+    net = build_and_warm(builder, protocol, seed=seed)
     net.sim.tracer.reset()
+    # Both phases are evaluated from per-link records: retain them
+    # from here on only.
+    net.sim.tracer.keep_records = True
 
     # Phase 1: one broadcast from each host (gratuitous ARP).
     hosts = sorted(net.hosts)

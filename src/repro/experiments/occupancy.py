@@ -100,8 +100,7 @@ def run_case(protocol: ProtocolSpec, hosts_per_bridge: int,
         populate_access_ports(net, endpoints_per_port)
         return net
 
-    net = build_and_warm(topo, protocol, seed=seed,
-                         keep_trace_records=False)
+    net = build_and_warm(topo, protocol, seed=seed)
     matrix = TrafficMatrix(net)
     if pairs is None:
         flows = matrix.all_pairs(hosts=sorted(net.hosts), packets=3,

@@ -33,6 +33,7 @@ import heapq
 import multiprocessing
 import pickle
 import random
+import signal
 import time
 import traceback
 from multiprocessing import connection as mp_connection
@@ -248,7 +249,15 @@ def _pool_worker_main(tasks: Any, results: Any) -> None:
     worker's *private* pipe — no queue or lock is shared between
     workers, so a worker dying mid-write (``os._exit``, OOM kill)
     corrupts only its own channel, never a sibling's.
+
+    SIGTERM/SIGINT go back to their defaults first: a forked worker
+    inherits its parent's handlers, and under ``repro serve`` those only
+    flag the daemon's shutdown event — :meth:`_PoolWorker.stop`'s
+    ``terminate(); join()`` would then wait forever on a worker that
+    logs the signal and carries on.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     registry.load_all()
     while True:
         task = tasks.get()

@@ -122,8 +122,7 @@ def run_protocol(protocol: ProtocolSpec, n_bridges: int = 10,
                             extra_edge_prob=extra_edge_prob, seed=seed,
                             hosts=hosts)
 
-    net = build_and_warm(topo, protocol, seed=seed, trace_hops=True,
-                         keep_trace_records=False)
+    net = build_and_warm(topo, protocol, seed=seed, trace_hops=True)
     row = ProtocolStretch(protocol=protocol.name, topology_seed=seed)
     names = sorted(net.hosts)
     for src, dst in itertools.permutations(names, 2):

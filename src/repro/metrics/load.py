@@ -1,8 +1,11 @@
 """Link load accounting (paper §2.2: load distribution, path diversity).
 
-Computed from the tracer's per-link byte counters: how evenly traffic
-spreads over the fabric, and how many links carry any traffic at all
-(a spanning tree leaves its blocked links at exactly zero).
+Computed from the tracer's retained ``sent`` records, summed per link
+by :meth:`Tracer.link_load_bytes` (the tracer keeps no per-link
+counters, so the measured window must run with ``keep_records`` on):
+how evenly traffic spreads over the fabric, and how many links carry
+any traffic at all (a spanning tree leaves its blocked links at
+exactly zero).
 """
 
 from __future__ import annotations
@@ -39,14 +42,9 @@ def fabric_load(net: Network, ethertype: Optional[int] = None) -> LoadReport:
     *ethertype* restricts the count (e.g. only IPv4 data); None counts
     everything. Requires the tracer to be keeping records.
     """
-    fabric_names = {link.name for link in net.fabric_links()}
-    per_link = {name: 0 for name in fabric_names}
-    for rec in net.sim.tracer.records:
-        if rec.kind != SENT or rec.link not in per_link:
-            continue
-        if ethertype is not None and rec.ethertype != ethertype:
-            continue
-        per_link[rec.link] += rec.size
+    carried = net.sim.tracer.link_load_bytes(ethertype)
+    per_link = {link.name: carried.get(link.name, 0)
+                for link in net.fabric_links()}
     loads = list(per_link.values())
     total = sum(loads)
     used = sum(1 for b in loads if b > 0)

@@ -279,6 +279,14 @@ class Simulator:
     trace_hops:
         When true, frames accumulate per-hop trace records as they
         traverse nodes (used by path-measurement experiments).
+    keep_trace_records:
+        Initial value of ``tracer.keep_records``. True (the library
+        default) retains one :class:`~repro.netsim.tracer.TraceRecord`
+        per link event from time zero — about one tuple allocation per
+        event on top of the counters, and memory that grows with the
+        run. False is counters only. The flag is assignable mid-run
+        (``sim.tracer.keep_records = True``): experiments warm up
+        count-only and retain only inside their measured window.
     wheel_resolution / wheel_slots:
         Geometry of the timer wheel serving :meth:`schedule_timer`.
     """

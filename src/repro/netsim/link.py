@@ -194,8 +194,7 @@ class Link:
             tracer.counts[trc.SENT] += 1
             tracer.by_ethertype[trc.SENT][frame.ethertype] += 1
         else:
-            tracer.record(trc.SENT, now, self.name, frame.uid,
-                          frame.ethertype, size, frame.src, frame.dst)
+            self._record(trc.SENT, frame)
         ser = size * self._ser_per_byte
         direction.busy_until = now + ser
         if direction.export is not None:
@@ -278,9 +277,7 @@ class Link:
             tracer.counts[trc.DELIVERED] += 1
             tracer.by_ethertype[trc.DELIVERED][frame.ethertype] += 1
         else:
-            tracer.record(trc.DELIVERED, self.sim._now, self.name,
-                          frame.uid, frame.ethertype, frame.wire_size,
-                          frame.src, frame.dst)
+            self._record(trc.DELIVERED, frame)
         to_port = direction.to_port
         node = to_port.node
         if node._trace_hops:
@@ -380,9 +377,8 @@ class Link:
     def _trace(self, kind: str, frame: EthernetFrame) -> None:
         # _trace runs twice per frame hop. In counters-only mode (no
         # record retention, no listeners — every benchmark and the scale
-        # scenario) the counters are bumped inline; the record() call —
-        # with MAC objects passed through so stringification stays
-        # lazy — is reserved for tracers that materialise records.
+        # scenario) the counters are bumped inline; _record is reserved
+        # for tracers that materialise records.
         size = frame._wire_size
         if size is None:
             size = frame.wire_size
@@ -391,8 +387,17 @@ class Link:
             tracer.counts[kind] += 1
             tracer.by_ethertype[kind][frame.ethertype] += 1
         else:
-            tracer.record(kind, self.sim._now, self.name, frame.uid,
-                          frame.ethertype, size, frame.src, frame.dst)
+            self._record(kind, frame)
+
+    def _record(self, kind: str, frame: EthernetFrame) -> None:
+        # The one materialising trace call (retained records and/or
+        # listeners), shared by transmit, _deliver and _trace. MAC
+        # objects are passed through: the record renders them lazily.
+        size = frame._wire_size
+        if size is None:
+            size = frame.wire_size
+        self._tracer.record(kind, self.sim._now, self.name, frame.uid,
+                            frame.ethertype, size, frame.src, frame.dst)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

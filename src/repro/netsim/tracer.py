@@ -8,9 +8,10 @@ which the tests bound).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from collections import Counter, defaultdict, namedtuple
+from typing import Callable, Dict, List, Optional
+
+from repro.frames.mac import BROADCAST
 
 SENT = "sent"
 DELIVERED = "delivered"
@@ -21,18 +22,56 @@ DROP_TTL = "drop_ttl"
 KINDS = (SENT, DELIVERED, DROP_QUEUE, DROP_LINK_DOWN, DROP_TTL)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One link-level event."""
+_BROADCAST_STR = str(BROADCAST)
+_new_record = tuple.__new__
 
-    kind: str
-    time: float
-    link: str
-    frame_uid: int
-    ethertype: int
-    size: int
-    src: str
-    dst: str
+
+class TraceRecord(namedtuple(
+        "_TraceFields", "kind time link frame_uid ethertype size src dst")):
+    """One link-level event: an immutable, tuple-backed value.
+
+    The record stores the addresses it is handed (:class:`MAC` objects
+    on the link path) and renders them only when :attr:`src` /
+    :attr:`dst` are read — both are always ``str``, equal to
+    ``str(mac)``. Consumers that skip most records (per-link byte sums,
+    the loop-freedom check) therefore never pay for string formatting
+    of the records they skip. Equality and hashing go by the rendered
+    field values, so a record built from MACs equals one built from
+    their strings.
+    """
+
+    __slots__ = ()
+
+    @property
+    def src(self) -> str:
+        return str(self[6])
+
+    @property
+    def dst(self) -> str:
+        return str(self[7])
+
+    @property
+    def is_broadcast(self) -> bool:
+        """Whether the frame was sent to ff:ff:ff:ff:ff:ff (renders
+        nothing)."""
+        dst = self[7]
+        return dst == BROADCAST or dst == _BROADCAST_STR
+
+    def _values(self) -> tuple:
+        return self[:6] + (str(self[6]), str(self[7]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return self._values() != other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class Tracer:
@@ -69,21 +108,21 @@ class Tracer:
                ethertype: int, size: int, src, dst) -> None:
         """Record one link-level event (called by links).
 
-        *src*/*dst* may be MAC objects or strings; they are stringified
-        only when a record is actually materialised, which keeps the
-        counters-only fast path (``keep_records=False``, no listeners)
-        free of string formatting.
+        *src*/*dst* may be MAC objects or strings; the record keeps
+        them as handed in and renders them only when its ``src``/``dst``
+        are read, so a materialised record costs one tuple allocation
+        on top of the counters.
         """
         self.counts[kind] += 1
         self.by_ethertype[kind][ethertype] += 1
-        if self.keep_records or self._listeners:
-            rec = TraceRecord(kind=kind, time=time, link=link,
-                              frame_uid=frame_uid, ethertype=ethertype,
-                              size=size, src=str(src), dst=str(dst))
-            if self.keep_records:
-                self.records.append(rec)
-            for listener in self._listeners:
-                listener(rec)
+        if self.count_only:
+            return
+        rec = _new_record(TraceRecord, (kind, time, link, frame_uid,
+                                        ethertype, size, src, dst))
+        if self._keep_records:
+            self.records.append(rec)
+        for listener in self._listeners:
+            listener(rec)
 
     def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
         """Invoke *listener* for every future record."""
@@ -116,11 +155,14 @@ class Tracer:
         return [rec for rec in self.records
                 if rec.kind == DELIVERED and rec.frame_uid == frame_uid]
 
-    def link_load_bytes(self) -> Dict[str, int]:
-        """Total bytes carried per link (needs records)."""
+    def link_load_bytes(self, ethertype: Optional[int] = None
+                        ) -> Dict[str, int]:
+        """Total bytes carried per link, optionally for one ethertype
+        (needs records)."""
         load: Dict[str, int] = defaultdict(int)
         for rec in self.records:
-            if rec.kind == SENT:
+            if rec.kind == SENT and (ethertype is None
+                                     or rec.ethertype == ethertype):
                 load[rec.link] += rec.size
         return dict(load)
 

@@ -5,11 +5,15 @@ paper reports — who wins and roughly by how much. The full-size runs
 live in benchmarks/.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments import (ablations, broadcast, fig2_latency,
-                               fig3_repair, loadbalance, loopfree, stretch)
+                               fig3_repair, loadbalance, loopfree, registry,
+                               runner, stretch)
 from repro.experiments.common import spec
+from repro.metrics.report import record_line
 
 
 class TestFig2:
@@ -299,3 +303,64 @@ class TestChurn:
         result = scenario.execute(seeds=[0, 1], duration=2.0,
                                   protocols=["arppath"], flap_rate=0.5)
         assert len(result.rows) == 2
+
+
+class TestRetainedTraceScenarios:
+    """loadbalance and loopfree are the two scenarios evaluated from
+    retained trace records: their rows are pinned, and retention covers
+    the measured window only."""
+
+    #: sha256 of the cell's ``record_line`` rows joined by newlines,
+    #: generated at the parent of the lazy-record change (1beb1fb).
+    PINNED = {
+        ("loadbalance", 1):
+            "fee1760bb3f009eb3a58f97329ad8e80f27bf8a862b6a12802ffed62f9d90b58",
+        ("loadbalance", 2):
+            "506dcf949dbc66d8bed96d118aae99897f3edab4c24bb59c548b5681957653cb",
+        ("loadbalance", 3):
+            "1baca24bb36912beabe7923e020cafef8334f560622be6138dde6fec9f04e70b",
+        ("loopfree", 1):
+            "f03f733a0021a919ddb53dfc4205e249d1fa042504c9560c0758425f113fa71e",
+        ("loopfree", 2):
+            "8bd7c6d87ca8b94ea88e08ec877d83bbb2700df8dfdca6fa08043a2296071dc0",
+        ("loopfree", 3):
+            "0e97c8910dffac7f4b71972314f215829ef333dd1eb0f9acf7dad1f97ce44e1d",
+    }
+
+    @pytest.mark.parametrize("scenario", ["loadbalance", "loopfree"])
+    def test_rows_match_parent_commit(self, scenario):
+        registry.load_all()
+        for cell in runner.expand_grid([scenario], seeds=[1, 2, 3]):
+            result = runner.execute_cell(cell)
+            assert result.error is None, result.error
+            digest = hashlib.sha256("\n".join(
+                record_line(row) for row in result.rows).encode())
+            assert digest.hexdigest() == self.PINNED[scenario, cell.seed], \
+                f"{scenario} seed {cell.seed}"
+
+    @pytest.mark.parametrize("module,kwargs", [
+        (loadbalance, {"pods": 4, "hosts_per_edge": 1, "packets": 5}),
+        (loopfree, {"topology_name": "ring"}),
+    ], ids=["loadbalance", "loopfree"])
+    def test_retention_covers_the_measured_window_only(
+            self, monkeypatch, module, kwargs):
+        protocol = spec("stp", stp_scale=0.1)  # BPDUs during warm-up
+        warmed = []
+
+        def spying_build_and_warm(*args, **kw):
+            net = build_and_warm(*args, **kw)
+            tracer = net.sim.tracer
+            # Warm-up traffic was counted, never materialised.
+            assert tracer.frames_sent > 0
+            assert tracer.records == [] and tracer.count_only
+            warmed.append(net)
+            return net
+
+        build_and_warm = module.build_and_warm
+        monkeypatch.setattr(module, "build_and_warm", spying_build_and_warm)
+        module.run_protocol(protocol, seed=1, **kwargs)
+        (net,) = warmed
+        records = net.sim.tracer.records
+        assert records and net.sim.tracer.keep_records
+        assert min(rec.time for rec in records) >= protocol.warmup
+        assert len(records) == sum(net.sim.tracer.counts.values())

@@ -312,3 +312,36 @@ class TestDeterminism:
                     net.sim.tracer.frames_sent)
 
         assert run_once() == run_once()
+
+
+class TestRetentionObservesOnly:
+    @SLOW
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           mode=st.sampled_from(["records", "listener", "mid-run"]))
+    def test_retention_never_perturbs_the_run(self, seed, mode):
+        """Retained records and listeners observe the simulation: the
+        same scenario with any of them switched on processes the same
+        events and counts the same frames as the count-only run."""
+        def run_once(mode):
+            sim = Simulator(seed=seed, keep_trace_records=mode == "records")
+            net = random_graph(sim, arppath(), 6, extra_edge_prob=0.4,
+                               seed=seed, hosts=3)
+            seen = []
+            if mode == "listener":
+                sim.tracer.add_listener(seen.append)
+            net.run(5.0)
+            if mode == "mid-run":
+                sim.tracer.keep_records = True
+            net.host("H2").gratuitous_arp()
+            net.host("H0").ping(net.host("H1").ip)
+            net.run(3.0)
+            tracer = sim.tracer
+            observed = len(tracer.records) + len(seen)
+            return observed, (sim.events_processed, dict(tracer.counts),
+                              {kind: dict(per) for kind, per
+                               in tracer.by_ethertype.items()})
+
+        observed, outcome = run_once(mode)
+        unobserved, baseline = run_once("off")
+        assert outcome == baseline
+        assert observed > 0 and unobserved == 0

@@ -6,12 +6,17 @@ against tmp databases so restarts can be exercised.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro
 from repro.experiments import registry, runner
 from repro.metrics.report import record_line
 from repro.server import jobs as jobs_mod
@@ -398,3 +403,58 @@ class TestErrorSurfacing:
             assert payload["error"] is None
         finally:
             daemon.stop()
+
+
+class TestCliDaemonProcess:
+    """The real ``python -m repro.cli serve`` process, signal handlers
+    and all (the in-process daemons above call ``start()``, which
+    installs none)."""
+
+    def test_pooled_job_completes(self, tmp_path):
+        # Regression: Daemon.run()'s SIGTERM handler used to be
+        # inherited by the forked sweep-pool workers, so the pool's
+        # terminate()+join() at the end of a jobs>=2 job hung forever
+        # and the job never left ``running``.
+        log_file = tmp_path / "serve.log"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--pool", "2", "--db", str(tmp_path / "serve.db"),
+             "--log-file", str(log_file)],
+            env=env, start_new_session=True)
+        try:
+            base = self._wait_listening(daemon, log_file)
+            spec = dict(SCALE_SPEC, jobs=2)
+            status, _, body = request(base, "/v1/jobs", method="POST",
+                                      payload=spec)
+            assert status == 202
+            job = json.loads(body)["job"]
+            final = wait_state(base, job["id"], store_mod.TERMINAL,
+                               timeout=30.0)
+            assert final["state"] == store_mod.COMPLETED
+            assert final["cells_done"] == 2
+            daemon.send_signal(signal.SIGTERM)
+            assert daemon.wait(timeout=15.0) == 0
+        finally:
+            # The whole session: a wedged pool worker must not outlive
+            # a failing run of this test.
+            try:
+                os.killpg(daemon.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            daemon.wait()
+
+    @staticmethod
+    def _wait_listening(daemon, log_file, timeout=15.0):
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            assert daemon.poll() is None, "daemon exited during start-up"
+            if log_file.exists():
+                for line in log_file.read_text().splitlines():
+                    event = json.loads(line)
+                    if event.get("event") == "started":
+                        return "http://{host}:{port}".format(**event)
+            time.sleep(0.05)
+        raise AssertionError("daemon never logged its listening address")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.frames.mac import BROADCAST, MAC
 from repro.netsim.tracer import (DELIVERED, DROP_QUEUE, SENT, TraceRecord,
                                  Tracer)
 
@@ -67,6 +68,26 @@ class TestRecords:
         rec(tracer, DELIVERED, link="x", size=100)  # not counted
         assert tracer.link_load_bytes() == {"x": 150, "y": 10}
 
+    def test_link_load_bytes_by_ethertype_matches_reference_sum(self):
+        tracer = Tracer()
+        events = [(SENT, "x", 0x0800, 100), (SENT, "x", 0x0806, 64),
+                  (SENT, "y", 0x0800, 10), (DELIVERED, "x", 0x0800, 100),
+                  (SENT, "y", 0x0806, 64), (SENT, "x", 0x0800, 50),
+                  (DROP_QUEUE, "z", 0x0800, 70)]
+        for kind, link, ethertype, size in events:
+            rec(tracer, kind, link=link, ethertype=ethertype, size=size)
+        for ethertype in (None, 0x0800, 0x0806, 0x88CC):
+            reference = {}
+            for record in tracer.records:
+                if record.kind == SENT and ethertype in (None,
+                                                         record.ethertype):
+                    reference[record.link] = (reference.get(record.link, 0)
+                                              + record.size)
+            assert tracer.link_load_bytes(ethertype=ethertype) == reference
+        assert tracer.link_load_bytes(ethertype=0x0800) == {"x": 150,
+                                                            "y": 10}
+        assert tracer.link_load_bytes(ethertype=0x88CC) == {}
+
     def test_listener_invoked(self):
         tracer = Tracer(keep_records=False)
         seen = []
@@ -74,3 +95,93 @@ class TestRecords:
         rec(tracer, SENT)
         assert len(seen) == 1
         assert seen[0].kind == SENT
+
+
+class SpyMAC(MAC):
+    """A MAC that counts how often it is rendered."""
+
+    __slots__ = ()
+    rendered = 0
+
+    def __str__(self):
+        SpyMAC.rendered += 1
+        return super().__str__()
+
+
+class TestTraceRecordContract:
+    SRC, DST = MAC("02:00:00:00:00:01"), MAC("02:00:00:00:00:02")
+
+    def record(self, tracer, src=None, dst=None):
+        tracer.record(SENT, 1.5, "l0", 7, 0x0800, 64,
+                      self.SRC if src is None else src,
+                      self.DST if dst is None else dst)
+
+    def test_src_dst_are_rendered_strings(self):
+        tracer = Tracer()
+        self.record(tracer)
+        record = tracer.records[0]
+        assert type(record.src) is str and type(record.dst) is str
+        assert record.src == str(self.SRC) == "02:00:00:00:00:01"
+        assert record.dst == str(self.DST)
+        assert (record.kind, record.time, record.link, record.frame_uid,
+                record.ethertype, record.size) == (SENT, 1.5, "l0", 7,
+                                                   0x0800, 64)
+
+    def test_same_event_compares_and_hashes_equal(self):
+        tracer = Tracer()
+        self.record(tracer)
+        self.record(tracer, src=MAC(self.SRC), dst=MAC(self.DST))
+        self.record(tracer, src=str(self.SRC), dst=str(self.DST))
+        first, again, from_strings = tracer.records
+        assert first == again == from_strings
+        assert not first != from_strings
+        assert hash(first) == hash(again) == hash(from_strings)
+        assert len({first, again, from_strings}) == 1
+        assert first == TraceRecord(
+            kind=SENT, time=1.5, link="l0", frame_uid=7, ethertype=0x0800,
+            size=64, src="02:00:00:00:00:01", dst="02:00:00:00:00:02")
+        self.record(tracer, dst=BROADCAST)
+        assert tracer.records[-1] != first
+
+    def test_records_are_immutable(self):
+        tracer = Tracer()
+        self.record(tracer)
+        with pytest.raises(AttributeError):
+            tracer.records[0].size = 1
+        with pytest.raises(AttributeError):
+            tracer.records[0].src = "x"
+
+    def test_is_broadcast(self):
+        tracer = Tracer()
+        self.record(tracer)
+        self.record(tracer, dst=BROADCAST)
+        self.record(tracer, dst="ff:ff:ff:ff:ff:ff")
+        assert [r.is_broadcast for r in tracer.records] == [False, True,
+                                                            True]
+
+    def test_listener_sees_the_retained_values(self):
+        retained, listening = Tracer(), Tracer(keep_records=False)
+        seen = []
+        listening.add_listener(seen.append)
+        for tracer in (retained, listening):
+            self.record(tracer)
+        assert listening.records == []
+        assert seen == retained.records
+        assert seen[0].src == retained.records[0].src == str(self.SRC)
+
+    def test_no_mac_is_rendered_until_a_field_is_read(self):
+        tracer = Tracer()
+        seen = []
+        tracer.add_listener(seen.append)
+        SpyMAC.rendered = 0
+        for index in range(50):
+            tracer.record(DELIVERED, 0.1 * index, "l0", index, 0x0806, 64,
+                          SpyMAC(index + 1), SpyMAC(BROADCAST))
+        assert len(tracer.records) == len(seen) == 50
+        # The consumers' skip tests read everything but the addresses.
+        assert tracer.link_load_bytes() == {}
+        assert len(tracer.deliveries_for(3)) == 1
+        assert all(r.is_broadcast for r in tracer.records)
+        assert SpyMAC.rendered == 0
+        assert tracer.records[4].src == "00:00:00:00:00:05"
+        assert SpyMAC.rendered == 1
