@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec
+from repro.experiments.common import ProtocolSpec, run_shards
 from repro.metrics.availability import Availability, measure_availability
 from repro.metrics.paths import PathObserver
 from repro.metrics.report import format_table
 from repro.netsim.dynamics import EventTimeline
 from repro.netsim.engine import Simulator
-from repro.netsim.shard import ShardRuntime, ShardedSimulator, \
-    derive_shard_seed, migration_lookahead
+from repro.netsim.shard import ShardRuntime, derive_shard_seed, \
+    migration_lookahead
 from repro.topology.library import (CHURN_TOPOLOGIES, LOOP_FREE_TOPOLOGIES,
                                     churn_topology)
 from repro.topology.partition import partition_network
@@ -125,23 +125,45 @@ class ChurnResult:
         return out
 
 
-def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
-                 flap_rate: float = 0.2, down_time: float = 0.5,
-                 duration: float = 20.0, crashes: int = 0,
-                 migrations: int = 0, scripted_failures: int = 0,
-                 fps: float = 25.0, seed: int = 0) -> ChurnRow:
-    """Stream src→dst through *duration* seconds of scripted churn."""
-    sim = Simulator(seed=seed, trace_hops=scripted_failures > 0,
+def _churn_shard(shard_id: int, shard_count: int, endpoint,
+                 protocol: ProtocolSpec, topology: str, flap_rate: float,
+                 down_time: float, duration: float, crashes: int,
+                 migrations: int, scripted_failures: int, fps: float,
+                 seed: int) -> Dict[str, Any]:
+    """One engine's share of a churn run — the scenario's one phase
+    schedule; a single engine owns every node.
+
+    The churn timeline is *replicated*: every worker arms the full
+    schedule and replays every flap, crash and migration against its
+    own replica topology, so link state and wiring stay globally
+    consistent without any coordination — only the churn schedule's
+    determinism (a pure function of wiring and seed) makes this sound.
+    Node-level actions stay owner-only: the source starts and stops on
+    the shard owning the source host; the sink counts arrivals on the
+    shard owning the destination. ``scripted_failures`` needs
+    whole-simulation hop tracing, so :func:`run` admits it on a single
+    engine only. Returns plain picklable data for
+    :func:`_merge_churn_shards`.
+    """
+    sim = Simulator(seed=derive_shard_seed(seed, shard_id),
+                    trace_hops=scripted_failures > 0,
                     keep_trace_records=False)
     net, src, dst = churn_topology(sim, protocol.factory, topology,
                                    seed=seed)
-    net.run(protocol.warmup)
+    runtime = ShardRuntime(sim, shard_id, endpoint)
+    # A migration can make any host link a cut link, so the plan's
+    # static cut-latency lookahead is only valid while hosts sit still.
+    lookahead = migration_lookahead(net) if migrations > 0 else None
+    runtime.adopt(net, partition_network(net, shard_count),
+                  lookahead=lookahead)
+    runtime.run_for(protocol.warmup)
     observer = PathObserver(net, dst) if scripted_failures > 0 else None
     source, sink = stream_between(net.host(src), net.host(dst), fps=fps)
-    source.start()
-    net.run(SETTLE)  # the stream establishes its path
+    if runtime.owns(src):
+        source.start()
+    runtime.run_for(SETTLE)  # the stream establishes its path
 
-    start = net.sim.now
+    start = sim.now
     timeline = EventTimeline(net)
     timeline.random_churn(seed=seed, start=start, duration=duration,
                           flap_rate=flap_rate, mean_down_time=down_time,
@@ -166,76 +188,14 @@ def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
                 return
 
     for index in range(scripted_failures):
-        net.sim.at(start + SCRIPTED_OFFSET + index * SCRIPTED_SPACING,
-                   cut_active_path)
+        sim.at(start + SCRIPTED_OFFSET + index * SCRIPTED_SPACING,
+               cut_active_path)
 
-    net.run(start + duration - net.sim.now)
-    end = net.sim.now
-    source.stop()
-    net.run(1.0)  # drain in-flight chunks
-
-    availability = measure_availability(sink.arrivals, 1.0 / fps,
-                                        window_start=start, window_end=end)
-    repair_times: List[float] = []
-    for bridge in net.bridges.values():
-        repair_times.extend(bridge.repair_events())
-    return ChurnRow(protocol=protocol.name, topology=topology,
-                    flap_rate=flap_rate, down_time=down_time,
-                    duration=duration, crashes=timeline.counts["crashes"],
-                    migrations=timeline.counts["migrations"],
-                    scripted_failures=scripted_failures,
-                    flaps=timeline.counts["flaps"],
-                    availability=availability,
-                    chunks_sent=source.sent, chunks_received=sink.received,
-                    duplicates=sink.duplicates, repair_times=repair_times)
-
-
-def _churn_shard_worker(shard_id: int, shard_count: int, endpoint,
-                        protocol_name: str, stp_scale: float, topology: str,
-                        flap_rate: float, down_time: float, duration: float,
-                        crashes: int, migrations: int, fps: float,
-                        seed: int) -> Dict[str, Any]:
-    """One shard's portion of :func:`run_protocol` (run_protocol_sharded).
-
-    The churn timeline is *replicated*: every worker arms the full
-    schedule and replays every flap, crash and migration against its
-    own replica topology, so link state and wiring stay globally
-    consistent without any coordination — only the churn schedule's
-    determinism (a pure function of wiring and seed) makes this sound.
-    Node-level actions stay owner-only: the source starts and stops on
-    the shard owning the source host; the sink counts arrivals on the
-    shard owning the destination.
-    """
-    protocol = registry.protocol_specs([protocol_name],
-                                       stp_scale=stp_scale)[0]
-    sim = Simulator(seed=derive_shard_seed(seed, shard_id),
-                    keep_trace_records=False)
-    net, src, dst = churn_topology(sim, protocol.factory, topology,
-                                   seed=seed)
-    runtime = ShardRuntime(sim, shard_id, endpoint)
-    plan = partition_network(net, shard_count)
-    # A migration can make any host link a cut link, so the plan's
-    # static cut-latency lookahead is only valid while hosts sit still.
-    lookahead = migration_lookahead(net) if migrations > 0 else None
-    runtime.adopt(net, plan, lookahead=lookahead)
-    net.start()
-    runtime.run_for(protocol.warmup)
-    source, sink = stream_between(net.host(src), net.host(dst), fps=fps)
-    if runtime.owns(src):
-        source.start()
-    runtime.run_for(SETTLE)
-
-    start = sim.now
-    timeline = EventTimeline(net)
-    timeline.random_churn(seed=seed, start=start, duration=duration,
-                          flap_rate=flap_rate, mean_down_time=down_time,
-                          crashes=crashes, migrations=migrations)
-    timeline.arm()
-    runtime.run_until(start + duration)
+    runtime.run_for(duration)
     end = sim.now
     if runtime.owns(src):
         source.stop()
-    runtime.run_for(1.0)
+    runtime.run_for(1.0)  # drain in-flight chunks
 
     availability = None
     if runtime.owns(dst):
@@ -248,13 +208,70 @@ def _churn_shard_worker(shard_id: int, shard_count: int, endpoint,
         "chunks_received": sink.received if runtime.owns(dst) else 0,
         "duplicates": sink.duplicates if runtime.owns(dst) else 0,
         # Keyed by name so the merge can restore the global
-        # net.bridges order the single-process row concatenates in.
+        # net.bridges order the row concatenates in.
         "repair_times": {name: bridge.repair_events()
                          for name, bridge in net.bridges.items()
                          if runtime.owns(name)},
         "bridge_order": list(net.bridges),
         "counts": dict(timeline.counts),
     }
+
+
+def _merge_churn_shards(protocol: ProtocolSpec, topology: str,
+                        flap_rate: float, down_time: float,
+                        duration: float, scripted_failures: int,
+                        shards: List[Dict[str, Any]]) -> ChurnRow:
+    """Fold per-shard results into the one :class:`ChurnRow`.
+
+    Stream counters are owned once (summable), availability belongs to
+    the destination's shard, the replicated timeline counted the same
+    on every shard, and repairs concatenate in global bridge order.
+    """
+    availability = next(result["availability"] for result in shards
+                        if result["availability"] is not None)
+    merged_repairs: Dict[str, List[float]] = {}
+    for result in shards:
+        merged_repairs.update(result["repair_times"])
+    repair_times = [value for name in shards[0]["bridge_order"]
+                    for value in merged_repairs.get(name, ())]
+    counts = shards[0]["counts"]
+    return ChurnRow(protocol=protocol.name, topology=topology,
+                    flap_rate=flap_rate, down_time=down_time,
+                    duration=duration, crashes=counts["crashes"],
+                    migrations=counts["migrations"],
+                    scripted_failures=scripted_failures,
+                    flaps=counts["flaps"], availability=availability,
+                    chunks_sent=sum(result["chunks_sent"]
+                                    for result in shards),
+                    chunks_received=sum(result["chunks_received"]
+                                        for result in shards),
+                    duplicates=sum(result["duplicates"]
+                                   for result in shards),
+                    repair_times=repair_times)
+
+
+def _run_cell(protocol: ProtocolSpec, topology: str, flap_rate: float,
+              down_time: float, duration: float, crashes: int,
+              migrations: int, scripted_failures: int, fps: float,
+              seed: int, shards: int = 1, stp_scale: float = 0.1,
+              mode: str = "auto") -> ChurnRow:
+    """One protocol's run on *shards* engines, merged into its row."""
+    results = run_shards(_churn_shard, protocol, shards, stp_scale, mode,
+                         topology, flap_rate, down_time, duration, crashes,
+                         migrations, scripted_failures, fps, seed)
+    return _merge_churn_shards(protocol, topology, flap_rate, down_time,
+                               duration, scripted_failures, results)
+
+
+def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
+                 flap_rate: float = 0.2, down_time: float = 0.5,
+                 duration: float = 20.0, crashes: int = 0,
+                 migrations: int = 0, scripted_failures: int = 0,
+                 fps: float = 25.0, seed: int = 0) -> ChurnRow:
+    """Stream src→dst through *duration* seconds of scripted churn, on
+    a single engine."""
+    return _run_cell(protocol, topology, flap_rate, down_time, duration,
+                     crashes, migrations, scripted_failures, fps, seed)
 
 
 def run_protocol_sharded(protocol: ProtocolSpec, topology: str = "demo",
@@ -266,41 +283,12 @@ def run_protocol_sharded(protocol: ProtocolSpec, topology: str = "demo",
                          mode: str = "auto") -> ChurnRow:
     """:func:`run_protocol` across *shards* engines, byte-identically.
 
-    ``scripted_failures`` is unsupported sharded (its PathObserver
-    needs hop tracing, a whole-simulation observable) — :func:`run`
-    rejects that combination before dispatching here. ``shards=1``
-    short-circuits to :func:`run_protocol`.
+    No ``scripted_failures``: its PathObserver needs hop tracing, a
+    whole-simulation observable no shard has.
     """
-    if shards == 1:
-        return run_protocol(protocol, topology=topology,
-                            flap_rate=flap_rate, down_time=down_time,
-                            duration=duration, crashes=crashes,
-                            migrations=migrations, fps=fps, seed=seed)
-    results = ShardedSimulator(shards, mode=mode).run(
-        _churn_shard_worker, protocol.key or protocol.name, stp_scale,
-        topology, flap_rate, down_time, duration, crashes, migrations,
-        fps, seed)
-    availability = next(result["availability"] for result in results
-                        if result["availability"] is not None)
-    merged_repairs: Dict[str, List[float]] = {}
-    for result in results:
-        merged_repairs.update(result["repair_times"])
-    repair_times = [value for name in results[0]["bridge_order"]
-                    for value in merged_repairs.get(name, ())]
-    counts = results[0]["counts"]
-    return ChurnRow(protocol=protocol.name, topology=topology,
-                    flap_rate=flap_rate, down_time=down_time,
-                    duration=duration, crashes=counts["crashes"],
-                    migrations=counts["migrations"],
-                    scripted_failures=0, flaps=counts["flaps"],
-                    availability=availability,
-                    chunks_sent=sum(result["chunks_sent"]
-                                    for result in results),
-                    chunks_received=sum(result["chunks_received"]
-                                        for result in results),
-                    duplicates=sum(result["duplicates"]
-                                   for result in results),
-                    repair_times=repair_times)
+    return _run_cell(protocol, topology, flap_rate, down_time, duration,
+                     crashes, migrations, 0, fps, seed, shards=shards,
+                     stp_scale=stp_scale, mode=mode)
 
 
 def run(topology: str = "demo",
@@ -331,34 +319,11 @@ def run(topology: str = "demo",
     chosen = registry.protocol_specs(names, stp_scale=stp_scale)
     result = ChurnResult()
     for protocol in chosen:
-        if shards == 1:
-            row = run_protocol(
-                protocol, topology=topology, flap_rate=flap_rate,
-                down_time=down_time, duration=duration, crashes=crashes,
-                migrations=migrations,
-                scripted_failures=scripted_failures, fps=fps, seed=seed)
-        else:
-            row = run_protocol_sharded(
-                protocol, topology=topology, flap_rate=flap_rate,
-                down_time=down_time, duration=duration, crashes=crashes,
-                migrations=migrations, fps=fps, seed=seed, shards=shards,
-                stp_scale=stp_scale)
-        result.rows.append(row)
+        result.rows.append(_run_cell(
+            protocol, topology, flap_rate, down_time, duration, crashes,
+            migrations, scripted_failures, fps, seed, shards=shards,
+            stp_scale=stp_scale))
     return result
-
-
-def _churn_scenario(seeds: List[int], topology: str, protocols: List[str],
-                    flap_rate: float, down_time: float, duration: float,
-                    crashes: int, migrations: int, scripted_failures: int,
-                    fps: float, stp_scale: float, shards: int) -> ChurnResult:
-    return registry.seeded(
-        lambda seed: run(topology=topology, protocols=protocols,
-                         flap_rate=flap_rate, down_time=down_time,
-                         duration=duration, crashes=crashes,
-                         migrations=migrations,
-                         scripted_failures=scripted_failures, fps=fps,
-                         stp_scale=stp_scale, shards=shards,
-                         seed=seed))(seeds)
 
 
 registry.register(registry.Scenario(
@@ -392,7 +357,7 @@ registry.register(registry.Scenario(
                             "are byte-identical at any shard count)"),
         registry.seeds_param(),
     ),
-    run=_churn_scenario,
+    run=registry.seeded(run),
     row_keys=("topology", "flap_rate", "down_time", "duration", "crashes",
               "migrations", "scripted_failures"),
     smoke={"duration": 2.0, "protocols": ["arppath"], "flap_rate": 0.5},

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec
+from repro.experiments.common import ProtocolSpec, run_shards
 from repro.experiments.occupancy import bridge_state_entries
 from repro.frames.ethernet import ETHERTYPE_ARP
 from repro.switching import base
@@ -44,8 +44,7 @@ from repro.metrics.report import format_table
 from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
 from repro.netsim.meminfo import MemorySampler
-from repro.netsim.shard import ShardRuntime, ShardedSimulator, \
-    derive_shard_seed
+from repro.netsim.shard import ShardRuntime, derive_shard_seed
 from repro.topology.library import SCALE_TOPOLOGIES, scale_topology
 from repro.topology.partition import partition_network
 from repro.traffic.matrix import TrafficMatrix
@@ -173,107 +172,18 @@ def _natural(names) -> List[str]:
     return sorted(names, key=lambda name: (len(name), name))
 
 
-def run_case(protocol: ProtocolSpec, kind: str, size: int, pairs: int = 3,
-             probes: int = 3, seed: int = 0,
-             endpoints_per_port: int = 1) -> ScaleRow:
-    """One cell: build, warm, probe, measure.
+def _scale_shard(shard_id: int, shard_count: int, endpoint,
+                 protocol: ProtocolSpec, kind: str, size: int, pairs: int,
+                 probes: int, seed: int,
+                 endpoints_per_port: int) -> Dict[str, Any]:
+    """One engine's share of a cell: build, warm, probe, measure.
 
-    *endpoints_per_port* > 1 parks a flyweight population behind every
-    access port and runs a heavy-tailed elephant/mice flow phase over
-    the population endpoints after the probe workload — the
-    million-endpoint configuration. All flow draws happen at generation
-    time from a ``seed``-seeded RNG, so the row stays a pure function
-    of the cell at any job or shard count.
+    The scenario's one phase schedule: every engine builds the whole
+    topology and walks the same phases at the same instants, ownership
+    guards (a shard touches only its own nodes) decide who injects and
+    counts what. A single engine owns everything. Returns plain
+    picklable data for :func:`_merge_scale_shards`.
     """
-    sim = Simulator(seed=seed, keep_trace_records=False)
-    net, src, dst = scale_topology(sim, protocol.factory, kind, size,
-                                   seed=seed,
-                                   endpoints_per_port=endpoints_per_port)
-    sampler = MemorySampler(sim, interval=0.5)
-    sampler.start()
-    net.run(protocol.warmup)
-
-    # Measurement window: count every frame from here on, so the ARP
-    # discovery races are part of the overhead (that is the point).
-    sim.tracer.reset()
-    hosts = _natural(net.hosts)
-    replies_before = sum(net.host(name).counters.echo_replies_received
-                         for name in hosts)
-
-    # Cold-path convergence: first probe of the maximally separated
-    # pair, timed to its reply.
-    arrivals: List[float] = []
-    started = sim.now
-    net.host(src).ping(net.host(dst).ip,
-                       on_reply=lambda seq, rtt: arrivals.append(sim.now))
-    net.run(0.5)
-    convergence = arrivals[0] - started if arrivals else None
-
-    # Bulk probe workload over up to *pairs* maximally separated host
-    # pairs — one schedule_bulk batch, not len(specs) heap pushes.
-    count = min(pairs, len(hosts) // 2)
-    chosen = [(hosts[i], hosts[-1 - i]) for i in range(count)]
-    specs = []
-    for index, (a, b) in enumerate(chosen):
-        target = net.host(b).ip
-        ping = net.host(a).ping
-        for round_index in range(probes):
-            specs.append((index * PAIR_STAGGER
-                          + round_index * PROBE_SPACING, ping, target,
-                          round_index))
-    sim.schedule_bulk(specs)
-    net.run(count * PAIR_STAGGER + probes * PROBE_SPACING + DRAIN)
-
-    # Population phase: heavy-tailed flows over the flyweight
-    # endpoints, scheduled in one bulk batch. Empty at
-    # endpoints_per_port=1, so legacy cells are untouched.
-    if net.populations:
-        matrix = TrafficMatrix(net)
-        matrix.elephant_mice(count=max(pairs * probes, 1),
-                             rng=random.Random(seed),
-                             endpoints=sorted(net.populations))
-        matrix.start(stagger=POP_STAGGER, bulk=True)
-        net.run(POP_WINDOW)
-    sampler.stop()
-
-    sent = sim.tracer.by_ethertype[trc.SENT]
-    control = sum(sent.get(ethertype, 0)
-                  for ethertype in base.control_ethertypes())
-    payloads = sum(net.host(name).counters.ip_received for name in hosts) \
-        + sum(pop.counters.ip_received for pop in net.populations.values())
-    answered = sum(net.host(name).counters.echo_replies_received
-                   for name in hosts) - replies_before
-    states = [bridge_state_entries(bridge)
-              for bridge in net.bridges.values()]
-    return ScaleRow(
-        protocol=protocol.name, kind=kind, size=size,
-        bridges=len(net.bridges), links=len(net.links),
-        hosts=len(net.hosts), convergence_s=convergence,
-        frames_sent=sim.tracer.counts[trc.SENT],
-        arp_frames=sent.get(ETHERTYPE_ARP, 0), control_frames=control,
-        payloads_delivered=payloads, peak_state=max(states),
-        mean_state=sum(states) / len(states),
-        peak_pending_events=sampler.peak_pending_events,
-        peak_wheel_timers=sampler.peak_wheel_timers,
-        probes_sent=len(specs) + 1, probes_answered=answered,
-        events_processed=sim.events_processed,
-        endpoints=net.endpoint_count())
-
-
-def _scale_shard_worker(shard_id: int, shard_count: int, endpoint,
-                        protocol_name: str, stp_scale: float, kind: str,
-                        size: int, pairs: int, probes: int, seed: int,
-                        endpoints_per_port: int = 1) -> Dict[str, Any]:
-    """One shard's portion of :func:`run_case` (see run_case_sharded).
-
-    The phase schedule — warmup, convergence probe, bulk probes — and
-    every scheduling instant mirror :func:`run_case` exactly; the only
-    differences are ownership guards (a shard touches only its own
-    nodes) and the boundary machinery. Returns plain picklable data
-    for :func:`_merge_scale_shards`.
-    """
-    protocol = registry.protocol_specs([protocol_name],
-                                       stp_scale=stp_scale)[0]
     sim = Simulator(seed=derive_shard_seed(seed, shard_id),
                     keep_trace_records=False)
     # Builders take the *base* seed: the wiring must be identical in
@@ -289,15 +199,18 @@ def _scale_shard_worker(shard_id: int, shard_count: int, endpoint,
                             adjust=runtime.pending_adjust,
                             count_self=(shard_id == 0))
     sampler.start()
-    net.start()
     runtime.run_for(protocol.warmup)
 
+    # Measurement window: count every frame from here on, so the ARP
+    # discovery races are part of the overhead (that is the point).
     sim.tracer.reset()
     hosts = _natural(net.hosts)
     owned = [name for name in hosts if runtime.owns(name)]
     replies_before = sum(net.host(name).counters.echo_replies_received
-                        for name in owned)
+                         for name in owned)
 
+    # Cold-path convergence: first probe of the maximally separated
+    # pair, timed to its reply.
     arrivals: List[float] = []
     started = sim.now
     if runtime.owns(src):
@@ -307,25 +220,28 @@ def _scale_shard_worker(shard_id: int, shard_count: int, endpoint,
     runtime.run_for(0.5)
     convergence = arrivals[0] - started if arrivals else None
 
+    # Bulk probe workload over up to *pairs* maximally separated host
+    # pairs — one schedule_bulk batch, not len(specs) heap pushes.
     count = min(pairs, len(hosts) // 2)
     chosen = [(hosts[i], hosts[-1 - i]) for i in range(count)]
     specs = []
-    full_specs = 0
     for index, (a, b) in enumerate(chosen):
+        if not runtime.owns(a):
+            continue
         target = net.host(b).ip
         ping = net.host(a).ping
         for round_index in range(probes):
-            full_specs += 1
-            if runtime.owns(a):
-                specs.append((index * PAIR_STAGGER
-                              + round_index * PROBE_SPACING, ping, target,
-                              round_index))
+            specs.append((index * PAIR_STAGGER
+                          + round_index * PROBE_SPACING, ping, target,
+                          round_index))
     sim.schedule_bulk(specs)
     runtime.run_for(count * PAIR_STAGGER + probes * PROBE_SPACING + DRAIN)
 
-    # Population phase — the flow list is drawn identically on every
-    # shard (generation-time draws from the base seed); ownership
-    # gates which engine binds each sink and schedules each source.
+    # Population phase: heavy-tailed flows over the flyweight
+    # endpoints, one bulk batch; empty at endpoints_per_port=1. The
+    # flow list is drawn identically on every shard (generation-time
+    # draws from the base seed); ownership gates which engine binds
+    # each sink and schedules each source.
     if net.populations:
         matrix = TrafficMatrix(net)
         matrix.elephant_mice(count=max(pairs * probes, 1),
@@ -349,12 +265,11 @@ def _scale_shard_worker(shard_id: int, shard_count: int, endpoint,
                    for name, bridge in net.bridges.items()
                    if runtime.owns(name)],
         "convergence": convergence,
-        "src_owner": runtime.owns(src),
         "bridges": len(net.bridges),
         "links": len(net.links),
         "hosts": len(net.hosts),
         "endpoints": net.endpoint_count(),
-        "probes_sent": full_specs + 1,
+        "probes_sent": count * probes + 1,
         "events": sim.events_processed,
         "samples": sampler.samples,
         "series": sampler.series,
@@ -383,7 +298,7 @@ def _merge_scale_shards(protocol: ProtocolSpec, kind: str, size: int,
                   for ethertype in base.control_ethertypes())
     states = [entry for result in shards for entry in result["states"]]
     convergence = next((result["convergence"] for result in shards
-                        if result["src_owner"]), None)
+                        if result["convergence"] is not None), None)
 
     lengths = {len(result["series"]) for result in shards}
     if len(lengths) != 1:
@@ -420,20 +335,31 @@ def run_case_sharded(protocol: ProtocolSpec, kind: str, size: int,
                      shards: int = 2, stp_scale: float = 0.1,
                      mode: str = "auto",
                      endpoints_per_port: int = 1) -> ScaleRow:
-    """One cell of :func:`run_case`, executed across *shards* engines.
+    """One cell across *shards* engines; the row is byte-identical at
+    any shard count (partition, boundary synchronisation and merge are
+    all exact — see :mod:`repro.netsim.shard`).
 
-    Produces the byte-identical row :func:`run_case` would — the
-    partition, boundary synchronisation and merge are all exact (see
-    :mod:`repro.netsim.shard`). ``shards=1`` short-circuits to
-    :func:`run_case` itself: no fabric, no worker, no overhead.
+    *endpoints_per_port* > 1 parks a flyweight population behind every
+    access port and runs a heavy-tailed elephant/mice flow phase over
+    the population endpoints after the probe workload — the
+    million-endpoint configuration. All flow draws happen at generation
+    time from a ``seed``-seeded RNG, so the row stays a pure function
+    of the cell at any job or shard count.
     """
-    if shards == 1:
-        return run_case(protocol, kind, size, pairs=pairs, probes=probes,
-                        seed=seed, endpoints_per_port=endpoints_per_port)
-    results = ShardedSimulator(shards, mode=mode).run(
-        _scale_shard_worker, protocol.key or protocol.name, stp_scale,
-        kind, size, pairs, probes, seed, endpoints_per_port)
+    results = run_shards(_scale_shard, protocol, shards, stp_scale, mode,
+                         kind, size, pairs, probes, seed,
+                         endpoints_per_port)
     return _merge_scale_shards(protocol, kind, size, results)
+
+
+def run_case(protocol: ProtocolSpec, kind: str, size: int, pairs: int = 3,
+             probes: int = 3, seed: int = 0,
+             endpoints_per_port: int = 1) -> ScaleRow:
+    """One cell on a single engine: ``shards=1`` of
+    :func:`run_case_sharded`."""
+    return run_case_sharded(protocol, kind, size, pairs=pairs,
+                            probes=probes, seed=seed, shards=1,
+                            endpoints_per_port=endpoints_per_port)
 
 
 def run(kind: str = "grid", sizes: List[int] = [16, 36, 64],
@@ -457,29 +383,11 @@ def run(kind: str = "grid", sizes: List[int] = [16, 36, 64],
     result = ScaleResult()
     for protocol in chosen:
         for size in sizes:
-            if shards == 1:
-                row = run_case(protocol, kind, size, pairs=pairs,
-                               probes=probes, seed=seed,
-                               endpoints_per_port=endpoints_per_port)
-            else:
-                row = run_case_sharded(
-                    protocol, kind, size, pairs=pairs, probes=probes,
-                    seed=seed, shards=shards, stp_scale=stp_scale,
-                    endpoints_per_port=endpoints_per_port)
-            result.rows.append(row)
+            result.rows.append(run_case_sharded(
+                protocol, kind, size, pairs=pairs, probes=probes,
+                seed=seed, shards=shards, stp_scale=stp_scale,
+                endpoints_per_port=endpoints_per_port))
     return result
-
-
-def _scale_scenario(seeds: List[int], kind: str, sizes: List[int],
-                    protocols: List[str], pairs: int, probes: int,
-                    stp_scale: float, shards: int,
-                    endpoints_per_port: int) -> ScaleResult:
-    return registry.seeded(
-        lambda seed: run(kind=kind, sizes=sizes, protocols=protocols,
-                         pairs=pairs, probes=probes, stp_scale=stp_scale,
-                         shards=shards,
-                         endpoints_per_port=endpoints_per_port,
-                         seed=seed))(seeds)
 
 
 registry.register(registry.Scenario(
@@ -509,7 +417,7 @@ registry.register(registry.Scenario(
                             "phase)"),
         registry.seeds_param(),
     ),
-    run=_scale_scenario,
+    run=registry.seeded(run),
     row_keys=("size", "bridges", "links", "hosts"),
     smoke={"sizes": [9], "protocols": ["arppath"], "pairs": 1,
            "probes": 1},

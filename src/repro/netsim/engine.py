@@ -416,29 +416,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next pending event. Returns False when none remain."""
-        queue = self._queue
-        wheel = self.wheel
-        while True:
-            if wheel._size:
-                horizon = queue[0][0] if queue else wheel._next_due
-                if wheel._next_due <= horizon:
-                    wheel.pour(horizon, queue)
-                    if not queue:
-                        # Pour made level-to-level progress (cascade or
-                        # cancelled-timer discard) without reaching the
-                        # heap; retry at the advanced next_due.
-                        continue
-            if not queue:
-                return False
-            event = heapq.heappop(queue)[3]
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self.events_processed += 1
-            self._pending -= 1
-            event._sim = None
-            event.callback(*event.args)
-            return True
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed > before
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:

@@ -241,11 +241,13 @@ class Link:
         # rather than paying the property descriptor again.
         ser = frame._wire_size * self._ser_per_byte
         direction.busy_until = now + ser
+        delay = ser + self.latency
         if direction.export is not None:
-            direction.export(now, now + ser + self.latency, frame)
+            # now + delay is what schedule(delay) computes: one ulp off
+            # the local instant flips a downstream busy_until test.
+            direction.export(now, now + delay, frame)
             return
-        event = self.sim.schedule(ser + self.latency, self._deliver,
-                                  direction, frame)
+        event = self.sim.schedule(delay, self._deliver, direction, frame)
         pending = direction.pending
         pending.append(event)
         if len(pending) >= 32:

@@ -513,7 +513,13 @@ class ShardRuntime:
                 sim.run_below(safe)
 
     def run_for(self, duration: float) -> None:
-        """Advance by *duration* seconds of simulated time."""
+        """:meth:`Network.run` across the mesh: start (if needed) and
+        advance by *duration*. A single engine makes literally that
+        call, so phase tracing wrapped around it still sees the run."""
+        if self.endpoint is None:
+            self.net.run(duration)
+            return
+        self.net.start()
         self.run_until(self.sim.now + duration)
 
 

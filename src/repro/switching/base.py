@@ -1,11 +1,12 @@
-"""The shared bridge dataplane: one pipeline, four protocol families.
+"""The shared bridge dataplane: one pipeline, five protocol families.
 
-Every bridge in the simulator — ARP-Path, SPB, STP and the plain
-learning switch — receives frames through the same
-:class:`Dataplane` pipeline. The pipeline classifies each frame exactly
-once into one of four classes and dispatches to overridable hooks, so a
+Every bridge in the simulator — ARP-Path, SPB, STP, the controller
+family and the plain learning switch — receives frames through the one
+pipeline, :meth:`Bridge.handle_frame`. It classifies each frame exactly
+once into one of four classes and calls overridable hooks, so a
 protocol implements *policy* (what to do with a class of frame) and
-never re-implements *classification*:
+never re-implements *classification*; a family's :class:`Dataplane`
+names which frames are its control traffic:
 
 ======================  =====================================================
 frame class             hook
@@ -28,7 +29,8 @@ runs before anything (ARP-Path drops its own frames here) and
 data hooks (STP applies its port-state gate and learns there, SPB
 learns local hosts). This mirrors the packet-in pipelines of
 event-driven SDN controllers: one classification ladder, per-protocol
-handlers.
+handlers. The ladder's order is pinned by the golden discovery trace
+and ``tests/test_dataplane.py``.
 """
 
 from __future__ import annotations
@@ -37,23 +39,23 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
                     Type)
 
-from repro.frames.arp import ArpPacket
-from repro.frames.ethernet import (ETHERTYPE_ARP, EthernetFrame,
-                                   KIND_ARP_DISCOVERY, KIND_MULTICAST)
+from repro.frames.ethernet import (EthernetFrame, KIND_ARP_DISCOVERY,
+                                   KIND_MULTICAST)
 from repro.frames.mac import MAC
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Node, Port
 
 
 class Dataplane:
-    """Frame classification shared by every bridge family.
+    """Which frames are a family's control traffic.
 
     One instance per protocol family (stateless, so a module-level
-    singleton): it knows which ethertype carries the family's control
-    frames and, optionally, which payload type those frames must carry
+    singleton): it names the ethertypes that carry the family's control
+    frames and, optionally, the payload type those frames must carry
     (ARP-Path requires an :class:`ArpPathControl`; a frame with the
     control ethertype but a foreign payload falls through to the data
-    path, exactly like unknown traffic).
+    path, exactly like unknown traffic). :meth:`Bridge.handle_frame`
+    reads both per frame.
     """
 
     __slots__ = ("control_ethertypes", "control_payload")
@@ -62,50 +64,6 @@ class Dataplane:
                  control_payload: Optional[Type] = None):
         self.control_ethertypes = frozenset(control_ethertypes)
         self.control_payload = control_payload
-
-    def is_control(self, frame: EthernetFrame) -> bool:
-        """Does *frame* carry this family's control protocol?"""
-        if frame.ethertype not in self.control_ethertypes:
-            return False
-        payload_type = self.control_payload
-        return payload_type is None or isinstance(frame.payload, payload_type)
-
-    @staticmethod
-    def is_arp_discovery(frame: EthernetFrame) -> bool:
-        """Is *frame* a broadcast/multicast ARP probe (a discovery race)?"""
-        return (frame.is_multicast and frame.ethertype == ETHERTYPE_ARP
-                and isinstance(frame.payload, ArpPacket))
-
-    def dispatch(self, bridge: "Bridge", port: Port,
-                 frame: EthernetFrame) -> None:
-        """Classify *frame* once and invoke the matching bridge hook.
-
-        The data classification is interned on the frame
-        (:meth:`EthernetFrame.kind`) and shared by every clone, so a
-        flooded copy traversing its n-th bridge pays one slot read, not
-        a fresh round of address/payload inspection per hop. Only the
-        family-specific control check (an ethertype set membership)
-        runs per dispatch, because it differs between dataplanes.
-        """
-        if not bridge.admit_frame(port, frame):
-            return
-        if frame.ethertype in self.control_ethertypes:
-            payload_type = self.control_payload
-            if payload_type is None or isinstance(frame.payload,
-                                                  payload_type):
-                bridge.on_control(port, frame)
-                return
-        if not bridge.admit_data(port, frame):
-            return
-        kind = frame._kind
-        if kind is None:
-            kind = frame.kind()
-        if kind == KIND_ARP_DISCOVERY:
-            bridge.on_arp(port, frame)
-        elif kind == KIND_MULTICAST:
-            bridge.on_broadcast(port, frame)
-        else:
-            bridge.on_unicast(port, frame)
 
 
 #: Pipeline for families without a control protocol (learning switch).
@@ -139,13 +97,12 @@ class Bridge(Node):
     """Common behaviour for all bridge types.
 
     Every bridge has a MAC identity (used for control protocols) and
-    data-plane counters. Frames arrive through the shared
-    :class:`Dataplane` pipeline; subclasses set :attr:`dataplane` (a
-    class attribute) and implement the hooks below instead of
-    overriding :meth:`handle_frame`.
+    data-plane counters. Frames arrive through :meth:`handle_frame`,
+    the shared pipeline; subclasses set :attr:`dataplane` (a class
+    attribute) and implement the hooks below instead of overriding it.
     """
 
-    #: The family's classification pipeline; subclasses override.
+    #: The family's control-traffic constants; subclasses override.
     dataplane: Dataplane = DATA_ONLY_DATAPLANE
 
     def __init__(self, sim: Simulator, name: str, mac: MAC):
@@ -153,8 +110,8 @@ class Bridge(Node):
         self.mac = mac
         self.counters = BridgeCounters()
         # The family's classification constants, cached per instance:
-        # handle_frame inlines the dispatch ladder (see below) and an
-        # instance slot read beats a class-attribute walk per frame.
+        # handle_frame reads them once per frame per hop, and an
+        # instance slot read beats a class-attribute walk.
         self._control_ethertypes = self.dataplane.control_ethertypes
         self._control_payload = self.dataplane.control_payload
 
@@ -176,11 +133,15 @@ class Bridge(Node):
     # -- pipeline entry ----------------------------------------------------
 
     def handle_frame(self, port: Port, frame: EthernetFrame) -> None:
-        # The body is :meth:`Dataplane.dispatch` inlined (keep the two
-        # in sync): this method runs once per frame per hop, and the
-        # extra dispatch call plus its attribute walks are measurable
-        # at the 225-bridge scale. Classification policy still lives in
-        # Dataplane — this is its one hot-path copy.
+        """Classify *frame* once and invoke the matching hook.
+
+        The data classification is interned on the frame
+        (:meth:`EthernetFrame.kind`) and shared by every clone, so a
+        flooded copy traversing its n-th bridge pays one slot read, not
+        a fresh round of address/payload inspection per hop. Only the
+        family-specific control check (an ethertype set membership)
+        runs per call, because it differs between families.
+        """
         self.counters.received += 1
         if not self.admit_frame(port, frame):
             return

@@ -15,6 +15,7 @@ from repro.frames.control import ArpPathControl, HELLO_MULTICAST
 from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_ARPPATH,
                                    ETHERTYPE_BPDU, ETHERTYPE_IPV4,
                                    ETHERTYPE_LSP, EthernetFrame,
+                                   KIND_ARP_DISCOVERY, KIND_UNICAST,
                                    STP_MULTICAST)
 from repro.frames import control as ctl_proto
 from repro.frames.ipv4 import IPv4Address
@@ -24,7 +25,7 @@ from repro.spb.bridge import SpbBridge
 from repro.spb.lsp import SPB_MULTICAST, SpbHello
 from repro.stp.bpdu import TcnBpdu
 from repro.stp.bridge import StpBridge
-from repro.switching.base import Bridge, Dataplane
+from repro.switching.base import Bridge
 from repro.switching.learning import LearningSwitch
 from repro.topology import arppath, netfpga_demo
 
@@ -146,13 +147,12 @@ class TestClassification:
         assert seen == ["broadcast"]
 
     def test_unicast_arp_is_not_discovery(self):
-        plane = Dataplane()
         pkt = arp_proto.make_reply(SRC, IPv4Address(0x0A000001),
                                    DST, IPv4Address(0x0A000002))
         frame = EthernetFrame(dst=DST, src=SRC, ethertype=ETHERTYPE_ARP,
                               payload=pkt)
-        assert not plane.is_arp_discovery(frame)
-        assert plane.is_arp_discovery(arp_broadcast())
+        assert frame.kind() == KIND_UNICAST
+        assert arp_broadcast().kind() == KIND_ARP_DISCOVERY
 
     def test_control_payload_type_is_checked(self):
         """An ARP-Path-ethertype frame with a foreign payload is data,

@@ -4,7 +4,9 @@ The acceptance bar is the determinism contract from ROADMAP item 1:
 sharded and single-process runs produce **byte-identical experiment
 records at any shard count**. Rows here are frozen-field dataclasses
 built from primitives, so ``==`` over :class:`ScaleRow` /
-:class:`ChurnRow` *is* byte-identity of the records.
+:class:`ChurnRow` *is* byte-identity of the records. The single-engine
+run is ``shards=1`` of the one cell body (PR 13), so the independent
+reference is a set of frozen digests (:class:`TestFrozenReference`).
 
 Also pinned: the per-shard seed derivation (part of the determinism
 contract — re-deriving differently would silently change any future
@@ -13,24 +15,37 @@ experiment drawing from ``sim.rng``), the BFS-band partition, the
 cross-check against the O(1) counter.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments import churn, scale
 from repro.experiments.registry import protocol_specs
 from repro.frames.ethernet import EthernetFrame
 from repro.frames.mac import MAC
+from repro.metrics.report import record_line
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
-from repro.netsim.shard import (ShardedSimulator, ShardWorkerError,
-                                derive_shard_seed, migration_lookahead,
-                                run_sharded)
+from repro.netsim.shard import (ShardedSimulator, ShardRuntime,
+                                ShardWorkerError, derive_shard_seed,
+                                migration_lookahead, run_sharded)
 from repro.netsim.sync import ShardTransportError, pack_frame
 from repro.topology import arppath, grid
 from repro.topology.partition import partition_network
 
 
+def spec(name):
+    return protocol_specs([name], stp_scale=0.1)[0]
+
+
 def arppath_spec():
-    return protocol_specs(["arppath"], stp_scale=0.1)[0]
+    return spec("arppath")
+
+
+def digest(result) -> str:
+    """sha256 of a result's ``record_line`` rows joined by newlines."""
+    return hashlib.sha256("\n".join(
+        record_line(row) for row in result.records()).encode()).hexdigest()
 
 
 class TestDeriveShardSeed:
@@ -175,6 +190,174 @@ class TestChurnParity:
         with pytest.raises(ValueError, match="scripted_failures"):
             churn.run(topology="grid", protocols=["arppath"],
                       scripted_failures=1, shards=2)
+
+
+#: Wirings whose exact same-instant ties across a cut reorder events.
+EXACT_TIES = {("spb", "line"), ("arppath", "demo")}
+
+
+def frozen_cells(pinned):
+    """Every pinned cell at shards 1, 2 and 3 (exact-tie cells: 1 only)."""
+    return [pytest.param(*cell, shards, id=f"{'-'.join(cell)}-k{shards}")
+            for cell in pinned for shards in (1, 2, 3)
+            if shards == 1 or cell not in EXACT_TIES]
+
+
+class TestFrozenReference:
+    """The hand-written single-engine bodies are gone; their rows stay.
+
+    Digests were generated at 4f8de05 from the old ``run_case`` /
+    ``run_protocol`` — the independent reference the sharded workers
+    used to be compared with. Every shard count must reproduce them,
+    ``shards=1`` included. Two cells are pinned at ``shards=1`` only,
+    because their wiring produces *exact* same-instant ties across a
+    cut (the documented limit of the boundary order): SPB's
+    synchronised LSP floods on the line, and the ARP race over the
+    demo's equal-latency ring.
+    """
+
+    SCALE = {
+        ("arppath", "grid"):
+            "4959d41cd49322b7676be7fb6b345f9e1ea7edd81dfb3dc110fedd7d3a9913dc",
+        ("stp", "grid"):
+            "2772dfbd669626d942e7298f73dcfd8022ef01b14c6fa45cf33ff0449738166c",
+        ("spb", "grid"):
+            "8a718282cfd8239e9eb82f2db5a84e1c118999a8ac25d43f3d1bc1bf5f1a77d2",
+        ("controller", "grid"):
+            "773e5f0f1d5a83e9565c53d87a0d84a9bfdd5a24f97311cdb1b270fa02c536e0",
+        ("arppath", "line"):
+            "a240d94c23f291d027f4e44636d29f7fe5fdb671fb3dbbf3893c91998d65eb88",
+        ("stp", "line"):
+            "fcb46df58433dd6e4274ae3cd0b9b8c8916956e26ce779cf06e07b8f1a639db7",
+        ("spb", "line"):
+            "9f671d76d063dcc4b040c8cd88e531341ad0c186b884d02e375cc433090a54ad",
+        ("learning", "line"):
+            "e8e65c1436469a462efc3bbdb08bfa85f2402b7d270916248895613376b991b6",
+        ("controller", "line"):
+            "b413aed749892d2eb4c92269fd1c2719ce448b893d3bce4438c703f3ed836d84",
+    }
+    POPULATION = \
+        "ee3362989d72c2b762cf2278ef9e3e5fc2aad9139b725609e38a0b15ac283459"
+    CHURN = {
+        ("arppath", "demo"):
+            "af22528d2a1b772180ce3d5e5495f40983942a9acde97f96dc529940c0b7f2ee",
+        ("arppath", "grid"):
+            "7144330566cd81a86b49e886e04e94281d54bccf2d979b1dffe58a8e2b54b8c4",
+        ("stp", "demo"):
+            "50da609f08ddebd82319d4e9bef16b15b2b5868bdfb708bbc815011209d8fd0e",
+        ("stp", "grid"):
+            "9da440e0e007f51f8acf8b08aaa91e8ed4b7ba28fcfaeeceed629459f46e91e0",
+        ("spb", "demo"):
+            "30b07b0824817b61d06d8e238b972dd7344fa4439d642461827e4163db8fc588",
+        ("spb", "grid"):
+            "0025d58671e28f819fd50c13812f19f280bd4de93463445236b60f4ad3754548",
+        ("controller", "demo"):
+            "6b04755899147ad0d7dac2ce8d5c8cab0dc79b8243f8aa22bd65e1ea2a586868",
+        ("controller", "grid"):
+            "48ce8e88dac5db723dfdca314cbe34f7e0b040ad61810414888def92391f26a9",
+    }
+    SCRIPTED = \
+        "6aecf7431cb103fc6e7c782eecc60ff01d5138063883587ad6bdb7a52fb42eb0"
+    CHURN_KWARGS = dict(flap_rate=0.5, down_time=0.3, duration=6.0,
+                        fps=25.0, seed=1)
+
+    @pytest.mark.parametrize("protocol,kind,shards", frozen_cells(SCALE))
+    def test_scale_rows(self, protocol, kind, shards):
+        row = scale.run_case_sharded(spec(protocol), kind, 9, seed=1,
+                                     shards=shards, mode="thread")
+        assert digest(scale.ScaleResult([row])) \
+            == self.SCALE[protocol, kind]
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_population_rows(self, shards):
+        row = scale.run_case_sharded(
+            arppath_spec(), "grid", 9, pairs=2, probes=2, seed=1,
+            endpoints_per_port=10, shards=shards, mode="thread")
+        assert digest(scale.ScaleResult([row])) == self.POPULATION
+
+    @pytest.mark.parametrize("protocol,topology,shards",
+                             frozen_cells(CHURN))
+    def test_churn_rows(self, protocol, topology, shards):
+        row = churn.run_protocol_sharded(
+            spec(protocol), topology=topology, crashes=1, migrations=1,
+            shards=shards, mode="thread", **self.CHURN_KWARGS)
+        assert digest(churn.ChurnResult([row])) \
+            == self.CHURN[protocol, topology]
+
+    def test_scripted_failures_rows(self):
+        row = churn.run_protocol(arppath_spec(), topology="demo",
+                                 scripted_failures=2, **self.CHURN_KWARGS)
+        assert row.scripted_failures == 2 and row.repair_times
+        assert digest(churn.ChurnResult([row])) == self.SCRIPTED
+
+
+class TestDrainPathAcrossTheCut:
+    """A frame leaving through ``Link._drain`` crosses the cut at the
+    local instant, to the ulp.
+
+    On this congested population cell ``_start_tx`` used to export
+    ``now + ser + latency`` while scheduling the local delivery at
+    ``now + (ser + latency)``; one ulp apart, which flipped a
+    downstream ``busy_until > now`` test and queued one frame more or
+    fewer (114202 events single-engine, 114203 at K=2, 114200 at K=3).
+    """
+
+    CELL = dict(kind="grid", size=64, pairs=24, probes=16, seed=1,
+                endpoints_per_port=2500)
+
+    @pytest.fixture(scope="class")
+    def single(self):
+        return scale.run_case(arppath_spec(), **self.CELL)
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_row_equal_including_events_processed(self, single, shards):
+        sharded = scale.run_case_sharded(arppath_spec(), shards=shards,
+                                         mode="thread", **self.CELL)
+        assert sharded.events_processed == single.events_processed
+        assert sharded == single
+
+
+class TestSingleEngineIsMachineryFree:
+    """``shards=1`` of a cell body installs none of the boundary
+    machinery — what makes "single-engine = shards 1" cost nothing."""
+
+    @pytest.fixture
+    def runtimes(self, monkeypatch):
+        adopted = []
+        adopt = ShardRuntime.adopt
+
+        def spying_adopt(runtime, net, plan, lookahead=None):
+            adopt(runtime, net, plan, lookahead=lookahead)
+            adopted.append(runtime)
+
+        monkeypatch.setattr(ShardRuntime, "adopt", spying_adopt)
+        return adopted
+
+    def assert_plain(self, runtime):
+        net = runtime.net
+        assert runtime.endpoint is None
+        assert net.sim.now > 0 and net.sim.events_processed > 0
+        for nodes in (net.bridges, net.hosts, net.populations,
+                      net.controllers):
+            assert not any(node.shard_ghost for node in nodes.values())
+        for wire in net.links.values():
+            assert "take_down" not in vars(wire)
+            assert all(direction.export is None
+                       for direction in wire._dirs.values())
+
+    @pytest.mark.parametrize("protocol", ["arppath", "controller"])
+    def test_scale_body(self, runtimes, protocol):
+        scale.run_case(spec(protocol), "grid", 9, pairs=2, probes=2,
+                       endpoints_per_port=10)
+        (runtime,) = runtimes
+        self.assert_plain(runtime)
+
+    @pytest.mark.parametrize("protocol", ["arppath", "controller"])
+    def test_churn_body(self, runtimes, protocol):
+        churn.run_protocol(spec(protocol), topology="grid", flap_rate=0.5,
+                           duration=3.0, crashes=1, migrations=1)
+        (runtime,) = runtimes
+        self.assert_plain(runtime)
 
 
 class TestShardTransport:
