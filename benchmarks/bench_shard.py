@@ -15,12 +15,12 @@ Two figures matter beyond raw throughput:
   K == 1 degenerate path (no fabric, no rounds) — so its ratio against
   the direct ``Simulator`` run (``shard_1_overhead_vs_direct``) is the
   facade's fixed cost. The acceptance bar is < 5%.
-* The recorded ``cpus`` field matters: K workers can only beat one
-  engine when the machine has more than one core. On a single-core
-  container the multi-shard numbers measure pure protocol overhead
-  (speedup <= 1 is the honest ceiling there), and are recorded with
-  that caveat — exactly the ``BENCH_sweep.json`` convention for its
-  parallel-pool figures.
+* The multi-shard walls measure the lockstep protocol's cost, not a
+  parallel speedup: shard workers are threads of one interpreter, so
+  K engines take turns on the GIL and the walls do not depend on the
+  core count (``cpus`` is recorded for the record only). Speedup < 1
+  is the measured state of this design — docs/ARCHITECTURE.md §6 "one
+  transport" has the numbers and what would have to change.
 
 Run with ``pytest benchmarks/bench_shard.py --benchmark-only``.
 
@@ -50,9 +50,8 @@ def sharded_flood_worker(shard_id: int, shard_count: int, endpoint,
                          n: int, seed: int) -> dict:
     """One shard's slice of the ``bench_scale.scale_flood`` workload.
 
-    Module-level (picklable) so process mode can fork it. Mirrors the
-    single-process phases exactly: 2 s warm-up, bulk host announcement,
-    1 s flood race.
+    Mirrors the single-engine phases exactly: 2 s warm-up, bulk host
+    announcement, 1 s flood race.
     """
     side = int(round(n ** 0.5))
     sim = Simulator(seed=derive_shard_seed(seed, shard_id),
@@ -68,10 +67,9 @@ def sharded_flood_worker(shard_id: int, shard_count: int, endpoint,
             "delivered": sim.tracer.frames_delivered}
 
 
-def sharded_flood(n: int = N, shards: int = 1, mode: str = "auto") -> dict:
+def sharded_flood(n: int = N, shards: int = 1) -> dict:
     """The flood workload across *shards* engines; merged totals."""
-    results = ShardedSimulator(shards, mode=mode).run(
-        sharded_flood_worker, n, 0)
+    results = ShardedSimulator(shards).run(sharded_flood_worker, n, 0)
     return {"events": sum(result["events"] for result in results),
             "delivered": sum(result["delivered"] for result in results)}
 
@@ -150,16 +148,14 @@ def regenerate_baseline(path: str = None) -> dict:
         "shard_1_overhead_vs_direct": round(
             single_wall / direct_wall - 1.0, 4),
         **entries,
+        "note": "shard workers are threads of one interpreter: "
+                "multi-shard walls measure the lockstep protocol's cost "
+                "and do not depend on the core count; the deliveries "
+                "figures are parity numbers",
     }
     for shards in SHARD_COUNTS[1:]:
         baseline[f"speedup_{shards}_vs_1"] = round(
             single_wall / entries[f"shards_{shards}"]["wall_seconds"], 3)
-    if cpus == 1:
-        baseline["note"] = (
-            "recorded on a single-core container: multi-shard walls "
-            "measure protocol overhead, not parallel speedup — the "
-            "deliveries figures are parity numbers, and speedup > 1 "
-            "is only reachable with cpus > 1")
     with open(path, "w") as handle:
         json.dump(baseline, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -193,27 +193,16 @@ def main(argv=None):
             _dig(base_scale, "BENCH_scale.json", "workloads", workload,
                  "events_per_payload"),
             fresh_scale["workloads"][workload]["events_per_payload"]))
-    # Sharded engine: the K=1 degenerate path is wall-noisy like every
-    # other throughput here (40% floor); the multi-shard figures are
-    # machine-shaped (protocol overhead on one core, speedup on many),
-    # so they only compare against a baseline from the same CPU count —
-    # the BENCH_sweep.json convention for its parallel-pool numbers.
-    checks.append((
-        "shard K=1 deliveries/s",
-        _dig(base_shard, "BENCH_shard.json", "shards_1",
-             "deliveries_per_sec"),
-        fresh_shard["shards_1"]["deliveries_per_sec"]))
-    shard_baseline_cpus = _dig(base_shard, "BENCH_shard.json", "cpus")
-    if fresh_shard["cpus"] == shard_baseline_cpus:
-        for shards in bench_shard.SHARD_COUNTS[1:]:
-            checks.append((
-                f"shard K={shards} deliveries/s",
-                _dig(base_shard, "BENCH_shard.json", f"shards_{shards}",
-                     "deliveries_per_sec"),
-                fresh_shard[f"shards_{shards}"]["deliveries_per_sec"]))
-    else:
-        print(f"note: skipping multi-shard checks (baseline cpus="
-              f"{shard_baseline_cpus}, here {fresh_shard['cpus']})")
+    # Sharded engine: wall-noisy like every other throughput here (40%
+    # floor) at every K. Shard workers are threads of one interpreter,
+    # so the multi-shard walls do not depend on the core count and
+    # compare against the baseline on any runner.
+    for shards in bench_shard.SHARD_COUNTS:
+        checks.append((
+            f"shard K={shards} deliveries/s",
+            _dig(base_shard, "BENCH_shard.json", f"shards_{shards}",
+                 "deliveries_per_sec"),
+            fresh_shard[f"shards_{shards}"]["deliveries_per_sec"]))
     # Controller-family repair figures are *simulated* time, fully
     # deterministic (see bench_controller.py), so both sides get the
     # tight efficiency ceiling: any growth is a control-plane protocol

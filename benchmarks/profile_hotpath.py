@@ -13,8 +13,8 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_hotpath.py --shards 4
 
 ``--shards N`` profiles the same workload under the sharded runtime
-(:mod:`repro.netsim.shard`, thread mode, one merged profile across the
-worker threads), so protocol costs — lockstep rounds, frame codec
+(:mod:`repro.netsim.shard`, one merged profile across the worker
+threads), so protocol costs — lockstep rounds, frame codec
 round-trips, staged-frame release — land in the same table as the
 dataplane they tax.
 
@@ -74,14 +74,14 @@ def profile_population(n: int = PROFILE_N, endpoints: int = 10_000):
 def profile_flood_sharded(n: int = PROFILE_N, shards: int = 2):
     """Profile the sharded flood; returns (stats, events, wall).
 
-    Thread mode, one profiler per worker thread (``cProfile`` only
+    One profiler per worker thread (``cProfile`` only
     observes the thread that enabled it), merged afterwards — so the
     table includes the shard runtime itself: ``run_until`` rounds,
     frame packing, staged-frame release.
     """
     from repro.netsim.shard import run_sharded
 
-    bench_shard.sharded_flood(n, shards, mode="thread")  # warm-up
+    bench_shard.sharded_flood(n, shards)  # warm-up
     profilers = []
 
     def worker(shard_id, shard_count, endpoint, n, seed):
@@ -95,7 +95,7 @@ def profile_flood_sharded(n: int = PROFILE_N, shards: int = 2):
             profilers.append(profiler)
 
     start = time.perf_counter()
-    results = run_sharded(worker, shards, mode="thread", args=(n, 0))
+    results = run_sharded(worker, shards, args=(n, 0))
     wall = time.perf_counter() - start
     stats = pstats.Stats(profilers[0])
     for profiler in profilers[1:]:
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         label = f"population workload (endpoints={args.endpoints})"
     elif args.shards > 1:
         stats, events, wall = profile_flood_sharded(args.n, args.shards)
-        label = f"sharded flood (shards={args.shards}, thread mode)"
+        label = f"sharded flood (shards={args.shards})"
     else:
         stats, events, wall = profile_flood(args.n)
         label = "flood workload"

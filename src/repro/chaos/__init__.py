@@ -3,7 +3,7 @@
 This package injects *faults into the machinery that runs
 simulations* — pool workers, the serve daemon's store, shard
 workers — never into the simulated network (that is
-:mod:`repro.failures`). Every fault is deterministic: a pure function
+:mod:`repro.netsim.dynamics`). Every fault is deterministic: a pure function
 of its constructor arguments (and, for :func:`faults.seeded_plan`, a
 seed), so a chaos run is exactly reproducible.
 

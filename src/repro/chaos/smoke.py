@@ -248,13 +248,13 @@ def _wedged_worker(shard_id: int, shard_count: int, endpoint) -> None:
     for peer in endpoint.peers:
         endpoint.send(peer, (0.0, False, []))
     for peer in endpoint.peers:
-        endpoint.recv(peer)  # blocks forever on the wedged shard
+        endpoint.recv(peer)  # parked on the wedged shard until the close
 
 
 def step_shard_stall() -> None:
     started = time.monotonic()
     try:
-        run_sharded(_wedged_worker, 2, mode="thread", stall_budget=1.0)
+        run_sharded(_wedged_worker, 2, stall_budget=1.0)
     except ShardStallError as error:
         elapsed = time.monotonic() - started
         if elapsed > 30.0:

@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional
 from repro.core.config import ArpPathConfig
 from repro.experiments import registry
 from repro.experiments.common import build_and_warm, spec
-from repro.failures.injector import FailureInjector
 from repro.metrics.convergence import recovery_from_arrivals
 from repro.metrics.report import format_table
 from repro.topology.library import DemoParams, netfpga_demo
@@ -153,9 +152,8 @@ def _run_repair_scenario(config: ArpPathConfig, seed: int = 0,
     source, sink = stream_between(net.host("A"), net.host("B"), fps=100.0)
     source.start()
     net.run(1.0)
-    injector = FailureInjector(net)
     fail_at = net.sim.now + 0.5
-    injector.link_down("NF1-NF2", fail_at)
+    net.sim.at(fail_at, net.links["NF1-NF2"].take_down)
     net.run(3.0)
     source.stop()
     net.run(0.5)

@@ -142,8 +142,7 @@ def _churn_shard(shard_id: int, shard_count: int, endpoint,
     the shard owning the source host; the sink counts arrivals on the
     shard owning the destination. ``scripted_failures`` needs
     whole-simulation hop tracing, so :func:`run` admits it on a single
-    engine only. Returns plain picklable data for
-    :func:`_merge_churn_shards`.
+    engine only. Returns plain data for :func:`_merge_churn_shards`.
     """
     sim = Simulator(seed=derive_shard_seed(seed, shard_id),
                     trace_hops=scripted_failures > 0,
@@ -253,11 +252,10 @@ def _merge_churn_shards(protocol: ProtocolSpec, topology: str,
 def _run_cell(protocol: ProtocolSpec, topology: str, flap_rate: float,
               down_time: float, duration: float, crashes: int,
               migrations: int, scripted_failures: int, fps: float,
-              seed: int, shards: int = 1, stp_scale: float = 0.1,
-              mode: str = "auto") -> ChurnRow:
+              seed: int, shards: int = 1) -> ChurnRow:
     """One protocol's run on *shards* engines, merged into its row."""
-    results = run_shards(_churn_shard, protocol, shards, stp_scale, mode,
-                         topology, flap_rate, down_time, duration, crashes,
+    results = run_shards(_churn_shard, protocol, shards, topology,
+                         flap_rate, down_time, duration, crashes,
                          migrations, scripted_failures, fps, seed)
     return _merge_churn_shards(protocol, topology, flap_rate, down_time,
                                duration, scripted_failures, results)
@@ -278,17 +276,14 @@ def run_protocol_sharded(protocol: ProtocolSpec, topology: str = "demo",
                          flap_rate: float = 0.2, down_time: float = 0.5,
                          duration: float = 20.0, crashes: int = 0,
                          migrations: int = 0, fps: float = 25.0,
-                         seed: int = 0, shards: int = 2,
-                         stp_scale: float = 0.1,
-                         mode: str = "auto") -> ChurnRow:
+                         seed: int = 0, shards: int = 2) -> ChurnRow:
     """:func:`run_protocol` across *shards* engines, byte-identically.
 
     No ``scripted_failures``: its PathObserver needs hop tracing, a
     whole-simulation observable no shard has.
     """
     return _run_cell(protocol, topology, flap_rate, down_time, duration,
-                     crashes, migrations, 0, fps, seed, shards=shards,
-                     stp_scale=stp_scale, mode=mode)
+                     crashes, migrations, 0, fps, seed, shards=shards)
 
 
 def run(topology: str = "demo",
@@ -321,8 +316,7 @@ def run(topology: str = "demo",
     for protocol in chosen:
         result.rows.append(_run_cell(
             protocol, topology, flap_rate, down_time, duration, crashes,
-            migrations, scripted_failures, fps, seed, shards=shards,
-            stp_scale=stp_scale))
+            migrations, scripted_failures, fps, seed, shards=shards))
     return result
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import ArpPathConfig
-from repro.experiments import registry
 from repro.netsim.engine import Simulator
 from repro.netsim.shard import ShardedSimulator
 from repro.switching import base
@@ -40,9 +39,7 @@ class ProtocolSpec:
     factory: BridgeFactory
     warmup: float
     #: The :func:`spec` lookup key that built this (``"stp"``, not the
-    #: display name ``"stp(x0.1)"``) — what a shard worker passes back
-    #: to :func:`repro.experiments.registry.protocol_specs` to rebuild
-    #: the identical spec in its own process.
+    #: display name ``"stp(x0.1)"``).
     key: str = ""
 
     @property
@@ -99,27 +96,14 @@ def build_and_warm(topology: Callable[..., Network], protocol: ProtocolSpec,
     return net
 
 
-def _shard_by_key(shard_id: int, shard_count: int, endpoint,
-                  body: Callable[..., Any], key: str, stp_scale: float,
-                  *cell: Any) -> Any:
-    """K > 1 worker entry: a spec's factory closure does not pickle, so
-    every worker rebuilds the spec from its registry key."""
-    protocol = registry.protocol_specs([key], stp_scale=stp_scale)[0]
-    return body(shard_id, shard_count, endpoint, protocol, *cell)
-
-
 def run_shards(body: Callable[..., Any], protocol: ProtocolSpec,
-               shards: int, stp_scale: float, mode: str,
-               *cell: Any) -> List[Any]:
+               shards: int, *cell: Any) -> List[Any]:
     """Run a scenario's cell *body* on *shards* engines.
 
     ``body(shard_id, shard_count, endpoint, protocol, *cell)`` is the
     scenario's one phase schedule; per-shard results come back in shard
-    order. A single engine is the same body inline — no fabric, nothing
-    pickled, so the caller's *protocol* is honoured as-is.
+    order. Every engine gets the caller's *protocol* itself — custom
+    and pre-scaled specs included: a family factory is a stateless
+    closure over a frozen config, safe to share between shard threads.
     """
-    sharded = ShardedSimulator(shards, mode=mode)
-    if shards == 1:
-        return sharded.run(body, protocol, *cell)
-    return sharded.run(_shard_by_key, body, protocol.key or protocol.name,
-                       stp_scale, *cell)
+    return ShardedSimulator(shards).run(body, protocol, *cell)

@@ -181,8 +181,8 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
     The scenario's one phase schedule: every engine builds the whole
     topology and walks the same phases at the same instants, ownership
     guards (a shard touches only its own nodes) decide who injects and
-    counts what. A single engine owns everything. Returns plain
-    picklable data for :func:`_merge_scale_shards`.
+    counts what. A single engine owns everything. Returns plain data
+    for :func:`_merge_scale_shards`.
     """
     sim = Simulator(seed=derive_shard_seed(seed, shard_id),
                     keep_trace_records=False)
@@ -332,8 +332,7 @@ def _merge_scale_shards(protocol: ProtocolSpec, kind: str, size: int,
 
 def run_case_sharded(protocol: ProtocolSpec, kind: str, size: int,
                      pairs: int = 3, probes: int = 3, seed: int = 0,
-                     shards: int = 2, stp_scale: float = 0.1,
-                     mode: str = "auto",
+                     shards: int = 2,
                      endpoints_per_port: int = 1) -> ScaleRow:
     """One cell across *shards* engines; the row is byte-identical at
     any shard count (partition, boundary synchronisation and merge are
@@ -346,9 +345,8 @@ def run_case_sharded(protocol: ProtocolSpec, kind: str, size: int,
     time from a ``seed``-seeded RNG, so the row stays a pure function
     of the cell at any job or shard count.
     """
-    results = run_shards(_scale_shard, protocol, shards, stp_scale, mode,
-                         kind, size, pairs, probes, seed,
-                         endpoints_per_port)
+    results = run_shards(_scale_shard, protocol, shards, kind, size, pairs,
+                         probes, seed, endpoints_per_port)
     return _merge_scale_shards(protocol, kind, size, results)
 
 
@@ -385,7 +383,7 @@ def run(kind: str = "grid", sizes: List[int] = [16, 36, 64],
         for size in sizes:
             result.rows.append(run_case_sharded(
                 protocol, kind, size, pairs=pairs, probes=probes,
-                seed=seed, shards=shards, stp_scale=stp_scale,
+                seed=seed, shards=shards,
                 endpoints_per_port=endpoints_per_port))
     return result
 

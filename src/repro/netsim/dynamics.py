@@ -1,10 +1,11 @@
 """Scripted network dynamics: the churn event timeline.
 
-The failure injector (:mod:`repro.failures.injector`) models one-shot
-cable pulls; this module models *sustained churn* — the regime where
-resilience architectures are actually stress-tested: links flapping,
-bridges crashing and power-cycling back with empty tables, hosts
-migrating between edge bridges.
+A one-shot cable pull is a single scheduled ``Link.take_down``
+(``sim.at(t, link.take_down)``, as the ablations' repair scenario
+does); this module models *sustained churn* — the regime where resilience
+architectures are actually stress-tested: links flapping, bridges
+crashing and power-cycling back with empty tables, hosts migrating
+between edge bridges.
 
 An :class:`EventTimeline` is a deterministic, pre-computed schedule of
 :class:`ChurnEvent` items against one network:

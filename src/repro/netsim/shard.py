@@ -2,12 +2,12 @@
 
 One :class:`~repro.netsim.engine.Simulator` is single-threaded by
 design; this module runs *one logical simulation* as K cooperating
-engines (shards), one worker (process or thread) each, synchronized
-with the classic conservative null-message protocol (Chandy–Misra–
-Bryant): every cut link's propagation latency is *lookahead* — shard A
-can promise shard B "nothing from me before ``t + lookahead``" — and
-each shard only fires events strictly below the minimum promise it
-holds from its peers.
+engines (shards), one worker thread each, synchronized with the
+classic conservative null-message protocol (Chandy–Misra–Bryant):
+every cut link's propagation latency is *lookahead* — shard A can
+promise shard B "nothing from me before ``t + lookahead``" — and each
+shard only fires events strictly below the minimum promise it holds
+from its peers.
 
 The contract is exact, not approximate: a sharded run produces
 **byte-identical experiment records** to the single-process run at any
@@ -67,9 +67,7 @@ cross-phase traffic.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_mod
 import threading
 import time
 import traceback
@@ -79,8 +77,8 @@ from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.netsim.link import Link
-from repro.netsim.sync import (Endpoint, make_process_fabric,
-                               make_thread_fabric, pack_frame, unpack_frame)
+from repro.netsim.sync import (Endpoint, make_fabric, pack_frame,
+                               unpack_frame)
 from repro.topology.builder import Network
 from repro.topology.partition import ShardPlan
 
@@ -125,25 +123,17 @@ _BOARD_FIELDS = 4
 
 
 class ProgressBoard:
-    """Per-shard protocol progress, shared with the parent watchdog.
+    """Per-shard protocol progress, shared with the watchdog.
 
-    One flat float vector, ``_BOARD_FIELDS`` cells per shard, written
+    One flat float list, ``_BOARD_FIELDS`` cells per shard, written
     lock-free by each worker from :meth:`ShardRuntime.run_until` (each
     shard owns its slice; the watchdog only ever reads, and a torn read
-    merely delays or hastens one stall check by a round). Thread mode
-    backs it with a plain list, process mode with a
-    ``multiprocessing.Array`` the children inherit.
+    merely delays or hastens one stall check by a round).
     """
 
-    def __init__(self, shard_count: int, cells: Any = None):
+    def __init__(self, shard_count: int):
         self.shard_count = shard_count
-        self.cells = cells if cells is not None \
-            else [0.0] * (_BOARD_FIELDS * shard_count)
-
-    @classmethod
-    def shared(cls, shard_count: int) -> "ProgressBoard":
-        return cls(shard_count, multiprocessing.Array(
-            "d", _BOARD_FIELDS * shard_count, lock=False))
+        self.cells = [0.0] * (_BOARD_FIELDS * shard_count)
 
     def update(self, shard_id: int, rounds: int, horizon: float,
                now: float, staged: int) -> None:
@@ -525,35 +515,23 @@ class ShardRuntime:
 
 # -- worker orchestration ----------------------------------------------------
 
-def _process_main(worker: Callable[..., Any], shard_id: int,
-                  shard_count: int, endpoint: Endpoint, result_queue,
-                  args: tuple) -> None:
-    try:
-        result = worker(shard_id, shard_count, endpoint, *args)
-    except BaseException:
-        result_queue.put((shard_id, False, traceback.format_exc()))
-    else:
-        result_queue.put((shard_id, True, result))
-
-
-#: Seconds to wait for worker results/threads before declaring a hang.
-_WORKER_TIMEOUT = 600.0
+#: Seconds a broken mesh's workers get to unwind once the fabric is
+#: closed, before the error is raised regardless.
+_UNWIND_S = 1.0
 
 
 def run_sharded(worker: Callable[..., Any], shard_count: int,
-                mode: str = "auto", args: tuple = (),
+                args: tuple = (),
                 stall_budget: Optional[float] = None) -> List[Any]:
     """Run ``worker(shard_id, shard_count, endpoint, *args)`` K ways.
 
     Returns the per-shard results in shard order. ``shard_count == 1``
     runs inline (no fabric, ``endpoint=None``) — the zero-overhead
-    degenerate case. *mode*:
-
-    * ``"process"`` — one OS process per shard (true parallelism);
-    * ``"thread"`` — one thread per shard (GIL-bound, but safe where
-      processes cannot fork, and byte-identical by construction);
-    * ``"auto"`` — ``thread`` inside a daemonic process (a sweep pool
-      worker cannot fork children), ``process`` otherwise.
+    degenerate case. Otherwise every shard is one thread of this
+    process: GIL-bound, byte-identical by construction, and the same
+    path in the main process and inside a daemonic sweep-pool worker
+    (which cannot fork children). *worker* and *args* are shared, not
+    copied, so a worker must treat them as read-only.
 
     A progress watchdog guards against a wedged mesh: each worker's
     :meth:`ShardRuntime.run_until` publishes its round state to a
@@ -561,108 +539,63 @@ def run_sharded(worker: Callable[..., Any], shard_count: int,
     *stall_budget* seconds (default ``REPRO_SHARD_STALL_S`` or 300)
     the run aborts with :class:`ShardStallError` carrying the
     per-shard snapshot — a hang becomes a named, diagnosable failure
-    instead of a CI timeout. In thread mode the stalled workers are
-    daemon threads and die with the process; in process mode they are
-    terminated.
+    instead of a CI timeout. A mesh that keeps advancing is never
+    aborted, however long it runs.
+
+    On the first worker failure or stall the fabric is closed: every
+    peer parked in (or later reaching) :meth:`Endpoint.recv` raises
+    :class:`~repro.netsim.sync.ShardTransportError` and unwinds,
+    releasing its replica network, before the original error is
+    raised. A worker wedged *outside* the protocol (a sleep, a native
+    call that never returns) cannot be unwound from a thread: it is a
+    daemon thread, left behind after ``_UNWIND_S`` and gone only with
+    the process.
     """
     if shard_count < 1:
         raise ValueError(f"shard count must be >= 1: {shard_count}")
-    if mode not in ("auto", "process", "thread"):
-        raise ValueError(f"unknown shard mode {mode!r}")
     if shard_count == 1:
         return [worker(0, 1, None, *args)]
-    if mode == "auto":
-        mode = ("thread" if multiprocessing.current_process().daemon
-                else "process")
-    budget = _resolve_stall_budget(stall_budget)
-
-    if mode == "thread":
-        endpoints = make_thread_fabric(shard_count)
-        board = ProgressBoard(shard_count)
-        for endpoint in endpoints:
-            endpoint.progress = board
-        watch = _StallWatch(board, budget)
-        results: List[Any] = [None] * shard_count
-        failures: List[str] = []
-
-        def main(shard_id: int) -> None:
-            try:
-                results[shard_id] = worker(shard_id, shard_count,
-                                           endpoints[shard_id], *args)
-            except BaseException:
-                failures.append(f"shard {shard_id}:\n"
-                                f"{traceback.format_exc()}")
-
-        threads = [threading.Thread(target=main, args=(shard_id,),
-                                    name=f"shard-{shard_id}", daemon=True)
-                   for shard_id in range(shard_count)]
-        for thread in threads:
-            thread.start()
-        # Poll rather than one long join: a crashed worker leaves its
-        # peers blocked on recv forever, and the first traceback is
-        # worth more than waiting out the stragglers.
-        deadline = time.monotonic() + _WORKER_TIMEOUT
-        while not failures \
-                and any(thread.is_alive() for thread in threads):
-            for thread in threads:
-                thread.join(timeout=0.05)
-            if watch.stalled():
-                raise watch.error()
-            if time.monotonic() > deadline:
-                break
-        if failures:
-            raise ShardWorkerError("\n".join(failures))
-        if any(thread.is_alive() for thread in threads):
-            raise ShardWorkerError(
-                f"shard workers still running after {_WORKER_TIMEOUT}s")
-        return results
-
-    endpoints = make_process_fabric(shard_count)
-    board = ProgressBoard.shared(shard_count)
+    endpoints = make_fabric(shard_count)
+    board = ProgressBoard(shard_count)
     for endpoint in endpoints:
         endpoint.progress = board
-    watch = _StallWatch(board, budget)
-    result_queue: Any = multiprocessing.Queue()
-    procs = [multiprocessing.Process(
-        target=_process_main,
-        args=(worker, shard_id, shard_count, endpoints[shard_id],
-              result_queue, args),
-        name=f"shard-{shard_id}")
-        for shard_id in range(shard_count)]
-    for proc in procs:
-        proc.start()
-    results = [None] * shard_count
-    failures = []
-    stall: Optional[ShardStallError] = None
-    received = 0
-    deadline = time.monotonic() + _WORKER_TIMEOUT
-    while received < shard_count and not failures and stall is None:
+    watch = _StallWatch(board, _resolve_stall_budget(stall_budget))
+    results: List[Any] = [None] * shard_count
+    failures: List[str] = []
+
+    def main(shard_id: int) -> None:
         try:
-            shard_id, ok, payload = result_queue.get(timeout=0.2)
-        except queue_mod.Empty:
-            if watch.stalled():
-                stall = watch.error()
-            elif time.monotonic() > deadline:
-                failures.append(
-                    f"no shard result within {_WORKER_TIMEOUT}s")
-            continue
-        received += 1
-        if ok:
-            results[shard_id] = payload
-        else:
-            # Peers may be blocked on the dead shard's silence — do not
-            # wait for results that will never come.
-            failures.append(f"shard {shard_id}:\n{payload}")
-    if failures or stall is not None:
-        for proc in procs:
-            proc.terminate()
-    for proc in procs:
-        proc.join()
-    if stall is not None:
-        raise stall
-    if failures:
-        raise ShardWorkerError("\n".join(failures))
-    return results
+            results[shard_id] = worker(shard_id, shard_count,
+                                       endpoints[shard_id], *args)
+        except BaseException:
+            failures.append(f"shard {shard_id}:\n"
+                            f"{traceback.format_exc()}")
+
+    threads = [threading.Thread(target=main, args=(shard_id,),
+                                name=f"shard-{shard_id}", daemon=True)
+               for shard_id in range(shard_count)]
+    for thread in threads:
+        thread.start()
+    # Poll rather than one long join: the first traceback is worth more
+    # than waiting out the stragglers.
+    stall: Optional[ShardStallError] = None
+    while not failures and stall is None \
+            and any(thread.is_alive() for thread in threads):
+        for thread in threads:
+            thread.join(timeout=0.05)
+        if watch.stalled():
+            stall = watch.error()
+    if not failures and stall is None:
+        return results
+    # Built before the close: the peers' "fabric closed" tracebacks are
+    # a consequence, not the report.
+    error = ShardWorkerError("\n".join(failures)) if failures else stall
+    for endpoint in endpoints:
+        endpoint.close()
+    deadline = time.monotonic() + _UNWIND_S
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    raise error
 
 
 class ShardedSimulator:
@@ -674,20 +607,18 @@ class ShardedSimulator:
     the caller to merge. Drivers build the full topology from shared
     arguments, adopt it into a :class:`ShardRuntime`, run the phase
     schedule through :meth:`ShardRuntime.run_until` and return plain
-    picklable data.
+    data.
     """
 
-    def __init__(self, shards: int, mode: str = "auto",
-                 stall_budget: Optional[float] = None):
+    def __init__(self, shards: int, stall_budget: Optional[float] = None):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1: {shards}")
         self.shards = shards
-        self.mode = mode
         self.stall_budget = stall_budget
 
     def run(self, worker: Callable[..., Any], *args: Any) -> List[Any]:
-        return run_sharded(worker, self.shards, mode=self.mode, args=args,
+        return run_sharded(worker, self.shards, args=args,
                            stall_budget=self.stall_budget)
 
     def __repr__(self) -> str:
-        return f"<ShardedSimulator shards={self.shards} mode={self.mode}>"
+        return f"<ShardedSimulator shards={self.shards}>"

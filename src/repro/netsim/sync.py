@@ -8,19 +8,19 @@ so the mesh never deadlocks and never reorders (each channel is FIFO).
 
 Frames crossing a shard boundary travel **by value**: the sender runs
 the wire codec (:mod:`repro.frames.codec`) and ships bytes, the
-receiver decodes a fresh frame object. That is deliberate even in
-thread mode, where references would be cheaper — a single code path
-means the parity guarantee ("sharded records are byte-identical to
-single-process records") is exercised identically everywhere, and the
-codec round-trip is precisely the serialisation a distributed run
-would need. Two fields do not survive the wire codec and ride
-alongside the bytes instead:
+receiver decodes a fresh frame object. That is deliberate even though
+the workers are threads and references would be cheaper — the receiver
+never sees an object the sender can still mutate, which is what the
+parity guarantee ("sharded records are byte-identical to single-engine
+records") rests on, and the codec round-trip is precisely the
+serialisation a distributed run would need. Two fields do not survive
+the wire codec and ride alongside the bytes instead:
 
 * the frame ``uid`` (a simulator-side identity, not an on-wire field),
 * an application payload object buried under UDP (the codec encodes
   unknown payloads as opaque zeros of their wire size; the receiving
   host needs the real object — e.g. a ``VideoChunk`` — to account the
-  stream). Such objects must be picklable and value-semantic.
+  stream). Such objects must be value-semantic.
 
 BPDU and LSP ethertypes register their codecs at import of the
 protocol modules, so this module imports both: a worker that receives
@@ -29,7 +29,6 @@ a control frame of either kind must be able to decode it.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue as queue_mod
 from typing import Any, Dict, List, Tuple
 
@@ -46,7 +45,12 @@ import repro.switching.controller.codec   # noqa: F401
 
 
 class ShardTransportError(RuntimeError):
-    """A frame cannot be moved between shards losslessly."""
+    """A frame cannot be moved between shards losslessly, or the fabric
+    was closed under a worker still waiting on it."""
+
+
+#: What :meth:`Endpoint.close` leaves on a channel.
+_CLOSED = object()
 
 
 def pack_frame(frame: EthernetFrame) -> Tuple[bytes, int, Any]:
@@ -94,7 +98,7 @@ def unpack_frame(data: bytes, uid: int, aux: Any) -> EthernetFrame:
 class Endpoint:
     """One worker's view of the all-to-all channel mesh.
 
-    ``send(dst, message)`` never blocks (both fabrics buffer without
+    ``send(dst, message)`` never blocks (channels buffer without
     bound) and ``recv(src)`` blocks until the peer's next message —
     safe under the lockstep round structure, where every worker sends
     to every peer before receiving from any.
@@ -118,31 +122,26 @@ class Endpoint:
         self._senders[dst].put(message)
 
     def recv(self, src: int) -> Any:
-        return self._receivers[src].get()
+        message = self._receivers[src].get()
+        if message is _CLOSED:
+            raise ShardTransportError(
+                f"shard fabric closed while shard {self.shard_id} waited "
+                f"on shard {src}: a peer failed or the mesh stalled")
+        return message
+
+    def close(self) -> None:
+        """Wake this endpoint's worker out of any ``recv``, now or
+        later: one sentinel behind whatever each incoming channel still
+        holds. :func:`repro.netsim.shard.run_sharded` closes every
+        endpoint when the mesh is broken, so no peer stays parked on a
+        shard that will never answer."""
+        for channel in self._receivers.values():
+            channel.put(_CLOSED)
 
 
-def make_thread_fabric(shard_count: int) -> List[Endpoint]:
-    """Endpoints wired over in-process queues (thread mode)."""
+def make_fabric(shard_count: int) -> List[Endpoint]:
+    """Endpoints wired all-to-all over in-process FIFO queues."""
     channels = {(src, dst): queue_mod.SimpleQueue()
-                for src in range(shard_count)
-                for dst in range(shard_count) if src != dst}
-    return [Endpoint(me,
-                     senders={dst: channels[(me, dst)]
-                              for dst in range(shard_count) if dst != me},
-                     receivers={src: channels[(src, me)]
-                                for src in range(shard_count) if src != me})
-            for me in range(shard_count)]
-
-
-def make_process_fabric(shard_count: int) -> List[Endpoint]:
-    """Endpoints wired over multiprocessing queues (process mode).
-
-    :class:`multiprocessing.Queue` (not a raw pipe) on purpose: its
-    feeder thread makes ``put`` non-blocking regardless of message
-    size, so a flood burst whose frame batch exceeds the OS pipe
-    buffer cannot deadlock two workers that are both mid-send.
-    """
-    channels = {(src, dst): multiprocessing.Queue()
                 for src in range(shard_count)
                 for dst in range(shard_count) if src != dst}
     return [Endpoint(me,

@@ -210,6 +210,18 @@ class TestAblations:
         assert dynamic.repaired and static.repaired
         assert not none.repaired
 
+    def test_repair_scenario_rows_frozen(self):
+        # Generated at 7e2d79c, where the cut was scheduled through
+        # failures.injector.FailureInjector; the direct
+        # ``sim.at(fail_at, link.take_down)`` is the same heap event.
+        result = ablations.AblationResult(
+            lock_rows=[],
+            buffer_rows=ablations.sweep_repair_buffer(sizes=[0, 32], seed=1),
+            hello_rows=ablations.sweep_hello(seed=1))
+        lines = "\n".join(record_line(row) for row in result.records())
+        assert hashlib.sha256(lines.encode()).hexdigest() == \
+            "9c510a853c3274954d0b34e6eac67ebc28a06e4599b1136b90afa4ed3c9d2598"
+
 
 class TestChurn:
     @pytest.fixture(scope="class")

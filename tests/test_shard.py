@@ -15,20 +15,26 @@ experiment drawing from ``sim.rng``), the BFS-band partition, the
 cross-check against the O(1) counter.
 """
 
+import dataclasses
 import hashlib
+import threading
+import time
 
 import pytest
 
-from repro.experiments import churn, scale
+from repro.core.config import ArpPathConfig
+from repro.experiments import churn, common, runner, scale
 from repro.experiments.registry import protocol_specs
 from repro.frames.ethernet import EthernetFrame
 from repro.frames.mac import MAC
 from repro.metrics.report import record_line
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
+from repro.netsim import shard as shard_mod
 from repro.netsim.shard import (ShardedSimulator, ShardRuntime,
-                                ShardWorkerError, derive_shard_seed,
-                                migration_lookahead, run_sharded)
+                                ShardStallError, ShardWorkerError,
+                                derive_shard_seed, migration_lookahead,
+                                run_sharded)
 from repro.netsim.sync import ShardTransportError, pack_frame
 from repro.topology import arppath, grid
 from repro.topology.partition import partition_network
@@ -124,36 +130,26 @@ class TestScaleParity:
         spec = arppath_spec()
         direct = scale.run_case(spec, "grid", 16, seed=seed)
         sharded = scale.run_case_sharded(spec, "grid", 16, seed=seed,
-                                         shards=shards, mode="thread")
+                                         shards=shards)
         assert sharded == direct
 
     def test_stp_display_name_rebuilds_by_key(self):
-        # Scaled STP's display name is "stp(x0.1)", not a registry key;
-        # workers must rebuild the spec from ProtocolSpec.key. This was
-        # a real crash: any sharded run including stp died with
-        # "unknown protocol: stp(x0.1)".
+        # Scaled STP's display name is "stp(x0.1)", not a registry key.
+        # This was a real crash when workers rebuilt the spec by name:
+        # any sharded run including stp died with "unknown protocol:
+        # stp(x0.1)". Workers now get the caller's spec itself.
         spec = protocol_specs(["stp"], stp_scale=0.1)[0]
         assert spec.key == "stp"
         direct = scale.run_case(spec, "grid", 9, seed=0)
         sharded = scale.run_case_sharded(spec, "grid", 9, seed=0,
-                                         shards=2, mode="thread")
+                                         shards=2)
         assert sharded == direct
 
     def test_learning_line_rows_identical(self):
         spec = protocol_specs(["learning"], stp_scale=0.1)[0]
         direct = scale.run_case(spec, "line", 16, seed=0)
         sharded = scale.run_case_sharded(spec, "line", 16, seed=0,
-                                         shards=2, mode="thread")
-        assert sharded == direct
-
-    def test_process_mode_rows_identical(self):
-        # The fork path: frames and results cross real process
-        # boundaries, so this also proves everything shipped is
-        # picklable and value-semantic.
-        spec = arppath_spec()
-        direct = scale.run_case(spec, "grid", 9, seed=0)
-        sharded = scale.run_case_sharded(spec, "grid", 9, seed=0,
-                                         shards=2, mode="process")
+                                         shards=2)
         assert sharded == direct
 
     def test_shards_one_is_passthrough(self):
@@ -161,6 +157,58 @@ class TestScaleParity:
         assert scale.run_case_sharded(spec, "grid", 9, seed=0,
                                       shards=1) \
             == scale.run_case(spec, "grid", 9, seed=0)
+
+
+class TestCallerSpecHonoured:
+    """Every shard count runs the spec it was handed, not the registry
+    default of the same family (workers used to rebuild the spec by
+    key at K > 1, silently dropping a custom config)."""
+
+    CELL = dict(kind="grid", size=9, pairs=3, probes=3, seed=1)
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_custom_arppath_config(self, shards):
+        brisk = common.spec("arppath",
+                            arppath_config=ArpPathConfig(hello_interval=0.25))
+        single = scale.run_case(brisk, **self.CELL)
+        assert single != scale.run_case(arppath_spec(), **self.CELL)
+        assert scale.run_case_sharded(brisk, shards=shards,
+                                      **self.CELL) == single
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_hellos_disabled(self, shards):
+        quiet = common.spec("arppath",
+                            arppath_config=ArpPathConfig(hello_enabled=False))
+        single = scale.run_case(quiet, **self.CELL)
+        assert single.control_frames == 0  # the default family sends 28
+        sharded = scale.run_case_sharded(quiet, shards=shards, **self.CELL)
+        # peak_wheel_timers is left out: which timers a sample finds
+        # still on the wheel depends on what else heads the engine's
+        # heap (pours go bucket by bucket), and with no hellos a shard's
+        # heap is too quiet to pour in step with the single engine
+        # (21 there, 24 sharded; the wheel + heap total is equal).
+        assert dataclasses.replace(
+            sharded, peak_wheel_timers=single.peak_wheel_timers) == single
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_pre_scaled_stp(self, shards):
+        slower = common.spec("stp", stp_scale=0.2)
+        single = scale.run_case(slower, **self.CELL)
+        assert single.protocol == "stp(x0.2)"
+        assert single != scale.run_case(spec("stp"), **self.CELL)
+        assert scale.run_case_sharded(slower, shards=shards,
+                                      **self.CELL) == single
+
+    def test_pool_worker_and_main_process_rows_equal(self):
+        # One transport: a daemonic pool worker (which cannot fork) and
+        # the main process shard a cell the same way.
+        cells = runner.expand_grid(
+            ["scale"], seeds=[1, 2],
+            axes={"shards": [2], "sizes": [9], "protocols": ["arppath"],
+                  "pairs": [1], "probes": [1]})
+        serial = runner.SweepRunner(cells, jobs=1).run()
+        pooled = runner.SweepRunner(cells, jobs=2).run()
+        assert serial.rows() and pooled.rows() == serial.rows()
 
 
 class TestChurnParity:
@@ -172,8 +220,7 @@ class TestChurnParity:
         kwargs = dict(topology="grid", flap_rate=0.5, down_time=0.3,
                       duration=4.0, fps=25.0, seed=0)
         direct = churn.run_protocol(spec, **kwargs)
-        sharded = churn.run_protocol_sharded(spec, shards=shards,
-                                             mode="thread", **kwargs)
+        sharded = churn.run_protocol_sharded(spec, shards=shards, **kwargs)
         assert sharded == direct
 
     def test_crashes_and_migrations_rows_identical(self):
@@ -182,8 +229,7 @@ class TestChurnParity:
                       duration=4.0, crashes=1, migrations=2, fps=25.0,
                       seed=1)
         direct = churn.run_protocol(spec, **kwargs)
-        sharded = churn.run_protocol_sharded(spec, shards=2,
-                                             mode="thread", **kwargs)
+        sharded = churn.run_protocol_sharded(spec, shards=2, **kwargs)
         assert sharded == direct
 
     def test_scripted_failures_refused_sharded(self):
@@ -264,7 +310,7 @@ class TestFrozenReference:
     @pytest.mark.parametrize("protocol,kind,shards", frozen_cells(SCALE))
     def test_scale_rows(self, protocol, kind, shards):
         row = scale.run_case_sharded(spec(protocol), kind, 9, seed=1,
-                                     shards=shards, mode="thread")
+                                     shards=shards)
         assert digest(scale.ScaleResult([row])) \
             == self.SCALE[protocol, kind]
 
@@ -272,7 +318,7 @@ class TestFrozenReference:
     def test_population_rows(self, shards):
         row = scale.run_case_sharded(
             arppath_spec(), "grid", 9, pairs=2, probes=2, seed=1,
-            endpoints_per_port=10, shards=shards, mode="thread")
+            endpoints_per_port=10, shards=shards)
         assert digest(scale.ScaleResult([row])) == self.POPULATION
 
     @pytest.mark.parametrize("protocol,topology,shards",
@@ -280,7 +326,7 @@ class TestFrozenReference:
     def test_churn_rows(self, protocol, topology, shards):
         row = churn.run_protocol_sharded(
             spec(protocol), topology=topology, crashes=1, migrations=1,
-            shards=shards, mode="thread", **self.CHURN_KWARGS)
+            shards=shards, **self.CHURN_KWARGS)
         assert digest(churn.ChurnResult([row])) \
             == self.CHURN[protocol, topology]
 
@@ -312,7 +358,7 @@ class TestDrainPathAcrossTheCut:
     @pytest.mark.parametrize("shards", [2, 3])
     def test_row_equal_including_events_processed(self, single, shards):
         sharded = scale.run_case_sharded(arppath_spec(), shards=shards,
-                                         mode="thread", **self.CELL)
+                                         **self.CELL)
         assert sharded.events_processed == single.events_processed
         assert sharded == single
 
@@ -368,16 +414,19 @@ class TestShardTransport:
             pack_frame(frame)
 
 
+def live_shard_threads(before):
+    """Names of ``shard-*`` threads started since *before* and alive."""
+    return sorted(thread.name for thread in threading.enumerate()
+                  if thread not in before
+                  and thread.name.startswith("shard-"))
+
+
 class TestRunSharded:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             run_sharded(lambda *a: None, 0)
         with pytest.raises(ValueError):
             ShardedSimulator(0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            run_sharded(lambda *a: None, 2, mode="fiber")
 
     def test_single_shard_runs_inline(self):
         calls = []
@@ -394,7 +443,23 @@ class TestRunSharded:
             raise RuntimeError(f"boom in shard {shard_id}")
 
         with pytest.raises(ShardWorkerError, match="boom in shard"):
-            run_sharded(worker, 2, mode="thread")
+            run_sharded(worker, 2)
+
+    def test_failed_worker_leaves_no_live_peer(self):
+        # Shard 1 is parked in recv on a shard that will never answer;
+        # the fabric close must unwind it (it used to leak, holding its
+        # whole replica network, in every pool worker).
+        def worker(shard_id, shard_count, endpoint):
+            if shard_id == 0:
+                raise RuntimeError("boom")
+            endpoint.recv(0)
+
+        before = set(threading.enumerate())
+        with pytest.raises(ShardWorkerError, match="boom") as excinfo:
+            run_sharded(worker, 2)
+        # The report is the original failure, not the peers' unwinding.
+        assert "fabric closed" not in str(excinfo.value)
+        assert live_shard_threads(before) == []
 
 
 class TestRunBelow:
@@ -487,31 +552,24 @@ def _wedged_worker(shard_id, shard_count, endpoint):
 
 class TestStallWatchdog:
     def test_thread_mesh_stall_raises_with_snapshot(self):
-        from repro.netsim.shard import ShardStallError
+        before = set(threading.enumerate())
         with pytest.raises(ShardStallError) as excinfo:
-            run_sharded(_wedged_worker, 2, mode="thread",
-                        stall_budget=0.5)
+            run_sharded(_wedged_worker, 2, stall_budget=0.5)
         assert sorted(excinfo.value.snapshot) == [0, 1]
         # snapshot rows carry the per-shard progress fields
         for fields in excinfo.value.snapshot.values():
             assert {"rounds", "horizon", "staged"} <= set(fields)
-
-    def test_process_mesh_stall_raises_with_snapshot(self):
-        from repro.netsim.shard import ShardStallError
-        with pytest.raises(ShardStallError) as excinfo:
-            run_sharded(_wedged_worker, 2, mode="process",
-                        stall_budget=0.5)
-        assert sorted(excinfo.value.snapshot) == [0, 1]
+        # The peer parked in recv unwound; only the shard wedged
+        # outside the protocol (a sleep) is beyond a thread's reach.
+        assert live_shard_threads(before) == ["shard-0"]
 
     def test_stall_error_is_a_shard_worker_error(self):
-        from repro.netsim.shard import ShardStallError
         assert issubclass(ShardStallError, ShardWorkerError)
 
     def test_fingerprint_ignores_round_counter(self):
         # A shard spinning rounds without advancing its horizon is a
         # livelock, and must still count as stalled.
-        from repro.netsim.shard import ProgressBoard
-        board = ProgressBoard(2)
+        board = shard_mod.ProgressBoard(2)
         board.update(0, rounds=1, horizon=1.0, now=0.5, staged=3)
         before = board.fingerprint()
         board.update(0, rounds=99, horizon=1.0, now=0.5, staged=3)
@@ -523,5 +581,24 @@ class TestStallWatchdog:
         def worker(shard_id, shard_count, endpoint):
             return shard_id
 
-        assert run_sharded(worker, 2, mode="thread",
-                           stall_budget=30.0) == [0, 1]
+        assert run_sharded(worker, 2, stall_budget=30.0) == [0, 1]
+
+    def test_advancing_mesh_is_never_aborted(self, monkeypatch):
+        # Progress is the only hang detector: a mesh whose board keeps
+        # moving outlives the stall budget — and the progress-blind
+        # 600 s wall limit that used to sit beside it (patched short
+        # here so the parent's false abort shows).
+        monkeypatch.setattr(shard_mod, "_WORKER_TIMEOUT", 0.2,
+                            raising=False)
+
+        def worker(shard_id, shard_count, endpoint):
+            deadline = time.monotonic() + 0.8
+            rounds = 0
+            while time.monotonic() < deadline:
+                rounds += 1
+                endpoint.progress.update(shard_id, rounds, float(rounds),
+                                         0.0, 0)
+                time.sleep(0.02)
+            return shard_id
+
+        assert run_sharded(worker, 2, stall_budget=0.3) == [0, 1]
