@@ -18,6 +18,11 @@ threads), so protocol costs — lockstep rounds, frame codec
 round-trips, staged-frame release — land in the same table as the
 dataplane they tax.
 
+The plain invocation (no ``--shards`` / ``--endpoints``) also profiles
+one warm **unicast train** — a 2 000-packet flow over an 8-bridge
+ARP-Path line whose path is already LEARNT — so ``on_unicast`` /
+``learn`` / ``get`` show their cumulative shares next to the flood's.
+
 ``--json`` writes the same top-N rows as a JSON artifact (CI uploads it
 from the bench-guard job) with per-function ``ncalls`` / ``tottime`` /
 ``cumtime``, plus the workload's event count and wall time, so
@@ -57,6 +62,35 @@ def profile_flood(n: int = PROFILE_N):
     profiler.disable()
     wall = time.perf_counter() - start
     return pstats.Stats(profiler), sim.events_processed, wall
+
+
+def profile_unicast_train(bridges: int = 8, packets: int = 2000):
+    """Profile a warm unicast flow over a line; (stats, events, wall).
+
+    The table hit path and nothing else: every frame learns its source
+    and looks its destination up once per hop (the workload
+    ``tests/test_hotpath_cost.py`` counts calls on).
+    """
+    from repro.netsim.engine import Simulator
+    from repro.topology import line
+    from repro.topology.factories import arppath
+    from repro.traffic.matrix import TrafficMatrix
+
+    sim = Simulator(seed=1, keep_trace_records=False)
+    net = line(sim, arppath(), bridges)
+    net.run(5.0)
+    matrix = TrafficMatrix(net)
+    matrix.add_flow("H0", "H1", packets=50 + packets, interval=1e-4)
+    matrix.start()
+    net.run(0.005)  # ARP race + the first ~50 packets: path LEARNT
+    before = sim.events_processed
+    profiler = cProfile.Profile()
+    start = time.perf_counter()
+    profiler.enable()
+    sim.run_for(packets * 1e-4)
+    profiler.disable()
+    wall = time.perf_counter() - start
+    return pstats.Stats(profiler), sim.events_processed - before, wall
 
 
 def profile_population(n: int = PROFILE_N, endpoints: int = 10_000):
@@ -122,6 +156,16 @@ def top_rows(stats: pstats.Stats, limit: int = TOP):
     return entries[:limit]
 
 
+def print_table(label: str, stats: pstats.Stats, events: int, wall: float,
+                limit: int) -> None:
+    print(f"{label}: {events} events in "
+          f"{wall * 1e3:.1f} ms ({events / wall:,.0f} events/s)\n")
+    out = io.StringIO()
+    stats.stream = out
+    stats.sort_stats("cumulative").print_stats(limit)
+    print(out.getvalue())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="cProfile the flood hot path (top cumulative lines)")
@@ -150,12 +194,12 @@ def main(argv=None) -> int:
     else:
         stats, events, wall = profile_flood(args.n)
         label = "flood workload"
-    print(f"{label} at n={args.n}: {events} events in "
-          f"{wall * 1e3:.1f} ms ({events / wall:,.0f} events/s)\n")
-    out = io.StringIO()
-    stats.stream = out
-    stats.sort_stats("cumulative").print_stats(args.top)
-    print(out.getvalue())
+    print_table(f"{label} at n={args.n}", stats, events, wall, args.top)
+    unicast = None
+    if args.endpoints <= 0 and args.shards <= 1:
+        unicast = profile_unicast_train()
+        print_table("warm unicast train over an 8-bridge line",
+                    *unicast, args.top)
 
     if args.json:
         payload = {
@@ -166,6 +210,12 @@ def main(argv=None) -> int:
             "events_per_sec": round(events / wall),
             "top": top_rows(stats, args.top),
         }
+        if unicast is not None:
+            payload["unicast_train"] = {
+                "events": unicast[1],
+                "wall_seconds": round(unicast[2], 6),
+                "top": top_rows(unicast[0], args.top),
+            }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -132,7 +132,7 @@ class ArpPathBridge(Bridge):
         static = self._static_host_role.get(port.index)
         if static is not None:
             return not static
-        return self._neighbor_until.get(port.index, 0.0) > self.sim.now
+        return self._neighbor_until.get(port.index, 0.0) > self.sim._now
 
     def is_host_port(self, port: Port) -> bool:
         """True when *port* is believed to face an end host.
@@ -244,17 +244,18 @@ class ArpPathBridge(Bridge):
         because each re-lock re-arms the guard, so later copies of the
         same race are discarded for a full lock timeout.
         """
-        now = self.sim.now
-        entry = self.table.get(src, now)
+        now = self.sim._now
+        table = self.table
+        entry = table.get(src, now)
         if entry is None:
-            self.table.lock(src, port, now)
+            table.lock(src, port, now, entry)
             return True
         if entry.port is port:
-            self.table.refresh_lock(src, now)
+            table.refresh_lock(src, now, entry)
             return True
         if entry.is_locked or entry.race_active(now):
             return False
-        self.table.lock(src, port, now)
+        table.lock(src, port, now, entry)
         return True
 
     def on_arp(self, port: Port, frame: EthernetFrame) -> None:
@@ -262,13 +263,13 @@ class ArpPathBridge(Bridge):
         self.apc.discovery_frames += 1
         pkt: ArpPacket = frame.payload
         if self.proxy is not None:
-            self.proxy.snoop(pkt, self.sim.now)
+            self.proxy.snoop(pkt, self.sim._now)
         if not self._accept_discovery(port, frame.src):
             self.apc.discovery_filtered += 1
             self.filter_frame()
             return
         if self.proxy is not None:
-            answer = self.proxy.answer(pkt, self.sim.now)
+            answer = self.proxy.answer(pkt, self.sim._now)
             if answer is not None:
                 # Broadcast suppressed: impersonate the target exactly
                 # like EtherProxy. The reply's source address rebuilds
@@ -290,7 +291,7 @@ class ArpPathBridge(Bridge):
         the first such frame (or at the source's established path port
         when one exists); they never create or modify path entries.
         """
-        now = self.sim.now
+        now = self.sim._now
         entry = self.table.get(frame.src, now)
         accept_port = entry.port if entry is not None \
             else self.table.guard_port(frame.src, now)
@@ -305,25 +306,33 @@ class ArpPathBridge(Bridge):
     # -- unicast data plane (paper §2.1.2) --------------------------------
 
     def on_unicast(self, port: Port, frame: EthernetFrame) -> None:
-        now = self.sim.now
+        """One pass, one table probe per address: learn the source,
+        look the destination up once, confirm *that* entry, forward."""
+        now = self.sim._now
+        table = self.table
         # The frame's source travelled to here: establish/confirm the
         # reverse direction in LEARNT state.
-        self.table.learn(frame.src, port, now)
+        table.learn(frame.src, port, now)
         if self.proxy is not None and frame.ethertype == ETHERTYPE_ARP \
                 and isinstance(frame.payload, ArpPacket):
             self.proxy.snoop(frame.payload, now)
-        if frame.dst == self.mac:
+        dst = frame.dst
+        if dst._value == self.mac._value:
             return
-        entry = self.table.get(frame.dst, now)
-        if entry is not None and entry.port.is_up:
-            if entry.port is port:
-                self.filter_frame()
+        entry = table.get(dst, now)
+        if entry is not None:
+            out_port = entry.port
+            link = out_port.link  # out_port.is_up inlined
+            if link is not None and link.up:
+                if out_port is port:
+                    self.filter_frame()
+                    return
+                # Using the path keeps it alive (and upgrades LOCKED
+                # entries created by the discovery broadcast — the
+                # §2.1.2 step).
+                table.confirm_entry(entry, now)
+                self.forward(out_port, frame)
                 return
-            # Using the path keeps it alive (and upgrades LOCKED entries
-            # created by the discovery broadcast — the §2.1.2 step).
-            self.table.confirm(frame.dst, now)
-            self.forward(entry.port, frame)
-            return
         self._unicast_miss(port, frame)
 
     def _unicast_miss(self, port: Port, frame: EthernetFrame) -> None:
@@ -346,7 +355,7 @@ class ArpPathBridge(Bridge):
         """Is this bridge the ingress edge bridge for *source*?"""
         if self.is_host_port(ingress):
             return True
-        entry = self.table.get(source, self.sim.now)
+        entry = self.table.get(source, self.sim._now)
         return entry is not None and self.is_host_port(entry.port)
 
     # -- Path Repair (paper §2.1.4) -----------------------------------------
@@ -359,7 +368,7 @@ class ArpPathBridge(Bridge):
         reverse. When no route back exists the bridge repairs locally as
         a fallback, so the conversation still recovers.
         """
-        now = self.sim.now
+        now = self.sim._now
         fail = ctl_proto.make_path_fail(self.mac, frame.src, frame.dst,
                                         self._next_seq())
         entry = self.table.get(frame.src, now)
@@ -386,7 +395,7 @@ class ArpPathBridge(Bridge):
             self.repair.activate(state, self._next_seq())
         else:
             state = self.repair.start(target, source, self._next_seq(),
-                                      self.sim.now)
+                                      self.sim._now)
         if first_frame is not None \
                 and not self.repair.buffer_frame(target, first_frame):
             self.apc.drops_buffer += 1
@@ -407,7 +416,7 @@ class ArpPathBridge(Bridge):
                 self.apc.drops_buffer += 1
             return
         state = self.repair.start(frame.dst, frame.src, self._next_seq(),
-                                  self.sim.now, passive=True)
+                                  self.sim._now, passive=True)
         if not self.repair.buffer_frame(frame.dst, frame):
             self.apc.drops_buffer += 1
         hold = self.config.repair_retry_timeout \
@@ -434,7 +443,7 @@ class ArpPathBridge(Bridge):
         arriving back over fabric loops would count as a *new* race,
         re-lock, and re-flood forever.
         """
-        self.table.refresh_lock(state.source, self.sim.now)
+        self.table.refresh_lock(state.source, self.sim._now)
         request = ArpPathControl(op=ctl_proto.OP_PATH_REQUEST,
                                  origin=self.mac, source=state.source,
                                  target=state.target, seq=state.seq,
@@ -473,14 +482,14 @@ class ArpPathBridge(Bridge):
         self.apc.hellos_received += 1
         self.neighbors[port.index] = ctl.origin
         self._neighbor_until[port.index] = \
-            self.sim.now + self.config.hello_hold
+            self.sim._now + self.config.hello_hold
 
     def _handle_path_request(self, port: Port, frame: EthernetFrame,
                              ctl: ArpPathControl) -> None:
         """A flooded repair probe: lock like an ARP Request, answer if we
         are the target's edge bridge, otherwise relay the race."""
         self.apc.path_requests_seen += 1
-        now = self.sim.now
+        now = self.sim._now
         if not self._accept_discovery(port, frame.src):
             self.apc.discovery_filtered += 1
             self.filter_frame()
@@ -512,7 +521,7 @@ class ArpPathBridge(Bridge):
         reply = ArpPathControl(op=ctl_proto.OP_PATH_REPLY, origin=self.mac,
                                source=ctl.source, target=ctl.target,
                                seq=ctl.seq, ttl=self.config.control_ttl)
-        self.table.confirm(ctl.source, self.sim.now)
+        self.table.confirm(ctl.source, self.sim._now)
         self.counters.control_sent += 1
         request_port.send(EthernetFrame(dst=ctl.source, src=ctl.target,
                                         ethertype=ETHERTYPE_ARPPATH,
@@ -521,7 +530,7 @@ class ArpPathBridge(Bridge):
     def _handle_path_reply(self, port: Port, frame: EthernetFrame,
                            ctl: ArpPathControl) -> None:
         self.apc.path_replies_seen += 1
-        now = self.sim.now
+        now = self.sim._now
         # The reply's source IS the repaired target: learn it.
         self.table.learn(frame.src, port, now)
         if self.repair.is_pending(ctl.target):
@@ -536,12 +545,12 @@ class ArpPathBridge(Bridge):
         if ctl.ttl <= 1:
             self.apc.ttl_drops += 1
             return
-        self.table.confirm(frame.dst, now)
+        self.table.confirm_entry(entry, now)
         self.forward(entry.port, frame.with_payload(ctl.relayed()))
 
     def _complete_repair(self, target: MAC) -> None:
         """Flush the repair buffer along the freshly re-created path."""
-        now = self.sim.now
+        now = self.sim._now
         buffered = self.repair.complete(target, now)
         if not buffered:
             return
@@ -551,7 +560,7 @@ class ArpPathBridge(Bridge):
             self.apc.drops_buffer += len(buffered)
             return
         for parked in buffered:
-            self.table.confirm(target, now)
+            self.table.confirm_entry(entry, now)
             self.forward(entry.port, parked)
 
     def _handle_path_fail(self, port: Port, frame: EthernetFrame,
@@ -560,7 +569,7 @@ class ArpPathBridge(Bridge):
         destination's entries as it goes; the edge bridge starts the
         repair race."""
         self.apc.path_fails_seen += 1
-        now = self.sim.now
+        now = self.sim._now
         self.table.remove(ctl.target)
         state = self.repair.get(ctl.target)
         if state is not None and not state.passive:

@@ -23,6 +23,13 @@ Both entry kinds age through a shared :class:`repro.netsim.aging
 behaviour may depend on when memory is reclaimed) and, when the table
 is built with a simulator, expired entries are reclaimed promptly by
 timer-wheel timers instead of a periodic sweep.
+
+The stores are keyed on the 48-bit integer (``mac._value``) behind a
+``MAC``-typed API, so hashing and equality run in C and one lookup is
+one dict probe plus one ``expires > now`` compare. Live entries are
+refreshed **in place**: an entry handed out by :meth:`LockedAddressTable
+.get` is the table's own record, not a snapshot — read what you need
+from it before the next table call for that address.
 """
 
 from __future__ import annotations
@@ -103,6 +110,11 @@ class TableCounters:
     blocked_moves: int = 0
 
 
+#: ``lock``'s default for "the caller has not probed" — ``None`` already
+#: means "probed, nothing live".
+_UNPROBED = object()
+
+
 class LockedAddressTable:
     """MAC → (port, state) with the ARP-Path locking semantics.
 
@@ -119,55 +131,68 @@ class LockedAddressTable:
         self.counters = TableCounters()
         self._entries = AgingStore(sim, on_reap=self._note_expiry)
         self._guards = AgingStore(sim)
+        # The hit path's one probe: bound ``dict.get`` of the path store
+        # (the dict object lives as long as the store does).
+        self._probe = self._entries.entries.get
 
-    def _note_expiry(self, mac: MAC, entry: PathEntry) -> None:
+    def _note_expiry(self, key: int, entry: PathEntry) -> None:
         self.counters.expiries += 1
 
     # -- path entries ----------------------------------------------------
 
     def get(self, mac: MAC, now: float) -> Optional[PathEntry]:
         """The live entry for *mac*, or None (expired entries are reaped)."""
-        return self._entries.get(mac, now)
+        entry = self._probe(mac._value)
+        if entry is None or entry.expires > now:
+            return entry
+        return self._entries.get(mac._value, now)  # reaps; None
 
-    def lock(self, mac: MAC, port: Port, now: float) -> PathEntry:
+    def lock(self, mac: MAC, port: Port, now: float,
+             live: Optional[PathEntry] = _UNPROBED) -> PathEntry:
         """Lock *mac* to *port* (first copy of a discovery broadcast).
 
         Replaces any existing entry: a fresh discovery race always
         starts from the winning copy's port. Loop-freedom within one
         race is guaranteed by the LOCKED state, not by history.
+
+        *live* is what the caller's own ``get(mac, now)`` returned, if
+        it made one; it decides ``relocks`` vs ``locks``, so an expired
+        entry nobody reclaimed yet never counts as a relock.
         """
-        if mac in self._entries:
+        if live is _UNPROBED:
+            live = self.get(mac, now)
+        if live is not None:
             self.counters.relocks += 1
         else:
             self.counters.locks += 1
         entry = PathEntry(mac=mac, port=port, state=EntryState.LOCKED,
                           created=now, expires=now + self.lock_timeout,
                           race_until=now + self.lock_timeout)
-        return self._entries.put(mac, entry)
+        return self._entries.put(mac._value, entry)
 
     def learn(self, mac: MAC, port: Port, now: float) -> PathEntry:
         """Learn/refresh *mac* on *port* in LEARNT state (unicast source).
 
         If a live entry exists on a *different* port it is preserved
         (paths are sticky until they expire or fail); the attempt is
-        counted as a blocked move and the existing entry returned.
+        counted as a blocked move and the existing entry returned. A
+        live same-port entry is refreshed in place (``created`` and
+        ``race_until`` survive).
         """
-        existing = self.get(mac, now)
-        if existing is not None and existing.port is not port:
-            self.counters.blocked_moves += 1
-            return existing
-        if existing is not None:
-            if existing.is_locked:
-                self.counters.confirms += 1
-            else:
-                self.counters.refreshes += 1
-        else:
+        # ``get`` inlined: this runs once per unicast hop.
+        key = mac._value
+        entry = self._probe(key)
+        if entry is not None and entry.expires <= now:
+            entry = self._entries.get(key, now)  # reaps; None
+        if entry is None:
             self.counters.learns += 1
-        entry = PathEntry(mac=mac, port=port, state=EntryState.LEARNT,
-                          created=existing.created if existing else now,
-                          expires=now + self.learnt_timeout,
-                          race_until=existing.race_until if existing else 0.0)
-        return self._entries.put(mac, entry)
+            return self._entries.put(key, PathEntry(
+                mac=mac, port=port, state=EntryState.LEARNT, created=now,
+                expires=now + self.learnt_timeout))
+        if entry.port is not port:
+            self.counters.blocked_moves += 1
+            return entry
+        return self.confirm_entry(entry, now)
 
     def confirm(self, mac: MAC, now: float) -> Optional[PathEntry]:
         """Upgrade a LOCKED entry to LEARNT (unicast travelled the path).
@@ -178,7 +203,11 @@ class LockedAddressTable:
         entry = self.get(mac, now)
         if entry is None:
             return None
-        if entry.is_locked:
+        return self.confirm_entry(entry, now)
+
+    def confirm_entry(self, entry: PathEntry, now: float) -> PathEntry:
+        """:meth:`confirm` for the live *entry* the caller just fetched."""
+        if entry.state is EntryState.LOCKED:
             self.counters.confirms += 1
         else:
             self.counters.refreshes += 1
@@ -186,11 +215,17 @@ class LockedAddressTable:
         entry.expires = now + self.learnt_timeout
         return entry
 
-    def refresh_lock(self, mac: MAC, now: float) -> Optional[PathEntry]:
-        """Re-arm the timer of an entry hit by a same-port broadcast."""
-        entry = self.get(mac, now)
+    def refresh_lock(self, mac: MAC, now: float,
+                     entry: Optional[PathEntry] = None
+                     ) -> Optional[PathEntry]:
+        """Re-arm the timer of an entry hit by a same-port broadcast.
+
+        Pass the live *entry* when the caller already fetched it.
+        """
         if entry is None:
-            return None
+            entry = self.get(mac, now)
+            if entry is None:
+                return None
         self.counters.refreshes += 1
         timeout = self.lock_timeout if entry.is_locked else self.learnt_timeout
         entry.expires = now + timeout
@@ -199,28 +234,28 @@ class LockedAddressTable:
 
     def remove(self, mac: MAC) -> bool:
         """Erase the entry for *mac* (PathFail handling). True if present."""
-        return self._entries.pop(mac) is not None
+        return self._entries.pop(mac._value) is not None
 
     # -- broadcast guards --------------------------------------------------
 
     def guard_port(self, mac: MAC, now: float) -> Optional[Port]:
         """The accept-port for non-path broadcasts from *mac*, if any."""
-        guard = self._guards.get(mac, now)
+        guard = self._guards.get(mac._value, now)
         return guard.port if guard is not None else None
 
     def set_guard(self, mac: MAC, port: Port, now: float) -> None:
         """Guard broadcasts from *mac* to *port* for guard_timeout."""
-        self._guards.put(mac, GuardEntry(port=port,
-                                         expires=now + self.guard_timeout))
+        self._guards.put(mac._value, GuardEntry(
+            port=port, expires=now + self.guard_timeout))
 
     # -- maintenance ---------------------------------------------------------
 
     def flush_port(self, port: Port) -> int:
         """Erase every entry and guard on *port* (carrier lost)."""
         flushed = self._entries.pop_matching(
-            lambda mac, entry: entry.port is port)
+            lambda key, entry: entry.port is port)
         self.counters.port_flushes += flushed
-        self._guards.pop_matching(lambda mac, guard: guard.port is port)
+        self._guards.pop_matching(lambda key, guard: guard.port is port)
         return flushed
 
     def flush(self) -> None:
@@ -254,4 +289,4 @@ class LockedAddressTable:
         return len(self._entries)
 
     def __contains__(self, mac: MAC) -> bool:
-        return mac in self._entries
+        return mac._value in self._entries

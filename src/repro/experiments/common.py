@@ -38,9 +38,6 @@ class ProtocolSpec:
     name: str
     factory: BridgeFactory
     warmup: float
-    #: The :func:`spec` lookup key that built this (``"stp"``, not the
-    #: display name ``"stp(x0.1)"``).
-    key: str = ""
 
     @property
     def label(self) -> str:
@@ -69,8 +66,7 @@ def spec(protocol: str, *, arppath_config: Optional[ArpPathConfig] = None,
         factory = fam.factory()
         default_warmup = fam.warmup
     return ProtocolSpec(name=name, factory=factory,
-                        warmup=warmup if warmup is not None else default_warmup,
-                        key=protocol)
+                        warmup=warmup if warmup is not None else default_warmup)
 
 
 def default_comparison() -> List[ProtocolSpec]:

@@ -19,7 +19,21 @@ Two mechanisms cooperate, with a strict division of labour:
   entry still lives, and re-arms at the new one (kernel-style lazy
   re-arm). Prompt memory reclamation without any O(table) sweep.
 
-Entries are any objects exposing a mutable ``expires`` attribute.
+Entries are any objects exposing a mutable ``expires`` attribute, and
+owners refresh them **in place** (assign a later ``expires``) instead of
+re-``put``-ting them. That is safe because of the store invariant:
+
+    with a simulator attached, every key in ``entries`` has exactly one
+    armed wheel timer (a lazy reap leaves its timer pending, so timers
+    may outnumber entries — never the reverse).
+
+:meth:`put` arms only a key that has no timer, ``_timer_fired`` re-arms
+or deletes, :meth:`pop` / :meth:`reap` / :meth:`clear` cancel what they
+remove (``tests/test_table_model.py`` checks it after every step).
+
+The hit path belongs to the owning table: it probes :attr:`AgingStore
+.entries` itself, compares ``expires > now``, and enters :meth:`get`
+only to reap an entry it found expired.
 """
 
 from __future__ import annotations
@@ -44,11 +58,14 @@ class AgingStore:
     reclaim expired entries promptly as simulated time passes.
     """
 
-    __slots__ = ("_entries", "_timers", "_sim", "_on_reap")
+    __slots__ = ("entries", "_timers", "_sim", "_on_reap")
 
     def __init__(self, sim: Optional["Simulator"] = None,
                  on_reap: Optional[ReapHook] = None):
-        self._entries: Dict[Hashable, Any] = {}
+        #: The raw key → entry dict (expired entries included). Owners
+        #: may *read* it on their hit path; every mutation goes through
+        #: the methods below so the timer invariant holds.
+        self.entries: Dict[Hashable, Any] = {}
         self._timers: Dict[Hashable, "Event"] = {}
         self._sim = sim
         self._on_reap = on_reap
@@ -57,19 +74,15 @@ class AgingStore:
 
     def get(self, key: Hashable, now: float) -> Optional[Any]:
         """The live entry for *key*, or None (expired entries are reaped)."""
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is None:
             return None
         if entry.expires <= now:
-            del self._entries[key]
+            del self.entries[key]
             if self._on_reap is not None:
                 self._on_reap(key, entry)
             return None
         return entry
-
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """The raw entry for *key* — expired or not, without reaping."""
-        return self._entries.get(key)
 
     # -- mutation ------------------------------------------------------------
 
@@ -80,11 +93,11 @@ class AgingStore:
         whose timer is already pending leaves the timer alone (it
         re-arms lazily when it fires and finds the entry still alive).
         """
-        self._entries[key] = entry
+        self.entries[key] = entry
         sim = self._sim
         if sim is not None and key not in self._timers:
             self._timers[key] = sim.schedule_timer(
-                max(entry.expires - sim.now, 0.0), self._timer_fired, key)
+                max(entry.expires - sim._now, 0.0), self._timer_fired, key)
         return entry
 
     def pop(self, key: Hashable) -> Optional[Any]:
@@ -95,12 +108,12 @@ class AgingStore:
         timer = self._timers.pop(key, None)
         if timer is not None:
             timer.cancel()
-        return self._entries.pop(key, None)
+        return self.entries.pop(key, None)
 
     def pop_matching(self, predicate: Callable[[Hashable, Any], bool]) -> int:
         """Remove every entry matching *predicate(key, entry)*; returns
         how many (explicit removal — no reap hook)."""
-        stale = [key for key, entry in self._entries.items()
+        stale = [key for key, entry in self.entries.items()
                  if predicate(key, entry)]
         for key in stale:
             self.pop(key)
@@ -111,7 +124,7 @@ class AgingStore:
         for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()
-        self._entries.clear()
+        self.entries.clear()
 
     def reap(self, now: float) -> int:
         """Sweep every expired entry out immediately; returns how many.
@@ -119,10 +132,10 @@ class AgingStore:
         Kept for standalone use and introspection — simulation code
         never needs it (the wheel does this incrementally).
         """
-        stale = [key for key, entry in self._entries.items()
+        stale = [key for key, entry in self.entries.items()
                  if entry.expires <= now]
         for key in stale:
-            entry = self._entries.pop(key)
+            entry = self.entries.pop(key)
             timer = self._timers.pop(key, None)
             if timer is not None:
                 timer.cancel()
@@ -132,13 +145,13 @@ class AgingStore:
 
     def _timer_fired(self, key: Hashable) -> None:
         self._timers.pop(key, None)
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is None:
             return
         sim = self._sim
-        now = sim.now
+        now = sim._now
         if entry.expires <= now:
-            del self._entries[key]
+            del self.entries[key]
             if self._on_reap is not None:
                 self._on_reap(key, entry)
         else:
@@ -152,27 +165,27 @@ class AgingStore:
 
     def items(self) -> Iterable[Tuple[Hashable, Any]]:
         """Raw (key, entry) pairs — may include expired entries."""
-        return self._entries.items()
+        return self.entries.items()
 
     def values(self) -> Iterable[Any]:
         """Raw entries — may include expired ones."""
-        return self._entries.values()
+        return self.entries.values()
 
     def live_values(self, now: float) -> Iterator[Any]:
         """Entries whose deadline has not passed at *now*."""
-        return (entry for entry in self._entries.values()
+        return (entry for entry in self.entries.values()
                 if entry.expires > now)
 
     def live_count(self, now: float) -> int:
-        return sum(1 for entry in self._entries.values()
+        return sum(1 for entry in self.entries.values()
                    if entry.expires > now)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        return key in self.entries
 
     def __repr__(self) -> str:
-        return (f"<AgingStore entries={len(self._entries)} "
+        return (f"<AgingStore entries={len(self.entries)} "
                 f"timers={len(self._timers)}>")

@@ -274,7 +274,7 @@ class StpBridge(Bridge):
             self.stp_counters.discards_not_forwarding += 1
             self.filter_frame()
             return False
-        self.fdb.learn(frame.src, port, self.sim.now)
+        self.fdb.learn(frame.src, port, self.sim._now)
         if not info.can_forward:
             self.stp_counters.discards_not_forwarding += 1
             self.filter_frame()
@@ -285,7 +285,7 @@ class StpBridge(Bridge):
         self._flood_forwarding(frame, exclude=port)
 
     def on_unicast(self, port: Port, frame: EthernetFrame) -> None:
-        out_port = self.fdb.lookup(frame.dst, self.sim.now)
+        out_port = self.fdb.lookup(frame.dst, self.sim._now)
         if out_port is None:
             self._flood_forwarding(frame, exclude=port)
         elif out_port is port:

@@ -30,14 +30,14 @@ class LearningSwitch(Bridge):
         self.fdb = ForwardingTable(aging_time=aging_time, sim=sim)
 
     def admit_data(self, port: Port, frame: EthernetFrame) -> bool:
-        self.fdb.learn(frame.src, port, self.sim.now)
+        self.fdb.learn(frame.src, port, self.sim._now)
         return True
 
     def on_broadcast(self, port: Port, frame: EthernetFrame) -> None:
         self.flood_data(frame, exclude=port)
 
     def on_unicast(self, port: Port, frame: EthernetFrame) -> None:
-        out_port = self.fdb.lookup(frame.dst, self.sim.now)
+        out_port = self.fdb.lookup(frame.dst, self.sim._now)
         if out_port is None:
             self.flood_data(frame, exclude=port)
         elif out_port is port:

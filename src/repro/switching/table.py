@@ -8,7 +8,10 @@ introduces.)
 Aging runs on the shared :class:`repro.netsim.aging.AgingStore`
 substrate: lookups reap lazily, and with a simulator attached the
 engine's timer wheel reclaims expired entries — no periodic sweep, and
-no correctness dependency on reclamation timing.
+no correctness dependency on reclamation timing. Like the locked
+table, the store is keyed on the 48-bit integer (``mac._value``) behind
+the ``MAC``-typed API, and the hit path is one dict probe plus one
+expiry compare.
 """
 
 from __future__ import annotations
@@ -49,16 +52,17 @@ class ForwardingTable:
         self.default_aging_time = aging_time
         self.aging_time = aging_time
         self._entries = AgingStore(sim)
+        self._probe = self._entries.entries.get
         self.learns = 0
         self.moves = 0
 
     def learn(self, mac: MAC, port: Port, now: float) -> None:
         """Associate *mac* with *port* (refreshing the age)."""
-        entry = self._entries.peek(mac)
+        entry = self._probe(mac._value)
         if entry is None:
             self.learns += 1
-            self._entries.put(mac, FdbEntry(port=port,
-                                            expires=now + self.aging_time))
+            self._entries.put(mac._value, FdbEntry(
+                port=port, expires=now + self.aging_time))
             return
         if entry.port is not port:
             self.moves += 1
@@ -67,11 +71,16 @@ class ForwardingTable:
 
     def lookup(self, mac: MAC, now: float) -> Optional[Port]:
         """The port for *mac*, or None when unknown/expired."""
-        entry = self._entries.get(mac, now)
-        return entry.port if entry is not None else None
+        entry = self._probe(mac._value)
+        if entry is None:
+            return None
+        if entry.expires > now:
+            return entry.port
+        self._entries.get(mac._value, now)  # reaps
+        return None
 
     def forget(self, mac: MAC) -> None:
-        self._entries.pop(mac)
+        self._entries.pop(mac._value)
 
     def flush(self) -> None:
         """Remove every entry."""
@@ -80,7 +89,7 @@ class ForwardingTable:
     def flush_port(self, port: Port) -> int:
         """Remove all entries pointing at *port*; returns how many."""
         return self._entries.pop_matching(
-            lambda mac, entry: entry.port is port)
+            lambda key, entry: entry.port is port)
 
     def expire(self, now: float) -> int:
         """Drop entries whose age ran out; returns how many."""
@@ -94,7 +103,7 @@ class ForwardingTable:
         self.aging_time = self.default_aging_time
 
     def macs_on(self, port: Port) -> List[MAC]:
-        return [mac for mac, entry in self._entries.items()
+        return [MAC(key) for key, entry in self._entries.items()
                 if entry.port is port]
 
     def live_count(self, now: float) -> int:
@@ -106,4 +115,4 @@ class ForwardingTable:
         return len(self._entries)
 
     def __contains__(self, mac: MAC) -> bool:
-        return mac in self._entries
+        return mac._value in self._entries

@@ -45,10 +45,19 @@ class TestLocking:
 
     def test_relock_replaces_port(self, table):
         table.lock(M0, P0, now=0.0)
-        entry = table.lock(M0, P1, now=2.0)
+        entry = table.lock(M0, P1, now=0.5)
         assert entry.port is P1
         assert table.counters.relocks == 1
         assert table.counters.locks == 1
+
+    def test_lock_over_expired_unreaped_entry_is_not_a_relock(self, table):
+        """``relocks`` is record-visible (``protocol_counters``), so it
+        may not depend on whether the expired entry was reclaimed yet."""
+        table.lock(M0, P0, now=0.0)
+        assert len(table) == 1
+        table.lock(M0, P1, now=2.0)     # nobody reaped the first entry
+        assert table.counters.locks == 2
+        assert table.counters.relocks == 0
 
     def test_expired_entries_reaped_on_access(self, table):
         table.lock(M0, P0, now=0.0)

@@ -139,7 +139,7 @@ class TestScaleParity:
         # any sharded run including stp died with "unknown protocol:
         # stp(x0.1)". Workers now get the caller's spec itself.
         spec = protocol_specs(["stp"], stp_scale=0.1)[0]
-        assert spec.key == "stp"
+        assert spec.name == "stp(x0.1)"
         direct = scale.run_case(spec, "grid", 9, seed=0)
         sharded = scale.run_case_sharded(spec, "grid", 9, seed=0,
                                          shards=2)
