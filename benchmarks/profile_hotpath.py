@@ -23,14 +23,25 @@ one warm **unicast train** — a 2 000-packet flow over an 8-bridge
 ARP-Path line whose path is already LEARNT — so ``on_unicast`` /
 ``learn`` / ``get`` show their cumulative shares next to the flood's.
 
+Beside each cProfile table come the two things cProfile cannot see,
+for the same run: what the **garbage collector** did (collections and
+seconds per generation, from ``gc.callbacks``) and a **census** of the
+delivery events link directions still hold. An object the hot path
+keeps past its use costs nothing in any profiled function — it
+survives generation 0 and the collector pays for it later — so a
+retention bug shows here as collector seconds and as *fired* events in
+the census (the invariant is zero: ``netsim.link``'s in-flight FIFO),
+and nowhere in the top-N.
+
 ``--json`` writes the same top-N rows as a JSON artifact (CI uploads it
 from the bench-guard job) with per-function ``ncalls`` / ``tottime`` /
-``cumtime``, plus the workload's event count and wall time, so
-consecutive CI runs can be diffed mechanically.
+``cumtime``, plus the workload's event count, wall time, collector
+activity and census, so consecutive CI runs can be diffed mechanically.
 """
 
 import argparse
 import cProfile
+import gc
 import io
 import json
 import os
@@ -52,20 +63,100 @@ PROFILE_N = 100
 TOP = 20
 
 
-def profile_flood(n: int = PROFILE_N):
-    """Profile one flood workload; returns (stats, events, wall)."""
-    bench_scale.scale_flood(n)  # warm-up: imports, allocator, caches
-    profiler = cProfile.Profile()
+class CollectorWatch:
+    """Collections and seconds per generation while the block runs.
+
+    ``gc.callbacks`` fire in whichever thread triggered the pass, with
+    the interpreter lock held throughout, so one start stamp serves
+    the sharded runs too.
+    """
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def _on_gc(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.seconds[info["generation"]] += (time.perf_counter()
+                                                 - self._started)
+
+    def __enter__(self):
+        gc.callbacks.append(self._on_gc)
+        return self
+
+    def __exit__(self, *exc_info):
+        gc.callbacks.remove(self._on_gc)
+
+
+def held_deliveries():
+    """Census of ``_Direction.pending`` per engine: ``{id(sim):
+    [directions, in_flight, fired]}`` over every direction alive.
+
+    Found through the collector, not through a network handle, so it
+    works on workloads that only hand back a simulator — and inside
+    shard workers, whose replicas die with their thread.
+    """
+    from repro.netsim.link import _Direction
+
+    census = {}
+    for obj in gc.get_objects():
+        if type(obj) is _Direction:
+            cell = census.setdefault(id(obj.to_port.node.sim), [0, 0, 0])
+            cell[0] += 1
+            # tuple(): a sibling shard's engine may still be appending.
+            for event in tuple(obj.pending):
+                cell[2 if event._sim is None else 1] += 1
+    return census
+
+
+def observe(workload, profile=True, census=None):
+    """Run ``workload()`` timed, profiled and with the collector watched.
+
+    Returns ``(result, run)`` where *run* holds ``stats``, ``wall``,
+    ``gc`` and ``held``. A workload that profiles its own threads
+    passes ``profile=False`` and the *census* dict its workers filled.
+    """
+    gc.collect()  # earlier runs' cyclic garbage is not this run's
+    profiler = cProfile.Profile() if profile else None
     start = time.perf_counter()
-    profiler.enable()
-    sim = bench_scale.scale_flood(n)
-    profiler.disable()
+    with CollectorWatch() as watch:
+        if profiler is not None:
+            profiler.enable()
+        try:
+            result = workload()
+        finally:
+            if profiler is not None:
+                profiler.disable()
     wall = time.perf_counter() - start
-    return pstats.Stats(profiler), sim.events_processed, wall
+    if census is None:
+        census = held_deliveries()  # *result* keeps the network alive
+    held = [sum(column) for column in zip(*census.values())] or [0, 0, 0]
+    return result, {
+        "stats": pstats.Stats(profiler) if profiler is not None else None,
+        "wall": wall,
+        "gc": {"collections": watch.collections,
+               "seconds": [round(value, 6) for value in watch.seconds],
+               # A floor: cProfile inflates the Python side of the
+               # wall, not the collector's passes.
+               "share_of_wall": round(sum(watch.seconds) / wall, 4)},
+        "held": dict(zip(("directions", "in_flight", "fired"), held)),
+    }
+
+
+def profile_flood(n: int = PROFILE_N):
+    """Profile one flood workload; returns the :func:`observe` run."""
+    bench_scale.scale_flood(n)  # warm-up: imports, allocator, caches
+    sim, run = observe(lambda: bench_scale.scale_flood(n))
+    run["events"] = sim.events_processed
+    return run
 
 
 def profile_unicast_train(bridges: int = 8, packets: int = 2000):
-    """Profile a warm unicast flow over a line; (stats, events, wall).
+    """Profile a warm unicast flow over a line (:func:`observe` run).
 
     The table hit path and nothing else: every frame learns its source
     and looks its destination up once per hop (the workload
@@ -84,29 +175,22 @@ def profile_unicast_train(bridges: int = 8, packets: int = 2000):
     matrix.start()
     net.run(0.005)  # ARP race + the first ~50 packets: path LEARNT
     before = sim.events_processed
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    sim.run_for(packets * 1e-4)
-    profiler.disable()
-    wall = time.perf_counter() - start
-    return pstats.Stats(profiler), sim.events_processed - before, wall
+    _, run = observe(lambda: sim.run_for(packets * 1e-4))
+    run["events"] = sim.events_processed - before
+    return run
 
 
 def profile_population(n: int = PROFILE_N, endpoints: int = 10_000):
     """Profile the heavy-tailed population workload (bench_scale)."""
     bench_scale.population_flood(n, endpoints)  # warm-up
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    sim, _net, _sampler = bench_scale.population_flood(n, endpoints)
-    profiler.disable()
-    wall = time.perf_counter() - start
-    return pstats.Stats(profiler), sim.events_processed, wall
+    (sim, _net, _sampler), run = observe(
+        lambda: bench_scale.population_flood(n, endpoints))
+    run["events"] = sim.events_processed
+    return run
 
 
 def profile_flood_sharded(n: int = PROFILE_N, shards: int = 2):
-    """Profile the sharded flood; returns (stats, events, wall).
+    """Profile the sharded flood; returns the :func:`observe` run.
 
     One profiler per worker thread (``cProfile`` only
     observes the thread that enabled it), merged afterwards — so the
@@ -117,6 +201,7 @@ def profile_flood_sharded(n: int = PROFILE_N, shards: int = 2):
 
     bench_shard.sharded_flood(n, shards)  # warm-up
     profilers = []
+    census = {}
 
     def worker(shard_id, shard_count, endpoint, n, seed):
         profiler = cProfile.Profile()
@@ -127,15 +212,18 @@ def profile_flood_sharded(n: int = PROFILE_N, shards: int = 2):
         finally:
             profiler.disable()
             profilers.append(profiler)
+            # Each worker's last word on its own engine stands: a
+            # finished engine no longer changes, a freed one is no
+            # longer seen.
+            census.update(held_deliveries())
 
-    start = time.perf_counter()
-    results = run_sharded(worker, shards, args=(n, 0))
-    wall = time.perf_counter() - start
-    stats = pstats.Stats(profilers[0])
+    results, run = observe(lambda: run_sharded(worker, shards, args=(n, 0)),
+                           profile=False, census=census)
+    run["stats"] = pstats.Stats(profilers[0])
     for profiler in profilers[1:]:
-        stats.add(profiler)
-    events = sum(result["events"] for result in results)
-    return stats, events, wall
+        run["stats"].add(profiler)
+    run["events"] = sum(result["events"] for result in results)
+    return run
 
 
 def top_rows(stats: pstats.Stats, limit: int = TOP):
@@ -156,14 +244,34 @@ def top_rows(stats: pstats.Stats, limit: int = TOP):
     return entries[:limit]
 
 
-def print_table(label: str, stats: pstats.Stats, events: int, wall: float,
-                limit: int) -> None:
+def print_table(label: str, run: dict, limit: int) -> None:
+    events, wall = run["events"], run["wall"]
     print(f"{label}: {events} events in "
           f"{wall * 1e3:.1f} ms ({events / wall:,.0f} events/s)\n")
     out = io.StringIO()
-    stats.stream = out
-    stats.sort_stats("cumulative").print_stats(limit)
+    run["stats"].stream = out
+    run["stats"].sort_stats("cumulative").print_stats(limit)
     print(out.getvalue())
+    collector, held = run["gc"], run["held"]
+    passes = ", ".join(
+        f"gen{generation} x{count} {seconds * 1e3:.1f} ms"
+        for generation, (count, seconds) in enumerate(
+            zip(collector["collections"], collector["seconds"])))
+    print(f"collector: {passes} = {collector['share_of_wall']:.1%} of the "
+          f"profiled wall (a floor: cProfile slows only the Python side)")
+    print(f"link directions: {held['directions']}, holding "
+          f"{held['in_flight']} deliveries in flight and {held['fired']} "
+          f"already fired\n")
+
+
+def json_block(run: dict, limit: int) -> dict:
+    return {
+        "events": run["events"],
+        "wall_seconds": round(run["wall"], 6),
+        "top": top_rows(run["stats"], limit),
+        "gc": run["gc"],
+        "held_deliveries": run["held"],
+    }
 
 
 def main(argv=None) -> int:
@@ -186,36 +294,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.endpoints > 0:
-        stats, events, wall = profile_population(args.n, args.endpoints)
+        run = profile_population(args.n, args.endpoints)
         label = f"population workload (endpoints={args.endpoints})"
     elif args.shards > 1:
-        stats, events, wall = profile_flood_sharded(args.n, args.shards)
+        run = profile_flood_sharded(args.n, args.shards)
         label = f"sharded flood (shards={args.shards})"
     else:
-        stats, events, wall = profile_flood(args.n)
+        run = profile_flood(args.n)
         label = "flood workload"
-    print_table(f"{label} at n={args.n}", stats, events, wall, args.top)
+    print_table(f"{label} at n={args.n}", run, args.top)
     unicast = None
     if args.endpoints <= 0 and args.shards <= 1:
         unicast = profile_unicast_train()
-        print_table("warm unicast train over an 8-bridge line",
-                    *unicast, args.top)
+        print_table("warm unicast train over an 8-bridge line", unicast,
+                    args.top)
 
     if args.json:
         payload = {
             "bridges": args.n,
             "shards": args.shards,
-            "events": events,
-            "wall_seconds": round(wall, 6),
-            "events_per_sec": round(events / wall),
-            "top": top_rows(stats, args.top),
+            "events_per_sec": round(run["events"] / run["wall"]),
+            **json_block(run, args.top),
         }
         if unicast is not None:
-            payload["unicast_train"] = {
-                "events": unicast[1],
-                "wall_seconds": round(unicast[2], 6),
-                "top": top_rows(unicast[0], args.top),
-            }
+            payload["unicast_train"] = json_block(unicast, args.top)
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

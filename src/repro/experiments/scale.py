@@ -254,7 +254,7 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
     owned_pops = [pop for name, pop in net.populations.items()
                   if runtime.owns(name)]
     return {
-        "frames_sent": sim.tracer.counts[trc.SENT],
+        "frames_sent": sim.tracer.frames_sent,
         "sent": dict(sim.tracer.by_ethertype[trc.SENT]),
         "payloads": sum(net.host(name).counters.ip_received
                         for name in owned)

@@ -36,13 +36,24 @@ transmitter is idle again the instant it starts, which is what
 ``busy`` across a zero-duration window, so a large enough same-instant
 burst could tail-drop; that was an event-model artifact, not link
 semantics. Delivery times were and are identical either way.)
+
+In-flight FIFO: a direction's ``pending`` deque holds **exactly the
+deliveries in flight**, oldest first — scheduling appends, the delivery
+pops the head as its first act, :meth:`Link.take_down` cancels the
+rest — so nothing fired is retained and a delivered frame dies by
+reference count. Sound because one direction's deliveries fire in
+scheduling order: the transmitter serialises (``start[i+1] >=
+busy_until[i]``), ``latency`` / ``bandwidth`` are fixed at construction
+and float addition is monotonic; ties fall to the engine's ascending
+``seq``; a shard's import side releases sorted, under rising bounds
+(guard: ``tests/test_link.py::TestInFlightFifo``, every engine step).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.frames.ethernet import EthernetFrame
 from repro.netsim import tracer as trc
@@ -74,8 +85,8 @@ class _Direction:
         #: plain float comparison replaces the old per-frame tx_done
         #: event on the uncongested path.
         self.busy_until = 0.0
-        #: Delivery events in flight (cancelled if the link goes down).
-        self.pending: List[Event] = []
+        #: Exactly the deliveries in flight, oldest first (module docstring).
+        self.pending: Deque[Event] = deque()
         #: Armed only while frames wait in the queue; fires at
         #: ``busy_until`` to start the next serialisation (the only
         #: moment the old tx_done event is still needed).
@@ -131,9 +142,11 @@ class Link:
         self.name = name or f"{port_a.name}<->{port_b.name}"
         self._dirs = {port_a: _Direction(port_b),
                       port_b: _Direction(port_a)}
-        #: The simulator's tracer, cached: _trace runs twice per frame
-        #: hop and the two-attribute chain is measurable at scale.
+        #: The simulator's tracer and the two tallies every hop bumps
+        #: (Tracer.reset keeps the dicts), cached: measurable at scale.
         self._tracer = sim.tracer
+        self._sent = sim.tracer.by_ethertype[trc.SENT]
+        self._delivered = sim.tracer.by_ethertype[trc.DELIVERED]
         #: One bound method shared by every delivery this link ever
         #: schedules (a fresh `self._deliver` per transmit is an
         #: allocation the fast path can skip).
@@ -189,10 +202,10 @@ class Link:
         size = frame._wire_size
         if size is None:
             size = frame.wire_size
-        tracer = self._tracer
-        if tracer.count_only:
-            tracer.counts[trc.SENT] += 1
-            tracer.by_ethertype[trc.SENT][frame.ethertype] += 1
+        if self._tracer.count_only:
+            tally = self._sent
+            ethertype = frame.ethertype
+            tally[ethertype] = tally.get(ethertype, 0) + 1
         else:
             self._record(trc.SENT, frame)
         ser = size * self._ser_per_byte
@@ -221,13 +234,7 @@ class Link:
         event._sim = sim
         heappush(sim._queue, (time, PRIORITY_NORMAL, seq, event))
         sim._pending += 1
-        pending = direction.pending
-        pending.append(event)
-        # Fired and cancelled events are pruned lazily (take_down skips
-        # them via the cleared Event._sim), so delivery itself never
-        # rebuilds this list; only a long queue pays an occasional scan.
-        if len(pending) >= 32:
-            self._prune_pending(direction)
+        direction.pending.append(event)
 
     def _start_tx(self, direction: _Direction, frame: EthernetFrame,
                   now: float) -> None:
@@ -237,9 +244,7 @@ class Link:
         in sync.
         """
         self._trace(trc.SENT, frame)
-        # _trace just filled the wire-size cache; read the slot directly
-        # rather than paying the property descriptor again.
-        ser = frame._wire_size * self._ser_per_byte
+        ser = frame.wire_size * self._ser_per_byte
         direction.busy_until = now + ser
         delay = ser + self.latency
         if direction.export is not None:
@@ -247,11 +252,8 @@ class Link:
             # the local instant flips a downstream busy_until test.
             direction.export(now, now + delay, frame)
             return
-        event = self.sim.schedule(delay, self._deliver, direction, frame)
-        pending = direction.pending
-        pending.append(event)
-        if len(pending) >= 32:
-            self._prune_pending(direction)
+        direction.pending.append(
+            self.sim.schedule(delay, self._deliver, direction, frame))
 
     def _drain(self, direction: _Direction) -> None:
         """The transmitter went idle with frames queued: start the next.
@@ -269,15 +271,15 @@ class Link:
                 direction.busy_until - self.sim._now, self._drain, direction)
 
     def _deliver(self, direction: _Direction, frame: EthernetFrame) -> None:
-        if not self.up:
-            self._trace(trc.DROP_LINK_DOWN, frame)
-            return
+        # Head of the in-flight FIFO (module docstring); the link is up,
+        # because take_down cancels every delivery still in flight.
+        direction.pending.popleft()
         # Inlined DELIVERED trace (see _trace): this is the single
         # hottest callback in the simulator.
-        tracer = self._tracer
-        if tracer.count_only:
-            tracer.counts[trc.DELIVERED] += 1
-            tracer.by_ethertype[trc.DELIVERED][frame.ethertype] += 1
+        if self._tracer.count_only:
+            tally = self._delivered
+            ethertype = frame.ethertype
+            tally[ethertype] = tally.get(ethertype, 0) + 1
         else:
             self._record(trc.DELIVERED, frame)
         to_port = direction.to_port
@@ -290,12 +292,6 @@ class Link:
             node.deliver(to_port, frame)
         else:
             node.handle_frame(to_port, frame)
-
-    def _prune_pending(self, direction: _Direction) -> None:
-        # A live in-flight delivery still has its Event._sim set; firing
-        # and cancelling both clear it, so the filter needs no clock.
-        direction.pending = [ev for ev in direction.pending
-                             if ev._sim is not None]
 
     # -- carrier control -----------------------------------------------------
 
@@ -310,14 +306,10 @@ class Link:
                 self._trace(trc.DROP_LINK_DOWN, frame)
             direction.queue.clear()
             for event in direction.pending:
-                # A cleared _sim means the delivery already fired or was
-                # cancelled (pending is pruned lazily); only live
-                # in-flight frames are lost to the carrier drop.
-                if event._sim is not None:
-                    event.cancel()
-                    # args = (direction, frame) of _deliver.
-                    direction.carrier_drops += 1
-                    self._trace(trc.DROP_LINK_DOWN, event.args[1])
+                event.cancel()
+                # args = (direction, frame) of _deliver.
+                direction.carrier_drops += 1
+                self._trace(trc.DROP_LINK_DOWN, event.args[1])
             direction.pending.clear()
             if direction.drain_event is not None:
                 direction.drain_event.cancel()
@@ -377,17 +369,14 @@ class Link:
     # -- tracing ---------------------------------------------------------
 
     def _trace(self, kind: str, frame: EthernetFrame) -> None:
-        # _trace runs twice per frame hop. In counters-only mode (no
-        # record retention, no listeners — every benchmark and the scale
-        # scenario) the counters are bumped inline; _record is reserved
-        # for tracers that materialise records.
-        size = frame._wire_size
-        if size is None:
-            size = frame.wire_size
+        # Drops and the queued path's SENT (transmit and _deliver inline
+        # this). A count-only tracer (every benchmark, the scale
+        # scenario) is bumped in place; _record materialises records.
         tracer = self._tracer
         if tracer.count_only:
-            tracer.counts[kind] += 1
-            tracer.by_ethertype[kind][frame.ethertype] += 1
+            tally = tracer.by_ethertype[kind]
+            ethertype = frame.ethertype
+            tally[ethertype] = tally.get(ethertype, 0) + 1
         else:
             self._record(kind, frame)
 

@@ -266,10 +266,6 @@ class ShardRuntime:
         #: exported that are still in flight — the sender-side half of
         #: the sampler's pending-event accounting.
         self._ledger: Dict[Tuple[str, int], List[float]] = {}
-        #: Live delivery events this shard scheduled for released
-        #: remote frames — the receiver-side half (subtracted, because
-        #: the sender's ledger already counts the in-flight frame).
-        self._released: List[Any] = []
         self._export_seq = 0
 
     # -- adoption ------------------------------------------------------------
@@ -368,10 +364,11 @@ class ShardRuntime:
         channel (counted by the sender's ledger until its deliver time
         passes) or an already-scheduled event on the receiver (counted
         by the receiver's engine **and** still by the sender's ledger —
-        so the receiver subtracts its live released events). Summing
-        both shards' samples at one instant therefore reproduces the
-        single-process pending count exactly. Wheel delta is zero:
-        deliveries are heap events in both worlds.
+        so the receiver subtracts its live released events: all its
+        cut links' in-flight FIFOs ever hold). Summing both shards'
+        samples at one instant therefore reproduces the single-process
+        pending count exactly. Wheel delta is zero: deliveries are heap
+        events in both worlds.
         """
         now = self.sim._now
         sender = 0
@@ -379,10 +376,10 @@ class ShardRuntime:
             if t2s:
                 t2s[:] = [t2 for t2 in t2s if t2 > now]
                 sender += len(t2s)
-        if self._released:
-            self._released = [event for event in self._released
-                              if event._sim is not None]
-        return sender - len(self._released), 0
+        released = sum(len(direction.pending)
+                       for wire in self._links.values()
+                       for direction in wire._dirs.values())
+        return sender - released, 0
 
     # -- staged-frame release ------------------------------------------------
 
@@ -420,9 +417,9 @@ class ShardRuntime:
                 direction.carrier_drops += 1
                 wire._trace(trc.DROP_LINK_DOWN, frame)
                 continue
-            event = sim.at(t2, wire._deliver_cb, direction, frame)
-            direction.pending.append(event)
-            self._released.append(event)
+            # Sorted, under rising bounds: FIFO order (netsim.link).
+            direction.pending.append(
+                sim.at(t2, wire._deliver_cb, direction, frame))
 
     # -- lockstep execution --------------------------------------------------
 

@@ -83,14 +83,18 @@ class Tracer:
 
     def __init__(self, keep_records: bool = True):
         self.records: List[TraceRecord] = []
-        self.counts: Counter = Counter()
-        self.by_ethertype: Dict[str, Counter] = defaultdict(Counter)
+        #: The one stored tally (totals are summed from it on read), like
+        #: a port's statistics registers: ``by_ethertype[kind][ethertype]``,
+        #: ethertypes in first-seen order. :meth:`reset` empties the five
+        #: dicts in place, so links cache the ones they bump on every hop.
+        self.by_ethertype: Dict[str, Dict[int, int]] = {
+            kind: {} for kind in KINDS}
         self._listeners: List[Callable[[TraceRecord], None]] = []
         #: True while no record is ever materialised (no retention, no
         #: listeners): callers on the per-hop fast path may then bump
-        #: :attr:`counts` / :attr:`by_ethertype` directly instead of
-        #: paying a :meth:`record` call per link event. Kept in sync by
-        #: the keep_records setter and add_listener.
+        #: :attr:`by_ethertype` directly instead of paying a
+        #: :meth:`record` call per link event. Kept in sync by the
+        #: keep_records setter and add_listener.
         self.count_only = not keep_records
         self._keep_records = keep_records
 
@@ -113,8 +117,8 @@ class Tracer:
         are read, so a materialised record costs one tuple allocation
         on top of the counters.
         """
-        self.counts[kind] += 1
-        self.by_ethertype[kind][ethertype] += 1
+        tally = self.by_ethertype[kind]
+        tally[ethertype] = tally.get(ethertype, 0) + 1
         if self.count_only:
             return
         rec = _new_record(TraceRecord, (kind, time, link, frame_uid,
@@ -133,22 +137,31 @@ class Tracer:
 
     def count(self, kind: str, ethertype: Optional[int] = None) -> int:
         """Number of events of *kind*, optionally for one ethertype."""
+        tally = self.by_ethertype[kind]
         if ethertype is None:
-            return self.counts[kind]
-        return self.by_ethertype[kind][ethertype]
+            return sum(tally.values())
+        return tally.get(ethertype, 0)
+
+    @property
+    def counts(self) -> Counter:
+        """Events per kind, summed on read into a fresh Counter (writing
+        to it changes nothing); a kind never seen is absent, reads 0."""
+        return Counter({kind: sum(tally.values())
+                        for kind, tally in self.by_ethertype.items()
+                        if tally})
 
     @property
     def frames_sent(self) -> int:
-        return self.counts[SENT]
+        return self.count(SENT)
 
     @property
     def frames_delivered(self) -> int:
-        return self.counts[DELIVERED]
+        return self.count(DELIVERED)
 
     @property
     def frames_dropped(self) -> int:
-        return (self.counts[DROP_QUEUE] + self.counts[DROP_LINK_DOWN]
-                + self.counts[DROP_TTL])
+        return (self.count(DROP_QUEUE) + self.count(DROP_LINK_DOWN)
+                + self.count(DROP_TTL))
 
     def deliveries_for(self, frame_uid: int) -> List[TraceRecord]:
         """All delivery records for one logical frame (needs records)."""
@@ -169,8 +182,8 @@ class Tracer:
     def reset(self) -> None:
         """Clear all records and counters."""
         self.records.clear()
-        self.counts.clear()
-        self.by_ethertype.clear()
+        for tally in self.by_ethertype.values():
+            tally.clear()
 
     def __repr__(self) -> str:
         return (f"<Tracer sent={self.frames_sent} "

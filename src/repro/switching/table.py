@@ -57,9 +57,10 @@ class ForwardingTable:
         self.moves = 0
 
     def learn(self, mac: MAC, port: Port, now: float) -> None:
-        """Associate *mac* with *port* (refreshing the age)."""
+        """Associate *mac* with *port* (refreshing the age); an expired
+        entry nobody reclaimed yet is absent — a learn, never a move."""
         entry = self._probe(mac._value)
-        if entry is None:
+        if entry is None or entry.expires <= now:
             self.learns += 1
             self._entries.put(mac._value, FdbEntry(
                 port=port, expires=now + self.aging_time))

@@ -1,6 +1,8 @@
 """Tests for the churn subsystem: the event timeline and the Network
 dynamics primitives (detach / migrate / crash / restart)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.netsim.dynamics import (BRIDGE_CRASH, BRIDGE_RESTART, ChurnEvent,
@@ -8,7 +10,9 @@ from repro.netsim.dynamics import (BRIDGE_CRASH, BRIDGE_RESTART, ChurnEvent,
                                    LINK_UP)
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import SchedulingError, TopologyError
+from repro.netsim.tracer import DELIVERED, SENT
 from repro.topology import arppath, learning, line, netfpga_demo, pair
+from repro.traffic.video import stream_between
 
 from repro.testing import ping_once
 
@@ -132,6 +136,46 @@ class TestTimelineExecution:
         timeline.arm()
         demo.run(2.0)
         assert ping_once(demo, "A", "B") is not None
+
+    def test_nothing_is_delivered_over_a_dead_link(self, demo):
+        """``Link._deliver`` checks no carrier: ``take_down`` cancels
+        every delivery in flight, so under flaps, crashes and
+        migrations no link may count a delivery while it is down or
+        detached."""
+        sim = demo.sim
+        sim.tracer.keep_records = False
+        demo.run(0.01)              # the t=5 s hellos land: wires idle
+        over_dead_link = []
+        in_flight = Counter()       # sent - delivered, per link
+
+        def watch(rec):
+            if rec.kind == SENT:
+                in_flight[rec.link] += 1
+            elif rec.kind == DELIVERED:
+                in_flight[rec.link] -= 1
+                wire = demo.links.get(rec.link)
+                if wire is None or not wire.up:
+                    over_dead_link.append(rec)
+
+        sim.tracer.add_listener(watch)
+        source, sink = stream_between(demo.host("A"), demo.host("B"),
+                                      fps=10000.0)
+        source.start()
+        timeline = EventTimeline(demo)
+        timeline.random_churn(seed=5, start=sim.now + 0.1, duration=4.0,
+                              flap_rate=10.0, mean_down_time=0.05,
+                              crashes=2, migrations=2)
+        timeline.arm()
+        demo.run(4.5)
+        source.stop()
+        demo.run(1.0)
+        assert over_dead_link == []
+        assert sink.received > 5000 and timeline.counts["flaps"] > 20
+        # The guard had something to guard: frames did die in flight.
+        still_flying = sum(len(direction.pending)
+                           for wire in demo.links.values()
+                           for direction in wire._dirs.values())
+        assert sum(in_flight.values()) - still_flying > 0
 
     def test_overlapping_outages_restart_once(self, demo):
         """Two overlapping outages of one bridge must end in exactly

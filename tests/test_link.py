@@ -3,8 +3,11 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
+from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_IPV4,
+                                   EthernetFrame)
 from repro.frames.mac import mac_for_host
 from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
@@ -300,7 +303,7 @@ class TestFlapEdgeCases:
         sim.run()
         assert b.received == []
         direction = link._dirs[a.ports[0]]
-        assert direction.pending == [] and direction.queue == deque()
+        assert direction.pending == deque() and direction.queue == deque()
         assert not link.is_busy(a.ports[0])
         assert direction.drain_event is None
 
@@ -476,6 +479,109 @@ class TestCongestedTransmitter:
         sim.run()
         assert sim.events_processed == fired + 1
         assert b.received[-1][0] == pytest.approx(start + ser + 1e-3)
+
+
+#: One ethertype per direction, so the tracer's per-ethertype tally is
+#: a per-direction tally.
+_DIR_ETHERTYPES = (ETHERTYPE_IPV4, ETHERTYPE_ARP)
+
+_fifo_ops = st.lists(
+    st.tuples(st.sampled_from(("send", "send", "send", "down", "up")),
+              st.sampled_from((0, 1)),               # direction
+              # When, after the previous op: the same instant, the
+              # exact instant the transmitter goes idle, or a gap.
+              st.sampled_from(("same", "busy_until", "gap")),
+              st.floats(min_value=0.0, max_value=2e-4),
+              # Payload sizes of one burst: 64..1518 B on the wire.
+              st.lists(st.integers(46, 1500), min_size=1, max_size=6)),
+    min_size=1, max_size=30)
+
+
+class TestInFlightFifo:
+    """``_Direction.pending`` is exactly the deliveries in flight, in
+    firing order — the invariant ``Link._deliver``'s head pop and
+    ``take_down``'s unconditional cancel rely on (link module
+    docstring)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(ops=_fifo_ops,
+           bandwidth=st.sampled_from((None, 1e8, 1e9)),
+           queue_capacity=st.sampled_from((0, 2, 64)),
+           latency=st.sampled_from((0.0, 1e-6, 5e-5)),
+           keep_records=st.booleans())
+    def test_pending_is_the_in_flight_fifo(self, ops, bandwidth,
+                                           queue_capacity, latency,
+                                           keep_records):
+        sim = Simulator(seed=1, keep_trace_records=keep_records)
+        nodes = Sink(sim, "a"), Sink(sim, "b")
+        link = Link(sim, nodes[0].add_port(), nodes[1].add_port(),
+                    latency=latency, bandwidth=bandwidth,
+                    queue_capacity=queue_capacity)
+        ports = link.port_a, link.port_b
+        directions = [link._dirs[port] for port in ports]
+        #: Carrier drops of frames that never reached SENT, per
+        #: direction: handed to a downed transmitter, or still queued
+        #: when carrier was lost. The rest were in flight.
+        unsent = [0, 0]
+
+        def check():
+            heap = sorted((entry for entry in sim._queue
+                           if not entry[3].cancelled),
+                          key=lambda entry: entry[:3])
+            count = sim.tracer.count
+            for index, direction in enumerate(directions):
+                pending = list(direction.pending)
+                assert all(event._sim is sim and not event.cancelled
+                           for event in pending)
+                # (time, seq)-ordered and exactly what the engine still
+                # holds for this direction.
+                assert pending == [
+                    entry[3] for entry in heap
+                    if entry[3].callback == link._deliver_cb
+                    and entry[3].args[0] is direction]
+                ethertype = _DIR_ETHERTYPES[index]
+                delivered = count(trc.DELIVERED, ethertype)
+                assert delivered == len(nodes[1 - index].received)
+                assert count(trc.SENT, ethertype) == (
+                    delivered + direction.carrier_drops - unsent[index]
+                    + len(pending))
+
+        def step_until(instant):
+            while sim.pending_events and sim.next_event_time() <= instant:
+                sim.run(until=instant, max_events=1)
+                check()
+            sim.run(until=instant)
+
+        for kind, index, when, gap, sizes in ops:
+            if when == "busy_until":
+                step_until(max(sim.now, directions[index].busy_until))
+            elif when == "gap":
+                step_until(sim.now + gap)
+            if kind == "send":
+                for size in sizes:
+                    # Not Port.send: it swallows sends on a dead link.
+                    link.transmit(ports[index], EthernetFrame(
+                        dst=H1, src=H0, ethertype=_DIR_ETHERTYPES[index],
+                        payload=b"x" * size))
+                if not link.up:
+                    unsent[index] += len(sizes)
+            elif kind == "down":
+                if link.up:
+                    for side, direction in enumerate(directions):
+                        unsent[side] += len(direction.queue)
+                link.take_down()
+            else:
+                link.bring_up()
+            check()
+
+        while sim.pending_events:
+            sim.run(max_events=1)
+            check()
+        assert all(not direction.pending and not direction.queue
+                   for direction in directions)
+        assert sim.audit_pending_events() == 0
+        assert sim.tracer.counts[trc.SENT] == sum(
+            sim.tracer.by_ethertype[trc.SENT].values())
 
 
 class TestNode:

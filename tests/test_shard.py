@@ -36,8 +36,10 @@ from repro.netsim.shard import (ShardedSimulator, ShardRuntime,
                                 derive_shard_seed, migration_lookahead,
                                 run_sharded)
 from repro.netsim.sync import ShardTransportError, pack_frame
-from repro.topology import arppath, grid
+from repro.netsim.tracer import DELIVERED, DROP_LINK_DOWN
+from repro.topology import arppath, grid, line
 from repro.topology.partition import partition_network
+from repro.traffic.matrix import TrafficMatrix
 
 
 def spec(name):
@@ -363,21 +365,23 @@ class TestDrainPathAcrossTheCut:
         assert sharded == single
 
 
+@pytest.fixture
+def runtimes(monkeypatch):
+    """Every ``ShardRuntime`` that adopts a network during the test."""
+    adopted = []
+    adopt = ShardRuntime.adopt
+
+    def spying_adopt(runtime, net, plan, lookahead=None):
+        adopt(runtime, net, plan, lookahead=lookahead)
+        adopted.append(runtime)
+
+    monkeypatch.setattr(ShardRuntime, "adopt", spying_adopt)
+    return adopted
+
+
 class TestSingleEngineIsMachineryFree:
     """``shards=1`` of a cell body installs none of the boundary
     machinery — what makes "single-engine = shards 1" cost nothing."""
-
-    @pytest.fixture
-    def runtimes(self, monkeypatch):
-        adopted = []
-        adopt = ShardRuntime.adopt
-
-        def spying_adopt(runtime, net, plan, lookahead=None):
-            adopt(runtime, net, plan, lookahead=lookahead)
-            adopted.append(runtime)
-
-        monkeypatch.setattr(ShardRuntime, "adopt", spying_adopt)
-        return adopted
 
     def assert_plain(self, runtime):
         net = runtime.net
@@ -404,6 +408,74 @@ class TestSingleEngineIsMachineryFree:
                            duration=3.0, crashes=1, migrations=1)
         (runtime,) = runtimes
         self.assert_plain(runtime)
+
+
+def _cut_flap_worker(shard_id, shard_count, endpoint):
+    """A flow over B1-B2 — the cut at K=2 — while that link flaps:
+    200 us of propagation keeps some 20 frames in flight at the cut,
+    part released on the importing engine, part still staged."""
+    sim = Simulator(seed=derive_shard_seed(3, shard_id),
+                    keep_trace_records=False)
+    net = line(sim, arppath(), 4, latency=2e-4)
+    runtime = ShardRuntime(sim, shard_id, endpoint)
+    runtime.adopt(net, partition_network(net, shard_count))
+    runtime.run_for(5.0)
+    matrix = TrafficMatrix(net)
+    matrix.add_flow("H0", "H1", packets=600, interval=1e-5, size=1000)
+    matrix.start(owner=runtime.owns)
+    wire = net.link_between("B1", "B2")
+    # Replicated dynamics: every shard replays the flap on its replica.
+    sim.at(sim.now + 3.0e-3, wire.take_down)
+    sim.at(sim.now + 3.5e-3, wire.bring_up)
+    runtime.run_for(0.02)
+    cut = [direction for wire in runtime._links.values()
+           for direction in wire._dirs.values()]
+    return {
+        "cut_links": sorted(runtime._links),
+        "carrier_drops": {name: wire.carrier_drops
+                          for name, wire in net.links.items()},
+        "drop_link_down": sim.tracer.count(DROP_LINK_DOWN),
+        "delivered": sim.tracer.count(DELIVERED),
+        "cut_pending": sum(len(direction.pending) for direction in cut),
+        "pending_adjust": runtime.pending_adjust(),
+    }
+
+
+class TestInFlightFifoAcrossTheCut:
+    """The import side of a cut link keeps the same in-flight FIFO as a
+    local direction: nothing fired is retained, and a carrier loss
+    drops exactly what the single engine drops."""
+
+    def test_cut_link_flap_drops_what_the_single_engine_drops(self):
+        (single,) = run_sharded(_cut_flap_worker, 1)
+        halves = run_sharded(_cut_flap_worker, 2)
+        assert single["cut_links"] == []
+        assert all(half["cut_links"] == ["B1-B2"] for half in halves)
+        merged = {name: {port: sum(half["carrier_drops"][name][port]
+                                   for half in halves)
+                         for port in drops}
+                  for name, drops in single["carrier_drops"].items()}
+        assert merged == single["carrier_drops"]
+        assert sum(single["carrier_drops"]["B1-B2"].values()) >= 20
+        for key in ("drop_link_down", "delivered"):
+            assert sum(half[key] for half in halves) == single[key]
+        # Quiescent at the end: nothing in flight, nothing retained.
+        assert [half["cut_pending"] for half in halves] == [0, 0]
+        assert [half["pending_adjust"] for half in halves] == [(0, 0)] * 2
+
+    def test_no_fired_import_is_retained_after_a_scale_cell(self, runtimes):
+        scale.run_case_sharded(arppath_spec(), "grid", 16, pairs=4,
+                               probes=4, endpoints_per_port=50, shards=2)
+        assert len(runtimes) == 2
+        for runtime in runtimes:
+            assert runtime._links and runtime._export_seq > 0
+            for wire in runtime._links.values():
+                for direction in wire._dirs.values():
+                    # Hellos may be mid-flight at the final instant;
+                    # the leak was thousands of *fired* events.
+                    assert all(event._sim is not None
+                               for event in direction.pending)
+                    assert len(direction.pending) <= 1
 
 
 class TestShardTransport:

@@ -45,6 +45,16 @@ class TestForwardingTable:
         fdb.learn(M0, FakePort(1), now=0.0)
         assert fdb.moves == 1
 
+    def test_learn_over_expired_unreaped_entry_is_not_a_move(self):
+        """No lookup reaped the old entry, yet it is absent: counters
+        must not depend on when memory was reclaimed."""
+        fdb = ForwardingTable(aging_time=10.0)
+        port = FakePort(1)
+        fdb.learn(M0, FakePort(0), now=0.0)
+        fdb.learn(M0, port, now=10.0)
+        assert (fdb.learns, fdb.moves) == (2, 0)
+        assert fdb.lookup(M0, now=15.0) is port
+
     def test_flush_port(self):
         fdb = ForwardingTable()
         port_a, port_b = FakePort(0), FakePort(1)

@@ -158,7 +158,7 @@ class FdbReference:
 
     def learn(self, value, port, now):
         rec = self.fdb.get(value)
-        if rec is None:
+        if rec is None or rec[1] <= now:        # expired == absent
             self.learns += 1
             self.fdb[value] = [port, now + self.aging]
             return
@@ -399,13 +399,12 @@ class ForwardingTableMachine(ClockedMachine):
     def same_observables(self):
         assert self.table.live_count(self.now) \
             == self.ref.live_count(self.now)
-        if self.sim_backed:
-            # ``learn`` refreshes whatever raw entry the store still
-            # holds: ``learns`` / ``moves`` and the raw views depend on
-            # what the wheel has reclaimed; lookups never do.
-            return
         assert (self.table.learns, self.table.moves) \
             == (self.ref.learns, self.ref.moves)
+        if self.sim_backed:
+            # The raw views depend on what the wheel has reclaimed;
+            # lookups and the learn / move counters never do.
+            return
         assert len(self.table) == len(self.ref.fdb)
         for value in VALUES:
             assert (MAC(value) in self.table) == (value in self.ref.fdb)

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_IPV4,
+                                   EthernetFrame)
 from repro.frames.mac import BROADCAST, MAC
-from repro.netsim.tracer import (DELIVERED, DROP_QUEUE, SENT, TraceRecord,
-                                 Tracer)
+from repro.netsim.engine import Simulator
+from repro.netsim.link import Link
+from repro.netsim.node import Node
+from repro.netsim.tracer import (DELIVERED, DROP_LINK_DOWN, DROP_QUEUE,
+                                 DROP_TTL, KINDS, SENT, TraceRecord, Tracer)
 
 
 def rec(tracer, kind, link="l0", uid=1, ethertype=0x0800, size=64):
@@ -38,6 +43,95 @@ class TestCounters:
         tracer.reset()
         assert tracer.frames_sent == 0
         assert tracer.records == []
+
+
+class TestDerivedTotals:
+    """``by_ethertype`` is the one stored tally; every total is a sum
+    over it, taken when read."""
+
+    @pytest.fixture
+    def wired(self):
+        sim = Simulator(seed=1, keep_trace_records=False)
+        a, b = Node(sim, "a"), Node(sim, "b")
+        b.handle_frame = lambda port, frame: None
+        link = Link(sim, a.add_port(), b.add_port(), bandwidth=1e6,
+                    queue_capacity=1)
+        return sim, link
+
+    @staticmethod
+    def burst(sim, link, ethertype):
+        """Four frames at one instant on a 1-deep queue: 2 sent and
+        delivered, 2 tail-dropped."""
+        for _ in range(4):
+            link.transmit(link.port_a, EthernetFrame(
+                dst=MAC(2), src=MAC(1), ethertype=ethertype, payload=b"x"))
+        sim.run()
+
+    @staticmethod
+    def assert_totals_are_sums(tracer):
+        for kind in KINDS:
+            total = sum(tracer.by_ethertype[kind].values())
+            assert tracer.counts[kind] == tracer.count(kind) == total
+        assert tracer.frames_sent == tracer.count(SENT)
+        assert tracer.frames_delivered == tracer.count(DELIVERED)
+        assert tracer.frames_dropped == sum(
+            tracer.count(kind)
+            for kind in (DROP_QUEUE, DROP_LINK_DOWN, DROP_TTL))
+
+    def test_totals_are_sums_across_every_tracing_level(self, wired):
+        sim, link = wired
+        tracer = sim.tracer
+        assert tracer.count_only
+        self.burst(sim, link, ETHERTYPE_IPV4)           # count-only
+        self.assert_totals_are_sums(tracer)
+        tracer.keep_records = True
+        self.burst(sim, link, ETHERTYPE_ARP)            # retained
+        self.assert_totals_are_sums(tracer)
+        tracer.keep_records = False
+        seen = []
+        tracer.add_listener(seen.append)
+        self.burst(sim, link, ETHERTYPE_IPV4)           # listener only
+        link.take_down()
+        link.transmit(link.port_a, EthernetFrame(
+            dst=MAC(2), src=MAC(1), ethertype=ETHERTYPE_ARP, payload=b"x"))
+        self.assert_totals_are_sums(tracer)
+        assert dict(tracer.counts) == {SENT: 6, DELIVERED: 6,
+                                       DROP_QUEUE: 6, DROP_LINK_DOWN: 1}
+        # First-seen order, which scale rows carry.
+        assert list(tracer.by_ethertype[SENT].items()) == [
+            (ETHERTYPE_IPV4, 4), (ETHERTYPE_ARP, 2)]
+        assert len(tracer.records) == 6 and len(seen) == 7
+
+    def test_reset_mid_run_keeps_links_counting(self, wired):
+        """Links cache the dicts they bump; ``reset`` empties them in
+        place (``loadbalance`` / ``loopfree`` reset after warm-up)."""
+        sim, link = wired
+        tracer = sim.tracer
+        tallies = {kind: tracer.by_ethertype[kind] for kind in KINDS}
+        self.burst(sim, link, ETHERTYPE_IPV4)
+        tracer.reset()
+        assert dict(tracer.counts) == {} and tracer.frames_sent == 0
+        self.burst(sim, link, ETHERTYPE_ARP)
+        assert all(tracer.by_ethertype[kind] is tally
+                   for kind, tally in tallies.items())
+        assert dict(tracer.counts) == {SENT: 2, DELIVERED: 2, DROP_QUEUE: 2}
+        assert tracer.by_ethertype[SENT] == {ETHERTYPE_ARP: 2}
+
+    def test_never_seen_kind_reads_zero_and_is_absent(self):
+        tracer = Tracer()
+        rec(tracer, SENT)
+        assert tracer.counts[DROP_TTL] == 0 == tracer.count(DROP_TTL)
+        assert tracer.count(SENT, 0x88CC) == 0
+        assert dict(tracer.counts) == {SENT: 1}
+        assert 0x88CC not in tracer.by_ethertype[SENT]  # reads add no key
+
+    def test_counts_is_a_snapshot_not_a_handle(self):
+        """Writing through ``tracer.counts`` is not a supported
+        mutation: totals are derived, the Counter is a fresh copy."""
+        tracer = Tracer()
+        rec(tracer, SENT)
+        tracer.counts[SENT] += 5
+        assert tracer.counts[SENT] == tracer.frames_sent == 1
 
 
 class TestRecords:
