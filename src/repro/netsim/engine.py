@@ -22,11 +22,12 @@ The engine also keeps an O(1) :attr:`Simulator.pending_events` counter
 O(n) heapify instead of n heap pushes).
 
 Heap entries are ``(time, priority, seq, event)`` tuples rather than
-bare :class:`Event` objects: heap sifts then compare machine floats and
-ints in C instead of calling :meth:`Event.__lt__` per comparison, which
-is the difference between O(log n) cheap comparisons and O(log n)
-Python frames on every push/pop of the hot loop. ``seq`` is unique, so
-a comparison never falls through to the event object itself.
+bare :class:`Event` objects: heap sifts compare machine floats and ints
+in C, with no Python frame per comparison on any push/pop of the hot
+loop. ``seq`` is unique, so a comparison never falls through to the
+event object itself — :class:`Event` defines no ordering. They are
+popped in one loop, :meth:`Simulator._run`, behind :meth:`Simulator.run`
+(closed bound) and :meth:`Simulator.run_below` (open bound).
 """
 
 from __future__ import annotations
@@ -79,13 +80,6 @@ class Event:
                 # as pending.
                 sim._pending -= 1
                 self._sim = None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -287,13 +281,10 @@ class Simulator:
         run. False is counters only. The flag is assignable mid-run
         (``sim.tracer.keep_records = True``): experiments warm up
         count-only and retain only inside their measured window.
-    wheel_resolution / wheel_slots:
-        Geometry of the timer wheel serving :meth:`schedule_timer`.
     """
 
     def __init__(self, seed: int = 0, trace_hops: bool = False,
-                 keep_trace_records: bool = True,
-                 wheel_resolution: float = 0.25, wheel_slots: int = 64):
+                 keep_trace_records: bool = True):
         #: Heap of (time, priority, seq, Event) — see the module docs.
         self._queue: List[tuple] = []
         self._seq = itertools.count()
@@ -303,8 +294,7 @@ class Simulator:
         self.trace_hops = trace_hops
         self.tracer = Tracer(keep_records=keep_trace_records)
         self.events_processed = 0
-        self.wheel = TimerWheel(resolution=wheel_resolution,
-                                slots=wheel_slots)
+        self.wheel = TimerWheel()
 
     @property
     def now(self) -> float:
@@ -427,7 +417,39 @@ class Simulator:
 
         When *until* is given the clock is advanced to exactly *until*
         even if the queue drained earlier, so periodic processes see a
-        consistent end time.
+        consistent end time. Stopping on *max_events* leaves the clock
+        on the last fired event.
+        """
+        if until is None:
+            self._run(_INF, True, max_events)
+        elif self._run(until, True, max_events) and self._now < until:
+            self._now = until
+
+    def run_for(self, duration: float) -> None:
+        """Run for *duration* seconds of simulated time from now."""
+        self.run(until=self._now + duration)
+
+    def run_below(self, bound: float) -> None:
+        """Run every event strictly before *bound*, then jump to *bound*.
+
+        The open-interval form of :meth:`run` (which is inclusive of
+        *until*): this is the window primitive the sharded runtime
+        (:mod:`repro.netsim.shard`) needs, because a conservative
+        synchronization window guarantees knowledge of remote events
+        *below* the safe time, not at it — an event at exactly the safe
+        time may still be beaten by a remote frame arriving at that same
+        instant with an earlier tie-break. A call with ``bound <= now``
+        is a no-op.
+        """
+        if bound > self._now:
+            self._run(bound, False, None)
+            self._now = bound
+
+    def _run(self, limit: float, inclusive: bool,
+             max_events: Optional[int]) -> bool:
+        """The one event loop: fire every event before *limit* — and at
+        it when *inclusive* — in (time, priority, seq) order, leaving
+        the clock on the last one. False when *max_events* cut it short.
         """
         # Hot loop: local bindings avoid repeated attribute lookups, the
         # wheel is consulted with one float compare per iteration, and
@@ -439,11 +461,11 @@ class Simulator:
         while True:
             if wheel._size:
                 horizon = queue[0][0] if queue else wheel._next_due
-                if until is not None and horizon > until:
+                if horizon > limit:
                     # Don't drag far-future wheel timers into the heap
                     # just because this slice ends: they would lose the
                     # wheel's O(1) cancellation.
-                    horizon = until
+                    horizon = limit
                 if wheel._next_due <= horizon:
                     wheel.pour(horizon, queue)
                     if not queue:
@@ -451,71 +473,23 @@ class Simulator:
                         # the heap; retry at the advanced next_due.
                         continue
             if not queue:
-                break
+                return True
             event = queue[0][3]
             if event.cancelled:
                 heappop(queue)
                 continue
-            if until is not None and event.time > until:
-                break
+            time = event.time
+            if time >= limit and (time > limit or not inclusive):
+                return True
             if max_events is not None and fired >= max_events:
-                return
+                return False
             heappop(queue)
-            self._now = event.time
+            self._now = time
             self.events_processed += 1
             self._pending -= 1
             event._sim = None
             event.callback(*event.args)
             fired += 1
-        if until is not None and self._now < until:
-            self._now = until
-
-    def run_for(self, duration: float) -> None:
-        """Run for *duration* seconds of simulated time from now."""
-        self.run(until=self._now + duration)
-
-    def run_below(self, bound: float) -> None:
-        """Run every event strictly before *bound*, then jump to *bound*.
-
-        The open-interval twin of :meth:`run` (which is inclusive of
-        *until*): this is the window primitive the sharded runtime
-        (:mod:`repro.netsim.shard`) needs, because a conservative
-        synchronization window guarantees knowledge of remote events
-        *below* the safe time, not at it — an event at exactly the safe
-        time may still be beaten by a remote frame arriving at that same
-        instant with an earlier tie-break. Pours are likewise capped at
-        *bound* so far-future wheel timers keep O(1) cancellation. A
-        call with ``bound <= now`` is a no-op.
-        """
-        if bound <= self._now:
-            return
-        queue = self._queue
-        wheel = self.wheel
-        heappop = heapq.heappop
-        while True:
-            if wheel._size:
-                horizon = queue[0][0] if queue else wheel._next_due
-                if horizon > bound:
-                    horizon = bound
-                if wheel._next_due <= horizon:
-                    wheel.pour(horizon, queue)
-                    if not queue:
-                        continue
-            if not queue:
-                break
-            event = queue[0][3]
-            if event.cancelled:
-                heappop(queue)
-                continue
-            if event.time >= bound:
-                break
-            heappop(queue)
-            self._now = event.time
-            self.events_processed += 1
-            self._pending -= 1
-            event._sim = None
-            event.callback(*event.args)
-        self._now = bound
 
     @property
     def pending_events(self) -> int:

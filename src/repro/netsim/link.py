@@ -37,16 +37,24 @@ transmitter is idle again the instant it starts, which is what
 burst could tail-drop; that was an event-model artifact, not link
 semantics. Delivery times were and are identical either way.)
 
+One transmit body: every frame that gets onto the wire, at once or out
+of the queue, leaves through :meth:`Link._start_tx`, which evaluates
+the delivery instant in **one** expression, ``deliver_at = now + ser +
+latency`` (= ``busy_until + latency``), for the local delivery and a
+shard's ``export`` hook alike — an arrival cannot move by an ulp with
+how the frame left (``tests/test_link.py::TestOneDeliveryInstant``).
+
 In-flight FIFO: a direction's ``pending`` deque holds **exactly the
 deliveries in flight**, oldest first — scheduling appends, the delivery
 pops the head as its first act, :meth:`Link.take_down` cancels the
 rest — so nothing fired is retained and a delivered frame dies by
 reference count. Sound because one direction's deliveries fire in
-scheduling order: the transmitter serialises (``start[i+1] >=
-busy_until[i]``), ``latency`` / ``bandwidth`` are fixed at construction
-and float addition is monotonic; ties fall to the engine's ascending
-``seq``; a shard's import side releases sorted, under rising bounds
-(guard: ``tests/test_link.py::TestInFlightFifo``, every engine step).
+scheduling order: ``busy_until`` never falls while carrier holds (the
+transmitter serialises), ``latency`` / ``bandwidth`` are fixed at
+construction and float addition is monotonic; ties fall to the engine's
+ascending ``seq``; a shard's import side releases sorted, under rising
+bounds (guard: ``tests/test_link.py::TestInFlightFifo``, every engine
+step).
 """
 
 from __future__ import annotations
@@ -174,10 +182,9 @@ class Link:
     def transmit(self, from_port: Port, frame: EthernetFrame) -> None:
         """Queue *frame* for transmission from *from_port*.
 
-        The uncongested path is fully inlined — one SENT counter bump,
-        one arithmetic ``busy_until`` update, one scheduled delivery —
-        because this method runs once per flooded copy per hop and
-        every elided call layer is measurable at the 225-bridge scale.
+        An idle transmitter starts serialising at once
+        (:meth:`_start_tx`); a busy one queues the frame behind a lazily
+        armed drain event, tail-dropping at ``queue_capacity``.
         """
         if not self.up:
             self._dirs[from_port].carrier_drops += 1
@@ -198,7 +205,15 @@ class Link:
                 direction.drain_event = self.sim.schedule(
                     direction.busy_until - now, self._drain, direction)
             return
-        # -- inlined _start_tx (keep in sync with it) --
+        self._start_tx(direction, frame, now)
+
+    def _start_tx(self, direction: _Direction, frame: EthernetFrame,
+                  now: float) -> None:
+        """Start serialising *frame* now — the one transmit body, behind
+        :meth:`transmit` and :meth:`_drain` alike: one SENT bump, one
+        ``busy_until`` update, one ``deliver_at`` (module docstring).
+        Runs once per flooded copy per hop.
+        """
         size = frame._wire_size
         if size is None:
             size = frame.wire_size
@@ -209,51 +224,31 @@ class Link:
         else:
             self._record(trc.SENT, frame)
         ser = size * self._ser_per_byte
-        direction.busy_until = now + ser
+        busy_until = direction.busy_until = now + ser
+        deliver_at = busy_until + self.latency
         if direction.export is not None:
             # Shard boundary: the frame leaves this engine. The receiving
             # shard schedules the delivery, so this hop costs the same
             # one engine event system-wide as the local path below.
-            direction.export(now, now + ser + self.latency, frame)
+            direction.export(now, deliver_at, frame)
             return
-        # Inlined Simulator.schedule (keep in sync with it): one Event
-        # filled by slot writes, one heap entry in the engine's
-        # documented (time, priority, seq, event) tuple shape. The
-        # delivery is the only event an uncongested hop schedules, so
-        # the call overhead of schedule() would be pure per-hop tax.
+        # Inlined Simulator.at (keep in sync with it): one Event filled
+        # by slot writes, one heap entry in the engine's documented
+        # (time, priority, seq, event) tuple shape. Calling it would put
+        # the hop over tests/test_hotpath_cost.py's budget.
         sim = self.sim
-        time = now + ser + self.latency
         seq = next(sim._seq)
         event = Event.__new__(Event)
-        event.time = time
+        event.time = deliver_at
         event.priority = PRIORITY_NORMAL
         event.seq = seq
         event.callback = self._deliver_cb
         event.args = (direction, frame)
         event.cancelled = False
         event._sim = sim
-        heappush(sim._queue, (time, PRIORITY_NORMAL, seq, event))
+        heappush(sim._queue, (deliver_at, PRIORITY_NORMAL, seq, event))
         sim._pending += 1
         direction.pending.append(event)
-
-    def _start_tx(self, direction: _Direction, frame: EthernetFrame,
-                  now: float) -> None:
-        """Start serialising *frame* now (the drain/congested path).
-
-        Semantically the inlined tail of :meth:`transmit`; keep the two
-        in sync.
-        """
-        self._trace(trc.SENT, frame)
-        ser = frame.wire_size * self._ser_per_byte
-        direction.busy_until = now + ser
-        delay = ser + self.latency
-        if direction.export is not None:
-            # now + delay is what schedule(delay) computes: one ulp off
-            # the local instant flips a downstream busy_until test.
-            direction.export(now, now + delay, frame)
-            return
-        direction.pending.append(
-            self.sim.schedule(delay, self._deliver, direction, frame))
 
     def _drain(self, direction: _Direction) -> None:
         """The transmitter went idle with frames queued: start the next.
@@ -369,8 +364,8 @@ class Link:
     # -- tracing ---------------------------------------------------------
 
     def _trace(self, kind: str, frame: EthernetFrame) -> None:
-        # Drops and the queued path's SENT (transmit and _deliver inline
-        # this). A count-only tracer (every benchmark, the scale
+        # The drop kinds (_start_tx and _deliver inline this for SENT /
+        # DELIVERED). A count-only tracer (every benchmark, the scale
         # scenario) is bumped in place; _record materialises records.
         tracer = self._tracer
         if tracer.count_only:
@@ -382,7 +377,7 @@ class Link:
 
     def _record(self, kind: str, frame: EthernetFrame) -> None:
         # The one materialising trace call (retained records and/or
-        # listeners), shared by transmit, _deliver and _trace. MAC
+        # listeners), shared by _start_tx, _deliver and _trace. MAC
         # objects are passed through: the record renders them lazily.
         size = frame._wire_size
         if size is None:

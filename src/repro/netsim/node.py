@@ -176,15 +176,20 @@ class Node:
     def flood(self, frame: EthernetFrame, exclude: Optional[Port] = None) -> int:
         """Send *frame* out of every attached port except *exclude*.
 
-        Returns the number of ports the frame was sent on. All copies
-        share the one frame object (copy-on-write fan-out).
+        Returns the number of ports the frame was sent on; one without
+        carrier counts and discards, as in :meth:`Port.send`. All copies
+        share the one frame object (copy-on-write fan-out), marked
+        shared once and handed to each up link directly.
         """
+        frame._shared = True
         count = 0
         for port in self.attached_ports:
             if port is exclude:
                 continue
-            port.send(frame)
             count += 1
+            link = port.link
+            if link.up:
+                link.transmit(port, frame)
         return count
 
     def __repr__(self) -> str:

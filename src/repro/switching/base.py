@@ -204,23 +204,8 @@ class Bridge(Node):
 
     def flood_data(self, frame: EthernetFrame,
                    exclude: Optional[Port] = None) -> int:
-        """Flood a data frame on all ports but *exclude*, counting it.
-
-        The fan-out loop is :meth:`Node.flood` with :meth:`Port.send`
-        inlined (keep them in sync): flooding is ARP-Path's hot path —
-        the race *is* the mechanism — and the per-port call pair costs
-        more than the remaining per-copy work. Copy-on-write: every
-        port shares the one frame object.
-        """
-        frame._shared = True
-        copies = 0
-        for port in self.attached_ports:
-            if port is exclude:
-                continue
-            copies += 1
-            link = port.link
-            if link.up:
-                link.transmit(port, frame)
+        """Flood a data frame on all ports but *exclude*, counting it."""
+        copies = self.flood(frame, exclude)
         self.counters.flooded_frames += 1
         self.counters.flooded_copies += copies
         return copies

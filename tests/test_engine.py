@@ -1,11 +1,11 @@
 """Tests for the discrete-event engine."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.engine import (PRIORITY_EARLY, PRIORITY_LATE,
-                                 PRIORITY_NORMAL, Simulator)
+                                 PRIORITY_NORMAL, Simulator, TimerWheel)
 from repro.netsim.errors import SchedulingError
 
 
@@ -126,6 +126,100 @@ class TestRunControl:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 7
+
+
+#: Event times: mostly an exact 1/8 s grid reaching past the wheel's
+#: 16 s span (so times collide with each other and with the bound, and
+#: timers land in fine and coarse buckets), some arbitrary floats.
+_times = st.one_of(st.integers(0, 400).map(lambda n: n / 8),
+                   st.floats(min_value=0.0, max_value=50.0))
+_loop_ops = st.lists(
+    st.tuples(st.sampled_from(("schedule", "timer", "at")), _times,
+              st.sampled_from((PRIORITY_EARLY, PRIORITY_NORMAL,
+                               PRIORITY_LATE)),
+              st.booleans()),                       # cancelled afterwards
+    min_size=1, max_size=25)
+
+
+class TestOneLoopTwoBounds:
+    """``run`` (closed bound) and ``run_below`` (open bound) are one
+    loop, ``Simulator._run``: between them they fire every event exactly
+    once, in (time, priority, seq) order, whichever way a run is cut."""
+
+    @staticmethod
+    def build(ops):
+        """A simulator at t=0 holding *ops*; the list its callbacks
+        append ``(now, priority, index)`` to; and that list as it must
+        read once everything live has fired."""
+        sim = Simulator(seed=0)
+        fired = []
+        events = []
+        for index, (how, time, priority, _cancel) in enumerate(ops):
+            def callback(priority=priority, index=index):
+                fired.append((sim.now, priority, index))
+            if how == "schedule":
+                events.append(sim.schedule(time, callback, priority=priority))
+            elif how == "timer":
+                events.append(sim.schedule_timer(time, callback,
+                                                 priority=priority))
+            else:
+                events.append(sim.at(time, callback, priority=priority))
+        for event, op in zip(events, ops):
+            if op[3]:
+                event.cancel()
+        # Scheduling order is seq order, so sorting by index is sorting
+        # by seq.
+        expected = sorted((time, priority, index) for index,
+                          (_how, time, priority, cancel) in enumerate(ops)
+                          if not cancel)
+        return sim, fired, expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_loop_ops, pick=st.integers(min_value=0),
+           coincide=st.booleans(),
+           free_bound=st.floats(min_value=0.01, max_value=60.0),
+           max_events=st.integers(0, 8))
+    def test_any_cut_fires_the_same_events_in_the_same_order(
+            self, ops, pick, coincide, free_bound, max_events):
+        bound = ops[pick % len(ops)][1] if coincide else free_bound
+        sim, fired, expected = self.build(ops)
+        below = [entry for entry in expected if entry[0] < bound]
+        upto = [entry for entry in expected if entry[0] <= bound]
+
+        # Open bound: everything strictly before it, then the jump.
+        sim.run_below(bound)
+        assert fired == below
+        assert sim.now == bound
+        sim.audit_pending_events()
+
+        # Closed bound: exactly the events at it are left to fire.
+        sim.run(until=bound)
+        assert fired == upto
+        assert sim.now == bound
+        sim.audit_pending_events()
+
+        # The two slices together are one run(until=bound).
+        whole, fired_whole, _expected = self.build(ops)
+        whole.run(until=bound)
+        assert fired_whole == fired
+        assert (whole.now, whole.events_processed, whole.pending_events) \
+            == (sim.now, sim.events_processed, sim.pending_events)
+
+        # A bound at or behind the clock is a no-op.
+        for stale in (bound, bound / 2):
+            sim.run_below(stale)
+            assert fired == upto and sim.now == bound
+        assert sim.events_processed == len(upto)
+
+        # max_events stops on the last fired event, clock included.
+        sim.run(max_events=max_events)
+        assert fired == expected[:len(upto) + max_events]
+        assert sim.now == (fired[-1][0] if len(fired) > len(upto) else bound)
+        sim.audit_pending_events()
+
+        sim.run()
+        assert fired == expected
+        assert sim.audit_pending_events() == 0
 
 
 class TestPeriodic:
@@ -285,7 +379,8 @@ class TestTimerWheel:
         must not file a timer past its own deadline — the LATE wheel
         timer still beats a later-priority heap event at the same
         instant."""
-        sim = Simulator(seed=0, wheel_resolution=0.1)
+        sim = Simulator(seed=0)
+        sim.wheel = TimerWheel(resolution=0.1)
         order = []
         sim.schedule_timer(1.7, order.append, "timer-late")
         sim.schedule(1.7, order.append, "heap-later",
@@ -298,7 +393,8 @@ class TestTimerWheel:
         """Wheel and heap events interleave identically to heap-only
         scheduling at a non-power-of-two resolution."""
         def firing_order(use_wheel):
-            sim = Simulator(seed=0, wheel_resolution=0.1)
+            sim = Simulator(seed=0)
+            sim.wheel = TimerWheel(resolution=0.1)
             order = []
             for i in range(50):
                 delay = round(0.1 + i * 0.17, 10)

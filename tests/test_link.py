@@ -1,5 +1,6 @@
 """Tests for links: serialization, propagation, queues, carrier."""
 
+import random
 from collections import deque
 
 import pytest
@@ -14,6 +15,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.netsim.link import Link
 from repro.netsim.node import Node, Port
+from repro.switching.base import Bridge
 
 H0, H1 = mac_for_host(0), mac_for_host(1)
 
@@ -481,6 +483,61 @@ class TestCongestedTransmitter:
         assert b.received[-1][0] == pytest.approx(start + ser + 1e-3)
 
 
+class TestOneDeliveryInstant:
+    """Every frame gets onto the wire through ``Link._start_tx``, so
+    its delivery instant is one float expression, ``(start + ser) +
+    latency`` — whether it started at once or out of the queue, and
+    whether it is delivered here or exported across a shard cut. (The
+    drained path used to stamp ``start + (ser + latency)``: 12 of this
+    40-frame burst's deliveries came one ulp, 2.2e-16 s, late.)"""
+
+    START = 1.2345
+    LATENCY = 10e-6
+    BANDWIDTH = 1e9
+
+    def run_burst(self, count, export=False):
+        """Send *count* mixed 64-1518 B frames at ``START``; returns
+        when each started serialising, when each was delivered (with
+        *export*: the instant handed to the hook) and the frames, all
+        in sending order."""
+        sim = Simulator(seed=0)
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        link = Link(sim, a.add_port(), b.add_port(), latency=self.LATENCY,
+                    bandwidth=self.BANDWIDTH, queue_capacity=64)
+        exported_at = []
+        if export:
+            link._dirs[a.ports[0]].export = \
+                lambda _start, deliver_at, _frame: exported_at.append(deliver_at)
+        sizes = random.Random(7)
+        frames = [make_frame(sizes.randint(46, 1500)) for _ in range(count)]
+        sim.at(self.START,
+               lambda: [a.ports[0].send(frame) for frame in frames])
+        sim.run()
+        started_at = [record.time for record in sim.tracer.records
+                      if record.kind == trc.SENT]
+        if export:
+            assert not b.received
+            return started_at, exported_at, frames
+        assert [frame for _t, _p, frame in b.received] == frames
+        return started_at, [t for t, _p, _f in b.received], frames
+
+    @pytest.mark.parametrize("count", [1, 40], ids=["unqueued", "queued"])
+    def test_every_delivery_is_start_plus_ser_plus_latency(self, count):
+        started_at, delivered_at, frames = self.run_burst(count)
+        # The first frame starts at once, the rest out of the queue.
+        assert started_at[0] == self.START
+        assert started_at == sorted(set(started_at))
+        assert delivered_at == [
+            (start + frame.wire_size * (8.0 / self.BANDWIDTH)) + self.LATENCY
+            for start, frame in zip(started_at, frames)]
+
+    @pytest.mark.parametrize("count", [1, 40], ids=["unqueued", "queued"])
+    def test_exported_instant_is_the_local_instant(self, count):
+        started_at, exported_at, _frames = self.run_burst(count, export=True)
+        assert len(exported_at) == count
+        assert (started_at, exported_at) == self.run_burst(count)[:2]
+
+
 #: One ethertype per direction, so the tracer's per-ethertype tally is
 #: a per-direction tally.
 _DIR_ETHERTYPES = (ETHERTYPE_IPV4, ETHERTYPE_ARP)
@@ -605,6 +662,29 @@ class TestNode:
         assert sent == 2
         assert len(spokes[0].received) == 0
         assert len(spokes[1].received) == 1
+
+    def test_flood_counts_a_down_port_but_transmits_nothing_on_it(self, sim):
+        # Bridge.flood_data is Node.flood plus the two flood counters.
+        hub = Bridge(sim, "hub", H0)
+        spokes = [Sink(sim, f"s{i}") for i in range(3)]
+        links = [Link(sim, hub.add_port(), spoke.add_port(), latency=1e-6)
+                 for spoke in spokes]
+        links[1].take_down()
+        frame = make_frame()
+        assert not frame._shared
+        sent = hub.flood_data(frame, exclude=hub.ports[0])
+        sim.run()
+        # Like Port.send on a NIC without carrier: counted, discarded
+        # before the link, so neither SENT nor a carrier drop.
+        assert sent == 2
+        assert (hub.counters.flooded_frames, hub.counters.flooded_copies) \
+            == (1, 2)
+        assert frame._shared
+        assert [len(spoke.received) for spoke in spokes] == [0, 0, 1]
+        assert spokes[2].received[0][2] is frame
+        assert sim.tracer.count(trc.SENT) == 1
+        assert sim.tracer.count(trc.DROP_LINK_DOWN) == 0
+        assert sum(links[1].carrier_drops.values()) == 0
 
     def test_send_unattached_is_noop(self, sim):
         lonely = Sink(sim, "l")

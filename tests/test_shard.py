@@ -262,21 +262,29 @@ class TestFrozenReference:
     cut (the documented limit of the boundary order): SPB's
     synchronised LSP floods on the line, and the ARP race over the
     demo's equal-latency ring.
+
+    Three ``SCALE`` digests (stp/grid, spb/grid, stp/line) were
+    regenerated once, when ``Link`` got its single transmit body: the
+    drained path used to stamp deliveries at ``now + (ser + latency)``,
+    one ulp off the uncongested path's ``(now + ser) + latency``, which
+    bought those cells 40 / 0 / 527 zero-length drain events
+    (``events_processed``) and moved spb/grid's ``convergence_s`` in
+    its 12th digit. Frame counts and payloads did not move.
     """
 
     SCALE = {
         ("arppath", "grid"):
             "4959d41cd49322b7676be7fb6b345f9e1ea7edd81dfb3dc110fedd7d3a9913dc",
         ("stp", "grid"):
-            "2772dfbd669626d942e7298f73dcfd8022ef01b14c6fa45cf33ff0449738166c",
+            "29a6a9adcc35d0b95d1643541473c8cd5e53e4da565429089c7515757152769f",
         ("spb", "grid"):
-            "8a718282cfd8239e9eb82f2db5a84e1c118999a8ac25d43f3d1bc1bf5f1a77d2",
+            "9e63697409f1dceea18788185eef81855bd5f5a58771a799b131015906160a75",
         ("controller", "grid"):
             "773e5f0f1d5a83e9565c53d87a0d84a9bfdd5a24f97311cdb1b270fa02c536e0",
         ("arppath", "line"):
             "a240d94c23f291d027f4e44636d29f7fe5fdb671fb3dbbf3893c91998d65eb88",
         ("stp", "line"):
-            "fcb46df58433dd6e4274ae3cd0b9b8c8916956e26ce779cf06e07b8f1a639db7",
+            "f0757c7e3626fdd21628f51083d8a119194baf636776c56f5167e8603834833f",
         ("spb", "line"):
             "9f671d76d063dcc4b040c8cd88e531341ad0c186b884d02e375cc433090a54ad",
         ("learning", "line"):
