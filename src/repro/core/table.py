@@ -21,8 +21,9 @@ paths.
 Both entry kinds age through a shared :class:`repro.netsim.aging
 .AgingStore`: lookups reap lazily (the correctness mechanism — no
 behaviour may depend on when memory is reclaimed) and, when the table
-is built with a simulator, expired entries are reclaimed promptly by
-timer-wheel timers instead of a periodic sweep.
+is built with a simulator, expired entries are reclaimed within a
+quarter second of their deadline by the store's deadline buckets — one
+engine timer per bucket, no timer per entry and no periodic sweep.
 
 The stores are keyed on the 48-bit integer (``mac._value``) behind a
 ``MAC``-typed API, so hashing and equality run in C and one lookup is
@@ -118,9 +119,10 @@ _UNPROBED = object()
 class LockedAddressTable:
     """MAC → (port, state) with the ARP-Path locking semantics.
 
-    Pass the owning *sim* to let the engine's timer wheel reclaim
-    expired entries; without one the table works standalone with lazy
-    reaping plus the explicit :meth:`expire` sweep.
+    Pass the owning *sim* to have expired entries reclaimed as
+    simulated time passes (the stores' deadline buckets); without one
+    the table works standalone with lazy reaping plus the explicit
+    :meth:`expire` sweep.
     """
 
     def __init__(self, lock_timeout: float, learnt_timeout: float,

@@ -12,24 +12,35 @@ Two mechanisms cooperate, with a strict division of labour:
   ``expires <= now`` as absent and deletes it on the spot. This is the
   *only* mechanism correctness may rely on: protocol behaviour must be
   identical whether or not memory has been reclaimed yet.
-* **Timer-wheel reclamation** — when a simulator is attached, each key
-  arms at most one :meth:`~repro.netsim.engine.Simulator.schedule_timer`
-  wheel timer at its entry's deadline. A refreshed entry does not
-  re-arm eagerly; the timer fires at the *old* deadline, notices the
-  entry still lives, and re-arms at the new one (kernel-style lazy
-  re-arm). Prompt memory reclamation without any O(table) sweep.
+* **Bucketed reclamation** — when a simulator is attached, the store
+  files each key under the quarter-second bucket that ends strictly
+  after its entry's deadline (``slot = int(expires / RECLAIM_GRANULE)
+  + 1``) and the first key of a bucket arms **one** engine wheel timer
+  at ``slot * RECLAIM_GRANULE``. When it fires the store walks that
+  bucket once: expired entries are deleted, an entry refreshed since
+  it was filed is re-filed under its new deadline's bucket
+  (kernel-style lazy re-arm). No timer per entry — the way a NetFPGA
+  table has a coarse background scan and no per-row timer — no
+  O(table) sweep, and an idle store schedules nothing. Memory is held
+  at most one granule past the deadline the key was filed at;
+  ``on_reap`` side effects inherit that instant unless a lookup reaps
+  first.
 
 Entries are any objects exposing a mutable ``expires`` attribute, and
 owners refresh them **in place** (assign a later ``expires``) instead of
 re-``put``-ting them. That is safe because of the store invariant:
 
-    with a simulator attached, every key in ``entries`` has exactly one
-    armed wheel timer (a lazy reap leaves its timer pending, so timers
-    may outnumber entries — never the reverse).
+    with a simulator attached, every key in ``entries`` with a finite
+    deadline is remembered under exactly one slot; that slot's bucket
+    is pending, holds the key, and has exactly one armed engine timer,
+    at ``slot * RECLAIM_GRANULE`` — later than the deadline the key
+    had when filed.
 
-:meth:`put` arms only a key that has no timer, ``_timer_fired`` re-arms
-or deletes, :meth:`pop` / :meth:`reap` / :meth:`clear` cancel what they
-remove (``tests/test_table_model.py`` checks it after every step).
+:meth:`put` files only a key that is not filed yet, a due bucket
+re-files or deletes, and :meth:`pop` / :meth:`reap` / :meth:`clear`
+forget the slot of what they remove — there is nothing to cancel: a key
+left behind in a bucket is skipped when the bucket comes due
+(``tests/test_table_model.py`` checks the invariant after every step).
 
 The hit path belongs to the owning table: it probes :attr:`AgingStore
 .entries` itself, compares ``expires > now``, and enters :meth:`get`
@@ -42,11 +53,18 @@ from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Tuple, TYPE_CHECKING)
 
 if TYPE_CHECKING:
-    from repro.netsim.engine import Event, Simulator
+    from repro.netsim.engine import Simulator
 
 #: Callback invoked as ``on_reap(key, entry)`` when an expired entry is
-#: reclaimed (lazily, by sweep, or by a wheel timer).
+#: reclaimed (lazily, by sweep, or by a due bucket).
 ReapHook = Callable[[Hashable, Any], None]
+
+#: Width of a reclamation bucket in simulated seconds. A power of two,
+#: so ``slot * RECLAIM_GRANULE`` is exact and strictly after every
+#: deadline filed under ``slot``.
+RECLAIM_GRANULE = 0.25
+
+_INF = float("inf")
 
 
 class AgingStore:
@@ -54,19 +72,24 @@ class AgingStore:
 
     Works standalone (pass ``sim=None``): lookups reap lazily and
     :meth:`reap` offers an explicit sweep — exactly what direct
-    data-structure tests want. With a simulator attached, wheel timers
-    reclaim expired entries promptly as simulated time passes.
+    data-structure tests want. With a simulator attached, one engine
+    timer per non-empty deadline bucket reclaims expired entries as
+    simulated time passes.
     """
 
-    __slots__ = ("entries", "_timers", "_sim", "_on_reap")
+    __slots__ = ("entries", "_slots", "_buckets", "_sim", "_on_reap")
 
     def __init__(self, sim: Optional["Simulator"] = None,
                  on_reap: Optional[ReapHook] = None):
         #: The raw key → entry dict (expired entries included). Owners
         #: may *read* it on their hit path; every mutation goes through
-        #: the methods below so the timer invariant holds.
+        #: the methods below so the bucket invariant holds.
         self.entries: Dict[Hashable, Any] = {}
-        self._timers: Dict[Hashable, "Event"] = {}
+        #: key → the slot it is filed under (sim-backed stores only).
+        self._slots: Dict[Hashable, int] = {}
+        #: slot → keys filed there; one armed engine timer per slot.
+        #: May hold keys since popped or re-filed — skipped when due.
+        self._buckets: Dict[int, List[Hashable]] = {}
         self._sim = sim
         self._on_reap = on_reap
 
@@ -87,17 +110,15 @@ class AgingStore:
     # -- mutation ------------------------------------------------------------
 
     def put(self, key: Hashable, entry: Any) -> Any:
-        """Insert or replace the entry for *key* and arm its reclamation.
+        """Insert or replace the entry for *key* and file its reclamation.
 
-        At most one wheel timer is armed per key; replacing an entry
-        whose timer is already pending leaves the timer alone (it
-        re-arms lazily when it fires and finds the entry still alive).
+        A key is filed under at most one bucket; replacing an entry
+        whose key is already filed leaves the filing alone (the bucket
+        re-files it when it comes due and finds the entry still alive).
         """
         self.entries[key] = entry
-        sim = self._sim
-        if sim is not None and key not in self._timers:
-            self._timers[key] = sim.schedule_timer(
-                max(entry.expires - sim._now, 0.0), self._timer_fired, key)
+        if self._sim is not None and key not in self._slots:
+            self._file(key, entry.expires)
         return entry
 
     def pop(self, key: Hashable) -> Optional[Any]:
@@ -105,9 +126,7 @@ class AgingStore:
 
         An explicit removal, not an expiry: the reap hook is NOT called.
         """
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
+        self._slots.pop(key, None)
         return self.entries.pop(key, None)
 
     def pop_matching(self, predicate: Callable[[Hashable, Any], bool]) -> int:
@@ -120,46 +139,62 @@ class AgingStore:
         return len(stale)
 
     def clear(self) -> None:
-        """Drop every entry and cancel every pending reclamation timer."""
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
+        """Drop every entry (pending buckets come due and find nothing)."""
+        self._slots.clear()
         self.entries.clear()
 
     def reap(self, now: float) -> int:
         """Sweep every expired entry out immediately; returns how many.
 
         Kept for standalone use and introspection — simulation code
-        never needs it (the wheel does this incrementally).
+        never needs it (due buckets do this incrementally).
         """
         stale = [key for key, entry in self.entries.items()
                  if entry.expires <= now]
         for key in stale:
             entry = self.entries.pop(key)
-            timer = self._timers.pop(key, None)
-            if timer is not None:
-                timer.cancel()
+            self._slots.pop(key, None)
             if self._on_reap is not None:
                 self._on_reap(key, entry)
         return len(stale)
 
-    def _timer_fired(self, key: Hashable) -> None:
-        self._timers.pop(key, None)
-        entry = self.entries.get(key)
-        if entry is None:
+    def _file(self, key: Hashable, expires: float) -> None:
+        """Remember *key* under the bucket that ends strictly after
+        *expires* (or after now, for an entry expired on arrival). A
+        deadline that never comes due is filed nowhere."""
+        if expires == _INF:
+            self._slots.pop(key, None)
             return
         sim = self._sim
         now = sim._now
-        if entry.expires <= now:
-            del self.entries[key]
-            if self._on_reap is not None:
-                self._on_reap(key, entry)
+        slot = int((expires if expires > now else now) / RECLAIM_GRANULE) + 1
+        self._slots[key] = slot
+        bucket = self._buckets.get(slot)
+        if bucket is None:
+            self._buckets[slot] = [key]
+            sim.schedule_timer(slot * RECLAIM_GRANULE - now,
+                               self._bucket_due, slot)
         else:
-            # Entry was refreshed since the timer was armed: re-arm at
-            # the new deadline (lazy re-arm keeps timer churn at one
-            # pending timer per key no matter how hot the entry is).
-            self._timers[key] = sim.schedule_timer(
-                entry.expires - now, self._timer_fired, key)
+            bucket.append(key)
+
+    def _bucket_due(self, slot: int) -> None:
+        slots = self._slots
+        entries = self.entries
+        now = self._sim._now
+        for key in self._buckets.pop(slot):
+            if slots.get(key) != slot:
+                continue        # popped or re-filed since; not ours
+            entry = entries.get(key)
+            if entry is None:   # reaped lazily
+                del slots[key]
+            elif entry.expires <= now:
+                del entries[key], slots[key]
+                if self._on_reap is not None:
+                    self._on_reap(key, entry)
+            else:
+                # Refreshed (or replaced) since it was filed: one bucket
+                # visit per bucket crossed, however hot the entry is.
+                self._file(key, entry.expires)
 
     # -- iteration / sizing ----------------------------------------------
 
@@ -188,4 +223,4 @@ class AgingStore:
 
     def __repr__(self) -> str:
         return (f"<AgingStore entries={len(self.entries)} "
-                f"timers={len(self._timers)}>")
+                f"buckets={len(self._buckets)}>")

@@ -7,8 +7,9 @@ Two scheduling structures cooperate behind one deterministic clock:
   which the ARP-Path tests rely on, because path selection is literally
   a race between flooded frame copies.
 * **Timer wheel** (:class:`TimerWheel`) — a two-level hierarchical
-  wheel for the high-volume, frequently-cancelled short timers (table
-  entry expiry, broadcast guards, hello holds). Wheel timers are bucketed
+  wheel for housekeeping timers that may be cancelled before they fire
+  (aging-store deadline buckets, churn timelines, the memory sampler).
+  Wheel timers are bucketed
   by coarse time slot and only *poured* into the heap just before their
   bucket's window executes; a timer cancelled early therefore costs O(1)
   and never touches the heap at all. Pouring happens strictly before any
@@ -96,10 +97,11 @@ class TimerWheel:
     surviving timers into the simulator's heap, which restores the exact
     (time, priority, sequence) order.
 
-    The payoff is the cancellation pattern of aging timers: an entry
-    that is refreshed before it expires cancels its timer with a flag
-    write — no heap traffic, no O(log n) anything. Only timers that
-    actually come due ever reach the heap.
+    The payoff is cancellation: a timer cancelled before its bucket
+    is poured costs a flag write — no heap traffic, no O(log n)
+    anything. Only timers that actually come due ever reach the heap.
+    (Table aging no longer cancels: :mod:`repro.netsim.aging` arms one
+    never-cancelled timer per deadline bucket.)
     """
 
     __slots__ = ("resolution", "span", "_fine", "_coarse", "_size",
@@ -343,9 +345,10 @@ class Simulator:
 
         Semantically identical to :meth:`schedule` — same determinism,
         same :class:`Event` handle — but filed on the timer wheel, which
-        makes it the right call for short timers that are usually
-        cancelled or re-armed before they fire (table aging, guard
-        windows, protocol holds). Timers default to
+        makes it the right call for housekeeping that must not crowd
+        the heap (aging-store deadline buckets, churn timelines) and
+        for timers likely to be cancelled before they fire. Timers
+        default to
         :data:`PRIORITY_LATE` so same-instant data-plane events run
         first.
         """

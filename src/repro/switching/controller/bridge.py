@@ -4,6 +4,10 @@ The dataplane half of the centralized family. The bridge keeps an
 :class:`~repro.netsim.aging.AgingStore` of installed flow entries with
 idle and hard timeouts; a table miss buffers the frame and punts a
 PACKET_IN to the controller over the dedicated out-of-band star link.
+An expired flow is reported (FLOW_EXPIRED) when the store reclaims it:
+by the lookup that finds it expired, else when its quarter-second
+deadline bucket comes due — an OpenFlow switch likewise notices an idle
+flow at its own scan granularity, not on a per-flow timer.
 Broadcast forwards along the controller-pushed flood tree (plus local
 edge ports); until the first FLOOD_RULE arrives broadcasts buffer, which
 is what makes the family loop-safe from time zero.
@@ -91,7 +95,8 @@ class ControllerBridge(Bridge):
         super().__init__(sim, name, mac)
         self.config = config
         self.ctl_counters = ControllerBridgeCounters()
-        #: Installed flow entries; expiry notifies the controller.
+        #: Installed flow entries; reclamation notifies the controller
+        #: (at most one store granule after the idle / hard deadline).
         self.flows = AgingStore(sim=sim, on_reap=self._on_flow_reap)
         #: Frames buffered per flow key while a PACKET_IN is outstanding.
         self._pending: Dict[FlowKey, List[Tuple[Port, EthernetFrame]]] = {}

@@ -7,8 +7,9 @@ introduces.)
 
 Aging runs on the shared :class:`repro.netsim.aging.AgingStore`
 substrate: lookups reap lazily, and with a simulator attached the
-engine's timer wheel reclaims expired entries — no periodic sweep, and
-no correctness dependency on reclamation timing. Like the locked
+store's quarter-second deadline buckets reclaim expired entries — one
+engine timer per bucket, no timer per entry, no periodic sweep, and no
+correctness dependency on reclamation timing. Like the locked
 table, the store is keyed on the 48-bit integer (``mac._value``) behind
 the ``MAC``-typed API, and the hit path is one dict probe plus one
 expiry compare.
@@ -43,8 +44,8 @@ class ForwardingTable:
 
     *aging_time* can be temporarily shortened (802.1D topology-change
     handling) with :meth:`set_aging` and restored with
-    :meth:`restore_aging`. Pass *sim* to back the table with the
-    engine's timer wheel.
+    :meth:`restore_aging`. Pass *sim* to have expired entries
+    reclaimed as simulated time passes.
     """
 
     def __init__(self, aging_time: float = DEFAULT_AGING_TIME,
@@ -109,7 +110,7 @@ class ForwardingTable:
 
     def live_count(self, now: float) -> int:
         """Unexpired entries at *now* — exact occupancy, independent of
-        when the wheel last reaped (``len`` counts unreaped entries)."""
+        what has been reclaimed yet (``len`` counts unreaped entries)."""
         return self._entries.live_count(now)
 
     def __len__(self) -> int:

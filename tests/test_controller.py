@@ -11,6 +11,7 @@ through the bridge-family descriptor.
 import pytest
 
 from repro.frames.mac import mac_for_bridge
+from repro.netsim.aging import RECLAIM_GRANULE
 from repro.netsim.engine import Simulator
 from repro.switching import base
 from repro.switching.controller import ControllerConfig
@@ -181,6 +182,75 @@ class TestFlowTimeouts:
             assert ping_once(net, "H0", "H1", timeout=0.3) is not None
         assert net.bridge("B0").protocol_counters()["flow_expired"] >= 1
 
+    @staticmethod
+    def spy_northbound(net, name):
+        """(time, op) of every control frame bridge *name* sends up."""
+        bridge, sent = net.bridge(name), []
+        inner = bridge._send_controller
+
+        def spy(msg):
+            sent.append((net.sim.now, msg.op_name))
+            inner(msg)
+
+        bridge._send_controller = spy
+        return sent
+
+    @staticmethod
+    def idle_flows(sim):
+        """A pinged 3-line whose six flows idle out 0.3 s later; returns
+        the net, their common deadline and the boundary after it."""
+        net = warmed(sim, line, 3,
+                     factory=controller(flow_idle=0.3, flow_hard=60.0))
+        assert ping_once(net, "H0", "H1", timeout=0.1) is not None
+        deadlines = {entry.expires for name in ("B0", "B1", "B2")
+                     for entry in net.bridge(name).flows.values()}
+        deadline = max(deadlines)
+        boundary = (int(deadline / RECLAIM_GRANULE) + 1) * RECLAIM_GRANULE
+        # Every flow idles out inside one bucket, with room in the gap.
+        assert boundary - RECLAIM_GRANULE <= min(deadlines)
+        assert boundary - deadline > 0.05
+        return net, deadline, boundary
+
+    def test_flow_expired_leaves_at_the_boundary_after_the_deadline(self, sim):
+        """FLOW_EXPIRED is an ``on_reap`` side effect: with no lookup it
+        is sent when the flow's bucket comes due — never before the idle
+        deadline, never later than the next quarter-second boundary."""
+        net, deadline, boundary = self.idle_flows(sim)
+        sent = {name: self.spy_northbound(net, name)
+                for name in ("B0", "B1", "B2")}
+        net.run(1.0)
+        for name, frames in sent.items():
+            expired = [at for at, op in frames if op == "FLOW_EXPIRED"]
+            assert expired == [boundary, boundary], name
+        assert deadline < boundary <= deadline + RECLAIM_GRANULE
+        assert not controller_of(net).flows
+
+    def test_lookup_in_the_gap_reaps_before_it_punts(self, sim):
+        """A frame that finds the flow expired but not yet reclaimed
+        reaps it on the spot: FLOW_EXPIRED precedes the PACKET_IN, and
+        the flow is not reported a second time when its bucket is due."""
+        net, deadline, boundary = self.idle_flows(sim)
+        sent = self.spy_northbound(net, "B0")
+        gap = (deadline + boundary) / 2
+        net.run(gap - sim.now)
+        replies = []
+        net.host("H0").ping(net.host("H1").ip,
+                            on_reply=lambda seq, rtt: replies.append(rtt))
+        net.run(boundary + 0.5 - sim.now)
+        assert replies                  # the miss was served, not lost
+        ops = [(op, at) for at, op in sent
+               if op in ("FLOW_EXPIRED", "PACKET_IN")]
+        (op1, at1), (op2, at2), *later = ops
+        # H0 -> H1 reaped by the echo request's lookup, then punted ...
+        assert (op1, op2) == ("FLOW_EXPIRED", "PACKET_IN")
+        assert gap <= at1 <= at2 < boundary
+        # ... so the old bucket finds nothing expired (the PACKET_IN
+        # re-installed both directions): what is left is the two new
+        # flows idling out at their own boundary.
+        assert [op for op, _at in later] == ["FLOW_EXPIRED"] * 2
+        assert all(at == boundary + RECLAIM_GRANULE for _op, at in later)
+        assert net.bridge("B0").protocol_counters()["flow_expired"] == 3
+
 
 # -- ECMP --------------------------------------------------------------------
 
@@ -273,6 +343,33 @@ class TestRepair:
         cut_ring.link_between("B0", "B1").bring_up()
         cut_ring.run(3.0)
         assert controller_of(cut_ring).graph.number_of_edges() == 4
+
+    def test_flow_records_do_not_depend_on_reclaim_timing(self, cut_ring):
+        """The controller's ``flows`` map after the repair, then after
+        every flow idled out — the values the per-entry-timer store
+        produced (FLOW_EXPIRED now leaves up to a granule later; a
+        FLOW_EXPIRED that crossed into a repair barrier would be
+        ignored and show up here as a leftover record)."""
+        net, ctl = cut_ring, controller_of(cut_ring)
+        name_of = {bridge.mac: name for name, bridge in net.bridges.items()}
+
+        def installs(host):
+            flow = ctl.flows[net.host(host).mac]
+            assert not flow.repairing and len(flow.edges) == 3
+            return ({name_of[mac]: port
+                     for mac, port in flow.installs.items()},
+                    {name_of[mac] for mac in flow.ingresses})
+
+        assert len(ctl.flows) == 2
+        assert installs("H0") == ({"B0": 2, "B1": 1, "B2": 1, "B3": 1},
+                                  {"B1"})
+        assert installs("H1") == ({"B0": 1, "B1": 2, "B2": 0, "B3": 0},
+                                  {"B0"})
+        net.run(ControllerConfig().flow_idle + 2 * RECLAIM_GRANULE)
+        assert not ctl.flows
+        for bridge in net.bridges.values():
+            assert bridge.protocol_counters()["flow_expired"] == 2
+            assert bridge.state_entries() == 0
 
 
 # -- the family descriptor and registry --------------------------------------

@@ -12,12 +12,20 @@ exactly the deliveries in flight (``netsim.link`` docstring), so a
 delivered frame and its event die by reference count. Retention does
 not show in a call count or in cProfile — it shows as objects surviving
 into the collector's older generations — so it is counted directly.
+
+The third guard is on reclamation: an aging store arms one engine timer
+per quarter-second deadline bucket, never one per entry
+(``netsim.aging`` docstring), so a burst of table writes costs the
+engine a handful of events and no retained ``Event`` per row.
 """
 
 import gc
 import sys
 
-from repro.netsim.engine import Simulator
+from repro.core.table import LockedAddressTable
+from repro.frames.mac import MAC
+from repro.netsim.aging import RECLAIM_GRANULE
+from repro.netsim.engine import Event, Simulator
 from repro.netsim.tracer import DELIVERED
 from repro.topology import line
 from repro.topology.factories import arppath
@@ -102,3 +110,38 @@ def test_unicast_hop_retains_nothing_it_delivered():
     assert len(held) <= 4                # a frame or two mid-flight
     assert growth <= MAX_GEN0_GROWTH, (
         f"{growth} container objects outlived {delivered} deliveries")
+
+
+def _live_events() -> int:
+    return sum(isinstance(obj, Event) for obj in gc.get_objects())
+
+
+def test_reclaiming_2000_entries_costs_buckets_not_events():
+    """2 000 locks inside 0.1 s: the parent armed, held and fired 2 000
+    wheel ``Event``s; the deadlines span two buckets."""
+    lock_timeout, port = 0.8, object()
+    sim = Simulator(seed=1, keep_trace_records=False)
+    table = LockedAddressTable(lock_timeout, learnt_timeout=300.0,
+                               guard_timeout=0.5, sim=sim)
+    gc.collect()
+    events_before = _live_events()
+    peak_wheel = 0
+    for batch in range(20):             # 20 x 100 locks over [0.15, 0.25)
+        sim.run(until=0.15 + batch * 0.005)
+        for i in range(100):
+            table.lock(MAC(0x02_00_00_00_00_00 | batch * 100 + i), port,
+                       sim.now)
+        peak_wheel = max(peak_wheel, len(sim.wheel))
+    assert len(table) == 2000
+
+    sim.run(until=0.6)                  # mid-window: every lock still live
+    assert table.occupancy(sim.now)["locked"] == 2000
+    assert _live_events() - events_before <= 4
+    assert sim.pending_events <= 4
+
+    sim.run(until=0.25 + lock_timeout + 2 * RECLAIM_GRANULE)
+    assert table.counters.expiries == 2000
+    assert len(table) == 0
+    assert sim.events_processed <= 4, sim.events_processed
+    assert peak_wheel <= 4
+    assert sim.pending_events == 0

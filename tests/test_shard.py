@@ -270,30 +270,37 @@ class TestFrozenReference:
     bought those cells 40 / 0 / 527 zero-length drain events
     (``events_processed``) and moved spb/grid's ``convergence_s`` in
     its 12th digit. Frame counts and payloads did not move.
+
+    Six ``SCALE`` digests (every cell but spb and arppath/line) and
+    ``POPULATION`` were regenerated once more when ``AgingStore`` went
+    from one engine timer per entry to one per quarter-second deadline
+    bucket: only the three bookkeeping fields ``events_processed`` /
+    ``peak_pending_events`` / ``peak_wheel_timers`` fell (before / after
+    table in CHANGES.md, PR 23); every other field is the parent's.
     """
 
     SCALE = {
         ("arppath", "grid"):
-            "4959d41cd49322b7676be7fb6b345f9e1ea7edd81dfb3dc110fedd7d3a9913dc",
+            "f72ea9735a4dd8a09810da4214683a7828e5eaabdbaf2cf6d30fb0ad0830c594",
         ("stp", "grid"):
-            "29a6a9adcc35d0b95d1643541473c8cd5e53e4da565429089c7515757152769f",
+            "6649d8e1dc55a310f79ed310fe25c5e1240eeb2c8a8401f1643c38c33b4618d6",
         ("spb", "grid"):
             "9e63697409f1dceea18788185eef81855bd5f5a58771a799b131015906160a75",
         ("controller", "grid"):
-            "773e5f0f1d5a83e9565c53d87a0d84a9bfdd5a24f97311cdb1b270fa02c536e0",
+            "1c95211d3ede7fa6dff1b40bff4f3c4fd33eb2fc51e54d0ee6b8c6522d208c07",
         ("arppath", "line"):
             "a240d94c23f291d027f4e44636d29f7fe5fdb671fb3dbbf3893c91998d65eb88",
         ("stp", "line"):
-            "f0757c7e3626fdd21628f51083d8a119194baf636776c56f5167e8603834833f",
+            "3fa9807222f2c125c4205550e24e05c69a54eee0184f5afa600ff70cad8e7d9b",
         ("spb", "line"):
             "9f671d76d063dcc4b040c8cd88e531341ad0c186b884d02e375cc433090a54ad",
         ("learning", "line"):
-            "e8e65c1436469a462efc3bbdb08bfa85f2402b7d270916248895613376b991b6",
+            "b46e12a9924832cdb639431ad857bc82fce34b5bb25b362e8b196b9413b2047d",
         ("controller", "line"):
-            "b413aed749892d2eb4c92269fd1c2719ce448b893d3bce4438c703f3ed836d84",
+            "90a059dd7ebc781f472c3ddb9572fc569c3b18050ceade5f4fc9c399323c0d30",
     }
     POPULATION = \
-        "ee3362989d72c2b762cf2278ef9e3e5fc2aad9139b725609e38a0b15ac283459"
+        "aeabd20b998d8017a8b60e579aa00df0d52a952ef1af652e26e7662beb0f9e28"
     CHURN = {
         ("arppath", "demo"):
             "af22528d2a1b772180ce3d5e5495f40983942a9acde97f96dc529940c0b7f2ee",

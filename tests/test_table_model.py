@@ -9,10 +9,12 @@ object identity can never stand in for value equality.
 
 Each table runs twice: standalone (lazy reaping only — every
 observable, including ``len`` / ``in`` / ``expiries``, is determined)
-and backed by a ``Simulator`` (wheel timers reclaim memory at times the
-reference does not model, so only reclamation-independent observables
-are compared — and the store invariant the in-place refresh relies on
-is asserted instead: every key in a store has exactly one armed timer).
+and backed by a ``Simulator`` (deadline buckets reclaim memory at times
+the reference does not model, so only reclamation-independent
+observables are compared — and the store invariant the in-place refresh
+relies on is asserted instead: every key in a store is filed under one
+pending bucket, every pending bucket has one armed engine timer, and
+nothing outlives its deadline by a granule).
 """
 
 from collections import Counter
@@ -24,6 +26,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.table import EntryState, LockedAddressTable
 from repro.frames.mac import MAC
+from repro.netsim.aging import RECLAIM_GRANULE
 from repro.netsim.engine import Simulator
 from repro.switching.table import ForwardingTable
 
@@ -192,19 +195,53 @@ class FdbReference:
 
 # -- shared machinery ----------------------------------------------------------
 
-def assert_store_invariant(sim, *stores):
-    """Every key in a sim-backed store has exactly one armed timer."""
-    sim.audit_pending_events()
-    pending = [entry[3] for entry in sim._queue]
-    pending.extend(sim.wheel._iter_events())
-    for store in stores:
-        armed = Counter(event.args[0] for event in pending
-                        if not event.cancelled
-                        and event.callback == store._timer_fired)
-        for key in store.entries:
-            assert armed[key] == 1, (key, armed)
-            assert store._timers[key]._sim is sim
-        assert set(armed) == set(store._timers)
+class StoreAudit:
+    """The bucket invariant of sim-backed stores, checked step by step.
+
+    Remembers, per store, where each key was filed and the latest
+    deadline it ever held: a filing that appeared since the previous
+    step was made from the deadline the entry has now (one operation
+    per step, and the clock rule changes no deadline).
+    """
+
+    def __init__(self, sim, *stores):
+        self.sim = sim
+        self.stores = stores
+        self.filed = [{} for _ in stores]       # key -> slot, last step
+        self.latest = [{} for _ in stores]      # key -> max deadline ever
+
+    def check(self):
+        sim = self.sim
+        now = sim.now
+        sim.audit_pending_events()
+        pending = [entry[3] for entry in sim._queue]
+        pending.extend(sim.wheel._iter_events())
+        pending = [event for event in pending if not event.cancelled]
+        for store, filed, latest in zip(self.stores, self.filed,
+                                        self.latest):
+            # Every pending bucket: exactly one armed timer, on its boundary.
+            armed = Counter()
+            for event in pending:
+                if event.callback == store._bucket_due:
+                    (slot,) = event.args
+                    armed[slot] += 1
+                    assert event.time == slot * RECLAIM_GRANULE > now
+            assert set(armed) == set(store._buckets)
+            assert set(armed.values()) <= {1}, armed
+            # Every remembered key: in its slot's pending bucket.
+            for key, slot in store._slots.items():
+                assert key in store._buckets[slot], (key, slot)
+            for key, entry in store.entries.items():
+                slot = store._slots[key]        # every deadline is finite
+                deadline = entry.expires
+                if filed.get(key) != slot:      # filed during this step
+                    assert slot * RECLAIM_GRANULE > deadline
+                    assert (slot - 1) * RECLAIM_GRANULE <= max(deadline, now)
+                latest[key] = max(latest.get(key, deadline), deadline)
+                # Gone within a granule of the latest deadline it held.
+                assert now < latest[key] + RECLAIM_GRANULE, (key, entry)
+            filed.clear()
+            filed.update(store._slots)
 
 
 class ClockedMachine(RuleBasedStateMachine):
@@ -216,6 +253,16 @@ class ClockedMachine(RuleBasedStateMachine):
         super().__init__()
         self.sim = Simulator(seed=0) if self.sim_backed else None
         self.now = 0.0
+        self.audit = None
+
+    def audit_stores(self, *stores):
+        if self.sim_backed:
+            self.audit = StoreAudit(self.sim, *stores)
+
+    @invariant()
+    def keys_are_filed_under_one_pending_bucket(self):
+        if self.audit is not None:
+            self.audit.check()
 
     @rule(dt=steps)
     def advance(self, dt):
@@ -223,6 +270,13 @@ class ClockedMachine(RuleBasedStateMachine):
             self.sim.run_for(dt)
             assert self.sim.now == self.now + dt
         self.now += dt
+
+    @rule(past=st.sampled_from([0.0, 0.0625, 0.1]))
+    def cross_boundary(self, past):
+        """Land on or just past the next reclamation boundary — off the
+        quarter-second grid every other step keeps the clock on."""
+        boundary = (int(self.now / RECLAIM_GRANULE) + 1) * RECLAIM_GRANULE
+        self.advance(boundary + past - self.now)
 
 
 # -- LockedAddressTable ------------------------------------------------------
@@ -232,6 +286,7 @@ class LockedTableMachine(ClockedMachine):
         super().__init__()
         self.table = LockedAddressTable(LOCK, LEARNT, GUARD, sim=self.sim)
         self.ref = LockedReference()
+        self.audit_stores(self.table._entries, self.table._guards)
 
     def same_entry(self, entry, rec, value):
         if rec is None:
@@ -321,7 +376,7 @@ class LockedTableMachine(ClockedMachine):
         counters = asdict(self.table.counters)
         reference = {name: self.ref.counters[name] for name in counters}
         if self.sim_backed:
-            # Counted when memory is reclaimed, which the wheel decides.
+            # Counted when memory is reclaimed, which the buckets decide.
             for name in ("expiries", "port_flushes"):
                 del counters[name], reference[name]
         else:
@@ -329,12 +384,6 @@ class LockedTableMachine(ClockedMachine):
             for value in VALUES:
                 assert (MAC(value) in self.table) == (value in self.ref.paths)
         assert counters == reference
-
-    @invariant()
-    def live_keys_have_one_armed_timer(self):
-        if self.sim_backed:
-            assert_store_invariant(self.sim, self.table._entries,
-                                   self.table._guards)
 
     def teardown(self):
         if self.sim is not None:
@@ -356,6 +405,7 @@ class ForwardingTableMachine(ClockedMachine):
         super().__init__()
         self.table = ForwardingTable(aging_time=AGING, sim=self.sim)
         self.ref = FdbReference()
+        self.audit_stores(self.table._entries)
 
     @rule(value=values, port=ports)
     def learn(self, value, port):
@@ -402,7 +452,7 @@ class ForwardingTableMachine(ClockedMachine):
         assert (self.table.learns, self.table.moves) \
             == (self.ref.learns, self.ref.moves)
         if self.sim_backed:
-            # The raw views depend on what the wheel has reclaimed;
+            # The raw views depend on what the buckets have reclaimed;
             # lookups and the learn / move counters never do.
             return
         assert len(self.table) == len(self.ref.fdb)
@@ -413,11 +463,6 @@ class ForwardingTableMachine(ClockedMachine):
             assert all(type(mac) is MAC for mac in macs)
             assert sorted(mac.value for mac in macs) == sorted(
                 v for v, rec in self.ref.fdb.items() if rec[0] is port)
-
-    @invariant()
-    def live_keys_have_one_armed_timer(self):
-        if self.sim_backed:
-            assert_store_invariant(self.sim, self.table._entries)
 
     def teardown(self):
         if self.sim is not None:
