@@ -15,12 +15,22 @@ The consequences the demo measures fall out naturally: traffic follows
 the tree (not the lowest-latency path), and recovering from a failure
 costs max-age expiry plus two forward delays (tens of seconds at IEEE
 default timers).
+
+What a hello costs. A converged tree carries one config BPDU per link
+per hello period, and every one of them *refreshes* a vector its
+receiver already holds. The bridge recomputes on change, not on
+receipt: a refresh is one key compare, one age-timer re-arm and — on
+the root port — one relay out the designated ports
+(:meth:`StpBridge._handle_config`). ``_recompute`` runs only from the
+writers of what it reads: a stored vector that changed or aged out, a
+port enabled or disabled, ``start``. ``StpCounters.recomputes`` counts
+those runs; ``docs/ARCHITECTURE.md`` §9 has the invariant.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.frames.ethernet import (ETHERTYPE_BPDU, EthernetFrame,
@@ -30,7 +40,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.node import Port
 from repro.stp.bpdu import (BridgeId, ConfigBpdu, DEFAULT_BRIDGE_PRIORITY,
                             DEFAULT_PORT_PRIORITY, PATH_COST_1G, PortId,
-                            PriorityVector, TcnBpdu)
+                            TcnBpdu)
 from repro.switching.base import (Bridge, BridgeFamily, Dataplane,
                                   FamilyOption, register_family)
 from repro.switching.table import ForwardingTable
@@ -117,23 +127,37 @@ class StpCounters:
     topology_changes: int = 0
     root_changes: int = 0
     discards_not_forwarding: int = 0
+    #: Full configuration updates run (the STP twin of
+    #: ``SpbCounters.spf_runs``); a hello that refreshes a stored
+    #: vector does not add to it.
+    recomputes: int = 0
 
 
 class StpPortInfo:
     """Per-port spanning tree state."""
 
     __slots__ = ("port", "port_id", "path_cost", "role", "state",
-                 "stored", "transition_event", "send_tca")
+                 "can_learn", "can_forward", "stored", "transition_event",
+                 "send_tca")
 
     def __init__(self, port: Port, path_cost: int):
         self.port = port
         self.port_id = PortId(DEFAULT_PORT_PRIORITY, port.index)
         self.path_cost = path_cost
         self.role = PortRole.DISABLED
-        self.state = PortState.DISABLED
+        self.enter(PortState.DISABLED)
         self.stored: Optional[StoredInfo] = None
         self.transition_event = None
         self.send_tca = False
+
+    def enter(self, state: PortState) -> None:
+        """The one place ``state`` is written: the data-plane gate reads
+        ``can_learn`` / ``can_forward`` per frame, so they are stored
+        beside the state they are functions of."""
+        self.state = state
+        self.can_forward = state is PortState.FORWARDING
+        self.can_learn = state is PortState.FORWARDING \
+            or state is PortState.LEARNING
 
     def clear_stored(self) -> None:
         if self.stored is not None:
@@ -144,14 +168,6 @@ class StpPortInfo:
         if self.transition_event is not None:
             self.transition_event.cancel()
             self.transition_event = None
-
-    @property
-    def can_learn(self) -> bool:
-        return self.state in (PortState.LEARNING, PortState.FORWARDING)
-
-    @property
-    def can_forward(self) -> bool:
-        return self.state is PortState.FORWARDING
 
 
 class StpBridge(Bridge):
@@ -210,7 +226,7 @@ class StpBridge(Bridge):
         for port in self.ports:
             info = self.info_for(port)
             if port.is_up:
-                info.state = PortState.BLOCKING
+                info.enter(PortState.BLOCKING)
         self._recompute()
         self._transmit_configs()
         self._hello_timer = self.sim.schedule_periodic(
@@ -234,7 +250,7 @@ class StpBridge(Bridge):
             info.clear_stored()
             info.cancel_transition()
             info.role = PortRole.DISABLED
-            info.state = PortState.DISABLED
+            info.enter(PortState.DISABLED)
             info.send_tca = False
         self.root_id = self.bid
         self.root_cost = 0
@@ -248,12 +264,12 @@ class StpBridge(Bridge):
     def link_state_changed(self, port: Port, up: bool) -> None:
         info = self.info_for(port)
         if up:
-            info.state = PortState.BLOCKING
+            info.enter(PortState.BLOCKING)
             self._recompute()
             return
         was_forwarding = info.can_forward
         info.role = PortRole.DISABLED
-        info.state = PortState.DISABLED
+        info.enter(PortState.DISABLED)
         info.clear_stored()
         info.cancel_transition()
         self.fdb.flush_port(port)
@@ -326,28 +342,34 @@ class StpBridge(Bridge):
     def _handle_config(self, info: StpPortInfo, bpdu: ConfigBpdu) -> None:
         if bpdu.message_age >= bpdu.max_age:
             return
-        if info.role is PortRole.DESIGNATED \
+        if info.stored is not None and info.stored.bpdu.key == bpdu.key:
+            # A refresh — the vector this port already holds, so from
+            # the transmitter it already holds it from. Recompute on
+            # change, not on receipt: nothing _recompute reads moved
+            # and the bridge sits at its fixpoint between events. What
+            # a refresh does move (message age, TC / TCA flags, the age
+            # timer) is stored, and the relay below still runs.
+            self._store(info, bpdu)
+        elif info.role is PortRole.DESIGNATED \
                 and self._inferior_to_ours(info, bpdu):
             # Worse information on a LAN we are designated for: assert
             # our configuration immediately; never store the claim.
             self._tx_config(info)
             return
-        if self._supersedes(info, bpdu):
+        elif self._supersedes(info, bpdu):
             self._store(info, bpdu)
-            was_root = self.is_root
             old_root = self.root_id
             self._recompute()
             if self.root_id != old_root:
                 self.stp_counters.root_changes += 1
-            if was_root and not self.is_root and self._tcn_awaiting_ack:
-                # We stopped being root; TCN duty moves to the root port.
-                pass
-            if info is self.root_port:
-                self._process_root_port_flags(bpdu)
-                self._transmit_configs()
-        elif info.role is PortRole.DESIGNATED:
-            # Inferior information on our LAN: assert ours.
-            self._tx_config(info)
+        else:
+            if info.role is PortRole.DESIGNATED:
+                # Inferior information on our LAN: assert ours.
+                self._tx_config(info)
+            return
+        if info is self.root_port:
+            self._process_root_port_flags(bpdu)
+            self._transmit_configs()
 
     def _inferior_to_ours(self, info: StpPortInfo,
                           bpdu: ConfigBpdu) -> bool:
@@ -357,28 +379,28 @@ class StpBridge(Bridge):
         neighbour announcing worse news about itself must be stored.
         """
         if info.stored is not None \
-                and bpdu.bridge == info.stored.bpdu.bridge \
-                and bpdu.port == info.stored.bpdu.port:
+                and bpdu.key[2:] == info.stored.bpdu.key[2:]:
             return False
-        mine = PriorityVector(root=self.root_id, cost=self.root_cost,
-                              bridge=self.bid, port=info.port_id)
-        return mine < bpdu.vector
+        return self._designated_key(info) < bpdu.key
+
+    def _designated_key(self, info: StpPortInfo) -> tuple:
+        """The key of the vector we transmit (or would) on this port."""
+        return (self.root_id.key, self.root_cost, self.bid.key,
+                info.port_id.key)
 
     def _supersedes(self, info: StpPortInfo, bpdu: ConfigBpdu) -> bool:
         """Does *bpdu* replace the stored protocol info on this port?"""
         if info.stored is None:
             return True
-        held = info.stored.bpdu
-        if bpdu.vector < held.vector:
-            return True
-        # Same transmitter: always refresh (it may announce worse news,
-        # e.g. after losing its own root port).
-        return (bpdu.bridge == held.bridge and bpdu.port == held.port)
+        held = info.stored.bpdu.key
+        # Same transmitter (bridge, port): always refresh — it may
+        # announce worse news, e.g. after losing its own root port.
+        return bpdu.key < held or bpdu.key[2:] == held[2:]
 
     def _store(self, info: StpPortInfo, bpdu: ConfigBpdu) -> None:
         info.clear_stored()
         remaining = bpdu.max_age - bpdu.message_age
-        stored = StoredInfo(bpdu=bpdu, received_at=self.sim.now)
+        stored = StoredInfo(bpdu=bpdu, received_at=self.sim._now)
         stored.age_event = self.sim.schedule(
             remaining, self._message_age_expired, info)
         info.stored = stored
@@ -412,31 +434,42 @@ class StpBridge(Bridge):
     # -- spanning tree computation ---------------------------------------
 
     def _recompute(self) -> None:
-        """The 802.1D configuration update: elect root, assign roles."""
-        own = PriorityVector(root=self.bid, cost=0, bridge=self.bid,
-                             port=PortId(DEFAULT_PORT_PRIORITY, 0))
-        # Candidates compare as (vector, receiving port id) — the port id
-        # is the standard's final tie-break; our own vector uses a
-        # sentinel key that loses every tie.
-        best_vector, best_key = own, (1 << 16, 1 << 30)
+        """The 802.1D configuration update: elect root, assign roles.
+
+        A pure function of each enabled port's stored vector key, its
+        ``path_cost`` / ``port_id`` and our ``bid`` — not of message
+        ages, flags or timers — and one pass reaches its fixpoint: run
+        again with nothing of that changed it alters no root, role or
+        state and schedules nothing. Every writer of those inputs calls
+        it, which is what lets a refresh skip it
+        (``tests/test_stp_fixpoint.py`` holds both halves).
+        """
+        self.stp_counters.recomputes += 1
+        own = self.bid.key
+        # Candidates compare as (vector key, receiving port id key) —
+        # the port id is the standard's final tie-break; our own vector
+        # uses a sentinel that loses every tie.
+        best = ((own, 0, own, (DEFAULT_PORT_PRIORITY, 0)),
+                (1 << 16, 1 << 30))
         best_info: Optional[StpPortInfo] = None
         for info in self._port_info.values():
             if info.state is PortState.DISABLED or info.stored is None:
                 continue
-            held = info.stored.bpdu
-            if held.bridge == self.bid:
+            root, cost, bridge, port = info.stored.bpdu.key
+            if bridge == own:
                 continue  # our own stale information echoed back
-            candidate = held.vector.through(info.path_cost)
-            if (candidate, info.port_id._key()) < (best_vector, best_key):
-                best_vector, best_key = candidate, info.port_id._key()
-                best_info = info
-        if best_info is None or best_vector.root == self.bid:
+            candidate = ((root, cost + info.path_cost, bridge, port),
+                         info.port_id.key)
+            if candidate < best:
+                best, best_info = candidate, info
+        (root, cost, _bridge, _port), _tie_break = best
+        if best_info is None or root == own:
             self.root_id = self.bid
             self.root_cost = 0
             self.root_port = None
         else:
-            self.root_id = best_vector.root
-            self.root_cost = best_vector.cost
+            self.root_id = best_info.stored.bpdu.root
+            self.root_cost = cost
             self.root_port = best_info
         for info in self._port_info.values():
             if info.state is PortState.DISABLED:
@@ -446,15 +479,12 @@ class StpBridge(Bridge):
     def _assign_role(self, info: StpPortInfo) -> None:
         if info is self.root_port:
             new_role = PortRole.ROOT
+        elif info.stored is None or info.stored.bpdu.bridge == self.bid \
+                or self._designated_key(info) < info.stored.bpdu.key:
+            new_role = PortRole.DESIGNATED
         else:
-            mine = PriorityVector(root=self.root_id, cost=self.root_cost,
-                                  bridge=self.bid, port=info.port_id)
-            if info.stored is None or info.stored.bpdu.bridge == self.bid \
-                    or mine < info.stored.bpdu.vector:
-                new_role = PortRole.DESIGNATED
-            else:
-                new_role = PortRole.ALTERNATE
-        if new_role == info.role:
+            new_role = PortRole.ALTERNATE
+        if new_role is info.role:
             return
         info.role = new_role
         self._apply_state(info)
@@ -463,14 +493,14 @@ class StpBridge(Bridge):
         if info.role is PortRole.ALTERNATE:
             was_forwarding = info.can_forward
             info.cancel_transition()
-            info.state = PortState.BLOCKING
+            info.enter(PortState.BLOCKING)
             self.fdb.flush_port(info.port)
             if was_forwarding:
                 self._detect_topology_change()
             return
         # ROOT or DESIGNATED: walk listening -> learning -> forwarding.
         if info.state in (PortState.BLOCKING, PortState.DISABLED):
-            info.state = PortState.LISTENING
+            info.enter(PortState.LISTENING)
             info.cancel_transition()
             info.transition_event = self.sim.schedule(
                 self.timers.forward_delay, self._forward_delay_expired, info)
@@ -480,11 +510,11 @@ class StpBridge(Bridge):
         if info.role not in (PortRole.ROOT, PortRole.DESIGNATED):
             return
         if info.state is PortState.LISTENING:
-            info.state = PortState.LEARNING
+            info.enter(PortState.LEARNING)
             info.transition_event = self.sim.schedule(
                 self.timers.forward_delay, self._forward_delay_expired, info)
         elif info.state is PortState.LEARNING:
-            info.state = PortState.FORWARDING
+            info.enter(PortState.FORWARDING)
             self._detect_topology_change()
 
     # -- BPDU transmission -----------------------------------------------
@@ -496,28 +526,35 @@ class StpBridge(Bridge):
             self._tx_tcn()
 
     def _transmit_configs(self) -> None:
-        """Send our configuration out every designated port."""
-        for info in self.ports_in(PortRole.DESIGNATED):
-            self._tx_config(info)
-
-    def _message_age(self) -> float:
-        if self.is_root:
-            return 0.0
-        if self.root_port is None or self.root_port.stored is None:
-            return 0.0
-        return (self.root_port.stored.bpdu.message_age
-                + self.timers.message_age_increment)
-
-    def _tx_config(self, info: StpPortInfo) -> None:
-        if not info.port.is_up:
-            return
-        age = self._message_age()
+        """Send our configuration out every designated port; what the
+        round shares (message age, TC flag) is read once."""
+        age, tc_flag = self._age_and_tc()
         if age >= self.timers.max_age:
             return
-        tc_flag = self._tc_active if self.is_root else (
-            self.root_port is not None
-            and self.root_port.stored is not None
-            and self.root_port.stored.bpdu.topology_change)
+        for info in self._port_info.values():
+            if info.role is PortRole.DESIGNATED:
+                self._send_config(info, age, tc_flag)
+
+    def _age_and_tc(self):
+        """The message age and TC flag of a config sent now: our own as
+        root, else the root port's stored BPDU one hop older."""
+        if self.is_root:
+            return 0.0, self._tc_active
+        if self.root_port is None or self.root_port.stored is None:
+            return 0.0, False
+        relayed = self.root_port.stored.bpdu
+        return (relayed.message_age + self.timers.message_age_increment,
+                relayed.topology_change)
+
+    def _tx_config(self, info: StpPortInfo) -> None:
+        age, tc_flag = self._age_and_tc()
+        if age < self.timers.max_age:
+            self._send_config(info, age, tc_flag)
+
+    def _send_config(self, info: StpPortInfo, age: float,
+                     tc_flag: bool) -> None:
+        if not info.port.is_up:
+            return
         bpdu = ConfigBpdu(root=self.root_id, cost=self.root_cost,
                           bridge=self.bid, port=info.port_id,
                           message_age=age, max_age=self.timers.max_age,
