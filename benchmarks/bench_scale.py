@@ -211,9 +211,7 @@ def regenerate_baseline(path: str = None) -> dict:
     largest_rate = workloads[f"flood_grid_n{largest}"]["events_per_sec"]
     baseline = {
         "workloads": workloads,
-        # Machine context for the wall-clock figures; the sharded bench
-        # (bench_shard.py) compares its multi-worker numbers only
-        # against baselines recorded at the same CPU count.
+        # Machine context for the wall-clock figures.
         "cpus": multiprocessing.cpu_count(),
         "reference": {
             "pre_pr_flood_events_per_sec": PRE_PR_FLOOD_EVENTS_PER_SEC,

@@ -1,13 +1,11 @@
 """Bench regression guard: fresh numbers vs the checked-in baselines.
 
 Re-measures the engine (``bench_timerwheel.regenerate_baseline``),
-sweep-runner (``bench_sweep.regenerate_baseline``), scale
-(``bench_scale.regenerate_baseline``) and sharded-engine
-(``bench_shard.regenerate_baseline``) benchmarks, writes the fresh JSON
+sweep-runner (``bench_sweep.regenerate_baseline``) and scale
+(``bench_scale.regenerate_baseline``) benchmarks, writes the fresh JSON
 next to ``--out-dir`` (CI uploads it as an artifact), and compares the
 throughput figures against ``BENCH_engine.json`` / ``BENCH_sweep.json``
-/ ``BENCH_scale.json`` / ``BENCH_shard.json`` /
-``BENCH_chaos.json`` with a generous noise
+/ ``BENCH_scale.json`` / ``BENCH_chaos.json`` with a generous noise
 tolerance.
 
 Per the bench-noise protocol, wall-clock numbers on shared runners are
@@ -46,7 +44,6 @@ sys.path.insert(0, HERE)
 import bench_chaos  # noqa: E402  (path set up above)
 import bench_controller  # noqa: E402
 import bench_scale  # noqa: E402
-import bench_shard  # noqa: E402
 import bench_sweep  # noqa: E402
 import bench_timerwheel  # noqa: E402
 
@@ -127,8 +124,6 @@ def main(argv=None):
         os.path.join(args.out_dir, "BENCH_sweep.json"))
     fresh_scale = bench_scale.regenerate_baseline(
         os.path.join(args.out_dir, "BENCH_scale.json"))
-    fresh_shard = bench_shard.regenerate_baseline(
-        os.path.join(args.out_dir, "BENCH_shard.json"))
     fresh_controller = bench_controller.regenerate_baseline(
         os.path.join(args.out_dir, "BENCH_controller.json"))
     fresh_chaos = bench_chaos.regenerate_baseline(
@@ -136,7 +131,6 @@ def main(argv=None):
     base_engine = _load("BENCH_engine.json")
     base_sweep = _load("BENCH_sweep.json")
     base_scale = _load("BENCH_scale.json")
-    base_shard = _load("BENCH_shard.json")
     base_controller = _load("BENCH_controller.json")
     base_chaos = _load("BENCH_chaos.json")
 
@@ -193,16 +187,6 @@ def main(argv=None):
             _dig(base_scale, "BENCH_scale.json", "workloads", workload,
                  "events_per_payload"),
             fresh_scale["workloads"][workload]["events_per_payload"]))
-    # Sharded engine: wall-noisy like every other throughput here (40%
-    # floor) at every K. Shard workers are threads of one interpreter,
-    # so the multi-shard walls do not depend on the core count and
-    # compare against the baseline on any runner.
-    for shards in bench_shard.SHARD_COUNTS:
-        checks.append((
-            f"shard K={shards} deliveries/s",
-            _dig(base_shard, "BENCH_shard.json", f"shards_{shards}",
-                 "deliveries_per_sec"),
-            fresh_shard[f"shards_{shards}"]["deliveries_per_sec"]))
     # Controller-family repair figures are *simulated* time, fully
     # deterministic (see bench_controller.py), so both sides get the
     # tight efficiency ceiling: any growth is a control-plane protocol

@@ -10,15 +10,8 @@ Usage::
 
     PYTHONPATH=src python benchmarks/profile_hotpath.py            # table
     PYTHONPATH=src python benchmarks/profile_hotpath.py --json out.json
-    PYTHONPATH=src python benchmarks/profile_hotpath.py --shards 4
 
-``--shards N`` profiles the same workload under the sharded runtime
-(:mod:`repro.netsim.shard`, one merged profile across the worker
-threads), so protocol costs — lockstep rounds, frame codec
-round-trips, staged-frame release — land in the same table as the
-dataplane they tax.
-
-The plain invocation (no ``--shards`` / ``--endpoints``) also profiles
+The plain invocation (no ``--endpoints``) also profiles
 one warm **unicast train** — a 2 000-packet flow over an 8-bridge
 ARP-Path line whose path is already LEARNT — so ``on_unicast`` /
 ``learn`` / ``get`` show their cumulative shares next to the flood's.
@@ -54,7 +47,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 sys.path.insert(0, HERE)
 
 import bench_scale  # noqa: E402  (path set up above)
-import bench_shard  # noqa: E402
 
 #: Bridge count profiled; big enough that the dataplane dominates the
 #: topology build, small enough for a sub-second CI step.
@@ -66,9 +58,8 @@ TOP = 20
 class CollectorWatch:
     """Collections and seconds per generation while the block runs.
 
-    ``gc.callbacks`` fire in whichever thread triggered the pass, with
-    the interpreter lock held throughout, so one start stamp serves
-    the sharded runs too.
+    ``gc.callbacks`` fire with the interpreter lock held throughout,
+    so one start stamp serves every pass.
     """
 
     def __init__(self):
@@ -97,8 +88,7 @@ def held_deliveries():
     [directions, in_flight, fired]}`` over every direction alive.
 
     Found through the collector, not through a network handle, so it
-    works on workloads that only hand back a simulator — and inside
-    shard workers, whose replicas die with their thread.
+    works on workloads that only hand back a simulator.
     """
     from repro.netsim.link import _Direction
 
@@ -107,36 +97,31 @@ def held_deliveries():
         if type(obj) is _Direction:
             cell = census.setdefault(id(obj.to_port.node.sim), [0, 0, 0])
             cell[0] += 1
-            # tuple(): a sibling shard's engine may still be appending.
-            for event in tuple(obj.pending):
+            for event in obj.pending:
                 cell[2 if event._sim is None else 1] += 1
     return census
 
 
-def observe(workload, profile=True, census=None):
+def observe(workload):
     """Run ``workload()`` timed, profiled and with the collector watched.
 
     Returns ``(result, run)`` where *run* holds ``stats``, ``wall``,
-    ``gc`` and ``held``. A workload that profiles its own threads
-    passes ``profile=False`` and the *census* dict its workers filled.
+    ``gc`` and ``held``.
     """
     gc.collect()  # earlier runs' cyclic garbage is not this run's
-    profiler = cProfile.Profile() if profile else None
+    profiler = cProfile.Profile()
     start = time.perf_counter()
     with CollectorWatch() as watch:
-        if profiler is not None:
-            profiler.enable()
+        profiler.enable()
         try:
             result = workload()
         finally:
-            if profiler is not None:
-                profiler.disable()
+            profiler.disable()
     wall = time.perf_counter() - start
-    if census is None:
-        census = held_deliveries()  # *result* keeps the network alive
+    census = held_deliveries()  # *result* keeps the network alive
     held = [sum(column) for column in zip(*census.values())] or [0, 0, 0]
     return result, {
-        "stats": pstats.Stats(profiler) if profiler is not None else None,
+        "stats": pstats.Stats(profiler),
         "wall": wall,
         "gc": {"collections": watch.collections,
                "seconds": [round(value, 6) for value in watch.seconds],
@@ -186,43 +171,6 @@ def profile_population(n: int = PROFILE_N, endpoints: int = 10_000):
     (sim, _net, _sampler), run = observe(
         lambda: bench_scale.population_flood(n, endpoints))
     run["events"] = sim.events_processed
-    return run
-
-
-def profile_flood_sharded(n: int = PROFILE_N, shards: int = 2):
-    """Profile the sharded flood; returns the :func:`observe` run.
-
-    One profiler per worker thread (``cProfile`` only
-    observes the thread that enabled it), merged afterwards — so the
-    table includes the shard runtime itself: ``run_until`` rounds,
-    frame packing, staged-frame release.
-    """
-    from repro.netsim.shard import run_sharded
-
-    bench_shard.sharded_flood(n, shards)  # warm-up
-    profilers = []
-    census = {}
-
-    def worker(shard_id, shard_count, endpoint, n, seed):
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            return bench_shard.sharded_flood_worker(
-                shard_id, shard_count, endpoint, n, seed)
-        finally:
-            profiler.disable()
-            profilers.append(profiler)
-            # Each worker's last word on its own engine stands: a
-            # finished engine no longer changes, a freed one is no
-            # longer seen.
-            census.update(held_deliveries())
-
-    results, run = observe(lambda: run_sharded(worker, shards, args=(n, 0)),
-                           profile=False, census=census)
-    run["stats"] = pstats.Stats(profilers[0])
-    for profiler in profilers[1:]:
-        run["stats"].add(profiler)
-    run["events"] = sum(result["events"] for result in results)
     return run
 
 
@@ -283,10 +231,6 @@ def main(argv=None) -> int:
                         help=f"bridge count to profile (default {PROFILE_N})")
     parser.add_argument("--top", type=int, default=TOP,
                         help=f"rows to print/export (default {TOP})")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="profile the sharded runtime with N worker "
-                             "threads instead of the bare engine "
-                             "(default 1 = direct Simulator)")
     parser.add_argument("--endpoints", type=int, default=0,
                         help="profile the population workload instead: "
                              "this many flyweight endpoints behind the "
@@ -296,15 +240,12 @@ def main(argv=None) -> int:
     if args.endpoints > 0:
         run = profile_population(args.n, args.endpoints)
         label = f"population workload (endpoints={args.endpoints})"
-    elif args.shards > 1:
-        run = profile_flood_sharded(args.n, args.shards)
-        label = f"sharded flood (shards={args.shards})"
     else:
         run = profile_flood(args.n)
         label = "flood workload"
     print_table(f"{label} at n={args.n}", run, args.top)
     unicast = None
-    if args.endpoints <= 0 and args.shards <= 1:
+    if args.endpoints <= 0:
         unicast = profile_unicast_train()
         print_table("warm unicast train over an 8-bridge line", unicast,
                     args.top)
@@ -312,7 +253,6 @@ def main(argv=None) -> int:
     if args.json:
         payload = {
             "bridges": args.n,
-            "shards": args.shards,
             "events_per_sec": round(run["events"] / run["wall"]),
             **json_block(run, args.top),
         }

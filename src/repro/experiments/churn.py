@@ -24,17 +24,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, run_shards
+from repro.experiments.common import ProtocolSpec
 from repro.metrics.availability import Availability, measure_availability
 from repro.metrics.paths import PathObserver
 from repro.metrics.report import format_table
 from repro.netsim.dynamics import EventTimeline
 from repro.netsim.engine import Simulator
-from repro.netsim.shard import ShardRuntime, derive_shard_seed, \
-    migration_lookahead
 from repro.topology.library import (CHURN_TOPOLOGIES, LOOP_FREE_TOPOLOGIES,
                                     churn_topology)
-from repro.topology.partition import partition_network
 from repro.traffic.video import stream_between
 
 #: Seconds the stream runs before churn starts (path establishment).
@@ -125,42 +122,25 @@ class ChurnResult:
         return out
 
 
-def _churn_shard(shard_id: int, shard_count: int, endpoint,
-                 protocol: ProtocolSpec, topology: str, flap_rate: float,
-                 down_time: float, duration: float, crashes: int,
-                 migrations: int, scripted_failures: int, fps: float,
-                 seed: int) -> Dict[str, Any]:
-    """One engine's share of a churn run — the scenario's one phase
-    schedule; a single engine owns every node.
+def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
+                 flap_rate: float = 0.2, down_time: float = 0.5,
+                 duration: float = 20.0, crashes: int = 0,
+                 migrations: int = 0, scripted_failures: int = 0,
+                 fps: float = 25.0, seed: int = 0) -> ChurnRow:
+    """Stream src→dst through *duration* seconds of scripted churn.
 
-    The churn timeline is *replicated*: every worker arms the full
-    schedule and replays every flap, crash and migration against its
-    own replica topology, so link state and wiring stay globally
-    consistent without any coordination — only the churn schedule's
-    determinism (a pure function of wiring and seed) makes this sound.
-    Node-level actions stay owner-only: the source starts and stops on
-    the shard owning the source host; the sink counts arrivals on the
-    shard owning the destination. ``scripted_failures`` needs
-    whole-simulation hop tracing, so :func:`run` admits it on a single
-    engine only. Returns plain data for :func:`_merge_churn_shards`.
+    ``scripted_failures`` turns on hop tracing: its cuts follow the
+    path the stream is using, which the :class:`PathObserver` reads.
     """
-    sim = Simulator(seed=derive_shard_seed(seed, shard_id),
-                    trace_hops=scripted_failures > 0,
+    sim = Simulator(seed=seed, trace_hops=scripted_failures > 0,
                     keep_trace_records=False)
     net, src, dst = churn_topology(sim, protocol.factory, topology,
                                    seed=seed)
-    runtime = ShardRuntime(sim, shard_id, endpoint)
-    # A migration can make any host link a cut link, so the plan's
-    # static cut-latency lookahead is only valid while hosts sit still.
-    lookahead = migration_lookahead(net) if migrations > 0 else None
-    runtime.adopt(net, partition_network(net, shard_count),
-                  lookahead=lookahead)
-    runtime.run_for(protocol.warmup)
+    net.run(protocol.warmup)
     observer = PathObserver(net, dst) if scripted_failures > 0 else None
     source, sink = stream_between(net.host(src), net.host(dst), fps=fps)
-    if runtime.owns(src):
-        source.start()
-    runtime.run_for(SETTLE)  # the stream establishes its path
+    source.start()
+    net.run(SETTLE)  # the stream establishes its path
 
     start = sim.now
     timeline = EventTimeline(net)
@@ -190,116 +170,37 @@ def _churn_shard(shard_id: int, shard_count: int, endpoint,
         sim.at(start + SCRIPTED_OFFSET + index * SCRIPTED_SPACING,
                cut_active_path)
 
-    runtime.run_for(duration)
+    net.run(duration)
     end = sim.now
-    if runtime.owns(src):
-        source.stop()
-    runtime.run_for(1.0)  # drain in-flight chunks
+    source.stop()
+    net.run(1.0)  # drain in-flight chunks
 
-    availability = None
-    if runtime.owns(dst):
-        availability = measure_availability(sink.arrivals, 1.0 / fps,
-                                            window_start=start,
-                                            window_end=end)
-    return {
-        "availability": availability,
-        "chunks_sent": source.sent if runtime.owns(src) else 0,
-        "chunks_received": sink.received if runtime.owns(dst) else 0,
-        "duplicates": sink.duplicates if runtime.owns(dst) else 0,
-        # Keyed by name so the merge can restore the global
-        # net.bridges order the row concatenates in.
-        "repair_times": {name: bridge.repair_events()
-                         for name, bridge in net.bridges.items()
-                         if runtime.owns(name)},
-        "bridge_order": list(net.bridges),
-        "counts": dict(timeline.counts),
-    }
-
-
-def _merge_churn_shards(protocol: ProtocolSpec, topology: str,
-                        flap_rate: float, down_time: float,
-                        duration: float, scripted_failures: int,
-                        shards: List[Dict[str, Any]]) -> ChurnRow:
-    """Fold per-shard results into the one :class:`ChurnRow`.
-
-    Stream counters are owned once (summable), availability belongs to
-    the destination's shard, the replicated timeline counted the same
-    on every shard, and repairs concatenate in global bridge order.
-    """
-    availability = next(result["availability"] for result in shards
-                        if result["availability"] is not None)
-    merged_repairs: Dict[str, List[float]] = {}
-    for result in shards:
-        merged_repairs.update(result["repair_times"])
-    repair_times = [value for name in shards[0]["bridge_order"]
-                    for value in merged_repairs.get(name, ())]
-    counts = shards[0]["counts"]
+    counts = timeline.counts
     return ChurnRow(protocol=protocol.name, topology=topology,
                     flap_rate=flap_rate, down_time=down_time,
                     duration=duration, crashes=counts["crashes"],
                     migrations=counts["migrations"],
                     scripted_failures=scripted_failures,
-                    flaps=counts["flaps"], availability=availability,
-                    chunks_sent=sum(result["chunks_sent"]
-                                    for result in shards),
-                    chunks_received=sum(result["chunks_received"]
-                                        for result in shards),
-                    duplicates=sum(result["duplicates"]
-                                   for result in shards),
-                    repair_times=repair_times)
-
-
-def _run_cell(protocol: ProtocolSpec, topology: str, flap_rate: float,
-              down_time: float, duration: float, crashes: int,
-              migrations: int, scripted_failures: int, fps: float,
-              seed: int, shards: int = 1) -> ChurnRow:
-    """One protocol's run on *shards* engines, merged into its row."""
-    results = run_shards(_churn_shard, protocol, shards, topology,
-                         flap_rate, down_time, duration, crashes,
-                         migrations, scripted_failures, fps, seed)
-    return _merge_churn_shards(protocol, topology, flap_rate, down_time,
-                               duration, scripted_failures, results)
-
-
-def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
-                 flap_rate: float = 0.2, down_time: float = 0.5,
-                 duration: float = 20.0, crashes: int = 0,
-                 migrations: int = 0, scripted_failures: int = 0,
-                 fps: float = 25.0, seed: int = 0) -> ChurnRow:
-    """Stream src→dst through *duration* seconds of scripted churn, on
-    a single engine."""
-    return _run_cell(protocol, topology, flap_rate, down_time, duration,
-                     crashes, migrations, scripted_failures, fps, seed)
-
-
-def run_protocol_sharded(protocol: ProtocolSpec, topology: str = "demo",
-                         flap_rate: float = 0.2, down_time: float = 0.5,
-                         duration: float = 20.0, crashes: int = 0,
-                         migrations: int = 0, fps: float = 25.0,
-                         seed: int = 0, shards: int = 2) -> ChurnRow:
-    """:func:`run_protocol` across *shards* engines, byte-identically.
-
-    No ``scripted_failures``: its PathObserver needs hop tracing, a
-    whole-simulation observable no shard has.
-    """
-    return _run_cell(protocol, topology, flap_rate, down_time, duration,
-                     crashes, migrations, 0, fps, seed, shards=shards)
+                    flaps=counts["flaps"],
+                    availability=measure_availability(
+                        sink.arrivals, 1.0 / fps, window_start=start,
+                        window_end=end),
+                    chunks_sent=source.sent,
+                    chunks_received=sink.received,
+                    duplicates=sink.duplicates,
+                    repair_times=[value for bridge in net.bridges.values()
+                                  for value in bridge.repair_events()])
 
 
 def run(topology: str = "demo",
         protocols: Optional[List[str]] = None, flap_rate: float = 0.2,
         down_time: float = 0.5, duration: float = 20.0, crashes: int = 0,
         migrations: int = 0, scripted_failures: int = 0, fps: float = 25.0,
-        stp_scale: float = 0.1, shards: int = 1,
-        seed: int = 0) -> ChurnResult:
+        stp_scale: float = 0.1, seed: int = 0) -> ChurnResult:
     """The churn comparison across bridge families.
 
     A plain learning switch storms on any wiring with redundant paths,
-    so requesting it on a loopy topology is refused up front. ``shards``
-    splits every run's simulation across that many engines
-    (:func:`run_protocol_sharded`); rows are byte-identical at any
-    shard count. Scripted failures need whole-simulation hop tracing,
-    which no shard has, so that combination is refused.
+    so requesting it on a loopy topology is refused up front.
     """
     names = protocols if protocols is not None else ["arppath", "stp",
                                                      "spb"]
@@ -307,16 +208,12 @@ def run(topology: str = "demo",
         raise ValueError(
             f"protocol 'learning' storms on loopy topologies; use one of "
             f"{', '.join(LOOP_FREE_TOPOLOGIES)} (got {topology!r})")
-    if scripted_failures > 0 and shards > 1:
-        raise ValueError(
-            "scripted_failures needs whole-simulation hop tracing (the "
-            "PathObserver); run it with shards=1")
     chosen = registry.protocol_specs(names, stp_scale=stp_scale)
     result = ChurnResult()
     for protocol in chosen:
-        result.rows.append(_run_cell(
+        result.rows.append(run_protocol(
             protocol, topology, flap_rate, down_time, duration, crashes,
-            migrations, scripted_failures, fps, seed, shards=shards))
+            migrations, scripted_failures, fps, seed))
     return result
 
 
@@ -340,15 +237,12 @@ registry.register(registry.Scenario(
         registry.Param("scripted_failures", int, 0,
                        help="fig3-style deterministic cuts of the probe "
                             "stream's active path, replayed on top of "
-                            "the Poisson churn (needs shards=1)"),
+                            "the Poisson churn"),
         registry.Param("fps", float, 25.0,
                        help="probe stream rate in frames per second"),
         registry.Param("stp_scale", float, 0.1,
                        help="STP timer scale factor (1.0 = IEEE "
                             "default timers)"),
-        registry.Param("shards", int, 1,
-                       help="engines per run (conservative PDES; rows "
-                            "are byte-identical at any shard count)"),
         registry.seeds_param(),
     ),
     run=registry.seeded(run),

@@ -12,11 +12,10 @@ registry; :func:`spec` is a view over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import ArpPathConfig
 from repro.netsim.engine import Simulator
-from repro.netsim.shard import ShardedSimulator
 from repro.switching import base
 from repro.topology.builder import BridgeFactory, Network
 
@@ -90,16 +89,3 @@ def build_and_warm(topology: Callable[..., Network], protocol: ProtocolSpec,
     net = topology(sim, protocol.factory, **topo_kwargs)
     net.run(protocol.warmup)
     return net
-
-
-def run_shards(body: Callable[..., Any], protocol: ProtocolSpec,
-               shards: int, *cell: Any) -> List[Any]:
-    """Run a scenario's cell *body* on *shards* engines.
-
-    ``body(shard_id, shard_count, endpoint, protocol, *cell)`` is the
-    scenario's one phase schedule; per-shard results come back in shard
-    order. Every engine gets the caller's *protocol* itself — custom
-    and pre-scaled specs included: a family factory is a stateless
-    closure over a frozen config, safe to share between shard threads.
-    """
-    return ShardedSimulator(shards).run(body, protocol, *cell)

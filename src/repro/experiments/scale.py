@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, run_shards
+from repro.experiments.common import ProtocolSpec
 from repro.experiments.occupancy import bridge_state_entries
 from repro.frames.ethernet import ETHERTYPE_ARP
 from repro.switching import base
@@ -44,7 +44,7 @@ from repro.metrics.report import format_table
 from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
 from repro.netsim.meminfo import MemorySampler
-from repro.netsim.shard import ShardRuntime, derive_shard_seed
+from repro.netsim.shard import ShardRuntime, derive_shard_seed, run_sharded
 from repro.topology.library import SCALE_TOPOLOGIES, scale_topology
 from repro.topology.partition import partition_network
 from repro.traffic.matrix import TrafficMatrix
@@ -344,9 +344,14 @@ def run_case_sharded(protocol: ProtocolSpec, kind: str, size: int,
     million-endpoint configuration. All flow draws happen at generation
     time from a ``seed``-seeded RNG, so the row stays a pure function
     of the cell at any job or shard count.
+
+    Every engine gets the caller's *protocol* itself, custom and
+    pre-scaled specs included: a family factory is a stateless closure
+    over a frozen config, safe to share between shard threads.
     """
-    results = run_shards(_scale_shard, protocol, shards, kind, size, pairs,
-                         probes, seed, endpoints_per_port)
+    results = run_sharded(_scale_shard, shards,
+                          args=(protocol, kind, size, pairs, probes, seed,
+                                endpoints_per_port))
     return _merge_scale_shards(protocol, kind, size, results)
 
 
@@ -362,15 +367,12 @@ def run_case(protocol: ProtocolSpec, kind: str, size: int, pairs: int = 3,
 
 def run(kind: str = "grid", sizes: List[int] = [16, 36, 64],
         protocols: Optional[List[str]] = None, pairs: int = 3,
-        probes: int = 3, stp_scale: float = 0.1, shards: int = 1,
+        probes: int = 3, stp_scale: float = 0.1,
         endpoints_per_port: int = 1, seed: int = 0) -> ScaleResult:
-    """The size sweep across bridge families.
+    """The size sweep across bridge families, one engine per cell.
 
     A plain learning switch storms on any wiring with redundant paths,
-    so requesting it outside ``line`` is refused up front. ``shards``
-    splits every cell's simulation across that many engines
-    (:func:`run_case_sharded`); the rows are byte-identical at any
-    shard count.
+    so requesting it outside ``line`` is refused up front.
     """
     names = protocols if protocols is not None else ["arppath", "spb"]
     if "learning" in names and kind not in LOOP_FREE_SCALE:
@@ -381,10 +383,9 @@ def run(kind: str = "grid", sizes: List[int] = [16, 36, 64],
     result = ScaleResult()
     for protocol in chosen:
         for size in sizes:
-            result.rows.append(run_case_sharded(
+            result.rows.append(run_case(
                 protocol, kind, size, pairs=pairs, probes=probes,
-                seed=seed, shards=shards,
-                endpoints_per_port=endpoints_per_port))
+                seed=seed, endpoints_per_port=endpoints_per_port))
     return result
 
 
@@ -404,9 +405,6 @@ registry.register(registry.Scenario(
         registry.Param("stp_scale", float, 0.1,
                        help="STP timer scale factor (1.0 = IEEE "
                             "default timers)"),
-        registry.Param("shards", int, 1,
-                       help="engines per cell (conservative PDES; rows "
-                            "are byte-identical at any shard count)"),
         registry.Param("endpoints_per_port", int, 1,
                        help="simulated endpoints behind each access "
                             "port (1 = plain hosts; >1 swaps in "

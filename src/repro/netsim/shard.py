@@ -21,8 +21,9 @@ shard count. The pieces that make that hold:
   nodes owned by other shards are *ghosts*: present for bookkeeping,
   never started, so they schedule nothing.
 * **Boundary export** — a frame transmitted into a cut link is handed
-  to the owning peer as ``(send_time, deliver_time, bytes)`` instead of
-  a local delivery event (:attr:`_Direction.export`); the receiver
+  to the owning peer as ``(send_time, deliver_time, frame)`` instead of
+  a local delivery event (:attr:`_Direction.export`) — the frame object
+  itself, not a copy (:mod:`repro.netsim.sync`); the receiver
   schedules the delivery on its own engine at the exact same instant
   the single-process run would have. One engine event per cross-shard
   hop, system-wide — the same event economy as a local hop.
@@ -67,7 +68,6 @@ cross-phase traffic.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import traceback
@@ -77,8 +77,7 @@ from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.netsim.link import Link
-from repro.netsim.sync import (Endpoint, make_fabric, pack_frame,
-                               unpack_frame)
+from repro.netsim.sync import Endpoint, make_fabric
 from repro.topology.builder import Network
 from repro.topology.partition import ShardPlan
 
@@ -111,8 +110,8 @@ class ShardStallError(ShardWorkerError):
         self.snapshot = snapshot
 
 
-#: Default watchdog budget (seconds without observable progress before
-#: a sharded run is declared stalled); REPRO_SHARD_STALL_S overrides.
+#: Default watchdog budget: seconds without observable progress before
+#: a sharded run is declared stalled.
 _DEFAULT_STALL_S = 300.0
 
 #: Floats per shard on the progress board: rounds, horizon, now,
@@ -162,18 +161,6 @@ class ProgressBoard:
         return out
 
 
-def _resolve_stall_budget(stall_budget: Optional[float]) -> float:
-    if stall_budget is not None:
-        return stall_budget
-    raw = os.environ.get("REPRO_SHARD_STALL_S")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return _DEFAULT_STALL_S
-
-
 class _StallWatch:
     """Declare a stall when the board's fingerprint stops changing."""
 
@@ -217,22 +204,6 @@ def derive_shard_seed(seed: int, shard_id: int) -> int:
     return seed ^ ((_SEED_MIX * shard_id) & 0xFFFFFFFF)
 
 
-def migration_lookahead(net: Network) -> float:
-    """Null-message lookahead for a run whose churn migrates hosts.
-
-    A migration can turn *any* host's access link into a cut link, so
-    the static plan's minimum-cut-latency lookahead is not a valid
-    floor; the minimum over **all** link latencies is.
-    """
-    lookahead = min((wire.latency for wire in net.links.values()),
-                    default=_INF)
-    if lookahead <= 0.0:
-        raise TopologyError(
-            "cannot shard with migrations: a zero-latency link could "
-            "become a cut link with no lookahead")
-    return lookahead
-
-
 class ShardRuntime:
     """One worker's half of the conservative protocol.
 
@@ -251,16 +222,14 @@ class ShardRuntime:
         self.plan: Optional[ShardPlan] = None
         self.lookahead = _INF
         #: Staged remote frames: (t2, src_shard, src_seq, link_name,
-        #: dir_key, t1, data, uid, aux). Sorted lazily at release.
+        #: dir_key, t1, frame). Sorted lazily at release.
         self._staged: List[tuple] = []
         #: Per-peer outgoing frame batches, flushed every round.
         self._outbox: Dict[int, List[tuple]] = {}
-        #: Cut links by name — release resolves against the *current*
-        #: object, so a link replaced under the same name (migration
-        #: round trip) keeps working.
+        #: Cut links by name: a staged frame names its link, and release
+        #: resolves the name on this shard's replica.
         self._links: Dict[str, Link] = {}
-        #: Last carrier-loss instant per cut-link name. Keyed by name,
-        #: not object, so the drop rule survives link replacement.
+        #: Last carrier-loss instant per cut-link name.
         self._down_at: Dict[str, float] = {}
         #: (link_name, dir_key) -> deliver times of frames this shard
         #: exported that are still in flight — the sender-side half of
@@ -274,19 +243,18 @@ class ShardRuntime:
         """Does this shard own the named node?"""
         return self.plan.shard_of(name) == self.shard_id
 
-    def adopt(self, net: Network, plan: ShardPlan,
-              lookahead: Optional[float] = None) -> None:
+    def adopt(self, net: Network, plan: ShardPlan) -> None:
         """Take charge of *net* according to *plan*.
 
         Marks other shards' nodes as ghosts, installs boundary export
-        hooks on every cut link (and, via ``Network._link_hook``, on
-        any link created later — migrations), and fixes the protocol
-        lookahead (*lookahead* overrides the plan's, e.g.
-        :func:`migration_lookahead` when hosts will move).
+        hooks on every cut link and fixes the protocol lookahead at the
+        plan's. The wiring is frozen from here on: ``Network._link_hook``
+        refuses any link created later (a host migration, say), because
+        a new cut link could undercut the lookahead floor.
         """
         self.net = net
         self.plan = plan
-        self.lookahead = plan.lookahead if lookahead is None else lookahead
+        self.lookahead = plan.lookahead
         if self.endpoint is not None:
             for peer in self.endpoint.peers:
                 self._outbox[peer] = []
@@ -297,7 +265,13 @@ class ShardRuntime:
                     node.shard_ghost = True
         for wire in net.links.values():
             self._wire_link(wire)
-        net._link_hook = self._wire_link
+        net._link_hook = self._refuse_link
+
+    def _refuse_link(self, name: str) -> None:
+        raise TopologyError(
+            f"cannot add link {name} to a network adopted by shard "
+            f"{self.shard_id}: the partition plan and its lookahead "
+            f"were fixed from the wiring at adoption")
 
     def _wire_link(self, wire: Link) -> None:
         """Classify one link; install boundary hooks if it is cut."""
@@ -320,10 +294,11 @@ class ShardRuntime:
         """Record carrier-loss instants for the release-time drop rule.
 
         A cut link's in-flight frames live in *neither* engine's heap
-        (they are bytes in a channel), so the single-process semantics
-        "take_down cancels in-flight deliveries" must be replayed when
-        the receiver stages them: drop iff the carrier was lost after
-        the frame was sent and before it would have arrived.
+        (they sit in a channel or a staging list), so the single-process
+        semantics "take_down cancels in-flight deliveries" must be
+        replayed when the receiver releases them: drop iff the carrier
+        was lost after the frame was sent and before it would have
+        arrived.
         """
         original = wire.take_down
         runtime = self
@@ -344,11 +319,12 @@ class ShardRuntime:
         runtime = self
 
         def export(send_time: float, deliver_time: float, frame) -> None:
-            data, uid, aux = pack_frame(frame)
+            # The frame object itself: in flight it is immutable
+            # (repro.netsim.sync), so the hand-over needs no copy.
             runtime._export_seq += 1
             runtime._outbox[dst_shard].append(
-                (link_name, dir_key, send_time, deliver_time, data, uid,
-                 aux, runtime._export_seq))
+                (link_name, dir_key, send_time, deliver_time, frame,
+                 runtime._export_seq))
             runtime._ledger.setdefault((link_name, dir_key),
                                        []).append(deliver_time)
 
@@ -360,7 +336,7 @@ class ShardRuntime:
         """``(pending_delta, wheel_delta)`` for the memory sampler.
 
         A frame in flight across the boundary is one pending delivery
-        event in the single-process run. Here it is either bytes in a
+        event in the single-process run. Here it is either a frame in a
         channel (counted by the sender's ledger until its deliver time
         passes) or an already-scheduled event on the receiver (counted
         by the receiver's engine **and** still by the sender's ledger —
@@ -404,10 +380,9 @@ class ShardRuntime:
         # a pure function of the simulation, not of worker timing.
         ready.sort(key=lambda entry: entry[:3])
         sim = self.sim
-        for (t2, _src_shard, _src_seq, link_name, dir_key, t1, data, uid,
-             aux) in ready:
+        for (t2, _src_shard, _src_seq, link_name, dir_key, t1,
+             frame) in ready:
             wire = self._links[link_name]
-            frame = unpack_frame(data, uid, aux)
             direction = wire._dirs[wire.port_a if dir_key == 0
                                    else wire.port_b]
             down_at = self._down_at.get(link_name)
@@ -471,10 +446,10 @@ class ShardRuntime:
             all_done = done
             for peer in peers:
                 peer_horizon, peer_done, frames = endpoint.recv(peer)
-                for (link_name, dir_key, t1, t2, data, uid, aux,
+                for (link_name, dir_key, t1, t2, frame,
                      src_seq) in frames:
                     self._staged.append((t2, peer, src_seq, link_name,
-                                         dir_key, t1, data, uid, aux))
+                                         dir_key, t1, frame))
                 if peer_horizon < global_min:
                     global_min = peer_horizon
                 if not peer_done:
@@ -519,7 +494,7 @@ _UNWIND_S = 1.0
 
 def run_sharded(worker: Callable[..., Any], shard_count: int,
                 args: tuple = (),
-                stall_budget: Optional[float] = None) -> List[Any]:
+                stall_budget: float = _DEFAULT_STALL_S) -> List[Any]:
     """Run ``worker(shard_id, shard_count, endpoint, *args)`` K ways.
 
     Returns the per-shard results in shard order. ``shard_count == 1``
@@ -533,10 +508,9 @@ def run_sharded(worker: Callable[..., Any], shard_count: int,
     A progress watchdog guards against a wedged mesh: each worker's
     :meth:`ShardRuntime.run_until` publishes its round state to a
     shared :class:`ProgressBoard`, and if no shard's state changes for
-    *stall_budget* seconds (default ``REPRO_SHARD_STALL_S`` or 300)
-    the run aborts with :class:`ShardStallError` carrying the
-    per-shard snapshot — a hang becomes a named, diagnosable failure
-    instead of a CI timeout. A mesh that keeps advancing is never
+    *stall_budget* seconds the run aborts with :class:`ShardStallError`
+    carrying the per-shard snapshot — a hang becomes a named,
+    diagnosable failure instead of a CI timeout. A mesh that keeps advancing is never
     aborted, however long it runs.
 
     On the first worker failure or stall the fabric is closed: every
@@ -556,7 +530,7 @@ def run_sharded(worker: Callable[..., Any], shard_count: int,
     board = ProgressBoard(shard_count)
     for endpoint in endpoints:
         endpoint.progress = board
-    watch = _StallWatch(board, _resolve_stall_budget(stall_budget))
+    watch = _StallWatch(board, stall_budget)
     results: List[Any] = [None] * shard_count
     failures: List[str] = []
 
@@ -607,7 +581,7 @@ class ShardedSimulator:
     data.
     """
 
-    def __init__(self, shards: int, stall_budget: Optional[float] = None):
+    def __init__(self, shards: int, stall_budget: float = _DEFAULT_STALL_S):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1: {shards}")
         self.shards = shards

@@ -1,4 +1,4 @@
-"""Shard synchronization transport: frame packing and channel fabrics.
+"""Shard synchronization transport: the channel fabric.
 
 The sharded runtime (:mod:`repro.netsim.shard`) connects K cooperating
 engines with an all-to-all mesh of point-to-point channels. Each round
@@ -6,93 +6,35 @@ of the conservative protocol, every worker sends every peer exactly one
 message — ``(promise, done, frames)`` — and receives exactly one back,
 so the mesh never deadlocks and never reorders (each channel is FIFO).
 
-Frames crossing a shard boundary travel **by value**: the sender runs
-the wire codec (:mod:`repro.frames.codec`) and ships bytes, the
-receiver decodes a fresh frame object. That is deliberate even though
-the workers are threads and references would be cheaper — the receiver
-never sees an object the sender can still mutate, which is what the
-parity guarantee ("sharded records are byte-identical to single-engine
-records") rests on, and the codec round-trip is precisely the
-serialisation a distributed run would need. Two fields do not survive
-the wire codec and ride alongside the bytes instead:
-
-* the frame ``uid`` (a simulator-side identity, not an on-wire field),
-* an application payload object buried under UDP (the codec encodes
-  unknown payloads as opaque zeros of their wire size; the receiving
-  host needs the real object — e.g. a ``VideoChunk`` — to account the
-  stream). Such objects must be value-semantic.
-
-BPDU and LSP ethertypes register their codecs at import of the
-protocol modules, so this module imports both: a worker that receives
-a control frame of either kind must be able to decode it.
+Frames crossing a shard boundary are handed over **by reference**: the
+receiving engine schedules the very object the sender transmitted.
+That is sound for the reason copy-on-write flooding is
+(:mod:`repro.frames.ethernet`): frames and their payloads are
+immutable ``__slots__`` values once in flight, ``Port.send`` /
+``Node.flood`` mark every transmitted frame ``_shared``, and the one
+per-copy mutation — hop recording under ``trace_hops`` — clones a
+shared frame first. The remaining writes (``_shared`` itself and the
+idempotent ``_wire_size`` / ``_kind`` caches) store the same value from
+whichever thread makes them. So the receiver can observe no change the
+sender makes after transmit, which is what the parity guarantee
+("sharded records are byte-identical to single-engine records") needs,
+and it sees the uid, application payload and hop trace the single
+engine would, with no codec in between
+(``tests/test_shard.py::TestHandOver``).
 """
 
 from __future__ import annotations
 
 import queue as queue_mod
-from typing import Any, Dict, List, Tuple
-
-from repro.frames.codec import decode_frame, encode_frame
-from repro.frames.ethernet import EthernetFrame
-from repro.frames.ipv4 import IPv4Packet
-from repro.frames.udp import UdpDatagram
-
-# Register the BPDU, LSP and controller ethertype codecs (import side
-# effect).
-import repro.stp.codec   # noqa: F401
-import repro.spb.codec   # noqa: F401
-import repro.switching.controller.codec   # noqa: F401
+from typing import Any, Dict, List
 
 
 class ShardTransportError(RuntimeError):
-    """A frame cannot be moved between shards losslessly, or the fabric
-    was closed under a worker still waiting on it."""
+    """The fabric was closed under a worker still waiting on it."""
 
 
 #: What :meth:`Endpoint.close` leaves on a channel.
 _CLOSED = object()
-
-
-def pack_frame(frame: EthernetFrame) -> Tuple[bytes, int, Any]:
-    """Serialise *frame* for the wire: ``(codec_bytes, uid, aux)``.
-
-    *aux* carries the one payload layer the byte codec flattens to
-    opaque zeros: an application object under UDP (``IPv4Packet`` →
-    ``UdpDatagram`` → object). Every other payload the simulator ships
-    round-trips losslessly through the codec (ICMP echo payloads are
-    literal bytes; ARP, ARP-Path control, BPDU and LSP have exact
-    codecs), so aux is None for them.
-    """
-    aux: Any = None
-    payload = frame.payload
-    if isinstance(payload, IPv4Packet):
-        inner = payload.payload
-        if isinstance(inner, UdpDatagram) \
-                and not isinstance(inner.payload, (bytes, bytearray)):
-            aux = inner.payload
-    elif not isinstance(payload, (bytes, bytearray)):
-        from repro.frames.codec import _ethertype_codecs
-        if frame.ethertype not in _ethertype_codecs:
-            raise ShardTransportError(
-                f"cannot transport object payload of unregistered "
-                f"ethertype 0x{frame.ethertype:04x} between shards: "
-                f"{payload!r}")
-    return encode_frame(frame), frame.uid, aux
-
-
-def unpack_frame(data: bytes, uid: int, aux: Any) -> EthernetFrame:
-    """Rebuild a frame shipped by :func:`pack_frame`.
-
-    The decoded frame is a fresh, private object (not ``_shared``); the
-    original uid is restored so broadcast-copy correlation in trace
-    records survives the boundary, and *aux* is grafted back under the
-    UDP layer the codec zeroed.
-    """
-    frame = decode_frame(data)
-    frame.uid = uid
-    if aux is not None:
-        frame.payload.payload.payload = aux
-    return frame
 
 
 class Endpoint:

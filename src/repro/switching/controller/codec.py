@@ -1,9 +1,9 @@
 """Wire codec for controller-channel messages.
 
 Registered with :func:`repro.frames.codec.register_ethertype` at import
-so cross-shard transport (:mod:`repro.netsim.sync`) can serialise
-controller frames losslessly — the round trip must be exact or sharded
-runs would diverge from single-engine runs.
+(from the package ``__init__``), so the wire codec — and with it pcap
+export — serialises controller frames losslessly, like every other
+ethertype the simulator carries.
 
 Layout (network byte order), matching
 :data:`repro.switching.controller.frames.FIXED_WIRE_SIZE`::

@@ -5,7 +5,7 @@ One message type carries the whole southbound/northbound protocol
 flood rules), distinguished by an ``op`` code — the OpenFlow shape
 squeezed into a single fixed layout plus a variable port list, so one
 struct codec (:mod:`repro.switching.controller.codec`) serialises every
-message losslessly for cross-shard transport.
+message losslessly.
 
 All messages ride ethertype 0x88B7
 (:data:`repro.frames.ethernet.ETHERTYPE_CONTROLLER`). LLDP probes are

@@ -68,11 +68,12 @@ class Network:
         self._ip_ranges: List[Tuple[int, int]] = []
         self._started = False
         self._finalized = False
-        #: Called with each freshly registered Link. The sharded runtime
-        #: (:mod:`repro.netsim.shard`) installs this to catch links
-        #: created *after* partitioning — a host migrating to a bridge
-        #: on another shard makes its new access link a cut link.
-        self._link_hook: Optional[Callable[[Link], None]] = None
+        #: Called with the name of each link about to be created. The
+        #: sharded runtime (:mod:`repro.netsim.shard`) installs one that
+        #: raises: a link created *after* partitioning (a host migrating
+        #: to a bridge on another shard) would be a cut link the plan's
+        #: lookahead never accounted for.
+        self._link_hook: Optional[Callable[[str], None]] = None
 
     # -- node creation -----------------------------------------------------
 
@@ -196,12 +197,12 @@ class Network:
         link_name = name or f"{a}-{b}"
         if link_name in self.links:
             raise TopologyError(f"duplicate link name: {link_name}")
+        if self._link_hook is not None:
+            self._link_hook(link_name)
         wire = Link(self.sim, node_a.free_port(), node_b.free_port(),
                     latency=latency, bandwidth=bandwidth,
                     queue_capacity=queue_capacity, name=link_name)
         self.links[link_name] = wire
-        if self._link_hook is not None:
-            self._link_hook(wire)
         return wire
 
     def attach(self, host_name: str, bridge_name: str,
@@ -272,9 +273,8 @@ class Network:
         self.detach(host_name)
         wire = self.attach(host_name, bridge_name, latency=latency,
                            bandwidth=bandwidth)
-        host = self.host(host_name)
-        if announce and self._started and not host.shard_ghost:
-            self.sim.call_soon(host.gratuitous_arp)
+        if announce and self._started:
+            self.sim.call_soon(self.host(host_name).gratuitous_arp)
         return wire
 
     def crash_bridge(self, name: str) -> List[str]:

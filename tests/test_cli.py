@@ -54,6 +54,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ping", "--protocol", "learning"])
 
+    @pytest.mark.parametrize("name", ["scale", "churn"])
+    def test_shards_flag_is_gone(self, name):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name, "--shards", "2"])
+
     def test_stretch_multiple_seeds(self):
         args = build_parser().parse_args(["stretch", "--seeds", "1", "2"])
         assert args.seeds == [1, 2]

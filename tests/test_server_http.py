@@ -130,6 +130,17 @@ class TestReadEndpoints:
         assert status == 400
         assert json.loads(body)["error"]["field"] == "set.bogus"
 
+    @pytest.mark.parametrize("scenario", ["scale", "churn"])
+    def test_shards_is_not_a_parameter(self, served, scenario):
+        # Sharding is a library seam, not a knob a job can select.
+        _, schema = get_json(served, f"/v1/scenarios/{scenario}")
+        assert "shards" not in json.dumps(schema)
+        status, _, body = request(
+            served, "/v1/jobs", method="POST",
+            payload={"scenario": scenario, "set": {"shards": [2]}})
+        assert status == 400
+        assert json.loads(body)["error"]["field"] == "set.shards"
+
     def test_malformed_body_400(self, served):
         req = urllib.request.Request(
             served + "/v1/jobs", data=b"{not json",

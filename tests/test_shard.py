@@ -1,18 +1,20 @@
-"""Tests for the sharded parallel engine (PR 6).
+"""Tests for the sharded parallel engine, a library seam behind
+``scale.run_case_sharded``.
 
-The acceptance bar is the determinism contract from ROADMAP item 1:
-sharded and single-process runs produce **byte-identical experiment
-records at any shard count**. Rows here are frozen-field dataclasses
-built from primitives, so ``==`` over :class:`ScaleRow` /
-:class:`ChurnRow` *is* byte-identity of the records. The single-engine
-run is ``shards=1`` of the one cell body (PR 13), so the independent
-reference is a set of frozen digests (:class:`TestFrozenReference`).
+The acceptance bar is the determinism contract: sharded and
+single-process runs produce **byte-identical experiment records at any
+shard count**. Rows here are frozen-field dataclasses built from
+primitives, so ``==`` over :class:`ScaleRow` *is* byte-identity of the
+records. The single-engine run is ``shards=1`` of the one cell body, so
+the independent reference is a set of frozen digests
+(:class:`TestFrozenReference`).
 
-Also pinned: the per-shard seed derivation (part of the determinism
-contract — re-deriving differently would silently change any future
-experiment drawing from ``sim.rng``), the BFS-band partition, the
-``run_below`` window primitive, and the ``audit_pending_events``
-cross-check against the O(1) counter.
+Also pinned: the by-reference frame hand-over across the cut, the
+frozen wiring of an adopted network, the per-shard seed derivation
+(part of the determinism contract — re-deriving differently would
+silently change any future experiment drawing from ``sim.rng``), the
+BFS-band partition, the ``run_below`` window primitive, and the
+``audit_pending_events`` cross-check against the O(1) counter.
 """
 
 import dataclasses
@@ -23,19 +25,16 @@ import time
 import pytest
 
 from repro.core.config import ArpPathConfig
-from repro.experiments import churn, common, runner, scale
+from repro.experiments import churn, common, scale
 from repro.experiments.registry import protocol_specs
-from repro.frames.ethernet import EthernetFrame
-from repro.frames.mac import MAC
+from repro.frames.codec import encode_frame
 from repro.metrics.report import record_line
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.netsim import shard as shard_mod
 from repro.netsim.shard import (ShardedSimulator, ShardRuntime,
                                 ShardStallError, ShardWorkerError,
-                                derive_shard_seed, migration_lookahead,
-                                run_sharded)
-from repro.netsim.sync import ShardTransportError, pack_frame
+                                derive_shard_seed, run_sharded)
 from repro.netsim.tracer import DELIVERED, DROP_LINK_DOWN
 from repro.topology import arppath, grid, line
 from repro.topology.partition import partition_network
@@ -108,19 +107,6 @@ class TestPartition:
         net = grid(sim, arppath(), 2, 2)
         with pytest.raises(TopologyError):
             partition_network(net, 5)
-
-
-class TestMigrationLookahead:
-    def test_minimum_over_all_links(self, sim):
-        net = grid(sim, arppath(), 2, 2, hosts_at_corners=True)
-        expected = min(wire.latency for wire in net.links.values())
-        assert migration_lookahead(net) == expected
-
-    def test_zero_latency_link_refused(self, sim):
-        net = grid(sim, arppath(), 2, 2, hosts_at_corners=True)
-        next(iter(net.links.values())).latency = 0.0
-        with pytest.raises(TopologyError):
-            migration_lookahead(net)
 
 
 class TestScaleParity:
@@ -201,47 +187,9 @@ class TestCallerSpecHonoured:
         assert scale.run_case_sharded(slower, shards=shards,
                                       **self.CELL) == single
 
-    def test_pool_worker_and_main_process_rows_equal(self):
-        # One transport: a daemonic pool worker (which cannot fork) and
-        # the main process shard a cell the same way.
-        cells = runner.expand_grid(
-            ["scale"], seeds=[1, 2],
-            axes={"shards": [2], "sizes": [9], "protocols": ["arppath"],
-                  "pairs": [1], "probes": [1]})
-        serial = runner.SweepRunner(cells, jobs=1).run()
-        pooled = runner.SweepRunner(cells, jobs=2).run()
-        assert serial.rows() and pooled.rows() == serial.rows()
-
-
-class TestChurnParity:
-    """Dynamics crossing the cut: flaps, crashes, migrations."""
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_flaps_rows_identical(self, shards):
-        spec = arppath_spec()
-        kwargs = dict(topology="grid", flap_rate=0.5, down_time=0.3,
-                      duration=4.0, fps=25.0, seed=0)
-        direct = churn.run_protocol(spec, **kwargs)
-        sharded = churn.run_protocol_sharded(spec, shards=shards, **kwargs)
-        assert sharded == direct
-
-    def test_crashes_and_migrations_rows_identical(self):
-        spec = arppath_spec()
-        kwargs = dict(topology="grid", flap_rate=0.5, down_time=0.3,
-                      duration=4.0, crashes=1, migrations=2, fps=25.0,
-                      seed=1)
-        direct = churn.run_protocol(spec, **kwargs)
-        sharded = churn.run_protocol_sharded(spec, shards=2, **kwargs)
-        assert sharded == direct
-
-    def test_scripted_failures_refused_sharded(self):
-        with pytest.raises(ValueError, match="scripted_failures"):
-            churn.run(topology="grid", protocols=["arppath"],
-                      scripted_failures=1, shards=2)
-
 
 #: Wirings whose exact same-instant ties across a cut reorder events.
-EXACT_TIES = {("spb", "line"), ("arppath", "demo")}
+EXACT_TIES = {("spb", "line")}
 
 
 def frozen_cells(pinned):
@@ -256,12 +204,13 @@ class TestFrozenReference:
 
     Digests were generated at 4f8de05 from the old ``run_case`` /
     ``run_protocol`` — the independent reference the sharded workers
-    used to be compared with. Every shard count must reproduce them,
-    ``shards=1`` included. Two cells are pinned at ``shards=1`` only,
-    because their wiring produces *exact* same-instant ties across a
-    cut (the documented limit of the boundary order): SPB's
-    synchronised LSP floods on the line, and the ARP race over the
-    demo's equal-latency ring.
+    used to be compared with. Every shard count must reproduce the
+    ``SCALE`` and ``POPULATION`` digests, ``shards=1`` included; one
+    scale cell is pinned at ``shards=1`` only, because its wiring
+    produces *exact* same-instant ties across a cut (the documented
+    limit of the boundary order): SPB's synchronised LSP floods on the
+    line. ``churn`` runs on one engine, so ``CHURN`` and ``SCRIPTED``
+    pin that engine.
 
     Three ``SCALE`` digests (stp/grid, spb/grid, stp/line) were
     regenerated once, when ``Link`` got its single transmit body: the
@@ -338,12 +287,12 @@ class TestFrozenReference:
             endpoints_per_port=10, shards=shards)
         assert digest(scale.ScaleResult([row])) == self.POPULATION
 
-    @pytest.mark.parametrize("protocol,topology,shards",
-                             frozen_cells(CHURN))
-    def test_churn_rows(self, protocol, topology, shards):
-        row = churn.run_protocol_sharded(
+    @pytest.mark.parametrize("protocol,topology", [
+        pytest.param(*cell, id=f"{'-'.join(cell)}-k1") for cell in CHURN])
+    def test_churn_rows(self, protocol, topology):
+        row = churn.run_protocol(
             spec(protocol), topology=topology, crashes=1, migrations=1,
-            shards=shards, **self.CHURN_KWARGS)
+            **self.CHURN_KWARGS)
         assert digest(churn.ChurnResult([row])) \
             == self.CHURN[protocol, topology]
 
@@ -386,8 +335,8 @@ def runtimes(monkeypatch):
     adopted = []
     adopt = ShardRuntime.adopt
 
-    def spying_adopt(runtime, net, plan, lookahead=None):
-        adopt(runtime, net, plan, lookahead=lookahead)
+    def spying_adopt(runtime, net, plan):
+        adopt(runtime, net, plan)
         adopted.append(runtime)
 
     monkeypatch.setattr(ShardRuntime, "adopt", spying_adopt)
@@ -414,13 +363,6 @@ class TestSingleEngineIsMachineryFree:
     def test_scale_body(self, runtimes, protocol):
         scale.run_case(spec(protocol), "grid", 9, pairs=2, probes=2,
                        endpoints_per_port=10)
-        (runtime,) = runtimes
-        self.assert_plain(runtime)
-
-    @pytest.mark.parametrize("protocol", ["arppath", "controller"])
-    def test_churn_body(self, runtimes, protocol):
-        churn.run_protocol(spec(protocol), topology="grid", flap_rate=0.5,
-                           duration=3.0, crashes=1, migrations=1)
         (runtime,) = runtimes
         self.assert_plain(runtime)
 
@@ -493,12 +435,74 @@ class TestInFlightFifoAcrossTheCut:
                     assert len(direction.pending) <= 1
 
 
-class TestShardTransport:
-    def test_unregistered_object_payload_refused(self):
-        frame = EthernetFrame(dst=MAC(1), src=MAC(2), ethertype=0x1234,
-                              payload=object())
-        with pytest.raises(ShardTransportError):
-            pack_frame(frame)
+class TestHandOver:
+    """A frame crossing the cut is handed over by reference: the
+    importing engine delivers the very object the exporting engine
+    transmitted, and its wire bytes are the same at export, at delivery
+    and at cell end — the immutability the hand-over rests on."""
+
+    CELLS = [pytest.param(protocol, {}, id=protocol)
+             for protocol in ("arppath", "stp", "spb", "controller")] \
+        + [pytest.param("arppath", dict(pairs=2, probes=2,
+                                        endpoints_per_port=10),
+                        id="population")]
+
+    @pytest.fixture
+    def crossings(self, monkeypatch):
+        """``(exported, delivered)``: every frame object a cut direction
+        exported, by id, with its bytes at each export; every frame the
+        importing side delivered, with its bytes at delivery."""
+        exported, delivered = {}, []
+        adopt = ShardRuntime.adopt
+
+        def spy_export(export):
+            def spy(send_time, deliver_time, frame):
+                exported.setdefault(id(frame), (frame, []))[1].append(
+                    encode_frame(frame))
+                export(send_time, deliver_time, frame)
+            return spy
+
+        def spy_deliver(deliver):
+            def spy(direction, frame):
+                delivered.append((frame, encode_frame(frame)))
+                deliver(direction, frame)
+            return spy
+
+        def spying_adopt(runtime, net, plan):
+            adopt(runtime, net, plan)
+            for wire in runtime._links.values():
+                # A cut link's deliveries on this engine are exactly the
+                # frames released from the peer's exports.
+                wire._deliver_cb = spy_deliver(wire._deliver_cb)
+                for direction in wire._dirs.values():
+                    if direction.export is not None:
+                        direction.export = spy_export(direction.export)
+
+        monkeypatch.setattr(ShardRuntime, "adopt", spying_adopt)
+        return exported, delivered
+
+    @pytest.mark.parametrize("protocol,extra", CELLS)
+    def test_released_frame_is_the_exported_object(self, crossings,
+                                                   protocol, extra):
+        exported, delivered = crossings
+        scale.run_case_sharded(spec(protocol), "grid", 9, seed=1,
+                               shards=2, **extra)
+        assert delivered
+        for frame, at_delivery in delivered:
+            source, at_export = exported.get(id(frame), (None, []))
+            assert source is frame
+            assert set(at_export) == {at_delivery}
+            assert encode_frame(frame) == at_delivery
+
+
+def test_link_added_after_adopt_is_refused(sim):
+    net = grid(sim, arppath(), 3, 3, hosts_at_corners=True)
+    plan = partition_network(net, 2)
+    assert plan.shard_of("H0") != plan.shard_of("B2_2")
+    ShardRuntime(sim, 0, None).adopt(net, plan)
+    with pytest.raises(TopologyError, match="H0-B2_2"):
+        net.migrate_host("H0", "B2_2")
+    assert "H0-B2_2" not in net.links
 
 
 def live_shard_threads(before):
