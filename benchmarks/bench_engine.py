@@ -16,7 +16,7 @@ def test_event_throughput(benchmark):
     """Schedule+fire cost of bare simulator events."""
 
     def burn():
-        sim = Simulator(seed=0, keep_trace_records=False)
+        sim = Simulator(seed=0)
         for _ in range(10_000):
             sim.schedule(1.0, lambda: None)
         sim.run()
@@ -30,7 +30,7 @@ def test_arp_race_cost(benchmark):
     """One full ARP exchange (race + reply) on the demo topology."""
 
     def race():
-        sim = Simulator(seed=0, keep_trace_records=False)
+        sim = Simulator(seed=0)
         net = netfpga_demo(sim, arppath())
         net.run(2.0)
         rtts = []
@@ -47,7 +47,7 @@ def test_flood_fanout_cost(benchmark):
     """Broadcast storm-free flood over a 4x4 grid fabric."""
 
     def flood():
-        sim = Simulator(seed=0, keep_trace_records=False)
+        sim = Simulator(seed=0)
         net = grid(sim, arppath(), 4, 4, hosts_at_corners=True)
         net.run(2.0)
         net.host("H0").gratuitous_arp()
@@ -63,7 +63,7 @@ def test_sustained_stream_cost(benchmark):
     from repro.topology import line
 
     def stream():
-        sim = Simulator(seed=0, keep_trace_records=False)
+        sim = Simulator(seed=0)
         net = line(sim, arppath(), 3)
         net.run(2.0)
         h0, h1 = net.host("H0"), net.host("H1")

@@ -41,7 +41,7 @@ def test_learning_switch_storms_for_contrast(benchmark):
     from repro.topology import learning, ring
 
     def storm():
-        sim = Simulator(seed=0, keep_trace_records=False)
+        sim = Simulator(seed=0)
         net = ring(sim, learning(), 4)
         net.start()
         net.host("H0").gratuitous_arp()

@@ -85,7 +85,7 @@ def scale_flood(n: int) -> Simulator:
     injection path the scale experiments rely on.
     """
     side = int(round(n ** 0.5))
-    sim = Simulator(seed=0, keep_trace_records=False)
+    sim = Simulator(seed=0)
     net = grid(sim, arppath(), side, side, hosts_at_corners=True)
     net.run(2.0)
     net.announce_hosts()
@@ -105,7 +105,7 @@ def population_flood(n: int = POPULATION_N,
     deterministic engine-memory peaks.
     """
     side = int(round(n ** 0.5))
-    sim = Simulator(seed=0, keep_trace_records=False)
+    sim = Simulator(seed=0)
     net = grid(sim, arppath(), side, side, hosts_at_corners=True)
     populate_access_ports(net, max(endpoints // len(net.hosts), 1))
     sampler = MemorySampler(sim, interval=0.5)

@@ -28,7 +28,7 @@ CHURN_FIRED = len(range(0, CHURN_TIMERS, CHURN_STRIDE))
 
 def _churn(schedule) -> Simulator:
     """Schedule CHURN_TIMERS short timers, cancel most, run to drain."""
-    sim = Simulator(seed=0, keep_trace_records=False)
+    sim = Simulator(seed=0)
     events = [schedule(sim, 0.1 + (i % 97) * 0.01)
               for i in range(CHURN_TIMERS)]
     for index, event in enumerate(events):
@@ -50,7 +50,7 @@ def churn_wheel() -> Simulator:
 
 def bulk_injection() -> Simulator:
     """schedule_bulk: one heapify instead of n pushes."""
-    sim = Simulator(seed=0, keep_trace_records=False)
+    sim = Simulator(seed=0)
     sim.schedule_bulk((0.1 + (i % 97) * 0.01, lambda: None)
                       for i in range(CHURN_TIMERS))
     sim.run()
@@ -88,7 +88,7 @@ def flood_workload() -> Simulator:
     """The bench_engine flood-heavy workload (grid fabric + ARP race)."""
     from repro.topology import arppath, grid
 
-    sim = Simulator(seed=0, keep_trace_records=False)
+    sim = Simulator(seed=0)
     net = grid(sim, arppath(), 4, 4, hosts_at_corners=True)
     net.run(2.0)
     net.host("H0").gratuitous_arp()

@@ -152,7 +152,7 @@ def profile_unicast_train(bridges: int = 8, packets: int = 2000):
     from repro.topology.factories import arppath
     from repro.traffic.matrix import TrafficMatrix
 
-    sim = Simulator(seed=1, keep_trace_records=False)
+    sim = Simulator(seed=1)
     net = line(sim, arppath(), bridges)
     net.run(5.0)
     matrix = TrafficMatrix(net)

@@ -17,8 +17,8 @@ from repro.core.config import ArpPathConfig
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec, build_and_warm, spec
 from repro.frames.ethernet import ETHERTYPE_ARP
-from repro.metrics.load import broadcast_frames_sent
 from repro.metrics.report import format_table
+from repro.netsim.tracer import SENT
 from repro.topology.library import grid
 
 
@@ -106,8 +106,7 @@ def run_case(proxy: bool, rows: int = 3, cols: int = 3, rounds: int = 3,
                    for h in net.hosts.values())
     return BroadcastRow(
         proxy=proxy, rounds=rounds, hosts=len(hosts),
-        arp_frames_on_links=broadcast_frames_sent(net.sim.tracer,
-                                                  ETHERTYPE_ARP),
+        arp_frames_on_links=net.sim.tracer.count(SENT, ETHERTYPE_ARP),
         proxy_answers=answers, resolution_failures=failures)
 
 

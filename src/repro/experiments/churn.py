@@ -132,8 +132,7 @@ def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
     ``scripted_failures`` turns on hop tracing: its cuts follow the
     path the stream is using, which the :class:`PathObserver` reads.
     """
-    sim = Simulator(seed=seed, trace_hops=scripted_failures > 0,
-                    keep_trace_records=False)
+    sim = Simulator(seed=seed, trace_hops=scripted_failures > 0)
     net, src, dst = churn_topology(sim, protocol.factory, topology,
                                    seed=seed)
     net.run(protocol.warmup)

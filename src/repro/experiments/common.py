@@ -78,14 +78,11 @@ def build_and_warm(topology: Callable[..., Network], protocol: ProtocolSpec,
                    **topo_kwargs) -> Network:
     """Instantiate *topology* under *protocol* and run its warmup.
 
-    Warm-up is always count-only: control-plane traffic (BPDUs, LSPs,
-    hellos) bumps the tracer's counters but is never materialised as
-    records. An experiment that evaluates per-link records switches
-    ``net.sim.tracer.keep_records = True`` right after the
-    ``tracer.reset()`` that opens its measured window.
+    Warm-up control traffic (BPDUs, LSPs, hellos) only bumps the links'
+    tallies; an experiment opens its measured window with
+    ``net.sim.tracer.reset()``.
     """
-    sim = Simulator(seed=seed, trace_hops=trace_hops,
-                    keep_trace_records=False)
+    sim = Simulator(seed=seed, trace_hops=trace_hops)
     net = topology(sim, protocol.factory, **topo_kwargs)
     net.run(protocol.warmup)
     return net

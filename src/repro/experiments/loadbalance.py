@@ -75,9 +75,7 @@ def run_protocol(protocol: ProtocolSpec, pods: int = 4,
     net = build_and_warm(topo, protocol, seed=seed)
     if not resolve_under_load:
         all_pairs_arp_warmup(net, spacing=5e-3)
-    net.sim.tracer.reset()
-    # fabric_load reads per-link records: retain them from here on only.
-    net.sim.tracer.keep_records = True
+    net.sim.tracer.reset()       # fabric_load reads bytes from here on
 
     matrix = TrafficMatrix(net)
     matrix.all_pairs(packets=packets, interval=interval, size=size)

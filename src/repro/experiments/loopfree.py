@@ -62,8 +62,10 @@ class LoopfreeResult:
                  "links_total": r.total_links} for r in self.rows]
 
 
-def _duplicate_deliveries(net) -> Dict[int, int]:
-    """Per-uid duplicate broadcast deliveries over host links.
+def _broadcast_phase(net) -> Dict[int, int]:
+    """Phase 1: one broadcast (gratuitous ARP) from each host. Returns
+    the per-uid duplicate broadcast deliveries over host links, counted
+    by a tracer listener attached for this phase only.
 
     In a loop-free flood each host link carries a given logical
     broadcast at most once (host→bridge for the origin's own link,
@@ -74,12 +76,22 @@ def _duplicate_deliveries(net) -> Dict[int, int]:
     host_links = {link.name for link in net.links.values()
                   if link.name not in fabric}
     counts: Dict[tuple, int] = {}
-    for rec in net.sim.tracer.records:
-        if (rec.kind != DELIVERED or rec.link not in host_links
-                or not rec.is_broadcast):
-            continue
-        key = (rec.frame_uid, rec.link)
-        counts[key] = counts.get(key, 0) + 1
+
+    def on_record(rec) -> None:
+        if (rec.kind == DELIVERED and rec.link in host_links
+                and rec.is_broadcast):
+            key = (rec.frame_uid, rec.link)
+            counts[key] = counts.get(key, 0) + 1
+
+    hosts = sorted(net.hosts)
+    for index, name in enumerate(hosts):
+        net.sim.schedule(index * 0.01, net.host(name).gratuitous_arp)
+    tracer = net.sim.tracer
+    tracer.add_listener(on_record)
+    try:
+        net.run(len(hosts) * 0.01 + 1.0)
+    finally:
+        tracer.remove_listener(on_record)
     duplicates: Dict[int, int] = {}
     for (uid, _link), count in counts.items():
         if count > 1:
@@ -98,21 +110,9 @@ def run_protocol(protocol: ProtocolSpec, topology_name: str = "grid",
     builder = builders[topology_name]
     net = build_and_warm(builder, protocol, seed=seed)
     net.sim.tracer.reset()
-    # Both phases are evaluated from per-link records: retain them
-    # from here on only.
-    net.sim.tracer.keep_records = True
-
-    # Phase 1: one broadcast from each host (gratuitous ARP).
-    hosts = sorted(net.hosts)
-    for index, name in enumerate(hosts):
-        net.sim.schedule(index * 0.01, net.host(name).gratuitous_arp)
-    net.run(len(hosts) * 0.01 + 1.0)
-
-    sent_before = net.sim.tracer.frames_sent
-    storm = sent_before > storm_budget
-
-    duplicates_per_uid = _duplicate_deliveries(net)
+    duplicates_per_uid = _broadcast_phase(net)
     duplicates = sum(duplicates_per_uid.values())
+    storm = net.sim.tracer.frames_sent > storm_budget
 
     # Phase 2: all-pairs unicast to exercise link utilisation. Only
     # data frames count — control traffic (BPDUs, LSPs) legitimately

@@ -184,8 +184,7 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
     counts what. A single engine owns everything. Returns plain data
     for :func:`_merge_scale_shards`.
     """
-    sim = Simulator(seed=derive_shard_seed(seed, shard_id),
-                    keep_trace_records=False)
+    sim = Simulator(seed=derive_shard_seed(seed, shard_id))
     # Builders take the *base* seed: the wiring must be identical in
     # every worker; only the engine stream is per-shard.
     net, src, dst = scale_topology(sim, protocol.factory, kind, size,

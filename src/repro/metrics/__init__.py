@@ -5,7 +5,7 @@ from repro.metrics.chart import histogram, sparkline, timeseries
 from repro.metrics.convergence import (Recovery, recoveries_for_failures,
                                        recovery_from_arrivals,
                                        recovery_from_pings)
-from repro.metrics.load import LoadReport, broadcast_frames_sent, fabric_load
+from repro.metrics.load import LoadReport, fabric_load
 from repro.metrics.paths import (OraclePath, PathObserver, min_latency_path,
                                  observed_path, path_latency, stretch)
 from repro.metrics.report import format_cell, format_table, ms, s, us
@@ -17,7 +17,7 @@ __all__ = [
     "histogram", "sparkline", "timeseries",
     "Recovery", "recoveries_for_failures", "recovery_from_arrivals",
     "recovery_from_pings",
-    "LoadReport", "broadcast_frames_sent", "fabric_load",
+    "LoadReport", "fabric_load",
     "OraclePath", "PathObserver", "min_latency_path", "observed_path",
     "path_latency", "stretch",
     "format_cell", "format_table", "ms", "s", "us",

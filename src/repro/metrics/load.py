@@ -1,11 +1,10 @@
 """Link load accounting (paper §2.2: load distribution, path diversity).
 
-Computed from the tracer's retained ``sent`` records, summed per link
-by :meth:`Tracer.link_load_bytes` (the tracer keeps no per-link
-counters, so the measured window must run with ``keep_records`` on):
-how evenly traffic spreads over the fabric, and how many links carry
-any traffic at all (a spanning tree leaves its blocked links at
-exactly zero).
+Read from each fabric link's bytes-sent registers, both directions
+(:meth:`Link.bytes_sent`; ``tracer.reset()`` opens the window): how
+evenly traffic spreads over the fabric, and how many links carry any
+traffic at all (a spanning tree leaves its blocked links at exactly
+zero).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.metrics.stats import coefficient_of_variation, mean
-from repro.netsim.tracer import SENT, Tracer
 from repro.topology.builder import Network
 
 
@@ -40,10 +38,9 @@ def fabric_load(net: Network, ethertype: Optional[int] = None) -> LoadReport:
     """Bytes carried per fabric link, with spread statistics.
 
     *ethertype* restricts the count (e.g. only IPv4 data); None counts
-    everything. Requires the tracer to be keeping records.
+    everything.
     """
-    carried = net.sim.tracer.link_load_bytes(ethertype)
-    per_link = {link.name: carried.get(link.name, 0)
+    per_link = {link.name: link.bytes_sent(ethertype)
                 for link in net.fabric_links()}
     loads = list(per_link.values())
     total = sum(loads)
@@ -57,8 +54,3 @@ def fabric_load(net: Network, ethertype: Optional[int] = None) -> LoadReport:
     return LoadReport(per_link=per_link, used_links=used,
                       total_links=len(per_link), cv=cv,
                       max_over_mean=max_over_mean, total_bytes=total)
-
-
-def broadcast_frames_sent(tracer: Tracer, ethertype: int) -> int:
-    """Link-level transmissions of one ethertype (broadcast overhead)."""
-    return tracer.count(SENT, ethertype)

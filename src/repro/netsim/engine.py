@@ -38,7 +38,7 @@ import itertools
 import random
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.netsim.errors import SchedulingError
+from repro.netsim.errors import RecordRetentionError, SchedulingError
 from repro.netsim.tracer import Tracer
 
 #: Priority for ordinary data-plane events.
@@ -276,17 +276,17 @@ class Simulator:
         When true, frames accumulate per-hop trace records as they
         traverse nodes (used by path-measurement experiments).
     keep_trace_records:
-        Initial value of ``tracer.keep_records``. True (the library
-        default) retains one :class:`~repro.netsim.tracer.TraceRecord`
-        per link event from time zero — about one tuple allocation per
-        event on top of the counters, and memory that grows with the
-        run. False is counters only. The flag is assignable mid-run
-        (``sim.tracer.keep_records = True``): experiments warm up
-        count-only and retain only inside their measured window.
+        Ignored when false, kept for old callers: the :attr:`tracer`
+        retains no records. True raises :class:`RecordRetentionError`;
+        ``repro.testing.record_trace(sim)`` collects them instead.
     """
 
     def __init__(self, seed: int = 0, trace_hops: bool = False,
-                 keep_trace_records: bool = True):
+                 keep_trace_records: bool = False):
+        if keep_trace_records:
+            raise RecordRetentionError(
+                "the tracer keeps no records; attach a listener instead, "
+                "e.g. repro.testing.record_trace(sim)")
         #: Heap of (time, priority, seq, Event) — see the module docs.
         self._queue: List[tuple] = []
         self._seq = itertools.count()
@@ -294,7 +294,7 @@ class Simulator:
         self._pending = 0
         self.rng = random.Random(seed)
         self.trace_hops = trace_hops
-        self.tracer = Tracer(keep_records=keep_trace_records)
+        self.tracer = Tracer()
         self.events_processed = 0
         self.wheel = TimerWheel()
 

@@ -15,3 +15,8 @@ class TopologyError(NetsimError):
 
 class AddressError(NetsimError):
     """Raised when host addressing is inconsistent (duplicate MAC/IP)."""
+
+
+class RecordRetentionError(NetsimError):
+    """Raised when a caller asks the tracer to retain records, which it
+    no longer does (listeners receive them instead)."""

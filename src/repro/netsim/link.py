@@ -8,7 +8,10 @@ A link joins exactly two ports and models, per direction:
 * **propagation** — delivery is delayed by the configured latency,
 * **carrier** — links can be taken down and brought back up; both
   endpoints get a carrier notification, queued and in-flight frames on a
-  downed link are lost (exactly what a cable pull does to the NetFPGA).
+  downed link are lost (exactly what a cable pull does to the NetFPGA),
+* **statistics** — frames sent, delivered and dropped per ethertype,
+  and bytes sent, like a NetFPGA port's registers; the simulator's
+  tracer sums them on read (:mod:`repro.netsim.tracer`).
 
 Heterogeneous per-link latency is what makes the ARP race meaningful:
 the first ARP copy to arrive travelled the lowest-latency path.
@@ -78,10 +81,11 @@ DEFAULT_QUEUE_CAPACITY = 64
 
 
 class _Direction:
-    """Transmitter state for one direction of the link."""
+    """Transmitter state and statistics registers for one direction of
+    the link."""
 
     __slots__ = ("queue", "busy_until", "pending", "drain_event",
-                 "queue_drops", "carrier_drops", "to_port", "export")
+                 "to_port", "export") + trc.TALLIES
 
     def __init__(self, to_port: Port):
         # The queue is unbounded here; Link.transmit enforces the
@@ -99,11 +103,16 @@ class _Direction:
         #: ``busy_until`` to start the next serialisation (the only
         #: moment the old tx_done event is still needed).
         self.drain_event: Optional[Event] = None
-        #: Frames tail-dropped because the queue was full.
-        self.queue_drops = 0
-        #: Frames lost to carrier loss: queued or in flight when the
-        #: link went down, or handed to a downed transmitter.
-        self.carrier_drops = 0
+        #: Statistics registers (``trc.TALLIES``), per ethertype: frames
+        #: sent, delivered, tail-dropped (queue full), lost to carrier
+        #: loss (queued or in flight when the link went down, or handed
+        #: to a downed transmitter), and wire bytes sent. The tracer sums
+        #: them on read; ``Tracer.reset`` clears them in place.
+        self.sent: Dict[int, int] = {}
+        self.delivered: Dict[int, int] = {}
+        self.drop_queue: Dict[int, int] = {}
+        self.drop_link_down: Dict[int, int] = {}
+        self.sent_bytes: Dict[int, int] = {}
         #: The receiving endpoint of this direction, cached so delivery
         #: skips the two identity compares of :meth:`Link.other`.
         self.to_port = to_port
@@ -150,11 +159,10 @@ class Link:
         self.name = name or f"{port_a.name}<->{port_b.name}"
         self._dirs = {port_a: _Direction(port_b),
                       port_b: _Direction(port_a)}
-        #: The simulator's tracer and the two tallies every hop bumps
-        #: (Tracer.reset keeps the dicts), cached: measurable at scale.
-        self._tracer = sim.tracer
-        self._sent = sim.tracer.by_ethertype[trc.SENT]
-        self._delivered = sim.tracer.by_ethertype[trc.DELIVERED]
+        #: The tracer's listener list (never rebound): whether it is
+        #: empty is the hop's one tracing branch.
+        self._listeners = sim.tracer._listeners
+        sim.tracer.register(*self._dirs.values())
         #: One bound method shared by every delivery this link ever
         #: schedules (a fresh `self._deliver` per transmit is an
         #: allocation the fast path can skip).
@@ -186,19 +194,17 @@ class Link:
         (:meth:`_start_tx`); a busy one queues the frame behind a lazily
         armed drain event, tail-dropping at ``queue_capacity``.
         """
-        if not self.up:
-            self._dirs[from_port].carrier_drops += 1
-            self._trace(trc.DROP_LINK_DOWN, frame)
-            return
         direction = self._dirs[from_port]
+        if not self.up:
+            self._trace(direction, trc.DROP_LINK_DOWN, frame)
+            return
         now = self.sim._now
         # A non-empty queue keeps the FIFO order even at the exact
         # busy_until instant (the drain event for it is already armed
         # and fires this instant): new frames go behind, never ahead.
         if direction.busy_until > now or direction.queue:
             if len(direction.queue) >= self.queue_capacity:
-                direction.queue_drops += 1
-                self._trace(trc.DROP_QUEUE, frame)
+                self._trace(direction, trc.DROP_QUEUE, frame)
                 return
             direction.queue.append(frame)
             if direction.drain_event is None:
@@ -210,18 +216,21 @@ class Link:
     def _start_tx(self, direction: _Direction, frame: EthernetFrame,
                   now: float) -> None:
         """Start serialising *frame* now — the one transmit body, behind
-        :meth:`transmit` and :meth:`_drain` alike: one SENT bump, one
-        ``busy_until`` update, one ``deliver_at`` (module docstring).
-        Runs once per flooded copy per hop.
+        :meth:`transmit` and :meth:`_drain` alike: one SENT frames and
+        bytes bump, one ``busy_until`` update, one ``deliver_at`` (module
+        docstring). Runs once per flooded copy per hop.
         """
         size = frame._wire_size
         if size is None:
             size = frame.wire_size
-        if self._tracer.count_only:
-            tally = self._sent
-            ethertype = frame.ethertype
-            tally[ethertype] = tally.get(ethertype, 0) + 1
-        else:
+        # Inlined _trace (plus the bytes register): a record is built
+        # only for listeners.
+        ethertype = frame.ethertype
+        tally = direction.sent
+        tally[ethertype] = tally.get(ethertype, 0) + 1
+        tally = direction.sent_bytes
+        tally[ethertype] = tally.get(ethertype, 0) + size
+        if self._listeners:
             self._record(trc.SENT, frame)
         ser = size * self._ser_per_byte
         busy_until = direction.busy_until = now + ser
@@ -269,13 +278,12 @@ class Link:
         # Head of the in-flight FIFO (module docstring); the link is up,
         # because take_down cancels every delivery still in flight.
         direction.pending.popleft()
-        # Inlined DELIVERED trace (see _trace): this is the single
-        # hottest callback in the simulator.
-        if self._tracer.count_only:
-            tally = self._delivered
-            ethertype = frame.ethertype
-            tally[ethertype] = tally.get(ethertype, 0) + 1
-        else:
+        # Inlined DELIVERED _trace: this is the single hottest callback
+        # in the simulator.
+        tally = direction.delivered
+        ethertype = frame.ethertype
+        tally[ethertype] = tally.get(ethertype, 0) + 1
+        if self._listeners:
             self._record(trc.DELIVERED, frame)
         to_port = direction.to_port
         node = to_port.node
@@ -297,14 +305,12 @@ class Link:
         self.up = False
         for direction in self._dirs.values():
             for frame in direction.queue:
-                direction.carrier_drops += 1
-                self._trace(trc.DROP_LINK_DOWN, frame)
+                self._trace(direction, trc.DROP_LINK_DOWN, frame)
             direction.queue.clear()
             for event in direction.pending:
                 event.cancel()
                 # args = (direction, frame) of _deliver.
-                direction.carrier_drops += 1
-                self._trace(trc.DROP_LINK_DOWN, event.args[1])
+                self._trace(direction, trc.DROP_LINK_DOWN, event.args[1])
             direction.pending.clear()
             if direction.drain_event is not None:
                 direction.drain_event.cancel()
@@ -333,15 +339,22 @@ class Link:
     @property
     def queue_drops(self) -> Dict[str, int]:
         """Tail-drop count per direction, keyed by the sending port name."""
-        return {port.name: direction.queue_drops
-                for port, direction in self._dirs.items()}
+        return {port: stats["queue_drops"]
+                for port, stats in self.stats().items()}
 
     @property
     def carrier_drops(self) -> Dict[str, int]:
         """Carrier-loss drop count per direction, keyed by the sending
         port name (frames queued or in flight when carrier was lost)."""
-        return {port.name: direction.carrier_drops
-                for port, direction in self._dirs.items()}
+        return {port: stats["carrier_drops"]
+                for port, stats in self.stats().items()}
+
+    def bytes_sent(self, ethertype: Optional[int] = None) -> int:
+        """Wire bytes sent in both directions, optionally of one
+        ethertype."""
+        return sum(sum(direction.sent_bytes.values()) if ethertype is None
+                   else direction.sent_bytes.get(ethertype, 0)
+                   for direction in self._dirs.values())
 
     def is_busy(self, from_port: Port) -> bool:
         """Is the transmitter out of *from_port* mid-serialisation now?"""
@@ -351,39 +364,43 @@ class Link:
         """Per-direction transmitter state, keyed by the sending port name.
 
         Each direction reports its current queue depth, whether the
-        transmitter is busy, and the cumulative tail-drop and
-        carrier-loss drop counts.
+        transmitter is busy, and its statistics registers since the
+        tracer was last reset: frames sent and delivered, wire bytes
+        sent, tail drops and carrier-loss drops.
         """
         now = self.sim._now
         return {port.name: {"queued": len(direction.queue),
                             "busy": direction.busy_until > now,
-                            "queue_drops": direction.queue_drops,
-                            "carrier_drops": direction.carrier_drops}
+                            "sent": sum(direction.sent.values()),
+                            "delivered": sum(direction.delivered.values()),
+                            "sent_bytes": sum(direction.sent_bytes.values()),
+                            "queue_drops": sum(direction.drop_queue.values()),
+                            "carrier_drops":
+                                sum(direction.drop_link_down.values())}
                 for port, direction in self._dirs.items()}
 
     # -- tracing ---------------------------------------------------------
 
-    def _trace(self, kind: str, frame: EthernetFrame) -> None:
+    def _trace(self, direction: _Direction, kind: str,
+               frame: EthernetFrame) -> None:
         # The drop kinds (_start_tx and _deliver inline this for SENT /
-        # DELIVERED). A count-only tracer (every benchmark, the scale
-        # scenario) is bumped in place; _record materialises records.
-        tracer = self._tracer
-        if tracer.count_only:
-            tally = tracer.by_ethertype[kind]
-            ethertype = frame.ethertype
-            tally[ethertype] = tally.get(ethertype, 0) + 1
-        else:
+        # DELIVERED): one bump on the direction's register for *kind*,
+        # and a record only if someone listens.
+        tally = getattr(direction, kind)
+        ethertype = frame.ethertype
+        tally[ethertype] = tally.get(ethertype, 0) + 1
+        if self._listeners:
             self._record(kind, frame)
 
     def _record(self, kind: str, frame: EthernetFrame) -> None:
-        # The one materialising trace call (retained records and/or
-        # listeners), shared by _start_tx, _deliver and _trace. MAC
-        # objects are passed through: the record renders them lazily.
+        # The one record-building call, shared by _start_tx, _deliver
+        # and _trace. MAC objects are passed through: the record renders
+        # them lazily.
         size = frame._wire_size
         if size is None:
             size = frame.wire_size
-        self._tracer.record(kind, self.sim._now, self.name, frame.uid,
-                            frame.ethertype, size, frame.src, frame.dst)
+        self.sim.tracer.record(kind, self.sim._now, self.name, frame.uid,
+                               frame.ethertype, size, frame.src, frame.dst)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

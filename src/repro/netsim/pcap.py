@@ -5,15 +5,10 @@ a real wire format; this module writes link-level events out as a
 classic libpcap file that Wireshark/tcpdump can open — the simulator
 equivalent of port-mirroring a NetFPGA interface.
 
-Two ways to use it:
-
-* offline — :func:`write_pcap` renders tracer records after a run
-  (requires the tracer to keep records *and* frames to be re-encoded
-  from their payload objects, so it works through :class:`PcapRecorder`
-  which captures the actual frames);
-* live — attach a :class:`PcapRecorder` to one or more links before the
-  run; every frame transmitted on those links is encoded and buffered,
-  then :meth:`PcapRecorder.save` writes the file.
+Attach a :class:`PcapRecorder` to one or more links before the run:
+every frame handed to those links is encoded and buffered at capture
+time, then :meth:`PcapRecorder.save` writes the file and
+:func:`read_pcap` parses one back.
 """
 
 from __future__ import annotations

@@ -389,8 +389,7 @@ class ShardRuntime:
             if down_at is not None and t1 <= down_at < t2:
                 # The carrier drop this worker replayed at down_at
                 # cancelled this delivery in the single-process run.
-                direction.carrier_drops += 1
-                wire._trace(trc.DROP_LINK_DOWN, frame)
+                wire._trace(direction, trc.DROP_LINK_DOWN, frame)
                 continue
             # Sorted, under rising bounds: FIFO order (netsim.link).
             direction.pending.append(

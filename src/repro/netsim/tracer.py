@@ -1,14 +1,15 @@
-"""Frame-level tracing and counting.
+"""Frame-level counting and observation.
 
-A :class:`Tracer` observes every link-level transmit, delivery and drop.
-Experiments use it to count broadcast overhead, measure path latencies
-and assert loop-freedom (a looping frame produces unbounded deliveries,
-which the tests bound).
+Each link direction keeps its own statistics registers, bumped where
+the event happens (:mod:`repro.netsim.link`); each link registers its
+two directions with its simulator's :class:`Tracer`, whose totals are
+sums over them taken when read. A :class:`TraceRecord` is built only
+for attached listeners.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from typing import Callable, Dict, List, Optional
 
 from repro.frames.mac import BROADCAST
@@ -17,9 +18,11 @@ SENT = "sent"
 DELIVERED = "delivered"
 DROP_QUEUE = "drop_queue"
 DROP_LINK_DOWN = "drop_link_down"
-DROP_TTL = "drop_ttl"
 
-KINDS = (SENT, DELIVERED, DROP_QUEUE, DROP_LINK_DOWN, DROP_TTL)
+KINDS = (SENT, DELIVERED, DROP_QUEUE, DROP_LINK_DOWN)
+#: A registered direction's per-ethertype dicts, by attribute name:
+#: frames per kind, then wire bytes sent.
+TALLIES = KINDS + ("sent_bytes",)
 
 
 _BROADCAST_STR = str(BROADCAST)
@@ -33,11 +36,10 @@ class TraceRecord(namedtuple(
     The record stores the addresses it is handed (:class:`MAC` objects
     on the link path) and renders them only when :attr:`src` /
     :attr:`dst` are read — both are always ``str``, equal to
-    ``str(mac)``. Consumers that skip most records (per-link byte sums,
-    the loop-freedom check) therefore never pay for string formatting
-    of the records they skip. Equality and hashing go by the rendered
-    field values, so a record built from MACs equals one built from
-    their strings.
+    ``str(mac)``. Listeners that skip most records (the loop-freedom
+    count) therefore never pay for string formatting of the records
+    they skip. Equality and hashing go by the rendered field values, so
+    a record built from MACs equals one built from their strings.
     """
 
     __slots__ = ()
@@ -75,80 +77,69 @@ class TraceRecord(namedtuple(
 
 
 class Tracer:
-    """Collects link-level events and aggregates counters.
+    """Sums the registered link directions' tallies on read and hands
+    records to listeners; stores no count and no record itself."""
 
-    Record retention is optional (``keep_records=False`` keeps only the
-    counters) so long benchmark runs stay memory-bounded.
-    """
-
-    def __init__(self, keep_records: bool = True):
-        self.records: List[TraceRecord] = []
-        #: The one stored tally (totals are summed from it on read), like
-        #: a port's statistics registers: ``by_ethertype[kind][ethertype]``,
-        #: ethertypes in first-seen order. :meth:`reset` empties the five
-        #: dicts in place, so links cache the ones they bump on every hop.
-        self.by_ethertype: Dict[str, Dict[int, int]] = {
-            kind: {} for kind in KINDS}
+    def __init__(self):
+        #: Every direction of every link built on this simulator; never
+        #: pruned, so a detached link's frames stay in the totals.
+        self._directions: List[object] = []
+        #: Links cache this list (never rebound) and build a record
+        #: only while it is non-empty.
         self._listeners: List[Callable[[TraceRecord], None]] = []
-        #: True while no record is ever materialised (no retention, no
-        #: listeners): callers on the per-hop fast path may then bump
-        #: :attr:`by_ethertype` directly instead of paying a
-        #: :meth:`record` call per link event. Kept in sync by the
-        #: keep_records setter and add_listener.
-        self.count_only = not keep_records
-        self._keep_records = keep_records
+
+    def register(self, *directions) -> None:
+        """Add link directions to the totals (called by links)."""
+        self._directions.extend(directions)
 
     @property
-    def keep_records(self) -> bool:
-        """Whether records are retained; assignable mid-run."""
-        return self._keep_records
-
-    @keep_records.setter
-    def keep_records(self, value: bool) -> None:
-        self._keep_records = value
-        self.count_only = not value and not self._listeners
+    def count_only(self) -> bool:
+        """True while no listener is attached: no record is built."""
+        return not self._listeners
 
     def record(self, kind: str, time: float, link: str, frame_uid: int,
                ethertype: int, size: int, src, dst) -> None:
-        """Record one link-level event (called by links).
-
-        *src*/*dst* may be MAC objects or strings; the record keeps
-        them as handed in and renders them only when its ``src``/``dst``
-        are read, so a materialised record costs one tuple allocation
-        on top of the counters.
-        """
-        tally = self.by_ethertype[kind]
-        tally[ethertype] = tally.get(ethertype, 0) + 1
-        if self.count_only:
-            return
+        """Hand one link-level event to every listener (links call this
+        after their own tally bump). *src*/*dst* may be MAC objects or
+        strings, rendered only when the record's fields are read."""
         rec = _new_record(TraceRecord, (kind, time, link, frame_uid,
                                         ethertype, size, src, dst))
-        if self._keep_records:
-            self.records.append(rec)
         for listener in self._listeners:
             listener(rec)
 
     def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
         """Invoke *listener* for every future record."""
         self._listeners.append(listener)
-        self.count_only = False
 
-    # -- queries -------------------------------------------------------------
+    def remove_listener(self, listener: Callable[[TraceRecord], None]
+                        ) -> None:
+        """Stop invoking *listener* (ValueError if it is not attached)."""
+        self._listeners.remove(listener)
+
+    # -- queries (sums taken on read; writing to a result changes nothing)
+
+    def tally(self, name: str) -> Dict[int, int]:
+        """One of :data:`TALLIES` per ethertype, over every direction."""
+        total: Dict[int, int] = {}
+        for direction in self._directions:
+            for ethertype, value in getattr(direction, name).items():
+                total[ethertype] = total.get(ethertype, 0) + value
+        return total
+
+    @property
+    def by_ethertype(self) -> Dict[str, Dict[int, int]]:
+        return {kind: self.tally(kind) for kind in KINDS}
 
     def count(self, kind: str, ethertype: Optional[int] = None) -> int:
         """Number of events of *kind*, optionally for one ethertype."""
-        tally = self.by_ethertype[kind]
-        if ethertype is None:
-            return sum(tally.values())
-        return tally.get(ethertype, 0)
+        tally = self.tally(kind)
+        return sum(tally.values()) if ethertype is None \
+            else tally.get(ethertype, 0)
 
     @property
     def counts(self) -> Counter:
-        """Events per kind, summed on read into a fresh Counter (writing
-        to it changes nothing); a kind never seen is absent, reads 0."""
-        return Counter({kind: sum(tally.values())
-                        for kind, tally in self.by_ethertype.items()
-                        if tally})
+        """Events per kind; a kind never seen is absent (reads 0)."""
+        return +Counter({kind: self.count(kind) for kind in KINDS})
 
     @property
     def frames_sent(self) -> int:
@@ -160,30 +151,13 @@ class Tracer:
 
     @property
     def frames_dropped(self) -> int:
-        return (self.count(DROP_QUEUE) + self.count(DROP_LINK_DOWN)
-                + self.count(DROP_TTL))
-
-    def deliveries_for(self, frame_uid: int) -> List[TraceRecord]:
-        """All delivery records for one logical frame (needs records)."""
-        return [rec for rec in self.records
-                if rec.kind == DELIVERED and rec.frame_uid == frame_uid]
-
-    def link_load_bytes(self, ethertype: Optional[int] = None
-                        ) -> Dict[str, int]:
-        """Total bytes carried per link, optionally for one ethertype
-        (needs records)."""
-        load: Dict[str, int] = defaultdict(int)
-        for rec in self.records:
-            if rec.kind == SENT and (ethertype is None
-                                     or rec.ethertype == ethertype):
-                load[rec.link] += rec.size
-        return dict(load)
+        return self.count(DROP_QUEUE) + self.count(DROP_LINK_DOWN)
 
     def reset(self) -> None:
-        """Clear all records and counters."""
-        self.records.clear()
-        for tally in self.by_ethertype.values():
-            tally.clear()
+        """Zero every registered direction's tallies, in place."""
+        for direction in self._directions:
+            for name in TALLIES:
+                getattr(direction, name).clear()
 
     def __repr__(self) -> str:
         return (f"<Tracer sent={self.frames_sent} "

@@ -9,11 +9,13 @@ importable from tests, benchmarks and examples alike.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.config import ArpPathConfig
 from repro.frames.ipv4 import IPv4Address
 from repro.frames.mac import MAC
+from repro.netsim.engine import Simulator
+from repro.netsim.tracer import TraceRecord
 from repro.topology.builder import Network
 
 
@@ -26,6 +28,14 @@ def ping_once(net: Network, src: str, dst: str,
     source.ping(target.ip, on_reply=lambda seq, rtt: rtts.append(rtt))
     net.run(timeout)
     return rtts[0] if rtts else None
+
+
+def record_trace(sim: Simulator) -> List[TraceRecord]:
+    """A list that collects every record *sim*'s tracer builds from now
+    on (detach with ``sim.tracer.remove_listener(records.append)``)."""
+    records: List[TraceRecord] = []
+    sim.tracer.add_listener(records.append)
+    return records
 
 
 def mac(index: int) -> MAC:

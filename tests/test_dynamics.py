@@ -143,7 +143,6 @@ class TestTimelineExecution:
         migrations no link may count a delivery while it is down or
         detached."""
         sim = demo.sim
-        sim.tracer.keep_records = False
         demo.run(0.01)              # the t=5 s hellos land: wires idle
         over_dead_link = []
         in_flight = Counter()       # sent - delivered, per link

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_IPV4,
-                                   EthernetFrame)
+from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.frames.mac import mac_for_host
 from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
@@ -16,6 +15,7 @@ from repro.netsim.errors import TopologyError
 from repro.netsim.link import Link
 from repro.netsim.node import Node, Port
 from repro.switching.base import Bridge
+from repro.testing import record_trace
 
 H0, H1 = mac_for_host(0), mac_for_host(1)
 
@@ -450,20 +450,17 @@ class TestCongestedTransmitter:
         assert link.queue_drops == {"a.p0": 0, "b.p0": 0}
 
     def test_enabling_record_retention_mid_run_takes_effect(self, sim, wire):
-        """tracer.keep_records flipped mid-run re-enables record
-        materialisation on the link fast path (count_only tracks it)."""
+        """A recording listener attached mid-run sees the link fast
+        path's next events (count_only tracks the listener list)."""
         a, b, _link = wire
-        sim.tracer.keep_records = False
         assert sim.tracer.count_only
         a.ports[0].send(make_frame())
         sim.run()
-        assert sim.tracer.records == []
-        sim.tracer.keep_records = True
+        records = record_trace(sim)
         assert not sim.tracer.count_only
         a.ports[0].send(make_frame())
         sim.run()
-        kinds = [rec.kind for rec in sim.tracer.records]
-        assert trc.SENT in kinds and trc.DELIVERED in kinds
+        assert [rec.kind for rec in records] == [trc.SENT, trc.DELIVERED]
         assert sim.tracer.frames_delivered == 2  # counters never paused
 
     def test_transmitter_idles_after_queue_drains(self, sim, wire):
@@ -501,6 +498,7 @@ class TestOneDeliveryInstant:
         *export*: the instant handed to the hook) and the frames, all
         in sending order."""
         sim = Simulator(seed=0)
+        records = record_trace(sim)
         a, b = Sink(sim, "a"), Sink(sim, "b")
         link = Link(sim, a.add_port(), b.add_port(), latency=self.LATENCY,
                     bandwidth=self.BANDWIDTH, queue_capacity=64)
@@ -513,7 +511,7 @@ class TestOneDeliveryInstant:
         sim.at(self.START,
                lambda: [a.ports[0].send(frame) for frame in frames])
         sim.run()
-        started_at = [record.time for record in sim.tracer.records
+        started_at = [record.time for record in records
                       if record.kind == trc.SENT]
         if export:
             assert not b.received
@@ -538,10 +536,6 @@ class TestOneDeliveryInstant:
         assert (started_at, exported_at) == self.run_burst(count)[:2]
 
 
-#: One ethertype per direction, so the tracer's per-ethertype tally is
-#: a per-direction tally.
-_DIR_ETHERTYPES = (ETHERTYPE_IPV4, ETHERTYPE_ARP)
-
 _fifo_ops = st.lists(
     st.tuples(st.sampled_from(("send", "send", "send", "down", "up")),
               st.sampled_from((0, 1)),               # direction
@@ -558,18 +552,22 @@ class TestInFlightFifo:
     """``_Direction.pending`` is exactly the deliveries in flight, in
     firing order — the invariant ``Link._deliver``'s head pop and
     ``take_down``'s unconditional cancel rely on (link module
-    docstring)."""
+    docstring) — and each direction's own tallies conserve frames
+    (``docs/ARCHITECTURE.md`` §11): ``sent == delivered + in-flight
+    carrier drops + len(pending)``, after every engine step."""
 
     @settings(max_examples=120, deadline=None)
     @given(ops=_fifo_ops,
            bandwidth=st.sampled_from((None, 1e8, 1e9)),
            queue_capacity=st.sampled_from((0, 2, 64)),
            latency=st.sampled_from((0.0, 1e-6, 5e-5)),
-           keep_records=st.booleans())
+           listening=st.booleans())
     def test_pending_is_the_in_flight_fifo(self, ops, bandwidth,
                                            queue_capacity, latency,
-                                           keep_records):
-        sim = Simulator(seed=1, keep_trace_records=keep_records)
+                                           listening):
+        sim = Simulator(seed=1)
+        if listening:
+            record_trace(sim)
         nodes = Sink(sim, "a"), Sink(sim, "b")
         link = Link(sim, nodes[0].add_port(), nodes[1].add_port(),
                     latency=latency, bandwidth=bandwidth,
@@ -585,7 +583,6 @@ class TestInFlightFifo:
             heap = sorted((entry for entry in sim._queue
                            if not entry[3].cancelled),
                           key=lambda entry: entry[:3])
-            count = sim.tracer.count
             for index, direction in enumerate(directions):
                 pending = list(direction.pending)
                 assert all(event._sim is sim and not event.cancelled
@@ -596,12 +593,12 @@ class TestInFlightFifo:
                     entry[3] for entry in heap
                     if entry[3].callback == link._deliver_cb
                     and entry[3].args[0] is direction]
-                ethertype = _DIR_ETHERTYPES[index]
-                delivered = count(trc.DELIVERED, ethertype)
+                delivered = sum(direction.delivered.values())
                 assert delivered == len(nodes[1 - index].received)
-                assert count(trc.SENT, ethertype) == (
-                    delivered + direction.carrier_drops - unsent[index]
-                    + len(pending))
+                in_flight_drops = sum(
+                    direction.drop_link_down.values()) - unsent[index]
+                assert sum(direction.sent.values()) == (
+                    delivered + in_flight_drops + len(pending))
 
         def step_until(instant):
             while sim.pending_events and sim.next_event_time() <= instant:
@@ -618,7 +615,7 @@ class TestInFlightFifo:
                 for size in sizes:
                     # Not Port.send: it swallows sends on a dead link.
                     link.transmit(ports[index], EthernetFrame(
-                        dst=H1, src=H0, ethertype=_DIR_ETHERTYPES[index],
+                        dst=H1, src=H0, ethertype=ETHERTYPE_IPV4,
                         payload=b"x" * size))
                 if not link.up:
                     unsent[index] += len(sizes)
@@ -638,7 +635,7 @@ class TestInFlightFifo:
                    for direction in directions)
         assert sim.audit_pending_events() == 0
         assert sim.tracer.counts[trc.SENT] == sum(
-            sim.tracer.by_ethertype[trc.SENT].values())
+            sum(direction.sent.values()) for direction in directions)
 
 
 class TestNode:

@@ -371,8 +371,7 @@ def _cut_flap_worker(shard_id, shard_count, endpoint):
     """A flow over B1-B2 — the cut at K=2 — while that link flaps:
     200 us of propagation keeps some 20 frames in flight at the cut,
     part released on the importing engine, part still staged."""
-    sim = Simulator(seed=derive_shard_seed(3, shard_id),
-                    keep_trace_records=False)
+    sim = Simulator(seed=derive_shard_seed(3, shard_id))
     net = line(sim, arppath(), 4, latency=2e-4)
     runtime = ShardRuntime(sim, shard_id, endpoint)
     runtime.adopt(net, partition_network(net, shard_count))

@@ -172,7 +172,7 @@ class TestStormOnLoop:
     def test_learning_switches_melt_down_on_a_ring(self):
         """The didactic failure ARP-Path exists to avoid: broadcast on a
         loop without a control plane storms forever."""
-        sim = Simulator(seed=0, keep_trace_records=False)
+        sim = Simulator(seed=0)
         net = ring(sim, learning(), 4)
         net.start()
         net.host("H0").gratuitous_arp()
