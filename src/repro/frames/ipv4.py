@@ -91,7 +91,10 @@ class IPv4Address:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("ipv4", self._value))
+        # The 32-bit value itself, like ``MAC``: allocation-free and the
+        # same under every ``PYTHONHASHSEED``, so set and dict order of
+        # addresses never depends on the interpreter's hash seed.
+        return self._value
 
     def __int__(self) -> int:
         return self._value

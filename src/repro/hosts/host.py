@@ -18,7 +18,7 @@ from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_IPV4,
 from repro.frames.icmp import IcmpEcho, make_echo_request
 from repro.frames.ipv4 import (DEFAULT_TTL, IPv4Address, IPv4Packet,
                                PROTO_ICMP, PROTO_UDP)
-from repro.frames.mac import BROADCAST, MAC
+from repro.frames.mac import _GROUP_BIT, BROADCAST, MAC
 from repro.frames.udp import UdpDatagram
 from repro.hosts.arpcache import (ArpCache, DEFAULT_ARP_TIMEOUT,
                                   DEFAULT_MAX_RETRIES,
@@ -81,7 +81,7 @@ class Host(Node):
         self._ip_ident = (self._ip_ident + 1) & 0xFFFF
         packet = IPv4Packet(src=self.ip, dst=dst_ip, proto=proto,
                             payload=payload, ttl=ttl, ident=self._ip_ident)
-        mac = self.arp_cache.lookup(dst_ip, self.sim.now)
+        mac = self.arp_cache.lookup(dst_ip, self.sim._now)
         if mac is not None:
             self._transmit_ip(mac, packet)
             return
@@ -164,30 +164,38 @@ class Host(Node):
     # -- receiving -----------------------------------------------------------
 
     def handle_frame(self, port: Port, frame: EthernetFrame) -> None:
-        if frame.src == self.mac:
+        # Classified on the addresses' integers: ours when addressed to
+        # us or to a group (broadcast included) and not sent by us.
+        mine = self.mac._value
+        dst = frame.dst._value
+        if (dst != mine and not dst & _GROUP_BIT) \
+                or frame.src._value == mine:
             return
-        if not frame.dst.is_broadcast and frame.dst != self.mac \
-                and not frame.dst.is_multicast:
-            return
+        payload = frame.payload
         if frame.ethertype == ETHERTYPE_ARP \
-                and isinstance(frame.payload, ArpPacket):
-            self._handle_arp(frame.payload)
+                and isinstance(payload, ArpPacket):
+            self._handle_arp(payload)
         elif frame.ethertype == ETHERTYPE_IPV4 \
-                and isinstance(frame.payload, IPv4Packet):
-            self._handle_ip(frame.payload)
+                and isinstance(payload, IPv4Packet):
+            self._handle_ip(payload)
         # Other ethertypes (BPDU, ARP-Path control) are ignored: hosts
         # are unmodified.
 
     def _handle_arp(self, pkt: ArpPacket) -> None:
-        # Opportunistically learn the sender binding (standard practice).
-        if int(pkt.spa) != 0:
-            self.arp_cache.insert(pkt.spa, pkt.sha, self.sim.now)
-            self._flush_pending(pkt.spa)
-        if pkt.is_request:
+        spa = pkt.spa
+        if spa._value != 0:
+            # Opportunistically learn the sender binding (standard
+            # practice), then release what waited for it.
+            cache = self.arp_cache
+            mac = cache.insert(spa, pkt.sha, self.sim._now)
+            if mac is not None and cache._pending:
+                self._flush_pending(spa, mac)
+        if pkt.op == arp_proto.OP_REQUEST:
             self.counters.arp_requests_received += 1
-            if pkt.tpa == self.ip and pkt.spa != self.ip:
+            ip = self.ip._value
+            if pkt.tpa._value == ip and spa._value != ip:
                 reply = arp_proto.make_reply(self.mac, self.ip,
-                                             pkt.sha, pkt.spa)
+                                             pkt.sha, spa)
                 self.counters.arp_replies_sent += 1
                 self.port.send(EthernetFrame(dst=pkt.sha, src=self.mac,
                                              ethertype=ETHERTYPE_ARP,
@@ -195,10 +203,7 @@ class Host(Node):
         else:
             self.counters.arp_replies_received += 1
 
-    def _flush_pending(self, ip: IPv4Address) -> None:
-        mac = self.arp_cache.lookup(ip, self.sim.now)
-        if mac is None:
-            return
+    def _flush_pending(self, ip: IPv4Address, mac: MAC) -> None:
         for packet in self.arp_cache.take_pending(ip):
             self._transmit_ip(mac, packet)
 
@@ -209,7 +214,7 @@ class Host(Node):
                                      payload=packet))
 
     def _handle_ip(self, packet: IPv4Packet) -> None:
-        if packet.dst != self.ip:
+        if packet.dst._value != self.ip._value:
             self.counters.ip_foreign += 1
             return
         self.counters.ip_received += 1

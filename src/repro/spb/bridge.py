@@ -85,6 +85,10 @@ class SpbBridge(Bridge):
         self._hello_seq = 0
         self._version = 0
         self._spf_cache: Dict[MAC, Tuple[int, _SpfResult]] = {}
+        #: The two-way adjacency graph of LSDB version ``[0]``, shared by
+        #: every root's SPF run at that version.
+        self._graph: Tuple[int, Dict[MAC, List[Tuple[MAC, float]]]] = \
+            (-1, {})
         self._hello_timer = None
         self._refresh_timer = None
 
@@ -262,7 +266,11 @@ class SpbBridge(Bridge):
     # -- SPF ---------------------------------------------------------------
 
     def _bidirectional_edges(self) -> Dict[MAC, List[Tuple[MAC, float]]]:
-        """The adjacency graph, keeping only two-way-confirmed links."""
+        """The adjacency graph, keeping only two-way-confirmed links.
+
+        Each bridge's list is sorted by neighbour MAC value, the order
+        :meth:`_spf` relaxes edges in.
+        """
         reported: Dict[MAC, Dict[MAC, float]] = {}
         for origin, (lsp, _received) in self._lsdb.items():
             reported[origin] = {adj.neighbor: adj.cost
@@ -275,6 +283,8 @@ class SpbBridge(Bridge):
                     continue
                 graph.setdefault(origin, []).append(
                     (neighbor, max(cost, back[origin])))
+        for edges in graph.values():
+            edges.sort(key=lambda edge: edge[0]._value)
         return graph
 
     def _spf(self, root: MAC) -> _SpfResult:
@@ -288,7 +298,10 @@ class SpbBridge(Bridge):
         if cached is not None and cached[0] == self._version:
             return cached[1]
         self.spb_counters.spf_runs += 1
-        graph = self._bidirectional_edges()
+        version, graph = self._graph
+        if version != self._version:
+            graph = self._bidirectional_edges()
+            self._graph = (self._version, graph)
         dist: Dict[MAC, float] = {root: 0.0}
         parent: Dict[MAC, Optional[MAC]] = {root: None}
         # Heap entries: (distance, node MAC value, node) — the MAC value
@@ -300,8 +313,7 @@ class SpbBridge(Bridge):
             if node in done:
                 continue
             done.add(node)
-            for neighbor, cost in sorted(graph.get(node, []),
-                                         key=lambda e: e[0].value):
+            for neighbor, cost in graph.get(node, ()):
                 nd = d + cost
                 old = dist.get(neighbor)
                 better = old is None or nd < old
@@ -318,25 +330,27 @@ class SpbBridge(Bridge):
 
     def _first_hop(self, toward: MAC) -> Optional[MAC]:
         """The neighbour on our shortest path toward bridge *toward*."""
-        spf = self._spf(self.mac)
-        if toward not in spf.dist:
+        parent = self._spf(self.mac).parent
+        up = parent.get(toward)
+        if up is None:              # unreachable, or ourselves
             return None
+        mine = self.mac._value
         node = toward
-        while spf.parent.get(node) is not None \
-                and spf.parent[node] != self.mac:
-            node = spf.parent[node]
-        if spf.parent.get(node) != self.mac:
-            return None
+        while up._value != mine:
+            node = up
+            up = parent[node]
+            if up is None:
+                return None
         return node
 
     def attachment_bridge(self, host: MAC) -> Optional[MAC]:
         """The bridge advertising *host*, per the LSDB."""
-        if host in self._local_hosts:
-            port, deadline = self._local_hosts[host]
-            if deadline > self.sim.now:
-                return self.mac
+        local = self._local_hosts.get(host)
+        if local is not None and local[1] > self.sim._now:
+            return self.mac
+        value = host._value
         for origin, (lsp, _received) in self._lsdb.items():
-            if host in lsp.hosts:
+            if value in lsp.host_values:
                 return origin
         return None
 

@@ -9,8 +9,8 @@ flooded link-state packets carrying adjacencies plus attached hosts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import FrozenSet, Tuple
 
 from repro.frames.mac import MAC
 
@@ -56,16 +56,25 @@ class LinkStatePacket:
     link-state control plane has no knowledge of actual queueing or
     propagation latency, which is precisely the gap the ARP-Path race
     exploits.
+
+    ``host_values`` is the set of the hosts' integer values, filled once
+    at construction so "does this LSP advertise host H?" is one int hash
+    instead of a scan of ``hosts``. It is not part of ``==``, ``hash``,
+    ``repr`` or the wire codec.
     """
 
     origin: MAC
     seq: int
     adjacencies: Tuple[Adjacency, ...] = ()
     hosts: Tuple[MAC, ...] = ()
+    host_values: FrozenSet[int] = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.seq < 0:
             raise ValueError("LSP sequence must be non-negative")
+        object.__setattr__(self, "host_values",
+                           frozenset(mac._value for mac in self.hosts))
 
     @property
     def wire_size(self) -> int:

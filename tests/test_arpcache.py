@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frames.ipv4 import ip_for_host
+from repro.frames.ipv4 import IPv4Address, ip_for_host
 from repro.frames.mac import mac_for_host
 from repro.hosts.arpcache import ArpCache
 
@@ -56,12 +56,35 @@ class TestLookups:
         assert IP0 in cache and IP1 not in cache
         assert len(cache) == 1
 
-    def test_hit_counters(self):
+    def test_insert_returns_the_mac(self):
         cache = ArpCache()
+        assert cache.insert(IP0, M0, now=0.0) == M0
+
+    def test_refresh_is_in_place(self):
+        cache = ArpCache(timeout=10.0)
         cache.insert(IP0, M0, now=0.0)
-        cache.lookup(IP0, now=0.0)
-        cache.lookup(IP1, now=0.0)
-        assert cache.lookups == 2 and cache.hits == 1
+        cache.insert(IP1, M1, now=0.0)
+        entry = cache._entries[IP0.value]
+        cache.insert(IP0, M1, now=5.0)
+        assert cache._entries[IP0.value] is entry
+        assert (entry.mac, entry.expires) == (M1, 15.0)
+        assert list(cache._entries) == [IP0.value, IP1.value]
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_binding_born_expired_is_not_kept(self, timeout):
+        """``timeout <= 0``: an insert followed by a lookup at the same
+        instant has always left no entry behind; the insert alone now
+        does, and drops an older binding for the address too."""
+        cache = ArpCache(timeout=timeout)
+        assert cache.insert(IP0, M0, now=1.0) is None
+        assert IP0 not in cache and len(cache) == 0
+        assert cache.lookup(IP0, now=1.0) is None
+
+        live = ArpCache(timeout=10.0)
+        live.insert(IP0, M0, now=0.0)
+        live.timeout = timeout
+        assert live.insert(IP0, M1, now=1.0) is None
+        assert len(live) == 0
 
 
 class TestPendingQueue:
@@ -100,7 +123,8 @@ class TestPendingQueue:
         cache = ArpCache()
         cache.park(IP0, "a")
         cache.park(IP1, "b")
-        assert set(cache.pending_ips) == {IP0, IP1}
+        assert cache.pending_ips == [IP0, IP1]
+        assert all(isinstance(ip, IPv4Address) for ip in cache.pending_ips)
 
     def test_take_cancels_retry_event(self):
         class FakeEvent:

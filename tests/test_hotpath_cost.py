@@ -21,6 +21,12 @@ engine a handful of events and no retained ``Event`` per row.
 The fourth guard is on the baseline family: an 802.1D bridge recomputes
 on change, not on receipt (``stp.bridge`` docstring), so the hellos of a
 converged tree run no ``_recompute`` at all and a cut runs a bounded few.
+
+The last three guard the end host and SPB's attachment lookup, which
+compare addresses as integers (ARCHITECTURE §7 "Hosts compare
+integers", §9): a received broadcast ARP and a UDP packet cost a fixed
+handful of calls, and finding a host's bridge costs no ``MAC.__eq__``
+however many hosts the LSDB advertises.
 """
 
 import gc
@@ -29,13 +35,15 @@ import sys
 import pytest
 
 from repro.core.table import LockedAddressTable
+from repro.frames.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
 from repro.frames.mac import MAC
+from repro.hosts.host import Host
 from repro.netsim.aging import RECLAIM_GRANULE
 from repro.netsim.engine import Event, Simulator
 from repro.netsim.tracer import DELIVERED
 from repro.stp import PortState
 from repro.topology import grid, line, ring
-from repro.topology.factories import arppath, stp_scaled
+from repro.topology.factories import arppath, spb, stp_scaled
 from repro.traffic.matrix import TrafficMatrix
 
 #: Python calls per link delivery on the warm 8-bridge line. The parent
@@ -199,3 +207,114 @@ def test_stp_hellos_recompute_nothing_and_a_cut_a_bounded_few(wiring):
     net.run(8.0)
     repair = _stp_total(net, "recomputes") - recomputes
     assert 2 <= repair <= 2 * len(net.fabric_links()), repair
+
+
+# -- what an end host and an SPB attachment lookup cost ----------------------
+
+def _calls_under(code, ethertype, run, *args):
+    """(Python calls made by *code* and everything below it, entries of
+    *code*), counting only entries whose ``frame`` argument, when it has
+    one, carries *ethertype*."""
+    calls = depth = entries = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls, depth, entries
+        if event == "call":
+            if depth:
+                depth += 1
+                calls += 1
+            elif frame.f_code is code and (
+                    ethertype is None
+                    or frame.f_locals["frame"].ethertype == ethertype):
+                depth, entries, calls = 1, entries + 1, calls + 1
+        elif event == "return" and depth:
+            depth -= 1
+
+    sys.setprofile(profiler)
+    try:
+        run(*args)
+    finally:
+        sys.setprofile(None)
+    return calls, entries
+
+
+def _occupancy_ring(factory, hosts_per_bridge=4):
+    """The ``occupancy`` wiring: a 4-bridge ring, 16 hosts by default."""
+    sim = Simulator(seed=1, keep_trace_records=False)
+    net = ring(sim, factory, 4, hosts_per_bridge=hosts_per_bridge)
+    net.run(1.0)
+    return sim, net
+
+
+#: Python calls per broadcast ARP a host receives (handle_frame and all
+#: below it). The parent of the integer host stack measured 16.0; the
+#: change itself 4.0 (the first binding of each sender allocates an
+#: ``ArpEntry``).
+MAX_CALLS_PER_HOST_ARP = 5
+
+
+def test_a_host_hears_a_broadcast_arp_in_a_few_python_calls():
+    sim, net = _occupancy_ring(arppath())
+    for host in net.hosts.values():
+        host.gratuitous_arp()            # every host hears 15 of these
+    calls, heard = _calls_under(Host.handle_frame.__code__, ETHERTYPE_ARP,
+                                sim.run_for, 0.01)
+    assert heard == 16 * 15
+    assert calls / heard <= MAX_CALLS_PER_HOST_ARP, (
+        f"{calls} Python calls for {heard} received broadcast ARPs")
+
+
+#: Python calls per UDP packet in the two hosts: ``send_udp`` down to the
+#: sending NIC's link, plus ``handle_frame`` up to the sink callback
+#: (itself included). The parent measured 19.4; the change itself 13.4.
+MAX_CALLS_PER_UDP_PACKET = 14.4
+
+
+def test_a_udp_packet_costs_the_hosts_a_fixed_handful_of_calls():
+    sim, net = _occupancy_ring(arppath())
+    src, dst = net.hosts["H0"], net.hosts["H15"]
+    sink = []
+    dst.bind_udp(5001, lambda *args: sink.append(args))
+    src.send_udp(dst.ip, 5000, 5001, b"warm")     # resolves, locks the path
+    sim.run_for(0.01)
+    assert len(sink) == 1
+
+    sent = 0
+    for _ in range(20):
+        calls, entries = _calls_under(Host.send_udp.__code__, None,
+                                      src.send_udp, dst.ip, 5000, 5001,
+                                      b"x" * 64)
+        sent += calls
+    assert entries == 1
+    received, heard = _calls_under(Host.handle_frame.__code__,
+                                   ETHERTYPE_IPV4, sim.run_for, 0.01)
+    assert heard == 20 and len(sink) == 21
+    per_packet = (sent + received) / 20
+    assert per_packet <= MAX_CALLS_PER_UDP_PACKET, per_packet
+
+
+#: ``MAC.__eq__`` calls per ``attachment_bridge`` lookup of a remote
+#: host. The parent scanned each LSP's host tuple and measured 2.0 with
+#: one host per bridge and 9.5 with four; the change itself 0 and 0.
+MAX_EQ_PER_ATTACHMENT = 1
+
+
+@pytest.mark.parametrize("hosts_per_bridge", [1, 4])
+def test_spb_finds_a_hosts_bridge_without_comparing_macs(hosts_per_bridge):
+    sim, net = _occupancy_ring(spb(), hosts_per_bridge)
+    sim.run_for(8.0)                      # SPB warm-up: adjacencies, LSDB
+    for host in net.hosts.values():
+        host.gratuitous_arp()             # attaches every host
+    sim.run_for(1.0)
+    bridge = net.bridges["B0"]
+    remote = [host.mac for host in net.hosts.values()
+              if bridge.attachment_bridge(host.mac) != bridge.mac]
+    assert len(remote) == 3 * hosts_per_bridge
+
+    def lookup_all():
+        for mac in remote:
+            assert bridge.attachment_bridge(mac) is not None
+
+    calls, _ = _calls_under(MAC.__eq__.__code__, None, lookup_all)
+    assert calls / len(remote) <= MAX_EQ_PER_ATTACHMENT, (
+        f"{calls} MAC.__eq__ calls for {len(remote)} lookups")

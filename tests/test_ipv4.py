@@ -1,9 +1,14 @@
 """Tests for repro.frames.ipv4."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.frames.ipv4 import (DEFAULT_TTL, IPV4_HEADER_LEN, IPv4Address,
                                IPv4Packet, PROTO_ICMP, PROTO_UDP, ip_for_host,
                                payload_size)
@@ -70,6 +75,24 @@ class TestAddress:
     def test_str_round_trip(self, value):
         original = IPv4Address(value)
         assert IPv4Address(str(original)) == original
+
+    def test_hash_is_the_value(self):
+        assert hash(IPv4Address("10.0.0.1")) == 0x0A000001
+
+    def test_hash_and_set_order_ignore_the_hash_seed(self):
+        """Two interpreters under different ``PYTHONHASHSEED``s agree on
+        an address's hash and on the iteration order of a set of them."""
+        probe = ("from repro.frames.ipv4 import IPv4Address as A\n"
+                 "ips = [A('10.0.0.%d' % i) for i in (9, 1, 200, 3, 77)]\n"
+                 "print(hash(ips[1]), [str(ip) for ip in set(ips)])\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", probe], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(outputs) == 1, outputs
 
 
 class TestHostAllocator:
