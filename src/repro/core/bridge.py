@@ -600,11 +600,6 @@ class ArpPathBridge(Bridge):
         entry = self.table.get(mac, self.sim.now)
         return entry.port if entry is not None else None
 
-    def host_ports(self) -> List[Port]:
-        """Attached ports currently classified as host-facing."""
-        return [port for port in self.attached_ports
-                if self.is_host_port(port)]
-
     def state_entries(self, now: Optional[float] = None) -> int:
         """Locked-table entries live at *now* (locked + learnt)."""
         occ = self.table.occupancy(self.sim.now if now is None else now)

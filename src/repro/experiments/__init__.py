@@ -10,11 +10,10 @@ generated from that table.
 from repro.experiments import (ablations, broadcast, fig2_latency,
                                fig3_repair, loadbalance, loopfree,
                                occupancy, registry, stretch)
-from repro.experiments.common import (ProtocolSpec, WARMUP, build_and_warm,
-                                      default_comparison, spec)
+from repro.experiments.common import ProtocolSpec, build_and_warm, spec
 
 __all__ = [
     "ablations", "broadcast", "fig2_latency", "fig3_repair", "loadbalance",
     "loopfree", "occupancy", "registry", "stretch",
-    "ProtocolSpec", "WARMUP", "build_and_warm", "default_comparison", "spec",
+    "ProtocolSpec", "build_and_warm", "spec",
 ]

@@ -12,22 +12,12 @@ registry; :func:`spec` is a view over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.config import ArpPathConfig
 from repro.netsim.engine import Simulator
 from repro.switching import base
 from repro.topology.builder import BridgeFactory, Network
-
-
-def _warmups() -> Dict[str, float]:
-    return {fam.name: fam.warmup for fam in base.all_families()}
-
-
-#: Warmup budget (simulated seconds) per protocol: long enough for the
-#: control plane to settle before measurement traffic starts. Derived
-#: from the family registry.
-WARMUP = _warmups()
 
 
 @dataclass(frozen=True)
@@ -66,11 +56,6 @@ def spec(protocol: str, *, arppath_config: Optional[ArpPathConfig] = None,
         default_warmup = fam.warmup
     return ProtocolSpec(name=name, factory=factory,
                         warmup=warmup if warmup is not None else default_warmup)
-
-
-def default_comparison() -> List[ProtocolSpec]:
-    """The demo's comparison set: ARP-Path vs 802.1D STP."""
-    return [spec("arppath"), spec("stp")]
 
 
 def build_and_warm(topology: Callable[..., Network], protocol: ProtocolSpec,

@@ -19,12 +19,12 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec, build_and_warm, spec
-from repro.frames.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
+from repro.frames.ethernet import ETHERTYPE_IPV4
 from repro.metrics.load import fabric_load
 from repro.metrics.report import format_table
 from repro.netsim.tracer import DELIVERED
 from repro.topology.library import grid, ring
-from repro.traffic.matrix import TrafficMatrix, all_pairs_arp_warmup
+from repro.traffic.matrix import TrafficMatrix
 
 
 @dataclass
@@ -36,10 +36,6 @@ class LoopfreeRow:
     storm: bool
     used_links: int
     total_links: int
-
-    @property
-    def all_links_used(self) -> bool:
-        return self.used_links == self.total_links
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Frame and packet models: Ethernet, ARP, IPv4, UDP, ICMP, ARP-Path control.
 
-This package is the wire-format substrate everything else builds on.
+This package is the frame substrate everything else builds on.
 """
 
 from repro.frames.arp import (ArpPacket, OP_REPLY, OP_REQUEST, make_gratuitous,
@@ -9,10 +9,10 @@ from repro.frames.control import (ArpPathControl, HELLO_MULTICAST, OP_HELLO,
                                   OP_PATH_FAIL, OP_PATH_REPLY,
                                   OP_PATH_REQUEST, make_hello, make_path_fail,
                                   make_path_reply, make_path_request)
-from repro.frames.ethernet import (ETH_MIN_FRAME, ETH_MTU_PAYLOAD,
-                                   ETHERTYPE_ARP, ETHERTYPE_ARPPATH,
-                                   ETHERTYPE_BPDU, ETHERTYPE_IPV4,
-                                   ETHERTYPE_LSP, EthernetFrame, STP_MULTICAST,
+from repro.frames.ethernet import (ETH_MIN_FRAME, ETHERTYPE_ARP,
+                                   ETHERTYPE_ARPPATH, ETHERTYPE_BPDU,
+                                   ETHERTYPE_IPV4, ETHERTYPE_LSP,
+                                   EthernetFrame, STP_MULTICAST,
                                    broadcast_frame)
 from repro.frames.icmp import (IcmpEcho, TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST,
                                make_echo_request)
@@ -27,7 +27,7 @@ __all__ = [
     "ArpPathControl", "HELLO_MULTICAST", "OP_HELLO", "OP_PATH_FAIL",
     "OP_PATH_REPLY", "OP_PATH_REQUEST", "make_hello", "make_path_fail",
     "make_path_reply", "make_path_request",
-    "ETH_MIN_FRAME", "ETH_MTU_PAYLOAD", "ETHERTYPE_ARP", "ETHERTYPE_ARPPATH",
+    "ETH_MIN_FRAME", "ETHERTYPE_ARP", "ETHERTYPE_ARPPATH",
     "ETHERTYPE_BPDU", "ETHERTYPE_IPV4", "ETHERTYPE_LSP", "EthernetFrame",
     "STP_MULTICAST", "broadcast_frame",
     "IcmpEcho", "TYPE_ECHO_REPLY", "TYPE_ECHO_REQUEST", "make_echo_request",

@@ -13,9 +13,6 @@ from repro.frames.mac import MAC, ZERO
 OP_REQUEST = 1
 OP_REPLY = 2
 
-HTYPE_ETHERNET = 1
-PTYPE_IPV4 = 0x0800
-
 ARP_WIRE_SIZE = 28
 
 

@@ -2,8 +2,8 @@
 
 Frames are the unit of exchange in the simulator. A frame carries a
 typed payload object (ARP packet, IPv4 packet, BPDU, ARP-Path control
-message or raw bytes); :mod:`repro.frames.codec` can serialise the whole
-thing to wire bytes and back.
+message or raw bytes) and is never encoded to bytes: a link needs only
+its :attr:`EthernetFrame.wire_size`.
 
 Flooded copies race through the network independently — the mechanism
 ARP-Path's path discovery exploits — but since PR 5 they are
@@ -54,7 +54,6 @@ STP_MULTICAST = MAC("01:80:c2:00:00:00")
 ETH_HEADER_LEN = 14
 ETH_FCS_LEN = 4
 ETH_MIN_FRAME = 64
-ETH_MTU_PAYLOAD = 1500
 
 #: Frame classification codes cached on the frame (see
 #: :meth:`EthernetFrame.kind`): a multicast ARP probe, any other

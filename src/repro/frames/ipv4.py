@@ -1,10 +1,8 @@
 """Minimal IPv4 model: addresses and packets.
 
 Only the pieces the reproduction needs — addressing, protocol numbers,
-TTL handling — are modelled; options, fragmentation and checksums over
-simulated payload objects are intentionally out of scope (the simulator
-never corrupts frames; the byte codec in :mod:`repro.frames.codec` still
-emits a valid header checksum for serialised packets).
+TTL handling — are modelled; options, fragmentation and checksums are
+intentionally out of scope (the simulator never corrupts frames).
 """
 
 from __future__ import annotations
@@ -75,10 +73,6 @@ class IPv4Address:
     def is_broadcast(self) -> bool:
         """True for the limited broadcast 255.255.255.255."""
         return self._value == _MAX
-
-    def to_bytes(self) -> bytes:
-        """The 4-byte big-endian wire representation."""
-        return self._value.to_bytes(4, "big")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):

@@ -33,7 +33,7 @@ fidelity trades, documented in README "Scale":
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.frames import arp as arp_proto
 from repro.frames.arp import ArpPacket
@@ -210,10 +210,6 @@ class HostPopulation(Node):
         """A flyweight handle on endpoint *index*."""
         self._check_index(index)
         return Endpoint(self, index)
-
-    def endpoint_names(self) -> List[str]:
-        """Every endpoint name (materialises the list — O(N))."""
-        return [f"{self.name}#{i}" for i in range(self.size)]
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.size:

@@ -10,7 +10,7 @@ zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.metrics.stats import coefficient_of_variation, mean
 from repro.topology.builder import Network
@@ -26,12 +26,6 @@ class LoadReport:
     cv: float
     max_over_mean: float
     total_bytes: int
-
-    @property
-    def link_usage_fraction(self) -> float:
-        if self.total_links == 0:
-            return 0.0
-        return self.used_links / self.total_links
 
 
 def fabric_load(net: Network, ethertype: Optional[int] = None) -> LoadReport:

@@ -10,9 +10,8 @@ compared — the EXP-P1 stretch experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.frames.ethernet import EthernetFrame
 from repro.topology.builder import Network, graph_of
 
 
@@ -39,15 +38,6 @@ def min_latency_path(net: Network, src_host: str,
     latency = nx.shortest_path_length(graph, src_host, dst_host,
                                       weight="latency")
     return OraclePath(nodes=tuple(nodes), latency=latency)
-
-
-def observed_path(frame: EthernetFrame, src_host: str) -> Tuple[str, ...]:
-    """The node sequence a delivered frame traversed.
-
-    Requires ``Simulator(trace_hops=True)``; the trace records every
-    node that handled the copy, in order, starting at the first bridge.
-    """
-    return (src_host,) + tuple(frame.path_nodes())
 
 
 def path_latency(net: Network, nodes: Sequence[str]) -> float:
@@ -99,11 +89,3 @@ class PathObserver:
             return None
         return tuple(node for node in self.paths[-1]
                      if node in self.net.bridges)
-
-    def distinct_bridge_paths(self) -> List[Tuple[str, ...]]:
-        """All distinct bridge-level paths seen, in first-seen order."""
-        seen: Dict[Tuple[str, ...], None] = {}
-        for path in self.paths:
-            bridges = tuple(node for node in path if node in self.net.bridges)
-            seen.setdefault(bridges, None)
-        return list(seen)

@@ -8,7 +8,6 @@ from repro.netsim.errors import (AddressError, NetsimError,
 from repro.netsim.link import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY,
                                DEFAULT_QUEUE_CAPACITY, Link)
 from repro.netsim.node import Node, Port
-from repro.netsim.pcap import PcapRecorder, read_pcap
 from repro.netsim.tracer import (DELIVERED, DROP_LINK_DOWN, DROP_QUEUE,
                                  SENT, TraceRecord, Tracer)
 
@@ -19,7 +18,6 @@ __all__ = [
     "TopologyError",
     "DEFAULT_BANDWIDTH", "DEFAULT_LATENCY", "DEFAULT_QUEUE_CAPACITY", "Link",
     "Node", "Port",
-    "PcapRecorder", "read_pcap",
     "DELIVERED", "DROP_LINK_DOWN", "DROP_QUEUE", "SENT",
     "TraceRecord", "Tracer",
 ]

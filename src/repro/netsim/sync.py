@@ -19,8 +19,7 @@ whichever thread makes them. So the receiver can observe no change the
 sender makes after transmit, which is what the parity guarantee
 ("sharded records are byte-identical to single-engine records") needs,
 and it sees the uid, application payload and hop trace the single
-engine would, with no codec in between
-(``tests/test_shard.py::TestHandOver``).
+engine would (``tests/test_shard.py::TestHandOver``).
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ class LinkStatePacket:
     ``host_values`` is the set of the hosts' integer values, filled once
     at construction so "does this LSP advertise host H?" is one int hash
     instead of a scan of ``hosts``. It is not part of ``==``, ``hash``,
-    ``repr`` or the wire codec.
+    ``repr`` or ``wire_size``.
     """
 
     origin: MAC

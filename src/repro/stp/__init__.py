@@ -1,12 +1,10 @@
 """802.1D spanning tree baseline (the protocol the demo compares against)."""
 
-from repro.stp import codec as _codec  # registers the BPDU wire format
 from repro.stp.bpdu import (BridgeId, ConfigBpdu, DEFAULT_BRIDGE_PRIORITY,
                             DEFAULT_PORT_PRIORITY, PATH_COST_1G, PortId,
                             PriorityVector, TcnBpdu)
 from repro.stp.bridge import (MESSAGE_AGE_INCREMENT, PortRole, PortState,
                               StpBridge, StpCounters, StpPortInfo, StpTimers)
-from repro.stp.codec import decode_bpdu, encode_bpdu
 
 __all__ = [
     "BridgeId", "ConfigBpdu", "DEFAULT_BRIDGE_PRIORITY",
@@ -14,5 +12,4 @@ __all__ = [
     "TcnBpdu",
     "MESSAGE_AGE_INCREMENT", "PortRole", "PortState", "StpBridge",
     "StpCounters", "StpPortInfo", "StpTimers",
-    "decode_bpdu", "encode_bpdu",
 ]

@@ -73,11 +73,6 @@ class StpTimers:
                self.message_age_increment) <= 0:
             raise ValueError("STP timers must be positive")
 
-    @property
-    def diameter_limit(self) -> int:
-        """How many hops from the root BPDUs can travel before aging out."""
-        return int(self.max_age / self.message_age_increment)
-
     def scaled(self, factor: float) -> "StpTimers":
         """All timers (including the age increment) multiplied by *factor*."""
         if factor <= 0:
@@ -603,11 +598,6 @@ class StpBridge(Bridge):
         self.fdb.restore_aging()
 
     # -- introspection -----------------------------------------------------
-
-    def forwarding_ports(self):
-        """Ports currently in the FORWARDING state."""
-        return [info.port for info in self._port_info.values()
-                if info.can_forward]
 
     def tree_summary(self) -> dict:
         """A snapshot of the tree as seen from this bridge."""

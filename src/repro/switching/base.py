@@ -238,10 +238,6 @@ class Bridge(Node):
             return 0
         return fdb.live_count(self.sim.now if now is None else now)
 
-    def control_frame_kinds(self) -> Iterable[int]:
-        """The ethertypes this family's control plane emits."""
-        return self._control_ethertypes
-
     def repair_events(self) -> List[float]:
         """Completed path-repair durations (seconds), in completion
         order. Families without a repair mechanism report none."""

@@ -19,7 +19,6 @@ Experiments and topologies need no controller-specific code.
 
 from __future__ import annotations
 
-import repro.switching.controller.codec  # noqa: F401  (codec registration)
 from repro.frames.ethernet import ETHERTYPE_CONTROLLER
 from repro.frames.mac import MAC, mac_for_controller
 from repro.netsim.engine import Simulator

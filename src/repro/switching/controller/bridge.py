@@ -155,9 +155,6 @@ class ControllerBridge(Bridge):
                 self._controller_mac = peer.node.mac
                 return
 
-    def is_controller_port(self, port: Port) -> bool:
-        return port is self._controller_port
-
     # -- southbound channel ------------------------------------------------
 
     def _send_controller(self, msg: ControllerControl) -> None:

@@ -3,9 +3,8 @@
 One message type carries the whole southbound/northbound protocol
 (LLDP discovery, link/host reports, packet-in, flow-mod, barriers and
 flood rules), distinguished by an ``op`` code — the OpenFlow shape
-squeezed into a single fixed layout plus a variable port list, so one
-struct codec (:mod:`repro.switching.controller.codec`) serialises every
-message losslessly.
+squeezed into a single fixed layout plus a variable port list, which is
+what :attr:`ControllerControl.wire_size` charges the link for.
 
 All messages ride ethertype 0x88B7
 (:data:`repro.frames.ethernet.ETHERTYPE_CONTROLLER`). LLDP probes are

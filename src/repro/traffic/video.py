@@ -9,7 +9,7 @@ sequence numbers — which is what we measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.frames.ipv4 import IPv4Address, IPv4Packet
@@ -160,12 +160,6 @@ class VideoSink:
             if stall.end >= fail_time:
                 return stall
         return None
-
-    def worst_gap(self) -> float:
-        """The largest inter-arrival gap (0 for fewer than 2 arrivals)."""
-        if len(self.arrivals) < 2:
-            return 0.0
-        return max(b - a for a, b in zip(self.arrivals, self.arrivals[1:]))
 
 
 def stream_between(source_host: Host, sink_host: Host,

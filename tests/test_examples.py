@@ -49,12 +49,6 @@ class TestExamples:
         assert "PART 1" in out and "PART 2" in out
         assert "repair times" in out
 
-    def test_packet_capture(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # the pcap lands in cwd
-        out = run_example("packet_capture.py", capsys)
-        assert "wrote" in out and "arppath_race.pcap" in out
-        assert (tmp_path / "arppath_race.pcap").exists()
-
     def test_serve_client(self, capsys, monkeypatch):
         # boots an in-process daemon on an ephemeral port, submits a
         # churn grid over HTTP and streams the records back

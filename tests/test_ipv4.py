@@ -69,7 +69,7 @@ class TestAddress:
 
     def test_bytes_round_trip(self):
         original = IPv4Address("172.16.254.3")
-        assert IPv4Address(original.to_bytes()) == original
+        assert IPv4Address(original.value.to_bytes(4, "big")) == original
 
     @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
     def test_str_round_trip(self, value):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.frames.ethernet import ETHERTYPE_ARP
 from repro.metrics.paths import PathObserver
 from repro.netsim.engine import Simulator
-from repro.netsim.tracer import DELIVERED
 from repro.topology import arppath, random_graph
 
 SLOW = settings(max_examples=10, deadline=None,
@@ -175,104 +174,7 @@ class TestRepairProperty:
         assert b"after" in got, f"no recovery on seed {seed}"
 
 
-_macs = st.integers(min_value=0, max_value=(1 << 48) - 1)
-_ips = st.integers(min_value=0, max_value=(1 << 32) - 1)
-_ports = st.integers(min_value=0, max_value=0xFFFF)
-
-
-class TestCodecRoundTrip:
-    """The ``__slots__`` frame classes still round-trip through
-    :mod:`repro.frames.codec` byte-identically: encode → decode →
-    re-encode reproduces the exact wire bytes, and the decoded payload
-    compares equal to the original (value semantics survived the
-    dataclass → slots conversion)."""
-
-    @staticmethod
-    def roundtrip(frame):
-        from repro.frames.codec import decode_frame, encode_frame
-
-        wire = encode_frame(frame)
-        decoded = decode_frame(wire)
-        assert encode_frame(decoded) == wire
-        return decoded
-
-    @settings(max_examples=50, deadline=None)
-    @given(op=st.sampled_from([1, 2]), sha=_macs, spa=_ips, tha=_macs,
-           tpa=_ips, dst=_macs, src=_macs)
-    def test_arp_frames(self, op, sha, spa, tha, tpa, dst, src):
-        from repro.frames.arp import ArpPacket
-        from repro.frames.ethernet import ETHERTYPE_ARP, EthernetFrame
-        from repro.frames.ipv4 import IPv4Address
-        from repro.frames.mac import MAC
-
-        payload = ArpPacket(op=op, sha=MAC(sha), spa=IPv4Address(spa),
-                            tha=MAC(tha), tpa=IPv4Address(tpa))
-        frame = EthernetFrame(dst=MAC(dst), src=MAC(src),
-                              ethertype=ETHERTYPE_ARP, payload=payload)
-        decoded = self.roundtrip(frame)
-        assert decoded.payload == payload
-
-    @settings(max_examples=50, deadline=None)
-    @given(op=st.sampled_from([1, 2, 3, 4]), origin=_macs, source=_macs,
-           target=_macs, seq=st.integers(min_value=0, max_value=2**32 - 1),
-           ttl=_ports)
-    def test_control_frames(self, op, origin, source, target, seq, ttl):
-        from repro.frames.control import ArpPathControl
-        from repro.frames.ethernet import (ETHERTYPE_ARPPATH,
-                                           EthernetFrame)
-        from repro.frames.mac import MAC
-
-        payload = ArpPathControl(op=op, origin=MAC(origin),
-                                 source=MAC(source), target=MAC(target),
-                                 seq=seq, ttl=ttl)
-        frame = EthernetFrame(dst=MAC(0), src=MAC(1),
-                              ethertype=ETHERTYPE_ARPPATH,
-                              payload=payload)
-        decoded = self.roundtrip(frame)
-        assert decoded.payload == payload
-
-    @settings(max_examples=50, deadline=None)
-    @given(src=_ips, dst=_ips, sport=_ports, dport=_ports,
-           body=st.binary(max_size=64),
-           ttl=st.integers(min_value=0, max_value=255),
-           ident=_ports)
-    def test_udp_frames(self, src, dst, sport, dport, body, ttl, ident):
-        from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
-        from repro.frames.ipv4 import (IPv4Address, IPv4Packet,
-                                       PROTO_UDP)
-        from repro.frames.mac import MAC
-        from repro.frames.udp import UdpDatagram
-
-        packet = IPv4Packet(src=IPv4Address(src), dst=IPv4Address(dst),
-                            proto=PROTO_UDP,
-                            payload=UdpDatagram(sport=sport, dport=dport,
-                                                payload=body),
-                            ttl=ttl, ident=ident)
-        frame = EthernetFrame(dst=MAC(2), src=MAC(3),
-                              ethertype=ETHERTYPE_IPV4, payload=packet)
-        decoded = self.roundtrip(frame)
-        assert decoded.payload == packet
-
-    @settings(max_examples=50, deadline=None)
-    @given(icmp_type=st.sampled_from([0, 8]), ident=_ports, seq=_ports,
-           body=st.binary(max_size=64), src=_ips, dst=_ips)
-    def test_icmp_frames(self, icmp_type, ident, seq, body, src, dst):
-        from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
-        from repro.frames.icmp import IcmpEcho
-        from repro.frames.ipv4 import (IPv4Address, IPv4Packet,
-                                       PROTO_ICMP)
-        from repro.frames.mac import MAC
-
-        packet = IPv4Packet(src=IPv4Address(src), dst=IPv4Address(dst),
-                            proto=PROTO_ICMP,
-                            payload=IcmpEcho(icmp_type=icmp_type,
-                                             ident=ident, seq=seq,
-                                             payload=body))
-        frame = EthernetFrame(dst=MAC(4), src=MAC(5),
-                              ethertype=ETHERTYPE_IPV4, payload=packet)
-        decoded = self.roundtrip(frame)
-        assert decoded.payload == packet
-
+class TestFrameSlots:
     def test_frame_classes_have_no_dict(self):
         """The slimming contract: no per-instance ``__dict__`` on any
         frame-layer class."""

@@ -27,7 +27,6 @@ import pytest
 from repro.core.config import ArpPathConfig
 from repro.experiments import churn, common, scale
 from repro.experiments.registry import protocol_specs
-from repro.frames.codec import encode_frame
 from repro.metrics.report import record_line
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
@@ -437,8 +436,9 @@ class TestInFlightFifoAcrossTheCut:
 class TestHandOver:
     """A frame crossing the cut is handed over by reference: the
     importing engine delivers the very object the exporting engine
-    transmitted, and its wire bytes are the same at export, at delivery
-    and at cell end — the immutability the hand-over rests on."""
+    transmitted, and its ``repr`` (addresses, ethertype, payload field
+    by field, uid and hop trace) is the same at export, at delivery and
+    at cell end — the immutability the hand-over rests on."""
 
     CELLS = [pytest.param(protocol, {}, id=protocol)
              for protocol in ("arppath", "stp", "spb", "controller")] \
@@ -449,21 +449,21 @@ class TestHandOver:
     @pytest.fixture
     def crossings(self, monkeypatch):
         """``(exported, delivered)``: every frame object a cut direction
-        exported, by id, with its bytes at each export; every frame the
-        importing side delivered, with its bytes at delivery."""
+        exported, by id, with its ``repr`` at each export; every frame
+        the importing side delivered, with its ``repr`` at delivery."""
         exported, delivered = {}, []
         adopt = ShardRuntime.adopt
 
         def spy_export(export):
             def spy(send_time, deliver_time, frame):
                 exported.setdefault(id(frame), (frame, []))[1].append(
-                    encode_frame(frame))
+                    repr(frame))
                 export(send_time, deliver_time, frame)
             return spy
 
         def spy_deliver(deliver):
             def spy(direction, frame):
-                delivered.append((frame, encode_frame(frame)))
+                delivered.append((frame, repr(frame)))
                 deliver(direction, frame)
             return spy
 
@@ -491,7 +491,7 @@ class TestHandOver:
             source, at_export = exported.get(id(frame), (None, []))
             assert source is frame
             assert set(at_export) == {at_delivery}
-            assert encode_frame(frame) == at_delivery
+            assert repr(frame) == at_delivery
 
 
 def test_link_added_after_adopt_is_refused(sim):
