@@ -9,14 +9,13 @@ through its single tree.
 Run:  python examples/datacenter_loadbalance.py
 """
 
-from repro.experiments import loadbalance
-from repro.experiments.common import spec
+from repro.experiments import registry
 from repro.metrics.report import format_table
 
 
 def main() -> None:
-    result = loadbalance.run(protocols=[
-        spec("arppath"), spec("stp", stp_scale=0.1)])
+    result = registry.get("loadbalance").execute(
+        protocols=["arppath", "stp"], stp_scale=0.1)
     print(result.table())
     print()
     for row in result.rows:

@@ -10,11 +10,11 @@ cites.
 Run:  python examples/proxy_scaling.py
 """
 
-from repro.experiments import broadcast
+from repro.experiments import registry
 
 
 def main() -> None:
-    result = broadcast.run(rows=3, cols=3, rounds=3)
+    result = registry.get("proxy").execute(rows=3, cols=3, rounds=3)
     print(result.table())
     reduction = result.reduction()
     if reduction is not None:

@@ -9,16 +9,13 @@ can see *why* the numbers differ.
 Run:  python examples/stp_comparison.py
 """
 
-from repro.experiments import fig2_latency
-from repro.experiments.common import spec
+from repro.experiments import registry
 
 
 def main() -> None:
-    result = fig2_latency.run(probes=20, protocols=[
-        spec("arppath"),
-        spec("stp", stp_scale=0.1),  # scaled timers; path choice identical
-        spec("spb"),
-    ])
+    # The `repro fig2` defaults: arppath, stp and spb, STP at 10x
+    # scaled timers (its path choice is identical at IEEE timers).
+    result = registry.get("fig2").execute(probes=20)
     print(result.table())
     print()
     speedup = result.speedup()

@@ -2,9 +2,11 @@
 ablations. See DESIGN.md §3 for the experiment index.
 
 Each experiment module self-registers a scenario (name, typed param
-spec, run callable) in :mod:`repro.experiments.registry`; the CLI and
-the parallel sweep runner (:mod:`repro.experiments.runner`) are
-generated from that table.
+spec, one run function whose keywords are the params) in
+:mod:`repro.experiments.registry`; the CLI, the parallel sweep runner
+(:mod:`repro.experiments.runner`), the serve daemon and library callers
+all run a scenario through that table (``registry.get(name).execute``),
+so its defaults live in one place.
 """
 
 from repro.experiments import (ablations, broadcast, fig2_latency,

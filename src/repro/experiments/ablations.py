@@ -22,7 +22,7 @@ from repro.experiments import registry
 from repro.experiments.common import build_and_warm, spec
 from repro.metrics.convergence import recovery_from_arrivals
 from repro.metrics.report import format_table
-from repro.topology.library import DemoParams, netfpga_demo
+from repro.topology.library import netfpga_demo
 from repro.traffic.ping import PingSeries
 from repro.traffic.video import stream_between
 
@@ -204,29 +204,17 @@ def sweep_hello(seed: int = 0) -> List[HelloRow]:
     return rows
 
 
-def run(seed: int = 0,
-        lock_timeouts: List[float] = [0.0002, 0.002, 0.8, 5.0],
-        buffer_sizes: List[int] = [0, 4, 32]) -> AblationResult:
+def ablations(lock_timeouts: List[float], buffer_sizes: List[int],
+              seeds: List[int]) -> AblationResult:
+    """The three sweeps; each sweep's rows run seed by seed."""
     return AblationResult(
-        lock_rows=sweep_lock_timeout(timeouts=list(lock_timeouts),
-                                     seed=seed),
-        buffer_rows=sweep_repair_buffer(sizes=list(buffer_sizes),
-                                        seed=seed),
-        hello_rows=sweep_hello(seed=seed))
-
-
-def _merge_ablations(into: AblationResult, extra: AblationResult) -> None:
-    into.lock_rows.extend(extra.lock_rows)
-    into.buffer_rows.extend(extra.buffer_rows)
-    into.hello_rows.extend(extra.hello_rows)
-
-
-def _ablations_scenario(seeds: List[int], lock_timeouts: List[float],
-                        buffer_sizes: List[int]) -> AblationResult:
-    return registry.seeded(
-        lambda seed: run(seed=seed, lock_timeouts=lock_timeouts,
-                         buffer_sizes=buffer_sizes),
-        merge=_merge_ablations)(seeds)
+        lock_rows=[row for seed in seeds
+                   for row in sweep_lock_timeout(timeouts=lock_timeouts,
+                                                 seed=seed)],
+        buffer_rows=[row for seed in seeds
+                     for row in sweep_repair_buffer(sizes=buffer_sizes,
+                                                    seed=seed)],
+        hello_rows=[row for seed in seeds for row in sweep_hello(seed=seed)])
 
 
 registry.register(registry.Scenario(
@@ -242,7 +230,7 @@ registry.register(registry.Scenario(
                             "frames (0 = drop while repairing)"),
         registry.seeds_param(),
     ),
-    run=_ablations_scenario,
+    run=ablations,
     row_keys=("lock_timeout", "buffer_size"),
     smoke={"lock_timeouts": [0.8], "buffer_sizes": [0]},
 ))

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.config import ArpPathConfig
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, build_and_warm, spec
+from repro.experiments.common import build_and_warm, spec
 from repro.frames.ethernet import ETHERTYPE_ARP
 from repro.metrics.report import format_table
 from repro.netsim.tracer import SENT
@@ -110,20 +110,12 @@ def run_case(proxy: bool, rows: int = 3, cols: int = 3, rounds: int = 3,
         proxy_answers=answers, resolution_failures=failures)
 
 
-def run(rows: int = 3, cols: int = 3, rounds: int = 3,
-        seed: int = 0) -> BroadcastResult:
-    result = BroadcastResult()
-    for proxy in (False, True):
-        result.rows.append(run_case(proxy, rows=rows, cols=cols,
-                                    rounds=rounds, seed=seed))
-    return result
-
-
-def _proxy_scenario(seeds: List[int], rows: int, cols: int,
-                    rounds: int) -> BroadcastResult:
-    return registry.seeded(
-        lambda seed: run(rows=rows, cols=cols, rounds=rounds,
-                         seed=seed))(seeds)
+def proxy(rows: int, cols: int, rounds: int,
+          seeds: List[int]) -> BroadcastResult:
+    """Proxy off, then on, for each seed."""
+    return BroadcastResult(rows=[
+        run_case(enabled, rows=rows, cols=cols, rounds=rounds, seed=seed)
+        for seed in seeds for enabled in (False, True)])
 
 
 def _proxy_render(result: BroadcastResult) -> str:
@@ -143,7 +135,7 @@ registry.register(registry.Scenario(
         registry.Param("rounds", int, 3, help="all-pairs ARP rounds"),
         registry.seeds_param(),
     ),
-    run=_proxy_scenario,
+    run=proxy,
     render=_proxy_render,
     smoke={"rows": 2, "cols": 2, "rounds": 1},
 ))

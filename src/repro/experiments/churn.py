@@ -21,7 +21,7 @@ experiments, and a regression anchor for both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec
@@ -191,29 +191,25 @@ def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
                                   for value in bridge.repair_events()])
 
 
-def run(topology: str = "demo",
-        protocols: Optional[List[str]] = None, flap_rate: float = 0.2,
-        down_time: float = 0.5, duration: float = 20.0, crashes: int = 0,
-        migrations: int = 0, scripted_failures: int = 0, fps: float = 25.0,
-        stp_scale: float = 0.1, seed: int = 0) -> ChurnResult:
-    """The churn comparison across bridge families.
+def churn(topology: str, protocols: List[str], flap_rate: float,
+          down_time: float, duration: float, crashes: int,
+          migrations: int, scripted_failures: int, fps: float,
+          stp_scale: float, seeds: List[int]) -> ChurnResult:
+    """The churn comparison across bridge families, one row per
+    protocol per seed.
 
     A plain learning switch storms on any wiring with redundant paths,
     so requesting it on a loopy topology is refused up front.
     """
-    names = protocols if protocols is not None else ["arppath", "stp",
-                                                     "spb"]
-    if "learning" in names and topology not in LOOP_FREE_TOPOLOGIES:
+    if "learning" in protocols and topology not in LOOP_FREE_TOPOLOGIES:
         raise ValueError(
             f"protocol 'learning' storms on loopy topologies; use one of "
             f"{', '.join(LOOP_FREE_TOPOLOGIES)} (got {topology!r})")
-    chosen = registry.protocol_specs(names, stp_scale=stp_scale)
-    result = ChurnResult()
-    for protocol in chosen:
-        result.rows.append(run_protocol(
-            protocol, topology, flap_rate, down_time, duration, crashes,
-            migrations, scripted_failures, fps, seed))
-    return result
+    chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
+    return ChurnResult(rows=[
+        run_protocol(protocol, topology, flap_rate, down_time, duration,
+                     crashes, migrations, scripted_failures, fps, seed)
+        for seed in seeds for protocol in chosen])
 
 
 registry.register(registry.Scenario(
@@ -244,7 +240,7 @@ registry.register(registry.Scenario(
                             "default timers)"),
         registry.seeds_param(),
     ),
-    run=registry.seeded(run),
+    run=churn,
     row_keys=("topology", "flap_rate", "down_time", "duration", "crashes",
               "migrations", "scripted_failures"),
     smoke={"duration": 2.0, "protocols": ["arppath"], "flap_rate": 0.5},

@@ -1,8 +1,10 @@
 """Shared experiment plumbing.
 
-Each experiment module exposes a ``run(...)`` returning a result object
-with a ``table()`` method; benches and examples print that table. The
-helpers here standardise protocol selection, warmup and probe running.
+Each experiment module registers its scenario's one run function in
+:mod:`repro.experiments.registry`; callers reach it through
+``registry.get(name).execute(...)``, which returns a result object with
+``table()`` and ``records()``. The helpers here standardise protocol
+selection and warmup.
 
 Protocol knowledge (factories, warmup budgets, loop-safety, per-family
 config options) lives in the :class:`~repro.switching.base.BridgeFamily`

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, build_and_warm, spec
+from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.metrics.paths import PathObserver, min_latency_path
 from repro.metrics.report import format_table
 from repro.metrics.stats import Summary, mean, summarize
@@ -109,18 +109,6 @@ def run_protocol(protocol: ProtocolSpec, params: DemoParams = DemoParams(),
                            path_latency_one_way=one_way)
 
 
-def run(params: DemoParams = DemoParams(), probes: int = 20, seed: int = 0,
-        protocols: Optional[List[ProtocolSpec]] = None) -> Fig2Result:
-    """The full Figure 2 comparison (default: arppath, stp, spb)."""
-    chosen = protocols if protocols is not None else [
-        spec("arppath"), spec("stp"), spec("spb")]
-    result = Fig2Result()
-    for protocol in chosen:
-        result.rows.append(run_protocol(protocol, params=params,
-                                        probes=probes, seed=seed))
-    return result
-
-
 @dataclass
 class PingResult:
     """The interactive ping check: one block per seed."""
@@ -143,14 +131,14 @@ class PingResult:
                  "losses": row.losses} for row in self.rows]
 
 
-def _fig2_scenario(seeds: List[int], probes: int, cross_latency_us: float,
-                   protocols: List[str], stp_scale: float) -> Fig2Result:
+def fig2(probes: int, cross_latency_us: float, protocols: List[str],
+         stp_scale: float, seeds: List[int]) -> Fig2Result:
+    """The Figure 2 comparison, one row per protocol per seed."""
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return registry.seeded(
-        lambda seed: run(probes=probes, seed=seed,
-                         params=DemoParams(
-                             cross_latency=cross_latency_us * 1e-6),
-                         protocols=chosen))(seeds)
+    params = DemoParams(cross_latency=cross_latency_us * 1e-6)
+    return Fig2Result(rows=[
+        run_protocol(protocol, params=params, probes=probes, seed=seed)
+        for seed in seeds for protocol in chosen])
 
 
 def _fig2_render(result: Fig2Result) -> str:
@@ -161,9 +149,9 @@ def _fig2_render(result: Fig2Result) -> str:
     return text
 
 
-def _ping_scenario(seeds: List[int], protocol: str, count: int) -> PingResult:
-    chosen = spec(protocol) if protocol != "stp" \
-        else spec("stp", stp_scale=0.1)
+def ping(protocol: str, count: int, seeds: List[int]) -> PingResult:
+    """One ping train A->B per seed (STP at scaled timers)."""
+    chosen, = registry.protocol_specs([protocol], stp_scale=0.1)
     return PingResult(rows=[run_protocol(chosen, probes=count, seed=seed)
                             for seed in seeds])
 
@@ -182,7 +170,7 @@ registry.register(registry.Scenario(
                             "default timers)"),
         registry.seeds_param(),
     ),
-    run=_fig2_scenario,
+    run=fig2,
     render=_fig2_render,
     smoke={"probes": 2, "protocols": ["arppath"]},
 ))
@@ -199,6 +187,6 @@ registry.register(registry.Scenario(
         registry.Param("count", int, 5, help="number of probes"),
         registry.seeds_param(),
     ),
-    run=_ping_scenario,
+    run=ping,
     smoke={"count": 2},
 ))

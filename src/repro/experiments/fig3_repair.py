@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, build_and_warm, spec
+from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.metrics.convergence import Recovery, recoveries_for_failures
 from repro.metrics.paths import PathObserver
 from repro.metrics.report import format_table
@@ -155,42 +155,29 @@ def run_protocol(protocol: ProtocolSpec, failures: int = 2,
                           bridge_repair_times=repair_times)
 
 
-def run(failures: int = 2, params: DemoParams = DemoParams(),
-        fps: float = 25.0, failure_spacing: float = 2.0, seed: int = 0,
-        stp_scale: float = 0.1,
-        protocols: Optional[List[ProtocolSpec]] = None) -> Fig3Result:
-    """The Figure 3 comparison.
+def fig3(failures: int, fps: float, failure_spacing: float,
+         stp_scale: float, protocols: List[str],
+         seeds: List[int]) -> Fig3Result:
+    """The Figure 3 comparison, one row per protocol per seed.
 
     STP runs with scaled timers (default 10x faster) so one run stays
     short; its outages scale linearly with the factor, and
     EXPERIMENTS.md reports both measured and implied default-timer
     numbers.
     """
-    chosen = protocols if protocols is not None else [
-        spec("arppath"),
-        spec("stp", stp_scale=stp_scale),
-    ]
-    result = Fig3Result()
-    for protocol in chosen:
-        # STP reconvergence needs max_age + 2*forward_delay between
-        # failures (plus margin) so outages don't overlap.
-        spacing = failure_spacing
-        if protocol.name.startswith("stp"):
-            spacing = max(failure_spacing, 60.0 * stp_scale)
-        result.rows.append(run_protocol(
-            protocol, failures=failures, params=params, fps=fps,
-            failure_spacing=spacing, seed=seed))
-    return result
-
-
-def _fig3_scenario(seeds: List[int], failures: int, fps: float,
-                   failure_spacing: float, stp_scale: float,
-                   protocols: List[str]) -> Fig3Result:
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return registry.seeded(
-        lambda seed: run(failures=failures, fps=fps,
-                         failure_spacing=failure_spacing, seed=seed,
-                         stp_scale=stp_scale, protocols=chosen))(seeds)
+    result = Fig3Result()
+    for seed in seeds:
+        for protocol in chosen:
+            # STP reconvergence needs max_age + 2*forward_delay between
+            # failures (plus margin) so outages don't overlap.
+            spacing = failure_spacing
+            if protocol.name.startswith("stp"):
+                spacing = max(failure_spacing, 60.0 * stp_scale)
+            result.rows.append(run_protocol(
+                protocol, failures=failures, fps=fps,
+                failure_spacing=spacing, seed=seed))
+    return result
 
 
 registry.register(registry.Scenario(
@@ -209,7 +196,7 @@ registry.register(registry.Scenario(
         registry.protocols_param(["arppath", "stp"], loop_safe_only=True),
         registry.seeds_param(),
     ),
-    run=_fig3_scenario,
+    run=fig3,
     row_keys=("failure_index",),
     smoke={"failures": 1, "protocols": ["arppath"]},
 ))

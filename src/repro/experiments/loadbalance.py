@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, build_and_warm, spec
+from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.frames.ethernet import ETHERTYPE_IPV4
 from repro.metrics.load import LoadReport, fabric_load
 from repro.metrics.report import format_table
@@ -87,27 +87,15 @@ def run_protocol(protocol: ProtocolSpec, pods: int = 4,
                    report=fabric_load(net, ethertype=ETHERTYPE_IPV4))
 
 
-def run(pods: int = 4, hosts_per_edge: int = 2, packets: int = 30,
-        seed: int = 0,
-        protocols: Optional[List[ProtocolSpec]] = None) -> LoadResult:
-    chosen = protocols if protocols is not None else [
-        spec("arppath"), spec("stp"), spec("spb")]
-    result = LoadResult()
-    for protocol in chosen:
-        result.rows.append(run_protocol(protocol, pods=pods,
-                                        hosts_per_edge=hosts_per_edge,
-                                        packets=packets, seed=seed))
-    return result
-
-
-def _loadbalance_scenario(seeds: List[int], pods: int, hosts_per_edge: int,
-                          packets: int, protocols: List[str],
-                          stp_scale: Optional[float]) -> LoadResult:
+def loadbalance(pods: int, hosts_per_edge: int, packets: int,
+                protocols: List[str], stp_scale: Optional[float],
+                seeds: List[int]) -> LoadResult:
+    """Per-link load for each protocol, one row per protocol per seed."""
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return registry.seeded(
-        lambda seed: run(pods=pods, hosts_per_edge=hosts_per_edge,
-                         packets=packets, seed=seed,
-                         protocols=chosen))(seeds)
+    return LoadResult(rows=[
+        run_protocol(protocol, pods=pods, hosts_per_edge=hosts_per_edge,
+                     packets=packets, seed=seed)
+        for seed in seeds for protocol in chosen])
 
 
 registry.register(registry.Scenario(
@@ -127,6 +115,6 @@ registry.register(registry.Scenario(
                             "default timers)"),
         registry.seeds_param(),
     ),
-    run=_loadbalance_scenario,
+    run=loadbalance,
     smoke={"packets": 5, "protocols": ["arppath"]},
 ))

@@ -18,13 +18,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, build_and_warm, spec
+from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.frames.ethernet import ETHERTYPE_IPV4
 from repro.metrics.load import fabric_load
 from repro.metrics.report import format_table
 from repro.netsim.tracer import DELIVERED
 from repro.topology.library import grid, ring
 from repro.traffic.matrix import TrafficMatrix
+
+#: Link transmissions during the broadcast phase above which a run
+#: counts as a broadcast storm (and skips the unicast phase).
+STORM_BUDGET = 200_000
 
 
 @dataclass
@@ -96,7 +100,7 @@ def _broadcast_phase(net) -> Dict[int, int]:
 
 
 def run_protocol(protocol: ProtocolSpec, topology_name: str = "grid",
-                 seed: int = 0, storm_budget: int = 200_000) -> LoopfreeRow:
+                 seed: int = 0) -> LoopfreeRow:
     """Broadcast probes + all-pairs unicast on a loopy topology."""
     builders: Dict[str, Callable] = {
         "grid": lambda sim, factory: grid(sim, factory, 3, 3,
@@ -108,7 +112,7 @@ def run_protocol(protocol: ProtocolSpec, topology_name: str = "grid",
     net.sim.tracer.reset()
     duplicates_per_uid = _broadcast_phase(net)
     duplicates = sum(duplicates_per_uid.values())
-    storm = net.sim.tracer.frames_sent > storm_budget
+    storm = net.sim.tracer.frames_sent > STORM_BUDGET
 
     # Phase 2: all-pairs unicast to exercise link utilisation. Only
     # data frames count — control traffic (BPDUs, LSPs) legitimately
@@ -128,25 +132,13 @@ def run_protocol(protocol: ProtocolSpec, topology_name: str = "grid",
         used_links=load.used_links, total_links=load.total_links)
 
 
-def run(topologies: List[str] = ["grid", "ring"], seed: int = 0,
-        protocols: Optional[List[ProtocolSpec]] = None) -> LoopfreeResult:
-    chosen = protocols if protocols is not None else [
-        spec("arppath"), spec("stp"), spec("spb")]
-    result = LoopfreeResult()
-    for protocol in chosen:
-        for name in topologies:
-            result.rows.append(run_protocol(protocol, topology_name=name,
-                                            seed=seed))
-    return result
-
-
-def _loopfree_scenario(seeds: List[int], topologies: List[str],
-                       protocols: List[str],
-                       stp_scale: Optional[float]) -> LoopfreeResult:
+def loopfree(topologies: List[str], protocols: List[str],
+             stp_scale: Optional[float], seeds: List[int]) -> LoopfreeResult:
+    """Every protocol on every loopy topology, for each seed."""
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return registry.seeded(
-        lambda seed: run(topologies=topologies, seed=seed,
-                         protocols=chosen))(seeds)
+    return LoopfreeResult(rows=[
+        run_protocol(protocol, topology_name=name, seed=seed)
+        for seed in seeds for protocol in chosen for name in topologies])
 
 
 registry.register(registry.Scenario(
@@ -164,6 +156,6 @@ registry.register(registry.Scenario(
                             "default timers)"),
         registry.seeds_param(),
     ),
-    run=_loopfree_scenario,
+    run=loopfree,
     smoke={"topologies": ["ring"], "protocols": ["arppath"]},
 ))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, build_and_warm, spec
+from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.metrics.report import format_table
 from repro.topology.library import populate_access_ports, ring
 from repro.traffic.matrix import TrafficMatrix
@@ -64,23 +64,6 @@ class OccupancyResult:
                 for r in self.rows]
 
 
-def bridge_state_entries(bridge, now: Optional[float] = None) -> int:
-    """Comparable dynamic-state size of any bridge family.
-
-    Thin wrapper over the protocol-neutral
-    :meth:`~repro.switching.base.Bridge.state_entries` hook each family
-    implements (ARP-Path: live locked+learnt entries; SPB: LSDB entries
-    plus advertised hosts; controller: live flow entries; STP and the
-    learning switch: live FDB entries). Shared by this experiment and
-    the ``scale`` scenario so the two report the same quantity.
-    """
-    return bridge.state_entries(now)
-
-
-#: Backwards-compatible alias (pre-scale name).
-_bridge_state = bridge_state_entries
-
-
 def run_case(protocol: ProtocolSpec, hosts_per_bridge: int,
              pairs: Optional[int], n_bridges: int = 4,
              seed: int = 0, endpoints_per_port: int = 1) -> OccupancyRow:
@@ -115,7 +98,7 @@ def run_case(protocol: ProtocolSpec, hosts_per_bridge: int,
     matrix.start(stagger=1e-3)
     net.run(1.0)
 
-    sizes = [_bridge_state(b) for b in net.bridges.values()]
+    sizes = [b.state_entries() for b in net.bridges.values()]
     return OccupancyRow(
         protocol=protocol.name, hosts=len(net.hosts),
         active_pairs=len(flows),
@@ -124,36 +107,25 @@ def run_case(protocol: ProtocolSpec, hosts_per_bridge: int,
         endpoints=net.endpoint_count())
 
 
-def run(host_counts: List[int] = [1, 2, 4], sparse_pairs: int = 4,
-        endpoints_per_port: int = 1, seed: int = 0,
-        protocols: Optional[List[str]] = None) -> OccupancyResult:
+def occupancy(host_counts: List[int], sparse_pairs: int,
+              endpoints_per_port: int, protocols: List[str],
+              seeds: List[int]) -> OccupancyResult:
     """Sweep host density per family, dense and sparse traffic."""
     result = OccupancyResult()
-    for protocol_name in (protocols if protocols is not None
-                          else ("arppath", "spb")):
-        for hosts_per_bridge in host_counts:
-            protocol = spec(protocol_name)
-            result.rows.append(run_case(
-                protocol, hosts_per_bridge, pairs=None, seed=seed,
-                endpoints_per_port=endpoints_per_port))
-            total_hosts = hosts_per_bridge * 4
-            if total_hosts * (total_hosts - 1) > sparse_pairs:
-                sparse = run_case(protocol, hosts_per_bridge,
-                                  pairs=sparse_pairs, seed=seed,
-                                  endpoints_per_port=endpoints_per_port)
-                sparse.protocol += " (sparse)"
-                result.rows.append(sparse)
+    for seed in seeds:
+        for protocol in registry.protocol_specs(protocols):
+            for hosts_per_bridge in host_counts:
+                result.rows.append(run_case(
+                    protocol, hosts_per_bridge, pairs=None, seed=seed,
+                    endpoints_per_port=endpoints_per_port))
+                total_hosts = hosts_per_bridge * 4
+                if total_hosts * (total_hosts - 1) > sparse_pairs:
+                    sparse = run_case(protocol, hosts_per_bridge,
+                                      pairs=sparse_pairs, seed=seed,
+                                      endpoints_per_port=endpoints_per_port)
+                    sparse.protocol += " (sparse)"
+                    result.rows.append(sparse)
     return result
-
-
-def _occupancy_scenario(seeds: List[int], host_counts: List[int],
-                        sparse_pairs: int, endpoints_per_port: int,
-                        protocols: List[str]) -> OccupancyResult:
-    return registry.seeded(
-        lambda seed: run(host_counts=host_counts,
-                         sparse_pairs=sparse_pairs,
-                         endpoints_per_port=endpoints_per_port,
-                         seed=seed, protocols=protocols))(seeds)
 
 
 registry.register(registry.Scenario(
@@ -173,7 +145,7 @@ registry.register(registry.Scenario(
         registry.protocols_param(["arppath", "spb"], loop_safe_only=True),
         registry.seeds_param(),
     ),
-    run=_occupancy_scenario,
+    run=occupancy,
     row_keys=("hosts", "talking_pairs"),
     smoke={"host_counts": [1]},
 ))

@@ -1,8 +1,8 @@
 """Scenario registry: declarative experiment metadata.
 
 Every experiment module declares a :class:`Scenario` — a name, a typed
-parameter spec with defaults, a run callable and result adapters — and
-self-registers at import time. Everything downstream is generated from
+parameter spec with defaults, a run function and an optional report
+renderer — and self-registers at import time. Everything downstream is generated from
 this one table:
 
 * ``repro.cli`` builds its subcommands (flags, help, defaults) from the
@@ -12,11 +12,14 @@ this one table:
 * the smoke-test suite iterates every registered scenario at its
   declared smallest parameters.
 
-Seeds are uniform by construction: every scenario declares a ``seeds``
-parameter (a list of ints), so every subcommand accepts ``--seeds 0 1 2``
-and the single-seed alias ``--seed N``. Scenarios whose underlying
-``run()`` takes one seed are adapted with :func:`seeded`, which runs
-once per seed and concatenates result rows.
+Each scenario is declared once: its registered ``run`` function takes
+exactly the scenario's :class:`Param` names as keywords, none with a
+default — a default lives only in its ``Param``, so the CLI, sweeps,
+the HTTP API and library callers (``registry.get(name).execute(...)``)
+all run the same workload. Seeds are uniform by construction: every
+scenario declares a ``seeds`` parameter (a list of ints), so every
+subcommand accepts ``--seeds 0 1 2`` and the single-seed alias
+``--seed N``; the run function loops over the seeds itself.
 
 The same table is the API surface of the ``repro serve`` daemon
 (:mod:`repro.server`): :meth:`Param.schema` / :meth:`Scenario.schema`
@@ -190,17 +193,17 @@ def seeds_param(default: Sequence[int] = (0,)) -> Param:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A registered experiment: param spec + run callable + adapters."""
+    """A registered experiment: param spec + run function."""
 
     name: str
     title: str
     params: Tuple[Param, ...]
-    #: ``run(**{p.name: value})`` -> result object (has ``.table()``).
+    #: ``run(**{p.name: value})`` -> result object with ``table()`` and
+    #: ``records()``; its keywords are exactly the param names, none
+    #: with a default.
     run: Callable[..., Any]
     #: Full stdout text for a single CLI run (defaults to ``table()``).
     render: Optional[Callable[[Any], str]] = None
-    #: Machine-readable rows (defaults to ``result.records()``).
-    rows: Optional[Callable[[Any], List[Dict[str, Any]]]] = None
     #: Row fields (beyond strings/bools) identifying a row when
     #: aggregating repeated seeds — e.g. a failure index.
     row_keys: Tuple[str, ...] = ()
@@ -244,10 +247,7 @@ class Scenario:
 
     def records(self, result: Any) -> List[Dict[str, Any]]:
         """Flat machine-readable rows for aggregation and artifacts."""
-        if self.rows is not None:
-            return self.rows(result)
-        from repro.metrics.report import records
-        return records(result)
+        return result.records()
 
     def schema(self) -> Dict[str, Any]:
         """This scenario's param spec as a JSON-schema object.
@@ -431,32 +431,6 @@ def submission_schema() -> Dict[str, Any]:
         "additionalProperties": False,
         "required": ["scenario"],
     }
-
-
-def seeded(run_one: Callable[..., Any],
-           merge: Optional[Callable[[Any, Any], None]] = None
-           ) -> Callable[..., Any]:
-    """Adapt a single-seed ``run(seed=..., **kw)`` to the uniform
-    ``seeds`` list parameter.
-
-    Runs once per seed; with multiple seeds, later results are folded
-    into the first with *merge* (default: concatenate ``result.rows``).
-    """
-    def fold(into: Any, extra: Any) -> None:
-        into.rows.extend(extra.rows)
-
-    combine = merge if merge is not None else fold
-
-    def run(seeds: List[int], **kwargs: Any) -> Any:
-        if not seeds:
-            raise ValueError("seeds must be non-empty")
-        results = [run_one(seed=seed, **kwargs) for seed in seeds]
-        merged = results[0]
-        for extra in results[1:]:
-            combine(merged, extra)
-        return merged
-
-    return run
 
 
 def protocols_param(default: Sequence[str], *, loop_safe_only: bool = False,

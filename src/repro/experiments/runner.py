@@ -39,8 +39,8 @@ import traceback
 from multiprocessing import connection as mp_connection
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.experiments import registry
 from repro.metrics.stats import aggregate_rows
@@ -319,19 +319,16 @@ class SweepRunner:
     """Execute sweep cells, in process or on a crash-isolated pool.
 
     ``retries`` is the per-cell retry budget: a failed attempt (raise
-    or worker death) re-runs after its :func:`backoff_schedule` delay,
-    up to ``retries`` extra attempts; ``retry_seed`` seeds the backoff
-    jitter. ``cell_hook`` (picklable, run inside the worker) and
-    ``sleep`` (serial-path delay, injectable for tests) are the chaos
-    seams.
+    or worker death) re-runs after its :func:`backoff_schedule` delay
+    (default base, cap and jitter seed), up to ``retries`` extra
+    attempts. ``cell_hook`` (picklable, run inside the worker) is the
+    chaos seam.
     """
 
     def __init__(self, cells: Sequence[SweepCell], jobs: int = 1,
-                 retries: int = 0, backoff_base: float = 0.05,
-                 backoff_cap: float = 2.0, retry_seed: int = 0,
+                 retries: int = 0,
                  cell_hook: Optional[Callable[[SweepCell, int],
-                                              None]] = None,
-                 sleep: Callable[[float], None] = time.sleep):
+                                              None]] = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
@@ -339,17 +336,10 @@ class SweepRunner:
         self.cells = list(cells)
         self.jobs = jobs
         self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.retry_seed = retry_seed
         self.cell_hook = cell_hook
-        self._sleep = sleep
 
     def _delays(self, cell: SweepCell) -> List[float]:
-        return backoff_schedule(self.retries, base=self.backoff_base,
-                                cap=self.backoff_cap,
-                                seed=self.retry_seed,
-                                cell_index=cell.index)
+        return backoff_schedule(self.retries, cell_index=cell.index)
 
     @staticmethod
     def _finalize(result: CellResult, attempt: int) -> CellResult:
@@ -388,7 +378,7 @@ class SweepRunner:
                 if result.ok or attempt >= self.retries:
                     yield self._finalize(result, attempt)
                     break
-                self._sleep(delays[attempt])
+                time.sleep(delays[attempt])
                 if cancelled():
                     return
 

@@ -10,7 +10,7 @@ grids, fat trees and random graphs from ~16 up to 200+ bridges across
 the bridge families and measures, per (kind, size, protocol) cell:
 
 * **table occupancy per bridge** — peak and mean dynamic state
-  (:func:`repro.experiments.occupancy.bridge_state_entries`), the
+  (:meth:`~repro.switching.base.Bridge.state_entries`), the
   quantity §2.2 predicts stays flat for ARP-Path while link-state grows
   with the network;
 * **broadcast/discovery overhead** — link-level frames transmitted per
@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec
-from repro.experiments.occupancy import bridge_state_entries
 from repro.frames.ethernet import ETHERTYPE_ARP
 from repro.switching import base
 from repro.metrics.report import format_table
@@ -260,7 +259,7 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
         + sum(pop.counters.ip_received for pop in owned_pops),
         "answered": sum(net.host(name).counters.echo_replies_received
                         for name in owned) - replies_before,
-        "states": [bridge_state_entries(bridge)
+        "states": [bridge.state_entries()
                    for name, bridge in net.bridges.items()
                    if runtime.owns(name)],
         "convergence": convergence,
@@ -364,28 +363,23 @@ def run_case(protocol: ProtocolSpec, kind: str, size: int, pairs: int = 3,
                             endpoints_per_port=endpoints_per_port)
 
 
-def run(kind: str = "grid", sizes: List[int] = [16, 36, 64],
-        protocols: Optional[List[str]] = None, pairs: int = 3,
-        probes: int = 3, stp_scale: float = 0.1,
-        endpoints_per_port: int = 1, seed: int = 0) -> ScaleResult:
+def scale(kind: str, sizes: List[int], protocols: List[str], pairs: int,
+          probes: int, stp_scale: float, endpoints_per_port: int,
+          seeds: List[int]) -> ScaleResult:
     """The size sweep across bridge families, one engine per cell.
 
     A plain learning switch storms on any wiring with redundant paths,
     so requesting it outside ``line`` is refused up front.
     """
-    names = protocols if protocols is not None else ["arppath", "spb"]
-    if "learning" in names and kind not in LOOP_FREE_SCALE:
+    if "learning" in protocols and kind not in LOOP_FREE_SCALE:
         raise ValueError(
             f"protocol 'learning' storms on loopy topologies; use one of "
             f"{', '.join(LOOP_FREE_SCALE)} (got {kind!r})")
-    chosen = registry.protocol_specs(names, stp_scale=stp_scale)
-    result = ScaleResult()
-    for protocol in chosen:
-        for size in sizes:
-            result.rows.append(run_case(
-                protocol, kind, size, pairs=pairs, probes=probes,
-                seed=seed, endpoints_per_port=endpoints_per_port))
-    return result
+    chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
+    return ScaleResult(rows=[
+        run_case(protocol, kind, size, pairs=pairs, probes=probes,
+                 seed=seed, endpoints_per_port=endpoints_per_port)
+        for seed in seeds for protocol in chosen for size in sizes])
 
 
 registry.register(registry.Scenario(
@@ -412,7 +406,7 @@ registry.register(registry.Scenario(
                             "phase)"),
         registry.seeds_param(),
     ),
-    run=registry.seeded(run),
+    run=scale,
     row_keys=("size", "bridges", "links", "hosts"),
     smoke={"sizes": [9], "protocols": ["arppath"], "pairs": 1,
            "probes": 1},

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.common import ProtocolSpec, build_and_warm, spec
+from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.metrics.paths import (PathObserver, min_latency_path,
                                  path_latency)
 from repro.metrics.report import format_table
@@ -130,24 +130,14 @@ def run_protocol(protocol: ProtocolSpec, n_bridges: int = 10,
     return row
 
 
-def run(n_bridges: int = 10, hosts: int = 4, seeds: List[int] = [0, 1, 2],
-        protocols: Optional[List[ProtocolSpec]] = None) -> StretchResult:
-    chosen = protocols if protocols is not None else [
-        spec("arppath"), spec("stp")]
-    result = StretchResult()
-    for protocol in chosen:
-        for seed in seeds:
-            result.rows.append(run_protocol(protocol, n_bridges=n_bridges,
-                                            hosts=hosts, seed=seed))
-    return result
-
-
-def _stretch_scenario(seeds: List[int], bridges: int, hosts: int,
-                      protocols: List[str],
-                      stp_scale: Optional[float]) -> StretchResult:
+def stretch(bridges: int, hosts: int, protocols: List[str],
+            stp_scale: Optional[float], seeds: List[int]) -> StretchResult:
+    """Path stretch per protocol, one row per protocol per seed
+    (protocol-major)."""
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return run(n_bridges=bridges, hosts=hosts, seeds=seeds,
-               protocols=chosen)
+    return StretchResult(rows=[
+        run_protocol(protocol, n_bridges=bridges, hosts=hosts, seed=seed)
+        for protocol in chosen for seed in seeds])
 
 
 registry.register(registry.Scenario(
@@ -164,7 +154,7 @@ registry.register(registry.Scenario(
                             "default timers)"),
         registry.seeds_param([0, 1, 2]),
     ),
-    run=_stretch_scenario,
+    run=stretch,
     smoke={"bridges": 5, "hosts": 2, "seeds": [0],
            "protocols": ["arppath"]},
 ))

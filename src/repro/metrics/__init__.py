@@ -1,7 +1,7 @@
 """Measurement: statistics, path oracles, recovery detection, load,
 tables and ASCII charts."""
 
-from repro.metrics.chart import histogram, sparkline, timeseries
+from repro.metrics.chart import sparkline, timeseries
 from repro.metrics.convergence import (Recovery, recoveries_for_failures,
                                        recovery_from_arrivals,
                                        recovery_from_pings)
@@ -14,7 +14,7 @@ from repro.metrics.stats import (Summary, coefficient_of_variation,
                                  summarize)
 
 __all__ = [
-    "histogram", "sparkline", "timeseries",
+    "sparkline", "timeseries",
     "Recovery", "recoveries_for_failures", "recovery_from_arrivals",
     "recovery_from_pings",
     "LoadReport", "fabric_load",

@@ -74,25 +74,3 @@ def timeseries(points: Sequence[Tuple[float, float]], width: int = 64,
     lines.append(" " * (margin + 2) + axis + " " * max(pad, 1) + axis_right)
     return "\n".join(lines)
 
-
-def histogram(values: Sequence[float], bins: int = 10,
-              width: int = 40) -> str:
-    """A horizontal ASCII histogram."""
-    if not values:
-        return "(no data)"
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-    counts = [0] * bins
-    for value in values:
-        index = min(int((value - low) / span * bins), bins - 1)
-        counts[index] += 1
-    peak = max(counts)
-    lines = []
-    for index, count in enumerate(counts):
-        left = low + span * index / bins
-        right = low + span * (index + 1) / bins
-        bar = "#" * (int(count / peak * width) if peak else 0)
-        lines.append(f"{left:10.3g} - {right:10.3g} | {bar} {count}")
-    return "\n".join(lines)

@@ -74,21 +74,6 @@ def s(seconds: float) -> str:
     return f"{seconds:.3f}s"
 
 
-def records(result: Any) -> List[Dict[str, Any]]:
-    """The unified row protocol: *result*'s machine-readable rows.
-
-    Every experiment result implements ``records() -> List[Dict]`` with
-    primitive values only (str/bool/int/float/None), keyed identically
-    across runs so repeated seeds can be aggregated column-wise.
-    """
-    method = getattr(result, "records", None)
-    if method is None:
-        raise TypeError(
-            f"{type(result).__name__} does not implement the result row "
-            "protocol (records() -> List[Dict])")
-    return method()
-
-
 def csv_columns(rows: Sequence[Dict[str, Any]]) -> List[str]:
     """Union of row keys in first-seen order (stable artifact layout)."""
     columns: List[str] = []

@@ -1,10 +1,8 @@
-"""Workloads: video streaming, ping trains, request/response, matrices."""
+"""Workloads: video streaming, ping trains, traffic matrices."""
 
 from repro.traffic.matrix import (DEFAULT_FLOW_PORT_BASE, Flow, TrafficMatrix,
                                   all_pairs_arp_warmup)
 from repro.traffic.ping import PingResult, PingSeries, ping_between
-from repro.traffic.reqresp import (DEFAULT_REQRESP_PORT, Request, RequesterApp,
-                                   ResponderApp, Response)
 from repro.traffic.video import (DEFAULT_CHUNK_SIZE, DEFAULT_FPS,
                                  DEFAULT_PORT, Interruption, VideoChunk,
                                  VideoSink, VideoSource, stream_between)
@@ -13,8 +11,6 @@ __all__ = [
     "DEFAULT_FLOW_PORT_BASE", "Flow", "TrafficMatrix",
     "all_pairs_arp_warmup",
     "PingResult", "PingSeries", "ping_between",
-    "DEFAULT_REQRESP_PORT", "Request", "RequesterApp", "ResponderApp",
-    "Response",
     "DEFAULT_CHUNK_SIZE", "DEFAULT_FPS", "DEFAULT_PORT", "Interruption",
     "VideoChunk", "VideoSink", "VideoSource", "stream_between",
 ]

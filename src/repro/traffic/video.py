@@ -154,13 +154,6 @@ class VideoSink:
                                            chunks_lost=cur_seq - prev_seq - 1))
         return stalls
 
-    def disruption_after(self, fail_time: float) -> Optional[Interruption]:
-        """The first interruption starting at/after *fail_time*, if any."""
-        for stall in self.interruptions():
-            if stall.end >= fail_time:
-                return stall
-        return None
-
 
 def stream_between(source_host: Host, sink_host: Host,
                    fps: float = DEFAULT_FPS,

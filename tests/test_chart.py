@@ -1,8 +1,6 @@
 """Tests for the ASCII charts."""
 
-import pytest
-
-from repro.metrics.chart import histogram, sparkline, timeseries
+from repro.metrics.chart import sparkline, timeseries
 
 
 class TestSparkline:
@@ -52,27 +50,3 @@ class TestTimeseries:
         chart = timeseries([(2.0, 5.0), (4.0, 9.0)])
         assert "2" in chart and "4" in chart
         assert "9" in chart and "5" in chart
-
-
-class TestHistogram:
-    def test_empty(self):
-        assert histogram([]) == "(no data)"
-
-    def test_bin_count(self):
-        lines = histogram([1, 2, 3, 4, 5], bins=5).split("\n")
-        assert len(lines) == 5
-
-    def test_counts_sum(self):
-        values = [1, 1, 2, 3, 3, 3]
-        lines = histogram(values, bins=3).split("\n")
-        total = sum(int(line.rsplit(" ", 1)[1]) for line in lines)
-        assert total == len(values)
-
-    def test_bins_validated(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], bins=0)
-
-    def test_peak_has_longest_bar(self):
-        lines = histogram([1, 1, 1, 1, 5], bins=2).split("\n")
-        bars = [line.count("#") for line in lines]
-        assert bars[0] > bars[1]

@@ -1,17 +1,18 @@
 """Smoke tests for the experiment modules (small, fast variants).
 
 Each test checks the experiment runs and its result has the *shape* the
-paper reports — who wins and roughly by how much. The full-size runs
-live in benchmarks/.
+paper reports — who wins and roughly by how much. Scenarios run through
+the registry (``registry.get(name).execute``), the path the CLI, sweeps
+and the serve daemon take, so the defaults are the CLI's. The full-size
+runs live in benchmarks/.
 """
 
 import hashlib
 
 import pytest
 
-from repro.experiments import (ablations, broadcast, fig2_latency,
-                               fig3_repair, loadbalance, loopfree, registry,
-                               runner, stretch)
+from repro.experiments import (ablations, fig3_repair, loadbalance,
+                               loopfree, registry, runner)
 from repro.experiments.common import spec
 from repro.metrics.report import record_line
 from repro.netsim.tracer import Tracer
@@ -20,9 +21,8 @@ from repro.netsim.tracer import Tracer
 class TestFig2:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig2_latency.run(
-            probes=5, protocols=[spec("arppath"),
-                                 spec("stp", stp_scale=0.1)])
+        return registry.get("fig2").execute(
+            probes=5, protocols=["arppath", "stp"])
 
     def test_both_protocols_measured(self, result):
         assert {row.protocol.split("(")[0] for row in result.rows} \
@@ -56,7 +56,7 @@ class TestFig2:
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig3_repair.run(failures=2, seed=0)
+        return registry.get("fig3").execute(failures=2)
 
     def test_all_failures_hit_a_link(self, result):
         for row in result.rows:
@@ -91,9 +91,9 @@ class TestFig3:
 class TestStretch:
     @pytest.fixture(scope="class")
     def result(self):
-        return stretch.run(n_bridges=7, hosts=3, seeds=[0],
-                           protocols=[spec("arppath"),
-                                      spec("stp", stp_scale=0.1)])
+        return registry.get("stretch").execute(
+            bridges=7, hosts=3, seeds=[0], protocols=["arppath", "stp"],
+            stp_scale=0.1)
 
     def test_arppath_is_optimal(self, result):
         arp = next(r for r in result.rows if r.protocol == "arppath")
@@ -112,9 +112,9 @@ class TestStretch:
 class TestLoopfree:
     @pytest.fixture(scope="class")
     def result(self):
-        return loopfree.run(topologies=["ring"],
-                            protocols=[spec("arppath"),
-                                       spec("stp", stp_scale=0.1)])
+        return registry.get("loopfree").execute(
+            topologies=["ring"], protocols=["arppath", "stp"],
+            stp_scale=0.1)
 
     def test_no_duplicates_no_storm(self, result):
         for row in result.rows:
@@ -136,7 +136,7 @@ class TestLoopfree:
 class TestBroadcastSuppression:
     @pytest.fixture(scope="class")
     def result(self):
-        return broadcast.run(rows=2, cols=2, rounds=2)
+        return registry.get("proxy").execute(rows=2, cols=2, rounds=2)
 
     def test_proxy_reduces_arp_traffic(self, result):
         assert result.reduction() > 1.5
@@ -153,9 +153,9 @@ class TestBroadcastSuppression:
 class TestLoadBalance:
     @pytest.fixture(scope="class")
     def result(self):
-        return loadbalance.run(pods=4, hosts_per_edge=1, packets=20,
-                               protocols=[spec("arppath"),
-                                          spec("stp", stp_scale=0.1)])
+        return registry.get("loadbalance").execute(
+            pods=4, hosts_per_edge=1, packets=20,
+            protocols=["arppath", "stp"], stp_scale=0.1)
 
     def test_everything_delivered(self, result):
         for row in result.rows:
@@ -172,8 +172,8 @@ class TestLoadBalance:
 class TestOccupancy:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.experiments import occupancy
-        return occupancy.run(host_counts=[1, 2], sparse_pairs=4)
+        return registry.get("occupancy").execute(host_counts=[1, 2],
+                                                 sparse_pairs=4)
 
     def test_arppath_state_tracks_traffic(self, result):
         sparse = [r for r in result.rows
@@ -224,12 +224,15 @@ class TestAblations:
             "9c510a853c3274954d0b34e6eac67ebc28a06e4599b1136b90afa4ed3c9d2598"
 
 
+def run_churn(**overrides):
+    return registry.get("churn").execute(**overrides)
+
+
 class TestChurn:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.experiments import churn
-        return churn.run(duration=4.0, protocols=["arppath"],
-                         flap_rate=1.0, down_time=0.3, seed=0)
+        return run_churn(duration=4.0, protocols=["arppath"],
+                         flap_rate=1.0, down_time=0.3)
 
     def test_flaps_were_injected(self, result):
         assert result.rows[0].flaps > 0
@@ -256,9 +259,8 @@ class TestChurn:
         assert "availability" in table and "arppath" in table
 
     def test_zero_flap_rate_is_fully_available(self):
-        from repro.experiments import churn
-        result = churn.run(duration=3.0, protocols=["arppath"],
-                           flap_rate=0.0, seed=0)
+        result = run_churn(duration=3.0, protocols=["arppath"],
+                           flap_rate=0.0)
         row = result.rows[0]
         assert row.flaps == 0
         assert row.availability.availability == 1.0
@@ -268,10 +270,8 @@ class TestChurn:
         """The churn scenario with flap_rate=0 and fig3-style scripted
         cuts measures the same repair latencies as the static fig3
         experiment — the regression anchor tying the two together."""
-        from repro.experiments import churn
-        churn_result = churn.run(duration=4.0, protocols=["arppath"],
-                                 flap_rate=0.0, scripted_failures=1,
-                                 seed=0)
+        churn_result = run_churn(duration=4.0, protocols=["arppath"],
+                                 flap_rate=0.0, scripted_failures=1)
         fig3_row = fig3_repair.run_protocol(spec("arppath"), failures=1,
                                             seed=0)
         churn_repairs = churn_result.rows[0].repair_times
@@ -280,25 +280,21 @@ class TestChurn:
             fig3_row.bridge_repair_times[0], rel=0.05)
 
     def test_crash_restart_cycle_runs(self):
-        from repro.experiments import churn
-        result = churn.run(duration=4.0, protocols=["arppath"],
-                           flap_rate=0.0, crashes=1, down_time=0.3,
-                           seed=0)
+        result = run_churn(duration=4.0, protocols=["arppath"],
+                           flap_rate=0.0, crashes=1, down_time=0.3)
         row = result.rows[0]
         assert row.crashes == 1
         assert 0.0 <= row.availability.availability <= 1.0
 
     def test_migration_cycle_runs(self):
-        from repro.experiments import churn
-        result = churn.run(duration=4.0, protocols=["arppath"],
-                           flap_rate=0.0, migrations=1, seed=0)
+        result = run_churn(duration=4.0, protocols=["arppath"],
+                           flap_rate=0.0, migrations=1)
         assert result.rows[0].migrations == 1
 
     def test_all_four_families_on_loop_free_topology(self):
-        from repro.experiments import churn
-        result = churn.run(topology="line", duration=2.0,
+        result = run_churn(topology="line", duration=2.0,
                            protocols=["arppath", "stp", "spb", "learning"],
-                           flap_rate=0.0, seed=0)
+                           flap_rate=0.0)
         assert len(result.rows) == 4
         names = {row.protocol.split("(")[0] for row in result.rows}
         assert names == {"arppath", "stp", "spb", "learning"}
@@ -306,16 +302,8 @@ class TestChurn:
             assert row.availability.availability == 1.0
 
     def test_learning_on_loopy_topology_refused(self):
-        from repro.experiments import churn
         with pytest.raises(ValueError, match="storms"):
-            churn.run(topology="demo", protocols=["learning"])
-
-    def test_multiple_seeds_concatenate_rows(self):
-        from repro.experiments import registry
-        scenario = registry.get("churn")
-        result = scenario.execute(seeds=[0, 1], duration=2.0,
-                                  protocols=["arppath"], flap_rate=0.5)
-        assert len(result.rows) == 2
+            run_churn(topology="demo", protocols=["learning"])
 
 
 class TestRetainedTraceScenarios:

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.occupancy import bridge_state_entries
 from repro.frames.ethernet import ETHERTYPE_IPV4
 from repro.frames.ipv4 import ip_for_host
 from repro.frames.mac import mac_for_host
@@ -270,7 +269,7 @@ class TestHeavyTailDeterminism:
 
 
 class TestStateAccounting:
-    """Satellite: ``bridge_state_entries`` counts population-backed
+    """Satellite: ``Bridge.state_entries`` counts population-backed
     endpoints identically across the bridge families, and counts *live*
     entries (expiry matters, reaping order does not)."""
 
@@ -294,12 +293,12 @@ class TestStateAccounting:
         net = self._converse(factory(), warmup)
         # N endpoint MACs plus Z: identical across locked-table (ARP-
         # Path) and FDB (learning, STP) families.
-        assert bridge_state_entries(net.bridges["B0"]) == self.N + 1
+        assert net.bridges["B0"].state_entries() == self.N + 1
 
     def test_spb_advertises_population_endpoints(self):
         net = self._converse(spb(), 8.0)
         net.run(12.0)  # next periodic LSP refresh carries the hosts
-        assert bridge_state_entries(net.bridges["B1"]) >= self.N
+        assert net.bridges["B1"].state_entries() >= self.N
 
     @pytest.mark.parametrize("factory,warmup", [
         (arppath, 5.0), (learning, 1.0),
@@ -307,12 +306,12 @@ class TestStateAccounting:
     def test_counts_live_entries_not_unreaped_ones(self, factory, warmup):
         net = self._converse(factory(), warmup)
         bridge = net.bridges["B0"]
-        assert bridge_state_entries(bridge) == self.N + 1
+        assert bridge.state_entries() == self.N + 1
         # Idle past every aging horizon (ARP-Path learnt 120 s, FDB
         # 300 s): live state must read zero even where lazy reaping
         # left entries in the store.
         net.run(320.0)
-        assert bridge_state_entries(bridge) == 0
+        assert bridge.state_entries() == 0
 
 
 class TestPopulatedTopologies:

@@ -1,7 +1,10 @@
 """Tests for the scenario registry contract."""
 
+import inspect
+
 import pytest
 
+from repro.cli import build_parser
 from repro.experiments import registry
 
 
@@ -60,20 +63,47 @@ class TestParamSpec:
         assert 99 not in scenario.bind()["seeds"]
 
 
-class TestSeededAdapter:
-    def test_multi_seed_concatenates_rows(self):
-        class FakeResult:
-            def __init__(self, seed):
-                self.rows = [{"seed": seed}]
+class TestOneDeclaration:
+    """A scenario is declared once: its registered function's keywords
+    are exactly its params, and a default lives only in the ``Param``."""
 
-        run = registry.seeded(lambda seed: FakeResult(seed))
-        merged = run([3, 4, 5])
-        assert [row["seed"] for row in merged.rows] == [3, 4, 5]
+    #: Scenarios whose multi-seed rows are grouped by this row field
+    #: ahead of the seed; every other scenario is seed-major.
+    OUTER_FIELD = {"stretch": "protocol", "ablations": "sweep"}
 
-    def test_empty_seeds_rejected(self):
-        run = registry.seeded(lambda seed: None)
-        with pytest.raises(ValueError):
-            run([])
+    @pytest.mark.parametrize("name", registry.names())
+    def test_run_keywords_are_the_params_without_defaults(self, name):
+        scenario = registry.get(name)
+        parameters = inspect.signature(scenario.run).parameters.values()
+        assert {p.name for p in parameters} == \
+            {p.name for p in scenario.params}
+        for parameter in parameters:
+            assert parameter.kind is parameter.POSITIONAL_OR_KEYWORD
+            assert parameter.default is parameter.empty, parameter.name
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_multiple_seeds_concatenate_rows(self, name):
+        scenario = registry.get(name)
+        smoke = dict(scenario.smoke)
+        smoke.pop("seeds", None)
+        per_seed = [row for seed in (0, 1) for row in scenario.records(
+            scenario.execute(seeds=[seed], **smoke))]
+        outer = self.OUTER_FIELD.get(name)
+        if outer is not None:
+            groups = list(dict.fromkeys(row[outer] for row in per_seed))
+            per_seed.sort(key=lambda row: groups.index(row[outer]))
+        assert per_seed
+        assert scenario.records(
+            scenario.execute(seeds=[0, 1], **smoke)) == per_seed
+
+    def test_empty_seeds_rejected_at_the_boundaries(self):
+        parser = build_parser()
+        for scenario in registry.all_scenarios():
+            with pytest.raises(registry.SubmissionError,
+                               match="non-empty"):
+                scenario.param("seeds").validate([])
+            with pytest.raises(SystemExit):
+                parser.parse_args([scenario.name, "--seeds"])
 
 
 class TestResultRowProtocol:

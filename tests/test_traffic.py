@@ -1,4 +1,4 @@
-"""Tests for the traffic workloads (video, ping, request/response, matrix)."""
+"""Tests for the traffic workloads (video, ping, matrix)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.netsim.engine import Simulator
 from repro.topology import arppath, fat_tree, pair
 from repro.traffic.matrix import TrafficMatrix, all_pairs_arp_warmup
 from repro.traffic.ping import PingSeries, ping_between
-from repro.traffic.reqresp import RequesterApp, ResponderApp
 from repro.traffic.video import (VideoChunk, VideoSink, VideoSource,
                                  stream_between)
 
@@ -88,21 +87,6 @@ class TestVideoStream:
         assert sink.arrivals[-1] <= fail_at + 0.1
         assert sink.lost_chunks(source.sent) > 0
 
-    def test_disruption_after(self, pair_net):
-        source, sink = stream_between(pair_net.host("H0"),
-                                      pair_net.host("H1"), fps=50.0)
-        source.start()
-        pair_net.run(0.5)
-        fail_at = pair_net.sim.now
-        wire = pair_net.link_between("B0", "B1")
-        wire.take_down()
-        pair_net.run(0.2)
-        wire.bring_up()
-        pair_net.run(1.0)
-        source.stop()
-        stall = sink.disruption_after(fail_at)
-        assert stall is not None
-
     def test_lost_chunks_accounting(self, pair_net):
         source, sink = stream_between(pair_net.host("H0"),
                                       pair_net.host("H1"), fps=50.0)
@@ -165,37 +149,6 @@ class TestPingSeries:
         results_before = list(series.results)
         series.finalize()
         assert series.results == results_before
-
-
-class TestRequestResponse:
-    def test_exchange_completes(self, pair_net):
-        server = ResponderApp(pair_net.host("H1"))
-        client = RequesterApp(pair_net.host("H0"), pair_net.host("H1").ip,
-                              response_size=2000)
-        client.send_request()
-        pair_net.run(1.0)
-        assert server.requests_served == 1
-        assert len(client.completion_times) == 1
-        assert client.outstanding == 0
-
-    def test_send_many(self, pair_net):
-        ResponderApp(pair_net.host("H1"))
-        client = RequesterApp(pair_net.host("H0"), pair_net.host("H1").ip)
-        client.send_many(5, interval=0.01)
-        pair_net.run(1.0)
-        assert len(client.completion_times) == 5
-
-    def test_completion_time_scales_with_size(self, pair_net):
-        ResponderApp(pair_net.host("H1"))
-        small = RequesterApp(pair_net.host("H0"), pair_net.host("H1").ip,
-                             client_port=30001, response_size=100)
-        big = RequesterApp(pair_net.host("H0"), pair_net.host("H1").ip,
-                           client_port=30002, response_size=100_000)
-        small.send_request()
-        pair_net.run(1.0)
-        big.send_request()
-        pair_net.run(1.0)
-        assert big.completion_times[0] > small.completion_times[0]
 
 
 class TestTrafficMatrix:
