@@ -32,7 +32,6 @@ class ProtocolLatency:
     losses: int
     bridge_path: Optional[Tuple[str, ...]]
     oracle_latency: float
-    path_latency_one_way: Optional[float]
 
     @property
     def path_str(self) -> str:
@@ -92,21 +91,13 @@ def run_protocol(protocol: ProtocolSpec, params: DemoParams = DemoParams(),
     series.finalize()
     oracle = min_latency_path(net, "A", "B")
     bridge_path = observer.last_bridge_path()
-    one_way = None
-    if bridge_path:
-        try:
-            from repro.metrics.paths import path_latency
-            one_way = path_latency(net, ("A",) + bridge_path + ("B",))
-        except Exception:
-            one_way = None
     rtts = series.rtts
     if not rtts:
         raise RuntimeError(
             f"{protocol.name}: no probe answered — warmup too short?")
     return ProtocolLatency(protocol=protocol.name, rtt=summarize(rtts),
                            losses=series.losses, bridge_path=bridge_path,
-                           oracle_latency=oracle.latency,
-                           path_latency_one_way=one_way)
+                           oracle_latency=oracle.latency)
 
 
 @dataclass

@@ -9,10 +9,13 @@ compared — the EXP-P1 stretch experiment.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.topology.builder import Network, graph_of
+from repro.netsim.errors import TopologyError
+from repro.topology.builder import Network
 
 
 @dataclass(frozen=True)
@@ -30,14 +33,48 @@ class OraclePath:
 
 def min_latency_path(net: Network, src_host: str,
                      dst_host: str) -> OraclePath:
-    """Dijkstra over the live topology with latency weights."""
-    import networkx as nx
+    """Dijkstra over the live topology with latency weights.
 
-    graph = graph_of(net)
-    nodes = nx.shortest_path(graph, src_host, dst_host, weight="latency")
-    latency = nx.shortest_path_length(graph, src_host, dst_host,
-                                      weight="latency")
-    return OraclePath(nodes=tuple(nodes), latency=latency)
+    Down links and the controller's out-of-band star are skipped.
+    Neighbours are relaxed in link registration order and equal
+    distances pop first-pushed first, from an integer ``0`` at the
+    source, so ``latency`` is bit-equal to the test oracle over
+    :func:`repro.testing.graph_of`. Raises :class:`TopologyError` when
+    either host is unknown or cut off from the other.
+    """
+    adj: Dict[str, Dict[str, float]] = {}
+    for name_a, name_b, wire in net.edges():
+        if (wire.up and name_a not in net.controllers
+                and name_b not in net.controllers):
+            adj.setdefault(name_a, {})[name_b] = wire.latency
+            adj.setdefault(name_b, {})[name_a] = wire.latency
+    dist: Dict[str, float] = {}
+    if src_host in adj and dst_host in adj:
+        seen = {src_host: 0}
+        parent: Dict[str, str] = {}
+        pushes = count()
+        heap = [(0, next(pushes), src_host)]
+        while heap:
+            d, _tie, node = heapq.heappop(heap)
+            if node in dist:
+                continue
+            dist[node] = d
+            if node == dst_host:
+                break
+            for peer, latency in adj[node].items():
+                nd = d + latency
+                if peer not in dist and (peer not in seen
+                                         or nd < seen[peer]):
+                    seen[peer] = nd
+                    parent[peer] = node
+                    heapq.heappush(heap, (nd, next(pushes), peer))
+    if dst_host not in dist:
+        raise TopologyError(
+            f"no live path between hosts {src_host!r} and {dst_host!r}")
+    nodes = [dst_host]
+    while nodes[-1] != src_host:
+        nodes.append(parent[nodes[-1]])
+    return OraclePath(nodes=tuple(reversed(nodes)), latency=dist[dst_host])
 
 
 def path_latency(net: Network, nodes: Sequence[str]) -> float:

@@ -90,8 +90,9 @@ class Node:
 
     #: True on nodes that belong to an out-of-band control plane (the
     #: centralized controller): their links carry no fabric traffic and
-    #: are excluded from topology oracles (:func:`repro.topology.builder
-    #: .graph_of`), fabric link listings and churn link flaps.
+    #: are excluded from topology oracles (:func:`repro.metrics.paths
+    #: .min_latency_path`, :func:`repro.testing.graph_of`), fabric link
+    #: listings and churn link flaps.
     out_of_band = False
 
     def __init__(self, sim: Simulator, name: str):

@@ -5,7 +5,7 @@ rival: distributed link-state bridging (the ``spb`` family) and a
 *centralized* controller computing shortest paths over a global view.
 This package supplies that missing baseline: an out-of-band
 :class:`~repro.switching.controller.controller.Controller` node with an
-LLDP-fed ``networkx`` graph, and
+LLDP-fed adjacency map, and
 :class:`~repro.switching.controller.bridge.ControllerBridge` dataplanes
 that punt table misses as packet-ins and hold flow entries with
 idle/hard timeouts.

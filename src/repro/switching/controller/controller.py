@@ -8,7 +8,7 @@ plain :class:`~repro.netsim.node.Node` — not a bridge — flagged
 flaps never see its star.
 
 State is rebuilt entirely from southbound reports: SWITCH_ENTER maps a
-star port to a bridge, LINK_REPORTs grow a weighted ``networkx`` graph,
+star port to a bridge, LINK_REPORTs grow a weighted adjacency map,
 HOST_REPORTs locate endpoints, PACKET_INs trigger SPF path installs and
 PORT_STATUS reports trigger the barriered repair exchange.
 
@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 from zlib import crc32
 
-import networkx as nx
-
 from repro.frames.ethernet import ETHERTYPE_CONTROLLER, EthernetFrame
 from repro.frames.mac import MAC, ZERO
 from repro.netsim.engine import Simulator
@@ -55,6 +53,18 @@ EdgeKey = Tuple[int, int]
 
 def _edge_key(a: MAC, b: MAC) -> EdgeKey:
     return (a.value, b.value) if a.value <= b.value else (b.value, a.value)
+
+
+class _Edge:
+    """One undirected fabric edge, shared by ``adj[a][b]`` and
+    ``adj[b][a]``: the latest reported latency and, per side that has
+    reported it, the bridge MAC -> port index."""
+
+    __slots__ = ("weight", "ports")
+
+    def __init__(self, weight: float):
+        self.weight = weight
+        self.ports: Dict[MAC, int] = {}
 
 
 def _key_sort(key: FlowKey) -> Tuple[int, int, int]:
@@ -120,9 +130,9 @@ class Controller(Node):
         self.mac = mac
         self.config = config
         self.counters = ControllerCounters()
-        #: The global fabric graph: bridge MACs, weighted edges with a
-        #: per-side ``ports`` attribute mapping MAC -> port index.
-        self.graph = nx.Graph()
+        #: The global fabric graph: bridge MAC -> neighbour MAC -> the
+        #: :class:`_Edge` both directions share.
+        self.adj: Dict[MAC, Dict[MAC, _Edge]] = {}
         #: Bridge MAC -> our star port toward it.
         self._port_of: Dict[MAC, Port] = {}
         #: Host MAC -> (attachment bridge MAC, edge port index).
@@ -174,19 +184,18 @@ class Controller(Node):
     def _on_switch_enter(self, port: Port, msg: ControllerControl) -> None:
         bridge = msg.origin
         self._port_of[bridge] = port
-        if bridge not in self.graph:
-            self.graph.add_node(bridge)
+        self.adj.setdefault(bridge, {})
         self.counters.switches += 1
 
     def _on_link_report(self, msg: ControllerControl) -> None:
         a, b, latency = msg.origin, msg.src, msg.time
         self.counters.link_reports += 1
-        data = self.graph.get_edge_data(a, b)
-        if data is None:
-            self.graph.add_edge(a, b, weight=latency, ports={a: msg.port})
-        else:
-            data["weight"] = latency
-            data["ports"][a] = msg.port
+        peers = self.adj.setdefault(a, {})
+        edge = peers.get(b)
+        if edge is None:
+            edge = peers[b] = self.adj.setdefault(b, {})[a] = _Edge(latency)
+        edge.weight = latency
+        edge.ports[a] = msg.port
         self._schedule_recompute()
 
     def _on_host_report(self, msg: ControllerControl) -> None:
@@ -229,9 +238,10 @@ class Controller(Node):
         for host in stale_hosts:
             del self.hosts[host]
             self._invalidate_host_flows(host)
-        if neighbor == ZERO or not self.graph.has_edge(bridge, neighbor):
+        if neighbor == ZERO or neighbor not in self.adj.get(bridge, {}):
             return  # edge port, or the twin report already removed it
-        self.graph.remove_edge(bridge, neighbor)
+        del self.adj[bridge][neighbor]
+        del self.adj[neighbor][bridge]
         self._schedule_recompute()
         self._start_repair(_edge_key(bridge, neighbor), msg.time)
 
@@ -248,11 +258,12 @@ class Controller(Node):
                     None)
         if dead is None:
             return
-        if dead in self.graph:
-            cut_edges = [_edge_key(dead, peer)
-                         for peer in self.graph.neighbors(dead)]
-            self.graph.remove_node(dead)
-            self.graph.add_node(dead)
+        if dead in self.adj:
+            peers = self.adj[dead]
+            cut_edges = [_edge_key(dead, peer) for peer in peers]
+            for peer in peers:
+                del self.adj[peer][dead]
+            self.adj[dead] = {}
             self._schedule_recompute()
             for edge in sorted(cut_edges):
                 self._start_repair(edge, self.sim.now)
@@ -378,8 +389,7 @@ class Controller(Node):
         flow.ingresses.add(ingress)
         hops: List[Tuple[MAC, int]] = []
         for here, there in zip(path, path[1:]):
-            ports = self.graph.edges[here, there].get("ports", {})
-            out = ports.get(here)
+            out = self.adj[here][there].ports.get(here)
             if out is None:
                 # One-sided adjacency (report still in flight): treat
                 # as unreachable rather than programming a wrong port.
@@ -419,7 +429,7 @@ class Controller(Node):
 
     def _dijkstra(self, root: MAC) -> Dict[MAC, float]:
         """Shortest distances from *root*, deterministic pop order."""
-        graph = self.graph
+        adj = self.adj
         dist: Dict[MAC, float] = {root: 0.0}
         heap: List[Tuple[float, int, MAC]] = [(0.0, root.value, root)]
         done: Set[MAC] = set()
@@ -428,9 +438,8 @@ class Controller(Node):
             if node in done:
                 continue
             done.add(node)
-            for neighbor in sorted(graph.adj[node],
-                                   key=lambda m: m.value):
-                nd = d + graph.edges[node, neighbor]["weight"]
+            for neighbor in sorted(adj[node], key=lambda m: m.value):
+                nd = d + adj[node][neighbor].weight
                 old = dist.get(neighbor)
                 if old is None or nd < old:
                     dist[neighbor] = nd
@@ -446,7 +455,7 @@ class Controller(Node):
         lexicographic order (capped) and one is picked by a CRC32 hash
         of the (src, dst) pair — a stable per-flow split.
         """
-        if a not in self.graph or b not in self.graph:
+        if a not in self.adj or b not in self.adj:
             return None
         if a == b:
             return (a,)
@@ -465,10 +474,9 @@ class Controller(Node):
         """Neighbors of *v* on some shortest path, lowest MAC first."""
         dv = dist[v]
         out = []
-        for u in sorted(self.graph.adj[v], key=lambda m: m.value):
+        for u in sorted(self.adj[v], key=lambda m: m.value):
             du = dist.get(u)
-            if du is not None \
-                    and du + self.graph.edges[u, v]["weight"] == dv:
+            if du is not None and du + self.adj[v][u].weight == dv:
                 out.append(u)
         return out
 
@@ -518,13 +526,13 @@ class Controller(Node):
         if not self._port_of:
             return
         tree_ports: Dict[MAC, Set[int]] = {}
-        if self.graph.number_of_nodes():
-            root = min(self.graph.nodes, key=lambda m: m.value)
+        if self.adj:
+            root = min(self.adj, key=lambda m: m.value)
             parent = self._spf_parents(root)
             for child, par in parent.items():
                 if par is None:
                     continue
-                ports = self.graph.edges[child, par].get("ports", {})
+                ports = self.adj[child][par].ports
                 child_port = ports.get(child)
                 par_port = ports.get(par)
                 if child_port is None or par_port is None:
@@ -541,7 +549,7 @@ class Controller(Node):
 
     def _spf_parents(self, root: MAC) -> Dict[MAC, Optional[MAC]]:
         """SPF parent per node (lowest-MAC tie-broken, like SPB's ECT)."""
-        graph = self.graph
+        adj = self.adj
         dist: Dict[MAC, float] = {root: 0.0}
         parent: Dict[MAC, Optional[MAC]] = {root: None}
         heap: List[Tuple[float, int, MAC]] = [(0.0, root.value, root)]
@@ -551,8 +559,8 @@ class Controller(Node):
             if node in done:
                 continue
             done.add(node)
-            for neighbor in sorted(graph.adj[node], key=lambda m: m.value):
-                nd = d + graph.edges[node, neighbor]["weight"]
+            for neighbor in sorted(adj[node], key=lambda m: m.value):
+                nd = d + adj[node][neighbor].weight
                 old = dist.get(neighbor)
                 better = old is None or nd < old
                 same_but_lower = (old is not None and nd == old
@@ -566,5 +574,5 @@ class Controller(Node):
 
     def __repr__(self) -> str:
         return (f"<Controller {self.name} switches={len(self._port_of)} "
-                f"edges={self.graph.number_of_edges()} "
+                f"edges={sum(map(len, self.adj.values())) // 2} "
                 f"flows={len(self.flows)}>")

@@ -55,3 +55,28 @@ def fast_config(**overrides) -> ArpPathConfig:
                 repair_retry_timeout=0.05)
     base.update(overrides)
     return ArpPathConfig(**base)
+
+
+def graph_of(net: Network, fabric_only: bool = False):
+    """The live network as a :mod:`networkx` graph, for test oracles.
+
+    Nodes are node names; each up link is an edge carrying its
+    ``latency`` and ``link`` name. Down links and the controller's
+    out-of-band star are left out, and ``fabric_only`` drops host
+    links too. Tests run Dijkstra and spanning-tree checks over it
+    that know nothing of the protocols they judge;
+    :func:`repro.metrics.paths.min_latency_path` is held equal to it.
+    networkx is a test dependency only, so the import stays here.
+    """
+    import networkx as nx
+
+    graph = nx.Graph()
+    for name_a, name_b, wire in net.edges():
+        if fabric_only and (name_a in net.hosts or name_b in net.hosts):
+            continue
+        if name_a in net.controllers or name_b in net.controllers:
+            continue  # out-of-band star links carry no fabric traffic
+        if not wire.up:
+            continue
+        graph.add_edge(name_a, name_b, latency=wire.latency, link=wire.name)
+    return graph

@@ -1,7 +1,7 @@
 """Topology construction: the network builder, protocol factories and a
 library of ready-made wirings (including the paper's NetFPGA demo)."""
 
-from repro.topology.builder import BridgeFactory, Network, graph_of
+from repro.topology.builder import BridgeFactory, Network
 from repro.topology.factories import (PROTOCOLS, arppath, controller,
                                       factory_for, learning, spb, stp,
                                       stp_scaled)
@@ -13,7 +13,7 @@ from repro.topology.library import (CHURN_TOPOLOGIES, DemoParams, FAST_LINK,
 from repro.topology.loader import from_json, from_spec
 
 __all__ = [
-    "BridgeFactory", "Network", "graph_of", "from_json", "from_spec",
+    "BridgeFactory", "Network", "from_json", "from_spec",
     "PROTOCOLS", "arppath", "controller", "factory_for", "learning",
     "spb", "stp", "stp_scaled",
     "CHURN_TOPOLOGIES", "DemoParams", "FAST_LINK", "HOST_LINK",

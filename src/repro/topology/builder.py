@@ -473,23 +473,3 @@ class Network:
         return (f"<Network bridges={len(self.bridges)} "
                 f"hosts={len(self.hosts)}{extra} links={len(self.links)}>")
 
-
-def graph_of(net: Network, fabric_only: bool = False,
-             weight: str = "latency"):
-    """The network as a :mod:`networkx` graph (latency edge weights).
-
-    Used by the path-stretch oracle: Dijkstra over this graph gives the
-    true minimum-latency path ARP-Path is expected to find.
-    """
-    import networkx as nx
-
-    graph = nx.Graph()
-    for name_a, name_b, wire in net.edges():
-        if fabric_only and (name_a in net.hosts or name_b in net.hosts):
-            continue
-        if name_a in net.controllers or name_b in net.controllers:
-            continue  # out-of-band star links carry no fabric traffic
-        if not wire.up:
-            continue
-        graph.add_edge(name_a, name_b, latency=wire.latency, link=wire.name)
-    return graph

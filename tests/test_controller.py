@@ -8,6 +8,8 @@ registry-parametrized smoke instantiates every scenario × family cell
 through the bridge-family descriptor.
 """
 
+import random
+
 import pytest
 
 from repro.frames.mac import mac_for_bridge
@@ -16,8 +18,8 @@ from repro.netsim.engine import Simulator
 from repro.switching import base
 from repro.switching.controller import ControllerConfig
 from repro.switching.controller.bridge import FlowEntry
-from repro.testing import ping_once
-from repro.topology import controller, grid, line, ring
+from repro.testing import graph_of, ping_once
+from repro.topology import controller, fat_tree, grid, line, ring
 
 RTT = ControllerConfig().rtt
 INSTALL = ControllerConfig().install_latency
@@ -25,6 +27,10 @@ INSTALL = ControllerConfig().install_latency
 
 def controller_of(net):
     return next(iter(net.controllers.values()))
+
+
+def edge_count(ctl):
+    return sum(map(len, ctl.adj.values())) // 2
 
 
 def warmed(sim, topo, *args, factory=None, warm=3.0):
@@ -43,23 +49,25 @@ class TestDiscovery:
         assert ctl.out_of_band
         assert "controller0" not in net.bridges
         # The fabric oracle never sees the star links.
-        from repro.topology.builder import graph_of
         assert ctl.name not in graph_of(net)
 
     def test_graph_matches_fabric(self, sim):
         net = warmed(sim, ring, 4)
         ctl = controller_of(net)
-        assert ctl.graph.number_of_nodes() == 4
-        assert ctl.graph.number_of_edges() == 4
         macs = {net.bridge(n).mac for n in net.bridges}
-        assert set(ctl.graph.nodes) == macs
+        assert set(ctl.adj) == macs
+        assert edge_count(ctl) == 4
+        for a, peers in ctl.adj.items():
+            for b, edge in peers.items():
+                assert ctl.adj[b][a] is edge  # one record per link
 
     def test_lldp_learns_link_latency(self, sim):
         net = warmed(sim, ring, 4)
         ctl = controller_of(net)
-        for _a, _b, data in ctl.graph.edges(data=True):
-            assert data["weight"] > 0
-            assert len(data["ports"]) == 2
+        for a, peers in ctl.adj.items():
+            for b, edge in peers.items():
+                assert edge.weight > 0
+                assert set(edge.ports) == {a, b}
 
     def test_hosts_reported_on_first_frame(self, sim):
         net = warmed(sim, ring, 4)
@@ -300,6 +308,86 @@ class TestEcmp:
         assert used == set(net.bridges)  # both middle bridges carry flows
 
 
+# -- SPF oracle --------------------------------------------------------------
+
+
+ORACLE_TOPOLOGIES = {
+    "ring": lambda sim, factory: ring(sim, factory, 6),
+    "grid": lambda sim, factory: grid(sim, factory, 3, 3),
+    "fat_tree": lambda sim, factory: fat_tree(sim, factory,
+                                              latency_jitter=0.0),
+}
+
+
+class TestSpfOracle:
+    """Every programmed path is a shortest path of ``networkx`` over
+    the live fabric, after convergence and again after a seed-drawn
+    cut; without ECMP it is the one the lowest-MAC tie-break picks
+    (the lowest bridge MAC at each step back from the destination).
+    The topologies tie on purpose: uniform latencies everywhere."""
+
+    @staticmethod
+    def _installed_path(net, key, ingress):
+        path = [ingress]
+        while len(path) <= len(net.bridges):
+            bridge = net.bridge(path[-1])
+            out = bridge.flows.get(key, net.sim.now).out_port
+            peer = bridge.ports[out].peer.node.name
+            if peer not in net.bridges:
+                return tuple(path)
+            path.append(peer)
+        raise AssertionError(f"installed path loops: {path}")
+
+    @classmethod
+    def _check(cls, net, ecmp):
+        import networkx as nx
+
+        fabric = graph_of(net, fabric_only=True)
+        ctl = controller_of(net)
+        name_of = {net.bridge(name).mac: name for name in net.bridges}
+        checked = 0
+        for key, flow in ctl.flows.items():
+            dst = key[1] if ecmp else key
+            dst_bridge = name_of[ctl.hosts[dst][0]]
+            for ingress in sorted(name_of[mac] for mac in flow.ingresses):
+                path = cls._installed_path(net, key, ingress)
+                assert path[-1] == dst_bridge
+                oracle = [tuple(p) for p in nx.all_shortest_paths(
+                    fabric, ingress, dst_bridge, weight="latency")]
+                assert path in oracle
+                if not ecmp:
+                    assert path == min(oracle, key=lambda p: [
+                        net.bridge(n).mac.value for n in reversed(p)])
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize("ecmp", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("topo", sorted(ORACLE_TOPOLOGIES))
+    def test_installed_paths_are_oracle_shortest(self, topo, seed, ecmp):
+        sim = Simulator(seed=seed)
+        net = ORACLE_TOPOLOGIES[topo](sim, controller(ecmp=ecmp))
+        net.run(3.0)
+        hosts = sorted(net.hosts)
+        replies = []
+
+        def on_reply(seq, rtt):
+            replies.append(rtt)
+
+        for src in hosts:
+            for dst in hosts:
+                if src != dst:
+                    net.host(src).ping(net.host(dst).ip, on_reply=on_reply)
+        net.run(0.5)
+        assert len(replies) == len(hosts) * (len(hosts) - 1)
+        assert self._check(net, ecmp) >= len(hosts)
+        cut = random.Random(seed).choice(sorted(
+            net.fabric_links(), key=lambda wire: wire.name))
+        cut.take_down()
+        net.run(0.5)
+        assert self._check(net, ecmp) >= len(hosts)
+
+
 # -- repair ------------------------------------------------------------------
 
 
@@ -337,12 +425,12 @@ class TestRepair:
         """Traffic flows the long way round after the repair."""
         rtt = ping_once(cut_ring, "H0", "H1")
         assert rtt is not None
-        assert controller_of(cut_ring).graph.number_of_edges() == 3
+        assert edge_count(controller_of(cut_ring)) == 3
 
     def test_graph_heals_on_link_up(self, cut_ring):
         cut_ring.link_between("B0", "B1").bring_up()
         cut_ring.run(3.0)
-        assert controller_of(cut_ring).graph.number_of_edges() == 4
+        assert edge_count(controller_of(cut_ring)) == 4
 
     def test_flow_records_do_not_depend_on_reclaim_timing(self, cut_ring):
         """The controller's ``flows`` map after the repair, then after

@@ -1,7 +1,9 @@
 """Tests for statistics, path oracles, recovery detection and tables."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.convergence import (recoveries_for_failures,
@@ -11,7 +13,11 @@ from repro.metrics.paths import min_latency_path, path_latency, stretch
 from repro.metrics.report import format_cell, format_table, ms, us
 from repro.metrics.stats import (coefficient_of_variation, mean, percentile,
                                  stdev, summarize, maybe_summarize)
-from repro.topology import arppath, netfpga_demo
+from repro.netsim.engine import Simulator
+from repro.netsim.errors import TopologyError
+from repro.testing import graph_of
+from repro.topology import (arppath, controller, fat_tree, grid, line,
+                            netfpga_demo, random_graph, ring)
 from repro.traffic.ping import PingResult
 
 
@@ -112,6 +118,23 @@ class TestPathsOracle:
         total = path_latency(net, ("A", "NF1", "NF3", "B"))
         assert total == pytest.approx(1e-6 + 500e-6 + 1e-6)
 
+    def test_unknown_or_cut_off_host_raises(self, sim):
+        net = netfpga_demo(sim, arppath())
+        with pytest.raises(TopologyError, match="'A'.*'Z'"):
+            min_latency_path(net, "A", "Z")
+        net.link_between("B", "NF3").take_down()
+        with pytest.raises(TopologyError, match="'A'.*'B'"):
+            min_latency_path(net, "A", "B")
+
+    def test_controller_star_is_not_a_shortcut(self):
+        """Two rtt/2 star hops would beat this slow fabric."""
+        net = line(Simulator(seed=0), controller(), 4, latency=5e-3)
+        net.finalize_topology()
+        (star,) = net.controllers
+        oracle = min_latency_path(net, "H0", "H1")
+        assert star not in oracle.nodes
+        assert oracle.latency > 15e-3
+
     def test_stretch(self):
         assert stretch(2.0, 1.0) == 2.0
         with pytest.raises(ValueError):
@@ -192,3 +215,50 @@ class TestReport:
     def test_unit_helpers(self):
         assert us(1e-6) == "1.0us"
         assert ms(0.5) == "500.000ms"
+
+
+ORACLE_TOPOLOGIES = {
+    "line": lambda sim: line(sim, arppath(), 5),
+    "ring": lambda sim: ring(sim, arppath(), 6),
+    "grid": lambda sim: grid(sim, arppath(), 3, 4),
+    "fat_tree": lambda sim: fat_tree(sim, arppath()),
+    "random": lambda sim: random_graph(sim, arppath(), 9, seed=7, hosts=5),
+}
+
+
+class TestOracleParity:
+    """``min_latency_path`` against ``networkx`` over ``graph_of``:
+    the same latency float, a node sequence ``networkx`` also calls
+    shortest, and :class:`TopologyError` exactly where it finds no
+    path. ``nx.shortest_path`` runs bidirectional Dijkstra, so on ties
+    its nodes may differ from ours; the set of all shortest paths is
+    the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(topo=st.sampled_from(sorted(ORACLE_TOPOLOGIES)),
+           seed=st.integers(min_value=0, max_value=10_000),
+           ties=st.booleans(),
+           down_share=st.sampled_from([0.0, 0.15, 0.4]))
+    def test_matches_networkx(self, topo, seed, ties, down_share):
+        import networkx as nx
+
+        net = ORACLE_TOPOLOGIES[topo](Simulator(seed=0))
+        rng = random.Random(seed)
+        for wire in sorted(net.links.values(), key=lambda w: w.name):
+            wire.latency = (rng.choice((10e-6, 20e-6, 30e-6)) if ties
+                            else rng.uniform(1e-6, 50e-6))
+            if rng.random() < down_share:
+                wire.take_down()
+        graph = graph_of(net)
+        hosts = sorted(net.hosts)
+        for a in hosts:
+            for b in hosts:
+                if not (a in graph and b in graph and nx.has_path(graph, a, b)):
+                    with pytest.raises(TopologyError):
+                        min_latency_path(net, a, b)
+                    continue
+                oracle = min_latency_path(net, a, b)
+                assert oracle.latency == nx.shortest_path_length(
+                    graph, a, b, weight="latency")
+                assert list(oracle.nodes) in list(nx.all_shortest_paths(
+                    graph, a, b, weight="latency"))

@@ -86,7 +86,7 @@ class TestMinimumLatency:
         from repro.frames import arp as arp_proto
         from repro.frames.ethernet import ETHERTYPE_ARP, EthernetFrame
         from repro.frames.mac import BROADCAST
-        from repro.topology import graph_of
+        from repro.testing import graph_of
 
         net = build(seed)
         observer = PathObserver(net, "H1")
@@ -143,7 +143,7 @@ class TestRepairProperty:
         """After any single fabric-link failure that leaves the graph
         connected, traffic recovers via Path Repair."""
         import networkx as nx
-        from repro.topology.builder import graph_of
+        from repro.testing import graph_of
         net = build(seed, edge_prob=0.5)
         got = []
         sink = net.host("H1")

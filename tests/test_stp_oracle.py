@@ -1,6 +1,6 @@
 """An independent oracle for the spanning tree STP converges to.
 
-``networkx`` over ``topology.graph_of(net)`` knows nothing of BPDUs:
+``networkx`` over ``repro.testing.graph_of(net)`` knows nothing of BPDUs:
 after convergence — and again after a cut and after its restore — in
 every connected component of the live fabric the root is the lowest
 ``BridgeId``, every bridge's ``root_cost`` is ``PATH_COST_1G`` times its
@@ -15,9 +15,9 @@ import pytest
 
 from repro.netsim.engine import Simulator
 from repro.stp import PATH_COST_1G, PortState
-from repro.topology import (FAST_LINK, fat_tree, graph_of, grid, line,
-                            netfpga_demo, pair, random_graph, ring,
-                            stp_scaled)
+from repro.testing import graph_of
+from repro.topology import (FAST_LINK, fat_tree, grid, line, netfpga_demo,
+                            pair, random_graph, ring, stp_scaled)
 
 #: x0.1 timers: max-age expiry (2 s) plus listening + learning (3 s).
 SETTLE = 8.0

@@ -8,9 +8,10 @@ from repro.netsim.errors import AddressError, TopologyError
 from repro.spb.bridge import SpbBridge
 from repro.stp.bridge import StpBridge
 from repro.switching.learning import LearningSwitch
-from repro.topology import (arppath, factory_for, fat_tree, graph_of, grid,
-                            learning, line, netfpga_demo, pair, random_graph,
-                            ring, spb, stp)
+from repro.testing import graph_of
+from repro.topology import (arppath, factory_for, fat_tree, grid, learning,
+                            line, netfpga_demo, pair, random_graph, ring, spb,
+                            stp)
 from repro.topology.builder import Network
 
 
