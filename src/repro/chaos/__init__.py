@@ -7,8 +7,8 @@ workers — never into the simulated network (that is
 of its constructor arguments (and, for :func:`faults.seeded_plan`, a
 seed), so a chaos run is exactly reproducible.
 
-The acceptance bar, pinned by ``tests/test_chaos.py`` and the CI
-``chaos-smoke`` job (``python -m repro.chaos.smoke``): the records
+The acceptance bar, pinned by ``tests/test_chaos.py`` and
+``.github/scripts/parity.py chaos``: the records
 that survive any injected fault sequence are **byte-identical** to the
 fault-free run's records.
 
@@ -20,7 +20,7 @@ Fault seams:
 * :class:`faults.FlakyWrites` — raises on the Nth store append
   (:attr:`repro.server.store.Store.write_fault`).
 * Daemon SIGKILL + restart and shard stalls are orchestrated by
-  :mod:`repro.chaos.smoke` / the tests directly (a process kill is not
+  ``parity.py chaos`` and the tests directly (a process kill is not
   injectable from inside).
 """
 

@@ -66,7 +66,7 @@ def run_manager_job(store: Any, spec: dict,
                     timeout: float = 120.0) -> dict:
     """Run one job to a terminal state on a throwaway JobManager.
 
-    Shared by the chaos tests and the smoke driver: submits *spec*,
+    Shared by the chaos tests and ``parity.py chaos``: submits *spec*,
     waits for the terminal state, shuts the manager down, and returns
     the final job dict (the caller owns *store* and its fault seams).
     """

@@ -7,14 +7,11 @@ and the serve daemon take, so the defaults are the CLI's. The full-size
 runs live in benchmarks/.
 """
 
-import hashlib
-
 import pytest
 
 from repro.experiments import (ablations, fig3_repair, loadbalance,
-                               loopfree, registry, runner)
+                               loopfree, registry)
 from repro.experiments.common import spec
-from repro.metrics.report import record_line
 from repro.netsim.tracer import Tracer
 
 
@@ -211,18 +208,6 @@ class TestAblations:
         assert dynamic.repaired and static.repaired
         assert not none.repaired
 
-    def test_repair_scenario_rows_frozen(self):
-        # Generated at 7e2d79c, where the cut was scheduled through
-        # failures.injector.FailureInjector; the direct
-        # ``sim.at(fail_at, link.take_down)`` is the same heap event.
-        result = ablations.AblationResult(
-            lock_rows=[],
-            buffer_rows=ablations.sweep_repair_buffer(sizes=[0, 32], seed=1),
-            hello_rows=ablations.sweep_hello(seed=1))
-        lines = "\n".join(record_line(row) for row in result.records())
-        assert hashlib.sha256(lines.encode()).hexdigest() == \
-            "9c510a853c3274954d0b34e6eac67ebc28a06e4599b1136b90afa4ed3c9d2598"
-
 
 def run_churn(**overrides):
     return registry.get("churn").execute(**overrides)
@@ -308,38 +293,10 @@ class TestChurn:
 
 class TestRetainedTraceScenarios:
     """loadbalance and loopfree are the two scenarios evaluated per link
-    (they used to retain trace records): their rows are pinned, and the
-    records they build cover the measured window only — none at all for
+    (they used to retain trace records): their rows are pinned in
+    ``tests/goldens.json``, and the records they build cover the measured window only — none at all for
     loadbalance (port byte tallies), phase 1 only for loopfree (a
     listener counting broadcast deliveries, detached afterwards)."""
-
-    #: sha256 of the cell's ``record_line`` rows joined by newlines,
-    #: generated at the parent of the lazy-record change (1beb1fb).
-    PINNED = {
-        ("loadbalance", 1):
-            "fee1760bb3f009eb3a58f97329ad8e80f27bf8a862b6a12802ffed62f9d90b58",
-        ("loadbalance", 2):
-            "506dcf949dbc66d8bed96d118aae99897f3edab4c24bb59c548b5681957653cb",
-        ("loadbalance", 3):
-            "1baca24bb36912beabe7923e020cafef8334f560622be6138dde6fec9f04e70b",
-        ("loopfree", 1):
-            "f03f733a0021a919ddb53dfc4205e249d1fa042504c9560c0758425f113fa71e",
-        ("loopfree", 2):
-            "8bd7c6d87ca8b94ea88e08ec877d83bbb2700df8dfdca6fa08043a2296071dc0",
-        ("loopfree", 3):
-            "0e97c8910dffac7f4b71972314f215829ef333dd1eb0f9acf7dad1f97ce44e1d",
-    }
-
-    @pytest.mark.parametrize("scenario", ["loadbalance", "loopfree"])
-    def test_rows_match_parent_commit(self, scenario):
-        registry.load_all()
-        for cell in runner.expand_grid([scenario], seeds=[1, 2, 3]):
-            result = runner.execute_cell(cell)
-            assert result.error is None, result.error
-            digest = hashlib.sha256("\n".join(
-                record_line(row) for row in result.rows).encode())
-            assert digest.hexdigest() == self.PINNED[scenario, cell.seed], \
-                f"{scenario} seed {cell.seed}"
 
     @pytest.mark.parametrize("module,kwargs", [
         (loadbalance, {"pods": 4, "hosts_per_edge": 1, "packets": 5}),

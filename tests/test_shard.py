@@ -6,7 +6,8 @@ single-process runs produce **byte-identical experiment records at any
 shard count**. Rows here are frozen-field dataclasses built from
 primitives, so ``==`` over :class:`ScaleRow` *is* byte-identity of the
 records. The single-engine run is ``shards=1`` of the one cell body, so
-the independent reference is a set of frozen digests
+the independent reference is the ``scale`` goldens in
+``tests/goldens.json``, re-run here at K = 2 and 3
 (:class:`TestFrozenReference`).
 
 Also pinned: the by-reference frame hand-over across the cut, the
@@ -18,16 +19,16 @@ BFS-band partition, the ``run_below`` window primitive, and the
 """
 
 import dataclasses
-import hashlib
+import functools
 import threading
 import time
 
 import pytest
 
+import goldens
 from repro.core.config import ArpPathConfig
-from repro.experiments import churn, common, scale
+from repro.experiments import common, scale
 from repro.experiments.registry import protocol_specs
-from repro.metrics.report import record_line
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.netsim import shard as shard_mod
@@ -46,12 +47,6 @@ def spec(name):
 
 def arppath_spec():
     return spec("arppath")
-
-
-def digest(result) -> str:
-    """sha256 of a result's ``record_line`` rows joined by newlines."""
-    return hashlib.sha256("\n".join(
-        record_line(row) for row in result.records()).encode()).hexdigest()
 
 
 class TestDeriveShardSeed:
@@ -187,119 +182,44 @@ class TestCallerSpecHonoured:
                                       **self.CELL) == single
 
 
-#: Wirings whose exact same-instant ties across a cut reorder events.
-EXACT_TIES = {("spb", "line")}
+def sharded_cells():
+    """The single-engine ``scale`` goldens at shards 2 and 3.
 
-
-def frozen_cells(pinned):
-    """Every pinned cell at shards 1, 2 and 3 (exact-tie cells: 1 only)."""
-    return [pytest.param(*cell, shards, id=f"{'-'.join(cell)}-k{shards}")
-            for cell in pinned for shards in (1, 2, 3)
-            if shards == 1 or cell not in EXACT_TIES]
+    ``scale-spb-line`` is checked at K = 1 only: SPB's synchronised LSP
+    floods on the line produce *exact* same-instant ties across a cut,
+    the documented limit of the boundary order.
+    """
+    return [pytest.param(cell, shards, id=f"{cell}-k{shards}")
+            for cell in ("arppath-grid", "stp-grid", "spb-grid",
+                         "controller-grid", "arppath-line", "stp-line",
+                         "learning-line", "controller-line")
+            for shards in (2, 3)]
 
 
 class TestFrozenReference:
-    """The hand-written single-engine bodies are gone; their rows stay.
+    """Every shard count reproduces the single-engine goldens.
 
-    Digests were generated at 4f8de05 from the old ``run_case`` /
-    ``run_protocol`` — the independent reference the sharded workers
-    used to be compared with. Every shard count must reproduce the
-    ``SCALE`` and ``POPULATION`` digests, ``shards=1`` included; one
-    scale cell is pinned at ``shards=1`` only, because its wiring
-    produces *exact* same-instant ties across a cut (the documented
-    limit of the boundary order): SPB's synchronised LSP floods on the
-    line. ``churn`` runs on one engine, so ``CHURN`` and ``SCRIPTED``
-    pin that engine.
-
-    Three ``SCALE`` digests (stp/grid, spb/grid, stp/line) were
-    regenerated once, when ``Link`` got its single transmit body: the
-    drained path used to stamp deliveries at ``now + (ser + latency)``,
-    one ulp off the uncongested path's ``(now + ser) + latency``, which
-    bought those cells 40 / 0 / 527 zero-length drain events
-    (``events_processed``) and moved spb/grid's ``convergence_s`` in
-    its 12th digit. Frame counts and payloads did not move.
-
-    Six ``SCALE`` digests (every cell but spb and arppath/line) and
-    ``POPULATION`` were regenerated once more when ``AgingStore`` went
-    from one engine timer per entry to one per quarter-second deadline
-    bucket: only the three bookkeeping fields ``events_processed`` /
-    ``peak_pending_events`` / ``peak_wheel_timers`` fell (before / after
-    table in CHANGES.md, PR 23); every other field is the parent's.
+    The ``scale`` entries of ``tests/goldens.json`` pin the rows of the
+    deleted hand-written single-engine bodies (``tests/test_goldens.py``
+    checks them at K = 1). Here each one re-runs with its cell split
+    over two and three engines and must hash to the same digest.
     """
 
-    SCALE = {
-        ("arppath", "grid"):
-            "f72ea9735a4dd8a09810da4214683a7828e5eaabdbaf2cf6d30fb0ad0830c594",
-        ("stp", "grid"):
-            "6649d8e1dc55a310f79ed310fe25c5e1240eeb2c8a8401f1643c38c33b4618d6",
-        ("spb", "grid"):
-            "9e63697409f1dceea18788185eef81855bd5f5a58771a799b131015906160a75",
-        ("controller", "grid"):
-            "1c95211d3ede7fa6dff1b40bff4f3c4fd33eb2fc51e54d0ee6b8c6522d208c07",
-        ("arppath", "line"):
-            "a240d94c23f291d027f4e44636d29f7fe5fdb671fb3dbbf3893c91998d65eb88",
-        ("stp", "line"):
-            "3fa9807222f2c125c4205550e24e05c69a54eee0184f5afa600ff70cad8e7d9b",
-        ("spb", "line"):
-            "9f671d76d063dcc4b040c8cd88e531341ad0c186b884d02e375cc433090a54ad",
-        ("learning", "line"):
-            "b46e12a9924832cdb639431ad857bc82fce34b5bb25b362e8b196b9413b2047d",
-        ("controller", "line"):
-            "90a059dd7ebc781f472c3ddb9572fc569c3b18050ceade5f4fc9c399323c0d30",
-    }
-    POPULATION = \
-        "aeabd20b998d8017a8b60e579aa00df0d52a952ef1af652e26e7662beb0f9e28"
-    CHURN = {
-        ("arppath", "demo"):
-            "af22528d2a1b772180ce3d5e5495f40983942a9acde97f96dc529940c0b7f2ee",
-        ("arppath", "grid"):
-            "7144330566cd81a86b49e886e04e94281d54bccf2d979b1dffe58a8e2b54b8c4",
-        ("stp", "demo"):
-            "50da609f08ddebd82319d4e9bef16b15b2b5868bdfb708bbc815011209d8fd0e",
-        ("stp", "grid"):
-            "9da440e0e007f51f8acf8b08aaa91e8ed4b7ba28fcfaeeceed629459f46e91e0",
-        ("spb", "demo"):
-            "30b07b0824817b61d06d8e238b972dd7344fa4439d642461827e4163db8fc588",
-        ("spb", "grid"):
-            "0025d58671e28f819fd50c13812f19f280bd4de93463445236b60f4ad3754548",
-        ("controller", "demo"):
-            "6b04755899147ad0d7dac2ce8d5c8cab0dc79b8243f8aa22bd65e1ea2a586868",
-        ("controller", "grid"):
-            "48ce8e88dac5db723dfdca314cbe34f7e0b040ad61810414888def92391f26a9",
-    }
-    SCRIPTED = \
-        "6aecf7431cb103fc6e7c782eecc60ff01d5138063883587ad6bdb7a52fb42eb0"
-    CHURN_KWARGS = dict(flap_rate=0.5, down_time=0.3, duration=6.0,
-                        fps=25.0, seed=1)
+    @staticmethod
+    def check(monkeypatch, golden_id, shards):
+        monkeypatch.setattr(scale, "run_case", functools.partial(
+            scale.run_case_sharded, shards=shards))
+        golden = goldens.by_id(golden_id)
+        assert goldens.digest(golden) == golden["sha256"], \
+            f"{golden_id} moved at {shards} shards"
 
-    @pytest.mark.parametrize("protocol,kind,shards", frozen_cells(SCALE))
-    def test_scale_rows(self, protocol, kind, shards):
-        row = scale.run_case_sharded(spec(protocol), kind, 9, seed=1,
-                                     shards=shards)
-        assert digest(scale.ScaleResult([row])) \
-            == self.SCALE[protocol, kind]
+    @pytest.mark.parametrize("cell,shards", sharded_cells())
+    def test_scale_rows(self, monkeypatch, cell, shards):
+        self.check(monkeypatch, f"scale-{cell}", shards)
 
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_population_rows(self, shards):
-        row = scale.run_case_sharded(
-            arppath_spec(), "grid", 9, pairs=2, probes=2, seed=1,
-            endpoints_per_port=10, shards=shards)
-        assert digest(scale.ScaleResult([row])) == self.POPULATION
-
-    @pytest.mark.parametrize("protocol,topology", [
-        pytest.param(*cell, id=f"{'-'.join(cell)}-k1") for cell in CHURN])
-    def test_churn_rows(self, protocol, topology):
-        row = churn.run_protocol(
-            spec(protocol), topology=topology, crashes=1, migrations=1,
-            **self.CHURN_KWARGS)
-        assert digest(churn.ChurnResult([row])) \
-            == self.CHURN[protocol, topology]
-
-    def test_scripted_failures_rows(self):
-        row = churn.run_protocol(arppath_spec(), topology="demo",
-                                 scripted_failures=2, **self.CHURN_KWARGS)
-        assert row.scripted_failures == 2 and row.repair_times
-        assert digest(churn.ChurnResult([row])) == self.SCRIPTED
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_population_rows(self, monkeypatch, shards):
+        self.check(monkeypatch, "scale-population-arppath-grid", shards)
 
 
 class TestDrainPathAcrossTheCut:
