@@ -36,7 +36,7 @@ from it before the next table call for that address.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.frames.mac import MAC
@@ -74,9 +74,9 @@ class PathEntry:
     mac: MAC
     port: Port
     state: EntryState
-    created: float
     expires: float
     race_until: float = 0.0
+    filed: int = field(default=0, repr=False, compare=False)
 
     @property
     def is_locked(self) -> bool:
@@ -97,6 +97,7 @@ class GuardEntry:
 
     port: Port
     expires: float
+    filed: int = field(default=0, repr=False, compare=False)
 
 
 @dataclass
@@ -167,10 +168,9 @@ class LockedAddressTable:
             self.counters.relocks += 1
         else:
             self.counters.locks += 1
-        entry = PathEntry(mac=mac, port=port, state=EntryState.LOCKED,
-                          created=now, expires=now + self.lock_timeout,
-                          race_until=now + self.lock_timeout)
-        return self._entries.put(mac._value, entry)
+        until = now + self.lock_timeout
+        return self._entries.put(mac._value, PathEntry(
+            mac, port, EntryState.LOCKED, expires=until, race_until=until))
 
     def learn(self, mac: MAC, port: Port, now: float) -> PathEntry:
         """Learn/refresh *mac* on *port* in LEARNT state (unicast source).
@@ -178,8 +178,7 @@ class LockedAddressTable:
         If a live entry exists on a *different* port it is preserved
         (paths are sticky until they expire or fail); the attempt is
         counted as a blocked move and the existing entry returned. A
-        live same-port entry is refreshed in place (``created`` and
-        ``race_until`` survive).
+        live same-port entry is refreshed in place (``race_until`` survives).
         """
         # ``get`` inlined: this runs once per unicast hop.
         key = mac._value
@@ -189,7 +188,7 @@ class LockedAddressTable:
         if entry is None:
             self.counters.learns += 1
             return self._entries.put(key, PathEntry(
-                mac=mac, port=port, state=EntryState.LEARNT, created=now,
+                mac=mac, port=port, state=EntryState.LEARNT,
                 expires=now + self.learnt_timeout))
         if entry.port is not port:
             self.counters.blocked_moves += 1
@@ -229,9 +228,8 @@ class LockedAddressTable:
             if entry is None:
                 return None
         self.counters.refreshes += 1
-        timeout = self.lock_timeout if entry.is_locked else self.learnt_timeout
-        entry.expires = now + timeout
-        entry.race_until = now + self.lock_timeout
+        until = entry.race_until = now + self.lock_timeout
+        entry.expires = until if entry.is_locked else now + self.learnt_timeout
         return entry
 
     def remove(self, mac: MAC) -> bool:

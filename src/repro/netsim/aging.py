@@ -26,20 +26,20 @@ Two mechanisms cooperate, with a strict division of labour:
   ``on_reap`` side effects inherit that instant unless a lookup reaps
   first.
 
-Entries are any objects exposing a mutable ``expires`` attribute, and
-owners refresh them **in place** (assign a later ``expires``) instead of
-re-``put``-ting them. That is safe because of the store invariant:
+Entries are any objects with mutable ``expires`` and ``filed``
+attributes; owners refresh them **in place** (assign a later ``expires``)
+instead of re-``put``-ting them, which is safe by the store invariant:
 
     with a simulator attached, every key in ``entries`` with a finite
-    deadline is remembered under exactly one slot; that slot's bucket
-    is pending, holds the key, and has exactly one armed engine timer,
-    at ``slot * RECLAIM_GRANULE`` — later than the deadline the key
-    had when filed.
+    deadline is filed under one slot (filed on the entry; a lazily
+    reaped key's filing held until its bucket is due); that slot's
+    bucket is pending, holds the key, and has exactly one armed engine
+    timer, at ``slot * RECLAIM_GRANULE`` — later than the filed deadline.
 
-:meth:`put` files only a key that is not filed yet, a due bucket
-re-files or deletes, and :meth:`pop` / :meth:`reap` / :meth:`clear`
-forget the slot of what they remove — there is nothing to cancel: a key
-left behind in a bucket is skipped when the bucket comes due
+:meth:`put` files only a key not filed yet (a replacing entry inherits
+its filing), a due bucket re-files or deletes, and :meth:`pop` /
+:meth:`reap` / :meth:`clear` forget what they remove — nothing to
+cancel: a key left in a bucket is skipped when the bucket comes due
 (``tests/test_table_model.py`` checks the invariant after every step).
 
 The hit path belongs to the owning table: it probes :attr:`AgingStore
@@ -77,7 +77,7 @@ class AgingStore:
     simulated time passes.
     """
 
-    __slots__ = ("entries", "_slots", "_buckets", "_sim", "_on_reap")
+    __slots__ = ("entries", "_orphans", "_buckets", "_sim", "_on_reap")
 
     def __init__(self, sim: Optional["Simulator"] = None,
                  on_reap: Optional[ReapHook] = None):
@@ -85,8 +85,8 @@ class AgingStore:
         #: may *read* it on their hit path; every mutation goes through
         #: the methods below so the bucket invariant holds.
         self.entries: Dict[Hashable, Any] = {}
-        #: key → the slot it is filed under (sim-backed stores only).
-        self._slots: Dict[Hashable, int] = {}
+        #: key → slot of a key reaped lazily while its bucket is pending.
+        self._orphans: Dict[Hashable, int] = {}
         #: slot → keys filed there; one armed engine timer per slot.
         #: May hold keys since popped or re-filed — skipped when due.
         self._buckets: Dict[int, List[Hashable]] = {}
@@ -98,27 +98,27 @@ class AgingStore:
     def get(self, key: Hashable, now: float) -> Optional[Any]:
         """The live entry for *key*, or None (expired entries are reaped)."""
         entry = self.entries.get(key)
-        if entry is None:
-            return None
-        if entry.expires <= now:
-            del self.entries[key]
-            if self._on_reap is not None:
-                self._on_reap(key, entry)
-            return None
-        return entry
+        if entry is None or entry.expires > now:
+            return entry
+        del self.entries[key]
+        if self._sim is not None and entry.filed:
+            self._orphans[key] = entry.filed
+        if self._on_reap is not None:
+            self._on_reap(key, entry)
+        return None
 
     # -- mutation ------------------------------------------------------------
 
     def put(self, key: Hashable, entry: Any) -> Any:
-        """Insert or replace the entry for *key* and file its reclamation.
-
-        A key is filed under at most one bucket; replacing an entry
-        whose key is already filed leaves the filing alone (the bucket
-        re-files it when it comes due and finds the entry still alive).
-        """
+        """Insert or replace the entry for *key*, filing a key not filed
+        yet; the new entry of a filed key inherits the filing."""
+        if self._sim is not None:
+            old = self.entries.get(key)
+            entry.filed = (self._orphans.pop(key, 0) if old is None
+                           else old.filed)
+            if not entry.filed:
+                self._file(key, entry)
         self.entries[key] = entry
-        if self._sim is not None and key not in self._slots:
-            self._file(key, entry.expires)
         return entry
 
     def pop(self, key: Hashable) -> Optional[Any]:
@@ -126,7 +126,7 @@ class AgingStore:
 
         An explicit removal, not an expiry: the reap hook is NOT called.
         """
-        self._slots.pop(key, None)
+        self._orphans.pop(key, None)
         return self.entries.pop(key, None)
 
     def pop_matching(self, predicate: Callable[[Hashable, Any], bool]) -> int:
@@ -140,7 +140,7 @@ class AgingStore:
 
     def clear(self) -> None:
         """Drop every entry (pending buckets come due and find nothing)."""
-        self._slots.clear()
+        self._orphans.clear()
         self.entries.clear()
 
     def reap(self, now: float) -> int:
@@ -153,22 +153,22 @@ class AgingStore:
                  if entry.expires <= now]
         for key in stale:
             entry = self.entries.pop(key)
-            self._slots.pop(key, None)
             if self._on_reap is not None:
                 self._on_reap(key, entry)
         return len(stale)
 
-    def _file(self, key: Hashable, expires: float) -> None:
-        """Remember *key* under the bucket that ends strictly after
-        *expires* (or after now, for an entry expired on arrival). A
-        deadline that never comes due is filed nowhere."""
+    def _file(self, key: Hashable, entry: Any) -> None:
+        """File *key* under the bucket that ends strictly after *entry*'s
+        deadline (or after now, for an entry expired on arrival) and note
+        it in ``entry.filed`` — 0 for a deadline that never comes due."""
+        expires = entry.expires
         if expires == _INF:
-            self._slots.pop(key, None)
+            entry.filed = 0
             return
         sim = self._sim
         now = sim._now
         slot = int((expires if expires > now else now) / RECLAIM_GRANULE) + 1
-        self._slots[key] = slot
+        entry.filed = slot
         bucket = self._buckets.get(slot)
         if bucket is None:
             self._buckets[slot] = [key]
@@ -178,23 +178,23 @@ class AgingStore:
             bucket.append(key)
 
     def _bucket_due(self, slot: int) -> None:
-        slots = self._slots
         entries = self.entries
         now = self._sim._now
         for key in self._buckets.pop(slot):
-            if slots.get(key) != slot:
-                continue        # popped or re-filed since; not ours
             entry = entries.get(key)
-            if entry is None:   # reaped lazily
-                del slots[key]
+            if entry is None:   # reaped lazily, or popped
+                if self._orphans.get(key) == slot:
+                    del self._orphans[key]
+            elif entry.filed != slot:
+                continue        # popped or re-filed since; not ours
             elif entry.expires <= now:
-                del entries[key], slots[key]
+                del entries[key]
                 if self._on_reap is not None:
                     self._on_reap(key, entry)
             else:
                 # Refreshed (or replaced) since it was filed: one bucket
                 # visit per bucket crossed, however hot the entry is.
-                self._file(key, entry.expires)
+                self._file(key, entry)
 
     # -- iteration / sizing ----------------------------------------------
 

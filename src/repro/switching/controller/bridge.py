@@ -50,7 +50,8 @@ CONTROLLER_DATAPLANE = Dataplane(
 class FlowEntry:
     """One installed flow-table entry (mutable ``expires`` for aging)."""
 
-    __slots__ = ("out_port", "flood", "idle", "expires", "hard_deadline")
+    __slots__ = ("out_port", "flood", "idle", "expires", "hard_deadline",
+                 "filed")
 
     def __init__(self, out_port: int, flood: bool, idle: float,
                  expires: float, hard_deadline: float):

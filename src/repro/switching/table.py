@@ -17,7 +17,7 @@ expiry compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.frames.mac import MAC
@@ -37,6 +37,7 @@ class FdbEntry:
 
     port: Port
     expires: float
+    filed: int = field(default=0, repr=False, compare=False)
 
 
 class ForwardingTable:

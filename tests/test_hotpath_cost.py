@@ -16,7 +16,8 @@ into the collector's older generations — so it is counted directly.
 The third guard is on reclamation: an aging store arms one engine timer
 per quarter-second deadline bucket, never one per entry
 (``netsim.aging`` docstring), so a burst of table writes costs the
-engine a handful of events and no retained ``Event`` per row.
+engine a handful of events and no retained ``Event`` per row; and a
+LOCKED row holds one object and one deadline float, filed on itself.
 
 The fourth guard is on the baseline family: an 802.1D bridge recomputes
 on change, not on receipt (``stp.bridge`` docstring), so the hellos of a
@@ -31,6 +32,7 @@ however many hosts the LSDB advertises.
 
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -160,6 +162,37 @@ def test_reclaiming_2000_entries_costs_buckets_not_events():
     assert sim.events_processed <= 4, sim.events_processed
     assert peak_wheel <= 4
     assert sim.pending_events == 0
+
+
+#: Bytes a sim-backed table holds per live LOCKED entry: the entry
+#: object, its floats and its share of the store's dicts and buckets.
+#: The parent of the one-deadline change measured 234.3 B (a ``created``
+#: float, separate ``expires`` / ``race_until`` floats and a second
+#: key → slot dict); the change itself 149.6 B. The bound leaves ~13 %
+#: headroom for dict sizing across interpreter versions.
+MAX_BYTES_PER_LOCKED_ENTRY = 170
+
+
+def test_a_locked_entry_costs_one_object_and_one_deadline():
+    """2 000 races each lock at their own arrival instant, as bridges
+    do: a lock must not keep that instant's float alive."""
+    sim = Simulator(seed=1, keep_trace_records=False)
+    table = LockedAddressTable(0.8, learnt_timeout=300.0,
+                               guard_timeout=0.5, sim=sim)
+    port = object()
+    macs = [MAC(0x02_00_00_00_00_00 | i) for i in range(2000)]
+    sim.run(until=0.15)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, mac in enumerate(macs):
+            table.lock(mac, port, 0.15 + i * 1e-5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.occupancy(0.2)["locked"] == 2000
+    assert held / 2000 <= MAX_BYTES_PER_LOCKED_ENTRY, held / 2000
 
 
 # -- what an STP hello costs -------------------------------------------------

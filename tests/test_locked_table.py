@@ -107,11 +107,6 @@ class TestLearning:
         entry = table.learn(M0, P0, now=0.0)
         assert not entry.race_active(0.0)
 
-    def test_created_time_preserved_across_upgrade(self, table):
-        table.lock(M0, P0, now=0.0)
-        entry = table.learn(M0, P0, now=0.5)
-        assert entry.created == 0.0
-
 
 class TestConfirm:
     def test_confirm_upgrades_locked(self, table):

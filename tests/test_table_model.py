@@ -12,9 +12,10 @@ observable, including ``len`` / ``in`` / ``expiries``, is determined)
 and backed by a ``Simulator`` (deadline buckets reclaim memory at times
 the reference does not model, so only reclamation-independent
 observables are compared — and the store invariant the in-place refresh
-relies on is asserted instead: every key in a store is filed under one
-pending bucket, every pending bucket has one armed engine timer, and
-nothing outlives its deadline by a granule).
+relies on is asserted instead: every entry is filed on itself under one
+pending bucket, a lazily reaped key's filing sits in its pending bucket,
+every pending bucket has one armed engine timer, and nothing outlives
+its deadline by a granule).
 """
 
 from collections import Counter
@@ -61,7 +62,7 @@ class LockedReference:
     """``LockedAddressTable`` restated over two plain dicts."""
 
     def __init__(self):
-        self.paths = {}     # value -> dict(port, state, created, expires, race_until)
+        self.paths = {}     # value -> dict(port, state, expires, race_until)
         self.guards = {}    # value -> (port, expires)
         self.counters = Counter()
 
@@ -77,8 +78,7 @@ class LockedReference:
         live = self.get(value, now)
         self.counters["relocks" if live is not None else "locks"] += 1
         self.paths[value] = dict(port=port, state=EntryState.LOCKED,
-                                 created=now, expires=now + LOCK,
-                                 race_until=now + LOCK)
+                                 expires=now + LOCK, race_until=now + LOCK)
         return self.paths[value]
 
     def _refresh_learnt(self, rec, now):
@@ -92,8 +92,7 @@ class LockedReference:
         if rec is None:
             self.counters["learns"] += 1
             self.paths[value] = dict(port=port, state=EntryState.LEARNT,
-                                     created=now, expires=now + LEARNT,
-                                     race_until=0.0)
+                                     expires=now + LEARNT, race_until=0.0)
             return self.paths[value]
         if rec["port"] is not port:
             self.counters["blocked_moves"] += 1
@@ -198,10 +197,11 @@ class FdbReference:
 class StoreAudit:
     """The bucket invariant of sim-backed stores, checked step by step.
 
-    Remembers, per store, where each key was filed and the latest
-    deadline it ever held: a filing that appeared since the previous
-    step was made from the deadline the entry has now (one operation
-    per step, and the clock rule changes no deadline).
+    Remembers, per store, where each key was filed — on its entry, or
+    in the store's orphans once reaped lazily — and the latest deadline
+    it ever held: a filing that appeared since the previous step was
+    made from the deadline the entry has now (one operation per step,
+    and the clock rule changes no deadline).
     """
 
     def __init__(self, sim, *stores):
@@ -228,11 +228,11 @@ class StoreAudit:
                     assert event.time == slot * RECLAIM_GRANULE > now
             assert set(armed) == set(store._buckets)
             assert set(armed.values()) <= {1}, armed
-            # Every remembered key: in its slot's pending bucket.
-            for key, slot in store._slots.items():
-                assert key in store._buckets[slot], (key, slot)
+            # Every live entry: filed (every deadline is finite) in a
+            # pending bucket that holds its key.
             for key, entry in store.entries.items():
-                slot = store._slots[key]        # every deadline is finite
+                slot = entry.filed
+                assert key in store._buckets.get(slot, ()), (key, slot)
                 deadline = entry.expires
                 if filed.get(key) != slot:      # filed during this step
                     assert slot * RECLAIM_GRANULE > deadline
@@ -240,8 +240,14 @@ class StoreAudit:
                 latest[key] = max(latest.get(key, deadline), deadline)
                 # Gone within a granule of the latest deadline it held.
                 assert now < latest[key] + RECLAIM_GRANULE, (key, entry)
+            # Every orphaned filing: a reaped key, in its pending bucket.
+            for key, slot in store._orphans.items():
+                assert key not in store.entries, key
+                assert key in store._buckets.get(slot, ()), (key, slot)
             filed.clear()
-            filed.update(store._slots)
+            filed.update(store._orphans)
+            filed.update((key, entry.filed)
+                         for key, entry in store.entries.items())
 
 
 class ClockedMachine(RuleBasedStateMachine):
@@ -294,9 +300,8 @@ class LockedTableMachine(ClockedMachine):
             return
         assert entry.mac == MAC(value)
         assert entry.port is rec["port"]
-        assert (entry.state, entry.created, entry.expires,
-                entry.race_until) == (rec["state"], rec["created"],
-                                      rec["expires"], rec["race_until"])
+        assert (entry.state, entry.expires, entry.race_until) \
+            == (rec["state"], rec["expires"], rec["race_until"])
 
     @rule(value=values)
     def get(self, value):
