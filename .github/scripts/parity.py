@@ -8,10 +8,11 @@ compares the outputs through ``repro.chaos.harness.check_parity``, so a
 failure prints the first divergent line:
 
 * ``jobs`` — every grid in :data:`JOBS_GRIDS` through ``repro sweep`` at
-  ``--jobs 1`` and ``--jobs 2``: ``events_processed`` first, then the
-  records (``--jsonl``), the CSV, the JSON artifact without its
-  ``elapsed_s`` timings and stdout. Population rows must also carry
-  ``endpoints_per_port`` endpoints per host and deliver payloads.
+  ``--jobs 1`` and ``--jobs 2``: ``events_processed`` from the JSON
+  artifact's cell telemetry first, then the records (``--jsonl``), the
+  CSV, the JSON artifact without its ``elapsed_s`` timings and stdout.
+  Population rows must also carry ``endpoints_per_port`` endpoints per
+  host and deliver payloads.
 * ``hashseed`` — the same outputs under ``PYTHONHASHSEED=1`` and ``2``.
 * ``serve`` — records streamed by a real ``repro serve`` daemon equal
   ``repro sweep --jsonl``; then a daemon SIGTERM'd mid-job exits 0,
@@ -159,10 +160,14 @@ def read_lines(path: str) -> List[str]:
         return handle.read().splitlines()
 
 
+def artifact(out: str) -> Dict[str, Any]:
+    with open(f"{out}.json") as handle:
+        return json.load(handle)
+
+
 def artifact_lines(out: str) -> List[str]:
     """The JSON artifact without its timings, one field per line."""
-    with open(f"{out}.json") as handle:
-        payload = json.load(handle)
+    payload = artifact(out)
     for cell in payload["cells"]:
         cell.pop("elapsed_s")
     return json.dumps(payload, indent=1, sort_keys=True).splitlines()
@@ -173,12 +178,11 @@ def compare_sweeps(left: str, right: str, context: str) -> int:
     records = [read_lines(f"{out}.jsonl") for out in (left, right)]
     if not records[0]:
         raise CheckFailed(f"{context}: the sweep produced no records")
-    rows = [[json.loads(line) for line in lines] for lines in records]
-    events = [[str(row.get("events_processed")) for row in side]
-              for side in rows]
-    check_parity(*events, f"{context}: events_processed")
+    events = [[str(cell["telemetry"].get("events_processed"))
+               for cell in artifact(out)["cells"]] for out in (left, right)]
+    check_parity(*events, f"{context}: telemetry events_processed")
     check_parity(*records, f"{context}: --jsonl records")
-    for row in rows[0]:
+    for row in map(json.loads, records[0]):
         if "endpoints_per_port" in row and not (
                 row["endpoints"] == row["endpoints_per_port"] * row["hosts"]
                 and row["payloads_delivered"] > 0):

@@ -1,11 +1,11 @@
-"""EXP-E2: timer-wheel micro-benchmarks (supporting, not from the paper).
+"""EXP-E2: engine timer micro-benchmarks (supporting, not from the paper).
 
-Quantifies what the hierarchical timer wheel buys over heap scheduling
-for the aging-timer access pattern: high volume, short deadlines, most
-timers cancelled (refreshed) before they fire. This is exactly the load
-the unified table layer (``repro.netsim.aging.AgingStore``) puts on the
-engine, so the numbers here are the perf floor for table-heavy
-workloads.
+Times timer churn — high volume, short deadlines, most timers cancelled
+before they fire — and bulk injection. The engine has one event heap,
+so both churn workloads schedule on it: ``churn_heap_only`` through
+``schedule`` and ``churn_wheel`` through ``schedule_timer`` (``schedule``
+at ``PRIORITY_LATE``). The ``timer_churn_wheel`` name stays because
+``check_regression.py`` reads it.
 
 Run with ``pytest benchmarks/bench_timerwheel.py --benchmark-only``.
 
@@ -44,7 +44,7 @@ def churn_heap_only() -> Simulator:
 
 
 def churn_wheel() -> Simulator:
-    """The wheel pattern: cancelled timers never touch the heap."""
+    """The same churn through ``schedule_timer``."""
     return _churn(lambda sim, delay: sim.schedule_timer(delay, lambda: None))
 
 

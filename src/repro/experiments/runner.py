@@ -113,10 +113,17 @@ class CellResult:
     failed; ``status`` is :data:`OK` or :data:`FAILED_PERMANENT` (the
     retry budget is spent and ``error`` holds the last attempt's
     failure).
+
+    ``telemetry`` is engine bookkeeping the scenario reports beside its
+    rows (``scale``'s ``ENGINE_FIELDS``, one entry per row);
+    :func:`record_line` never sees it. A resumed serve job rebuilds its
+    already-flushed cells from their stored records, so those cells
+    carry it empty.
     """
 
     cell: SweepCell
     rows: List[Dict[str, Any]] = field(default_factory=list)
+    telemetry: Dict[str, List[Any]] = field(default_factory=dict)
     elapsed: float = 0.0
     error: Optional[str] = None
     attempts: int = 1
@@ -229,10 +236,11 @@ def execute_cell(cell: SweepCell, attempt: int = 0,
                 tagged.setdefault(name, _brief(value)
                                   if isinstance(value, tuple) else value)
             rows.append(tagged)
+        telemetry = result.telemetry() if hasattr(result, "telemetry") else {}
     except Exception:
         return CellResult(cell=cell, error=traceback.format_exc(),
                           elapsed=time.perf_counter() - started)
-    return CellResult(cell=cell, rows=rows,
+    return CellResult(cell=cell, rows=rows, telemetry=telemetry,
                       elapsed=time.perf_counter() - started)
 
 
@@ -554,7 +562,8 @@ class SweepReport:
                        "attempts": r.attempts,
                        "retried": r.retried,
                        "status": r.status,
-                       "error": r.error}
+                       "error": r.error,
+                       "telemetry": r.telemetry}
                       for r in self.cells],
             "rows": self.rows(),
             "summary": self.summary_rows(),

@@ -18,11 +18,9 @@ the bridge families and measures, per (kind, size, protocol) cell:
   protocol and flooding a cold conversation costs;
 * **convergence time** — cold-path discovery latency: the time from
   the first probe until its reply arrives (ARP race + path lock);
-* **peak engine memory** — the simulator's logical footprint (pending
-  events + wheel timers) sampled on the timer wheel by
-  :class:`repro.netsim.meminfo.MemorySampler`. Process RSS is
-  machine-dependent and deliberately *not* in the rows (the sweep
-  determinism invariant); ``benchmarks/bench_scale.py`` records it.
+* **engine bookkeeping** — :data:`ENGINE_FIELDS`, beside the records
+  (:meth:`ScaleResult.telemetry`), never in them. Process RSS is
+  machine-dependent and recorded only by ``benchmarks/bench_scale.py``.
 
 Traffic is injected with :meth:`Network.announce_hosts`-style bulk
 scheduling (:meth:`~repro.netsim.engine.Simulator.schedule_bulk`), so
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec
@@ -64,6 +62,12 @@ POP_STAGGER = 1e-4
 #: elephant (40 packets x 1 ms) plus one full ARP retry interval.
 POP_WINDOW = 2.0
 
+#: :class:`ScaleRow` fields that describe the engine, not the network
+#: (the peak comes from :class:`~repro.netsim.meminfo.MemorySampler`):
+#: kept out of the records, so a change to how the engine schedules
+#: moves no record digest.
+ENGINE_FIELDS = ("events_processed", "peak_pending_events")
+
 
 @dataclass
 class ScaleRow:
@@ -83,13 +87,16 @@ class ScaleRow:
     peak_state: int
     mean_state: float
     peak_pending_events: int
-    peak_wheel_timers: int
     probes_sent: int
     probes_answered: int
     events_processed: int
     #: Simulated endpoints (hosts + population members); equals
     #: ``hosts`` unless the cell ran with ``endpoints_per_port`` > 1.
     endpoints: int = 0
+
+    #: Always 0: the engine has one queue. Kept until the benchmark stops
+    #: reading it (``bench/workloads.py``, ``engine.peak_wheel_timers``).
+    peak_wheel_timers: ClassVar[int] = 0
 
     def __post_init__(self):
         if not self.endpoints:
@@ -102,14 +109,8 @@ class ScaleRow:
 
     @property
     def events_per_payload(self) -> float:
-        """Engine events burnt per payload delivered to a host.
-
-        The event-economy counterpart of :attr:`frames_per_payload`:
-        deterministic (event scheduling is part of the simulation), so
-        CI's ``--jobs`` byte-parity gate also pins the event count, and
-        event-count regressions in the dataplane fast path show up as
-        row diffs, not just wall-clock noise.
-        """
+        """Engine events burnt per payload delivered to a host: the
+        event-economy counterpart of :attr:`frames_per_payload`."""
         return self.events_processed / max(self.payloads_delivered, 1)
 
 
@@ -120,7 +121,7 @@ class ScaleResult:
     def table(self) -> str:
         headers = ["protocol", "kind", "bridges", "links",
                    "convergence_ms", "frames/payload", "arp_frames",
-                   "peak_state", "mean_state", "peak_pending"]
+                   "peak_state", "mean_state"]
         body = []
         for row in self.rows:
             body.append([
@@ -129,7 +130,6 @@ class ScaleResult:
                 if row.convergence_s is not None else None,
                 f"{row.frames_per_payload:.1f}", row.arp_frames,
                 row.peak_state, f"{row.mean_state:.1f}",
-                row.peak_pending_events,
             ])
         return format_table(
             headers, body,
@@ -156,14 +156,16 @@ class ScaleResult:
                 "payloads_delivered": row.payloads_delivered,
                 "peak_state": row.peak_state,
                 "mean_state": row.mean_state,
-                "peak_pending_events": row.peak_pending_events,
-                "peak_wheel_timers": row.peak_wheel_timers,
                 "probes_sent": row.probes_sent,
                 "probes_answered": row.probes_answered,
-                "events_processed": row.events_processed,
-                "events_per_payload": row.events_per_payload,
             })
         return out
+
+    def telemetry(self) -> Dict[str, List[int]]:
+        """The engine bookkeeping beside :meth:`records`: each of
+        :data:`ENGINE_FIELDS`, one entry per row."""
+        return {name: [getattr(row, name) for row in self.rows]
+                for name in ENGINE_FIELDS}
 
 
 def _natural(names) -> List[str]:
@@ -302,15 +304,8 @@ def _merge_scale_shards(protocol: ProtocolSpec, kind: str, size: int,
     if len(lengths) != 1:
         raise RuntimeError(
             f"shard sampler series diverged in length: {sorted(lengths)}")
-    peak_pending = 0
-    peak_wheel = 0
-    for index in range(lengths.pop()):
-        pending = sum(result["series"][index][0] for result in shards)
-        wheel = sum(result["series"][index][1] for result in shards)
-        if pending > peak_pending:
-            peak_pending = pending
-        if wheel > peak_wheel:
-            peak_wheel = wheel
+    peak_pending = max(sum(instant) for instant in
+                       zip(*(result["series"] for result in shards)))
 
     events = sum(result["events"] for result in shards) \
         - sum(result["samples"] - 2 for result in shards[1:])
@@ -322,7 +317,7 @@ def _merge_scale_shards(protocol: ProtocolSpec, kind: str, size: int,
         arp_frames=sent.get(ETHERTYPE_ARP, 0), control_frames=control,
         payloads_delivered=sum(result["payloads"] for result in shards),
         peak_state=max(states), mean_state=sum(states) / len(states),
-        peak_pending_events=peak_pending, peak_wheel_timers=peak_wheel,
+        peak_pending_events=peak_pending,
         probes_sent=first["probes_sent"],
         probes_answered=sum(result["answered"] for result in shards),
         events_processed=events, endpoints=first["endpoints"])

@@ -15,11 +15,11 @@ Two mechanisms cooperate, with a strict division of labour:
 * **Bucketed reclamation** — when a simulator is attached, the store
   files each key under the quarter-second bucket that ends strictly
   after its entry's deadline (``slot = int(expires / RECLAIM_GRANULE)
-  + 1``) and the first key of a bucket arms **one** engine wheel timer
-  at ``slot * RECLAIM_GRANULE``. When it fires the store walks that
-  bucket once: expired entries are deleted, an entry refreshed since
-  it was filed is re-filed under its new deadline's bucket
-  (kernel-style lazy re-arm). No timer per entry — the way a NetFPGA
+  + 1``) and the first key of a bucket arms **one** engine timer (a
+  heap event at ``PRIORITY_LATE``) at ``slot * RECLAIM_GRANULE``.
+  When it fires the store walks that bucket once: expired entries are
+  deleted, an entry refreshed since it was filed is re-filed under its
+  new deadline's bucket (kernel-style lazy re-arm). No timer per entry — the way a NetFPGA
   table has a coarse background scan and no per-row timer — no
   O(table) sweep, and an idle store schedules nothing. Memory is held
   at most one granule past the deadline the key was filed at;

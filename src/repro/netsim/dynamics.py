@@ -17,10 +17,9 @@ An :class:`EventTimeline` is a deterministic, pre-computed schedule of
   same network are identical, and a timeline's effect depends only on
   the cell that built it — which is what keeps ``sweep --jobs N``
   byte-identical at any jobs level.
-* **Wheel-driven.** :meth:`EventTimeline.arm` files every event on the
-  engine's :class:`~repro.netsim.engine.TimerWheel`
-  (``sim.schedule_timer``) — churn events are exactly the
-  short-deadline, bulk-scheduled timers the wheel exists for.
+* **Timer-driven.** :meth:`EventTimeline.arm` schedules every event on
+  the engine's heap up front (``sim.schedule_timer``, at
+  ``PRIORITY_LATE``), so a flap runs after the same-instant data plane.
 * **Aging stays in the store.** Dispatch never sweeps or expires table
   entries; reclamation remains the :class:`~repro.netsim.aging
   .AgingStore`'s job (the shared-aging invariant). The only state wipes
@@ -211,7 +210,7 @@ class EventTimeline:
     # -- execution ---------------------------------------------------------
 
     def arm(self) -> int:
-        """File every scripted event on the engine's timer wheel.
+        """Schedule every scripted event as an engine timer.
 
         Events keep global (time, priority, seq) order — within one
         instant they fire in scripting order. Returns the number armed.

@@ -1,21 +1,13 @@
 """The discrete-event simulation engine.
 
-Two scheduling structures cooperate behind one deterministic clock:
-
-* **Event heap** — the primary queue. Events fire in (time, priority,
-  sequence) order, so two runs with the same seed replay identically —
-  which the ARP-Path tests rely on, because path selection is literally
-  a race between flooded frame copies.
-* **Timer wheel** (:class:`TimerWheel`) — a two-level hierarchical
-  wheel for housekeeping timers that may be cancelled before they fire
-  (aging-store deadline buckets, churn timelines, the memory sampler).
-  Wheel timers are bucketed
-  by coarse time slot and only *poured* into the heap just before their
-  bucket's window executes; a timer cancelled early therefore costs O(1)
-  and never touches the heap at all. Pouring happens strictly before any
-  event at or past the bucket's window fires, so the global
-  (time, priority, sequence) order — and with it determinism — is
-  preserved exactly as if every timer had been heap-scheduled.
+One event heap is the only queue. Events fire in (time, priority,
+sequence) order, so two runs with the same seed replay identically —
+which the ARP-Path tests rely on, because path selection is literally a
+race between flooded frame copies. Housekeeping timers (aging-store
+deadline buckets, churn timelines, the memory sampler) are ordinary
+heap events at :data:`PRIORITY_LATE`, scheduled through
+:meth:`Simulator.schedule_timer`; none of them is cancelled early, so
+a separate cancellation-friendly structure would buy nothing.
 
 The engine also keeps an O(1) :attr:`Simulator.pending_events` counter
 (maintained incrementally on schedule/fire/cancel) and offers
@@ -36,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from repro.netsim.errors import RecordRetentionError, SchedulingError
 from repro.netsim.tracer import Tracer
@@ -85,142 +77,6 @@ class Event:
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.9f} prio={self.priority} {state}>"
-
-
-class TimerWheel:
-    """A two-level hierarchical timer wheel feeding the event heap.
-
-    Timers land in *fine* buckets of ``resolution`` seconds when they
-    are due within one wheel span (``resolution * slots``), otherwise in
-    *coarse* buckets one span wide. As the clock approaches a bucket,
-    coarse buckets cascade into fine ones and fine buckets pour their
-    surviving timers into the simulator's heap, which restores the exact
-    (time, priority, sequence) order.
-
-    The payoff is cancellation: a timer cancelled before its bucket
-    is poured costs a flag write — no heap traffic, no O(log n)
-    anything. Only timers that actually come due ever reach the heap.
-    (Table aging no longer cancels: :mod:`repro.netsim.aging` arms one
-    never-cancelled timer per deadline bucket.)
-    """
-
-    __slots__ = ("resolution", "span", "_fine", "_coarse", "_size",
-                 "_next_due")
-
-    def __init__(self, resolution: float = 0.25, slots: int = 64):
-        if resolution <= 0:
-            raise SchedulingError(
-                f"wheel resolution must be > 0: {resolution}")
-        if slots < 1:
-            raise SchedulingError(f"wheel needs at least one slot: {slots}")
-        self.resolution = resolution
-        self.span = resolution * slots
-        self._fine: Dict[int, List[Event]] = {}
-        self._coarse: Dict[int, List[Event]] = {}
-        #: Timers held (including cancelled ones not yet reaped).
-        self._size = 0
-        #: Earliest bucket start time, or inf when empty.
-        self._next_due = _INF
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def next_due(self) -> float:
-        """Start of the earliest non-empty bucket (inf when empty)."""
-        return self._next_due
-
-    @staticmethod
-    def _slot_for(time: float, width: float) -> int:
-        """The bucket index for *time*, guaranteeing start <= time.
-
-        Plain ``int(time / width)`` can round the quotient up when the
-        boundary is not exactly representable (e.g. 1.7 / 0.1 == 17.0,
-        but 17 * 0.1 > 1.7), which would file a timer in a bucket that
-        starts after its own fire time — and pour() would then skip it
-        at its exact deadline, breaking the global event order. Clamp
-        the index down so every bucket contains only timers at or after
-        its start.
-        """
-        slot = int(time / width)
-        if slot * width > time:
-            slot -= 1
-        return slot
-
-    def insert(self, event: Event, now: float) -> None:
-        """File *event* into the wheel (no heap interaction)."""
-        if event.time - now < self.span:
-            slot = self._slot_for(event.time, self.resolution)
-            start = slot * self.resolution
-            bucket = self._fine.get(slot)
-            if bucket is None:
-                self._fine[slot] = [event]
-            else:
-                bucket.append(event)
-        else:
-            slot = self._slot_for(event.time, self.span)
-            start = slot * self.span
-            bucket = self._coarse.get(slot)
-            if bucket is None:
-                self._coarse[slot] = [event]
-            else:
-                bucket.append(event)
-        self._size += 1
-        if start < self._next_due:
-            self._next_due = start
-
-    def pour(self, horizon: float, queue: List[tuple]) -> None:
-        """Move every timer that could fire by *horizon* into *queue*.
-
-        Buckets whose window starts at or before *horizon* are drained;
-        cancelled timers are discarded, live ones are heap-pushed (as
-        the heap's ``(time, priority, seq, event)`` entries) so the
-        caller sees them in exact global order. Coarse buckets cascade
-        into fine buckets (or the heap) on the way.
-        """
-        resolution = self.resolution
-        if self._coarse:
-            span = self.span
-            for slot in [s for s in self._coarse if s * span <= horizon]:
-                for event in self._coarse.pop(slot):
-                    if event.cancelled:
-                        self._size -= 1
-                        continue
-                    fine_slot = self._slot_for(event.time, resolution)
-                    if fine_slot * resolution <= horizon:
-                        self._size -= 1
-                        heapq.heappush(queue, (event.time, event.priority,
-                                               event.seq, event))
-                    else:
-                        self._fine.setdefault(fine_slot, []).append(event)
-        if self._fine:
-            for slot in [s for s in self._fine if s * resolution <= horizon]:
-                for event in self._fine.pop(slot):
-                    self._size -= 1
-                    if not event.cancelled:
-                        heapq.heappush(queue, (event.time, event.priority,
-                                               event.seq, event))
-        self._recompute_next_due()
-
-    def _recompute_next_due(self) -> None:
-        due = _INF
-        if self._fine:
-            due = min(self._fine) * self.resolution
-        if self._coarse:
-            coarse_due = min(self._coarse) * self.span
-            if coarse_due < due:
-                due = coarse_due
-        self._next_due = due
-
-    def _iter_events(self) -> Iterable[Event]:
-        for bucket in self._fine.values():
-            yield from bucket
-        for bucket in self._coarse.values():
-            yield from bucket
-
-    def __repr__(self) -> str:
-        return (f"<TimerWheel size={self._size} "
-                f"next_due={self._next_due:.3f}>")
 
 
 class Periodic:
@@ -296,7 +152,6 @@ class Simulator:
         self.trace_hops = trace_hops
         self.tracer = Tracer()
         self.events_processed = 0
-        self.wheel = TimerWheel()
 
     @property
     def now(self) -> float:
@@ -341,24 +196,9 @@ class Simulator:
 
     def schedule_timer(self, delay: float, callback: Callable[..., Any],
                        *args: Any, priority: int = PRIORITY_LATE) -> Event:
-        """Schedule a wheel-managed timer *delay* seconds from now.
-
-        Semantically identical to :meth:`schedule` — same determinism,
-        same :class:`Event` handle — but filed on the timer wheel, which
-        makes it the right call for housekeeping that must not crowd
-        the heap (aging-store deadline buckets, churn timelines) and
-        for timers likely to be cancelled before they fire. Timers
-        default to
-        :data:`PRIORITY_LATE` so same-instant data-plane events run
-        first.
-        """
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule in the past: {delay}")
-        event = Event(self._now + delay, priority, next(self._seq),
-                      callback, args, self)
-        self.wheel.insert(event, self._now)
-        self._pending += 1
-        return event
+        """:meth:`schedule` at :data:`PRIORITY_LATE` by default, so a
+        housekeeping timer runs after same-instant data-plane events."""
+        return self.schedule(delay, callback, *args, priority=priority)
 
     def call_soon(self, callback: Callable[..., Any], *args: Any,
                   priority: int = PRIORITY_NORMAL) -> Event:
@@ -454,27 +294,12 @@ class Simulator:
         it when *inclusive* — in (time, priority, seq) order, leaving
         the clock on the last one. False when *max_events* cut it short.
         """
-        # Hot loop: local bindings avoid repeated attribute lookups, the
-        # wheel is consulted with one float compare per iteration, and
+        # Hot loop: local bindings avoid repeated attribute lookups, and
         # events fire without any per-event allocation.
         queue = self._queue
-        wheel = self.wheel
         heappop = heapq.heappop
         fired = 0
         while True:
-            if wheel._size:
-                horizon = queue[0][0] if queue else wheel._next_due
-                if horizon > limit:
-                    # Don't drag far-future wheel timers into the heap
-                    # just because this slice ends: they would lose the
-                    # wheel's O(1) cancellation.
-                    horizon = limit
-                if wheel._next_due <= horizon:
-                    wheel.pour(horizon, queue)
-                    if not queue:
-                        # Cascade/discard progressed without reaching
-                        # the heap; retry at the advanced next_due.
-                        continue
             if not queue:
                 return True
             event = queue[0][3]
@@ -498,8 +323,7 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events — O(1).
 
-        Maintained incrementally: schedule/at/schedule_timer/
-        schedule_bulk increment, firing and :meth:`Event.cancel`
+        Maintained incrementally: schedule/at/schedule_bulk increment, firing and :meth:`Event.cancel`
         decrement. :meth:`audit_pending_events` cross-checks the counter
         against a full scan.
         """
@@ -508,25 +332,19 @@ class Simulator:
     def next_event_time(self) -> float:
         """Earliest timestamp anything could fire at — O(1), conservative.
 
-        The minimum of the heap head and the wheel's next due bucket;
-        ``inf`` when both are empty. A cancelled heap head only makes
-        the answer *earlier* than the true next event, which is the
-        safe direction for its one consumer: the sharded runtime's
-        per-window horizon (:mod:`repro.netsim.shard`), where a bound
+        The heap head's time; ``inf`` when the heap is empty. A cancelled
+        head only makes the answer *earlier* than the true next event,
+        which is the safe direction for its one consumer: the sharded
+        runtime's per-window horizon (:mod:`repro.netsim.shard`), where a bound
         computed from an under-estimate is still a valid guarantee.
         """
         queue = self._queue
-        head = queue[0][0] if queue else _INF
-        if self.wheel._size and self.wheel._next_due < head:
-            head = self.wheel._next_due
-        return head
+        return queue[0][0] if queue else _INF
 
     def audit_pending_events(self) -> int:
-        """O(n) debug scan of the heap and wheel; asserts it matches the
+        """O(n) debug scan of the heap; asserts it matches the
         incremental counter and returns the count."""
         scanned = sum(1 for entry in self._queue if not entry[3].cancelled)
-        scanned += sum(1 for event in self.wheel._iter_events()
-                       if not event.cancelled)
         assert scanned == self._pending, (
             f"pending_events counter drifted: counted {scanned}, "
             f"tracked {self._pending}")
@@ -534,5 +352,4 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (f"<Simulator t={self._now:.6f} queued={len(self._queue)} "
-                f"wheel={self.wheel._size} "
                 f"processed={self.events_processed}>")

@@ -13,12 +13,12 @@ not be mixed up:
   not.
 
 * **Engine footprint** (:class:`MemorySampler`) — the simulator's own
-  logical memory: pending events on the heap plus timers filed on the
-  wheel. It is a pure function of the simulation, so its peaks are
-  deterministic and safe to emit in records. The sampler hooks on the
-  timer wheel (:meth:`~repro.netsim.engine.Simulator.schedule_timer`),
-  so sampling itself rides the same O(1)-cancellation machinery it
-  observes.
+  logical memory: pending events on the heap. It is a pure function of
+  the simulation, so its peak is deterministic; being engine
+  bookkeeping, it travels beside records (a ``scale`` cell's
+  ``CellResult.telemetry``), never in them. The sampler's ticks are
+  :meth:`~repro.netsim.engine.Simulator.schedule_timer` events on the
+  same heap it observes.
 """
 
 from __future__ import annotations
@@ -74,11 +74,10 @@ def peak_rss_bytes() -> int:
 class MemorySampler:
     """Periodic sampler of the engine's logical footprint.
 
-    Arms a repeating timer on the simulator's wheel and records, at
-    every tick, the number of pending heap events and wheel timers;
-    :attr:`peak_pending_events` / :attr:`peak_wheel_timers` hold the
-    high-water marks. Both are deterministic (they depend only on the
-    simulation), so scale-experiment rows may include them.
+    Arms a repeating timer on the simulator and records, at every tick,
+    the number of pending events; :attr:`peak_pending_events` holds the
+    high-water mark. It is deterministic (it depends only on the
+    simulation).
 
     With ``track_rss=True`` the sampler additionally tracks
     :func:`rss_bytes` peaks — benchmark-only; see the module docs.
@@ -93,9 +92,12 @@ class MemorySampler:
     """
 
     __slots__ = ("sim", "interval", "track_rss", "samples",
-                 "peak_pending_events", "peak_wheel_timers",
-                 "peak_rss", "series", "_adjust", "_event", "_stopped",
-                 "_count_self")
+                 "peak_pending_events", "peak_rss", "series", "_adjust",
+                 "_event", "_stopped", "_count_self")
+
+    #: Always 0: the engine has one queue. Kept until the benchmark stops
+    #: reading it (``bench/trace.py``, ``engine.peak_wheel_timers``).
+    peak_wheel_timers = 0
 
     def __init__(self, sim, interval: float = 0.5,
                  track_rss: bool = False, record_series: bool = False,
@@ -107,19 +109,18 @@ class MemorySampler:
         self.track_rss = track_rss
         self.samples = 0
         self.peak_pending_events = 0
-        self.peak_wheel_timers = 0
         #: Peak process RSS in bytes (0 unless ``track_rss``).
         self.peak_rss = 0
         #: With ``record_series=True``, the full per-sample sequence of
-        #: ``(pending, wheel)`` pairs. The sharded runtime needs the
+        #: pending-event counts. The sharded runtime needs the
         #: whole series, not just peaks: per-shard peaks occur at
         #: different instants, so a whole-simulation peak is the max of
         #: the *per-instant sums* across shards.
         self.series = [] if record_series else None
-        #: Optional callable returning ``(pending_delta, wheel_delta)``
-        #: applied to every sample — the shard runtime's hook for
-        #: counting frames that are in flight between shards (and so in
-        #: no local heap) at the sampling instant.
+        #: Optional callable returning a pending-event delta added to
+        #: every sample — the shard runtime's hook for counting frames
+        #: that are in flight between shards (and so in no local heap)
+        #: at the sampling instant.
         self._adjust = adjust
         #: With ``count_self=False`` the sampler's own live tick timer is
         #: subtracted from every sample. A sharded run has one sampler
@@ -158,28 +159,17 @@ class MemorySampler:
     def _sample(self) -> None:
         self.samples += 1
         pending = self.sim.pending_events
-        wheel_size = len(self.sim.wheel)
         if self._adjust is not None:
-            pending_delta, wheel_delta = self._adjust()
-            pending += pending_delta
-            wheel_size += wheel_delta
+            pending += self._adjust()
         if not self._count_self:
             event = self._event
             if event is not None and event._sim is not None:
-                # Our own armed tick timer: off the books. It is on the
-                # wheel unless a pour already promoted it to the heap
-                # (only plausible at the stop sample), so check where it
-                # actually lives before decrementing the wheel count.
+                # Our own armed tick timer: off the books.
                 pending -= 1
-                if any(ev is event
-                       for ev in self.sim.wheel._iter_events()):
-                    wheel_size -= 1
         if self.series is not None:
-            self.series.append((pending, wheel_size))
+            self.series.append(pending)
         if pending > self.peak_pending_events:
             self.peak_pending_events = pending
-        if wheel_size > self.peak_wheel_timers:
-            self.peak_wheel_timers = wheel_size
         if self.track_rss:
             rss = rss_bytes()
             if rss > self.peak_rss:
@@ -187,5 +177,4 @@ class MemorySampler:
 
     def __repr__(self) -> str:
         return (f"<MemorySampler samples={self.samples} "
-                f"peak_pending={self.peak_pending_events} "
-                f"peak_wheel={self.peak_wheel_timers}>")
+                f"peak_pending={self.peak_pending_events}>")

@@ -332,8 +332,8 @@ class ShardRuntime:
 
     # -- sampler hook --------------------------------------------------------
 
-    def pending_adjust(self) -> Tuple[int, int]:
-        """``(pending_delta, wheel_delta)`` for the memory sampler.
+    def pending_adjust(self) -> int:
+        """The pending-event delta for the memory sampler.
 
         A frame in flight across the boundary is one pending delivery
         event in the single-process run. Here it is either a frame in a
@@ -343,8 +343,7 @@ class ShardRuntime:
         so the receiver subtracts its live released events: all its
         cut links' in-flight FIFOs ever hold). Summing both shards'
         samples at one instant therefore reproduces the single-process
-        pending count exactly. Wheel delta is zero: deliveries are heap
-        events in both worlds.
+        pending count exactly.
         """
         now = self.sim._now
         sender = 0
@@ -355,7 +354,7 @@ class ShardRuntime:
         released = sum(len(direction.pending)
                        for wire in self._links.values()
                        for direction in wire._dirs.values())
-        return sender - released, 0
+        return sender - released
 
     # -- staged-frame release ------------------------------------------------
 
@@ -416,12 +415,12 @@ class ShardRuntime:
         while True:
             rounds += 1
             # My horizon: the earliest instant anything I still hold
-            # could fire — next heap/wheel event, earliest staged
-            # remote frame, earliest frame in the batches this very
-            # message flushes. Including the outgoing batches is what
-            # lets peers trust min-of-horizons: after the exchange,
-            # every channel is empty, so every future event anywhere
-            # must chain from state some shard just counted.
+            # could fire — next heap event, earliest staged remote
+            # frame, earliest frame in the batches this very message
+            # flushes. Including the outgoing batches is what lets
+            # peers trust min-of-horizons: after the exchange, every
+            # channel is empty, so every future event anywhere must
+            # chain from state some shard just counted.
             if done:
                 horizon = _INF
             else:

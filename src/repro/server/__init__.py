@@ -28,7 +28,3 @@ at any worker-pool size — both sides serialize each row with
 :func:`repro.metrics.report.record_line` and emit rows in cell-index
 order.
 """
-
-from repro.server.daemon import Daemon, DaemonConfig  # noqa: F401
-from repro.server.jobs import JobManager  # noqa: F401
-from repro.server.store import Store  # noqa: F401

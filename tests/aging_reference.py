@@ -3,7 +3,7 @@ filing: a parallel key → slot dict (``_slots``) beside the entries.
 
 Test-only, and nothing under ``src/`` imports it. It is the reference
 ``tests/test_aging_parity.py`` runs the live store against, step by
-step: the two must reclaim at the same instants and arm the same wheel
+step: the two must reclaim at the same instants and arm the same bucket
 timers. The class is copied unedited but for its name; only the
 iteration helpers the parity test never calls are left out.
 """

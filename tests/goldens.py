@@ -29,14 +29,21 @@ Where the digests come from:
   quarter-second bucket: only ``events_processed`` /
   ``peak_pending_events`` / ``peak_wheel_timers`` fell, every other
   field stayed (table in CHANGES.md).
+* All ten ``scale-*`` digests moved once more when engine bookkeeping
+  left the ``scale`` records: ``events_processed`` and
+  ``peak_pending_events`` ride in ``CellResult.telemetry``,
+  ``events_per_payload`` stays a ``ScaleRow`` property and
+  ``peak_wheel_timers`` went with the timer wheel; every other field
+  stayed (field-level diff in CHANGES.md).
 * ``ablations-repair-hello`` was generated at 7e2d79c, where the cut
   was scheduled through ``FailureInjector``; the direct
   ``sim.at(fail_at, link.take_down)`` is the same heap event.
 * ``loadbalance-seed*`` and ``loopfree-seed*`` were generated at
   1beb1fb, before those scenarios stopped retaining trace records.
 
-Recompute every digest and print the ids that moved (exit 1 if any
-did), or rewrite the file with the fresh digests::
+Recompute every digest and print the ids that moved with their old and
+new digests (exit 1 if any did), or rewrite the file with the fresh
+digests::
 
     PYTHONPATH=src python tests/goldens.py
     PYTHONPATH=src python tests/goldens.py --write
@@ -99,7 +106,7 @@ def dumps(goldens: List[Golden]) -> str:
 def main(argv: Any = None) -> int:
     parser = argparse.ArgumentParser(
         description="Recompute every golden digest; print the ids that "
-                    "moved.")
+                    "moved, each with its old and new digest.")
     parser.add_argument("--write", action="store_true",
                         help="rewrite goldens.json with the fresh digests")
     args = parser.parse_args(argv)
@@ -108,7 +115,7 @@ def main(argv: Any = None) -> int:
     for golden in goldens:
         fresh = digest(golden)
         if fresh != golden["sha256"]:
-            moved.append(golden["id"])
+            moved.append(f"{golden['id']} {golden['sha256']} -> {fresh}")
             golden["sha256"] = fresh
     print("\n".join(moved) if moved else "nothing moved")
     if args.write:

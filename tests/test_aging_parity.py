@@ -53,10 +53,10 @@ class Side:
                 for key, entry in self.store.entries.items()}
 
     def timers(self):
-        """(time, slot) of every pending bucket timer, in time order."""
-        events = [queued[3] for queued in self.sim._queue]
-        events.extend(self.sim.wheel._iter_events())
-        return sorted((event.time, event.args) for event in events
+        """(time, priority, slot) of every pending bucket timer, in time
+        order."""
+        return sorted((time, priority, event.args)
+                      for time, priority, _, event in self.sim._queue
                       if not event.cancelled
                       and event.callback == self.store._bucket_due)
 

@@ -8,7 +8,7 @@ import pytest
 from repro.netsim.dynamics import (BRIDGE_CRASH, BRIDGE_RESTART, ChurnEvent,
                                    EventTimeline, HOST_MIGRATE, LINK_DOWN,
                                    LINK_UP)
-from repro.netsim.engine import Simulator
+from repro.netsim.engine import PRIORITY_LATE, Simulator
 from repro.netsim.errors import SchedulingError, TopologyError
 from repro.netsim.tracer import DELIVERED, SENT
 from repro.topology import arppath, learning, line, netfpga_demo, pair
@@ -123,12 +123,15 @@ class TestTimelineExecution:
         with pytest.raises(SchedulingError):
             timeline.arm()
 
-    def test_events_go_through_the_wheel(self, demo):
-        before = len(demo.sim.wheel)
+    def test_events_are_pending_late_timers(self, demo):
         timeline = EventTimeline(demo)
         timeline.add_flap("NF1-NF2", at=6.0, down_for=0.5)
         timeline.arm()
-        assert len(demo.sim.wheel) == before + 2
+        armed = sorted((time, priority)
+                       for time, priority, _, event in demo.sim._queue
+                       if event.callback == timeline._fire
+                       and not event.cancelled)
+        assert armed == [(6.0, PRIORITY_LATE), (6.5, PRIORITY_LATE)]
 
     def test_traffic_flows_again_after_flap(self, demo):
         timeline = EventTimeline(demo)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.engine import (PRIORITY_EARLY, PRIORITY_LATE,
-                                 PRIORITY_NORMAL, Simulator, TimerWheel)
+                                 PRIORITY_NORMAL, Simulator)
 from repro.netsim.errors import SchedulingError
 
 
@@ -128,9 +128,8 @@ class TestRunControl:
         assert sim.events_processed == 7
 
 
-#: Event times: mostly an exact 1/8 s grid reaching past the wheel's
-#: 16 s span (so times collide with each other and with the bound, and
-#: timers land in fine and coarse buckets), some arbitrary floats.
+#: Event times: mostly an exact 1/8 s grid (so times collide with each
+#: other and with the bound), some arbitrary floats.
 _times = st.one_of(st.integers(0, 400).map(lambda n: n / 8),
                    st.floats(min_value=0.0, max_value=50.0))
 _loop_ops = st.lists(
@@ -294,7 +293,7 @@ class TestPendingEvents:
         event.cancel()
         assert sim.pending_events == 0
 
-    def test_wheel_timers_counted(self, sim):
+    def test_timers_counted(self, sim):
         timer = sim.schedule_timer(0.5, lambda: None)
         assert sim.pending_events == 1
         assert sim.audit_pending_events() == 1
@@ -313,6 +312,8 @@ class TestPendingEvents:
 
 
 class TestTimerWheel:
+    """``schedule_timer``: a heap event at ``PRIORITY_LATE`` by default."""
+
     def test_timer_fires_at_deadline(self, sim):
         fired = []
         sim.schedule_timer(1.5, lambda: fired.append(sim.now))
@@ -331,14 +332,15 @@ class TestTimerWheel:
             sim.schedule_timer(-0.1, lambda: None)
 
     def test_orders_with_heap_events(self, sim):
-        """Wheel timers interleave with heap events in exact time order."""
+        """Timers interleave with other events in exact time order."""
         order = []
-        sim.schedule(1.0, order.append, "heap-1.0")
-        sim.schedule_timer(0.5, order.append, "wheel-0.5")
-        sim.schedule_timer(1.5, order.append, "wheel-1.5")
-        sim.schedule(2.0, order.append, "heap-2.0")
+        sim.schedule(1.0, order.append, "event-1.0")
+        sim.schedule_timer(0.5, order.append, "timer-0.5")
+        sim.schedule_timer(1.5, order.append, "timer-1.5")
+        sim.schedule(2.0, order.append, "event-2.0")
         sim.run()
-        assert order == ["wheel-0.5", "heap-1.0", "wheel-1.5", "heap-2.0"]
+        assert order == ["timer-0.5", "event-1.0", "timer-1.5",
+                         "event-2.0"]
 
     def test_same_instant_late_priority(self, sim):
         """Timers default to PRIORITY_LATE: data events at the same
@@ -348,15 +350,6 @@ class TestTimerWheel:
         sim.schedule(1.0, order.append, "data")
         sim.run()
         assert order == ["data", "timer"]
-
-    def test_far_future_timer_cascades(self, sim):
-        """A timer beyond the fine wheel span (coarse bucket) still
-        fires at its exact deadline."""
-        span = sim.wheel.span
-        fired = []
-        sim.schedule_timer(span * 3.5, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [pytest.approx(span * 3.5)]
 
     def test_run_until_leaves_future_timers(self, sim):
         fired = []
@@ -374,13 +367,10 @@ class TestTimerWheel:
         assert order == ["a", "b"]
 
     def test_awkward_resolution_keeps_exact_order(self):
-        """Regression: bucket boundaries that are not exactly
-        representable (1.7/0.1 rounds up to 17.0, and 17*0.1 > 1.7)
-        must not file a timer past its own deadline — the LATE wheel
-        timer still beats a later-priority heap event at the same
-        instant."""
+        """A deadline that is not a binary fraction (1.7) fires at
+        exactly its instant: the LATE timer still beats a later-priority
+        event at the same instant."""
         sim = Simulator(seed=0)
-        sim.wheel = TimerWheel(resolution=0.1)
         order = []
         sim.schedule_timer(1.7, order.append, "timer-late")
         sim.schedule(1.7, order.append, "heap-later",
@@ -390,15 +380,14 @@ class TestTimerWheel:
         assert sim.now == pytest.approx(1.7)
 
     def test_awkward_resolution_exact_interleave(self):
-        """Wheel and heap events interleave identically to heap-only
-        scheduling at a non-power-of-two resolution."""
-        def firing_order(use_wheel):
+        """Timers at ``PRIORITY_NORMAL`` interleave identically to
+        plain scheduling at deadlines that are not binary fractions."""
+        def firing_order(use_timers):
             sim = Simulator(seed=0)
-            sim.wheel = TimerWheel(resolution=0.1)
             order = []
             for i in range(50):
                 delay = round(0.1 + i * 0.17, 10)
-                if use_wheel and i % 2:
+                if use_timers and i % 2:
                     sim.schedule_timer(delay, order.append, i,
                                        priority=PRIORITY_NORMAL)
                 else:
@@ -407,24 +396,6 @@ class TestTimerWheel:
             return order
 
         assert firing_order(True) == firing_order(False)
-
-    def test_run_until_does_not_drain_far_wheel_timers(self, sim):
-        """Regression: slice-stepping (run(until=...)) must leave
-        timers beyond the slice on the wheel, where cancellation stays
-        O(1) — not pour them into the heap."""
-        timer = sim.schedule_timer(500.0, lambda: None)
-        sim.run(until=1.0)
-        assert len(sim.wheel) == 1
-        timer.cancel()
-        assert sim.pending_events == 0
-        sim.run()
-
-    def test_step_pours_wheel(self, sim):
-        fired = []
-        sim.schedule_timer(0.5, fired.append, "x")
-        assert sim.step() is True
-        assert fired == ["x"]
-        assert sim.step() is False
 
 
 class TestScheduleBulk:

@@ -135,20 +135,20 @@ def _live_events() -> int:
 
 def test_reclaiming_2000_entries_costs_buckets_not_events():
     """2 000 locks inside 0.1 s: the parent armed, held and fired 2 000
-    wheel ``Event``s; the deadlines span two buckets."""
+    timer ``Event``s; the deadlines span two buckets."""
     lock_timeout, port = 0.8, object()
     sim = Simulator(seed=1, keep_trace_records=False)
     table = LockedAddressTable(lock_timeout, learnt_timeout=300.0,
                                guard_timeout=0.5, sim=sim)
     gc.collect()
     events_before = _live_events()
-    peak_wheel = 0
+    peak_pending = 0
     for batch in range(20):             # 20 x 100 locks over [0.15, 0.25)
         sim.run(until=0.15 + batch * 0.005)
         for i in range(100):
             table.lock(MAC(0x02_00_00_00_00_00 | batch * 100 + i), port,
                        sim.now)
-        peak_wheel = max(peak_wheel, len(sim.wheel))
+        peak_pending = max(peak_pending, sim.pending_events)
     assert len(table) == 2000
 
     sim.run(until=0.6)                  # mid-window: every lock still live
@@ -160,7 +160,7 @@ def test_reclaiming_2000_entries_costs_buckets_not_events():
     assert table.counters.expiries == 2000
     assert len(table) == 0
     assert sim.events_processed <= 4, sim.events_processed
-    assert peak_wheel <= 4
+    assert peak_pending <= 4
     assert sim.pending_events == 0
 
 

@@ -72,6 +72,19 @@ class TestExecution:
         assert set(payload) == {"cells", "rows", "summary"}
         assert payload["cells"][0]["scenario"] == "proxy"
         assert payload["cells"][0]["error"] is None
+        assert payload["cells"][0]["telemetry"] == {}
+
+    def test_scale_telemetry_rides_beside_the_rows(self):
+        cell = runner.SweepCell(index=0, scenario="scale", seed=0,
+                                overrides=runner.freeze_overrides(
+                                    registry.get("scale").smoke))
+        result = runner.execute_cell(cell)
+        (row,) = result.rows
+        assert result.telemetry == {"events_processed": [323],
+                                    "peak_pending_events": [47]}
+        assert not set(result.telemetry) & set(row)
+        (payload,) = runner.SweepReport(cells=[result]).as_payload()["cells"]
+        assert payload["telemetry"] == result.telemetry
 
 
 class TestAggregation:

@@ -66,14 +66,17 @@ class TestScaleTopology:
 class TestScaleGolden:
     """Regression: scale rows at seed 0 on the smallest grid, pinned."""
 
+    def result(self):
+        return registry.get("scale").execute(sizes=[9], protocols=["arppath"],
+                                             pairs=1, probes=1, seeds=[0])
+
     def rows(self):
-        scenario = registry.get("scale")
-        result = scenario.execute(sizes=[9], protocols=["arppath"],
-                                  pairs=1, probes=1, seeds=[0])
-        return scenario.records(result)
+        return registry.get("scale").records(self.result())
 
     def test_pinned_row(self):
-        (row,) = self.rows()
+        result = self.result()
+        (row,) = registry.get("scale").records(result)
+        (cell,) = result.rows
         assert row["protocol"] == "arppath"
         assert row["kind"] == "grid"
         assert row["size"] == 9
@@ -90,15 +93,19 @@ class TestScaleGolden:
         assert row["frames_per_payload"] == pytest.approx(19.5)
         assert row["mean_state"] == pytest.approx(10 / 9)
         assert row["convergence_ms"] == pytest.approx(0.1999, rel=1e-3)
-        # Engine-footprint peaks are deterministic (the records
-        # contract); process RSS never appears in rows. PR 5's
-        # free-running transmitters dropped peak_pending_events from 75
-        # and events_processed from 569 while every frame-level and
-        # timing metric above stayed byte-identical.
-        assert row["peak_pending_events"] == 47
-        assert row["peak_wheel_timers"] == 14
-        assert row["events_processed"] == 323
-        assert row["events_per_payload"] == pytest.approx(80.75)
+        # Engine bookkeeping is deterministic but describes the
+        # simulator, not the fabric: pinned on the ScaleRow, absent from
+        # the records, as is process RSS. PR 5's free-running
+        # transmitters dropped peak_pending_events from 75 and
+        # events_processed from 569 while every frame-level and timing
+        # metric above stayed byte-identical.
+        assert cell.peak_pending_events == 47
+        assert cell.events_processed == 323
+        assert cell.events_per_payload == pytest.approx(80.75)
+        assert result.telemetry() == {"events_processed": [323],
+                                      "peak_pending_events": [47]}
+        assert not {"peak_pending_events", "peak_wheel_timers",
+                    "events_processed", "events_per_payload"} & set(row)
         assert "peak_rss" not in "".join(row)
 
     def test_rows_are_reproducible(self):

@@ -28,7 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core.table import EntryState, LockedAddressTable
 from repro.frames.mac import MAC
 from repro.netsim.aging import RECLAIM_GRANULE
-from repro.netsim.engine import Simulator
+from repro.netsim.engine import PRIORITY_LATE, Simulator
 from repro.switching.table import ForwardingTable
 
 LOCK, GUARD, LEARNT = 1.0, 0.5, 4.0
@@ -214,18 +214,19 @@ class StoreAudit:
         sim = self.sim
         now = sim.now
         sim.audit_pending_events()
-        pending = [entry[3] for entry in sim._queue]
-        pending.extend(sim.wheel._iter_events())
-        pending = [event for event in pending if not event.cancelled]
+        pending = [event for _, _, _, event in sim._queue
+                   if not event.cancelled]
         for store, filed, latest in zip(self.stores, self.filed,
                                         self.latest):
-            # Every pending bucket: exactly one armed timer, on its boundary.
+            # Every pending bucket: exactly one armed timer, on its
+            # boundary, after the same instant's data plane.
             armed = Counter()
             for event in pending:
                 if event.callback == store._bucket_due:
                     (slot,) = event.args
                     armed[slot] += 1
                     assert event.time == slot * RECLAIM_GRANULE > now
+                    assert event.priority == PRIORITY_LATE
             assert set(armed) == set(store._buckets)
             assert set(armed.values()) <= {1}, armed
             # Every live entry: filed (every deadline is finite) in a
