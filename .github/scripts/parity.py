@@ -33,6 +33,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Tuple
@@ -46,8 +47,12 @@ from repro.chaos.faults import FlakyWrites, seeded_plan  # noqa: E402
 from repro.chaos.harness import (check_parity, run_lines,  # noqa: E402
                                  run_manager_job)
 from repro.experiments import runner  # noqa: E402
-from repro.netsim.shard import ShardStallError, run_sharded  # noqa: E402
+from repro.netsim.engine import Simulator  # noqa: E402
+from repro.netsim.shard import (ShardRuntime, ShardWorkerError,  # noqa: E402
+                                derive_shard_seed, run_sharded)
 from repro.server.store import TERMINAL, Store  # noqa: E402
+from repro.topology import arppath, line  # noqa: E402
+from repro.topology.partition import partition_network  # noqa: E402
 
 Grid = Dict[str, Any]
 
@@ -359,8 +364,9 @@ def chaos(workdir: str) -> None:
     3. A real ``repro serve`` is SIGKILL'd mid-job; a restarted daemon
        resumes the job from its checkpoint and finishes with records
        equal to ``repro sweep --jsonl``.
-    4. A wedged shard mesh raises ``ShardStallError`` with a snapshot of
-       every shard within the stall budget instead of hanging.
+    4. A shard body that returns mid-phase while its peer still yields
+       fails the run in the same call with a ``ShardWorkerError`` naming
+       both shards and the round, and starts no thread.
     """
     cells = expand(GRIDS["chaos-pool"])
     reference, _ = run_lines(cells)
@@ -422,27 +428,34 @@ def chaos(workdir: str) -> None:
     log(f"daemon resume parity ok ({len(lines)} records, "
         f"resumes={current['resumes']})")
 
-    def wedged(shard_id: int, shard_count: int, endpoint: Any) -> None:
+    def quitter(shard_id: int, shard_count: int, peers: Any) -> Any:
+        # a real warm-up phase, which shard 0 walks out of after 3 rounds
+        sim = Simulator(seed=derive_shard_seed(1, shard_id))
+        net = line(sim, arppath(), 4)
+        runtime = ShardRuntime(sim, shard_id, peers)
+        runtime.adopt(net, partition_network(net, shard_count))
+        phase = runtime.run_for(5.0)
         if shard_id == 0:
-            time.sleep(3600.0)  # wedged before its first protocol round
+            message = next(phase)
+            for _ in range(3):
+                message = phase.send((yield message))
             return
-        for peer in endpoint.peers:
-            endpoint.send(peer, (0.0, False, []))
-        for peer in endpoint.peers:
-            endpoint.recv(peer)  # parked on the wedged shard until the close
-    started = time.monotonic()
+        yield from phase
+    threads = threading.active_count()
+    expected = "shard 0 returned in round 4 while shard 1 still yielded"
     try:
-        run_sharded(wedged, 2, stall_budget=1.0)
-    except ShardStallError as error:
-        elapsed = time.monotonic() - started
-        if elapsed > 30.0:
-            raise CheckFailed(f"stall detected only after {elapsed:.1f}s")
-        if sorted(error.snapshot) != [0, 1]:
-            raise CheckFailed(f"stall snapshot incomplete: {error.snapshot}")
-        log(f"shard stall detected in {elapsed:.1f}s with snapshot for "
-            f"{len(error.snapshot)} shards")
+        run_sharded(quitter, 2)
+    except ShardWorkerError as error:
+        if expected not in str(error):
+            raise CheckFailed(f"lockstep error does not name the shards "
+                              f"and the round: {error}")
+        if threading.active_count() != threads:
+            raise CheckFailed(f"sharded run left threads behind: "
+                              f"{threading.active_count()} != {threads}")
+        log(f"mid-phase return named in the same call: {error}")
         return
-    raise CheckFailed("wedged shard mesh did not raise ShardStallError")
+    raise CheckFailed("shard body returning mid-phase did not raise "
+                      "ShardWorkerError")
 
 
 CONDITIONS = {"jobs": jobs, "hashseed": hashseed, "serve": serve,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional
+from typing import Any, ClassVar, Dict, Generator, List, Optional
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec
@@ -173,17 +173,19 @@ def _natural(names) -> List[str]:
     return sorted(names, key=lambda name: (len(name), name))
 
 
-def _scale_shard(shard_id: int, shard_count: int, endpoint,
+def _scale_shard(shard_id: int, shard_count: int, peers,
                  protocol: ProtocolSpec, kind: str, size: int, pairs: int,
                  probes: int, seed: int,
-                 endpoints_per_port: int) -> Dict[str, Any]:
+                 endpoints_per_port: int
+                 ) -> Generator[dict, dict, Dict[str, Any]]:
     """One engine's share of a cell: build, warm, probe, measure.
 
     The scenario's one phase schedule: every engine builds the whole
     topology and walks the same phases at the same instants, ownership
     guards (a shard touches only its own nodes) decide who injects and
-    counts what. A single engine owns everything. Returns plain data
-    for :func:`_merge_scale_shards`.
+    counts what. A single engine owns everything. A lockstep body for
+    :func:`run_sharded`; returns plain data for
+    :func:`_merge_scale_shards`.
     """
     sim = Simulator(seed=derive_shard_seed(seed, shard_id))
     # Builders take the *base* seed: the wiring must be identical in
@@ -191,7 +193,7 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
     net, src, dst = scale_topology(sim, protocol.factory, kind, size,
                                    seed=seed,
                                    endpoints_per_port=endpoints_per_port)
-    runtime = ShardRuntime(sim, shard_id, endpoint)
+    runtime = ShardRuntime(sim, shard_id, peers)
     runtime.adopt(net, partition_network(net, shard_count))
     # record_series: whole-run peaks are maxima of *per-instant sums*
     # across shards, so the merge needs every sample, not two peaks.
@@ -199,7 +201,7 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
                             adjust=runtime.pending_adjust,
                             count_self=(shard_id == 0))
     sampler.start()
-    runtime.run_for(protocol.warmup)
+    yield from runtime.run_for(protocol.warmup)
 
     # Measurement window: count every frame from here on, so the ARP
     # discovery races are part of the overhead (that is the point).
@@ -217,7 +219,7 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
         net.host(src).ping(net.host(dst).ip,
                            on_reply=lambda seq, rtt:
                            arrivals.append(sim.now))
-    runtime.run_for(0.5)
+    yield from runtime.run_for(0.5)
     convergence = arrivals[0] - started if arrivals else None
 
     # Bulk probe workload over up to *pairs* maximally separated host
@@ -235,7 +237,8 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
                           + round_index * PROBE_SPACING, ping, target,
                           round_index))
     sim.schedule_bulk(specs)
-    runtime.run_for(count * PAIR_STAGGER + probes * PROBE_SPACING + DRAIN)
+    yield from runtime.run_for(count * PAIR_STAGGER
+                               + probes * PROBE_SPACING + DRAIN)
 
     # Population phase: heavy-tailed flows over the flyweight
     # endpoints, one bulk batch; empty at endpoints_per_port=1. The
@@ -248,7 +251,7 @@ def _scale_shard(shard_id: int, shard_count: int, endpoint,
                              rng=random.Random(seed),
                              endpoints=sorted(net.populations))
         matrix.start(stagger=POP_STAGGER, owner=runtime.owns, bulk=True)
-        runtime.run_for(POP_WINDOW)
+        yield from runtime.run_for(POP_WINDOW)
     sampler.stop()
 
     owned_pops = [pop for name, pop in net.populations.items()
@@ -340,7 +343,7 @@ def run_case_sharded(protocol: ProtocolSpec, kind: str, size: int,
 
     Every engine gets the caller's *protocol* itself, custom and
     pre-scaled specs included: a family factory is a stateless closure
-    over a frozen config, safe to share between shard threads.
+    over a frozen config, safe to share between the shards' engines.
     """
     results = run_sharded(_scale_shard, shards,
                           args=(protocol, kind, size, pairs, probes, seed,

@@ -1,8 +1,8 @@
-"""Sharded parallel execution: one simulation across many engines.
+"""Sharded execution: one simulation across many engines.
 
 One :class:`~repro.netsim.engine.Simulator` is single-threaded by
 design; this module runs *one logical simulation* as K cooperating
-engines (shards), one worker thread each, synchronized with the
+engines (shards) in the calling thread, synchronized with the
 classic conservative null-message protocol (Chandy–Misra–Bryant):
 every cut link's propagation latency is *lookahead* — shard A can
 promise shard B "nothing from me before ``t + lookahead``" — and each
@@ -14,19 +14,29 @@ The contract is exact, not approximate: a sharded run produces
 shard count. The pieces that make that hold:
 
 * **Deterministic partition** — :func:`repro.topology.partition
-  .partition_network` is a pure function of the wiring; every worker
+  .partition_network` is a pure function of the wiring; every shard
   computes the same plan without coordination.
-* **Full replica topology** — every worker builds the *entire* network
+* **Full replica topology** — every shard builds the *entire* network
   with the same builder calls (same names, MACs, IPs, link latencies);
   nodes owned by other shards are *ghosts*: present for bookkeeping,
   never started, so they schedule nothing.
 * **Boundary export** — a frame transmitted into a cut link is handed
   to the owning peer as ``(send_time, deliver_time, frame)`` instead of
-  a local delivery event (:attr:`_Direction.export`) — the frame object
-  itself, not a copy (:mod:`repro.netsim.sync`); the receiver
+  a local delivery event (:attr:`_Direction.export`); the receiver
   schedules the delivery on its own engine at the exact same instant
   the single-process run would have. One engine event per cross-shard
   hop, system-wide — the same event economy as a local hop.
+* **Hand-over by reference** — the receiver schedules the very frame
+  object the sender transmitted. That is sound for the reason
+  copy-on-write flooding is (:mod:`repro.frames.ethernet`): frames and
+  their payloads are immutable ``__slots__`` values once in flight,
+  ``Port.send`` / ``Node.flood`` mark every transmitted frame
+  ``_shared``, and the one per-copy mutation — hop recording under
+  ``trace_hops`` — clones a shared frame first. The remaining writes
+  (``_shared`` itself and the idempotent ``_wire_size`` / ``_kind``
+  caches) store the same value whichever engine makes them. So the
+  receiver sees the uid, application payload and hop trace the single
+  engine would (``tests/test_shard.py::TestHandOver``).
 * **Deterministic boundary ordering** — staged remote frames are
   released in ``(deliver_time, src_shard, src_seq)`` order, so
   same-instant boundary deliveries tie-break identically at any shard
@@ -34,7 +44,7 @@ shard count. The pieces that make that hold:
   a heap-sequence lottery, like the PR 5 measure-zero caveat; the
   experiment topologies jitter link latencies, which makes exact ties
   measure-zero.)
-* **Per-shard RNG derivation** — worker k seeds its engine with
+* **Per-shard RNG derivation** — shard k seeds its engine with
   :func:`derive_shard_seed` (identity at shard 0), so no two shards
   share an RNG stream yet shard 0 reproduces the single-process
   stream. Topology builders always get the *base* seed — wiring must
@@ -43,41 +53,40 @@ shard count. The pieces that make that hold:
 Lockstep rounds
 ---------------
 
-Workers exchange one message with every peer per round — ``(horizon,
-done, frames)`` — send-all-then-receive-all, so the mesh cannot
-deadlock. A shard's *horizon* is the earliest instant anything it
+A shard body is a generator. Each round it yields one message per
+peer — ``(horizon, done, frames)`` — and :func:`run_sharded`, which
+steps all K bodies round by round, sends back every peer's message to
+it: a round is a function call, the exchange a barrier by
+construction. A shard's *horizon* is the earliest instant anything it
 still holds could fire: its next local event, its earliest staged
 remote frame, or the earliest frame in the batches it is flushing in
-that very message. Because the exchange is a barrier, channels are
-empty between rounds, so every future event anywhere in the system
-must chain from state some shard just counted — which makes
-``min(all horizons)`` a floor on every future firing, and
-``global_min + lookahead`` a floor on every future *input*. Each
-round a shard releases staged frames and runs strictly below that
-window; a quiet stretch costs one round (the window jumps straight to
-the next event time — no null-message creep), a dense burst creeps by
-one lookahead per round but fires many events each. When the window
-clears the phase target T the shard runs inclusively to T and flags
-``done`` — everything that closing slice exports provably lands beyond
-T, so it stays staged for the next phase, exactly the single-process
-semantics of ``run(until=T)`` leaving future events queued. All
-workers observe the all-done round simultaneously, so every phase
-costs the same number of rounds everywhere and channels never carry
-cross-phase traffic.
+that very message. Because nothing is in transit between rounds,
+every future event anywhere in the system must chain from state some
+shard just counted — which makes ``min(all horizons)`` a floor on
+every future firing, and ``global_min + lookahead`` a floor on every
+future *input*. Each round a shard releases staged frames and runs
+strictly below that window; a quiet stretch costs one round (the
+window jumps straight to the next event time — no null-message
+creep), a dense burst creeps by one lookahead per round but fires
+many events each. When the window clears the phase target T the shard
+runs inclusively to T and flags ``done`` — everything that closing
+slice exports provably lands beyond T, so it stays staged for the
+next phase, exactly the single-process semantics of ``run(until=T)``
+leaving future events queued. All shards observe the all-done round
+simultaneously, so every phase costs the same number of rounds
+everywhere and no message carries cross-phase traffic.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import types
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.netsim.link import Link
-from repro.netsim.sync import Endpoint, make_fabric
 from repro.topology.builder import Network
 from repro.topology.partition import ShardPlan
 
@@ -89,106 +98,8 @@ _SEED_MIX = 0x9E3779B9
 
 
 class ShardWorkerError(RuntimeError):
-    """One or more shard workers failed; carries their tracebacks."""
-
-
-class ShardStallError(ShardWorkerError):
-    """The conservative protocol stopped advancing within the budget.
-
-    Raised by :func:`run_sharded`'s watchdog when no shard's progress
-    cell (horizon, local time, staged depth) changed for the stall
-    budget — the signature of a deadlocked or wedged mesh (a worker
-    blocked outside the protocol, a lost message, a cut-link lookahead
-    bug). Carries ``snapshot``: the per-shard progress board at the
-    moment of the abort, so CI logs show *where* the mesh wedged
-    instead of a bare timeout.
-    """
-
-    def __init__(self, message: str,
-                 snapshot: Dict[int, Dict[str, float]]):
-        super().__init__(message)
-        self.snapshot = snapshot
-
-
-#: Default watchdog budget: seconds without observable progress before
-#: a sharded run is declared stalled.
-_DEFAULT_STALL_S = 300.0
-
-#: Floats per shard on the progress board: rounds, horizon, now,
-#: staged. ``rounds`` is excluded from the stall fingerprint — a
-#: livelocked mesh can spin rounds without the conservative minimum
-#: moving, and that must still count as a stall.
-_BOARD_FIELDS = 4
-
-
-class ProgressBoard:
-    """Per-shard protocol progress, shared with the watchdog.
-
-    One flat float list, ``_BOARD_FIELDS`` cells per shard, written
-    lock-free by each worker from :meth:`ShardRuntime.run_until` (each
-    shard owns its slice; the watchdog only ever reads, and a torn read
-    merely delays or hastens one stall check by a round).
-    """
-
-    def __init__(self, shard_count: int):
-        self.shard_count = shard_count
-        self.cells = [0.0] * (_BOARD_FIELDS * shard_count)
-
-    def update(self, shard_id: int, rounds: int, horizon: float,
-               now: float, staged: int) -> None:
-        base = _BOARD_FIELDS * shard_id
-        cells = self.cells
-        cells[base] = float(rounds)
-        cells[base + 1] = float(horizon)
-        cells[base + 2] = float(now)
-        cells[base + 3] = float(staged)
-
-    def fingerprint(self) -> Tuple[float, ...]:
-        """Everything the stall check compares (rounds excluded)."""
-        return tuple(value for index, value in enumerate(self.cells)
-                     if index % _BOARD_FIELDS != 0)
-
-    def snapshot(self) -> Dict[int, Dict[str, float]]:
-        out: Dict[int, Dict[str, float]] = {}
-        for shard_id in range(self.shard_count):
-            base = _BOARD_FIELDS * shard_id
-            out[shard_id] = {
-                "rounds": int(self.cells[base]),
-                "horizon": self.cells[base + 1],
-                "now": self.cells[base + 2],
-                "staged": int(self.cells[base + 3]),
-            }
-        return out
-
-
-class _StallWatch:
-    """Declare a stall when the board's fingerprint stops changing."""
-
-    def __init__(self, board: ProgressBoard, budget: float):
-        self.board = board
-        self.budget = budget
-        self._fingerprint = board.fingerprint()
-        self._since = time.monotonic()
-
-    def stalled(self) -> bool:
-        fingerprint = self.board.fingerprint()
-        now = time.monotonic()
-        if fingerprint != self._fingerprint:
-            self._fingerprint = fingerprint
-            self._since = now
-            return False
-        return now - self._since > self.budget
-
-    def error(self) -> ShardStallError:
-        snapshot = self.board.snapshot()
-        lines = [f"shard mesh stalled: no progress of the conservative "
-                 f"global minimum within {self.budget:.1f}s"]
-        for shard_id, cell in sorted(snapshot.items()):
-            lines.append(
-                f"  shard {shard_id}: rounds={cell['rounds']} "
-                f"horizon={cell['horizon']} now={cell['now']} "
-                f"staged={cell['staged']}")
-        return ShardStallError("\n".join(lines), snapshot)
+    """A shard body failed or left the lockstep; carries the traceback
+    or names the shards and the round."""
 
 
 def derive_shard_seed(seed: int, shard_id: int) -> int:
@@ -205,7 +116,7 @@ def derive_shard_seed(seed: int, shard_id: int) -> int:
 
 
 class ShardRuntime:
-    """One worker's half of the conservative protocol.
+    """One shard's half of the conservative protocol.
 
     Owns the shard's engine plus the boundary state: export hooks on
     cut-link directions, the staged remote frames not yet safe to
@@ -214,10 +125,11 @@ class ShardRuntime:
     """
 
     def __init__(self, sim: Simulator, shard_id: int,
-                 endpoint: Optional[Endpoint]):
+                 peers: Optional[List[int]]):
         self.sim = sim
         self.shard_id = shard_id
-        self.endpoint = endpoint
+        #: The other shards' ids, sorted; ``None`` on a single engine.
+        self.peers = peers
         self.net: Optional[Network] = None
         self.plan: Optional[ShardPlan] = None
         self.lookahead = _INF
@@ -255,9 +167,8 @@ class ShardRuntime:
         self.net = net
         self.plan = plan
         self.lookahead = plan.lookahead
-        if self.endpoint is not None:
-            for peer in self.endpoint.peers:
-                self._outbox[peer] = []
+        for peer in self.peers or ():
+            self._outbox[peer] = []
         for registry in (net.bridges, net.hosts, net.populations,
                          net.controllers):
             for name, node in registry.items():
@@ -294,7 +205,7 @@ class ShardRuntime:
         """Record carrier-loss instants for the release-time drop rule.
 
         A cut link's in-flight frames live in *neither* engine's heap
-        (they sit in a channel or a staging list), so the single-process
+        (they sit in an outbox or a staging list), so the single-process
         semantics "take_down cancels in-flight deliveries" must be
         replayed when the receiver releases them: drop iff the carrier
         was lost after the frame was sent and before it would have
@@ -320,7 +231,7 @@ class ShardRuntime:
 
         def export(send_time: float, deliver_time: float, frame) -> None:
             # The frame object itself: in flight it is immutable
-            # (repro.netsim.sync), so the hand-over needs no copy.
+            # (see the module docstring), so the hand-over needs no copy.
             runtime._export_seq += 1
             runtime._outbox[dst_shard].append(
                 (link_name, dir_key, send_time, deliver_time, frame,
@@ -336,14 +247,14 @@ class ShardRuntime:
         """The pending-event delta for the memory sampler.
 
         A frame in flight across the boundary is one pending delivery
-        event in the single-process run. Here it is either a frame in a
-        channel (counted by the sender's ledger until its deliver time
-        passes) or an already-scheduled event on the receiver (counted
-        by the receiver's engine **and** still by the sender's ledger —
-        so the receiver subtracts its live released events: all its
-        cut links' in-flight FIFOs ever hold). Summing both shards'
-        samples at one instant therefore reproduces the single-process
-        pending count exactly.
+        event in the single-process run. Here it is either a frame not
+        yet released, in an outbox or staged (counted by the sender's
+        ledger until its deliver time passes), or an already-scheduled
+        event on the receiver (counted by the receiver's engine **and**
+        still by the sender's ledger — so the receiver subtracts its
+        live released events: all its cut links' in-flight FIFOs ever
+        hold). Summing both shards' samples at one instant therefore
+        reproduces the single-process pending count exactly.
         """
         now = self.sim._now
         sender = 0
@@ -396,31 +307,32 @@ class ShardRuntime:
 
     # -- lockstep execution --------------------------------------------------
 
-    def run_until(self, target: float) -> None:
+    def run_until(self, target: float) -> Generator[dict, dict, None]:
         """Advance this shard to global time *target* (inclusive).
 
-        Every worker must call this with the identical target sequence
-        — the phase structure is part of the protocol.
+        A generator: each lockstep round yields ``{peer: (horizon, done,
+        frames)}`` and is sent back ``{peer: message}`` from every peer
+        (:func:`run_sharded` does the stepping); on a single engine it
+        runs to *target* without yielding. Every shard must walk the
+        identical target sequence — the phase structure is part of the
+        protocol — and a caller must ``yield from`` it: called bare, it
+        does nothing.
         """
         sim = self.sim
-        endpoint = self.endpoint
-        if endpoint is None:
+        peers = self.peers
+        if peers is None:
             sim.run(until=target)
             return
-        peers = endpoint.peers
         outbox = self._outbox
-        board = endpoint.progress
-        rounds = 0
         done = False
         while True:
-            rounds += 1
             # My horizon: the earliest instant anything I still hold
             # could fire — next heap event, earliest staged remote
             # frame, earliest frame in the batches this very message
             # flushes. Including the outgoing batches is what lets
-            # peers trust min-of-horizons: after the exchange, every
-            # channel is empty, so every future event anywhere must
-            # chain from state some shard just counted.
+            # peers trust min-of-horizons: after the exchange nothing
+            # is in transit, so every future event anywhere must chain
+            # from state some shard just counted.
             if done:
                 horizon = _INF
             else:
@@ -432,18 +344,15 @@ class ShardRuntime:
                     for item in batch:
                         if item[3] < horizon:
                             horizon = item[3]
-            if board is not None:
-                # Before the send/recv barrier, so a shard blocked on a
-                # wedged peer still published the round it entered with.
-                board.update(self.shard_id, rounds, horizon,
-                             sim._now, len(self._staged))
+            message = {}
             for peer in peers:
-                endpoint.send(peer, (horizon, done, outbox[peer]))
+                message[peer] = (horizon, done, outbox[peer])
                 outbox[peer] = []
+            inbox = yield message
             global_min = horizon
             all_done = done
             for peer in peers:
-                peer_horizon, peer_done, frames = endpoint.recv(peer)
+                peer_horizon, peer_done, frames = inbox[peer]
                 for (link_name, dir_key, t1, t2, frame,
                      src_seq) in frames:
                     self._staged.append((t2, peer, src_seq, link_name,
@@ -472,122 +381,122 @@ class ShardRuntime:
                 self._release(safe, inclusive=False)
                 sim.run_below(safe)
 
-    def run_for(self, duration: float) -> None:
+    def run_for(self, duration: float) -> Generator[dict, dict, None]:
         """:meth:`Network.run` across the mesh: start (if needed) and
-        advance by *duration*. A single engine makes literally that
-        call, so phase tracing wrapped around it still sees the run."""
-        if self.endpoint is None:
+        advance by *duration*; ``yield from`` it like :meth:`run_until`.
+        A single engine makes literally that call, so phase tracing
+        wrapped around it still sees the run."""
+        if self.peers is None:
             self.net.run(duration)
             return
         self.net.start()
-        self.run_until(self.sim.now + duration)
+        yield from self.run_until(self.sim.now + duration)
 
 
-# -- worker orchestration ----------------------------------------------------
+# -- lockstep driver ---------------------------------------------------------
 
-#: Seconds a broken mesh's workers get to unwind once the fabric is
-#: closed, before the error is raised regardless.
-_UNWIND_S = 1.0
+def _failure(shard_id: int) -> ShardWorkerError:
+    """The exception being handled, as shard *shard_id*'s failure."""
+    return ShardWorkerError(f"shard {shard_id}:\n{traceback.format_exc()}")
 
 
 def run_sharded(worker: Callable[..., Any], shard_count: int,
-                args: tuple = (),
-                stall_budget: float = _DEFAULT_STALL_S) -> List[Any]:
-    """Run ``worker(shard_id, shard_count, endpoint, *args)`` K ways.
+                args: tuple = ()) -> List[Any]:
+    """Run ``worker(shard_id, shard_count, peers, *args)`` K ways.
 
-    Returns the per-shard results in shard order. ``shard_count == 1``
-    runs inline (no fabric, ``endpoint=None``) — the zero-overhead
-    degenerate case. Otherwise every shard is one thread of this
-    process: GIL-bound, byte-identical by construction, and the same
-    path in the main process and inside a daemonic sweep-pool worker
-    (which cannot fork children). *worker* and *args* are shared, not
-    copied, so a worker must treat them as read-only.
+    Returns the per-shard results in shard order. *peers* is the sorted
+    list of the other shards' ids. A worker is either a plain function,
+    whose return value is the result, or a generator body whose lockstep
+    rounds (:meth:`ShardRuntime.run_until`) this driver steps in the
+    calling thread: each round it collects every shard's message and
+    hands each shard its peers' messages. ``shard_count == 1`` runs the
+    body inline with ``peers=None``; it never yields. *worker* and *args*
+    are shared, not copied, so a worker must treat them as read-only.
 
-    A progress watchdog guards against a wedged mesh: each worker's
-    :meth:`ShardRuntime.run_until` publishes its round state to a
-    shared :class:`ProgressBoard`, and if no shard's state changes for
-    *stall_budget* seconds the run aborts with :class:`ShardStallError`
-    carrying the per-shard snapshot — a hang becomes a named,
-    diagnosable failure instead of a CI timeout. A mesh that keeps advancing is never
-    aborted, however long it runs.
-
-    On the first worker failure or stall the fabric is closed: every
-    peer parked in (or later reaching) :meth:`Endpoint.recv` raises
-    :class:`~repro.netsim.sync.ShardTransportError` and unwinds,
-    releasing its replica network, before the original error is
-    raised. A worker wedged *outside* the protocol (a sleep, a native
-    call that never returns) cannot be unwound from a thread: it is a
-    daemon thread, left behind after ``_UNWIND_S`` and gone only with
-    the process.
+    A worker that raises fails the run at once with
+    :class:`ShardWorkerError` carrying its traceback, and so does a body
+    that returns while a peer still yields (the mesh would never
+    finish); either way every other body is closed, so nothing is left
+    running.
     """
     if shard_count < 1:
         raise ValueError(f"shard count must be >= 1: {shard_count}")
     if shard_count == 1:
-        return [worker(0, 1, None, *args)]
-    endpoints = make_fabric(shard_count)
-    board = ProgressBoard(shard_count)
-    for endpoint in endpoints:
-        endpoint.progress = board
-    watch = _StallWatch(board, stall_budget)
-    results: List[Any] = [None] * shard_count
-    failures: List[str] = []
-
-    def main(shard_id: int) -> None:
+        body = worker(0, 1, None, *args)
+        if not isinstance(body, types.GeneratorType):
+            return [body]
         try:
-            results[shard_id] = worker(shard_id, shard_count,
-                                       endpoints[shard_id], *args)
-        except BaseException:
-            failures.append(f"shard {shard_id}:\n"
-                            f"{traceback.format_exc()}")
-
-    threads = [threading.Thread(target=main, args=(shard_id,),
-                                name=f"shard-{shard_id}", daemon=True)
-               for shard_id in range(shard_count)]
-    for thread in threads:
-        thread.start()
-    # Poll rather than one long join: the first traceback is worth more
-    # than waiting out the stragglers.
-    stall: Optional[ShardStallError] = None
-    while not failures and stall is None \
-            and any(thread.is_alive() for thread in threads):
-        for thread in threads:
-            thread.join(timeout=0.05)
-        if watch.stalled():
-            stall = watch.error()
-    if not failures and stall is None:
+            next(body)
+        except StopIteration as stop:
+            return [stop.value]
+        body.close()
+        raise ShardWorkerError("shard 0 yielded a lockstep round on a "
+                               "single engine")
+    results: List[Any] = [None] * shard_count
+    returned: Dict[int, int] = {}      # shard id -> round it returned in
+    bodies: Dict[int, Any] = {}
+    try:
+        for shard_id in range(shard_count):
+            peers = [peer for peer in range(shard_count) if peer != shard_id]
+            try:
+                body = worker(shard_id, shard_count, peers, *args)
+            except Exception:
+                raise _failure(shard_id) from None
+            if isinstance(body, types.GeneratorType):
+                bodies[shard_id] = body
+            else:
+                results[shard_id] = body
+                returned[shard_id] = 0
+        inboxes: Dict[int, Any] = dict.fromkeys(bodies)
+        rounds = 0
+        while bodies:
+            rounds += 1
+            outgoing = {}
+            for shard_id, body in list(bodies.items()):
+                try:
+                    outgoing[shard_id] = body.send(inboxes[shard_id])
+                except StopIteration as stop:
+                    results[shard_id] = stop.value
+                    returned[shard_id] = rounds
+                    del bodies[shard_id]
+                except Exception:
+                    raise _failure(shard_id) from None
+            if outgoing and returned:
+                quit_id = min(returned)
+                still_id = min(outgoing)
+                raise ShardWorkerError(
+                    f"shard {quit_id} returned in round "
+                    f"{returned[quit_id]} while shard {still_id} still "
+                    f"yielded in round {rounds}")
+            inboxes = {shard_id: {peer: message[shard_id]
+                                  for peer, message in outgoing.items()
+                                  if peer != shard_id}
+                       for shard_id in outgoing}
         return results
-    # Built before the close: the peers' "fabric closed" tracebacks are
-    # a consequence, not the report.
-    error = ShardWorkerError("\n".join(failures)) if failures else stall
-    for endpoint in endpoints:
-        endpoint.close()
-    deadline = time.monotonic() + _UNWIND_S
-    for thread in threads:
-        thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    raise error
+    finally:
+        for body in bodies.values():
+            body.close()
 
 
 class ShardedSimulator:
     """Facade: one simulation, K shards, one call.
 
     ``ShardedSimulator(shards=4).run(driver, *args)`` executes the
-    module-level *driver* — ``driver(shard_id, shard_count, endpoint,
+    module-level *driver* — ``driver(shard_id, shard_count, peers,
     *args)`` — across the shards and returns the per-shard results for
     the caller to merge. Drivers build the full topology from shared
-    arguments, adopt it into a :class:`ShardRuntime`, run the phase
-    schedule through :meth:`ShardRuntime.run_until` and return plain
-    data.
+    arguments, adopt it into a :class:`ShardRuntime`, walk the phase
+    schedule with ``yield from`` :meth:`ShardRuntime.run_for` and return
+    plain data.
     """
 
-    def __init__(self, shards: int, stall_budget: float = _DEFAULT_STALL_S):
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1: {shards}")
         self.shards = shards
-        self.stall_budget = stall_budget
 
     def run(self, worker: Callable[..., Any], *args: Any) -> List[Any]:
-        return run_sharded(worker, self.shards, args=args,
-                           stall_budget=self.stall_budget)
+        return run_sharded(worker, self.shards, args=args)
 
     def __repr__(self) -> str:
         return f"<ShardedSimulator shards={self.shards}>"

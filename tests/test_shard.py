@@ -14,13 +14,16 @@ Also pinned: the by-reference frame hand-over across the cut, the
 frozen wiring of an adopted network, the per-shard seed derivation
 (part of the determinism contract — re-deriving differently would
 silently change any future experiment drawing from ``sim.rng``), the
-BFS-band partition, the ``run_below`` window primitive, and the
-``audit_pending_events`` cross-check against the O(1) counter.
+BFS-band partition, the ``run_below`` window primitive, the
+``audit_pending_events`` cross-check against the O(1) counter, and the
+lockstep driver: shard bodies are generators stepped in the calling
+thread, and every body that leaves the lockstep early is named.
 """
 
+import ast
 import functools
+import pathlib
 import threading
-import time
 
 import pytest
 
@@ -30,10 +33,9 @@ from repro.experiments import common, scale
 from repro.experiments.registry import protocol_specs
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
-from repro.netsim import shard as shard_mod
 from repro.netsim.shard import (ShardedSimulator, ShardRuntime,
-                                ShardStallError, ShardWorkerError,
-                                derive_shard_seed, run_sharded)
+                                ShardWorkerError, derive_shard_seed,
+                                run_sharded)
 from repro.netsim.tracer import DELIVERED, DROP_LINK_DOWN
 from repro.topology import arppath, grid, line
 from repro.topology.partition import partition_network
@@ -224,19 +226,34 @@ class TestDrainPathAcrossTheCut:
     ``now + (ser + latency)``; one ulp apart, which flipped a
     downstream ``busy_until > now`` test and queued one frame more or
     fewer (114202 events single-engine, 114203 at K=2, 114200 at K=3).
+    The ``shard_pair`` benchmark's own cell shape (size 100, seed 3) is
+    pinned beside it at K=2.
     """
 
-    CELL = dict(kind="grid", size=64, pairs=24, probes=16, seed=1,
-                endpoints_per_port=2500)
+    CELLS = {
+        "congested": dict(kind="grid", size=64, pairs=24, probes=16,
+                          seed=1, endpoints_per_port=2500),
+        "shard_pair": dict(kind="grid", size=100, pairs=12, probes=16,
+                           seed=3, endpoints_per_port=2500),
+    }
 
     @pytest.fixture(scope="class")
-    def single(self):
-        return scale.run_case(arppath_spec(), **self.CELL)
+    def singles(self):
+        """Single-engine rows by cell name, each computed once."""
+        return {}
 
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_row_equal_including_events_processed(self, single, shards):
+    @pytest.mark.parametrize("cell,shards", [
+        pytest.param("congested", 2, id="2"),
+        pytest.param("congested", 3, id="3"),
+        pytest.param("shard_pair", 2, id="shard_pair-2")])
+    def test_row_equal_including_events_processed(self, singles, cell,
+                                                  shards):
+        if cell not in singles:
+            singles[cell] = scale.run_case(arppath_spec(),
+                                           **self.CELLS[cell])
+        single = singles[cell]
         sharded = scale.run_case_sharded(arppath_spec(), shards=shards,
-                                         **self.CELL)
+                                         **self.CELLS[cell])
         assert sharded.events_processed == single.events_processed
         assert sharded == single
 
@@ -261,7 +278,7 @@ class TestSingleEngineIsMachineryFree:
 
     def assert_plain(self, runtime):
         net = runtime.net
-        assert runtime.endpoint is None
+        assert runtime.peers is None
         assert net.sim.now > 0 and net.sim.events_processed > 0
         for nodes in (net.bridges, net.hosts, net.populations,
                       net.controllers):
@@ -279,15 +296,15 @@ class TestSingleEngineIsMachineryFree:
         self.assert_plain(runtime)
 
 
-def _cut_flap_worker(shard_id, shard_count, endpoint):
+def _cut_flap_worker(shard_id, shard_count, peers):
     """A flow over B1-B2 — the cut at K=2 — while that link flaps:
     200 us of propagation keeps some 20 frames in flight at the cut,
     part released on the importing engine, part still staged."""
     sim = Simulator(seed=derive_shard_seed(3, shard_id))
     net = line(sim, arppath(), 4, latency=2e-4)
-    runtime = ShardRuntime(sim, shard_id, endpoint)
+    runtime = ShardRuntime(sim, shard_id, peers)
     runtime.adopt(net, partition_network(net, shard_count))
-    runtime.run_for(5.0)
+    yield from runtime.run_for(5.0)
     matrix = TrafficMatrix(net)
     matrix.add_flow("H0", "H1", packets=600, interval=1e-5, size=1000)
     matrix.start(owner=runtime.owns)
@@ -295,7 +312,7 @@ def _cut_flap_worker(shard_id, shard_count, endpoint):
     # Replicated dynamics: every shard replays the flap on its replica.
     sim.at(sim.now + 3.0e-3, wire.take_down)
     sim.at(sim.now + 3.5e-3, wire.bring_up)
-    runtime.run_for(0.02)
+    yield from runtime.run_for(0.02)
     cut = [direction for wire in runtime._links.values()
            for direction in wire._dirs.values()]
     return {
@@ -417,11 +434,20 @@ def test_link_added_after_adopt_is_refused(sim):
     assert "H0-B2_2" not in net.links
 
 
-def live_shard_threads(before):
-    """Names of ``shard-*`` threads started since *before* and alive."""
-    return sorted(thread.name for thread in threading.enumerate()
-                  if thread not in before
-                  and thread.name.startswith("shard-"))
+def _lockstep_body(shard_id, peers, rounds, log=None):
+    """A generator shard body: *rounds* lockstep rounds, each yielding
+    ``(shard_id, round)`` to every peer and checking that each peer's
+    message for the same round came back. *log* collects ``"closed"``
+    when the driver closes the body early."""
+    try:
+        for index in range(rounds):
+            inbox = yield {peer: (shard_id, index) for peer in peers}
+            assert inbox == {peer: (peer, index) for peer in peers}
+    except GeneratorExit:
+        if log is not None:
+            log.append("closed")
+        raise
+    return shard_id
 
 
 class TestRunSharded:
@@ -434,35 +460,164 @@ class TestRunSharded:
     def test_single_shard_runs_inline(self):
         calls = []
 
-        def worker(shard_id, shard_count, endpoint):
-            calls.append((shard_id, shard_count, endpoint))
+        def worker(shard_id, shard_count, peers):
+            calls.append((shard_id, shard_count, peers))
             return shard_id
 
         assert run_sharded(worker, 1) == [0]
         assert calls == [(0, 1, None)]
 
     def test_worker_failure_raises_with_traceback(self):
-        def worker(shard_id, shard_count, endpoint):
+        def worker(shard_id, shard_count, peers):
+            yield from _lockstep_body(shard_id, peers, 2)
             raise RuntimeError(f"boom in shard {shard_id}")
 
-        with pytest.raises(ShardWorkerError, match="boom in shard"):
+        with pytest.raises(ShardWorkerError, match="boom in shard 0") \
+                as excinfo:
             run_sharded(worker, 2)
+        message = str(excinfo.value)
+        assert message.startswith("shard 0:\nTraceback")
+        assert "in worker" in message
+
+        def plain(shard_id, shard_count, peers):
+            raise RuntimeError(f"boom in shard {shard_id}")
+
+        with pytest.raises(ShardWorkerError, match="shard 0:\nTraceback"):
+            run_sharded(plain, 2)
 
     def test_failed_worker_leaves_no_live_peer(self):
-        # Shard 1 is parked in recv on a shard that will never answer;
-        # the fabric close must unwind it (it used to leak, holding its
-        # whole replica network, in every pool worker).
-        def worker(shard_id, shard_count, endpoint):
-            if shard_id == 0:
-                raise RuntimeError("boom")
-            endpoint.recv(0)
+        # Shard 0 fails in round 3 while shard 1 would run forever:
+        # the run fails at once, the peer is closed at its yield, and
+        # no thread was ever started.
+        log = []
 
-        before = set(threading.enumerate())
+        def worker(shard_id, shard_count, peers):
+            if shard_id == 0:
+                yield from _lockstep_body(shard_id, peers, 2)
+                raise RuntimeError("boom")
+            yield from _lockstep_body(shard_id, peers, 10**9, log)
+
+        threads = threading.active_count()
         with pytest.raises(ShardWorkerError, match="boom") as excinfo:
             run_sharded(worker, 2)
-        # The report is the original failure, not the peers' unwinding.
-        assert "fabric closed" not in str(excinfo.value)
-        assert live_shard_threads(before) == []
+        assert str(excinfo.value).startswith("shard 0:")
+        assert log == ["closed"]
+        assert threading.active_count() == threads
+
+
+class TestLockstep:
+    """The driver steps K generator bodies round by round in the calling
+    thread; a body that leaves the lockstep early is a named error."""
+
+    def test_plain_worker_returns_its_value(self):
+        # The benchmark's spawn probe: a worker that never yields.
+        calls = []
+
+        def worker(shard_id, shard_count, peers):
+            calls.append(peers)
+            return shard_id
+
+        assert ShardedSimulator(2).run(worker) == [0, 1]
+        assert run_sharded(worker, 3) == [0, 1, 2]
+        assert calls == [[1], [0], [1, 2], [0, 2], [0, 1]]
+
+    def test_each_round_hands_every_shard_its_peers_messages(self):
+        # A long mesh runs to completion: there is no time budget.
+        def worker(shard_id, shard_count, peers):
+            return (yield from _lockstep_body(shard_id, peers, 2000))
+
+        for shards in (2, 3):
+            assert run_sharded(worker, shards) == list(range(shards))
+
+    def test_body_returning_mid_phase_names_both_shards(self):
+        log = []
+
+        def worker(shard_id, shard_count, peers):
+            if shard_id == 0:
+                return (yield from _lockstep_body(shard_id, peers, 1))
+            return (yield from _lockstep_body(shard_id, peers, 10**9,
+                                              log))
+
+        threads = threading.active_count()
+        with pytest.raises(ShardWorkerError,
+                           match="shard 0 returned in round 2 while "
+                                 "shard 1 still yielded in round 2"):
+            run_sharded(worker, 2)
+        assert log == ["closed"]
+        assert threading.active_count() == threads
+
+    def test_plain_worker_beside_a_yielding_peer(self):
+        def worker(shard_id, shard_count, peers):
+            if shard_id == 1:
+                return shard_id         # a plain call, not a generator
+            return _lockstep_body(shard_id, peers, 3)
+
+        with pytest.raises(ShardWorkerError,
+                           match="shard 1 returned in round 0 while "
+                                 "shard 0 still yielded in round 1"):
+            run_sharded(worker, 2)
+
+    def test_single_engine_body_never_yields(self):
+        def worker(shard_id, shard_count, peers):
+            return (yield from _lockstep_body(shard_id, [], 1))
+
+        with pytest.raises(ShardWorkerError, match="single engine"):
+            run_sharded(worker, 1)
+
+
+#: ShardRuntime's generator methods: a bare call builds a generator and
+#: drops it, so the shard silently runs nothing.
+_LOCKSTEP_CALLS = {"run_for", "run_until"}
+
+
+def bare_lockstep_calls(source, filename="<src>"):
+    """``file:line`` of each statement that calls ``runtime.run_for``
+    / ``run_until`` (``self.run_*`` inside ``ShardRuntime``) without
+    ``yield from``."""
+    found = []
+
+    def visit(node, in_runtime):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name == "ShardRuntime")
+                continue
+            if isinstance(child, ast.Expr) \
+                    and isinstance(child.value, ast.Call) \
+                    and isinstance(child.value.func, ast.Attribute) \
+                    and child.value.func.attr in _LOCKSTEP_CALLS:
+                receiver = ast.unparse(child.value.func.value)
+                if "runtime" in receiver.lower() \
+                        or (in_runtime and receiver == "self"):
+                    found.append(f"{filename}:{child.lineno}")
+            visit(child, in_runtime)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+class TestLockstepCallsAreDriven:
+    SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+    def test_no_bare_run_for_or_run_until_in_src(self):
+        sources = {str(path.relative_to(self.SRC)): path.read_text()
+                   for path in sorted(self.SRC.rglob("*.py"))}
+        bare = [site for name, source in sources.items()
+                for site in bare_lockstep_calls(source, name)]
+        assert bare == []
+        driven = sum(source.count("yield from runtime.run_for(")
+                     for source in sources.values())
+        assert driven >= 4              # the scale body's four phases
+
+    def test_the_check_sees_a_bare_call(self):
+        source = ("def body(runtime):\n"
+                  "    runtime.run_for(1.0)\n"
+                  "    yield from runtime.run_for(1.0)\n"
+                  "class ShardRuntime:\n"
+                  "    def run_for(self, duration):\n"
+                  "        self.run_until(duration)\n"
+                  "def plain(sim):\n"
+                  "    sim.run_for(1.0)\n")
+        assert bare_lockstep_calls(source) == ["<src>:2", "<src>:6"]
 
 
 class TestRunBelow:
@@ -538,70 +693,3 @@ class TestAuditPendingEvents:
         sim.run_below(0.5)
         assert sink == ["a"]
         assert sim.audit_pending_events() == sim.pending_events == 2
-
-
-def _wedged_worker(shard_id, shard_count, endpoint):
-    # Shard 0 wedges before its first round; the others block forever
-    # in recv waiting for its horizon message.
-    import time as _time
-    if shard_id == 0:
-        _time.sleep(3600.0)
-        return
-    for peer in endpoint.peers:
-        endpoint.send(peer, (0.0, False, []))
-    for peer in endpoint.peers:
-        endpoint.recv(peer)
-
-
-class TestStallWatchdog:
-    def test_thread_mesh_stall_raises_with_snapshot(self):
-        before = set(threading.enumerate())
-        with pytest.raises(ShardStallError) as excinfo:
-            run_sharded(_wedged_worker, 2, stall_budget=0.5)
-        assert sorted(excinfo.value.snapshot) == [0, 1]
-        # snapshot rows carry the per-shard progress fields
-        for fields in excinfo.value.snapshot.values():
-            assert {"rounds", "horizon", "staged"} <= set(fields)
-        # The peer parked in recv unwound; only the shard wedged
-        # outside the protocol (a sleep) is beyond a thread's reach.
-        assert live_shard_threads(before) == ["shard-0"]
-
-    def test_stall_error_is_a_shard_worker_error(self):
-        assert issubclass(ShardStallError, ShardWorkerError)
-
-    def test_fingerprint_ignores_round_counter(self):
-        # A shard spinning rounds without advancing its horizon is a
-        # livelock, and must still count as stalled.
-        board = shard_mod.ProgressBoard(2)
-        board.update(0, rounds=1, horizon=1.0, now=0.5, staged=3)
-        before = board.fingerprint()
-        board.update(0, rounds=99, horizon=1.0, now=0.5, staged=3)
-        assert board.fingerprint() == before
-        board.update(0, rounds=100, horizon=2.0, now=0.5, staged=3)
-        assert board.fingerprint() != before
-
-    def test_healthy_mesh_never_trips_the_watchdog(self):
-        def worker(shard_id, shard_count, endpoint):
-            return shard_id
-
-        assert run_sharded(worker, 2, stall_budget=30.0) == [0, 1]
-
-    def test_advancing_mesh_is_never_aborted(self, monkeypatch):
-        # Progress is the only hang detector: a mesh whose board keeps
-        # moving outlives the stall budget — and the progress-blind
-        # 600 s wall limit that used to sit beside it (patched short
-        # here so the parent's false abort shows).
-        monkeypatch.setattr(shard_mod, "_WORKER_TIMEOUT", 0.2,
-                            raising=False)
-
-        def worker(shard_id, shard_count, endpoint):
-            deadline = time.monotonic() + 0.8
-            rounds = 0
-            while time.monotonic() < deadline:
-                rounds += 1
-                endpoint.progress.update(shard_id, rounds, float(rounds),
-                                         0.0, 0)
-                time.sleep(0.02)
-            return shard_id
-
-        assert run_sharded(worker, 2, stall_budget=0.3) == [0, 1]
