@@ -81,7 +81,7 @@ def run_case(proxy: bool, rows: int = 3, cols: int = 3, rounds: int = 3,
         net = grid(sim, factory, rows, cols, hosts_at_corners=True,
                    latency_jitter=2e-6, seed=seed)
         for host in net.hosts.values():
-            host.arp_cache.timeout = round_spacing / 2
+            host.arp_timeout = round_spacing / 2
         return net
 
     net = build_and_warm(topo, protocol, seed=seed)

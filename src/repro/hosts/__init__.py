@@ -1,13 +1,9 @@
-"""End-host models: ARP cache, IPv4/UDP/ICMP stack, flyweight populations."""
+"""End-host models: one ARP/IPv4/UDP/ICMP stack, for a host or a
+flyweight population of many."""
 
-from repro.hosts.arpcache import (ArpCache, ArpEntry, DEFAULT_ARP_TIMEOUT,
-                                  DEFAULT_MAX_RETRIES,
-                                  DEFAULT_RETRY_INTERVAL, PendingResolution)
-from repro.hosts.host import Host, HostCounters
-from repro.hosts.population import Endpoint, HostPopulation
+from repro.hosts.host import Host
+from repro.hosts.population import (DEFAULT_ARP_TIMEOUT, Endpoint,
+                                    HostCounters, HostPopulation)
 
-__all__ = [
-    "ArpCache", "ArpEntry", "DEFAULT_ARP_TIMEOUT", "DEFAULT_MAX_RETRIES",
-    "DEFAULT_RETRY_INTERVAL", "PendingResolution", "Host", "HostCounters",
-    "Endpoint", "HostPopulation",
-]
+__all__ = ["DEFAULT_ARP_TIMEOUT", "Host", "HostCounters", "Endpoint",
+           "HostPopulation"]

@@ -1,67 +1,132 @@
-"""Flyweight host populations: N endpoints behind one access port.
+"""The end-host stack: ordinary ARP + IPv4 + UDP/ICMP, for N endpoints.
 
-A :class:`HostPopulation` emulates *N* end hosts attached to a single
-bridge port without allocating a per-host object graph. Endpoint
-identity is pure arithmetic — endpoint *i* owns
-``mac_for_host(base_index + i)`` / ``ip_for_host(base_index + i)``, so
-the reverse MAC/IP → endpoint mapping is an integer subtraction and a
-range check: zero bytes of per-endpoint storage, O(1) on every frame
-arriving at the shared port. All mutable state is **array-backed**:
-flat dicts keyed by the dense endpoint index (ARP-cache overlays,
-per-endpoint counters, pending resolutions), sized by *activity*, not
-by *N* — a population of a million idle endpoints costs a handful of
-integers.
+Hosts are deliberately *protocol-unaware*: they run exactly the stack a
+Linux box runs (ARP resolution with park / retry / abandon, IP, UDP
+sockets, ICMP echo) and never see ARP-Path control traffic — the
+paper's transparency claim. All ARP-Path machinery lives in the
+bridges.
 
-The protocol behaviour per endpoint is the :class:`~repro.hosts.host.
-Host` stack verbatim (ARP resolution with park/retry/abandon, IPv4,
-UDP sockets, ICMP echo); ``tests/test_population.py`` pins the
-equivalence against real hosts on a 2-bridge line. Two deliberate
-fidelity trades, documented in README "Scale":
+A :class:`HostPopulation` runs that stack for *N* endpoints behind one
+access port without a per-endpoint object graph, and a
+:class:`~repro.hosts.host.Host` is a population of one. Endpoint
+identity is arithmetic — endpoint *i* owns MAC ``mac_base + i`` and IP
+``ip_base + i`` — so classifying a frame is an integer subtraction and a
+range check. Mutable state lives in flat maps sized by *activity*, not
+by *N*: an endpoint gets a record (its address objects, idents and
+counters) on its first send or receive, so a million idle endpoints
+cost a handful of integers.
+
+Two deliberate fidelity trades, documented in README "Million-endpoint
+fabrics", neither of which a population of one can show:
 
 * **Shared broadcast learning.** Every endpoint behind the port hears
-  the same broadcasts, so bindings learned from broadcast ARP live in
-  one population-wide map (``ip → (mac, expires)``); only bindings
-  learned from *unicast* ARP are tracked per endpoint. A real host
-  that missed a broadcast (it did not exist yet) cannot diverge here
-  because endpoints share one attach instant.
-* **Internal short-circuit.** Endpoint-to-endpoint frames inside one
-  population never cross the access link: they are delivered after
-  ``local_latency`` by an engine event, and therefore do not appear in
-  the link tracer (exactly as frames between ports of one physical
-  server never hit the ToR).
+  the same broadcasts, so a binding learned from a broadcast ARP lives
+  in one population-wide map; one learned from a unicast ARP lives in
+  the endpoint's overlay (a population of one has none: whatever it
+  hears, every endpoint heard). An endpoint's binding for an address
+  is the later written of the two, as in a lone host's single-entry
+  cache. A sender's siblings hear its broadcasts, so the shared map
+  learns its own address too: that shows only if it sends to itself.
+* **Internal short-circuit.** Frames between two endpoints of one
+  population never cross the access link: an engine event delivers them
+  after :data:`LOCAL_LATENCY`, so the link tallies never see them
+  (exactly as frames between ports of one server never hit the ToR).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.frames import arp as arp_proto
-from repro.frames.arp import ArpPacket
+from repro.frames.arp import OP_REQUEST, ArpPacket
 from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_IPV4,
                                    EthernetFrame)
 from repro.frames.icmp import IcmpEcho, make_echo_request
 from repro.frames.ipv4 import (DEFAULT_TTL, IPv4Address, IPv4Packet,
                                PROTO_ICMP, PROTO_UDP, ip_for_host)
-from repro.frames.mac import BROADCAST, MAC, mac_for_host
+from repro.frames.mac import _GROUP_BIT, BROADCAST, MAC, mac_for_host
 from repro.frames.udp import UdpDatagram
-from repro.hosts.arpcache import (DEFAULT_ARP_TIMEOUT, DEFAULT_MAX_RETRIES,
-                                  DEFAULT_RETRY_INTERVAL)
-from repro.hosts.host import HostCounters, PingHandler, UdpHandler
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Node, Port
 
-#: Delivery latency for frames that never leave the population (two
-#: endpoints behind the same port) — a software-switch hop.
-DEFAULT_LOCAL_LATENCY = 1e-6
+#: Seconds a learned ARP binding lives — the one host option a caller
+#: sets (``arp_timeout``).
+DEFAULT_ARP_TIMEOUT = 60.0
+#: Seconds between ARP requests for an unresolved address, and the
+#: retries before its parked packets are dropped.
+ARP_RETRY_INTERVAL = 1.0
+ARP_MAX_RETRIES = 3
+#: Packets parked per unresolved address (a real stack's small ARP
+#: hold queue); later ones are dropped.
+MAX_PENDING_PER_IP = 16
+#: Delivery latency between two endpoints of one population — a
+#: software-switch hop.
+LOCAL_LATENCY = 1e-6
+
+#: UDP receive callback: (src_ip, src_port, payload, packet).
+UdpHandler = Callable[[IPv4Address, int, Any, IPv4Packet], None]
+#: Ping reply callback: (seq, rtt_seconds).
+PingHandler = Callable[[int, float], None]
+
+
+@dataclass
+class HostCounters:
+    """Packet counters kept by every endpoint."""
+
+    arp_requests_sent: int = 0
+    arp_replies_sent: int = 0
+    arp_requests_received: int = 0
+    arp_replies_received: int = 0
+    ip_sent: int = 0
+    ip_received: int = 0
+    ip_foreign: int = 0
+    udp_received: int = 0
+    udp_unbound: int = 0
+    echo_requests_received: int = 0
+    echo_replies_received: int = 0
+    resolution_failures: int = 0
+
+
+_COUNTERS = tuple(field.name for field in fields(HostCounters))
+
+
+class _Active:
+    """An endpoint that has sent or received: its record.
+
+    Its address objects are built once, here, and it holds a slot per
+    :class:`HostCounters` field for what only this endpoint saw.
+    Broadcasts every endpoint heard are counted once on the population,
+    so they appear here only as corrections (a sender does not hear its
+    own sibling broadcast, and a broadcast IP packet is not foreign to
+    the endpoint it is addressed to).
+    """
+
+    __slots__ = ("mac", "ip", "ip_ident", "ping_ident") + _COUNTERS
+
+    def __init__(self, mac: MAC, ip: IPv4Address):
+        self.mac = mac
+        self.ip = ip
+        self.ip_ident = self.ping_ident = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
+
+
+def _combine(records: List[_Active], heard: HostCounters,
+             times: int) -> HostCounters:
+    """*times* × *heard* plus the sums of *records*' counters."""
+    return HostCounters(**{
+        name: times * getattr(heard, name)
+        + sum(getattr(record, name) for record in records)
+        for name in _COUNTERS})
 
 
 class Endpoint:
     """A flyweight handle on one endpoint of a :class:`HostPopulation`.
 
-    Created on demand (never stored), it exposes the :class:`~repro.
-    hosts.host.Host` API surface traffic code uses — ``ip``, ``mac``,
-    ``ping``, ``send_udp``, ``bind_udp`` — by delegating to the
-    population with the endpoint index.
+    Created on demand (never stored), it exposes the host API traffic
+    code uses — ``ip``, ``mac``, ``ping``, ``send_udp``, ``bind_udp`` —
+    by passing its index to the population.
     """
 
     __slots__ = ("population", "index")
@@ -86,113 +151,74 @@ class Endpoint:
     def counters(self) -> HostCounters:
         return self.population.endpoint_counters(self.index)
 
-    def send_ip(self, dst_ip: IPv4Address, proto: int, payload: Any,
-                ttl: int = DEFAULT_TTL) -> None:
-        self.population.send_ip(self.index, dst_ip, proto, payload, ttl=ttl)
-
     def send_udp(self, dst_ip: IPv4Address, sport: int, dport: int,
                  payload: Any) -> None:
-        self.population.send_udp(self.index, dst_ip, sport, dport, payload)
+        self.population.send_udp(dst_ip, sport, dport, payload, self.index)
 
     def bind_udp(self, port: int, handler: UdpHandler) -> None:
-        self.population.bind_udp(self.index, port, handler)
-
-    def unbind_udp(self, port: int) -> None:
-        self.population.unbind_udp(self.index, port)
+        self.population.bind_udp(port, handler, self.index)
 
     def ping(self, dst_ip: IPv4Address, seq: int = 0,
              payload_size: int = 56,
              on_reply: Optional[PingHandler] = None) -> int:
-        return self.population.ping(self.index, dst_ip, seq=seq,
-                                    payload_size=payload_size,
-                                    on_reply=on_reply)
-
-    def gratuitous_arp(self) -> None:
-        self.population.gratuitous_arp(self.index)
+        return self.population.ping(dst_ip, seq, payload_size, on_reply,
+                                    self.index)
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.name} mac={self.mac} ip={self.ip}>"
 
 
 class HostPopulation(Node):
-    """*size* emulated hosts sharing one access port (flyweight).
+    """*size* end hosts sharing one access port (flyweight).
 
     ``base_index`` is the host-index the population's address block
     starts at (the builder allocates it); endpoint *i* is addressed as
     ``mac_for_host(base_index + i)`` / ``ip_for_host(base_index + i)``
-    and named ``f"{name}#{i}"``.
+    and named ``f"{name}#{i}"``. Every public call takes the endpoint
+    index last, defaulting to 0 — the only endpoint of a ``Host``.
     """
 
     def __init__(self, sim: Simulator, name: str, size: int,
                  base_index: int,
-                 arp_timeout: float = DEFAULT_ARP_TIMEOUT,
-                 arp_retry_interval: float = DEFAULT_RETRY_INTERVAL,
-                 arp_max_retries: int = DEFAULT_MAX_RETRIES,
-                 max_pending_per_ip: int = 16,
-                 local_latency: float = DEFAULT_LOCAL_LATENCY):
+                 arp_timeout: float = DEFAULT_ARP_TIMEOUT):
         if size < 1:
             raise ValueError(f"population needs at least 1 endpoint, "
                              f"got {size}")
         super().__init__(sim, name)
         self.size = size
+        #: ``range(size)``: an endpoint-index test is one ``in``.
+        self._indices = range(size)
         self.base_index = base_index
         self.arp_timeout = arp_timeout
-        self.arp_retry_interval = arp_retry_interval
-        self.arp_max_retries = arp_max_retries
-        self.max_pending_per_ip = max_pending_per_ip
-        self.local_latency = local_latency
         self.port = self.add_port()
-        #: Population-wide totals (sum over endpoints, kept inline so
-        #: experiments read delivered payloads in O(1)).
-        self.counters = HostCounters()
-        #: Packets dropped from overflowing pending queues (mirrors
-        #: ``ArpCache.dropped_pending``).
+        #: Packets dropped from overflowing or abandoned pending queues.
         self.dropped_pending = 0
 
         # Arithmetic identity: endpoint i <-> mac_base + i / ip_base + i.
-        self._mac_base = mac_for_host(base_index).value
-        self._ip_base = int(ip_for_host(base_index))
+        self._mac_base = mac_for_host(base_index)._value
+        self._ip_base = ip_for_host(base_index)._value
 
-        # -- array-backed hot state (flat maps keyed by endpoint index;
-        #    sized by activity, never by population size) --------------
-        #: Bindings learned from broadcast ARP, shared by construction
-        #: (every endpoint hears every broadcast on the port).
-        self._shared_arp: Dict[int, Tuple[MAC, float]] = {}
-        #: Bindings learned from unicast ARP: (idx, ip) -> (mac, expires).
-        self._arp_overlay: Dict[Tuple[int, int], Tuple[MAC, float]] = {}
-        #: (idx, ip) -> [parked packets, retries_left, retry_event].
+        # -- flat state, sized by activity and never by population size --
+        #: Endpoint index -> its record, made on first send or receive.
+        self._active: Dict[int, _Active] = {}
+        #: Broadcasts every endpoint heard, counted once: ARP requests,
+        #: ARP replies and (as ``ip_foreign``) IPv4 broadcasts.
+        self._heard = HostCounters()
+        #: ip -> (mac, expires) learned from a broadcast ARP (all heard
+        #: it).
+        self._shared: Dict[int, Tuple[MAC, float]] = {}
+        #: (index, ip) -> (mac, expires, the shared binding it was
+        #: written over) learned from a unicast ARP: it is the later
+        #: write while that shared binding is still the current one.
+        self._overlay: Dict[Tuple[int, int], Tuple[MAC, float, Any]] = {}
+        #: (index, ip) -> [parked packets, retries left, retry event].
         self._pending: Dict[Tuple[int, int], List[Any]] = {}
-        #: ip -> endpoint indices with a pending resolution for it (so a
-        #: broadcast-learned binding flushes waiters without scanning).
-        self._pending_waiters: Dict[int, Set[int]] = {}
-        # Sparse per-endpoint counters (only touched endpoints appear).
-        self._arp_requests_sent: Dict[int, int] = {}
-        self._arp_replies_sent: Dict[int, int] = {}
-        self._unicast_requests: Dict[int, int] = {}
-        self._unicast_replies: Dict[int, int] = {}
-        self._ip_sent: Dict[int, int] = {}
-        self._ip_received: Dict[int, int] = {}
-        self._ip_foreign_unicast: Dict[int, int] = {}
-        self._udp_received: Dict[int, int] = {}
-        self._udp_unbound: Dict[int, int] = {}
-        self._echo_requests: Dict[int, int] = {}
-        self._echo_replies: Dict[int, int] = {}
-        self._resolution_failures: Dict[int, int] = {}
-        # Broadcast bases: every endpoint hears every broadcast, so the
-        # per-endpoint received counts derive from population-wide tallies
-        # minus the endpoint's own transmissions (a host never hears its
-        # own frame) — O(1) per broadcast instead of O(N).
-        self._bcast_requests_heard = 0
-        self._bcast_replies_heard = 0
-        self._bcast_ip_heard = 0
-        self._own_bcast_requests: Dict[int, int] = {}
-        self._bcast_ip_for: Dict[int, int] = {}
-        # Socket / ping bookkeeping, keyed (idx, ...).
+        #: ip -> endpoints with a pending resolution for it (so a
+        #: broadcast-learned binding releases them without a scan).
+        self._waiters: Dict[int, Set[int]] = {}
         self._udp_handlers: Dict[Tuple[int, int], UdpHandler] = {}
         self._ping_handlers: Dict[Tuple[int, int], PingHandler] = {}
         self._ping_sent_at: Dict[Tuple[int, int, int], float] = {}
-        self._ping_ident: Dict[int, int] = {}
-        self._ip_ident: Dict[int, int] = {}
 
     # -- identity ------------------------------------------------------------
 
@@ -212,39 +238,48 @@ class HostPopulation(Node):
         return Endpoint(self, index)
 
     def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.size:
+        if index not in self._indices:
             raise IndexError(f"{self.name}: endpoint index {index} out of "
                              f"range [0, {self.size})")
 
-    def _index_of_mac(self, value: int) -> Optional[int]:
-        offset = value - self._mac_base
-        return offset if 0 <= offset < self.size else None
-
-    def _index_of_ip(self, value: int) -> Optional[int]:
-        offset = value - self._ip_base
-        return offset if 0 <= offset < self.size else None
+    def _activate(self, index: int) -> _Active:
+        active = _Active(self.mac_of(index), self.ip_of(index))
+        self._active[index] = active
+        return active
 
     # -- sending -------------------------------------------------------------
 
-    def send_ip(self, index: int, dst_ip: IPv4Address, proto: int,
-                payload: Any, ttl: int = DEFAULT_TTL) -> None:
+    def send_ip(self, dst_ip: IPv4Address, proto: int, payload: Any,
+                ttl: int = DEFAULT_TTL, index: int = 0) -> None:
         """Send an IP packet from endpoint *index*, resolving if needed."""
-        ident = (self._ip_ident.get(index, 0) + 1) & 0xFFFF
-        self._ip_ident[index] = ident
-        packet = IPv4Packet(src=self.ip_of(index), dst=dst_ip, proto=proto,
+        active = self._active.get(index) or self._activate(index)
+        active.ip_ident = ident = (active.ip_ident + 1) & 0xFFFF
+        packet = IPv4Packet(src=active.ip, dst=dst_ip, proto=proto,
                             payload=payload, ttl=ttl, ident=ident)
-        mac = self._lookup_arp(index, int(dst_ip))
-        if mac is not None:
-            self._transmit_ip(index, mac, packet)
-            return
-        self._resolve_and_send(index, dst_ip, packet)
+        # The binding is the later-written of the shared and the overlay
+        # one, and only while it lives.
+        key = dst_ip._value
+        binding = self._shared.get(key)
+        if self._overlay:
+            own = self._overlay.get((index, key))
+            if own is not None and (binding is None or own[2] is binding):
+                binding = own
+        if binding is not None and binding[1] > self.sim._now:
+            self._transmit_ip(index, active, binding[0], packet)
+        else:
+            self._resolve(index, active, dst_ip, packet)
 
-    def send_udp(self, index: int, dst_ip: IPv4Address, sport: int,
-                 dport: int, payload: Any) -> None:
-        self.send_ip(index, dst_ip, PROTO_UDP,
-                     UdpDatagram(sport=sport, dport=dport, payload=payload))
+    def send_udp(self, dst_ip: IPv4Address, sport: int, dport: int,
+                 payload: Any, index: int = 0) -> None:
+        """Send a UDP datagram from endpoint *index*."""
+        self.send_ip(dst_ip, PROTO_UDP,
+                     UdpDatagram(sport=sport, dport=dport, payload=payload),
+                     DEFAULT_TTL, index)
 
-    def bind_udp(self, index: int, port: int, handler: UdpHandler) -> None:
+    def bind_udp(self, port: int, handler: UdpHandler,
+                 index: int = 0) -> None:
+        """Call *handler* for datagrams arriving on endpoint *index*'s
+        UDP *port*."""
         self._check_index(index)
         key = (index, port)
         if key in self._udp_handlers:
@@ -252,35 +287,31 @@ class HostPopulation(Node):
                              f"already bound")
         self._udp_handlers[key] = handler
 
-    def unbind_udp(self, index: int, port: int) -> None:
+    def unbind_udp(self, port: int, index: int = 0) -> None:
         self._udp_handlers.pop((index, port), None)
 
-    def ping(self, index: int, dst_ip: IPv4Address, seq: int = 0,
+    def ping(self, dst_ip: IPv4Address, seq: int = 0,
              payload_size: int = 56,
-             on_reply: Optional[PingHandler] = None) -> int:
-        """One ICMP echo request from endpoint *index*; returns the ident."""
-        ident = (self._ping_ident.get(index, 0) + 1) & 0xFFFF
-        self._ping_ident[index] = ident
+             on_reply: Optional[PingHandler] = None,
+             index: int = 0) -> int:
+        """Send one ICMP echo request from endpoint *index*; returns the
+        ident used. *on_reply* fires with ``(seq, rtt)`` when the
+        matching reply arrives."""
+        active = self._active.get(index) or self._activate(index)
+        active.ping_ident = ident = (active.ping_ident + 1) & 0xFFFF
         if on_reply is not None:
             self._ping_handlers[(index, ident)] = on_reply
         self._ping_sent_at[(index, ident, seq)] = self.sim.now
         echo = make_echo_request(ident=ident, seq=seq,
                                  payload=b"\x00" * payload_size)
-        self.send_ip(index, dst_ip, PROTO_ICMP, echo)
+        self.send_ip(dst_ip, PROTO_ICMP, echo, DEFAULT_TTL, index)
         return ident
 
-    def gratuitous_arp(self, index: int) -> None:
+    def gratuitous_arp(self, index: int = 0) -> None:
         """Broadcast a gratuitous ARP announcing endpoint *index*."""
-        mac = self.mac_of(index)
-        announcement = arp_proto.make_gratuitous(mac, self.ip_of(index))
-        self.counters.arp_requests_sent += 1
-        self._arp_requests_sent[index] = \
-            self._arp_requests_sent.get(index, 0) + 1
-        self.port.send(EthernetFrame(dst=BROADCAST, src=mac,
-                                     ethertype=ETHERTYPE_ARP,
-                                     payload=announcement))
-        self.sim.schedule(self.local_latency, self._hear_arp_broadcast,
-                          announcement, index)
+        active = self._active.get(index) or self._activate(index)
+        self._broadcast_arp(
+            index, active, arp_proto.make_gratuitous(active.mac, active.ip))
 
     def announce_endpoints(self, indices: Optional[List[int]] = None,
                            spacing: float = 0.0, start: float = 0.0) -> int:
@@ -298,247 +329,225 @@ class HostPopulation(Node):
         self.sim.schedule_bulk(specs)
         return len(specs)
 
+    def _transmit_ip(self, index: int, active: _Active, dst_mac: MAC,
+                     packet: IPv4Packet) -> None:
+        active.ip_sent += 1
+        sibling = dst_mac._value - self._mac_base
+        if sibling in self._indices and sibling != index:
+            self.sim.schedule(LOCAL_LATENCY, self._receive_ip, sibling,
+                              packet)
+            return
+        self.port.send(EthernetFrame(dst=dst_mac, src=active.mac,
+                                     ethertype=ETHERTYPE_IPV4,
+                                     payload=packet))
+
     # -- ARP resolution ------------------------------------------------------
 
-    def _lookup_arp(self, index: int, ip_int: int) -> Optional[MAC]:
-        """Freshest unexpired binding from the overlay or shared map."""
-        now = self.sim.now
-        mac = None
-        expires = now
-        entry = self._arp_overlay.get((index, ip_int))
-        if entry is not None:
-            if entry[1] <= now:
-                del self._arp_overlay[(index, ip_int)]
-            else:
-                mac, expires = entry
-        shared = self._shared_arp.get(ip_int)
-        if shared is not None:
-            if shared[1] <= now:
-                del self._shared_arp[ip_int]
-            elif shared[1] > expires:
-                mac = shared[0]
-        return mac
-
-    def _resolve_and_send(self, index: int, dst_ip: IPv4Address,
-                          packet: IPv4Packet) -> None:
-        key = (index, int(dst_ip))
-        pending = self._pending.get(key)
+    def _resolve(self, index: int, active: _Active, dst_ip: IPv4Address,
+                 packet: IPv4Packet) -> None:
+        """Park *packet* until *dst_ip* resolves; the first one parked
+        sends the ARP request and arms the retry."""
+        key = dst_ip._value
+        pending = self._pending.get((index, key))
         if pending is not None:
-            if len(pending[0]) >= self.max_pending_per_ip:
+            if len(pending[0]) >= MAX_PENDING_PER_IP:
                 self.dropped_pending += 1
             else:
                 pending[0].append(packet)
             return
-        pending = [[packet], self.arp_max_retries, None]
-        self._pending[key] = pending
-        self._pending_waiters.setdefault(int(dst_ip), set()).add(index)
-        self._send_arp_request(index, dst_ip)
-        pending[2] = self.sim.schedule(self.arp_retry_interval,
-                                       self._arp_retry, index, int(dst_ip))
+        # Nothing live was found: forget what expired.
+        now = self.sim._now
+        shared = self._shared.get(key)
+        if shared is not None and shared[1] <= now:
+            del self._shared[key]
+        own = self._overlay.get((index, key))
+        if own is not None and own[1] <= now:
+            del self._overlay[(index, key)]
+        pending = self._pending[(index, key)] = [[packet], ARP_MAX_RETRIES,
+                                                 None]
+        self._waiters.setdefault(key, set()).add(index)
+        self._broadcast_arp(
+            index, active, arp_proto.make_request(active.mac, active.ip,
+                                                  dst_ip))
+        pending[2] = self.sim.schedule(ARP_RETRY_INTERVAL, self._arp_retry,
+                                       index, key)
 
-    def _send_arp_request(self, index: int, dst_ip: IPv4Address) -> None:
-        mac = self.mac_of(index)
-        request = arp_proto.make_request(mac, self.ip_of(index), dst_ip)
-        self.counters.arp_requests_sent += 1
-        self._arp_requests_sent[index] = \
-            self._arp_requests_sent.get(index, 0) + 1
-        self.port.send(EthernetFrame(dst=BROADCAST, src=mac,
+    def _broadcast_arp(self, index: int, active: _Active,
+                       packet: ArpPacket) -> None:
+        """Endpoint *index* broadcasts an ARP request (gratuitous ones
+        included)."""
+        active.arp_requests_sent += 1
+        self.port.send(EthernetFrame(dst=BROADCAST, src=active.mac,
                                      ethertype=ETHERTYPE_ARP,
-                                     payload=request))
-        # Siblings behind the same port hear the broadcast too (a bridge
-        # never floods a frame back out its ingress port, so the only
-        # path to them is this internal event).
-        self.sim.schedule(self.local_latency, self._hear_arp_broadcast,
-                          request, index)
+                                     payload=packet))
+        if self.size > 1:
+            # Siblings behind the same port hear it too (a bridge never
+            # floods a frame back out its ingress port, so the only path
+            # to them is this internal event).
+            self.sim.schedule(LOCAL_LATENCY, self._hear_arp, packet, None,
+                              index)
 
-    def _arp_retry(self, index: int, ip_int: int) -> None:
-        key = (index, ip_int)
-        pending = self._pending.get(key)
-        if pending is None:
-            return
+    def _arp_retry(self, index: int, key: int) -> None:
+        pending = self._pending[(index, key)]
         if pending[1] <= 0:
-            del self._pending[key]
-            self._drop_waiter(ip_int, index)
+            del self._pending[(index, key)]
+            self._drop_waiter(key, index)
             dropped = len(pending[0])
             self.dropped_pending += dropped
-            self.counters.resolution_failures += dropped
-            self._resolution_failures[index] = \
-                self._resolution_failures.get(index, 0) + dropped
+            self._active[index].resolution_failures += dropped
             return
         pending[1] -= 1
-        self._send_arp_request(index, IPv4Address(ip_int))
-        pending[2] = self.sim.schedule(self.arp_retry_interval,
-                                       self._arp_retry, index, ip_int)
+        active = self._active[index]
+        self._broadcast_arp(
+            index, active, arp_proto.make_request(active.mac, active.ip,
+                                                  IPv4Address(key)))
+        pending[2] = self.sim.schedule(ARP_RETRY_INTERVAL, self._arp_retry,
+                                       index, key)
 
-    def _drop_waiter(self, ip_int: int, index: int) -> None:
-        waiters = self._pending_waiters.get(ip_int)
-        if waiters is not None:
-            waiters.discard(index)
-            if not waiters:
-                del self._pending_waiters[ip_int]
+    def _drop_waiter(self, key: int, index: int) -> None:
+        waiters = self._waiters[key]
+        waiters.discard(index)
+        if not waiters:
+            del self._waiters[key]
 
-    def _flush_pending(self, index: int, ip_int: int, mac: MAC) -> None:
-        pending = self._pending.pop((index, ip_int), None)
-        if pending is None:
-            return
-        if pending[2] is not None:
-            pending[2].cancel()
-        self._drop_waiter(ip_int, index)
-        for packet in pending[0]:
-            self._transmit_ip(index, mac, packet)
+    def _release(self, index: int, key: int, mac: MAC) -> None:
+        """Endpoint *index* resolved *key* to *mac*: cancel the retry and
+        send what was parked."""
+        packets, _retries, retry = self._pending.pop((index, key))
+        retry.cancel()
+        self._drop_waiter(key, index)
+        active = self._active[index]
+        for packet in packets:
+            self._transmit_ip(index, active, mac, packet)
 
     # -- receiving -----------------------------------------------------------
 
     def handle_frame(self, port: Port, frame: EthernetFrame) -> None:
-        if self._index_of_mac(frame.src.value) is not None:
-            return  # our own frame echoed back
-        if frame.dst.is_multicast:  # includes broadcast
-            if frame.ethertype == ETHERTYPE_ARP \
-                    and isinstance(frame.payload, ArpPacket):
-                self._hear_arp_broadcast(frame.payload, None)
-            elif frame.ethertype == ETHERTYPE_IPV4 \
-                    and isinstance(frame.payload, IPv4Packet):
-                self._hear_ip_broadcast(frame.payload)
+        # Classified on the addresses' integers: never our own frame
+        # echoed back; a group address (broadcast included) is heard by
+        # every endpoint, a unicast one by the endpoint it names.
+        if frame.src._value - self._mac_base in self._indices:
             return
-        index = self._index_of_mac(frame.dst.value)
-        if index is None:
-            return  # unknown-unicast flood for somebody else
-        if frame.ethertype == ETHERTYPE_ARP \
-                and isinstance(frame.payload, ArpPacket):
-            self._hear_arp_unicast(index, frame.payload)
-        elif frame.ethertype == ETHERTYPE_IPV4 \
-                and isinstance(frame.payload, IPv4Packet):
-            self._receive_ip_unicast(index, frame.payload)
+        dst = frame.dst._value
+        if dst & _GROUP_BIT:
+            index = None
+        else:
+            index = dst - self._mac_base
+            if index not in self._indices:
+                return  # unknown-unicast flood for somebody else
+        payload = frame.payload
+        if frame.ethertype == ETHERTYPE_IPV4 \
+                and isinstance(payload, IPv4Packet):
+            self._receive_ip(index, payload)
+        elif frame.ethertype == ETHERTYPE_ARP \
+                and isinstance(payload, ArpPacket):
+            self._hear_arp(payload, index)
         # Other ethertypes (BPDU, ARP-Path control) are ignored: hosts
         # are unmodified.
 
-    def _hear_arp_broadcast(self, pkt: ArpPacket,
-                            sender: Optional[int]) -> None:
-        """One broadcast ARP frame, heard by every endpoint at once.
+    def _hear_arp(self, pkt: ArpPacket, index: Optional[int],
+                  sender: Optional[int] = None) -> None:
+        """An ARP packet for endpoint *index*, or — *index* None — a
+        broadcast every endpoint but *sender* hears at once.
 
-        *sender* is the originating endpoint index for internally
-        generated broadcasts (it does not hear its own frame), None for
-        frames arriving on the port. O(1 + waiters flushed), never O(N).
+        O(1 + waiters released), never O(size).
         """
-        spa = int(pkt.spa)
-        if spa != 0:
-            self._shared_arp[spa] = (pkt.sha, self.sim.now + self.arp_timeout)
-            waiters = self._pending_waiters.get(spa)
-            if waiters:
-                for index in sorted(waiters):
-                    if index != sender:
-                        self._flush_pending(index, spa, pkt.sha)
-        heard = self.size if sender is None else self.size - 1
-        if pkt.is_request:
-            self.counters.arp_requests_received += heard
-            self._bcast_requests_heard += 1
-            if sender is not None:
-                self._own_bcast_requests[sender] = \
-                    self._own_bcast_requests.get(sender, 0) + 1
-            target = self._index_of_ip(int(pkt.tpa))
-            if target is not None and target != sender \
-                    and spa != int(pkt.tpa):
+        spa = pkt.spa._value
+        if spa:
+            # Learn the sender's binding, as real stacks do from any ARP
+            # they hear, and release what waited for it: in the shared
+            # map when every endpoint heard it (a broadcast, or any ARP
+            # to a population of one). One born expired (``arp_timeout
+            # <= 0``) is not kept, drops the older one, releases nothing.
+            now = self.sim._now
+            expires = now + self.arp_timeout
+            if index is None or self.size == 1:
+                if expires > now:
+                    self._shared[spa] = (pkt.sha, expires)
+                    waiters = self._waiters.get(spa)
+                    if waiters:
+                        for waiter in sorted(waiters):
+                            if waiter != sender:
+                                self._release(waiter, spa, pkt.sha)
+                else:
+                    self._shared.pop(spa, None)
+            elif expires > now:
+                self._overlay[(index, spa)] = (pkt.sha, expires,
+                                               self._shared.get(spa))
+                if (index, spa) in self._pending:
+                    self._release(index, spa, pkt.sha)
+            else:
+                self._overlay.pop((index, spa), None)
+        request = pkt.op == OP_REQUEST
+        if index is None:
+            if request:
+                self._heard.arp_requests_received += 1
+                if sender is not None:
+                    self._active[sender].arp_requests_received -= 1
+            else:
+                self._heard.arp_replies_received += 1
+        else:
+            active = self._active.get(index) or self._activate(index)
+            if request:
+                active.arp_requests_received += 1
+            else:
+                active.arp_replies_received += 1
+        if request:
+            tpa = pkt.tpa._value
+            target = tpa - self._ip_base
+            if target in self._indices and index in (None, target) \
+                    and target != sender and spa != tpa:
                 self._send_arp_reply(target, pkt)
-        else:
-            self.counters.arp_replies_received += heard
-            self._bcast_replies_heard += 1
-
-    def _hear_arp_unicast(self, index: int, pkt: ArpPacket) -> None:
-        spa = int(pkt.spa)
-        if spa != 0:
-            self._arp_overlay[(index, spa)] = \
-                (pkt.sha, self.sim.now + self.arp_timeout)
-            self._flush_pending(index, spa, pkt.sha)
-        if pkt.is_request:
-            self.counters.arp_requests_received += 1
-            self._unicast_requests[index] = \
-                self._unicast_requests.get(index, 0) + 1
-            if int(pkt.tpa) == self._ip_base + index \
-                    and spa != self._ip_base + index:
-                self._send_arp_reply(index, pkt)
-        else:
-            self.counters.arp_replies_received += 1
-            self._unicast_replies[index] = \
-                self._unicast_replies.get(index, 0) + 1
 
     def _send_arp_reply(self, index: int, request: ArpPacket) -> None:
-        mac = self.mac_of(index)
-        reply = arp_proto.make_reply(mac, self.ip_of(index),
+        active = self._active.get(index) or self._activate(index)
+        reply = arp_proto.make_reply(active.mac, active.ip,
                                      request.sha, request.spa)
-        self.counters.arp_replies_sent += 1
-        self._arp_replies_sent[index] = \
-            self._arp_replies_sent.get(index, 0) + 1
-        local = self._index_of_mac(request.sha.value)
-        if local is not None:
-            self.sim.schedule(self.local_latency, self._hear_arp_unicast,
-                              local, reply)
+        active.arp_replies_sent += 1
+        sibling = request.sha._value - self._mac_base
+        if sibling in self._indices and sibling != index:
+            self.sim.schedule(LOCAL_LATENCY, self._hear_arp, reply, sibling)
             return
-        self.port.send(EthernetFrame(dst=request.sha, src=mac,
+        self.port.send(EthernetFrame(dst=request.sha, src=active.mac,
                                      ethertype=ETHERTYPE_ARP,
                                      payload=reply))
 
-    def _transmit_ip(self, index: int, dst_mac: MAC,
+    def _receive_ip(self, index: Optional[int], packet: IPv4Packet) -> None:
+        """An IP packet for endpoint *index*, or — *index* None — a
+        broadcast: foreign to every endpoint but its destination's."""
+        if index is None:
+            self._heard.ip_foreign += 1
+            index = packet.dst._value - self._ip_base
+            if index not in self._indices:
+                return
+            active = self._active.get(index) or self._activate(index)
+            active.ip_foreign -= 1
+        else:
+            active = self._active.get(index) or self._activate(index)
+            if packet.dst._value - self._ip_base != index:
+                active.ip_foreign += 1
+                return
+        active.ip_received += 1
+        body = packet.payload
+        if packet.proto == PROTO_UDP and isinstance(body, UdpDatagram):
+            handler = self._udp_handlers.get((index, body.dport))
+            if handler is None:
+                active.udp_unbound += 1
+                return
+            active.udp_received += 1
+            handler(packet.src, body.sport, body.payload, packet)
+        elif packet.proto == PROTO_ICMP and isinstance(body, IcmpEcho):
+            self._handle_icmp(index, active, packet)
+
+    def _handle_icmp(self, index: int, active: _Active,
                      packet: IPv4Packet) -> None:
-        self.counters.ip_sent += 1
-        self._ip_sent[index] = self._ip_sent.get(index, 0) + 1
-        local = self._index_of_mac(dst_mac.value)
-        if local is not None:
-            self.sim.schedule(self.local_latency, self._receive_ip_unicast,
-                              local, packet)
-            return
-        self.port.send(EthernetFrame(dst=dst_mac, src=self.mac_of(index),
-                                     ethertype=ETHERTYPE_IPV4,
-                                     payload=packet))
-
-    def _receive_ip_unicast(self, index: int, packet: IPv4Packet) -> None:
-        if int(packet.dst) != self._ip_base + index:
-            self.counters.ip_foreign += 1
-            self._ip_foreign_unicast[index] = \
-                self._ip_foreign_unicast.get(index, 0) + 1
-            return
-        self._deliver_ip(index, packet)
-
-    def _hear_ip_broadcast(self, packet: IPv4Packet) -> None:
-        """A broadcast IPv4 frame: foreign to all but its IP's owner."""
-        self._bcast_ip_heard += 1
-        foreign = self.size
-        target = self._index_of_ip(int(packet.dst))
-        if target is not None:
-            self._bcast_ip_for[target] = self._bcast_ip_for.get(target, 0) + 1
-            foreign -= 1
-            self._deliver_ip(target, packet)
-        self.counters.ip_foreign += foreign
-
-    def _deliver_ip(self, index: int, packet: IPv4Packet) -> None:
-        self.counters.ip_received += 1
-        self._ip_received[index] = self._ip_received.get(index, 0) + 1
-        if packet.proto == PROTO_UDP and isinstance(packet.payload,
-                                                    UdpDatagram):
-            self._handle_udp(index, packet)
-        elif packet.proto == PROTO_ICMP and isinstance(packet.payload,
-                                                       IcmpEcho):
-            self._handle_icmp(index, packet)
-
-    def _handle_udp(self, index: int, packet: IPv4Packet) -> None:
-        dgram: UdpDatagram = packet.payload
-        handler = self._udp_handlers.get((index, dgram.dport))
-        if handler is None:
-            self.counters.udp_unbound += 1
-            self._udp_unbound[index] = self._udp_unbound.get(index, 0) + 1
-            return
-        self.counters.udp_received += 1
-        self._udp_received[index] = self._udp_received.get(index, 0) + 1
-        handler(packet.src, dgram.sport, dgram.payload, packet)
-
-    def _handle_icmp(self, index: int, packet: IPv4Packet) -> None:
         echo: IcmpEcho = packet.payload
         if echo.is_request:
-            self.counters.echo_requests_received += 1
-            self._echo_requests[index] = self._echo_requests.get(index, 0) + 1
-            self.send_ip(index, packet.src, PROTO_ICMP, echo.reply())
+            active.echo_requests_received += 1
+            self.send_ip(packet.src, PROTO_ICMP, echo.reply(), DEFAULT_TTL,
+                         index)
             return
-        self.counters.echo_replies_received += 1
-        self._echo_replies[index] = self._echo_replies.get(index, 0) + 1
+        active.echo_replies_received += 1
         sent_at = self._ping_sent_at.pop((index, echo.ident, echo.seq), None)
         handler = self._ping_handlers.get((index, echo.ident))
         if sent_at is not None and handler is not None:
@@ -546,52 +555,31 @@ class HostPopulation(Node):
 
     # -- accounting ----------------------------------------------------------
 
-    def endpoint_counters(self, index: int) -> HostCounters:
-        """Endpoint *index*'s counters, reconstructed from the flat state.
+    @property
+    def counters(self) -> HostCounters:
+        """Totals over every endpoint (a fresh object on each read)."""
+        return _combine(list(self._active.values()),
+                        self._heard, self.size)
 
-        Broadcast-received counts derive from the population-wide
-        tallies minus the endpoint's own transmissions; everything else
-        reads the sparse per-endpoint maps.
-        """
+    def endpoint_counters(self, index: int) -> HostCounters:
+        """Endpoint *index*'s counters: its record plus the broadcasts
+        every endpoint heard."""
         self._check_index(index)
-        return HostCounters(
-            arp_requests_sent=self._arp_requests_sent.get(index, 0),
-            arp_replies_sent=self._arp_replies_sent.get(index, 0),
-            arp_requests_received=(self._bcast_requests_heard
-                                   - self._own_bcast_requests.get(index, 0)
-                                   + self._unicast_requests.get(index, 0)),
-            arp_replies_received=(self._bcast_replies_heard
-                                  + self._unicast_replies.get(index, 0)),
-            ip_sent=self._ip_sent.get(index, 0),
-            ip_received=self._ip_received.get(index, 0),
-            ip_foreign=(self._bcast_ip_heard
-                        - self._bcast_ip_for.get(index, 0)
-                        + self._ip_foreign_unicast.get(index, 0)),
-            udp_received=self._udp_received.get(index, 0),
-            udp_unbound=self._udp_unbound.get(index, 0),
-            echo_requests_received=self._echo_requests.get(index, 0),
-            echo_replies_received=self._echo_replies.get(index, 0),
-            resolution_failures=self._resolution_failures.get(index, 0))
+        active = self._active.get(index)
+        return _combine([] if active is None else [active],
+                        self._heard, 1)
 
     def state_entries(self) -> int:
         """Live size of the population's mutable state (all flat maps).
 
         The number the flyweight claim stands on: proportional to
-        *activity* (bindings learned, sockets bound, resolutions in
-        flight), independent of ``size``.
+        *activity* (endpoints active, bindings learned, sockets bound,
+        resolutions in flight), independent of ``size``.
         """
-        sparse = (self._arp_requests_sent, self._arp_replies_sent,
-                  self._unicast_requests, self._unicast_replies,
-                  self._ip_sent, self._ip_received,
-                  self._ip_foreign_unicast, self._udp_received,
-                  self._udp_unbound, self._echo_requests,
-                  self._echo_replies, self._resolution_failures,
-                  self._own_bcast_requests, self._bcast_ip_for,
-                  self._udp_handlers, self._ping_handlers,
-                  self._ping_sent_at, self._ping_ident, self._ip_ident,
-                  self._shared_arp, self._arp_overlay, self._pending,
-                  self._pending_waiters)
-        return sum(len(store) for store in sparse)
+        return sum(len(store) for store in (
+            self._active, self._shared, self._overlay, self._pending,
+            self._waiters, self._udp_handlers, self._ping_handlers,
+            self._ping_sent_at))
 
     def __repr__(self) -> str:
         return (f"<HostPopulation {self.name} size={self.size} "

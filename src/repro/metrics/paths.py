@@ -95,11 +95,9 @@ def stretch(observed_latency: float, oracle_latency: float) -> float:
 class PathObserver:
     """Captures the forwarding path of unicast traffic between hosts.
 
-    Registers an IP listener on the destination host; each received
-    packet's Ethernet-level hop trace is recovered from the delivering
-    frame. Because the host stack strips frames, we instead snoop via
-    the host's ``ip_listeners`` and inspect the last delivered frame's
-    trace, which nodes record when ``trace_hops`` is on.
+    Wraps the destination host's ``deliver`` and keeps the hop trace of
+    each unicast frame addressed to it — the trace nodes record when
+    ``trace_hops`` is on.
     """
 
     def __init__(self, net: Network, dst_host: str):

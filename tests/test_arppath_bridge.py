@@ -291,9 +291,9 @@ class TestProxy:
     def test_second_resolution_suppressed(self, sim):
         net = self._proxied_net(sim)
         h0, h1 = net.host("H0"), net.host("H1")
+        h0.arp_timeout = 0.5                # forgets H1 before re-sending
         h0.send_udp(h1.ip, 1, 2, b"prime")  # populates proxy caches
         net.run(1.0)
-        h0.arp_cache.flush()
         arp_sent_before = sim.tracer.count("sent", ETHERTYPE_ARP)
         h0.send_udp(h1.ip, 1, 2, b"again")
         net.run(1.0)
@@ -306,9 +306,9 @@ class TestProxy:
     def test_suppressed_resolution_still_resolves(self, sim):
         net = self._proxied_net(sim)
         h0, h1 = net.host("H0"), net.host("H1")
+        h0.arp_timeout = 0.5                # forgets H1 before re-sending
         h0.send_udp(h1.ip, 1, 2, b"prime")
         net.run(1.0)
-        h0.arp_cache.flush()
         got = []
         h1.bind_udp(2, lambda sip, sp, payload, pkt: got.append(payload))
         h0.send_udp(h1.ip, 1, 2, b"after-proxy")

@@ -208,7 +208,9 @@ class TestProxyRepairInterplay:
         h0, h1 = net.host("H0"), net.host("H1")
         got = []
         h1.bind_udp(7000, lambda sip, sp, p, pkt: got.append(p))
-        # Prime proxy caches everywhere with one full exchange.
+        # Prime proxy caches everywhere with one full exchange; H0's
+        # binding for H1 expires before the second send.
+        h0.arp_timeout = 0.5
         h0.send_udp(h1.ip, 7000, 7000, b"prime")
         net.run(1.0)
         # The source edge forgets the path (expiry); the host re-ARPs,
@@ -216,7 +218,6 @@ class TestProxyRepairInterplay:
         # healed by Path Repair instead.
         b0 = net.bridge("B0")
         b0.table.remove(h1.mac)
-        h0.arp_cache.flush()
         arp_flood_before = sum(b.apc.discovery_frames
                                for name, b in net.bridges.items()
                                if name != "B0")

@@ -7,6 +7,7 @@ stack itself, independent of any bridging protocol.
 import pytest
 
 from repro.frames.ethernet import ETHERTYPE_ARP
+from repro.hosts.population import ARP_MAX_RETRIES
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.topology import learning
@@ -68,20 +69,29 @@ class TestArpResolution:
         lan.run(10.0)
         assert h0.counters.resolution_failures == 1
         # Retried the configured number of times.
-        assert h0.counters.arp_requests_sent == 1 + h0.arp_cache.max_retries
+        assert h0.counters.arp_requests_sent == 1 + ARP_MAX_RETRIES
 
     def test_gratuitous_arp_populates_peers(self, lan):
         h0, h1 = lan.host("H0"), lan.host("H1")
+        got = []
+        h0.bind_udp(2, lambda sip, sp, payload, pkt: got.append(payload))
         h0.gratuitous_arp()
         lan.run(1.0)
-        assert h1.arp_cache.lookup(h0.ip, lan.sim.now) == h0.mac
+        # H1 sends to H0 straight away: the announcement resolved it.
+        h1.send_udp(h0.ip, 1, 2, b"direct")
+        lan.run(1.0)
+        assert got == [b"direct"]
+        assert h1.counters.arp_requests_sent == 0
 
     def test_opportunistic_learning_from_request(self, lan):
         h0, h1 = lan.host("H0"), lan.host("H1")
         h0.send_udp(h1.ip, 1, 2, b"")
         lan.run(1.0)
         # H1 learnt H0's binding from the request itself.
-        assert h1.arp_cache.lookup(h0.ip, lan.sim.now) == h0.mac
+        h1.send_udp(h0.ip, 2, 1, b"")
+        lan.run(1.0)
+        assert h1.counters.arp_requests_sent == 0
+        assert h0.counters.udp_unbound == 1
 
 
 class TestUdp:
@@ -185,11 +195,3 @@ class TestFiltering:
             dst=BROADCAST, src=h0.mac, ethertype=ETHERTYPE_ARP,
             payload=probe))
         assert h0.counters.arp_requests_received == before
-
-    def test_ip_listeners_invoked(self, lan):
-        h0, h1 = lan.host("H0"), lan.host("H1")
-        seen = []
-        h1.ip_listeners.append(lambda pkt: seen.append(pkt.src))
-        h0.send_udp(h1.ip, 1, 2, b"")
-        lan.run(1.0)
-        assert seen == [h0.ip]

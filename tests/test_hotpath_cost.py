@@ -23,11 +23,12 @@ The fourth guard is on the baseline family: an 802.1D bridge recomputes
 on change, not on receipt (``stp.bridge`` docstring), so the hellos of a
 converged tree run no ``_recompute`` at all and a cut runs a bounded few.
 
-The last three guard the end host and SPB's attachment lookup, which
-compare addresses as integers (ARCHITECTURE §7 "Hosts compare
-integers", §9): a received broadcast ARP and a UDP packet cost a fixed
-handful of calls, and finding a host's bridge costs no ``MAC.__eq__``
-however many hosts the LSDB advertises.
+The last three guard the one end-host stack and SPB's attachment
+lookup, which compare addresses as integers (ARCHITECTURE §7, §9): a
+received broadcast ARP and a UDP packet cost a fixed handful of calls,
+for a ``Host`` and for a flyweight population endpoint alike, and
+finding a host's bridge costs no ``MAC.__eq__`` however many hosts the
+LSDB advertises.
 """
 
 import gc
@@ -46,6 +47,7 @@ from repro.netsim.tracer import DELIVERED
 from repro.stp import PortState
 from repro.topology import grid, line, ring
 from repro.topology.factories import arppath, spb, stp_scaled
+from repro.topology.library import populate_access_ports
 from repro.traffic.matrix import TrafficMatrix
 
 #: Python calls per link delivery on the warm 8-bridge line. The parent
@@ -271,59 +273,83 @@ def _calls_under(code, ethertype, run, *args):
     return calls, entries
 
 
-def _occupancy_ring(factory, hosts_per_bridge=4):
-    """The ``occupancy`` wiring: a 4-bridge ring, 16 hosts by default."""
+def _occupancy_ring(factory, hosts_per_bridge=4, endpoints_per_port=1):
+    """The ``occupancy`` wiring: a 4-bridge ring, 16 hosts by default;
+    above one endpoint per port, a population shares each host's
+    access bridge."""
     sim = Simulator(seed=1, keep_trace_records=False)
     net = ring(sim, factory, 4, hosts_per_bridge=hosts_per_bridge)
+    populate_access_ports(net, endpoints_per_port)
     net.run(1.0)
     return sim, net
 
 
+#: The two inputs of each host pin: 16 hosts, and 4 hosts each sharing
+#: its bridge with a population of 3 (16 endpoints either way).
+HOST_WIRINGS = {"hosts": (4, 1), "populations": (1, 4)}
+
+
 #: Python calls per broadcast ARP a host receives (handle_frame and all
-#: below it). The parent of the integer host stack measured 16.0; the
-#: change itself 4.0 (the first binding of each sender allocates an
-#: ``ArpEntry``).
-MAX_CALLS_PER_HOST_ARP = 5
+#: below it). The parent of the integer host stack measured 16.0, the
+#: integer stack 4.0 (the first binding of each sender allocated an
+#: ``ArpEntry``); one stack, a ``Host`` being a population of one, 2.0
+#: for hosts and populations alike.
+MAX_CALLS_PER_HOST_ARP = 3
 
 
 def test_a_host_hears_a_broadcast_arp_in_a_few_python_calls():
-    sim, net = _occupancy_ring(arppath())
-    for host in net.hosts.values():
-        host.gratuitous_arp()            # every host hears 15 of these
-    calls, heard = _calls_under(Host.handle_frame.__code__, ETHERTYPE_ARP,
-                                sim.run_for, 0.01)
-    assert heard == 16 * 15
-    assert calls / heard <= MAX_CALLS_PER_HOST_ARP, (
-        f"{calls} Python calls for {heard} received broadcast ARPs")
+    for wiring, (hosts_per_bridge, per_port) in HOST_WIRINGS.items():
+        sim, net = _occupancy_ring(arppath(), hosts_per_bridge, per_port)
+        for host in net.hosts.values():
+            host.gratuitous_arp()
+        for pop in net.populations.values():
+            pop.announce_endpoints()
+        nodes = len(net.hosts) + len(net.populations)
+        calls, heard = _calls_under(Host.handle_frame.__code__,
+                                    ETHERTYPE_ARP, sim.run_for, 0.01)
+        # Every node's handle_frame hears each of the 16 broadcasts
+        # once, except the announcer's own (siblings hear it inside the
+        # population, outside handle_frame).
+        assert heard == 16 * (nodes - 1), wiring
+        assert calls / heard <= MAX_CALLS_PER_HOST_ARP, (
+            f"{wiring}: {calls} Python calls for {heard} received "
+            f"broadcast ARPs")
 
 
 #: Python calls per UDP packet in the two hosts: ``send_udp`` down to the
 #: sending NIC's link, plus ``handle_frame`` up to the sink callback
-#: (itself included). The parent measured 19.4; the change itself 13.4.
-MAX_CALLS_PER_UDP_PACKET = 14.4
+#: (itself included). The parent of the integer host stack measured
+#: 19.4, the integer stack 13.4; one stack 11.4 for hosts and
+#: population endpoints alike (no ARP lookup call, and one receive call
+#: where there were two).
+MAX_CALLS_PER_UDP_PACKET = 12.4
 
 
 def test_a_udp_packet_costs_the_hosts_a_fixed_handful_of_calls():
-    sim, net = _occupancy_ring(arppath())
-    src, dst = net.hosts["H0"], net.hosts["H15"]
-    sink = []
-    dst.bind_udp(5001, lambda *args: sink.append(args))
-    src.send_udp(dst.ip, 5000, 5001, b"warm")     # resolves, locks the path
-    sim.run_for(0.01)
-    assert len(sink) == 1
+    for wiring, (hosts_per_bridge, per_port) in HOST_WIRINGS.items():
+        sim, net = _occupancy_ring(arppath(), hosts_per_bridge, per_port)
+        if net.populations:
+            src, dst = net.endpoint("H0P#0"), net.endpoint("H2P#1")
+        else:
+            src, dst = net.hosts["H0"], net.hosts["H15"]
+        sink = []
+        dst.bind_udp(5001, lambda *args: sink.append(args))
+        src.send_udp(dst.ip, 5000, 5001, b"warm")   # resolves, locks path
+        sim.run_for(0.01)
+        assert len(sink) == 1, wiring
 
-    sent = 0
-    for _ in range(20):
-        calls, entries = _calls_under(Host.send_udp.__code__, None,
-                                      src.send_udp, dst.ip, 5000, 5001,
-                                      b"x" * 64)
-        sent += calls
-    assert entries == 1
-    received, heard = _calls_under(Host.handle_frame.__code__,
-                                   ETHERTYPE_IPV4, sim.run_for, 0.01)
-    assert heard == 20 and len(sink) == 21
-    per_packet = (sent + received) / 20
-    assert per_packet <= MAX_CALLS_PER_UDP_PACKET, per_packet
+        sent = 0
+        for _ in range(20):
+            calls, entries = _calls_under(Host.send_udp.__code__, None,
+                                          src.send_udp, dst.ip, 5000, 5001,
+                                          b"x" * 64)
+            sent += calls
+        assert entries == 1, wiring
+        received, heard = _calls_under(Host.handle_frame.__code__,
+                                       ETHERTYPE_IPV4, sim.run_for, 0.01)
+        assert heard == 20 and len(sink) == 21, wiring
+        per_packet = (sent + received) / 20
+        assert per_packet <= MAX_CALLS_PER_UDP_PACKET, (wiring, per_packet)
 
 
 #: ``MAC.__eq__`` calls per ``attachment_bridge`` lookup of a remote

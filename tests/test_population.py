@@ -3,16 +3,20 @@
 The two load-bearing claims this file pins:
 
 * **Protocol equivalence** — a :class:`HostPopulation` endpoint behaves
-  exactly like a real :class:`Host` would in its place (same counters
-  for the same staggered workload on a 2-bridge line), so population
-  experiments measure the protocols, not the flyweight.
+  exactly like a real :class:`Host` would in its place, and like the
+  frozen pre-population host stack (``tests/host_reference.py``) too:
+  same counters for the same staggered workload on a 2-bridge line, so
+  population experiments measure the protocols, not the flyweight.
 * **Generation-time determinism** — the heavy-tailed traffic
   generators (``zipf_pairs``, ``elephant_mice``) are pure functions of
   (universe, count, seed): the same seed yields the identical flow
   list, which is what lets sharded population runs stay byte-identical.
 """
 
+from dataclasses import asdict
+
 import pytest
+from host_reference import ReferenceHost
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +26,7 @@ from repro.frames.mac import mac_for_host
 from repro.hosts.population import HostPopulation
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
-from repro.topology import arppath, learning
+from repro.topology import arppath, builder, learning
 from repro.topology.builder import Network
 from repro.topology.factories import spb, stp_scaled
 from repro.topology.library import HOST_LINK, populate_access_ports, ring
@@ -101,6 +105,11 @@ class TestIdentity:
         assert net.endpoint_count() == 6
 
 
+#: The hosts a population endpoint must match: today's ``Host`` (a
+#: population of one) and the frozen stack it replaced.
+_HOST_CLASSES = (builder.Host, ReferenceHost)
+
+
 class TestHostEquivalence:
     """Endpoint counters == real-host counters for the same workload.
 
@@ -126,19 +135,23 @@ class TestHostEquivalence:
         net.run(2.0)
         return got
 
-    def test_counters_match_real_hosts(self):
-        real = _real_net()
-        got_real = self._drive(real, [real.host(f"A{i}") for i in range(3)],
-                               "Z")
+    def test_counters_match_real_hosts(self, monkeypatch):
         flya = _population_net()
         pop = flya.population("P")
         got_fly = self._drive(flya, [pop.endpoint(i) for i in range(3)],
                               "Z")
-        assert got_real == got_fly == [b"hello"]
-        for i in range(3):
-            assert pop.endpoint_counters(i) == \
-                real.host(f"A{i}").counters, f"endpoint {i}"
-        assert flya.host("Z").counters == real.host("Z").counters
+        assert got_fly == [b"hello"]
+        for host_class in _HOST_CLASSES:
+            monkeypatch.setattr(builder, "Host", host_class)
+            real = _real_net()
+            got_real = self._drive(
+                real, [real.host(f"A{i}") for i in range(3)], "Z")
+            assert got_real == got_fly, host_class
+            for i in range(3):
+                assert asdict(pop.endpoint_counters(i)) == \
+                    asdict(real.host(f"A{i}").counters), (host_class, i)
+            assert asdict(flya.host("Z").counters) == \
+                asdict(real.host("Z").counters), host_class
 
     def test_aggregate_counters_are_the_sum(self):
         net = _population_net()
@@ -150,20 +163,22 @@ class TestHostEquivalence:
                 summed[key] = summed.get(key, 0) + value
         assert summed == vars(pop.counters)
 
-    def test_resolution_failure_parity(self):
-        real = _real_net()
+    def test_resolution_failure_parity(self, monkeypatch):
         flya = _population_net()
-        real.run(5.0)
         flya.run(5.0)
         dead = ip_for_host(9000)
-        real.host("A0").ping(dead)
         flya.population("P").endpoint(0).ping(dead)
-        real.run(6.0)  # 1 + 3 retries at 1 s, then abandon
-        flya.run(6.0)
-        assert real.host("A0").counters.resolution_failures == 1
+        flya.run(6.0)  # 1 + 3 retries at 1 s, then abandon
         assert flya.population("P").endpoint_counters(0) \
             .resolution_failures == 1
         assert flya.population("P").dropped_pending == 1
+        for host_class in _HOST_CLASSES:
+            monkeypatch.setattr(builder, "Host", host_class)
+            real = _real_net()
+            real.run(5.0)
+            real.host("A0").ping(dead)
+            real.run(6.0)
+            assert real.host("A0").counters.resolution_failures == 1
 
 
 class TestIntraPopulation:
@@ -200,12 +215,12 @@ class TestIntraPopulation:
 
     def test_duplicate_udp_bind_rejected(self, sim):
         pop = HostPopulation(sim, "P", size=4, base_index=0)
-        pop.bind_udp(1, 9000, lambda *a: None)
+        pop.bind_udp(9000, lambda *a: None, 1)
         with pytest.raises(ValueError):
-            pop.bind_udp(1, 9000, lambda *a: None)
-        pop.bind_udp(2, 9000, lambda *a: None)  # other endpoint is fine
-        pop.unbind_udp(1, 9000)
-        pop.bind_udp(1, 9000, lambda *a: None)
+            pop.bind_udp(9000, lambda *a: None, 1)
+        pop.bind_udp(9000, lambda *a: None, 2)  # other endpoint is fine
+        pop.unbind_udp(9000, 1)
+        pop.bind_udp(9000, lambda *a: None, 1)
 
 
 class TestFlyweightState:

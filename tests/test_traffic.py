@@ -205,5 +205,16 @@ class TestTrafficMatrix:
         all_pairs_arp_warmup(net, spacing=2e-3)
         h0 = net.host("H0")
         h1 = net.host("H1")
-        assert h0.arp_cache.lookup(h1.ip, sim.now) == h1.mac
-        assert h1.arp_cache.lookup(h0.ip, sim.now) == h0.mac
+        requests = h0.counters.arp_requests_sent + \
+            h1.counters.arp_requests_sent
+        got = []
+        h0.bind_udp(9, lambda *args: got.append("H0"))
+        h1.bind_udp(9, lambda *args: got.append("H1"))
+        h0.send_udp(h1.ip, 9, 9, b"")
+        h1.send_udp(h0.ip, 9, 9, b"")
+        net.run(0.1)
+        # Both already resolved each other: no ARP request, and the
+        # datagrams arrive.
+        assert sorted(got) == ["H0", "H1"]
+        assert h0.counters.arp_requests_sent + \
+            h1.counters.arp_requests_sent == requests
