@@ -113,6 +113,10 @@ def sweep_lock_timeout(timeouts: List[float] = [0.0002, 0.002, 0.8, 5.0],
     The demo's slowest race copy crosses the 500 µs link, so a lock
     timeout below that lets the losing copy re-lock after the guard
     expires (visible as relocks); above it the race resolves cleanly.
+    Loop-freedom rests on the same precondition — the lock must outlive
+    the slowest race copy: under a shorter lock a late copy re-floods,
+    and one broadcast crosses a link direction twice (the ``loop``
+    invariant of :mod:`repro.check`).
     """
     rows = []
     for timeout in timeouts:

@@ -2,7 +2,7 @@
 
 from repro.netsim.engine import (Event, Periodic, PRIORITY_EARLY,
                                  PRIORITY_LATE, PRIORITY_NORMAL, Simulator)
-from repro.netsim.errors import (AddressError, NetsimError,
+from repro.netsim.errors import (AddressError, InvariantError, NetsimError,
                                  RecordRetentionError, SchedulingError,
                                  TopologyError)
 from repro.netsim.link import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY,
@@ -14,7 +14,8 @@ from repro.netsim.tracer import (DELIVERED, DROP_LINK_DOWN, DROP_QUEUE,
 __all__ = [
     "Event", "Periodic", "PRIORITY_EARLY", "PRIORITY_LATE", "PRIORITY_NORMAL",
     "Simulator",
-    "AddressError", "NetsimError", "RecordRetentionError", "SchedulingError",
+    "AddressError", "InvariantError", "NetsimError", "RecordRetentionError",
+    "SchedulingError",
     "TopologyError",
     "DEFAULT_BANDWIDTH", "DEFAULT_LATENCY", "DEFAULT_QUEUE_CAPACITY", "Link",
     "Node", "Port",

@@ -40,7 +40,8 @@ instead of re-``put``-ting them, which is safe by the store invariant:
 its filing), a due bucket re-files or deletes, and :meth:`pop` /
 :meth:`reap` / :meth:`clear` forget what they remove — nothing to
 cancel: a key left in a bucket is skipped when the bucket comes due
-(``tests/test_table_model.py`` checks the invariant after every step).
+(:mod:`repro.check`'s ``aging`` invariant; ``tests/test_table_model.py``
+audits it after every step).
 
 The hit path belongs to the owning table: it probes :attr:`AgingStore
 .entries` itself, compares ``expires > now``, and enters :meth:`get`

@@ -56,7 +56,9 @@ scheduling order: ``busy_until`` never falls while carrier holds (the
 transmitter serialises), ``latency`` / ``bandwidth`` are fixed at
 construction and float addition is monotonic; ties fall to the engine's
 ascending ``seq``; a shard's import side releases sorted, under rising
-bounds (guard: ``tests/test_link.py::TestInFlightFifo``, every engine
+bounds (guard: :mod:`repro.check`'s ``in-flight`` and ``fifo``
+invariants, which every tier-1 simulator runs under and
+``tests/test_link.py::TestInFlightFifo`` audits after every engine
 step).
 """
 
@@ -85,9 +87,9 @@ class _Direction:
     the link."""
 
     __slots__ = ("queue", "busy_until", "pending", "drain_event",
-                 "to_port", "export") + trc.TALLIES
+                 "from_port", "to_port", "export") + trc.TALLIES
 
-    def __init__(self, to_port: Port):
+    def __init__(self, from_port: Port, to_port: Port):
         # The queue is unbounded here; Link.transmit enforces the
         # capacity (not deque maxlen) so overflow tail-drops are
         # observable and counted.
@@ -113,6 +115,9 @@ class _Direction:
         self.drop_queue: Dict[int, int] = {}
         self.drop_link_down: Dict[int, int] = {}
         self.sent_bytes: Dict[int, int] = {}
+        #: The sending endpoint, which names the direction (the key of
+        #: :meth:`Link.stats`, a record's rendered ``direction``).
+        self.from_port = from_port
         #: The receiving endpoint of this direction, cached so delivery
         #: skips the two identity compares of :meth:`Link.other`.
         self.to_port = to_port
@@ -157,8 +162,8 @@ class Link:
         self.queue_capacity = queue_capacity
         self.up = True
         self.name = name or f"{port_a.name}<->{port_b.name}"
-        self._dirs = {port_a: _Direction(port_b),
-                      port_b: _Direction(port_a)}
+        self._dirs = {port_a: _Direction(port_a, port_b),
+                      port_b: _Direction(port_b, port_a)}
         #: The tracer's listener list (never rebound): whether it is
         #: empty is the hop's one tracing branch.
         self._listeners = sim.tracer._listeners
@@ -231,7 +236,7 @@ class Link:
         tally = direction.sent_bytes
         tally[ethertype] = tally.get(ethertype, 0) + size
         if self._listeners:
-            self._record(trc.SENT, frame)
+            self._record(trc.SENT, frame, direction)
         ser = size * self._ser_per_byte
         busy_until = direction.busy_until = now + ser
         deliver_at = busy_until + self.latency
@@ -284,7 +289,7 @@ class Link:
         ethertype = frame.ethertype
         tally[ethertype] = tally.get(ethertype, 0) + 1
         if self._listeners:
-            self._record(trc.DELIVERED, frame)
+            self._record(trc.DELIVERED, frame, direction)
         to_port = direction.to_port
         node = to_port.node
         if node._trace_hops:
@@ -390,17 +395,19 @@ class Link:
         ethertype = frame.ethertype
         tally[ethertype] = tally.get(ethertype, 0) + 1
         if self._listeners:
-            self._record(kind, frame)
+            self._record(kind, frame, direction)
 
-    def _record(self, kind: str, frame: EthernetFrame) -> None:
+    def _record(self, kind: str, frame: EthernetFrame,
+                direction: _Direction) -> None:
         # The one record-building call, shared by _start_tx, _deliver
-        # and _trace. MAC objects are passed through: the record renders
-        # them lazily.
+        # and _trace. MAC objects and the direction are passed through:
+        # the record renders them lazily.
         size = frame._wire_size
         if size is None:
             size = frame.wire_size
         self.sim.tracer.record(kind, self.sim._now, self.name, frame.uid,
-                               frame.ethertype, size, frame.src, frame.dst)
+                               frame.ethertype, size, frame.src, frame.dst,
+                               direction)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

@@ -30,7 +30,8 @@ _new_record = tuple.__new__
 
 
 class TraceRecord(namedtuple(
-        "_TraceFields", "kind time link frame_uid ethertype size src dst")):
+        "_TraceFields", "kind time link frame_uid ethertype size src dst "
+        "direction", defaults=(None,))):
     """One link-level event: an immutable, tuple-backed value.
 
     The record stores the addresses it is handed (:class:`MAC` objects
@@ -40,6 +41,10 @@ class TraceRecord(namedtuple(
     count) therefore never pay for string formatting of the records
     they skip. Equality and hashing go by the rendered field values, so
     a record built from MACs equals one built from their strings.
+
+    A link's records also hold the link direction the event happened
+    on; :attr:`direction` renders it as the sending port's name (the
+    key of :meth:`Link.stats`), None for a record built without one.
     """
 
     __slots__ = ()
@@ -53,6 +58,11 @@ class TraceRecord(namedtuple(
         return str(self[7])
 
     @property
+    def direction(self) -> Optional[str]:
+        direction = self[8]
+        return None if direction is None else direction.from_port.name
+
+    @property
     def is_broadcast(self) -> bool:
         """Whether the frame was sent to ff:ff:ff:ff:ff:ff (renders
         nothing)."""
@@ -60,7 +70,7 @@ class TraceRecord(namedtuple(
         return dst == BROADCAST or dst == _BROADCAST_STR
 
     def _values(self) -> tuple:
-        return self[:6] + (str(self[6]), str(self[7]))
+        return self[:6] + (str(self[6]), str(self[7]), self.direction)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceRecord):
@@ -98,12 +108,15 @@ class Tracer:
         return not self._listeners
 
     def record(self, kind: str, time: float, link: str, frame_uid: int,
-               ethertype: int, size: int, src, dst) -> None:
+               ethertype: int, size: int, src, dst,
+               direction=None) -> None:
         """Hand one link-level event to every listener (links call this
         after their own tally bump). *src*/*dst* may be MAC objects or
-        strings, rendered only when the record's fields are read."""
+        strings, and *direction* the link direction, all rendered only
+        when the record's fields are read."""
         rec = _new_record(TraceRecord, (kind, time, link, frame_uid,
-                                        ethertype, size, src, dst))
+                                        ethertype, size, src, dst,
+                                        direction))
         for listener in self._listeners:
             listener(rec)
 

@@ -3,6 +3,13 @@
 The plain helper functions (``ping_once``, ``fast_config``, ``mac``,
 ``ip``) live in :mod:`repro.testing` so test modules can import them
 without depending on conftest path-resolution order.
+
+Every :class:`Simulator` a test builds in this process runs under
+:mod:`repro.check`: the autouse ``invariant_checks`` fixture closes
+(audits) each checker at the test's teardown, so a loop, a delivery
+over a dead link or a broken in-flight FIFO fails the test that caused
+it. A test marked ``unchecked`` builds bare simulators; the mark is
+only for tests that pin listener absence or call counts.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro import check
 from repro.netsim.engine import Simulator
 from repro.topology import arppath, netfpga_demo, pair
 from repro.topology.builder import Network
@@ -30,6 +38,40 @@ settings.register_profile(
     print_blob=True,
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+class Checks:
+    """The checkers attached since the last teardown. While ``on`` is
+    false, new simulators are built bare."""
+
+    on = True
+    attached: list = []
+
+
+_init, _pid = Simulator.__init__, os.getpid()
+
+
+def _checked_init(sim, *args, **kwargs):
+    _init(sim, *args, **kwargs)
+    # Pool workers forked from this process build bare simulators.
+    if Checks.on and os.getpid() == _pid:
+        Checks.attached.append(check.attach(sim))
+
+
+# Installed at import, not per test, so class- and module-scoped
+# fixtures' simulators are checked too (closed with the first test
+# that built them).
+Simulator.__init__ = _checked_init
+
+
+@pytest.fixture(autouse=True)
+def invariant_checks(request):
+    """Checks every simulator this test builds; closes each at teardown."""
+    Checks.on = request.node.get_closest_marker("unchecked") is None
+    yield Checks
+    attached, Checks.attached, Checks.on = Checks.attached, [], True
+    for checker in attached:
+        checker.close()
 
 
 @pytest.fixture

@@ -1,16 +1,14 @@
 """Tests for the churn subsystem: the event timeline and the Network
 dynamics primitives (detach / migrate / crash / restart)."""
 
-from collections import Counter
-
 import pytest
 
+from repro import check
 from repro.netsim.dynamics import (BRIDGE_CRASH, BRIDGE_RESTART, ChurnEvent,
                                    EventTimeline, HOST_MIGRATE, LINK_DOWN,
                                    LINK_UP)
 from repro.netsim.engine import PRIORITY_LATE, Simulator
 from repro.netsim.errors import SchedulingError, TopologyError
-from repro.netsim.tracer import DELIVERED, SENT
 from repro.topology import arppath, learning, line, netfpga_demo, pair
 from repro.traffic.video import stream_between
 
@@ -144,22 +142,10 @@ class TestTimelineExecution:
         """``Link._deliver`` checks no carrier: ``take_down`` cancels
         every delivery in flight, so under flaps, crashes and
         migrations no link may count a delivery while it is down or
-        detached."""
+        detached (:mod:`repro.check`'s ``dead-link`` invariant)."""
         sim = demo.sim
         demo.run(0.01)              # the t=5 s hellos land: wires idle
-        over_dead_link = []
-        in_flight = Counter()       # sent - delivered, per link
-
-        def watch(rec):
-            if rec.kind == SENT:
-                in_flight[rec.link] += 1
-            elif rec.kind == DELIVERED:
-                in_flight[rec.link] -= 1
-                wire = demo.links.get(rec.link)
-                if wire is None or not wire.up:
-                    over_dead_link.append(rec)
-
-        sim.tracer.add_listener(watch)
+        checker = check.attach(sim)
         source, sink = stream_between(demo.host("A"), demo.host("B"),
                                       fps=10000.0)
         source.start()
@@ -171,13 +157,15 @@ class TestTimelineExecution:
         demo.run(4.5)
         source.stop()
         demo.run(1.0)
-        assert over_dead_link == []
+        checker.close()
         assert sink.received > 5000 and timeline.counts["flaps"] > 20
-        # The guard had something to guard: frames did die in flight.
+        # The guard had something to guard: frames did die in flight
+        # (conservation: sent = delivered + in-flight drops + pending).
         still_flying = sum(len(direction.pending)
                            for wire in demo.links.values()
                            for direction in wire._dirs.values())
-        assert sum(in_flight.values()) - still_flying > 0
+        assert (sim.tracer.frames_sent - sim.tracer.frames_delivered
+                - still_flying) > 0
 
     def test_overlapping_outages_restart_once(self, demo):
         """Two overlapping outages of one bridge must end in exactly

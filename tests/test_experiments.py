@@ -12,6 +12,7 @@ import pytest
 from repro.experiments import (ablations, fig3_repair, loadbalance,
                                loopfree, registry)
 from repro.experiments.common import spec
+from repro.netsim.errors import InvariantError
 from repro.netsim.tracer import Tracer
 
 
@@ -190,7 +191,11 @@ class TestOccupancy:
 
 
 class TestAblations:
-    def test_lock_timeout_sweep_shape(self):
+    def test_lock_timeout_sweep_shape(self, invariant_checks):
+        # A lock shorter than the slowest race copy breaks loop-freedom.
+        with pytest.raises(InvariantError, match="^loop: "):
+            ablations.sweep_lock_timeout(timeouts=[0.0002])
+        invariant_checks.on = False
         rows = ablations.sweep_lock_timeout(timeouts=[0.0002, 0.8])
         short, normal = rows
         assert short.relocks > normal.relocks
@@ -298,6 +303,7 @@ class TestRetainedTraceScenarios:
     loadbalance (port byte tallies), phase 1 only for loopfree (a
     listener counting broadcast deliveries, detached afterwards)."""
 
+    @pytest.mark.unchecked
     @pytest.mark.parametrize("module,kwargs", [
         (loadbalance, {"pods": 4, "hosts_per_edge": 1, "packets": 5}),
         (loopfree, {"topology_name": "ring"}),

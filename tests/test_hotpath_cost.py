@@ -92,6 +92,7 @@ def _warm_train():
     return sim, net, flow
 
 
+@pytest.mark.unchecked
 def test_unicast_hop_costs_at_most_16_python_calls_per_delivery():
     sim, _net, flow = _warm_train()
     received, delivered = flow.received, sim.tracer.count(DELIVERED)
@@ -214,6 +215,7 @@ def _stp_total(net, counter) -> int:
                for bridge in net.bridges.values())
 
 
+@pytest.mark.unchecked
 @pytest.mark.parametrize("wiring", sorted(STP_WIRINGS))
 def test_stp_hellos_recompute_nothing_and_a_cut_a_bounded_few(wiring):
     build, max_calls_per_bpdu = STP_WIRINGS[wiring]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import check
 from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.frames.mac import mac_for_host
 from repro.netsim import tracer as trc
@@ -449,6 +450,7 @@ class TestCongestedTransmitter:
         assert all(t == pytest.approx(2e-3) for t, _p, _f in b.received)
         assert link.queue_drops == {"a.p0": 0, "b.p0": 0}
 
+    @pytest.mark.unchecked
     def test_enabling_record_retention_mid_run_takes_effect(self, sim, wire):
         """A recording listener attached mid-run sees the link fast
         path's next events (count_only tracks the listener list)."""
@@ -552,58 +554,29 @@ class TestInFlightFifo:
     """``_Direction.pending`` is exactly the deliveries in flight, in
     firing order — the invariant ``Link._deliver``'s head pop and
     ``take_down``'s unconditional cancel rely on (link module
-    docstring) — and each direction's own tallies conserve frames
-    (``docs/ARCHITECTURE.md`` §11): ``sent == delivered + in-flight
-    carrier drops + len(pending)``, after every engine step."""
+    docstring) — and each direction's own tallies conserve frames:
+    :mod:`repro.check` audits both after every engine step."""
 
     @settings(max_examples=120, deadline=None)
     @given(ops=_fifo_ops,
            bandwidth=st.sampled_from((None, 1e8, 1e9)),
            queue_capacity=st.sampled_from((0, 2, 64)),
-           latency=st.sampled_from((0.0, 1e-6, 5e-5)),
-           listening=st.booleans())
+           latency=st.sampled_from((0.0, 1e-6, 5e-5)))
     def test_pending_is_the_in_flight_fifo(self, ops, bandwidth,
-                                           queue_capacity, latency,
-                                           listening):
+                                           queue_capacity, latency):
         sim = Simulator(seed=1)
-        if listening:
-            record_trace(sim)
+        checker = check.attach(sim)
         nodes = Sink(sim, "a"), Sink(sim, "b")
         link = Link(sim, nodes[0].add_port(), nodes[1].add_port(),
                     latency=latency, bandwidth=bandwidth,
                     queue_capacity=queue_capacity)
         ports = link.port_a, link.port_b
         directions = [link._dirs[port] for port in ports]
-        #: Carrier drops of frames that never reached SENT, per
-        #: direction: handed to a downed transmitter, or still queued
-        #: when carrier was lost. The rest were in flight.
-        unsent = [0, 0]
-
-        def check():
-            heap = sorted((entry for entry in sim._queue
-                           if not entry[3].cancelled),
-                          key=lambda entry: entry[:3])
-            for index, direction in enumerate(directions):
-                pending = list(direction.pending)
-                assert all(event._sim is sim and not event.cancelled
-                           for event in pending)
-                # (time, seq)-ordered and exactly what the engine still
-                # holds for this direction.
-                assert pending == [
-                    entry[3] for entry in heap
-                    if entry[3].callback == link._deliver_cb
-                    and entry[3].args[0] is direction]
-                delivered = sum(direction.delivered.values())
-                assert delivered == len(nodes[1 - index].received)
-                in_flight_drops = sum(
-                    direction.drop_link_down.values()) - unsent[index]
-                assert sum(direction.sent.values()) == (
-                    delivered + in_flight_drops + len(pending))
 
         def step_until(instant):
             while sim.pending_events and sim.next_event_time() <= instant:
                 sim.run(until=instant, max_events=1)
-                check()
+                checker.audit()
             sim.run(until=instant)
 
         for kind, index, when, gap, sizes in ops:
@@ -617,25 +590,21 @@ class TestInFlightFifo:
                     link.transmit(ports[index], EthernetFrame(
                         dst=H1, src=H0, ethertype=ETHERTYPE_IPV4,
                         payload=b"x" * size))
-                if not link.up:
-                    unsent[index] += len(sizes)
             elif kind == "down":
-                if link.up:
-                    for side, direction in enumerate(directions):
-                        unsent[side] += len(direction.queue)
                 link.take_down()
             else:
                 link.bring_up()
-            check()
+            checker.audit()
 
         while sim.pending_events:
             sim.run(max_events=1)
-            check()
+            checker.audit()
+        checker.close()
         assert all(not direction.pending and not direction.queue
                    for direction in directions)
-        assert sim.audit_pending_events() == 0
-        assert sim.tracer.counts[trc.SENT] == sum(
-            sum(direction.sent.values()) for direction in directions)
+        assert [sum(direction.delivered.values())
+                for direction in directions] == [
+                    len(node.received) for node in reversed(nodes)]
 
 
 class TestNode:

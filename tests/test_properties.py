@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import check
 from repro.frames.ethernet import ETHERTYPE_ARP
 from repro.metrics.paths import PathObserver
 from repro.netsim.engine import Simulator
@@ -217,16 +218,20 @@ class TestDeterminism:
 
 
 class TestRetentionObservesOnly:
+    @pytest.mark.unchecked          # the baseline is the count-only run
     @SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000),
-           mode=st.sampled_from(["listener", "mid-run", "detached"]))
+           mode=st.sampled_from(["listener", "mid-run", "detached",
+                                 "checked"]))
     def test_retention_never_perturbs_the_run(self, seed, mode):
         """Listeners observe the simulation: the same scenario with one
-        attached from the start, attached mid-run, or attached and
-        detached again processes the same events and counts the same
-        frames, link by link, as the count-only run."""
+        attached from the start, attached mid-run, attached and
+        detached again, or with :mod:`repro.check` attached processes
+        the same events and counts the same frames, link by link, as
+        the count-only run."""
         def run_once(mode):
             sim = Simulator(seed=seed)
+            checker = check.attach(sim) if mode == "checked" else None
             net = random_graph(sim, arppath(), 6, extra_edge_prob=0.4,
                                seed=seed, hosts=3)
             seen = []
@@ -240,6 +245,8 @@ class TestRetentionObservesOnly:
             net.host("H2").gratuitous_arp()
             net.host("H0").ping(net.host("H1").ip)
             net.run(3.0)
+            if checker is not None:
+                checker.close()
             tracer = sim.tracer
             return len(seen), (sim.events_processed, dict(tracer.counts),
                                tracer.by_ethertype,
@@ -249,4 +256,4 @@ class TestRetentionObservesOnly:
         observed, outcome = run_once(mode)
         unobserved, baseline = run_once("off")
         assert outcome == baseline
-        assert observed > 0 and unobserved == 0
+        assert (observed > 0) == (mode != "checked") and unobserved == 0

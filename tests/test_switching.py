@@ -5,6 +5,7 @@ import pytest
 from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.frames.mac import BROADCAST, mac_for_host
 from repro.netsim.engine import Simulator
+from repro.netsim.errors import InvariantError
 from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.switching.learning import LearningSwitch
@@ -169,13 +170,22 @@ class TestLearningSwitch:
 
 
 class TestStormOnLoop:
-    def test_learning_switches_melt_down_on_a_ring(self):
-        """The didactic failure ARP-Path exists to avoid: broadcast on a
-        loop without a control plane storms forever."""
+    @staticmethod
+    def melt_down():
         sim = Simulator(seed=0)
         net = ring(sim, learning(), 4)
         net.start()
         net.host("H0").gratuitous_arp()
         sim.run(until=0.05, max_events=100_000)
+        return sim
+
+    def test_learning_switches_melt_down_on_a_ring(self, invariant_checks):
+        """The didactic failure ARP-Path exists to avoid: broadcast on a
+        loop without a control plane storms forever."""
+        with pytest.raises(InvariantError, match="^loop: ") as caught:
+            self.melt_down()
+        assert caught.value.invariant == "loop" and caught.value.records
+        invariant_checks.on = False         # the same storm, unchecked
+        sim = self.melt_down()
         # One broadcast became an unbounded number of transmissions.
         assert sim.tracer.frames_sent > 5_000

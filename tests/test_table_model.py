@@ -11,11 +11,12 @@ Each table runs twice: standalone (lazy reaping only — every
 observable, including ``len`` / ``in`` / ``expiries``, is determined)
 and backed by a ``Simulator`` (deadline buckets reclaim memory at times
 the reference does not model, so only reclamation-independent
-observables are compared — and the store invariant the in-place refresh
-relies on is asserted instead: every entry is filed on itself under one
-pending bucket, a lazily reaped key's filing sits in its pending bucket,
-every pending bucket has one armed engine timer, and nothing outlives
-its deadline by a granule).
+observables are compared — and :mod:`repro.check` audits the store
+invariant the in-place refresh relies on after every step instead: every
+entry is filed on itself under one pending bucket, a lazily reaped key's
+filing sits in its pending bucket, every pending bucket has one armed
+engine timer, and a key filed since the previous step was filed from
+the deadline it holds).
 """
 
 from collections import Counter
@@ -25,10 +26,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro import check
 from repro.core.table import EntryState, LockedAddressTable
 from repro.frames.mac import MAC
 from repro.netsim.aging import RECLAIM_GRANULE
-from repro.netsim.engine import PRIORITY_LATE, Simulator
+from repro.netsim.engine import Simulator
 from repro.switching.table import ForwardingTable
 
 LOCK, GUARD, LEARNT = 1.0, 0.5, 4.0
@@ -194,63 +196,6 @@ class FdbReference:
 
 # -- shared machinery ----------------------------------------------------------
 
-class StoreAudit:
-    """The bucket invariant of sim-backed stores, checked step by step.
-
-    Remembers, per store, where each key was filed — on its entry, or
-    in the store's orphans once reaped lazily — and the latest deadline
-    it ever held: a filing that appeared since the previous step was
-    made from the deadline the entry has now (one operation per step,
-    and the clock rule changes no deadline).
-    """
-
-    def __init__(self, sim, *stores):
-        self.sim = sim
-        self.stores = stores
-        self.filed = [{} for _ in stores]       # key -> slot, last step
-        self.latest = [{} for _ in stores]      # key -> max deadline ever
-
-    def check(self):
-        sim = self.sim
-        now = sim.now
-        sim.audit_pending_events()
-        pending = [event for _, _, _, event in sim._queue
-                   if not event.cancelled]
-        for store, filed, latest in zip(self.stores, self.filed,
-                                        self.latest):
-            # Every pending bucket: exactly one armed timer, on its
-            # boundary, after the same instant's data plane.
-            armed = Counter()
-            for event in pending:
-                if event.callback == store._bucket_due:
-                    (slot,) = event.args
-                    armed[slot] += 1
-                    assert event.time == slot * RECLAIM_GRANULE > now
-                    assert event.priority == PRIORITY_LATE
-            assert set(armed) == set(store._buckets)
-            assert set(armed.values()) <= {1}, armed
-            # Every live entry: filed (every deadline is finite) in a
-            # pending bucket that holds its key.
-            for key, entry in store.entries.items():
-                slot = entry.filed
-                assert key in store._buckets.get(slot, ()), (key, slot)
-                deadline = entry.expires
-                if filed.get(key) != slot:      # filed during this step
-                    assert slot * RECLAIM_GRANULE > deadline
-                    assert (slot - 1) * RECLAIM_GRANULE <= max(deadline, now)
-                latest[key] = max(latest.get(key, deadline), deadline)
-                # Gone within a granule of the latest deadline it held.
-                assert now < latest[key] + RECLAIM_GRANULE, (key, entry)
-            # Every orphaned filing: a reaped key, in its pending bucket.
-            for key, slot in store._orphans.items():
-                assert key not in store.entries, key
-                assert key in store._buckets.get(slot, ()), (key, slot)
-            filed.clear()
-            filed.update(store._orphans)
-            filed.update((key, entry.filed)
-                         for key, entry in store.entries.items())
-
-
 class ClockedMachine(RuleBasedStateMachine):
     """A clock that is the simulator's when one is attached."""
 
@@ -260,16 +205,14 @@ class ClockedMachine(RuleBasedStateMachine):
         super().__init__()
         self.sim = Simulator(seed=0) if self.sim_backed else None
         self.now = 0.0
-        self.audit = None
-
-    def audit_stores(self, *stores):
-        if self.sim_backed:
-            self.audit = StoreAudit(self.sim, *stores)
+        # repro.check's ``aging`` invariant (the bucket rule and its
+        # history half) and the engine's pending count, every step.
+        self.checker = check.attach(self.sim) if self.sim_backed else None
 
     @invariant()
     def keys_are_filed_under_one_pending_bucket(self):
-        if self.audit is not None:
-            self.audit.check()
+        if self.checker is not None:
+            self.checker.audit()
 
     @rule(dt=steps)
     def advance(self, dt):
@@ -293,7 +236,6 @@ class LockedTableMachine(ClockedMachine):
         super().__init__()
         self.table = LockedAddressTable(LOCK, LEARNT, GUARD, sim=self.sim)
         self.ref = LockedReference()
-        self.audit_stores(self.table._entries, self.table._guards)
 
     def same_entry(self, entry, rec, value):
         if rec is None:
@@ -411,7 +353,6 @@ class ForwardingTableMachine(ClockedMachine):
         super().__init__()
         self.table = ForwardingTable(aging_time=AGING, sim=self.sim)
         self.ref = FdbReference()
-        self.audit_stores(self.table._entries)
 
     @rule(value=values, port=ports)
     def learn(self, value, port):
