@@ -33,6 +33,7 @@ from typing import Any, Deque, Dict, Hashable, Optional
 
 from repro.frames.mac import BROADCAST
 from repro.netsim import tracer as trc
+from repro.netsim.tracer import DELIVERED, DROP_LINK_DOWN, SENT
 from repro.netsim.aging import RECLAIM_GRANULE, AgingStore
 from repro.netsim.engine import PRIORITY_LATE, Simulator
 from repro.netsim.errors import InvariantError
@@ -42,9 +43,13 @@ from repro.netsim.link import Link
 class _Watch:
     """What the checker knows of one link direction."""
 
-    __slots__ = ("in_flight", "broadcasts", "tallies")
+    __slots__ = ("link", "in_flight", "broadcasts", "tallies")
 
     def __init__(self, direction, snapshot: bool):
+        link = direction.from_port.link
+        #: The direction's link; None once detached (it went down first).
+        self.link = link if link is not None and link._dirs.get(
+            direction.from_port) is direction else None
         #: uids in flight, oldest first (unused across a shard cut).
         self.in_flight: Deque[int] = deque(
             event.args[1].uid for event in direction.pending)
@@ -79,7 +84,7 @@ class Checker:
 
     def _on_record(self, rec: trc.TraceRecord) -> None:
         self._recent.append(rec)
-        kind, uid, ethertype, direction = rec[0], rec[3], rec[4], rec[8]
+        kind, _, _, uid, ethertype, _, _, dst, direction = rec
         watch = self._watches.get(direction)
         if watch is None:   # registered after attach: every bump recorded
             watch = self._watches[direction] = _Watch(direction, False)
@@ -89,24 +94,22 @@ class Checker:
             self._fail("tally", f"{kind} register reads {count}", uid,
                        direction)
         last[ethertype] = count
-        if kind == trc.SENT:
-            if rec[7] == BROADCAST:
+        if kind == SENT:
+            if dst == BROADCAST:
                 if uid in watch.broadcasts:
                     self._fail("loop", "broadcast crossed a direction "
                                "twice", uid, direction)
                 watch.broadcasts.add(uid)
             if direction.export is None:    # an export leaves the engine
                 watch.in_flight.append(uid)
-        elif kind == trc.DELIVERED:
-            link = direction.from_port.link     # None or new once detached
-            if not (link is not None and link.up
-                    and link._dirs.get(direction.from_port) is direction):
+        elif kind == DELIVERED:
+            if watch.link is None or not watch.link.up:
                 self._fail("dead-link", "delivered, link down", uid, direction)
             if not direction.from_port.node.shard_ghost:    # not imported
                 if not watch.in_flight or watch.in_flight[0] != uid:
                     self._fail("fifo", "out of send order", uid, direction)
                 watch.in_flight.popleft()
-        elif (kind == trc.DROP_LINK_DOWN and watch.in_flight
+        elif (kind == DROP_LINK_DOWN and watch.in_flight
               and watch.in_flight[0] == uid):
             watch.in_flight.popleft()   # take_down drops queued ones first
 
