@@ -45,7 +45,7 @@ def words(root):
 
 used = {name for root in ROOTS for path, number, names in words(root) for name in names
         if (path, number) not in headers
-        and not all(path == where and first <= number <= last
+        and not any(path == where and first <= number <= last
                     for where, first, last in defined[name])}
 dead = {name for _path, _number, names in words("tests") for name in names} - used
 allowed = {line.split("#")[0].strip() for line in ALLOWLIST.read_text().splitlines()} - {""}

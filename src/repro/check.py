@@ -2,33 +2,33 @@
 
 ``attach(sim)`` adds one tracer listener; nothing in the simulator
 imports this module. A violation detaches the checker and raises
-:class:`~repro.netsim.errors.InvariantError` under one of these names.
+:class:`~repro.netsim.errors.InvariantError` under one of these names;
+:meth:`Checker.close` raises it again.
 
 Per record: ``loop`` — no link direction carries one broadcast uid
 twice (the paper's loop-freedom claim); ``dead-link`` — nothing is
 delivered while its link is down; ``fifo`` — each direction delivers in
-send order; ``tally`` — the record's register was bumped once
-(``Tracer.reset`` may zero it in between).
+send order; ``tally`` — the record's register was bumped once.
 
-Per :meth:`Checker.audit`, at any point between events:
-``conservation`` — the uids a direction's records left in flight are
-its ``pending``'s (``sent == delivered + in-flight drops +
-len(pending)``); ``in-flight`` — ``pending`` is exactly the direction's
-unfired heap entries in ``(time, seq)`` order; ``pending-count`` —
-``sim.audit_pending_events()`` is clean; ``aging`` — every
-:class:`AgingStore` seen with a bucket timer keeps the bucket invariant
-of :mod:`repro.netsim.aging`, and a key filed since the previous audit
-was filed from a deadline it held (owners only refresh deadlines later)
-and, if its deadline held still, had not expired.
+Per :meth:`Checker.audit`, at any point between events: ``tally`` —
+each register reads its last record's count, or was zeroed since by
+``Tracer.reset``; ``conservation`` — the uids a direction's records
+left in flight are its ``pending``'s (``sent == delivered + in-flight
+drops + len(pending)``); ``in-flight`` — ``pending`` is exactly the
+direction's unfired heap entries in ``(time, seq)`` order;
+``pending-count`` — the engine's pending counter is its heap's; ``aging``
+— every :class:`AgingStore` seen with a bucket timer keeps the bucket
+invariant of :mod:`repro.netsim.aging`, and a key filed since the
+previous audit was filed from a deadline it held (owners only refresh
+deadlines later) and, if its deadline held still, had not expired.
 
-A shard cut's halves run on two engines: ``fifo`` and ``conservation``
-skip a direction that exports or whose sender is a ghost, and
-``in-flight`` covers the import side.
+Across a shard cut ``fifo`` and ``conservation`` skip a direction that
+exports or whose sender is a ghost; ``in-flight`` covers the import side.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Deque, Dict, Hashable, Optional
 
 from repro.frames.mac import BROADCAST
@@ -43,8 +43,6 @@ from repro.netsim.link import Link
 class _Watch:
     """What the checker knows of one link direction."""
 
-    __slots__ = ("link", "in_flight", "broadcasts", "tallies")
-
     def __init__(self, direction, snapshot: bool):
         link = direction.from_port.link
         #: The direction's link; None once detached (it went down first).
@@ -52,7 +50,7 @@ class _Watch:
             direction.from_port) is direction else None
         #: uids in flight, oldest first (unused across a shard cut).
         self.in_flight: Deque[int] = deque(
-            event.args[1].uid for event in direction.pending)
+            event.args[1].uid for event in direction.pending if snapshot)
         self.broadcasts = set()         # broadcast uids carried
         #: kind -> ethertype -> the register's value at the last record.
         self.tallies = {kind: dict(getattr(direction, kind) if snapshot
@@ -64,8 +62,7 @@ class Checker:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        #: The latest records, an error's evidence.
-        self._recent: Deque[trc.TraceRecord] = deque(maxlen=64)
+        self._recent: Deque[trc.TraceRecord] = deque(maxlen=64)  # evidence
         self._watches = {direction: _Watch(direction, True)
                          for direction in sim.tracer._directions}
         #: store -> {key: (entry, or None for an orphan; slot; deadline)}
@@ -73,14 +70,15 @@ class Checker:
         self._stores: Dict[AgingStore, Optional[Dict[Hashable, tuple]]] = {}
         self._audited_at = float("-inf")
         self._attached = True
+        self.error: Optional[InvariantError] = None     # the first one
         sim.tracer.add_listener(self._on_record)
 
-    def _fail(self, invariant: str, message: str, uid: Optional[int] = None,
-              direction=None) -> None:
+    def _fail(self, invariant: str, message: str, uid=None, direction=None):
         self._detach()
-        raise InvariantError(invariant, message, uid, direction and
-                             direction.from_port.name, self.sim._now,
-                             [rec for rec in self._recent if rec[3] == uid])
+        self.error = InvariantError(
+            invariant, message, uid, direction and direction.from_port.name,
+            self.sim._now, [rec for rec in self._recent if rec[3] == uid])
+        raise self.error
 
     def _on_record(self, rec: trc.TraceRecord) -> None:
         self._recent.append(rec)
@@ -97,8 +95,7 @@ class Checker:
         if kind == SENT:
             if dst == BROADCAST:
                 if uid in watch.broadcasts:
-                    self._fail("loop", "broadcast crossed a direction "
-                               "twice", uid, direction)
+                    self._fail("loop", "broadcast repeated", uid, direction)
                 watch.broadcasts.add(uid)
             if direction.export is None:    # an export leaves the engine
                 watch.in_flight.append(uid)
@@ -115,16 +112,14 @@ class Checker:
 
     def audit(self) -> None:
         """Run the between-events checks now."""
-        sim = self.sim
-        try:
-            sim.audit_pending_events()
-        except AssertionError as exc:
-            self._fail("pending-count", str(exc))
-        now = sim._now
+        sim, now = self.sim, self.sim._now
+        live = sorted(entry for entry in sim._queue if not entry[3].cancelled)
+        if len(live) != sim._pending:
+            self._fail("pending-count", f"{len(live)} unfired events, "
+                       f"{sim._pending} counted")
         deliveries: Dict[Any, list] = {}
-        armed: Dict[AgingStore, Dict[int, int]] = {}
-        for _time, priority, _seq, event in sorted(
-                entry for entry in sim._queue if not entry[3].cancelled):
+        armed: Dict[AgingStore, Counter] = {}
+        for _time, priority, _seq, event in live:
             owner = getattr(event.callback, "__func__", None)
             if owner is Link._deliver:
                 deliveries.setdefault(event.args[0], []).append(event)
@@ -136,15 +131,19 @@ class Checker:
                                f"t={event.time!r}, priority {priority}")
                 store = event.callback.__self__
                 self._stores.setdefault(store, None)
-                slots = armed.setdefault(store, {})
-                slots[slot] = slots.get(slot, 0) + 1
+                armed.setdefault(store, Counter())[slot] += 1
         for direction in sim.tracer._directions:
             pending = list(direction.pending)
             if pending != deliveries.pop(direction, []):
                 self._fail("in-flight", "pending is not its unfired heap "
                            "entries", direction=direction)
-            watch = self._watches.get(direction)
-            recorded = list(watch.in_flight) if watch else []
+            watch = self._watches.get(direction) or _Watch(direction, False)
+            for kind, last in watch.tallies.items():
+                if any(count != last.get(ethertype, 0) for ethertype, count
+                       in getattr(direction, kind).items()):
+                    self._fail("tally", f"{kind} bumped with no record",
+                               direction=direction)
+            recorded = list(watch.in_flight)
             uids = [event.args[1].uid for event in pending]
             if uids != recorded and direction.export is None \
                     and not direction.from_port.node.shard_ghost:
@@ -156,8 +155,7 @@ class Checker:
             self._audit_store(store, armed.get(store, {}), now)
         self._audited_at = now
 
-    def _audit_store(self, store: AgingStore, armed: Dict[int, int],
-                     now: float) -> None:
+    def _audit_store(self, store: AgingStore, armed: Counter, now: float):
         buckets, granule = store._buckets, RECLAIM_GRANULE
         if armed.keys() != buckets.keys() or set(armed.values()) - {1}:
             self._fail("aging", f"timers {armed} for buckets {list(buckets)}")
@@ -189,10 +187,12 @@ class Checker:
             self.sim.tracer.remove_listener(self._on_record)
 
     def close(self) -> None:
-        """Audit, then detach (nothing, after a violation or a close)."""
+        """Audit, then detach; raise the first violation, if any."""
         if self._attached:
             self.audit()
         self._detach()
+        if self.error is not None:
+            raise self.error
 
 
 def attach(sim: Simulator) -> Checker:

@@ -31,7 +31,7 @@ _new_record = tuple.__new__
 
 class TraceRecord(namedtuple(
         "_TraceFields", "kind time link frame_uid ethertype size src dst "
-        "direction", defaults=(None,))):
+        "direction")):
     """One link-level event: an immutable, tuple-backed value.
 
     The record stores the addresses it is handed (:class:`MAC` objects
@@ -42,9 +42,9 @@ class TraceRecord(namedtuple(
     they skip. Equality and hashing go by the rendered field values, so
     a record built from MACs equals one built from their strings.
 
-    A link's records also hold the link direction the event happened
-    on; :attr:`direction` renders it as the sending port's name (the
-    key of :meth:`Link.stats`), None for a record built without one.
+    A record also holds the link direction the event happened on;
+    :attr:`direction` renders it as the sending port's name (the key of
+    :meth:`Link.stats`), or None if the record was given none.
     """
 
     __slots__ = ()
@@ -108,8 +108,7 @@ class Tracer:
         return not self._listeners
 
     def record(self, kind: str, time: float, link: str, frame_uid: int,
-               ethertype: int, size: int, src, dst,
-               direction=None) -> None:
+               ethertype: int, size: int, src, dst, direction) -> None:
         """Hand one link-level event to every listener (links call this
         after their own tally bump). *src*/*dst* may be MAC objects or
         strings, and *direction* the link direction, all rendered only

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, settings
 
 from repro import check
 from repro.netsim.engine import Simulator
+from repro.netsim.errors import InvariantError
 from repro.topology import arppath, netfpga_demo, pair
 from repro.topology.builder import Network
 
@@ -47,6 +48,12 @@ class Checks:
     on = True
     attached: list = []
 
+    @classmethod
+    def expected(cls, error):
+        """A positive control caught *error*: its checker is not closed."""
+        cls.attached = [checker for checker in cls.attached
+                        if checker.error is not error]
+
 
 _init, _pid = Simulator.__init__, os.getpid()
 
@@ -66,12 +73,19 @@ Simulator.__init__ = _checked_init
 
 @pytest.fixture(autouse=True)
 def invariant_checks(request):
-    """Checks every simulator this test builds; closes each at teardown."""
+    """Checks every simulator this test builds; closes each at teardown
+    and raises the first violation, even one the code under test caught."""
     Checks.on = request.node.get_closest_marker("unchecked") is None
     yield Checks
     attached, Checks.attached, Checks.on = Checks.attached, [], True
+    errors = []
     for checker in attached:
-        checker.close()
+        try:
+            checker.close()
+        except InvariantError as error:
+            errors.append(error)
+    if errors:
+        raise errors[0]
 
 
 @pytest.fixture

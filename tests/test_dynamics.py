@@ -3,7 +3,6 @@ dynamics primitives (detach / migrate / crash / restart)."""
 
 import pytest
 
-from repro import check
 from repro.netsim.dynamics import (BRIDGE_CRASH, BRIDGE_RESTART, ChurnEvent,
                                    EventTimeline, HOST_MIGRATE, LINK_DOWN,
                                    LINK_UP)
@@ -145,7 +144,6 @@ class TestTimelineExecution:
         detached (:mod:`repro.check`'s ``dead-link`` invariant)."""
         sim = demo.sim
         demo.run(0.01)              # the t=5 s hellos land: wires idle
-        checker = check.attach(sim)
         source, sink = stream_between(demo.host("A"), demo.host("B"),
                                       fps=10000.0)
         source.start()
@@ -157,7 +155,6 @@ class TestTimelineExecution:
         demo.run(4.5)
         source.stop()
         demo.run(1.0)
-        checker.close()
         assert sink.received > 5000 and timeline.counts["flaps"] > 20
         # The guard had something to guard: frames did die in flight
         # (conservation: sent = delivered + in-flight drops + pending).

@@ -193,8 +193,9 @@ class TestOccupancy:
 class TestAblations:
     def test_lock_timeout_sweep_shape(self, invariant_checks):
         # A lock shorter than the slowest race copy breaks loop-freedom.
-        with pytest.raises(InvariantError, match="^loop: "):
+        with pytest.raises(InvariantError, match="^loop: ") as caught:
             ablations.sweep_lock_timeout(timeouts=[0.0002])
+        invariant_checks.expected(caught.value)
         invariant_checks.on = False
         rows = ablations.sweep_lock_timeout(timeouts=[0.0002, 0.8])
         short, normal = rows

@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import check
@@ -555,56 +555,79 @@ class TestInFlightFifo:
     firing order — the invariant ``Link._deliver``'s head pop and
     ``take_down``'s unconditional cancel rely on (link module
     docstring) — and each direction's own tallies conserve frames:
-    :mod:`repro.check` audits both after every engine step."""
+    :mod:`repro.check` audits both after every engine step. Unless
+    *listening*, the same ops also replay with no listener at all, and
+    that run must end exactly where the checked one did."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ops=_fifo_ops,
            bandwidth=st.sampled_from((None, 1e8, 1e9)),
            queue_capacity=st.sampled_from((0, 2, 64)),
-           latency=st.sampled_from((0.0, 1e-6, 5e-5)))
-    def test_pending_is_the_in_flight_fifo(self, ops, bandwidth,
-                                           queue_capacity, latency):
-        sim = Simulator(seed=1)
-        checker = check.attach(sim)
-        nodes = Sink(sim, "a"), Sink(sim, "b")
-        link = Link(sim, nodes[0].add_port(), nodes[1].add_port(),
-                    latency=latency, bandwidth=bandwidth,
-                    queue_capacity=queue_capacity)
-        ports = link.port_a, link.port_b
-        directions = [link._dirs[port] for port in ports]
+           latency=st.sampled_from((0.0, 1e-6, 5e-5)),
+           listening=st.booleans())
+    def test_pending_is_the_in_flight_fifo(self, invariant_checks, ops,
+                                           bandwidth, queue_capacity,
+                                           latency, listening):
+        invariant_checks.on = False     # one checker: the checked run's
 
-        def step_until(instant):
-            while sim.pending_events and sim.next_event_time() <= instant:
-                sim.run(until=instant, max_events=1)
-                checker.audit()
-            sim.run(until=instant)
+        def replay(checked):
+            sim = Simulator(seed=1)
+            checker = check.attach(sim) if checked else None
+            assert sim.tracer.count_only is not checked
+            nodes = Sink(sim, "a"), Sink(sim, "b")
+            link = Link(sim, nodes[0].add_port(), nodes[1].add_port(),
+                        latency=latency, bandwidth=bandwidth,
+                        queue_capacity=queue_capacity)
+            ports = link.port_a, link.port_b
+            directions = [link._dirs[port] for port in ports]
 
-        for kind, index, when, gap, sizes in ops:
-            if when == "busy_until":
-                step_until(max(sim.now, directions[index].busy_until))
-            elif when == "gap":
-                step_until(sim.now + gap)
-            if kind == "send":
-                for size in sizes:
-                    # Not Port.send: it swallows sends on a dead link.
-                    link.transmit(ports[index], EthernetFrame(
-                        dst=H1, src=H0, ethertype=ETHERTYPE_IPV4,
-                        payload=b"x" * size))
-            elif kind == "down":
-                link.take_down()
-            else:
-                link.bring_up()
-            checker.audit()
+            def audit():
+                if checker is not None:
+                    checker.audit()
+                assert [sum(direction.delivered.values())
+                        for direction in directions] == [
+                            len(node.received) for node in reversed(nodes)]
 
-        while sim.pending_events:
-            sim.run(max_events=1)
-            checker.audit()
-        checker.close()
-        assert all(not direction.pending and not direction.queue
-                   for direction in directions)
-        assert [sum(direction.delivered.values())
-                for direction in directions] == [
-                    len(node.received) for node in reversed(nodes)]
+            def step_until(instant):
+                while sim.pending_events and sim.next_event_time() <= instant:
+                    sim.run(until=instant, max_events=1)
+                    audit()
+                sim.run(until=instant)
+
+            for kind, index, when, gap, sizes in ops:
+                if when == "busy_until":
+                    step_until(max(sim.now, directions[index].busy_until))
+                elif when == "gap":
+                    step_until(sim.now + gap)
+                if kind == "send":
+                    for size in sizes:
+                        # Not Port.send: it swallows sends on a dead link.
+                        link.transmit(ports[index], EthernetFrame(
+                            dst=H1, src=H0, ethertype=ETHERTYPE_IPV4,
+                            payload=b"x" * size))
+                elif kind == "down":
+                    link.take_down()
+                else:
+                    link.bring_up()
+                audit()
+
+            while sim.pending_events:
+                sim.run(max_events=1)
+                audit()
+            if checker is not None:
+                checker.close()
+            assert all(not direction.pending and not direction.queue
+                       for direction in directions)
+            assert sim.tracer.counts[trc.SENT] == sum(
+                sum(direction.sent.values()) for direction in directions)
+            return sim.events_processed, link.stats(), [
+                [(t, port.name, frame.wire_size)
+                 for t, port, frame in node.received] for node in nodes]
+
+        checked = replay(True)
+        if not listening:
+            assert replay(False) == checked
 
 
 class TestNode:

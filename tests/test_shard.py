@@ -28,7 +28,6 @@ import threading
 import pytest
 
 import goldens
-from repro import check
 from repro.core.config import ArpPathConfig
 from repro.experiments import common, scale
 from repro.experiments.registry import protocol_specs
@@ -302,7 +301,6 @@ def _cut_flap_worker(shard_id, shard_count, peers):
     200 us of propagation keeps some 20 frames in flight at the cut,
     part released on the importing engine, part still staged."""
     sim = Simulator(seed=derive_shard_seed(3, shard_id))
-    checker = check.attach(sim)
     net = line(sim, arppath(), 4, latency=2e-4)
     runtime = ShardRuntime(sim, shard_id, peers)
     runtime.adopt(net, partition_network(net, shard_count))
@@ -315,7 +313,6 @@ def _cut_flap_worker(shard_id, shard_count, peers):
     sim.at(sim.now + 3.0e-3, wire.take_down)
     sim.at(sim.now + 3.5e-3, wire.bring_up)
     yield from runtime.run_for(0.02)
-    checker.close()
     cut = [direction for wire in runtime._links.values()
            for direction in wire._dirs.values()]
     return {
@@ -353,12 +350,12 @@ class TestInFlightFifoAcrossTheCut:
         assert [half["pending_adjust"] for half in halves] == [0, 0]
 
     def test_no_fired_import_is_retained_after_a_scale_cell(self, runtimes):
+        # Each shard's engine is audited at teardown (``in-flight``).
         scale.run_case_sharded(arppath_spec(), "grid", 16, pairs=4,
                                probes=4, endpoints_per_port=50, shards=2)
         assert len(runtimes) == 2
         for runtime in runtimes:
             assert runtime._links and runtime._export_seq > 0
-            check.attach(runtime.sim).close()
 
 
 class TestHandOver:

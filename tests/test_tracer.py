@@ -296,7 +296,7 @@ class TestTraceRecordContract:
     def record(self, tracer, src=None, dst=None):
         tracer.record(SENT, 1.5, "l0", 7, 0x0800, 64,
                       self.SRC if src is None else src,
-                      self.DST if dst is None else dst)
+                      self.DST if dst is None else dst, None)
 
     def test_src_dst_are_rendered_strings(self, recorded):
         tracer, records = recorded
@@ -321,7 +321,8 @@ class TestTraceRecordContract:
         assert len({first, again, from_strings}) == 1
         assert first == TraceRecord(
             kind=SENT, time=1.5, link="l0", frame_uid=7, ethertype=0x0800,
-            size=64, src="02:00:00:00:00:01", dst="02:00:00:00:00:02")
+            size=64, src="02:00:00:00:00:01", dst="02:00:00:00:00:02",
+            direction=None)
         self.record(tracer, dst=BROADCAST)
         assert records[-1] != first
 
@@ -355,7 +356,7 @@ class TestTraceRecordContract:
         SpyMAC.rendered = 0
         for index in range(50):
             tracer.record(DELIVERED, 0.1 * index, "l0", index, 0x0806, 64,
-                          SpyMAC(index + 1), SpyMAC(BROADCAST))
+                          SpyMAC(index + 1), SpyMAC(BROADCAST), None)
         assert len(records) == 50
         # A listener's skip tests read everything but the addresses.
         assert [rec.frame_uid for rec in records
