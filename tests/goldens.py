@@ -40,6 +40,11 @@ Where the digests come from:
   ``sim.at(fail_at, link.take_down)`` is the same heap event.
 * ``loadbalance-seed*`` and ``loopfree-seed*`` were generated at
   1beb1fb, before those scenarios stopped retaining trace records.
+* ``fig2-seed0``, ``fig3-seed0``, ``stretch-seed*`` and
+  ``churn-scripted-{stp,spb,controller}-demo`` were generated at
+  c7454de, while :class:`~repro.metrics.paths.PathObserver` still read
+  per-frame hop traces; they pin every cell whose active path it
+  reads. ``stretch`` accepts no ``controller``.
 
 Recompute every digest and print the ids that moved with their old and
 new digests (exit 1 if any did), or rewrite the file with the fresh
