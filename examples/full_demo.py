@@ -29,7 +29,7 @@ def part1_latency() -> None:
     for label, factory, warmup in [("arppath", arppath(), 5.0),
                                    ("stp (x0.1 timers)", stp_scaled(0.1),
                                     6.0)]:
-        sim = Simulator(seed=3, trace_hops=True)
+        sim = Simulator(seed=3)
         net = netfpga_demo(sim, factory)
         net.run(warmup)
         observer = PathObserver(net, "B")
@@ -56,7 +56,7 @@ def part2_repair() -> None:
     print("=" * 72)
     print("PART 2 — video stream vs cable pulls (paper §3.2)")
     print("=" * 72)
-    sim = Simulator(seed=3, trace_hops=True)
+    sim = Simulator(seed=3)
     net = netfpga_demo(sim, arppath())
     net.run(5.0)
     observer = PathObserver(net, "B")

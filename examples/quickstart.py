@@ -17,7 +17,7 @@ from repro.metrics.report import format_table, us
 
 
 def main() -> None:
-    sim = Simulator(seed=1, trace_hops=True)
+    sim = Simulator(seed=1)
     net = netfpga_demo(sim, arppath())
     print("Topology: NF1-NF2-NF3-NF4 ring (10us links) + NF1-NF3 cross "
           "(500us), host A on NF1, host B on NF3\n")

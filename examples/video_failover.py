@@ -23,7 +23,7 @@ FAILURES = 2
 def run_protocol(label, factory, warmup):
     from repro.traffic.video import stream_between
 
-    sim = Simulator(seed=7, trace_hops=True)
+    sim = Simulator(seed=7)
     net = netfpga_demo(sim, factory)
     net.run(warmup)
 

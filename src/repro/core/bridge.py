@@ -181,8 +181,8 @@ class ArpPathBridge(Bridge):
     def _send_hellos(self) -> None:
         self._hello_seq += 1
         hello = ctl_proto.make_hello(self.mac, seq=self._hello_seq)
-        # One frame per round: fan-out is copy-on-write, so every port
-        # shares the template object (and its uid) exactly like a
+        # One frame per round: frames are immutable once sent, so every
+        # port shares the template object (and its uid) exactly like a
         # flood — 1 allocation per round, 0 per port.
         frame = EthernetFrame(dst=HELLO_MULTICAST, src=self.mac,
                               ethertype=ETHERTYPE_ARPPATH, payload=hello)
@@ -194,7 +194,6 @@ class ArpPathBridge(Bridge):
                 continue
             self.apc.hellos_sent += 1
             self.counters.control_sent += 1
-            frame._shared = True
             link.transmit(port, frame)
 
     def link_state_changed(self, port: Port, up: bool) -> None:

@@ -13,7 +13,9 @@ of the window traffic flowed, total downtime, and the repair-latency
 distribution of the outages.
 
 ``scripted_failures`` additionally replays Fig. 3's deterministic cuts
-of the *active* path, so a churn run with ``flap_rate=0`` reproduces
+of the *active* path (the path a
+:class:`~repro.metrics.paths.PathObserver` rebuilds from the link
+records), so a churn run with ``flap_rate=0`` reproduces
 the static repair-latency numbers — the bridge between the two
 experiments, and a regression anchor for both.
 """
@@ -129,10 +131,11 @@ def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
                  fps: float = 25.0, seed: int = 0) -> ChurnRow:
     """Stream src→dst through *duration* seconds of scripted churn.
 
-    ``scripted_failures`` turns on hop tracing: its cuts follow the
-    path the stream is using, which the :class:`PathObserver` reads.
+    ``scripted_failures`` attaches a :class:`PathObserver`: its cuts
+    follow the path the stream is using, rebuilt from the links'
+    records.
     """
-    sim = Simulator(seed=seed, trace_hops=scripted_failures > 0)
+    sim = Simulator(seed=seed)
     net, src, dst = churn_topology(sim, protocol.factory, topology,
                                    seed=seed)
     net.run(protocol.warmup)

@@ -14,7 +14,7 @@ registry; :func:`spec` is a view over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.core.config import ArpPathConfig
 from repro.netsim.engine import Simulator
@@ -30,46 +30,34 @@ class ProtocolSpec:
     factory: BridgeFactory
     warmup: float
 
-    @property
-    def label(self) -> str:
-        return self.name
-
 
 def spec(protocol: str, *, arppath_config: Optional[ArpPathConfig] = None,
-         stp_scale: Optional[float] = None,
-         warmup: Optional[float] = None,
-         family_options: Optional[Dict[str, object]] = None) -> ProtocolSpec:
+         stp_scale: Optional[float] = None) -> ProtocolSpec:
     """Build a :class:`ProtocolSpec` by name with common tweaks."""
     try:
         fam = base.family(protocol)
     except KeyError:
         raise ValueError(f"unknown protocol: {protocol}")
-    name = fam.name
     if protocol == "arppath" and arppath_config is not None:
-        factory = fam.factory(arppath_config)
-        default_warmup = fam.warmup
-    elif stp_scale is not None and fam.scaled is not None:
-        name, factory, default_warmup = fam.scaled(stp_scale)
-    elif family_options:
-        factory = fam.factory(**family_options)
-        default_warmup = fam.warmup
-    else:
-        factory = fam.factory()
-        default_warmup = fam.warmup
-    return ProtocolSpec(name=name, factory=factory,
-                        warmup=warmup if warmup is not None else default_warmup)
+        return ProtocolSpec(name=fam.name,
+                            factory=fam.factory(arppath_config),
+                            warmup=fam.warmup)
+    if stp_scale is not None and fam.scaled is not None:
+        name, factory, warmup = fam.scaled(stp_scale)
+        return ProtocolSpec(name=name, factory=factory, warmup=warmup)
+    return ProtocolSpec(name=fam.name, factory=fam.factory(),
+                        warmup=fam.warmup)
 
 
 def build_and_warm(topology: Callable[..., Network], protocol: ProtocolSpec,
-                   seed: int = 0, trace_hops: bool = False,
-                   **topo_kwargs) -> Network:
+                   seed: int = 0, **topo_kwargs) -> Network:
     """Instantiate *topology* under *protocol* and run its warmup.
 
     Warm-up control traffic (BPDUs, LSPs, hellos) only bumps the links'
     tallies; an experiment opens its measured window with
     ``net.sim.tracer.reset()``.
     """
-    sim = Simulator(seed=seed, trace_hops=trace_hops)
+    sim = Simulator(seed=seed)
     net = topology(sim, protocol.factory, **topo_kwargs)
     net.run(protocol.warmup)
     return net

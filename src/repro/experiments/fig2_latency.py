@@ -81,8 +81,7 @@ class Fig2Result:
 def run_protocol(protocol: ProtocolSpec, params: DemoParams = DemoParams(),
                  probes: int = 20, seed: int = 0) -> ProtocolLatency:
     """Measure one protocol on the demo topology."""
-    net = build_and_warm(netfpga_demo, protocol, seed=seed, trace_hops=True,
-                         params=params)
+    net = build_and_warm(netfpga_demo, protocol, seed=seed, params=params)
     observer = PathObserver(net, "B")
     series = PingSeries(net.host("A"), net.host("B").ip, count=probes,
                         interval=0.05)

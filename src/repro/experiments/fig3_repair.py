@@ -2,8 +2,8 @@
 
 A video stream runs from host A to host B across the four demo bridges;
 links *on the stream's active path* fail one after another — exactly the
-demo's cable pulls. The active path is observed live (per protocol, via
-frame hop traces), so each failure hits whatever path the protocol is
+demo's cable pulls. The active path is observed live (per protocol, from
+the links' records), so each failure hits whatever path the protocol is
 currently using.
 
 For ARP-Path the PathFail/PathRequest/PathReply exchange restores the
@@ -101,13 +101,13 @@ def run_protocol(protocol: ProtocolSpec, failures: int = 2,
                  settle: float = 2.0) -> ProtocolRepair:
     """Stream A→B and successively fail the path's first fabric link.
 
-    At each failure instant the stream's current bridge path is read
-    from the hop trace of the last delivered chunk, and the first
-    still-up bridge-to-bridge link on it is cut — the simulated
-    equivalent of pulling the cable the video is flowing through.
+    At each failure instant the stream's current bridge path is the
+    one :class:`PathObserver` rebuilt for the last delivered chunk, and
+    the first still-up bridge-to-bridge link on it is cut — the
+    simulated equivalent of pulling the cable the video is flowing
+    through.
     """
-    net = build_and_warm(netfpga_demo, protocol, seed=seed, trace_hops=True,
-                         params=params)
+    net = build_and_warm(netfpga_demo, protocol, seed=seed, params=params)
     observer = PathObserver(net, "B")
     source, sink = stream_between(net.host("A"), net.host("B"), fps=fps)
     source.start()

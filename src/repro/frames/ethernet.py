@@ -5,31 +5,26 @@ typed payload object (ARP packet, IPv4 packet, BPDU, ARP-Path control
 message or raw bytes) and is never encoded to bytes: a link needs only
 its :attr:`EthernetFrame.wire_size`.
 
-Flooded copies race through the network independently — the mechanism
-ARP-Path's path discovery exploits — but since PR 5 they are
-*copy-on-write*: :meth:`~repro.netsim.node.Port.send` hands the same
-frame object to every link (marking it :attr:`EthernetFrame._shared`)
-and a private :meth:`EthernetFrame.clone` is taken lazily, only at the
-first per-copy mutation (hop recording under ``trace_hops``). Sharing
-is sound because ``dst``, ``ethertype`` and the payload's type are
-immutable once a frame is in flight (the documented frame invariant)
-and the ``_wire_size``/``_kind`` caches are idempotent; the per-copy
-``trace`` list is the single mutable field, and it is only touched
-behind the lazy clone.
+The frame invariant: a frame is never mutated once sent; the idempotent
+``_wire_size`` and ``_kind`` caches are the only exception. So flooded
+copies — which race through the network independently, the mechanism
+ARP-Path's path discovery exploits — are one shared object:
+:meth:`~repro.netsim.node.Port.send` hands the same frame to every
+link, and a sharded run hands it across the cut by reference. The path
+a copy travelled is rebuilt from the links' records
+(:class:`repro.metrics.paths.PathObserver`), never stamped on it.
 
-Frames used to be the highest-volume allocation in the simulator (every
-flooded copy per port was one), so :class:`EthernetFrame` is a
-hand-written ``__slots__`` class rather than a dataclass: no
-per-instance ``__dict__``, a :meth:`clone` that fills slots directly,
-and a cached classification code (:data:`KIND_ARP_DISCOVERY` /
-:data:`KIND_MULTICAST` / :data:`KIND_UNICAST`) shared by all clones so
-the dataplane classifies each logical frame once, not once per hop.
+:class:`EthernetFrame` is a hand-written ``__slots__`` class rather
+than a dataclass: no per-instance ``__dict__``, and a cached
+classification code (:data:`KIND_ARP_DISCOVERY` /
+:data:`KIND_MULTICAST` / :data:`KIND_UNICAST`) so the dataplane
+classifies each logical frame once, not once per hop.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.frames.arp import ArpPacket
 from repro.frames.ipv4 import payload_size
@@ -73,46 +68,32 @@ _ETHERTYPE_NAMES = {
     ETHERTYPE_CONTROLLER: "CTRL",
 }
 
-#: A hop record appended to a frame's trace: (node_name, port_index, time).
-Hop = Tuple[str, int, float]
-
 
 class EthernetFrame:
     """An Ethernet II frame with a typed payload.
 
     ``uid``
-        Identifies the *logical* frame; clones made while flooding share
-        the uid, which lets the tracer correlate the copies of one
-        broadcast race.
-    ``trace``
-        Hop records appended at each node when tracing is enabled; each
-        clone carries its own list, so a delivered copy's trace is the
-        exact path it travelled.
-    ``_shared``
-        Copy-on-write marker: set by ``Port.send`` when the object goes
-        on the wire (possibly out of several ports at once). A receiver
-        that needs to mutate the frame (hop tracing) must clone first;
-        the clone is private until it is sent again.
+        Identifies the *logical* frame: every copy of a flood is the
+        same object, and a relay that rewrites the payload
+        (:meth:`with_payload`) keeps the uid, which lets a listener
+        correlate the copies of one broadcast race and follow a frame
+        hop by hop.
     """
 
-    __slots__ = ("dst", "src", "ethertype", "payload", "uid", "trace",
-                 "_wire_size", "_kind", "_shared")
+    __slots__ = ("dst", "src", "ethertype", "payload", "uid",
+                 "_wire_size", "_kind")
 
     def __init__(self, dst: MAC, src: MAC, ethertype: int,
-                 payload: Any = b"", uid: Optional[int] = None,
-                 trace: Optional[List[Hop]] = None,
-                 _wire_size: Optional[int] = None):
+                 payload: Any = b"", uid: Optional[int] = None):
         self.dst = dst
         self.src = src
         self.ethertype = ethertype
         self.payload = payload
         self.uid = next(_uid_counter) if uid is None else uid
-        self.trace = [] if trace is None else trace
         #: Cached on-wire size; payloads are immutable once attached, so
-        #: the size is computed once and shared with clones.
-        self._wire_size = _wire_size
+        #: the size is computed once.
+        self._wire_size: Optional[int] = None
         self._kind: Optional[int] = None
-        self._shared = False
 
     @property
     def wire_size(self) -> int:
@@ -127,7 +108,7 @@ class EthernetFrame:
     def kind(self) -> int:
         """This frame's interned classification code.
 
-        Computed once per logical frame (clones inherit the cache):
+        Computed once per frame object:
         :data:`KIND_ARP_DISCOVERY` for multicast ARP probes,
         :data:`KIND_MULTICAST` for other group-addressed frames,
         :data:`KIND_UNICAST` otherwise. Sound because ``dst``,
@@ -159,42 +140,15 @@ class EthernetFrame:
     def is_unicast(self) -> bool:
         return self.dst.is_unicast
 
-    def clone(self) -> "EthernetFrame":
-        """A copy with the same uid and an independent trace list.
-
-        The payload object is shared: payloads are treated as immutable
-        once attached to a frame. The copy is private (not ``_shared``)
-        until it is sent again.
-        """
-        copy = EthernetFrame.__new__(EthernetFrame)
-        copy.dst = self.dst
-        copy.src = self.src
-        copy.ethertype = self.ethertype
-        copy.payload = self.payload
-        copy.uid = self.uid
-        copy.trace = self.trace[:]
-        copy._wire_size = self._wire_size
-        copy._kind = self._kind
-        copy._shared = False
-        return copy
-
     def with_payload(self, payload: Any) -> "EthernetFrame":
-        """A copy (same uid/trace) carrying a different payload.
+        """A new frame (same uid) carrying a different payload.
 
         Used when relaying control frames whose hop budget must be
-        decremented without breaking trace continuity.
+        decremented without breaking the frame's identity.
         """
         return EthernetFrame(dst=self.dst, src=self.src,
                              ethertype=self.ethertype, payload=payload,
-                             uid=self.uid, trace=list(self.trace))
-
-    def record_hop(self, node_name: str, port_index: int, time: float) -> None:
-        """Append a hop record (used by nodes when tracing is enabled)."""
-        self.trace.append((node_name, port_index, time))
-
-    def path_nodes(self) -> List[str]:
-        """The node names along this copy's recorded trace, in order."""
-        return [hop[0] for hop in self.trace]
+                             uid=self.uid)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EthernetFrame):
@@ -202,12 +156,12 @@ class EthernetFrame:
         return (self.dst == other.dst and self.src == other.src
                 and self.ethertype == other.ethertype
                 and self.payload == other.payload
-                and self.uid == other.uid and self.trace == other.trace)
+                and self.uid == other.uid)
 
     def __repr__(self) -> str:
         return (f"EthernetFrame(dst={self.dst!r}, src={self.src!r}, "
                 f"ethertype={self.ethertype!r}, payload={self.payload!r}, "
-                f"uid={self.uid!r}, trace={self.trace!r})")
+                f"uid={self.uid!r})")
 
     def __str__(self) -> str:
         kind = _ETHERTYPE_NAMES.get(self.ethertype,

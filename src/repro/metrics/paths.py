@@ -3,8 +3,8 @@
 The paper's headline property is *minimum latency path selection*: the
 ARP race should find the same path Dijkstra would, given perfect global
 knowledge. This module provides that oracle (over the real topology)
-and extracts observed paths from frame hop traces so the two can be
-compared — the EXP-P1 stretch experiment.
+and observes the paths frames took, rebuilt from the links' records,
+so the two can be compared — the EXP-P1 stretch experiment.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.errors import TopologyError
+from repro.netsim.tracer import DELIVERED, SENT, TraceRecord
 from repro.topology.builder import Network
 
 
@@ -93,30 +94,55 @@ def stretch(observed_latency: float, oracle_latency: float) -> float:
 
 
 class PathObserver:
-    """Captures the forwarding path of unicast traffic between hosts.
+    """The path each unicast frame addressed to one host travelled.
 
-    Wraps the destination host's ``deliver`` and keeps the hop trace of
-    each unicast frame addressed to it — the trace nodes record when
-    ``trace_hops`` is on.
+    One tracer listener: it reads the SENT and DELIVERED records of
+    frames addressed to the host (each record carries its link
+    direction) and touches no frame and no node. The lineage rule:
+
+    * a SENT record of uid ``u`` from node X starts a copy, keyed by
+      ``(uid, direction)``, whose path is the path along which X last
+      received ``u``; if X never received ``u``, X built the frame and
+      the path is ``()``;
+    * a DELIVERED record pops that copy's path. At the host it is
+      appended to :attr:`paths`; at any other node Y, Y's path for
+      ``u`` becomes the path plus Y.
+
+    X's path is read when the copy is sent, not when it is delivered:
+    a node that forwards one copy and then drops a second one (an STP
+    bridge receiving on a blocked port) must not hand the dropped
+    copy's path to the copy it forwarded.
+
+    Two limits. A node that receives a uid twice and sends the earlier
+    copy after the later one arrived (a queued or buffered forward)
+    gives it the later copy's path. A frame already in flight when the
+    observer attaches is observed from its next hop on.
     """
 
     def __init__(self, net: Network, dst_host: str):
-        if not net.sim.trace_hops:
-            raise ValueError("PathObserver needs Simulator(trace_hops=True)")
         self.net = net
         self.dst = net.host(dst_host)
         self.paths: List[Tuple[str, ...]] = []
-        self._install()
+        #: (uid, direction) -> the path of that copy, while in flight.
+        self._copies: Dict[Tuple[int, Any], Tuple[str, ...]] = {}
+        #: (node, uid) -> the path along which the node last received uid.
+        self._received: Dict[Tuple[Any, int], Tuple[str, ...]] = {}
+        net.sim.tracer.add_listener(self._on_record)
 
-    def _install(self) -> None:
-        original_deliver = self.dst.deliver
-
-        def capturing_deliver(port, frame):
-            if frame.is_unicast and frame.dst == self.dst.mac:
-                self.paths.append(tuple(frame.path_nodes()))
-            original_deliver(port, frame)
-
-        self.dst.deliver = capturing_deliver  # type: ignore[method-assign]
+    def _on_record(self, rec: TraceRecord) -> None:
+        kind, _, _, uid, _, _, _, dst, direction = rec
+        if dst != self.dst.mac:
+            return
+        if kind == SENT:
+            self._copies[uid, direction] = self._received.get(
+                (direction.from_port.node, uid), ())
+        elif kind == DELIVERED:
+            path = self._copies.pop((uid, direction), ())
+            node = direction.to_port.node
+            if node is self.dst:
+                self.paths.append(path)
+            else:
+                self._received[node, uid] = path + (node.name,)
 
     def last_bridge_path(self) -> Optional[Tuple[str, ...]]:
         """The bridges the most recent unicast frame traversed."""

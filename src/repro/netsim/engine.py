@@ -128,17 +128,13 @@ class Simulator:
         Seeds the simulator-owned :class:`random.Random`; all stochastic
         behaviour (jitter, workloads) must draw from :attr:`rng` so runs
         are reproducible.
-    trace_hops:
-        When true, frames accumulate per-hop trace records as they
-        traverse nodes (used by path-measurement experiments).
     keep_trace_records:
         Ignored when false, kept for old callers: the :attr:`tracer`
         retains no records. True raises :class:`RecordRetentionError`;
         ``repro.testing.record_trace(sim)`` collects them instead.
     """
 
-    def __init__(self, seed: int = 0, trace_hops: bool = False,
-                 keep_trace_records: bool = False):
+    def __init__(self, seed: int = 0, keep_trace_records: bool = False):
         if keep_trace_records:
             raise RecordRetentionError(
                 "the tracer keeps no records; attach a listener instead, "
@@ -149,7 +145,6 @@ class Simulator:
         self._now = 0.0
         self._pending = 0
         self.rng = random.Random(seed)
-        self.trace_hops = trace_hops
         self.tracer = Tracer()
         self.events_processed = 0
 

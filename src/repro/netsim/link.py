@@ -16,6 +16,13 @@ A link joins exactly two ports and models, per direction:
 Heterogeneous per-link latency is what makes the ARP race meaningful:
 the first ARP copy to arrive travelled the lowest-latency path.
 
+A link carries the frame object it is handed and delivers that same
+object to the receiving node's ``handle_frame``: a frame is never
+mutated once sent (:mod:`repro.frames.ethernet`), so a flood's copies
+are one object, and the path a copy took is read from the link
+records (:class:`repro.metrics.paths.PathObserver`), not from the
+frame.
+
 The transmitter is *free-running* (PR 5): instead of a per-frame
 ``tx_done`` callback it keeps an arithmetic ``busy_until`` timestamp,
 so an uncongested transmit schedules exactly **one** event — the
@@ -291,15 +298,7 @@ class Link:
         if self._listeners:
             self._record(trc.DELIVERED, frame, direction)
         to_port = direction.to_port
-        node = to_port.node
-        if node._trace_hops:
-            # Node.deliver owns the copy-on-write hop recording; it is
-            # also the documented instance-level wrap point (the
-            # PathObserver), which requires trace_hops — so the
-            # non-tracing fast path below never bypasses a wrapper.
-            node.deliver(to_port, frame)
-        else:
-            node.handle_frame(to_port, frame)
+        to_port.node.handle_frame(to_port, frame)
 
     # -- carrier control -----------------------------------------------------
 

@@ -2,16 +2,12 @@
 
 A :class:`Node` is anything with Ethernet ports: a bridge or an end
 host. Ports attach to :class:`repro.netsim.link.Link` objects; a node
-receives frames through :meth:`Node.deliver` and reacts to carrier
+receives frames through :meth:`Node.handle_frame` and reacts to carrier
 changes through :meth:`Node.link_state_changed`.
 
-Frame fan-out is copy-on-write (PR 5): :meth:`Port.send` does **not**
-clone — it marks the frame shared and hands the same object to the
-link, so flooding a frame out of *n* ports costs zero allocations. The
-one per-copy mutation in the simulator, hop recording under
-``trace_hops``, takes a lazy private clone in :meth:`Node.deliver`
-before it appends, which keeps per-copy traces byte-identical to the
-old eager-clone fan-out.
+A frame is never mutated once sent (:mod:`repro.frames.ethernet`), so
+:meth:`Port.send` and :meth:`Node.flood` hand the same object to every
+link: flooding a frame out of *n* ports costs zero allocations.
 """
 
 from __future__ import annotations
@@ -64,16 +60,14 @@ class Port:
     def send(self, frame: EthernetFrame) -> None:
         """Transmit a frame out of this port.
 
-        The frame object itself goes on the wire, marked shared
-        (copy-on-write): the caller may still re-send the same object
-        out of several ports (flooding) and each copy races through the
-        network independently, because in-flight frames are immutable —
-        the only mutation, hop tracing, clones lazily at delivery.
+        The frame object itself goes on the wire: the caller may still
+        re-send the same object out of several ports (flooding) and each
+        copy races through the network independently, because a frame
+        is never mutated once sent.
         """
         link = self.link
         if link is None or not link.up:
             return
-        frame._shared = True
         link.transmit(self, frame)
 
     def __repr__(self) -> str:
@@ -101,9 +95,6 @@ class Node:
         self.ports: List[Port] = []
         self.started = False
         self._attached_cache: Optional[List[Port]] = None
-        #: trace_hops is fixed at Simulator construction; cached here so
-        #: the per-delivery check is one attribute load, not two.
-        self._trace_hops = sim.trace_hops
 
     def add_port(self) -> Port:
         """Create and return a new (unattached) port."""
@@ -149,26 +140,9 @@ class Node:
         """
         self.started = True
 
-    def deliver(self, port: Port, frame: EthernetFrame) -> None:
-        """Entry point for frames arriving at *port*.
-
-        Links call this only when hop tracing is on (it owns the
-        copy-on-write clone); with tracing off they dispatch straight
-        to :meth:`handle_frame`, which is behaviourally identical and
-        one call cheaper. Anything wrapping ``deliver`` per instance
-        (the PathObserver) requires ``trace_hops=True``, so the fast
-        path never bypasses a wrapper.
-        """
-        if self._trace_hops:
-            if frame._shared:
-                # Copy-on-write: the object may be in flight on other
-                # links; take a private copy before mutating its trace.
-                frame = frame.clone()
-            frame.record_hop(self.name, port.index, self.sim.now)
-        self.handle_frame(port, frame)
-
     def handle_frame(self, port: Port, frame: EthernetFrame) -> None:
-        """Process a received frame. Subclasses must implement."""
+        """Process a frame arriving at *port*; links call this on every
+        delivery. Subclasses must implement."""
         raise NotImplementedError
 
     def link_state_changed(self, port: Port, up: bool) -> None:
@@ -179,10 +153,8 @@ class Node:
 
         Returns the number of ports the frame was sent on; one without
         carrier counts and discards, as in :meth:`Port.send`. All copies
-        share the one frame object (copy-on-write fan-out), marked
-        shared once and handed to each up link directly.
+        share the one frame object, handed to each up link directly.
         """
-        frame._shared = True
         count = 0
         for port in self.attached_ports:
             if port is exclude:

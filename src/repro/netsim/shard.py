@@ -27,16 +27,12 @@ shard count. The pieces that make that hold:
   the single-process run would have. One engine event per cross-shard
   hop, system-wide — the same event economy as a local hop.
 * **Hand-over by reference** — the receiver schedules the very frame
-  object the sender transmitted. That is sound for the reason
-  copy-on-write flooding is (:mod:`repro.frames.ethernet`): frames and
-  their payloads are immutable ``__slots__`` values once in flight,
-  ``Port.send`` / ``Node.flood`` mark every transmitted frame
-  ``_shared``, and the one per-copy mutation — hop recording under
-  ``trace_hops`` — clones a shared frame first. The remaining writes
-  (``_shared`` itself and the idempotent ``_wire_size`` / ``_kind``
-  caches) store the same value whichever engine makes them. So the
-  receiver sees the uid, application payload and hop trace the single
-  engine would (``tests/test_shard.py::TestHandOver``).
+  object the sender transmitted. That is sound for the reason sharing
+  one object across a flood is (:mod:`repro.frames.ethernet`): a frame
+  is never mutated once sent, and the only writes, the idempotent
+  ``_wire_size`` / ``_kind`` caches, store the same value whichever
+  engine makes them. So the receiver sees the uid and application
+  payload the single engine would (``tests/test_shard.py::TestHandOver``).
 * **Deterministic boundary ordering** — staged remote frames are
   released in ``(deliver_time, src_shard, src_seq)`` order, so
   same-instant boundary deliveries tie-break identically at any shard

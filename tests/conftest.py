@@ -95,12 +95,6 @@ def sim() -> Simulator:
 
 
 @pytest.fixture
-def traced_sim() -> Simulator:
-    """A simulator recording per-frame hop traces."""
-    return Simulator(seed=42, trace_hops=True)
-
-
-@pytest.fixture
 def demo_net(sim) -> Network:
     """The NetFPGA demo topology under ARP-Path, warmed up."""
     net = netfpga_demo(sim, arppath())

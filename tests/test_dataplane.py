@@ -223,7 +223,7 @@ class TestDiscoveryFilteringGolden:
     GOLDEN_RTT_NS = 98624
 
     def test_demo_race_matches_golden_trace(self):
-        sim = Simulator(seed=42, trace_hops=True)
+        sim = Simulator(seed=42)
         net = netfpga_demo(sim, arppath())
         net.run(5.0)
         rtts = []

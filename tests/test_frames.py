@@ -48,18 +48,6 @@ class TestEthernetFrame:
         second = EthernetFrame(dst=H1, src=H0, ethertype=ETHERTYPE_IPV4)
         assert first.uid != second.uid
 
-    def test_clone_shares_uid(self):
-        frame = EthernetFrame(dst=H1, src=H0, ethertype=ETHERTYPE_IPV4)
-        assert frame.clone().uid == frame.uid
-
-    def test_clone_has_independent_trace(self):
-        frame = EthernetFrame(dst=H1, src=H0, ethertype=ETHERTYPE_IPV4)
-        frame.record_hop("B1", 0, 1.0)
-        copy = frame.clone()
-        copy.record_hop("B2", 1, 2.0)
-        assert frame.path_nodes() == ["B1"]
-        assert copy.path_nodes() == ["B1", "B2"]
-
     def test_with_payload_keeps_identity(self):
         frame = EthernetFrame(dst=H1, src=H0, ethertype=ETHERTYPE_IPV4,
                               payload=b"one")
@@ -93,18 +81,18 @@ class TestFrameKindInterning:
         frame = EthernetFrame(dst=H1, src=H0, ethertype=ETHERTYPE_IPV4)
         assert frame.kind() == KIND_UNICAST
 
-    def test_clone_inherits_cached_kind(self):
+    def test_kind_is_classified_once(self):
         frame = broadcast_frame(H0, ETHERTYPE_ARP,
                                 arp_proto.make_request(H0, IP0, IP1))
         code = frame.kind()
-        copy = frame.clone()
-        assert copy._kind == code  # no re-classification per hop
+        frame.ethertype = ETHERTYPE_IPV4    # never done once sent
+        assert frame.kind() == code  # no re-classification per hop
 
-    def test_clone_before_classification_stays_lazy(self):
+    def test_kind_stays_lazy_until_classified(self):
         frame = EthernetFrame(dst=H1, src=H0, ethertype=ETHERTYPE_IPV4)
-        copy = frame.clone()
-        assert copy._kind is None
-        assert copy.kind() == frame.kind()
+        assert frame._kind is None
+        code = frame.kind()
+        assert frame._kind == code
 
     def test_with_payload_invalidates_cache(self):
         """A new payload can change the classification (e.g. an ARP

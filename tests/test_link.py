@@ -110,7 +110,7 @@ class TestTiming:
         frame = make_frame(100)
         ser = link.serialization_delay(frame)
         a.ports[0].send(frame)
-        a.ports[0].send(frame.clone())
+        a.ports[0].send(make_frame(100))
         sim.run()
         times = [t for t, _p, _f in b.received]
         assert times[1] - times[0] == pytest.approx(ser)
@@ -123,35 +123,16 @@ class TestTiming:
         assert len(a.received) == 1 and len(b.received) == 1
 
     def test_send_is_copy_on_write(self, sim, wire):
-        """Fan-out shares the frame object: without hop tracing no copy
-        is ever taken — the delivered frame IS the sent frame, marked
-        shared."""
+        """Fan-out shares the frame object: no copy is ever taken — the
+        delivered frame IS the sent frame, because a frame is never
+        mutated once sent."""
         a, b, _link = wire
         frame = make_frame()
         a.ports[0].send(frame)
         sim.run()
         delivered = b.received[0][2]
         assert delivered is frame
-        assert delivered._shared
         assert delivered.uid == frame.uid
-
-    def test_hop_tracing_clones_lazily(self):
-        """Under trace_hops each delivery takes a private copy before
-        recording its hop, so per-copy traces stay independent."""
-        sim = Simulator(seed=0, trace_hops=True)
-        hub = Sink(sim, "hub")
-        spokes = [Sink(sim, f"s{i}") for i in range(2)]
-        for spoke in spokes:
-            Link(sim, hub.add_port(), spoke.add_port(), latency=1e-6)
-        frame = make_frame()
-        hub.flood(frame)
-        sim.run()
-        got = [spoke.received[0][2] for spoke in spokes]
-        assert got[0] is not frame and got[1] is not frame
-        assert got[0] is not got[1]
-        assert got[0].path_nodes() == ["s0"]
-        assert got[1].path_nodes() == ["s1"]
-        assert frame.trace == []  # the shared original is never mutated
 
 
 class TestQueueing:
@@ -660,7 +641,6 @@ class TestNode:
                  for spoke in spokes]
         links[1].take_down()
         frame = make_frame()
-        assert not frame._shared
         sent = hub.flood_data(frame, exclude=hub.ports[0])
         sim.run()
         # Like Port.send on a NIC without carrier: counted, discarded
@@ -668,7 +648,6 @@ class TestNode:
         assert sent == 2
         assert (hub.counters.flooded_frames, hub.counters.flooded_copies) \
             == (1, 2)
-        assert frame._shared
         assert [len(spoke.received) for spoke in spokes] == [0, 0, 1]
         assert spokes[2].received[0][2] is frame
         assert sim.tracer.count(trc.SENT) == 1
@@ -680,10 +659,3 @@ class TestNode:
         lonely.add_port().send(make_frame())
         sim.run()  # nothing scheduled, nothing crashes
 
-    def test_hop_recording_when_enabled(self):
-        sim = Simulator(seed=0, trace_hops=True)
-        a, b = Sink(sim, "a"), Sink(sim, "b")
-        Link(sim, a.add_port(), b.add_port(), latency=1e-6)
-        a.ports[0].send(make_frame())
-        sim.run()
-        assert b.received[0][2].path_nodes() == ["b"]

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from repro.metrics.convergence import (recoveries_for_failures,
                                        recovery_from_arrivals,
                                        recovery_from_pings)
-from repro.metrics.paths import min_latency_path, path_latency, stretch
+from repro.experiments.common import build_and_warm, spec
+from repro.metrics.paths import (PathObserver, min_latency_path,
+                                 path_latency, stretch)
 from repro.metrics.report import format_cell, format_table, ms, us
 from repro.metrics.stats import (coefficient_of_variation, mean, percentile,
                                  stdev, summarize, maybe_summarize)
@@ -19,6 +21,7 @@ from repro.testing import graph_of
 from repro.topology import (arppath, controller, fat_tree, grid, line,
                             netfpga_demo, random_graph, ring)
 from repro.traffic.ping import PingResult
+from repro.traffic.video import stream_between
 
 
 class TestStats:
@@ -139,6 +142,70 @@ class TestPathsOracle:
         assert stretch(2.0, 1.0) == 2.0
         with pytest.raises(ValueError):
             stretch(1.0, 0.0)
+
+
+class TestPathObserverLineage:
+    """The lineage rule of :class:`PathObserver`: a copy's path is its
+    sender's path for the uid when the copy is *sent*, one path per
+    ``(uid, direction)``, kept per node until that node sends."""
+
+    @staticmethod
+    def carried(net, sender, receiver):
+        """Frames the *sender* -> *receiver* direction delivered so far."""
+        stats = net.link_between(sender, receiver).stats()
+        (direction,) = [value for name, value in stats.items()
+                        if name.startswith(f"{sender}.")]
+        return direction["delivered"]
+
+    def test_a_duplicate_dropped_on_a_blocked_port_keeps_its_path(self):
+        """After NF1-NF3 is cut, STP's NF1 floods each chunk to NF2 and
+        NF4. NF3 forwards NF2's copy to B; NF4's copy reaches NF3 on its
+        blocked port later and is dropped. Reading NF3's path when the
+        forwarded copy is delivered would report NF1-NF4-NF3."""
+        net = build_and_warm(netfpga_demo, spec("stp", stp_scale=0.1),
+                             seed=0)
+        observer = PathObserver(net, "B")
+        source, sink = stream_between(net.host("A"), net.host("B"))
+        source.start()
+        net.run(2.0)
+        assert observer.last_bridge_path() == ("NF1", "NF3")
+        seen, blocked = len(observer.paths), self.carried(net, "NF4", "NF3")
+        net.link_between("NF1", "NF3").take_down()
+        net.run(8.0)
+        assert self.carried(net, "NF4", "NF3") - blocked \
+            >= len(observer.paths) - seen > 100
+        assert set(observer.paths[seen:]) == {("NF1", "NF2", "NF3")}
+        assert len(observer.paths) == sink.received
+
+    def test_frames_held_in_the_repair_buffer_keep_their_full_path(self):
+        """A burst that meets the cut waits in NF1's repair buffer and
+        leaves together once the PathReply arrives, so each buffered
+        frame is sent long after it was received, and after the rest of
+        the burst was: each still gets NF1 at the head of its path."""
+        net = build_and_warm(netfpga_demo, spec("arppath"), seed=0)
+        observer = PathObserver(net, "B")
+        a, b = net.host("A"), net.host("B")
+        a.send_udp(b.ip, 9, 9, b"first")
+        net.run(2.0)    # NF3's lock on B ages into a learnt entry
+        assert observer.paths == [("NF1", "NF2", "NF3")]
+        net.link_between("NF1", "NF2").take_down()
+        for _ in range(4):
+            a.send_udp(b.ip, 9, 9, b"burst")
+        net.run(0.1)
+        assert net.bridge("NF1").repair.counters.frames_buffered == 4
+        assert observer.paths[1:] == [("NF1", "NF4", "NF3")] * 4
+
+    def test_broadcasts_and_frames_to_other_hosts_are_not_paths(self):
+        net = build_and_warm(netfpga_demo, spec("arppath"), seed=0)
+        to_a, to_b = PathObserver(net, "A"), PathObserver(net, "B")
+        a, b = net.host("A"), net.host("B")
+        delivered_to_b = self.carried(net, "NF3", "B")
+        a.gratuitous_arp()          # a broadcast that reaches B
+        net.run(0.1)
+        assert self.carried(net, "NF3", "B") > delivered_to_b
+        b.send_udp(a.ip, 9, 9, b"to A")
+        net.run(0.1)
+        assert to_a.paths and to_b.paths == []
 
 
 class TestRecovery:

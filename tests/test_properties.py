@@ -21,7 +21,7 @@ SLOW = settings(max_examples=10, deadline=None,
 
 
 def build(seed, n=7, hosts=3, edge_prob=0.4):
-    sim = Simulator(seed=seed, trace_hops=True)
+    sim = Simulator(seed=seed)
     net = random_graph(sim, arppath(), n, extra_edge_prob=edge_prob,
                        seed=seed, hosts=hosts)
     net.run(5.0)

@@ -362,7 +362,7 @@ class TestHandOver:
     """A frame crossing the cut is handed over by reference: the
     importing engine delivers the very object the exporting engine
     transmitted, and its ``repr`` (addresses, ethertype, payload field
-    by field, uid and hop trace) is the same at export, at delivery and
+    by field and uid) is the same at export, at delivery and
     at cell end — the immutability the hand-over rests on."""
 
     CELLS = [pytest.param(protocol, {}, id=protocol)

@@ -85,7 +85,7 @@ class TestRpf:
                               ethertype=ETHERTYPE_IPV4, payload=b"loop")
         drops_before = b2.spb_counters.rpf_drops
         for port in fabric_ports:
-            b2.handle_frame(port, frame.clone())
+            b2.handle_frame(port, frame)
         assert b2.spb_counters.rpf_drops == drops_before + 1
 
     def test_unknown_source_broadcast_dropped(self, sim):
