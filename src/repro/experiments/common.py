@@ -38,15 +38,14 @@ def spec(protocol: str, *, arppath_config: Optional[ArpPathConfig] = None,
         fam = base.family(protocol)
     except KeyError:
         raise ValueError(f"unknown protocol: {protocol}")
+    name, warmup = fam.name, fam.warmup
     if protocol == "arppath" and arppath_config is not None:
-        return ProtocolSpec(name=fam.name,
-                            factory=fam.factory(arppath_config),
-                            warmup=fam.warmup)
-    if stp_scale is not None and fam.scaled is not None:
+        factory = fam.factory(arppath_config)
+    elif stp_scale is not None and fam.scaled is not None:
         name, factory, warmup = fam.scaled(stp_scale)
-        return ProtocolSpec(name=name, factory=factory, warmup=warmup)
-    return ProtocolSpec(name=fam.name, factory=fam.factory(),
-                        warmup=fam.warmup)
+    else:
+        factory = fam.factory()
+    return ProtocolSpec(name=name, factory=factory, warmup=warmup)
 
 
 def build_and_warm(topology: Callable[..., Network], protocol: ProtocolSpec,

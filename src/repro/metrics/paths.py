@@ -117,6 +117,10 @@ class PathObserver:
     copy after the later one arrived (a queued or buffered forward)
     gives it the later copy's path. A frame already in flight when the
     observer attaches is observed from its next hop on.
+
+    Nothing is forgotten: besides :attr:`paths`, the observer keeps each
+    node's path for every uid it received, so its memory grows with the
+    frames it observes.
     """
 
     def __init__(self, net: Network, dst_host: str):

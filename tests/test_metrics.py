@@ -147,7 +147,7 @@ class TestPathsOracle:
 class TestPathObserverLineage:
     """The lineage rule of :class:`PathObserver`: a copy's path is its
     sender's path for the uid when the copy is *sent*, one path per
-    ``(uid, direction)``, kept per node until that node sends."""
+    ``(uid, direction)``, and each node's path kept per uid."""
 
     @staticmethod
     def carried(net, sender, receiver):
