@@ -3,7 +3,9 @@
 A public function, method or class defined in ``src/`` is dead when
 ``tests/`` names it (as a bare word) but ``src/``, ``examples/``,
 ``bench/``, ``benchmarks/`` and ``.github/`` do not, outside its own
-definitions and the header lines of same-named ones. Every dead name
+definitions and the header lines of same-named ones. A package
+``__init__.py``'s import statements and its ``__all__`` assignment are
+not uses either: a re-export gives a name no caller. Every dead name
 must be in ``deadnames.txt`` beside this script, with a reason; an
 entry that is no longer dead fails too, so the list only shrinks.
 Names reached only through ``getattr`` or HTTP dispatch look dead too
@@ -33,6 +35,14 @@ for path in sorted(Path("src").rglob("*.py")):
             defined[node.name].append((path, first, node.end_lineno))
             headers.add((path, node.lineno))
 
+reexports = set()                       # (path, line) of __init__ imports and __all__
+for path in sorted(p for root in ROOTS for p in Path(root).rglob("__init__.py")):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            reexports.update((path, n) for n in range(node.lineno, node.end_lineno + 1))
+
 
 def words(root):
     """(path, line number, defined names on it) for every line under root."""
@@ -44,7 +54,7 @@ def words(root):
 
 
 used = {name for root in ROOTS for path, number, names in words(root) for name in names
-        if (path, number) not in headers
+        if (path, number) not in headers and (path, number) not in reexports
         and not any(path == where and first <= number <= last
                     for where, first, last in defined[name])}
 dead = {name for _path, _number, names in words("tests") for name in names} - used

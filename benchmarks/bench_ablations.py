@@ -1,6 +1,7 @@
 """EXP-A3 bench: ablations on the ARP-Path design knobs.
 
-The design decisions DESIGN.md §4 calls out, each swept:
+The ARP-Path design decisions (README.md, "Bridge families"), each
+swept:
 
 * lock timeout vs the race duration (below it: re-lock churn, losses),
 * repair buffer on/off (off: the outage's frames are simply lost),

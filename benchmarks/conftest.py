@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Each bench regenerates one of the paper's tables/figures (see DESIGN.md
-§3) and prints the same rows the paper reports. Experiments run once
+Each bench regenerates one of the paper's tables/figures (README.md,
+"Scenario registry") and prints the same rows the paper reports. Experiments run once
 per bench (``rounds=1``) — the interesting output is the table, not the
 wall-clock of the harness; engine micro-benchmarks use normal
 multi-round timing.

@@ -18,8 +18,8 @@ Quick start::
     a.ping(b.ip, on_reply=lambda seq, rtt: print(f"rtt={rtt*1e6:.1f}us"))
     sim.run_for(1.0)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See README.md for the scenarios and their commands, and
+docs/ARCHITECTURE.md for the design and its invariants.
 """
 
 from repro.core import (ArpPathBridge, ArpPathConfig, DEFAULT_CONFIG,

@@ -369,7 +369,8 @@ class ArpPathBridge(Bridge):
         """
         now = self.sim._now
         fail = ctl_proto.make_path_fail(self.mac, frame.src, frame.dst,
-                                        self._next_seq())
+                                        self._next_seq(),
+                                        self.config.control_ttl)
         entry = self.table.get(frame.src, now)
         if entry is None or not entry.port.is_up:
             self.repair.counters.fails_unroutable += 1
@@ -443,10 +444,9 @@ class ArpPathBridge(Bridge):
         re-lock, and re-flood forever.
         """
         self.table.refresh_lock(state.source, self.sim._now)
-        request = ArpPathControl(op=ctl_proto.OP_PATH_REQUEST,
-                                 origin=self.mac, source=state.source,
-                                 target=state.target, seq=state.seq,
-                                 ttl=self.config.control_ttl)
+        request = ctl_proto.make_path_request(self.mac, state.source,
+                                              state.target, state.seq,
+                                              self.config.control_ttl)
         frame = EthernetFrame(dst=BROADCAST, src=state.source,
                               ethertype=ETHERTYPE_ARPPATH, payload=request)
         self.counters.control_sent += 1
@@ -517,9 +517,8 @@ class ArpPathBridge(Bridge):
         every bridge along the way back learns the target in LEARNT
         state — re-creating the path exactly like an ARP Reply would.
         """
-        reply = ArpPathControl(op=ctl_proto.OP_PATH_REPLY, origin=self.mac,
-                               source=ctl.source, target=ctl.target,
-                               seq=ctl.seq, ttl=self.config.control_ttl)
+        reply = ctl_proto.make_path_reply(self.mac, ctl.source, ctl.target,
+                                          ctl.seq, self.config.control_ttl)
         self.table.confirm(ctl.source, self.sim._now)
         self.counters.control_sent += 1
         request_port.send(EthernetFrame(dst=ctl.source, src=ctl.target,

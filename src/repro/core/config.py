@@ -2,13 +2,15 @@
 
 Defaults follow the published implementations: a short *lock* timer
 (just long enough for the ARP Reply round trip) and a long refreshable
-*learnt* timer for confirmed path entries. Every knob here is exercised
-by an ablation experiment (see DESIGN.md EXP-A3).
+*learnt* timer for confirmed path entries. The ablation experiment
+(``repro.experiments.ablations``; README.md lists the scenarios) sweeps
+the lock timeout, the repair buffer and the hello / static-role port
+classification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,6 @@ class ArpPathConfig:
             raise ValueError("repair_buffer_size must be non-negative")
         if self.control_ttl <= 0:
             raise ValueError("control_ttl must be positive")
-
-    def with_overrides(self, **kwargs) -> "ArpPathConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 #: The library-wide default configuration.

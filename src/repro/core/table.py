@@ -82,10 +82,6 @@ class PathEntry:
     def is_locked(self) -> bool:
         return self.state is EntryState.LOCKED
 
-    @property
-    def is_learnt(self) -> bool:
-        return self.state is EntryState.LEARNT
-
     def race_active(self, now: float) -> bool:
         """True while the discovery race that set this entry is running."""
         return self.race_until > now

@@ -1,5 +1,5 @@
 """Reproductions of the paper's experiments plus property checks and
-ablations. See DESIGN.md §3 for the experiment index.
+ablations. README.md ("Scenario registry") lists the experiments.
 
 Each experiment module self-registers a scenario (name, typed param
 spec, one run function whose keywords are the params) in

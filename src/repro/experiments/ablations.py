@@ -1,6 +1,7 @@
 """EXP-A3: ablations on the ARP-Path design knobs.
 
-Three sweeps over the design decisions DESIGN.md calls out:
+Three sweeps over the ARP-Path design decisions (README.md, "Bridge
+families"):
 
 * **Lock timeout** — too short and slow race copies out-live the guard
   (risking re-lock churn); long values only delay re-discovery. We

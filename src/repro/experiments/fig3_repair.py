@@ -161,9 +161,8 @@ def fig3(failures: int, fps: float, failure_spacing: float,
     """The Figure 3 comparison, one row per protocol per seed.
 
     STP runs with scaled timers (default 10x faster) so one run stays
-    short; its outages scale linearly with the factor, and
-    EXPERIMENTS.md reports both measured and implied default-timer
-    numbers.
+    short; its outages scale linearly with the factor (README.md,
+    "Bridge families": ``stp_scale`` compresses timers).
     """
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
     result = Fig3Result()

@@ -185,24 +185,26 @@ def expand_grid(scenarios: Sequence[str], seeds: Sequence[int],
 #: construction (2 / (1 + _JITTER) > 1).
 _JITTER = 0.5
 
-#: Golden-ratio multiplier decorrelating per-cell jitter streams.
-_BACKOFF_MIX = 0x9E3779B9
+#: Seconds before a cell's first retry (before jitter), and the most
+#: any retry waits.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
 
 
-def backoff_schedule(retries: int, base: float = 0.05, cap: float = 2.0,
-                     seed: int = 0, cell_index: int = 0) -> List[float]:
+def backoff_schedule(retries: int, cell_index: int) -> List[float]:
     """Delays (seconds) before each retry of one cell.
 
-    Deterministic: a pure function of ``(retries, base, cap, seed,
-    cell_index)`` — re-running a sweep replays the identical schedule.
-    Exponential with seeded jitter, clamped to *cap*, and monotone
-    non-decreasing (pinned by a hypothesis property test): the jitter
-    spread is smaller than the 2x growth step, and clamping a monotone
-    sequence preserves monotonicity.
+    Deterministic: a pure function of ``(retries, cell_index)`` —
+    re-running a sweep replays the identical schedule. Exponential from
+    :data:`BACKOFF_BASE` with seeded jitter, clamped to
+    :data:`BACKOFF_CAP`, and monotone non-decreasing (pinned by a
+    hypothesis property test): the jitter spread is smaller than the 2x
+    growth step, and clamping a monotone sequence preserves
+    monotonicity.
     """
-    rng = random.Random((seed * _BACKOFF_MIX) ^ cell_index ^ 0x5EED)
-    return [min(cap, base * (2.0 ** attempt) * (1.0 + _JITTER
-                                                * rng.random()))
+    rng = random.Random(cell_index ^ 0x5EED)
+    return [min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** attempt)
+                * (1.0 + _JITTER * rng.random()))
             for attempt in range(max(retries, 0))]
 
 
@@ -347,7 +349,7 @@ class SweepRunner:
         self.cell_hook = cell_hook
 
     def _delays(self, cell: SweepCell) -> List[float]:
-        return backoff_schedule(self.retries, cell_index=cell.index)
+        return backoff_schedule(self.retries, cell.index)
 
     @staticmethod
     def _finalize(result: CellResult, attempt: int) -> CellResult:
@@ -514,12 +516,6 @@ class SweepReport:
     def retried(self) -> List[CellResult]:
         """Cells that needed more than one attempt."""
         return [result for result in self.cells if result.retried]
-
-    @property
-    def permanent_failures(self) -> List[CellResult]:
-        """Cells that exhausted their retry budget."""
-        return [result for result in self.cells
-                if result.status == FAILED_PERMANENT]
 
     def rows(self) -> List[Dict[str, Any]]:
         """Every tagged row from every successful cell, in cell order."""

@@ -12,8 +12,7 @@ from repro.frames.control import (ArpPathControl, HELLO_MULTICAST, OP_HELLO,
 from repro.frames.ethernet import (ETH_MIN_FRAME, ETHERTYPE_ARP,
                                    ETHERTYPE_ARPPATH, ETHERTYPE_BPDU,
                                    ETHERTYPE_IPV4, ETHERTYPE_LSP,
-                                   EthernetFrame, STP_MULTICAST,
-                                   broadcast_frame)
+                                   EthernetFrame, STP_MULTICAST)
 from repro.frames.icmp import (IcmpEcho, TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST,
                                make_echo_request)
 from repro.frames.ipv4 import (IPv4Address, IPv4Packet, PROTO_ICMP, PROTO_UDP,
@@ -29,7 +28,7 @@ __all__ = [
     "make_path_reply", "make_path_request",
     "ETH_MIN_FRAME", "ETHERTYPE_ARP", "ETHERTYPE_ARPPATH",
     "ETHERTYPE_BPDU", "ETHERTYPE_IPV4", "ETHERTYPE_LSP", "EthernetFrame",
-    "STP_MULTICAST", "broadcast_frame",
+    "STP_MULTICAST",
     "IcmpEcho", "TYPE_ECHO_REPLY", "TYPE_ECHO_REQUEST", "make_echo_request",
     "IPv4Address", "IPv4Packet", "PROTO_ICMP", "PROTO_UDP", "ip_for_host",
     "payload_size",

@@ -61,10 +61,6 @@ class ArpPacket:
         return self.op == OP_REQUEST
 
     @property
-    def is_reply(self) -> bool:
-        return self.op == OP_REPLY
-
-    @property
     def wire_size(self) -> int:
         return ARP_WIRE_SIZE
 

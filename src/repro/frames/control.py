@@ -137,22 +137,22 @@ def make_hello(bridge_mac: MAC, seq: int = 0) -> ArpPathControl:
                           target=bridge_mac, seq=seq, ttl=1)
 
 
-def make_path_request(origin: MAC, source: MAC, target: MAC,
-                      seq: int) -> ArpPathControl:
+def make_path_request(origin: MAC, source: MAC, target: MAC, seq: int,
+                      ttl: int) -> ArpPathControl:
     """A broadcast PathRequest looking for *target* on behalf of *source*."""
     return ArpPathControl(op=OP_PATH_REQUEST, origin=origin, source=source,
-                          target=target, seq=seq)
+                          target=target, seq=seq, ttl=ttl)
 
 
-def make_path_reply(origin: MAC, source: MAC, target: MAC,
-                    seq: int) -> ArpPathControl:
+def make_path_reply(origin: MAC, source: MAC, target: MAC, seq: int,
+                    ttl: int) -> ArpPathControl:
     """The PathReply answering a PathRequest (sent with eth.src=target)."""
     return ArpPathControl(op=OP_PATH_REPLY, origin=origin, source=source,
-                          target=target, seq=seq)
+                          target=target, seq=seq, ttl=ttl)
 
 
-def make_path_fail(origin: MAC, source: MAC, target: MAC,
-                   seq: int) -> ArpPathControl:
+def make_path_fail(origin: MAC, source: MAC, target: MAC, seq: int,
+                   ttl: int) -> ArpPathControl:
     """A PathFail notifying the source edge bridge that *target* was lost."""
     return ArpPathControl(op=OP_PATH_FAIL, origin=origin, source=source,
-                          target=target, seq=seq)
+                          target=target, seq=seq, ttl=ttl)

@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 from repro.frames.arp import ArpPacket
 from repro.frames.ipv4 import payload_size
-from repro.frames.mac import BROADCAST, MAC, _GROUP_BIT
+from repro.frames.mac import MAC, _GROUP_BIT
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -168,9 +168,3 @@ class EthernetFrame:
                                     f"0x{self.ethertype:04x}")
         return (f"[{kind}] {self.src} -> {self.dst} "
                 f"({self.wire_size}B uid={self.uid})")
-
-
-def broadcast_frame(src: MAC, ethertype: int, payload: Any) -> EthernetFrame:
-    """Convenience constructor for a broadcast frame."""
-    return EthernetFrame(dst=BROADCAST, src=src, ethertype=ethertype,
-                         payload=payload)

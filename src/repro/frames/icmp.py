@@ -57,10 +57,6 @@ class IcmpEcho:
         return self.icmp_type == TYPE_ECHO_REQUEST
 
     @property
-    def is_reply(self) -> bool:
-        return self.icmp_type == TYPE_ECHO_REPLY
-
-    @property
     def wire_size(self) -> int:
         return ICMP_HEADER_LEN + payload_size(self.payload)
 

@@ -14,8 +14,6 @@ _MAC_RE = re.compile(r"^([0-9A-Fa-f]{2})([:-]?)([0-9A-Fa-f]{2})\2([0-9A-Fa-f]{2}
 
 _MAX = (1 << 48) - 1
 
-# The locally-administered bit (bit 1 of the first octet).
-_LOCAL_BIT = 0x02_00_00_00_00_00
 # The group (multicast) bit (bit 0 of the first octet).
 _GROUP_BIT = 0x01_00_00_00_00_00
 
@@ -80,11 +78,6 @@ class MAC:
     def is_unicast(self) -> bool:
         """True for individual (non-group) addresses."""
         return not self.is_multicast
-
-    @property
-    def is_local(self) -> bool:
-        """True when the locally-administered bit is set."""
-        return bool(self._value & _LOCAL_BIT)
 
     def to_bytes(self) -> bytes:
         """The 6-byte big-endian wire representation."""

@@ -287,9 +287,6 @@ class HostPopulation(Node):
                              f"already bound")
         self._udp_handlers[key] = handler
 
-    def unbind_udp(self, port: int, index: int = 0) -> None:
-        self._udp_handlers.pop((index, port), None)
-
     def ping(self, dst_ip: IPv4Address, seq: int = 0,
              payload_size: int = 56,
              on_reply: Optional[PingHandler] = None,

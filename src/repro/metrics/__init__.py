@@ -10,8 +10,7 @@ from repro.metrics.paths import (OraclePath, PathObserver, min_latency_path,
                                  path_latency, stretch)
 from repro.metrics.report import format_cell, format_table, ms, s, us
 from repro.metrics.stats import (Summary, coefficient_of_variation,
-                                 maybe_summarize, mean, percentile, stdev,
-                                 summarize)
+                                 mean, percentile, stdev, summarize)
 
 __all__ = [
     "sparkline", "timeseries",
@@ -21,6 +20,6 @@ __all__ = [
     "OraclePath", "PathObserver", "min_latency_path", "path_latency",
     "stretch",
     "format_cell", "format_table", "ms", "s", "us",
-    "Summary", "coefficient_of_variation", "maybe_summarize", "mean",
+    "Summary", "coefficient_of_variation", "mean",
     "percentile", "stdev", "summarize",
 ]

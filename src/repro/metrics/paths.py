@@ -26,11 +26,6 @@ class OraclePath:
     nodes: Tuple[str, ...]
     latency: float
 
-    @property
-    def bridge_hops(self) -> int:
-        """Number of bridges traversed (nodes minus the two hosts)."""
-        return max(len(self.nodes) - 2, 0)
-
 
 def min_latency_path(net: Network, src_host: str,
                      dst_host: str) -> OraclePath:

@@ -1,8 +1,8 @@
 """Plain-text result tables and machine-readable artifacts.
 
 The demo's Perl/Tk GUI is replaced by text reports: every experiment
-prints a table via :func:`format_table`, and the benches tee the same
-rows into EXPERIMENTS.md.
+prints a table via :func:`format_table`, and the benches print the
+same rows (README.md, "Performance").
 
 Every experiment result additionally implements the unified row
 protocol — a ``records()`` method returning flat dicts of primitives —

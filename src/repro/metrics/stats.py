@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -71,11 +71,6 @@ class Summary:
     p99: float
     stdev: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {"count": self.count, "min": self.min, "max": self.max,
-                "mean": self.mean, "median": self.median, "p95": self.p95,
-                "p99": self.p99, "stdev": self.stdev}
-
     def scaled(self, factor: float) -> "Summary":
         """Every statistic multiplied by *factor* (unit conversion)."""
         return Summary(count=self.count, min=self.min * factor,
@@ -92,11 +87,6 @@ def summarize(values: Sequence[float]) -> Summary:
                    mean=mean(values), median=percentile(values, 50),
                    p95=percentile(values, 95), p99=percentile(values, 99),
                    stdev=stdev(values))
-
-
-def maybe_summarize(values: Sequence[float]) -> Optional[Summary]:
-    """Like :func:`summarize` but returns None for an empty series."""
-    return summarize(values) if values else None
 
 
 #: Two-sided 95% Student-t critical values by degrees of freedom; the
@@ -137,10 +127,6 @@ class Aggregate:
     mean: float
     stdev: float
     ci95: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"n": self.n, "mean": self.mean, "stdev": self.stdev,
-                "ci95": self.ci95}
 
 
 def aggregate(values: Sequence[float]) -> Aggregate:

@@ -195,10 +195,6 @@ class Link:
 
     # -- data plane ----------------------------------------------------------
 
-    def serialization_delay(self, frame: EthernetFrame) -> float:
-        """Seconds the transmitter is busy sending *frame*."""
-        return frame.wire_size * self._ser_per_byte
-
     def transmit(self, from_port: Port, frame: EthernetFrame) -> None:
         """Queue *frame* for transmission from *from_port*.
 
@@ -359,10 +355,6 @@ class Link:
         return sum(sum(direction.sent_bytes.values()) if ethertype is None
                    else direction.sent_bytes.get(ethertype, 0)
                    for direction in self._dirs.values())
-
-    def is_busy(self, from_port: Port) -> bool:
-        """Is the transmitter out of *from_port* mid-serialisation now?"""
-        return self._dirs[from_port].busy_until > self.sim._now
 
     def stats(self) -> Dict[str, Dict[str, object]]:
         """Per-direction transmitter state, keyed by the sending port name.

@@ -103,10 +103,6 @@ class Node:
         self._attached_cache = None
         return port
 
-    def add_ports(self, count: int) -> List[Port]:
-        """Create *count* ports at once."""
-        return [self.add_port() for _ in range(count)]
-
     def free_port(self) -> Port:
         """An existing unattached port, or a freshly created one."""
         for port in self.ports:

@@ -102,11 +102,6 @@ class Tracer:
         """Add link directions to the totals (called by links)."""
         self._directions.extend(directions)
 
-    @property
-    def count_only(self) -> bool:
-        """True while no listener is attached: no record is built."""
-        return not self._listeners
-
     def record(self, kind: str, time: float, link: str, frame_uid: int,
                ethertype: int, size: int, src, dst, direction) -> None:
         """Hand one link-level event to every listener (links call this

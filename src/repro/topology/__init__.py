@@ -10,10 +10,9 @@ from repro.topology.library import (CHURN_TOPOLOGIES, DemoParams, FAST_LINK,
                                     SLOW_LINK, churn_topology, fat_tree,
                                     grid, line, netfpga_demo, pair,
                                     random_graph, ring)
-from repro.topology.loader import from_json, from_spec
 
 __all__ = [
-    "BridgeFactory", "Network", "from_json", "from_spec",
+    "BridgeFactory", "Network",
     "PROTOCOLS", "arppath", "controller", "factory_for", "learning",
     "spb", "stp", "stp_scaled",
     "CHURN_TOPOLOGIES", "DemoParams", "FAST_LINK", "HOST_LINK",

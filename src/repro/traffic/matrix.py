@@ -290,13 +290,6 @@ class TrafficMatrix:
         sent = self.total_sent
         return self.total_received / sent if sent else 0.0
 
-    def flow_latencies(self) -> List[float]:
-        """All per-packet one-way latencies across all flows."""
-        out: List[float] = []
-        for flow in self.flows:
-            out.extend(flow.latencies)
-        return out
-
 
 def all_pairs_arp_warmup(net: Network, spacing: float = 5e-3) -> float:
     """Make every host resolve every other host's address.

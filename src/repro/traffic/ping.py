@@ -96,30 +96,3 @@ class PingSeries:
     @property
     def losses(self) -> int:
         return sum(1 for r in self.results if r.lost)
-
-    @property
-    def loss_rate(self) -> float:
-        if not self.results:
-            return 0.0
-        return self.losses / len(self.results)
-
-    def first_success_after(self, time: float) -> Optional[float]:
-        """When the first answered probe sent at/after *time* was sent.
-
-        Used to measure recovery: the time traffic started flowing again
-        after a failure is ``first_success_after(t_fail) - t_fail``.
-        """
-        answered = sorted(r.sent_at for r in self.results
-                          if not r.lost and r.sent_at >= time)
-        return answered[0] if answered else None
-
-
-def ping_between(net, src_host: str, dst_host: str, count: int = 10,
-                 interval: float = 0.1, **kwargs) -> PingSeries:
-    """Convenience: a ping series between two named hosts of *net*."""
-    source = net.host(src_host)
-    target = net.host(dst_host)
-    series = PingSeries(source, target.ip, count=count, interval=interval,
-                        **kwargs)
-    series.start()
-    return series

@@ -139,10 +139,6 @@ class VideoSink:
     def received(self) -> int:
         return len(self.arrivals)
 
-    def lost_chunks(self, total_sent: int) -> int:
-        """Chunks never delivered, given how many the source sent."""
-        return total_sent - self.received - self.duplicates
-
     def interruptions(self) -> List[Interruption]:
         """Stalls: arrival gaps exceeding the stall threshold."""
         limit = self.stall_threshold * self.interval

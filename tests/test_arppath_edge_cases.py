@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.bridge import ArpPathBridge
 from repro.core.config import ArpPathConfig
+from repro.core.table import EntryState
 from repro.frames.ethernet import (ETHERTYPE_ARPPATH, ETHERTYPE_IPV4,
                                    EthernetFrame)
 from repro.frames.mac import MAC, mac_for_host
@@ -49,6 +50,23 @@ class TestTtlExhaustion:
         abandoned = sum(b.repair.counters.abandoned
                         for b in net.bridges.values())
         assert abandoned >= 1
+
+    def test_path_fail_dies_at_ttl(self, sim):
+        """A PathFail carries the configured hop budget too: sent by B3
+        toward B0 (three hops) with control_ttl=2, it is dropped at B1
+        and B1 repairs in its place."""
+        config = fast_config(control_ttl=2)
+        net = line(sim, arppath(config), 5)
+        net.run(3.0)
+        source, sink, got = primed(net)
+        # A mid-path miss: B3 is not H0's edge, so it sends a PathFail.
+        net.bridge("B3").table.remove(sink.mac)
+        source.send_udp(sink.ip, 7000, 7000, b"miss")
+        net.run(0.5)
+        assert net.bridge("B3").repair.counters.fails_sent == 1
+        assert net.bridge("B2").repair.counters.fails_relayed == 1
+        assert net.bridge("B1").apc.ttl_drops == 1
+        assert net.bridge("B0").apc.path_fails_seen == 0
 
     def test_generous_ttl_reaches(self, sim):
         config = fast_config(control_ttl=16)
@@ -108,7 +126,7 @@ class TestUnroutablePathFail:
         nf4 = net.bridge("NF4")  # off the active path: no entry for A
         assert nf4.table.get(source.mac, sim.now) is None
         fail = ctl_proto.make_path_fail(net.bridge("NF3").mac, source.mac,
-                                        sink.mac, seq=1)
+                                        sink.mac, seq=1, ttl=64)
         frame = EthernetFrame(dst=source.mac, src=net.bridge("NF3").mac,
                               ethertype=ETHERTYPE_ARPPATH, payload=fail)
         nf4.handle_frame(nf4.attached_ports[0], frame)
@@ -250,4 +268,4 @@ class TestRefreshSemantics:
         b0 = net.bridge("B0")
         entry = b0.table.get(h0.mac, sim.now)
         assert entry is not None
-        assert entry.is_learnt
+        assert entry.state is EntryState.LEARNT

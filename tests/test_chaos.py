@@ -14,7 +14,8 @@ from repro.chaos import (ChaosParityError, FaultSet, KillWorker,
                          RaiseError, check_parity, first_divergence,
                          run_lines, seeded_plan)
 from repro.experiments import registry, runner
-from repro.experiments.runner import (FAILED_PERMANENT, OK,
+from repro.experiments.runner import (BACKOFF_BASE, BACKOFF_CAP,
+                                      FAILED_PERMANENT, OK,
                                       backoff_schedule)
 
 registry.load_all()
@@ -33,31 +34,25 @@ def reference():
 
 
 class TestBackoffSchedule:
-    @given(retries=st.integers(0, 12), seed=st.integers(0, 2**31),
-           cell_index=st.integers(0, 10_000))
+    @given(retries=st.integers(0, 12), cell_index=st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
-    def test_deterministic_and_monotone(self, retries, seed, cell_index):
-        first = backoff_schedule(retries, seed=seed,
-                                 cell_index=cell_index)
-        again = backoff_schedule(retries, seed=seed,
-                                 cell_index=cell_index)
+    def test_deterministic_and_monotone(self, retries, cell_index):
+        first = backoff_schedule(retries, cell_index)
+        again = backoff_schedule(retries, cell_index)
         assert first == again  # pure function of its arguments
         assert len(first) == retries
         assert all(later >= earlier for earlier, later
                    in zip(first, first[1:]))
 
-    @given(retries=st.integers(1, 12),
-           base=st.floats(0.001, 1.0),
-           cap=st.floats(0.001, 10.0),
-           seed=st.integers(0, 2**31))
+    @given(retries=st.integers(1, 12), cell_index=st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
-    def test_bounded_by_base_and_cap(self, retries, base, cap, seed):
-        delays = backoff_schedule(retries, base=base, cap=cap, seed=seed)
-        assert all(delay <= cap for delay in delays)
-        assert delays[0] >= min(base, cap)
+    def test_bounded_by_base_and_cap(self, retries, cell_index):
+        delays = backoff_schedule(retries, cell_index)
+        assert all(delay <= BACKOFF_CAP for delay in delays)
+        assert delays[0] >= BACKOFF_BASE
 
     def test_different_cells_jitter_differently(self):
-        schedules = {tuple(backoff_schedule(5, cell_index=index))
+        schedules = {tuple(backoff_schedule(5, index))
                      for index in range(8)}
         assert len(schedules) > 1
 
@@ -77,7 +72,7 @@ class TestSerialRetries:
     def test_exhausted_budget_is_failed_permanent(self):
         hook = RaiseError(cell_index=0, failures=5)
         _, report = run_lines(CELLS, retries=2, cell_hook=hook)
-        failed = {r.cell.index: r for r in report.permanent_failures}
+        failed = {r.cell.index: r for r in report.errors}
         assert set(failed) == {0}
         assert failed[0].status == FAILED_PERMANENT
         assert failed[0].attempts == 3
@@ -89,7 +84,7 @@ class TestSerialRetries:
     def test_zero_retries_fails_on_first_fault(self):
         hook = RaiseError(cell_index=2, failures=1)
         _, report = run_lines(CELLS, cell_hook=hook)
-        assert [r.cell.index for r in report.permanent_failures] == [2]
+        assert [r.cell.index for r in report.errors] == [2]
         assert report.attempts == len(CELLS)
 
 
@@ -105,7 +100,7 @@ class TestPoolCrashIsolation:
     def test_crash_without_retries_names_the_cell(self):
         hook = KillWorker(cell_index=1, kills=1, exit_code=137)
         _, report = run_lines(CELLS, jobs=2, cell_hook=hook)
-        failed = {r.cell.index: r for r in report.permanent_failures}
+        failed = {r.cell.index: r for r in report.errors}
         assert set(failed) == {1}
         error = failed[0] if 0 in failed else failed[1]
         assert error.error.startswith("WorkerCrashError:")
@@ -134,7 +129,7 @@ class TestPoolCrashIsolation:
     def test_repeated_kill_exhausts_pool_budget(self):
         hook = KillWorker(cell_index=0, kills=3)
         _, report = run_lines(CELLS, jobs=2, retries=1, cell_hook=hook)
-        failed = {r.cell.index: r for r in report.permanent_failures}
+        failed = {r.cell.index: r for r in report.errors}
         assert set(failed) == {0}
         assert failed[0].attempts == 2
         assert failed[0].error.startswith("WorkerCrashError:")

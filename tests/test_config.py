@@ -62,18 +62,3 @@ class TestValidation:
 
     def test_zero_retries_allowed(self):
         assert ArpPathConfig(repair_retries=0).repair_retries == 0
-
-
-class TestOverrides:
-    def test_with_overrides_changes_field(self):
-        tweaked = DEFAULT_CONFIG.with_overrides(lock_timeout=2.0)
-        assert tweaked.lock_timeout == 2.0
-        assert DEFAULT_CONFIG.lock_timeout != 2.0
-
-    def test_with_overrides_validates(self):
-        with pytest.raises(ValueError):
-            DEFAULT_CONFIG.with_overrides(lock_timeout=-1)
-
-    def test_with_overrides_preserves_others(self):
-        tweaked = DEFAULT_CONFIG.with_overrides(proxy_enabled=True)
-        assert tweaked.learnt_timeout == DEFAULT_CONFIG.learnt_timeout

@@ -9,6 +9,7 @@ filtering to the exact pre-refactor behaviour.
 import pytest
 
 from repro.core.bridge import ArpPathBridge
+from repro.core.table import EntryState
 from repro.frames import arp as arp_proto
 from repro.frames.arp import ArpPacket
 from repro.frames.control import ArpPathControl, HELLO_MULTICAST
@@ -74,7 +75,8 @@ FAMILIES = [ArpPathBridge, SpbBridge, StpBridge, LearningSwitch]
 def build(family):
     sim = Simulator(seed=1)
     bridge = family(sim, "B", BRIDGE_MAC)
-    bridge.add_ports(2)
+    bridge.add_port()
+    bridge.add_port()
     return bridge
 
 
@@ -251,4 +253,4 @@ class TestDiscoveryFilteringGolden:
             assert (entry_b.port.name if entry_b else None) \
                 == want["port_b"], name
             if entry_a is not None:
-                assert entry_a.is_learnt
+                assert entry_a.state is EntryState.LEARNT

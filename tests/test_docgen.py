@@ -6,6 +6,8 @@ fails locally before CI ever sees it.
 """
 
 import os
+import re
+from pathlib import Path
 
 from repro.experiments import registry
 from repro.server import docgen
@@ -68,3 +70,16 @@ class TestDriftGate:
         doc = tmp_path / "API.md"
         assert docgen.main(["--write", "--doc", str(doc)]) == 0
         assert docgen.main(["--check", "--doc", str(doc)]) == 0
+
+
+class TestDocReferences:
+    def test_every_markdown_file_named_in_src_exists(self):
+        """A docstring that points at a document points at one in the
+        repository root or ``docs/``."""
+        root = Path(REPO_ROOT)
+        missing = sorted(
+            (str(path.relative_to(root)), doc)
+            for path in (root / "src").rglob("*.py")
+            for doc in re.findall(r"[\w./-]+\.md\b", path.read_text(encoding="utf-8"))
+            if not (root / doc).is_file() and not (root / "docs" / doc).is_file())
+        assert missing == []

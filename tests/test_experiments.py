@@ -330,7 +330,7 @@ class TestRetainedTraceScenarios:
         monkeypatch.setattr(Tracer, "record", spying_record)
         module.run_protocol(protocol, seed=1, **kwargs)
         (net,) = warmed
-        assert net.sim.tracer.count_only        # no listener left behind
+        assert not net.sim.tracer._listeners    # no listener left behind
         if module is loadbalance:
             assert built == []
         else:

@@ -9,8 +9,7 @@ from repro.frames.control import (ArpPathControl, CONTROL_WIRE_SIZE,
                                   HELLO_MULTICAST, OP_HELLO, OP_PATH_FAIL,
                                   OP_PATH_REPLY, OP_PATH_REQUEST)
 from repro.frames.ethernet import (ETH_MIN_FRAME, ETHERTYPE_ARP,
-                                   ETHERTYPE_IPV4, EthernetFrame,
-                                   broadcast_frame)
+                                   ETHERTYPE_IPV4, EthernetFrame)
 from repro.frames.icmp import IcmpEcho, TYPE_ECHO_REPLY, make_echo_request
 from repro.frames.ipv4 import ip_for_host
 from repro.frames.mac import BROADCAST, MAC, ZERO, mac_for_host
@@ -32,7 +31,8 @@ class TestEthernetFrame:
         assert frame.wire_size == 14 + 1000 + 4
 
     def test_broadcast_flag(self):
-        assert broadcast_frame(H0, ETHERTYPE_ARP, b"").is_broadcast
+        frame = EthernetFrame(dst=BROADCAST, src=H0, ethertype=ETHERTYPE_ARP)
+        assert frame.is_broadcast
 
     def test_unicast_flag(self):
         frame = EthernetFrame(dst=H1, src=H0, ethertype=ETHERTYPE_IPV4)
@@ -57,7 +57,7 @@ class TestEthernetFrame:
         assert frame.payload == b"one"
 
     def test_str_mentions_kind(self):
-        frame = broadcast_frame(H0, ETHERTYPE_ARP, b"")
+        frame = EthernetFrame(dst=BROADCAST, src=H0, ethertype=ETHERTYPE_ARP)
         assert "ARP" in str(frame)
 
 
@@ -67,14 +67,14 @@ class TestFrameKindInterning:
 
     def test_arp_discovery_kind(self):
         from repro.frames.ethernet import KIND_ARP_DISCOVERY
-        frame = broadcast_frame(H0, ETHERTYPE_ARP,
-                                arp_proto.make_request(H0, IP0, IP1))
+        frame = EthernetFrame(dst=BROADCAST, src=H0, ethertype=ETHERTYPE_ARP,
+                              payload=arp_proto.make_request(H0, IP0, IP1))
         assert frame.kind() == KIND_ARP_DISCOVERY
 
     def test_broadcast_non_arp_kind(self):
         from repro.frames.ethernet import KIND_MULTICAST
-        assert broadcast_frame(H0, ETHERTYPE_IPV4, b"").kind() \
-            == KIND_MULTICAST
+        frame = EthernetFrame(dst=BROADCAST, src=H0, ethertype=ETHERTYPE_IPV4)
+        assert frame.kind() == KIND_MULTICAST
 
     def test_unicast_kind(self):
         from repro.frames.ethernet import KIND_UNICAST
@@ -82,8 +82,8 @@ class TestFrameKindInterning:
         assert frame.kind() == KIND_UNICAST
 
     def test_kind_is_classified_once(self):
-        frame = broadcast_frame(H0, ETHERTYPE_ARP,
-                                arp_proto.make_request(H0, IP0, IP1))
+        frame = EthernetFrame(dst=BROADCAST, src=H0, ethertype=ETHERTYPE_ARP,
+                              payload=arp_proto.make_request(H0, IP0, IP1))
         code = frame.kind()
         frame.ethertype = ETHERTYPE_IPV4    # never done once sent
         assert frame.kind() == code  # no re-classification per hop
@@ -99,8 +99,8 @@ class TestFrameKindInterning:
         ethertype with a non-ARP payload is not a discovery)."""
         from repro.frames.ethernet import (KIND_ARP_DISCOVERY,
                                            KIND_MULTICAST)
-        frame = broadcast_frame(H0, ETHERTYPE_ARP,
-                                arp_proto.make_request(H0, IP0, IP1))
+        frame = EthernetFrame(dst=BROADCAST, src=H0, ethertype=ETHERTYPE_ARP,
+                              payload=arp_proto.make_request(H0, IP0, IP1))
         assert frame.kind() == KIND_ARP_DISCOVERY
         swapped = frame.with_payload(b"opaque")
         assert swapped.kind() == KIND_MULTICAST
@@ -119,7 +119,7 @@ class TestArp:
 
     def test_reply_fields(self):
         reply = arp_proto.make_reply(H1, IP1, H0, IP0)
-        assert reply.is_reply
+        assert reply.op == OP_REPLY
         assert reply.sha == H1 and reply.tha == H0
 
     def test_gratuitous_targets_self(self):
@@ -147,23 +147,23 @@ class TestControl:
         assert HELLO_MULTICAST.is_multicast
 
     def test_path_request(self):
-        msg = ctl_proto.make_path_request(H0, H0, H1, seq=7)
-        assert msg.is_path_request and msg.seq == 7
+        msg = ctl_proto.make_path_request(H0, H0, H1, seq=7, ttl=8)
+        assert msg.is_path_request and (msg.seq, msg.ttl) == (7, 8)
 
     def test_path_reply(self):
-        msg = ctl_proto.make_path_reply(H0, H0, H1, seq=7)
-        assert msg.is_path_reply
+        msg = ctl_proto.make_path_reply(H0, H0, H1, seq=7, ttl=8)
+        assert msg.is_path_reply and (msg.seq, msg.ttl) == (7, 8)
 
     def test_path_fail(self):
-        msg = ctl_proto.make_path_fail(H0, H0, H1, seq=7)
-        assert msg.is_path_fail
+        msg = ctl_proto.make_path_fail(H0, H0, H1, seq=7, ttl=8)
+        assert msg.is_path_fail and (msg.seq, msg.ttl) == (7, 8)
 
     def test_relayed_decrements_ttl(self):
-        msg = ctl_proto.make_path_request(H0, H0, H1, seq=1)
+        msg = ctl_proto.make_path_request(H0, H0, H1, seq=1, ttl=8)
         assert msg.relayed().ttl == msg.ttl - 1
 
     def test_relayed_preserves_identity(self):
-        msg = ctl_proto.make_path_request(H0, H0, H1, seq=1)
+        msg = ctl_proto.make_path_request(H0, H0, H1, seq=1, ttl=8)
         relayed = msg.relayed()
         assert (relayed.origin, relayed.source, relayed.target,
                 relayed.seq) == (msg.origin, msg.source, msg.target, msg.seq)
@@ -184,12 +184,12 @@ class TestControl:
                            seq=-1)
 
     def test_wire_size(self):
-        msg = ctl_proto.make_path_fail(H0, H0, H1, seq=0)
+        msg = ctl_proto.make_path_fail(H0, H0, H1, seq=0, ttl=8)
         assert msg.wire_size == CONTROL_WIRE_SIZE
 
     def test_op_names(self):
         assert ctl_proto.make_hello(H0).op_name == "HELLO"
-        assert ctl_proto.make_path_request(H0, H0, H1, 0).op_name \
+        assert ctl_proto.make_path_request(H0, H0, H1, 0, 8).op_name \
             == "PATH_REQUEST"
 
     def test_frozen(self):
@@ -202,7 +202,7 @@ class TestIcmp:
     def test_request_reply_pairing(self):
         request = make_echo_request(ident=1, seq=2, payload=b"abc")
         reply = request.reply()
-        assert reply.is_reply
+        assert reply.icmp_type == TYPE_ECHO_REPLY
         assert (reply.ident, reply.seq, reply.payload) == (1, 2, b"abc")
 
     def test_reply_of_reply_rejected(self):

@@ -86,10 +86,6 @@ class TestProperties:
     def test_group_bit_clear_means_unicast(self):
         assert MAC("00:11:22:33:44:55").is_unicast
 
-    def test_local_bit(self):
-        assert MAC("02:00:00:00:00:01").is_local
-        assert not MAC("00:11:22:33:44:55").is_local
-
     def test_round_trip_bytes(self):
         original = MAC("de:ad:be:ef:00:01")
         assert MAC(original.to_bytes()) == original
@@ -142,7 +138,7 @@ class TestDeterministicAllocators:
 
     def test_hosts_are_unicast_local(self):
         sample = mac_for_host(7)
-        assert sample.is_unicast and sample.is_local
+        assert sample.is_unicast and sample.to_bytes()[0] & 0x02
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

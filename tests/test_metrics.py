@@ -14,7 +14,7 @@ from repro.metrics.paths import (PathObserver, min_latency_path,
                                  path_latency, stretch)
 from repro.metrics.report import format_cell, format_table, ms, us
 from repro.metrics.stats import (coefficient_of_variation, mean, percentile,
-                                 stdev, summarize, maybe_summarize)
+                                 stdev, summarize)
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.testing import graph_of
@@ -73,7 +73,6 @@ class TestStats:
     def test_summary_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-        assert maybe_summarize([]) is None
 
     def test_summary_scaled(self):
         summary = summarize([1.0, 2.0]).scaled(1000)
@@ -107,7 +106,9 @@ class TestPathsOracle:
 
     def test_oracle_bridge_hops(self, sim):
         net = netfpga_demo(sim, arppath())
-        assert min_latency_path(net, "A", "B").bridge_hops == 3
+        nodes = min_latency_path(net, "A", "B").nodes
+        assert nodes[0] == "A" and nodes[-1] == "B"
+        assert len(nodes) - 2 == 3          # bridges between the hosts
 
     def test_oracle_adapts_to_failures(self, sim):
         net = netfpga_demo(sim, arppath())

@@ -219,8 +219,6 @@ class TestIntraPopulation:
         with pytest.raises(ValueError):
             pop.bind_udp(9000, lambda *a: None, 1)
         pop.bind_udp(9000, lambda *a: None, 2)  # other endpoint is fine
-        pop.unbind_udp(9000, 1)
-        pop.bind_udp(9000, lambda *a: None, 1)
 
 
 class TestFlyweightState:

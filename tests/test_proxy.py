@@ -46,7 +46,7 @@ class TestAnswering:
         request = arp_proto.make_request(M0, IP0, IP1)
         answer = proxy.answer(request, now=1.0)
         assert answer is not None
-        assert answer.is_reply
+        assert answer.op == arp_proto.OP_REPLY
         assert answer.sha == M1 and answer.spa == IP1
         assert answer.tha == M0 and answer.tpa == IP0
 

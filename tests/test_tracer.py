@@ -100,11 +100,11 @@ class TestDerivedTotals:
     def test_totals_are_sums_across_every_tracing_level(self, sim):
         links = wire(sim, "x"), wire(sim, "y")
         tracer = sim.tracer
-        assert tracer.count_only
+        assert not tracer._listeners
         self.burst(sim, links[0], ETHERTYPE_IPV4)       # count-only
         self.assert_totals_are_sums(sim, links)
         seen = record_trace(sim)
-        assert not tracer.count_only
+        assert tracer._listeners
         self.burst(sim, links[1], ETHERTYPE_ARP)        # listener
         links[0].take_down()
         links[0].transmit(links[0].port_a, EthernetFrame(
@@ -116,7 +116,7 @@ class TestDerivedTotals:
                                              ETHERTYPE_ARP: 2}
         assert len(seen) == 7
         tracer.remove_listener(seen.append)
-        assert tracer.count_only
+        assert not tracer._listeners
 
     def test_reset_mid_run_keeps_links_counting(self, sim):
         """``reset`` empties every direction's registers in place
@@ -227,7 +227,7 @@ class TestRecords:
         """No listener, no record: the tracer has nowhere to keep one."""
         send(sim, wire(sim))
         assert not hasattr(sim.tracer, "records")
-        assert sim.tracer.count_only
+        assert not sim.tracer._listeners
         assert sim.tracer.frames_sent == 1  # counters still work
 
     def test_sent_bytes_are_tallied_per_direction(self, sim):

@@ -5,7 +5,7 @@ import pytest
 from repro.netsim.engine import Simulator
 from repro.topology import arppath, fat_tree, pair
 from repro.traffic.matrix import TrafficMatrix, all_pairs_arp_warmup
-from repro.traffic.ping import PingSeries, ping_between
+from repro.traffic.ping import PingSeries
 from repro.traffic.video import (VideoChunk, VideoSink, VideoSource,
                                  stream_between)
 
@@ -85,7 +85,7 @@ class TestVideoStream:
         source.stop()
         # No repair: the stream dies at the failure and loss accumulates.
         assert sink.arrivals[-1] <= fail_at + 0.1
-        assert sink.lost_chunks(source.sent) > 0
+        assert sink.received < source.sent
 
     def test_lost_chunks_accounting(self, pair_net):
         source, sink = stream_between(pair_net.host("H0"),
@@ -94,7 +94,7 @@ class TestVideoStream:
         pair_net.run(1.0)
         source.stop()
         pair_net.run(0.2)
-        assert sink.lost_chunks(source.sent) == 0
+        assert sink.received == source.sent and sink.duplicates == 0
 
     def test_double_start_rejected(self, pair_net):
         source, _sink = stream_between(pair_net.host("H0"),
@@ -110,13 +110,17 @@ class TestVideoStream:
 
 class TestPingSeries:
     def test_all_probes_answered(self, pair_net):
-        series = ping_between(pair_net, "H0", "H1", count=5, interval=0.05)
+        series = PingSeries(pair_net.host("H0"), pair_net.host("H1").ip,
+                            count=5, interval=0.05)
+        series.start()
         pair_net.run(2.0)
         assert len(series.rtts) == 5
         assert series.losses == 0
 
     def test_results_ordered_by_seq(self, pair_net):
-        series = ping_between(pair_net, "H0", "H1", count=5, interval=0.05)
+        series = PingSeries(pair_net.host("H0"), pair_net.host("H1").ip,
+                            count=5, interval=0.05)
+        series.start()
         pair_net.run(2.0)
         assert [r.seq for r in series.results] == list(range(5))
 
@@ -124,17 +128,11 @@ class TestPingSeries:
         # Cut the fabric permanently after the second probe.
         pair_net.sim.schedule(
             0.06, pair_net.link_between("B0", "B1").take_down)
-        series = ping_between(pair_net, "H0", "H1", count=5, interval=0.05,
-                              timeout=0.5)
+        series = PingSeries(pair_net.host("H0"), pair_net.host("H1").ip,
+                            count=5, interval=0.05, timeout=0.5)
+        series.start()
         pair_net.run(3.0)
         assert series.losses >= 2
-        assert series.loss_rate > 0
-
-    def test_first_success_after(self, pair_net):
-        series = ping_between(pair_net, "H0", "H1", count=5, interval=0.05)
-        pair_net.run(2.0)
-        assert series.first_success_after(0.0) is not None
-        assert series.first_success_after(1e9) is None
 
     def test_validation(self, pair_net):
         host = pair_net.host("H0")
@@ -144,7 +142,9 @@ class TestPingSeries:
             PingSeries(host, pair_net.host("H1").ip, interval=0)
 
     def test_finalize_idempotent(self, pair_net):
-        series = ping_between(pair_net, "H0", "H1", count=2, interval=0.05)
+        series = PingSeries(pair_net.host("H0"), pair_net.host("H1").ip,
+                            count=2, interval=0.05)
+        series.start()
         pair_net.run(2.0)
         results_before = list(series.results)
         series.finalize()
@@ -176,7 +176,8 @@ class TestTrafficMatrix:
         matrix.all_pairs(packets=3, interval=1e-3)
         matrix.start()
         net.run(2.0)
-        assert len(matrix.flow_latencies()) == matrix.total_received
+        assert sum(len(flow.latencies) for flow in matrix.flows) \
+            == matrix.total_received
 
     def test_random_pairs(self, sim):
         net = fat_tree(sim, arppath(), pods=4, hosts_per_edge=2)
