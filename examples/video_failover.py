@@ -67,6 +67,7 @@ def run_protocol(label, factory, warmup):
         "recoveries": recoveries,
         "sent": source.sent,
         "received": sink.received,
+        "stalls": sink.interruptions(),
         "repair_times": repair_times,
     }
 
@@ -93,7 +94,8 @@ def main() -> None:
     for result in results:
         delivered = result["received"] / result["sent"]
         print(f"{result['label']}: {result['received']}/{result['sent']} "
-              f"chunks delivered ({delivered:.1%})")
+              f"chunks delivered ({delivered:.1%}), "
+              f"{len(result['stalls'])} playback stalls")
         if result["repair_times"]:
             times = ", ".join(f"{t * 1e6:.0f}us"
                               for t in result["repair_times"])

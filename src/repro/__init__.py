@@ -29,9 +29,9 @@ from repro.netsim import Link, Node, Port, Simulator
 from repro.spb import SpbBridge
 from repro.stp import StpBridge, StpTimers
 from repro.switching import LearningSwitch
-from repro.topology import (Network, arppath, factory_for, fat_tree, grid,
-                            learning, line, netfpga_demo, pair, random_graph,
-                            ring, spb, stp, stp_scaled)
+from repro.topology import (Network, arppath, fat_tree, grid, learning, line,
+                            netfpga_demo, pair, random_graph, ring, spb, stp,
+                            stp_scaled)
 
 __version__ = "1.0.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "SpbBridge",
     "StpBridge", "StpTimers",
     "LearningSwitch",
-    "Network", "arppath", "factory_for", "fat_tree", "grid", "learning",
+    "Network", "arppath", "fat_tree", "grid", "learning",
     "line", "netfpga_demo", "pair", "random_graph", "ring", "spb", "stp",
     "stp_scaled",
     "__version__",

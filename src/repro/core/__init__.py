@@ -5,8 +5,7 @@ supporting pieces (locked table, repair manager, ARP proxy) are exported
 for tests and experiments that inspect protocol state.
 """
 
-from repro.core.bridge import (ARPPATH_DATAPLANE, ArpPathBridge,
-                               ArpPathCounters)
+from repro.core.bridge import ArpPathBridge, ArpPathCounters
 from repro.core.config import ArpPathConfig, DEFAULT_CONFIG
 from repro.core.proxy import ArpProxy, ProxyBinding, ProxyCounters
 from repro.core.repair import RepairCounters, RepairManager, RepairState
@@ -14,7 +13,7 @@ from repro.core.table import (EntryState, LockedAddressTable, PathEntry,
                               TableCounters)
 
 __all__ = [
-    "ARPPATH_DATAPLANE", "ArpPathBridge", "ArpPathCounters",
+    "ArpPathBridge", "ArpPathCounters",
     "ArpPathConfig", "DEFAULT_CONFIG",
     "ArpProxy", "ProxyBinding", "ProxyCounters",
     "RepairCounters", "RepairManager", "RepairState",

@@ -29,6 +29,7 @@ used static roles).
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import ArpPathConfig, DEFAULT_CONFIG
@@ -43,37 +44,34 @@ from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_ARPPATH,
 from repro.frames.mac import BROADCAST, MAC
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Port
-from repro.switching.base import (Bridge, BridgeFamily, Dataplane,
-                                  FamilyOption, register_family)
-
-#: The ARP-Path classification pipeline: control frames are ARP-Path
-#: control messages on their experimental ethertype; everything else is
-#: classified by the shared dataplane ladder.
-ARPPATH_DATAPLANE = Dataplane(control_ethertypes=(ETHERTYPE_ARPPATH,),
-                              control_payload=ArpPathControl)
+from repro.switching.base import (Bridge, BridgeFamily, FamilyOption,
+                                  register_family)
 
 
+@dataclass(slots=True)
 class ArpPathCounters:
     """Protocol-level counters specific to the ARP-Path bridge.
 
-    Hand-written ``__slots__`` (the frames idiom, PR 4): several of
-    these are bumped per delivered frame on the discovery hot path.
+    Slotted: several of these are bumped per delivered frame on the
+    discovery hot path.
     """
 
-    _FIELDS = ("discovery_frames", "discovery_filtered",
-               "broadcast_guard_filtered", "unicast_misses",
-               "drops_no_repair", "drops_buffer", "proxy_suppressed",
-               "hellos_sent", "hellos_received", "path_requests_seen",
-               "path_replies_seen", "path_fails_seen", "ttl_drops")
-
-    __slots__ = _FIELDS
-
-    def __init__(self) -> None:
-        for field in self._FIELDS:
-            setattr(self, field, 0)
+    discovery_frames: int = 0
+    discovery_filtered: int = 0
+    broadcast_guard_filtered: int = 0
+    unicast_misses: int = 0
+    drops_no_repair: int = 0
+    drops_buffer: int = 0
+    proxy_suppressed: int = 0
+    hellos_sent: int = 0
+    hellos_received: int = 0
+    path_requests_seen: int = 0
+    path_replies_seen: int = 0
+    path_fails_seen: int = 0
+    ttl_drops: int = 0
 
     def snapshot(self) -> dict:
-        return {field: getattr(self, field) for field in self._FIELDS}
+        return asdict(self)
 
 
 class ArpPathBridge(Bridge):
@@ -92,7 +90,10 @@ class ArpPathBridge(Bridge):
         Protocol knobs; see :class:`repro.core.config.ArpPathConfig`.
     """
 
-    dataplane = ARPPATH_DATAPLANE
+    #: Control frames are ARP-Path control messages on their
+    #: experimental ethertype; everything else takes the shared ladder.
+    control_ethertypes = frozenset((ETHERTYPE_ARPPATH,))
+    control_payload = ArpPathControl
 
     def __init__(self, sim: Simulator, name: str, mac: MAC,
                  config: ArpPathConfig = DEFAULT_CONFIG):
@@ -636,10 +637,10 @@ register_family(BridgeFamily(
     title="ARP-Path: in-band shortest-path discovery, lock and repair "
           "(the paper's protocol)",
     factory=_arppath_factory,
+    bridge=ArpPathBridge,
     warmup=5.0,
     loop_safe=True,
     order=10,
-    control_ethertypes=(ETHERTYPE_ARPPATH,),
     options=(
         FamilyOption("config", "object", None,
                      "ArpPathConfig: lock/learnt/guard timeouts, hello "

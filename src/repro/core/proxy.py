@@ -79,9 +79,6 @@ class ArpProxy:
         return arp_proto.make_reply(mac, request.tpa, request.sha,
                                     request.spa)
 
-    def invalidate(self, ip: IPv4Address) -> None:
-        self._bindings.pop(ip, None)
-
     def clear(self) -> None:
         """Forget every snooped binding (bridge restart)."""
         self._bindings.clear()

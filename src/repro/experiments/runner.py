@@ -109,10 +109,8 @@ class CellResult:
     """A finished cell: its rows (tagged with cell identity) or error.
 
     ``attempts`` counts every execution try (1 = first attempt
-    succeeded); ``retried`` is true when at least one earlier attempt
-    failed; ``status`` is :data:`OK` or :data:`FAILED_PERMANENT` (the
-    retry budget is spent and ``error`` holds the last attempt's
-    failure).
+    succeeded); :attr:`retried` and :attr:`status` are read from it and
+    from ``error``.
 
     ``telemetry`` is engine bookkeeping the scenario reports beside its
     rows (``scale``'s ``ENGINE_FIELDS``, one entry per row);
@@ -127,12 +125,21 @@ class CellResult:
     elapsed: float = 0.0
     error: Optional[str] = None
     attempts: int = 1
-    retried: bool = False
-    status: str = OK
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def retried(self) -> bool:
+        """True when at least one earlier attempt failed."""
+        return self.attempts > 1
+
+    @property
+    def status(self) -> str:
+        """:data:`OK`, or :data:`FAILED_PERMANENT` once the retry budget
+        is spent and ``error`` holds the last attempt's failure."""
+        return OK if self.ok else FAILED_PERMANENT
 
 
 def freeze_overrides(overrides: Dict[str, Any]) -> Overrides:
@@ -354,8 +361,6 @@ class SweepRunner:
     @staticmethod
     def _finalize(result: CellResult, attempt: int) -> CellResult:
         result.attempts = attempt + 1
-        result.retried = attempt > 0
-        result.status = OK if result.ok else FAILED_PERMANENT
         return result
 
     def stream(self, cancel: Optional[Callable[[], bool]] = None

@@ -7,6 +7,8 @@ Reply as the path-confirmation message (paper §2.1.1-2.1.2).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.frames.ipv4 import IPv4Address
 from repro.frames.mac import MAC, ZERO
 
@@ -16,45 +18,25 @@ OP_REPLY = 2
 ARP_WIRE_SIZE = 28
 
 
+@dataclass(frozen=True, slots=True)
 class ArpPacket:
     """An ARP request or reply for IPv4-over-Ethernet.
 
     Field names follow RFC 826: *sha/spa* are the sender hardware and
-    protocol addresses, *tha/tpa* the target ones. Value-type semantics
-    (equality, hashing) with ``__slots__`` — ARP packets ride every
-    discovery race, so they are allocated in bulk.
+    protocol addresses, *tha/tpa* the target ones. A frozen value type
+    without a ``__dict__``: ARP packets ride every discovery race, so
+    they are allocated in bulk.
     """
 
-    __slots__ = ("op", "sha", "spa", "tha", "tpa")
+    op: int
+    sha: MAC
+    spa: IPv4Address
+    tha: MAC
+    tpa: IPv4Address
 
-    def __init__(self, op: int, sha: MAC, spa: IPv4Address, tha: MAC,
-                 tpa: IPv4Address):
-        if op not in (OP_REQUEST, OP_REPLY):
-            raise ValueError(f"unknown ARP op {op}")
-        set_field = object.__setattr__
-        set_field(self, "op", op)
-        set_field(self, "sha", sha)
-        set_field(self, "spa", spa)
-        set_field(self, "tha", tha)
-        set_field(self, "tpa", tpa)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(
-            f"ArpPacket is immutable (tried to set {name!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArpPacket):
-            return NotImplemented
-        return (self.op == other.op and self.sha == other.sha
-                and self.spa == other.spa and self.tha == other.tha
-                and self.tpa == other.tpa)
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.sha, self.spa, self.tha, self.tpa))
-
-    def __repr__(self) -> str:
-        return (f"ArpPacket(op={self.op!r}, sha={self.sha!r}, "
-                f"spa={self.spa!r}, tha={self.tha!r}, tpa={self.tpa!r})")
+    def __post_init__(self) -> None:
+        if self.op not in (OP_REQUEST, OP_REPLY):
+            raise ValueError(f"unknown ARP op {self.op}")
 
     @property
     def is_request(self) -> bool:

@@ -14,6 +14,8 @@ link-local (never forwarded).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.frames.mac import MAC
 
 #: Link-local multicast address Hello frames are sent to (never relayed,
@@ -35,6 +37,7 @@ _OP_NAMES = {
 CONTROL_WIRE_SIZE = 26  # op(2) + origin(6) + source(6) + target(6) + seq(4) + ttl(2)
 
 
+@dataclass(frozen=True, slots=True)
 class ArpPathControl:
     """A control message of the ARP-Path protocol.
 
@@ -50,49 +53,24 @@ class ArpPathControl:
         Hop budget, decremented on every relay; frames arriving with a
         zero budget are dropped (defence in depth against loops).
 
-    A ``__slots__`` value type: control frames are re-allocated on
-    every relay hop (:meth:`relayed`), so they share the frame layer's
-    no-``__dict__`` discipline.
+    A frozen value type without a ``__dict__``: control frames are
+    re-allocated on every relay hop (:meth:`relayed`).
     """
 
-    __slots__ = ("op", "origin", "source", "target", "seq", "ttl")
+    op: int
+    origin: MAC
+    source: MAC
+    target: MAC
+    seq: int = 0
+    ttl: int = 64
 
-    def __init__(self, op: int, origin: MAC, source: MAC, target: MAC,
-                 seq: int = 0, ttl: int = 64):
-        if op not in _OP_NAMES:
-            raise ValueError(f"unknown ARP-Path control op {op}")
-        if seq < 0:
+    def __post_init__(self) -> None:
+        if self.op not in _OP_NAMES:
+            raise ValueError(f"unknown ARP-Path control op {self.op}")
+        if self.seq < 0:
             raise ValueError("seq must be non-negative")
-        if ttl < 0:
+        if self.ttl < 0:
             raise ValueError("ttl must be non-negative")
-        set_field = object.__setattr__
-        set_field(self, "op", op)
-        set_field(self, "origin", origin)
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "seq", seq)
-        set_field(self, "ttl", ttl)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(
-            f"ArpPathControl is immutable (tried to set {name!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArpPathControl):
-            return NotImplemented
-        return (self.op == other.op and self.origin == other.origin
-                and self.source == other.source
-                and self.target == other.target
-                and self.seq == other.seq and self.ttl == other.ttl)
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.origin, self.source, self.target,
-                     self.seq, self.ttl))
-
-    def __repr__(self) -> str:
-        return (f"ArpPathControl(op={self.op!r}, origin={self.origin!r}, "
-                f"source={self.source!r}, target={self.target!r}, "
-                f"seq={self.seq!r}, ttl={self.ttl!r})")
 
     @property
     def op_name(self) -> str:

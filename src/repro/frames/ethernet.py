@@ -14,9 +14,13 @@ link, and a sharded run hands it across the cut by reference. The path
 a copy travelled is rebuilt from the links' records
 (:class:`repro.metrics.paths.PathObserver`), never stamped on it.
 
-:class:`EthernetFrame` is a hand-written ``__slots__`` class rather
-than a dataclass: no per-instance ``__dict__``, and a cached
-classification code (:data:`KIND_ARP_DISCOVERY` /
+Every type in this package is slotted, so none carries a
+``__dict__``. The payloads are dataclasses (``slots=True``, frozen
+when immutable); :class:`EthernetFrame`,
+:class:`~repro.frames.mac.MAC`, :class:`~repro.frames.ipv4.IPv4Address`
+and :class:`~repro.frames.udp.UdpDatagram` stay hand-written
+``__slots__`` classes, each for the reason its docstring gives. The
+frame caches a classification code (:data:`KIND_ARP_DISCOVERY` /
 :data:`KIND_MULTICAST` / :data:`KIND_UNICAST`) so the dataplane
 classifies each logical frame once, not once per hop.
 """
@@ -78,6 +82,9 @@ class EthernetFrame:
         (:meth:`with_payload`) keeps the uid, which lets a listener
         correlate the copies of one broadcast race and follow a frame
         hop by hop.
+
+    Hand-written, not a dataclass: the uid counter and the two caches
+    sit in one per-frame constructor.
     """
 
     __slots__ = ("dst", "src", "ethertype", "payload", "uid",

@@ -7,6 +7,7 @@ intentionally out of scope (the simulator never corrupts frames).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 _MAX = (1 << 32) - 1
@@ -22,6 +23,9 @@ IPV4_HEADER_LEN = 20
 
 class IPv4Address:
     """An immutable IPv4 address (dotted quad or 32-bit integer).
+
+    Hand-written, not a dataclass: it parses its input and hashes as
+    the raw 32-bit int.
 
     >>> str(IPv4Address("10.0.0.1"))
     '10.0.0.1'
@@ -111,54 +115,26 @@ def ip_for_host(index: int, network: str = "10.0.0.0") -> IPv4Address:
     return IPv4Address(base + index + 1)
 
 
+@dataclass(slots=True)
 class IPv4Packet:
     """A simulated IPv4 packet carrying a payload object.
 
     The payload is any object exposing ``wire_size`` (e.g.
-    :class:`repro.frames.udp.UdpDatagram`) or raw ``bytes``. A
-    ``__slots__`` value type: one is allocated per data frame.
+    :class:`repro.frames.udp.UdpDatagram`) or raw ``bytes``. No
+    ``__dict__``: one is allocated per data frame.
     """
 
-    __slots__ = ("src", "dst", "proto", "payload", "ttl", "ident")
-
-    def __init__(self, src: IPv4Address, dst: IPv4Address, proto: int,
-                 payload: Any, ttl: int = DEFAULT_TTL, ident: int = 0):
-        self.src = src
-        self.dst = dst
-        self.proto = proto
-        self.payload = payload
-        self.ttl = ttl
-        self.ident = ident
+    src: IPv4Address
+    dst: IPv4Address
+    proto: int
+    payload: Any
+    ttl: int = DEFAULT_TTL
+    ident: int = 0
 
     @property
     def wire_size(self) -> int:
         """Header plus payload size in bytes."""
         return IPV4_HEADER_LEN + payload_size(self.payload)
-
-    def decremented(self) -> "IPv4Packet":
-        """A copy with TTL reduced by one.
-
-        Raises ``ValueError`` when the TTL is already zero; callers are
-        expected to drop such packets instead of forwarding them.
-        """
-        if self.ttl <= 0:
-            raise ValueError("TTL exhausted")
-        return IPv4Packet(src=self.src, dst=self.dst, proto=self.proto,
-                          payload=self.payload, ttl=self.ttl - 1,
-                          ident=self.ident)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IPv4Packet):
-            return NotImplemented
-        return (self.src == other.src and self.dst == other.dst
-                and self.proto == other.proto
-                and self.payload == other.payload
-                and self.ttl == other.ttl and self.ident == other.ident)
-
-    def __repr__(self) -> str:
-        return (f"IPv4Packet(src={self.src!r}, dst={self.dst!r}, "
-                f"proto={self.proto!r}, payload={self.payload!r}, "
-                f"ttl={self.ttl!r}, ident={self.ident!r})")
 
 
 def payload_size(payload: Any) -> int:

@@ -23,7 +23,8 @@ class MAC:
 
     Accepts an integer, another :class:`MAC`, 6 raw bytes, or a string in
     any of the usual textual forms (``aa:bb:cc:dd:ee:ff``,
-    ``aa-bb-cc-dd-ee-ff``, ``aabbccddeeff``).
+    ``aa-bb-cc-dd-ee-ff``, ``aabbccddeeff``). Hand-written, not a
+    dataclass: it parses its input and hashes as the raw 48-bit int.
 
     >>> MAC("00:11:22:33:44:55").value == 0x001122334455
     True

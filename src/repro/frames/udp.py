@@ -14,7 +14,9 @@ class UdpDatagram:
 
     The payload may be raw ``bytes`` or any object exposing
     ``wire_size`` (e.g. a :class:`repro.traffic.video.VideoChunk`).
-    A ``__slots__`` value type: one is allocated per stream chunk.
+    A hand-written ``__slots__`` class, one per stream chunk: as a
+    dataclass its port check would cost a ``__post_init__`` call on
+    every packet.
     """
 
     __slots__ = ("sport", "dport", "payload")

@@ -3,8 +3,7 @@ tables and ASCII charts."""
 
 from repro.metrics.chart import sparkline, timeseries
 from repro.metrics.convergence import (Recovery, recoveries_for_failures,
-                                       recovery_from_arrivals,
-                                       recovery_from_pings)
+                                       recovery_from_arrivals)
 from repro.metrics.load import LoadReport, fabric_load
 from repro.metrics.paths import (OraclePath, PathObserver, min_latency_path,
                                  path_latency, stretch)
@@ -15,7 +14,6 @@ from repro.metrics.stats import (Summary, coefficient_of_variation,
 __all__ = [
     "sparkline", "timeseries",
     "Recovery", "recoveries_for_failures", "recovery_from_arrivals",
-    "recovery_from_pings",
     "LoadReport", "fabric_load",
     "OraclePath", "PathObserver", "min_latency_path", "path_latency",
     "stretch",

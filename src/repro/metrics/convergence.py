@@ -1,13 +1,8 @@
 """Recovery-time measurement.
 
 The Fig. 3 experiment's observable is *how long traffic stops* after a
-failure. Two complementary detectors:
-
-* :func:`recovery_from_arrivals` — the gap a continuous stream (video
-  chunks, CBR probes) shows around the failure time;
-* :func:`recovery_from_pings` — when the first probe sent after the
-  failure gets answered (for sparse probe traffic, e.g. during STP
-  reconvergence where the outage is long).
+failure: :func:`recovery_from_arrivals` measures the gap a continuous
+stream (video chunks, CBR probes) shows around the failure time.
 """
 
 from __future__ import annotations
@@ -42,24 +37,6 @@ def recovery_from_arrivals(arrivals: Sequence[float], fail_time: float,
     last_good = before[-1] if before else fail_time
     gap = resumed - last_good
     lost = max(int(round(gap / send_interval)) - 1, 0)
-    return Recovery(fail_time=fail_time, resumed_at=resumed,
-                    outage=resumed - fail_time, packets_lost=lost)
-
-
-def recovery_from_pings(results, fail_time: float) -> Optional[Recovery]:
-    """Measure the outage from a :class:`~repro.traffic.ping.PingSeries`.
-
-    Uses probe *send* times: recovery is when the first probe sent after
-    the failure got an answer. Lost probes between the failure and that
-    moment are counted.
-    """
-    answered_after = sorted(r.sent_at for r in results
-                            if not r.lost and r.sent_at >= fail_time)
-    if not answered_after:
-        return None
-    resumed = answered_after[0]
-    lost = sum(1 for r in results
-               if r.lost and fail_time <= r.sent_at < resumed)
     return Recovery(fail_time=fail_time, resumed_at=resumed,
                     outage=resumed - fail_time, packets_lost=lost)
 

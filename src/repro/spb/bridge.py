@@ -12,9 +12,8 @@ broadcast/control overhead experiments quantify that difference.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.frames.ethernet import ETHERTYPE_LSP, EthernetFrame
 from repro.frames.mac import MAC
@@ -22,17 +21,15 @@ from repro.netsim.engine import Simulator
 from repro.netsim.node import Port
 from repro.spb.lsp import (Adjacency, LinkStatePacket, SPB_MULTICAST,
                            SpbHello)
-from repro.switching.base import (Bridge, BridgeFamily, Dataplane,
-                                  FamilyOption, register_family)
+from repro.switching.base import (Bridge, BridgeFamily, FamilyOption,
+                                  register_family)
+from repro.switching.spf import ShortestPathTree, shortest_path_tree
 
 DEFAULT_HELLO_INTERVAL = 1.0
 DEFAULT_HELLO_HOLD = 3.5
 DEFAULT_LSP_REFRESH = 10.0
 DEFAULT_LSP_MAX_AGE = 60.0
 DEFAULT_HOST_AGING = 300.0
-
-#: The SPB pipeline: link-state frames (hellos + LSPs) are control.
-SPB_DATAPLANE = Dataplane(control_ethertypes=(ETHERTYPE_LSP,))
 
 
 @dataclass
@@ -49,18 +46,11 @@ class SpbCounters:
     rpf_drops: int = 0
 
 
-@dataclass
-class _SpfResult:
-    """Shortest-path tree from one root over the current LSDB."""
-
-    dist: Dict[MAC, float]
-    parent: Dict[MAC, Optional[MAC]]
-
-
 class SpbBridge(Bridge):
     """A bridge running a link-state shortest-path control plane."""
 
-    dataplane = SPB_DATAPLANE
+    #: Link-state frames (hellos and LSPs) are control.
+    control_ethertypes = frozenset((ETHERTYPE_LSP,))
 
     def __init__(self, sim: Simulator, name: str, mac: MAC,
                  hello_interval: float = DEFAULT_HELLO_INTERVAL,
@@ -84,7 +74,7 @@ class SpbBridge(Bridge):
         self._own_seq = 0
         self._hello_seq = 0
         self._version = 0
-        self._spf_cache: Dict[MAC, Tuple[int, _SpfResult]] = {}
+        self._spf_cache: Dict[MAC, Tuple[int, ShortestPathTree]] = {}
         #: The two-way adjacency graph of LSDB version ``[0]``, shared by
         #: every root's SPF run at that version.
         self._graph: Tuple[int, Dict[MAC, List[Tuple[MAC, float]]]] = \
@@ -269,7 +259,7 @@ class SpbBridge(Bridge):
         """The adjacency graph, keeping only two-way-confirmed links.
 
         Each bridge's list is sorted by neighbour MAC value, the order
-        :meth:`_spf` relaxes edges in.
+        :func:`~repro.switching.spf.shortest_path_tree` expects.
         """
         reported: Dict[MAC, Dict[MAC, float]] = {}
         for origin, (lsp, _received) in self._lsdb.items():
@@ -287,13 +277,9 @@ class SpbBridge(Bridge):
             edges.sort(key=lambda edge: edge[0]._value)
         return graph
 
-    def _spf(self, root: MAC) -> _SpfResult:
-        """Dijkstra from *root* with deterministic lowest-MAC tie-breaks.
-
-        Symmetric tie-breaking means every bridge computes the same tree
-        for a given root — the property SPB relies on for congruent
-        unicast/multicast paths (802.1aq's ECT tie-breaking).
-        """
+    def _spf(self, root: MAC) -> ShortestPathTree:
+        """The LSDB's shortest-path tree from *root* (cached per LSDB
+        version)."""
         cached = self._spf_cache.get(root)
         if cached is not None and cached[0] == self._version:
             return cached[1]
@@ -302,29 +288,7 @@ class SpbBridge(Bridge):
         if version != self._version:
             graph = self._bidirectional_edges()
             self._graph = (self._version, graph)
-        dist: Dict[MAC, float] = {root: 0.0}
-        parent: Dict[MAC, Optional[MAC]] = {root: None}
-        # Heap entries: (distance, node MAC value, node) — the MAC value
-        # makes pops deterministic; parents are chosen lowest-MAC-first.
-        heap: List[Tuple[float, int, MAC]] = [(0.0, root.value, root)]
-        done: Set[MAC] = set()
-        while heap:
-            d, _tie, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            for neighbor, cost in graph.get(node, ()):
-                nd = d + cost
-                old = dist.get(neighbor)
-                better = old is None or nd < old
-                same_but_lower = (old is not None and nd == old
-                                  and parent[neighbor] is not None
-                                  and node.value < parent[neighbor].value)
-                if better or same_but_lower:
-                    dist[neighbor] = nd
-                    parent[neighbor] = node
-                    heapq.heappush(heap, (nd, neighbor.value, neighbor))
-        result = _SpfResult(dist=dist, parent=parent)
+        result = shortest_path_tree(root, graph)
         self._spf_cache[root] = (self._version, result)
         return result
 
@@ -475,10 +439,10 @@ register_family(BridgeFamily(
     name="spb",
     title="SPB/TRILL-style link-state shortest path bridging",
     factory=_spb_factory,
+    bridge=SpbBridge,
     warmup=8.0,
     loop_safe=True,
     order=30,
-    control_ethertypes=(ETHERTYPE_LSP,),
     options=(
         FamilyOption("hello_interval", "float", DEFAULT_HELLO_INTERVAL,
                      "adjacency hello period (seconds)"),

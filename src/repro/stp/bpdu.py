@@ -7,17 +7,17 @@ lower is better, compared as (root id, root path cost, transmitting
 bridge id, transmitting port id).
 
 Every comparison the bridge makes is a comparison of ``key`` tuples:
-identifiers, vectors and config BPDUs are frozen, so each fills its
-``key`` — plain ints, nested in comparison order — once at construction
-and ``<`` / "is this the vector I already hold?" are one tuple compare
-with no object built (``functools.cached_property`` costs more per read
+identifiers and config BPDUs are frozen, so each fills its ``key`` —
+plain ints, nested in comparison order — once at construction, and a
+config BPDU's key is the priority vector it carries. ``<`` / "is this
+the vector I already hold?" are one tuple compare with no object built (``functools.cached_property`` costs more per read
 than the tuple build it saves on CPython 3.11).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.frames.mac import MAC
 
@@ -76,33 +76,6 @@ class PortId:
         return f"{self.priority:02x}.{self.number}"
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class PriorityVector:
-    """The spanning tree priority vector carried by config BPDUs.
-
-    Lower compares better; the total order drives both root election
-    and designated-bridge selection on each LAN.
-    """
-
-    root: BridgeId
-    cost: int
-    bridge: BridgeId
-    port: PortId
-    key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "key", (
-            self.root.key, self.cost, self.bridge.key, self.port.key))
-
-    def __lt__(self, other: "PriorityVector") -> bool:
-        return self.key < other.key
-
-    def through(self, link_cost: int) -> "PriorityVector":
-        """The vector as seen after crossing a link of *link_cost*."""
-        return replace(self, cost=self.cost + link_cost)
-
-
 @dataclass(frozen=True)
 class ConfigBpdu:
     """An 802.1D configuration BPDU."""
@@ -129,11 +102,6 @@ class ConfigBpdu:
     @property
     def wire_size(self) -> int:
         return CONFIG_BPDU_WIRE_SIZE
-
-    @property
-    def vector(self) -> PriorityVector:
-        return PriorityVector(root=self.root, cost=self.cost,
-                              bridge=self.bridge, port=self.port)
 
     def __str__(self) -> str:
         flags = ""

@@ -41,15 +41,12 @@ from repro.netsim.node import Port
 from repro.stp.bpdu import (BridgeId, ConfigBpdu, DEFAULT_BRIDGE_PRIORITY,
                             DEFAULT_PORT_PRIORITY, PATH_COST_1G, PortId,
                             TcnBpdu)
-from repro.switching.base import (Bridge, BridgeFamily, Dataplane,
-                                  FamilyOption, register_family)
+from repro.switching.base import (Bridge, BridgeFamily, FamilyOption,
+                                  register_family)
 from repro.switching.table import ForwardingTable
 
 #: Standard increment added to message age at each hop.
 MESSAGE_AGE_INCREMENT = 1.0
-
-#: The 802.1D pipeline: BPDUs are control, everything else is data.
-STP_DATAPLANE = Dataplane(control_ethertypes=(ETHERTYPE_BPDU,))
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,8 @@ class StpPortInfo:
 class StpBridge(Bridge):
     """A transparent learning bridge running 802.1D spanning tree."""
 
-    dataplane = STP_DATAPLANE
+    #: BPDUs are control, everything else is data.
+    control_ethertypes = frozenset((ETHERTYPE_BPDU,))
 
     def __init__(self, sim: Simulator, name: str, mac: MAC,
                  priority: int = DEFAULT_BRIDGE_PRIORITY,
@@ -658,10 +656,10 @@ register_family(BridgeFamily(
     name="stp",
     title="802.1D spanning tree: the demo's bridge_utils baseline",
     factory=_stp_factory,
+    bridge=StpBridge,
     warmup=_STP_WARMUP,
     loop_safe=True,
     order=20,
-    control_ethertypes=(ETHERTYPE_BPDU,),
     options=(
         FamilyOption("timers", "object", None,
                      "StpTimers: hello_time/max_age/forward_delay "

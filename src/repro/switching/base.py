@@ -5,8 +5,9 @@ family and the plain learning switch — receives frames through the one
 pipeline, :meth:`Bridge.handle_frame`. It classifies each frame exactly
 once into one of four classes and calls overridable hooks, so a
 protocol implements *policy* (what to do with a class of frame) and
-never re-implements *classification*; a family's :class:`Dataplane`
-names which frames are its control traffic:
+never re-implements *classification*; a bridge class's
+:attr:`Bridge.control_ethertypes` and :attr:`Bridge.control_payload`
+name which frames are its control traffic:
 
 ======================  =====================================================
 frame class             hook
@@ -35,9 +36,8 @@ and ``tests/test_dataplane.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
-                    Type)
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Type
 
 from repro.frames.ethernet import (EthernetFrame, KIND_ARP_DISCOVERY,
                                    KIND_MULTICAST)
@@ -46,51 +46,24 @@ from repro.netsim.engine import Simulator
 from repro.netsim.node import Node, Port
 
 
-class Dataplane:
-    """Which frames are a family's control traffic.
-
-    One instance per protocol family (stateless, so a module-level
-    singleton): it names the ethertypes that carry the family's control
-    frames and, optionally, the payload type those frames must carry
-    (ARP-Path requires an :class:`ArpPathControl`; a frame with the
-    control ethertype but a foreign payload falls through to the data
-    path, exactly like unknown traffic). :meth:`Bridge.handle_frame`
-    reads both per frame.
-    """
-
-    __slots__ = ("control_ethertypes", "control_payload")
-
-    def __init__(self, control_ethertypes: Iterable[int] = (),
-                 control_payload: Optional[Type] = None):
-        self.control_ethertypes = frozenset(control_ethertypes)
-        self.control_payload = control_payload
-
-
-#: Pipeline for families without a control protocol (learning switch).
-DATA_ONLY_DATAPLANE = Dataplane()
-
-
+@dataclass(slots=True)
 class BridgeCounters:
     """Data-plane counters every bridge keeps.
 
-    A hand-written ``__slots__`` value type (the frames idiom, PR 4):
-    ``received`` is bumped once per frame per hop and a slot write is
-    cheaper than a ``__dict__`` entry. Slots, zero-init and snapshot
-    all derive from the one ``_FIELDS`` tuple.
+    Slotted: ``received`` is bumped once per frame per hop, and a slot
+    write is cheaper than a ``__dict__`` entry.
     """
 
-    _FIELDS = ("received", "forwarded", "flooded_frames",
-               "flooded_copies", "filtered", "control_received",
-               "control_sent")
-
-    __slots__ = _FIELDS
-
-    def __init__(self) -> None:
-        for field in self._FIELDS:
-            setattr(self, field, 0)
+    received: int = 0
+    forwarded: int = 0
+    flooded_frames: int = 0
+    flooded_copies: int = 0
+    filtered: int = 0
+    control_received: int = 0
+    control_sent: int = 0
 
     def snapshot(self) -> dict:
-        return {field: getattr(self, field) for field in self._FIELDS}
+        return asdict(self)
 
 
 class Bridge(Node):
@@ -98,12 +71,17 @@ class Bridge(Node):
 
     Every bridge has a MAC identity (used for control protocols) and
     data-plane counters. Frames arrive through :meth:`handle_frame`,
-    the shared pipeline; subclasses set :attr:`dataplane` (a class
-    attribute) and implement the hooks below instead of overriding it.
+    the shared pipeline; subclasses set the two class attributes below
+    and implement the hooks instead of overriding it.
     """
 
-    #: The family's control-traffic constants; subclasses override.
-    dataplane: Dataplane = DATA_ONLY_DATAPLANE
+    #: Ethertypes that carry the family's control frames (none for a
+    #: family without a control protocol, like the learning switch).
+    control_ethertypes: FrozenSet[int] = frozenset()
+    #: The payload type a control frame must carry, or None for any.
+    #: A frame with a control ethertype but a foreign payload falls
+    #: through to the data path, exactly like unknown traffic.
+    control_payload: Optional[Type] = None
 
     def __init__(self, sim: Simulator, name: str, mac: MAC):
         super().__init__(sim, name)
@@ -112,8 +90,8 @@ class Bridge(Node):
         # The family's classification constants, cached per instance:
         # handle_frame reads them once per frame per hop, and an
         # instance slot read beats a class-attribute walk.
-        self._control_ethertypes = self.dataplane.control_ethertypes
-        self._control_payload = self.dataplane.control_payload
+        self._control_ethertypes = self.control_ethertypes
+        self._control_payload = self.control_payload
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -296,21 +274,28 @@ class BridgeFamily:
     #: runs it once after the wiring is complete (the controller family
     #: wires its out-of-band control plane there).
     factory: Callable[..., Callable]
+    #: The bridge class the factory builds; its ``control_ethertypes``
+    #: are the family's.
+    bridge: Type[Bridge]
     #: Warmup budget (simulated seconds) before measurement traffic.
     warmup: float
     #: Does the family keep a loopy fabric broadcast-storm free?
     loop_safe: bool = True
     #: Canonical display position (choices tuples, schema listings).
     order: int = 100
-    #: Ethertypes of the family's control frames — the union over
-    #: registered families is what experiments count as control load.
-    control_ethertypes: Tuple[int, ...] = ()
     #: The factory's configuration knobs (serve API sub-schema).
     options: Tuple[FamilyOption, ...] = ()
     #: Optional timer-scaling hook: ``scaled(factor) -> (display_name,
     #: BridgeFactory, warmup)``. Only meaningful for timer-driven
     #: families (STP's ``stp_scale`` axis).
     scaled: Optional[Callable[[float], Tuple[str, Callable, float]]] = None
+
+    @property
+    def control_ethertypes(self) -> Tuple[int, ...]:
+        """Ethertypes of the family's control frames, sorted — the
+        union over registered families is what experiments count as
+        control load."""
+        return tuple(sorted(self.bridge.control_ethertypes))
 
     def describe(self) -> Dict[str, Any]:
         """The family's serve-API sub-schema (JSON-safe)."""

@@ -19,7 +19,6 @@ Experiments and topologies need no controller-specific code.
 
 from __future__ import annotations
 
-from repro.frames.ethernet import ETHERTYPE_CONTROLLER
 from repro.frames.mac import MAC, mac_for_controller
 from repro.netsim.engine import Simulator
 from repro.switching.base import BridgeFamily, FamilyOption, register_family
@@ -85,10 +84,10 @@ register_family(BridgeFamily(
     title="Centralized SDN controller: global SPF over an out-of-band "
           "control channel",
     factory=_controller_factory,
+    bridge=ControllerBridge,
     warmup=CONTROLLER_WARMUP,
     loop_safe=True,
     order=50,
-    control_ethertypes=(ETHERTYPE_CONTROLLER,),
     options=(
         FamilyOption("rtt", "float", _DEFAULTS.rtt,
                      "bridge-controller round-trip time (seconds)"),

@@ -28,7 +28,7 @@ from repro.frames.mac import MAC, ZERO
 from repro.netsim.aging import AgingStore
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Port
-from repro.switching.base import Bridge, Dataplane
+from repro.switching.base import Bridge
 from repro.switching.controller.config import (ControllerConfig,
                                                DEFAULT_CONTROLLER_CONFIG)
 from repro.switching.controller.frames import (
@@ -40,11 +40,6 @@ from repro.switching.controller.frames import (
 #: Flow keys: destination MAC (destination-keyed mode) or a
 #: (src, dst) pair (ECMP mode).
 FlowKey = Union[MAC, Tuple[MAC, MAC]]
-
-#: The controller pipeline: one ethertype, typed payload required.
-CONTROLLER_DATAPLANE = Dataplane(
-    control_ethertypes=(ETHERTYPE_CONTROLLER,),
-    control_payload=ControllerControl)
 
 
 class FlowEntry:
@@ -89,7 +84,9 @@ class ControllerBridgeCounters:
 class ControllerBridge(Bridge):
     """A bridge whose forwarding state is managed by a central controller."""
 
-    dataplane = CONTROLLER_DATAPLANE
+    #: One control ethertype, typed payload required.
+    control_ethertypes = frozenset((ETHERTYPE_CONTROLLER,))
+    control_payload = ControllerControl
 
     def __init__(self, sim: Simulator, name: str, mac: MAC,
                  config: ControllerConfig = DEFAULT_CONTROLLER_CONFIG):

@@ -29,7 +29,6 @@ delay — repair latency = ``2 × rtt + install_latency``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 from zlib import crc32
@@ -44,6 +43,7 @@ from repro.switching.controller.frames import (
     OP_FLOW_EXPIRED, OP_HOST_REPORT, OP_LINK_REPORT, OP_PACKET_IN,
     OP_PORT_STATUS, OP_REMOVE_ACK, OP_SWITCH_ENTER, make_flood_rule,
     make_flow_install, make_flow_remove)
+from repro.switching.spf import Graph, shortest_path_tree
 
 FlowKey = Union[MAC, Tuple[MAC, MAC]]
 
@@ -427,24 +427,11 @@ class Controller(Node):
 
     # -- SPF ---------------------------------------------------------------
 
-    def _dijkstra(self, root: MAC) -> Dict[MAC, float]:
-        """Shortest distances from *root*, deterministic pop order."""
-        adj = self.adj
-        dist: Dict[MAC, float] = {root: 0.0}
-        heap: List[Tuple[float, int, MAC]] = [(0.0, root.value, root)]
-        done: Set[MAC] = set()
-        while heap:
-            d, _tie, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            for neighbor in sorted(adj[node], key=lambda m: m.value):
-                nd = d + adj[node][neighbor].weight
-                old = dist.get(neighbor)
-                if old is None or nd < old:
-                    dist[neighbor] = nd
-                    heapq.heappush(heap, (nd, neighbor.value, neighbor))
-        return dist
+    def _graph(self) -> Graph:
+        """The fabric as :func:`shortest_path_tree` reads it."""
+        return {node: [(neighbor, edges[neighbor].weight)
+                       for neighbor in sorted(edges, key=lambda m: m.value)]
+                for node, edges in self.adj.items()}
 
     def _path(self, a: MAC, b: MAC, src: MAC,
               dst: MAC) -> Optional[Tuple[MAC, ...]]:
@@ -459,11 +446,14 @@ class Controller(Node):
             return None
         if a == b:
             return (a,)
-        dist = self._dijkstra(a)
+        dist, parent = shortest_path_tree(a, self._graph())
         if b not in dist:
             return None
         if not self.config.ecmp:
-            return self._walk_back(a, b, dist)
+            path = [b]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
         paths = self._all_shortest(a, b, dist)
         if not paths:
             return None
@@ -479,18 +469,6 @@ class Controller(Node):
             if du is not None and du + self.adj[v][u].weight == dv:
                 out.append(u)
         return out
-
-    def _walk_back(self, a: MAC, b: MAC,
-                   dist: Dict[MAC, float]) -> Optional[Tuple[MAC, ...]]:
-        path = [b]
-        node = b
-        while node != a:
-            preds = self._preds(node, dist)
-            if not preds:
-                return None
-            node = preds[0]
-            path.append(node)
-        return tuple(reversed(path))
 
     def _all_shortest(self, a: MAC, b: MAC,
                       dist: Dict[MAC, float]) -> List[Tuple[MAC, ...]]:
@@ -528,7 +506,7 @@ class Controller(Node):
         tree_ports: Dict[MAC, Set[int]] = {}
         if self.adj:
             root = min(self.adj, key=lambda m: m.value)
-            parent = self._spf_parents(root)
+            parent = shortest_path_tree(root, self._graph()).parent
             for child, par in parent.items():
                 if par is None:
                     continue
@@ -546,31 +524,6 @@ class Controller(Node):
                                                   self._flood_version,
                                                   ports)):
                 self.counters.flood_rules_sent += 1
-
-    def _spf_parents(self, root: MAC) -> Dict[MAC, Optional[MAC]]:
-        """SPF parent per node (lowest-MAC tie-broken, like SPB's ECT)."""
-        adj = self.adj
-        dist: Dict[MAC, float] = {root: 0.0}
-        parent: Dict[MAC, Optional[MAC]] = {root: None}
-        heap: List[Tuple[float, int, MAC]] = [(0.0, root.value, root)]
-        done: Set[MAC] = set()
-        while heap:
-            d, _tie, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            for neighbor in sorted(adj[node], key=lambda m: m.value):
-                nd = d + adj[node][neighbor].weight
-                old = dist.get(neighbor)
-                better = old is None or nd < old
-                same_but_lower = (old is not None and nd == old
-                                  and parent[neighbor] is not None
-                                  and node.value < parent[neighbor].value)
-                if better or same_but_lower:
-                    dist[neighbor] = nd
-                    parent[neighbor] = node
-                    heapq.heappush(heap, (nd, neighbor.value, neighbor))
-        return parent
 
     def __repr__(self) -> str:
         return (f"<Controller {self.name} switches={len(self._port_of)} "

@@ -14,6 +14,7 @@ controller star links.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.frames.mac import MAC, ZERO
@@ -62,8 +63,9 @@ FLAG_EDGE_PORT = 0x08     # PORT_STATUS: the port had no LLDP neighbor
 FIXED_WIRE_SIZE = 35
 
 
+@dataclass(frozen=True, slots=True)
 class ControllerControl:
-    """One controller-channel message (immutable ``__slots__`` type).
+    """One controller-channel message (a frozen value type).
 
     ``origin``
         The node that generated the message (bridge or controller MAC).
@@ -79,45 +81,22 @@ class ControllerControl:
         A timestamp riding the message: LLDP send time (latency
         measurement), failure-detection time on repair installs.
     ``ports``
-        Variable port-index list: the flood-tree ports of a FLOOD_RULE.
+        Variable port-index tuple: the flood-tree ports of a FLOOD_RULE.
     """
 
-    __slots__ = ("op", "origin", "src", "dst", "port", "seq", "time",
-                 "flags", "ports")
+    op: int
+    origin: MAC
+    src: MAC = ZERO
+    dst: MAC = ZERO
+    port: int = NO_PORT
+    seq: int = 0
+    time: float = 0.0
+    flags: int = 0
+    ports: Tuple[int, ...] = ()
 
-    def __init__(self, op: int, origin: MAC, src: MAC = ZERO,
-                 dst: MAC = ZERO, port: int = NO_PORT, seq: int = 0,
-                 time: float = 0.0, flags: int = 0,
-                 ports: Tuple[int, ...] = ()):
-        if op not in _OP_NAMES:
-            raise ValueError(f"unknown controller op {op}")
-        set_field = object.__setattr__
-        set_field(self, "op", op)
-        set_field(self, "origin", origin)
-        set_field(self, "src", src)
-        set_field(self, "dst", dst)
-        set_field(self, "port", port)
-        set_field(self, "seq", seq)
-        set_field(self, "time", time)
-        set_field(self, "flags", flags)
-        set_field(self, "ports", tuple(ports))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(
-            f"ControllerControl is immutable (tried to set {name!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ControllerControl):
-            return NotImplemented
-        return (self.op == other.op and self.origin == other.origin
-                and self.src == other.src and self.dst == other.dst
-                and self.port == other.port and self.seq == other.seq
-                and self.time == other.time and self.flags == other.flags
-                and self.ports == other.ports)
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.origin, self.src, self.dst, self.port,
-                     self.seq, self.time, self.flags, self.ports))
+    def __post_init__(self) -> None:
+        if self.op not in _OP_NAMES:
+            raise ValueError(f"unknown controller op {self.op}")
 
     @property
     def op_name(self) -> str:
@@ -126,12 +105,6 @@ class ControllerControl:
     @property
     def wire_size(self) -> int:
         return FIXED_WIRE_SIZE + 2 * len(self.ports)
-
-    def __repr__(self) -> str:
-        return (f"ControllerControl(op={self.op_name}, origin={self.origin}, "
-                f"src={self.src}, dst={self.dst}, port={self.port}, "
-                f"seq={self.seq}, time={self.time}, flags={self.flags:#x}, "
-                f"ports={self.ports})")
 
 
 # -- constructors ------------------------------------------------------------

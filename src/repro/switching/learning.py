@@ -67,6 +67,7 @@ register_family(BridgeFamily(
     name="learning",
     title="Plain 802.1 learning switch (no loop protection)",
     factory=_learning_factory,
+    bridge=LearningSwitch,
     warmup=1.0,
     loop_safe=False,
     order=40,

@@ -82,9 +82,6 @@ class ForwardingTable:
         self._entries.get(mac._value, now)  # reaps
         return None
 
-    def forget(self, mac: MAC) -> None:
-        self._entries.pop(mac._value)
-
     def flush(self) -> None:
         """Remove every entry."""
         self._entries.clear()

@@ -14,6 +14,7 @@ from typing import List, Optional
 from repro.core.config import ArpPathConfig
 from repro.frames.ipv4 import IPv4Address
 from repro.frames.mac import MAC
+from repro.metrics.convergence import Recovery
 from repro.netsim.engine import Simulator
 from repro.netsim.tracer import TraceRecord
 from repro.topology.builder import Network
@@ -55,6 +56,25 @@ def fast_config(**overrides) -> ArpPathConfig:
                 repair_retry_timeout=0.05)
     base.update(overrides)
     return ArpPathConfig(**base)
+
+
+def recovery_from_pings(results, fail_time: float) -> Optional[Recovery]:
+    """Measure the outage from a :class:`~repro.traffic.ping.PingSeries`
+    (sparse probes, for outages as long as STP's reconvergence).
+
+    Uses probe *send* times: recovery is when the first probe sent after
+    the failure got an answer. Lost probes between the failure and that
+    moment are counted.
+    """
+    answered_after = sorted(r.sent_at for r in results
+                            if not r.lost and r.sent_at >= fail_time)
+    if not answered_after:
+        return None
+    resumed = answered_after[0]
+    lost = sum(1 for r in results
+               if r.lost and fail_time <= r.sent_at < resumed)
+    return Recovery(fail_time=fail_time, resumed_at=resumed,
+                    outage=resumed - fail_time, packets_lost=lost)
 
 
 def graph_of(net: Network, fabric_only: bool = False):

@@ -6,15 +6,14 @@ how the demo reuses one physical setup for both ARP-Path and STP.
 
 The authoritative registry lives in :mod:`repro.switching.base`: each
 family package registers a :class:`~repro.switching.base.BridgeFamily`
-descriptor at import, and everything here — the named convenience
-builders, the ``PROTOCOLS`` mapping, :func:`factory_for` — is a thin
-view over it. Adding a family means registering a descriptor in its
-own package; no edit here is needed.
+descriptor at import, and the named convenience builders here are a
+thin view over it; :func:`repro.switching.base.family` looks a family
+up by name.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.config import ArpPathConfig, DEFAULT_CONFIG
 from repro.stp.bridge import StpTimers
@@ -56,46 +55,3 @@ def learning() -> BridgeFactory:
 def controller(**kwargs) -> BridgeFactory:
     """A factory producing centrally managed (SDN) bridges."""
     return base.family("controller").factory(**kwargs)
-
-
-class _ProtocolView(Dict[str, object]):
-    """``PROTOCOLS`` compatibility view over the family registry.
-
-    Looks and iterates like the old hand-written dict (name →
-    factory-builder) but always reflects the live registry.
-    """
-
-    def _refresh(self) -> None:
-        for fam in base.all_families():
-            dict.__setitem__(self, fam.name, fam.factory)
-
-    def __getitem__(self, name):  # type: ignore[override]
-        self._refresh()
-        return dict.__getitem__(self, name)
-
-    def __iter__(self):
-        self._refresh()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        self._refresh()
-        return dict.__len__(self)
-
-    def __contains__(self, name) -> bool:  # type: ignore[override]
-        self._refresh()
-        return dict.__contains__(self, name)
-
-
-#: Name → factory-builder registry used by experiments and benches.
-#: Derived from :func:`repro.switching.base.all_families`.
-PROTOCOLS = _ProtocolView()
-
-
-def factory_for(protocol: str, **kwargs) -> BridgeFactory:
-    """Look up a protocol family by name and build its factory."""
-    try:
-        fam = base.family(protocol)
-    except KeyError:
-        known = ", ".join(sorted(base.family_names()))
-        raise ValueError(f"unknown protocol {protocol!r} (known: {known})")
-    return fam.factory(**kwargs)

@@ -10,8 +10,8 @@ so a flow can terminate on an ordinary :class:`~repro.hosts.host.Host`
 or on one member of a flyweight :class:`~repro.hosts.population.
 HostPopulation` (``"H0P#42"``) interchangeably.
 
-Heavy-tailed workloads (:meth:`TrafficMatrix.zipf_pairs`,
-:meth:`TrafficMatrix.elephant_mice`) follow the determinism contract:
+Heavy-tailed workloads (:meth:`TrafficMatrix.elephant_mice`) follow
+the determinism contract:
 every random draw happens at *generation* time from a caller-seeded
 ``random.Random``, so the flow list — and therefore the simulation — is
 a pure function of (endpoint universe, count, seed), regardless of how
@@ -173,28 +173,6 @@ class TrafficMatrix:
             if dst != src:
                 return src, dst
 
-    def zipf_pairs(self, count: int, rng: random.Random,
-                   alpha: float = DEFAULT_ZIPF_ALPHA,
-                   endpoints: Optional[Sequence[str]] = None,
-                   **flow_kwargs) -> List[Flow]:
-        """*count* flows with Zipf(*alpha*)-popular sources.
-
-        Sources are rank-skewed over the endpoint universe (rank 1 =
-        first endpoint of the first name-sorted block), destinations
-        uniform; all draws come from the caller-seeded *rng* at
-        generation time, so the flow list is deterministic before the
-        simulation runs a single event.
-        """
-        universe = self._endpoint_universe(endpoints)
-        total = sum(size for _, size in universe)
-        if total < 2:
-            raise ValueError(f"need at least 2 endpoints, have {total}")
-        flows = []
-        for _ in range(count):
-            src, dst = self._draw_pair(rng, universe, total, alpha)
-            flows.append(self.add_flow(src, dst, **flow_kwargs))
-        return flows
-
     def elephant_mice(self, count: int, rng: random.Random,
                       alpha: float = DEFAULT_ZIPF_ALPHA,
                       endpoints: Optional[Sequence[str]] = None,
@@ -207,7 +185,11 @@ class TrafficMatrix:
         Each flow is an elephant (long, full-size packets) with
         probability *elephant_fraction*, otherwise a mouse — the
         classic datacenter mix where a few flows carry most bytes.
-        Deterministic for a given *rng* seed, like :meth:`zipf_pairs`.
+        Sources are rank-skewed over the endpoint universe (rank 1 =
+        first endpoint of the first name-sorted block), destinations
+        uniform; all draws come from the caller-seeded *rng* at
+        generation time, so the flow list is deterministic before the
+        simulation runs a single event.
         """
         universe = self._endpoint_universe(endpoints)
         total = sum(size for _, size in universe)

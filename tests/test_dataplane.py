@@ -1,4 +1,4 @@
-"""Tests for the shared Dataplane pipeline (switching/base.py).
+"""Tests for the shared dataplane pipeline (switching/base.py).
 
 Every bridge family must route identical inputs through the same
 classification hooks — classification lives in one place, protocol

@@ -1,6 +1,7 @@
 """The dead-name ratchet (``.github/scripts/deadnames.py``) on a tiny
 tree: a name that ``tests/`` names and a package ``__init__.py`` only
-re-exports is dead; a call from another module gives it a caller."""
+re-exports is dead, and so is one that only a docstring or a comment
+mentions; a call from another module gives it a caller."""
 
 import shutil
 import subprocess
@@ -44,3 +45,13 @@ def test_a_library_call_is_a_caller(tmp_path):
     run = ratchet(root)
     assert run.returncode == 0, run.stdout
     assert "0 names only tests call; 0 allowlisted" in run.stdout
+
+
+def test_a_docstring_or_comment_mention_is_not_a_caller(tmp_path):
+    root = tree(tmp_path)
+    (root / "src" / "pkg" / "other.py").write_text(
+        '"""Built on helper."""\n\n\ndef twice():\n'
+        '    """Two helper calls\'s worth."""\n    return 2  # was 2 * helper()\n')
+    run = ratchet(root)
+    assert run.returncode == 1, run.stdout
+    assert "dead name helper (src/pkg/core.py:1)" in run.stdout

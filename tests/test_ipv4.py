@@ -123,22 +123,6 @@ class TestPacket:
                             proto=PROTO_ICMP, payload=b"")
         assert packet.ttl == DEFAULT_TTL
 
-    def test_decrement(self):
-        packet = IPv4Packet(src=ip_for_host(0), dst=ip_for_host(1),
-                            proto=PROTO_ICMP, payload=b"", ttl=2)
-        assert packet.decremented().ttl == 1
-
-    def test_decrement_exhausted(self):
-        packet = IPv4Packet(src=ip_for_host(0), dst=ip_for_host(1),
-                            proto=PROTO_ICMP, payload=b"", ttl=0)
-        with pytest.raises(ValueError):
-            packet.decremented()
-
-    def test_decrement_is_a_copy(self):
-        packet = IPv4Packet(src=ip_for_host(0), dst=ip_for_host(1),
-                            proto=PROTO_ICMP, payload=b"", ttl=5)
-        assert packet.decremented() is not packet
-        assert packet.ttl == 5
 
 
 class TestPayloadSize:

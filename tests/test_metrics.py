@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.convergence import (recoveries_for_failures,
-                                       recovery_from_arrivals,
-                                       recovery_from_pings)
+                                       recovery_from_arrivals)
 from repro.experiments.common import build_and_warm, spec
 from repro.metrics.paths import (PathObserver, min_latency_path,
                                  path_latency, stretch)
@@ -17,7 +16,7 @@ from repro.metrics.stats import (coefficient_of_variation, mean, percentile,
                                  stdev, summarize)
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
-from repro.testing import graph_of
+from repro.testing import graph_of, recovery_from_pings
 from repro.topology import (arppath, controller, fat_tree, grid, line,
                             netfpga_demo, random_graph, ring)
 from repro.traffic.ping import PingResult

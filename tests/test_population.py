@@ -8,7 +8,7 @@ The two load-bearing claims this file pins:
   same counters for the same staggered workload on a 2-bridge line, so
   population experiments measure the protocols, not the flyweight.
 * **Generation-time determinism** — the heavy-tailed traffic
-  generators (``zipf_pairs``, ``elephant_mice``) are pure functions of
+  generator (``elephant_mice``) is a pure function of
   (universe, count, seed): the same seed yields the identical flow
   list, which is what lets sharded population runs stay byte-identical.
 """
@@ -270,10 +270,10 @@ class TestHeavyTailDeterminism:
 
     @QUICK
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_zipf_pairs_hit_population_endpoints(self, seed):
+    def test_elephant_mice_hit_population_endpoints(self, seed):
         import random
         matrix = TrafficMatrix(self._universe_net())
-        flows = matrix.zipf_pairs(count=20, rng=random.Random(seed))
+        flows = matrix.elephant_mice(count=20, rng=random.Random(seed))
         names = {f.src for f in flows} | {f.dst for f in flows}
         for name in names:
             assert name in ("H0", "H1") or name.startswith("P#")

@@ -78,12 +78,3 @@ class TestAnswering:
         proxy.answer(arp_proto.make_request(M0, IP0, IP1), now=0.0)
         assert proxy.counters.answered == 1
 
-
-class TestInvalidation:
-    def test_invalidate(self, proxy):
-        proxy.snoop(arp_proto.make_request(M0, IP0, IP1), now=0.0)
-        proxy.invalidate(IP0)
-        assert proxy.lookup(IP0, now=0.0) is None
-
-    def test_invalidate_unknown_is_noop(self, proxy):
-        proxy.invalidate(IP0)

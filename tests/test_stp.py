@@ -4,8 +4,7 @@ import pytest
 
 from repro.frames.mac import MAC, mac_for_bridge
 from repro.netsim.engine import Simulator
-from repro.stp.bpdu import (BridgeId, ConfigBpdu, PortId, PriorityVector,
-                            TcnBpdu)
+from repro.stp.bpdu import BridgeId, ConfigBpdu, PortId, TcnBpdu
 from repro.stp.bridge import PortRole, PortState, StpBridge, StpTimers
 from repro.topology import netfpga_demo, pair, ring, stp, stp_scaled
 from repro.topology.builder import Network
@@ -53,22 +52,17 @@ class TestIdentifiers:
         root_b = BridgeId(0x8000, mac_for_bridge(1))
         bridge = BridgeId(0x8000, mac_for_bridge(5))
         port = PortId(0x80, 0)
-        better_root = PriorityVector(root_a, 100, bridge, port)
-        worse_root = PriorityVector(root_b, 0, bridge, port)
-        assert better_root < worse_root
+        better_root = ConfigBpdu(root_a, 100, bridge, port)
+        worse_root = ConfigBpdu(root_b, 0, bridge, port)
+        assert better_root.key < worse_root.key
 
     def test_vector_cost_breaks_root_ties(self):
         root = BridgeId(0x8000, mac_for_bridge(0))
         bridge = BridgeId(0x8000, mac_for_bridge(5))
         port = PortId(0x80, 0)
-        cheap = PriorityVector(root, 4, bridge, port)
-        dear = PriorityVector(root, 8, bridge, port)
-        assert cheap < dear
-
-    def test_through_adds_cost(self):
-        root = BridgeId(0x8000, mac_for_bridge(0))
-        vector = PriorityVector(root, 4, root, PortId(0x80, 0))
-        assert vector.through(4).cost == 8
+        cheap = ConfigBpdu(root, 4, bridge, port)
+        dear = ConfigBpdu(root, 8, bridge, port)
+        assert cheap.key < dear.key
 
 
 class TestRootElection:
@@ -211,7 +205,7 @@ class TestFailover:
         net.sim.at(fail_at, net.link_between("B0", "B1").take_down)
         net.run(8.0)
         series.finalize()
-        from repro.metrics.convergence import recovery_from_pings
+        from repro.testing import recovery_from_pings
         recovery = recovery_from_pings(series.results, fail_at)
         assert recovery is not None
         # 2 x 1.5s forward delay, within a probe interval or two.
@@ -277,7 +271,7 @@ class TestBpduTypes:
         root = BridgeId(0x8000, mac_for_bridge(0))
         bpdu = ConfigBpdu(root=root, cost=4, bridge=root,
                           port=PortId(0x80, 1))
-        assert bpdu.vector.cost == 4
+        assert bpdu.key == (root.key, 4, root.key, PortId(0x80, 1).key)
 
     def test_tcn_wire_size(self):
         assert TcnBpdu(BridgeId(0x8000, mac_for_bridge(0))).wire_size == 4

@@ -87,12 +87,6 @@ class TestForwardingTable:
         fdb.learn(M1, port, now=0.0)
         assert set(fdb.macs_on(port)) == {M0, M1}
 
-    def test_forget(self):
-        fdb = ForwardingTable()
-        fdb.learn(M0, FakePort(0), now=0.0)
-        fdb.forget(M0)
-        assert M0 not in fdb
-
 
 @pytest.fixture
 def switch_lan(sim):

@@ -364,11 +364,6 @@ class ForwardingTableMachine(ClockedMachine):
         assert self.table.lookup(MAC(value), self.now) \
             is self.ref.lookup(value, self.now)
 
-    @rule(value=values)
-    def forget(self, value):
-        self.table.forget(MAC(value))
-        self.ref.fdb.pop(value, None)
-
     @rule(port=ports)
     def flush_port(self, port):
         flushed = self.table.flush_port(port)

@@ -7,11 +7,11 @@ from repro.netsim.engine import Simulator
 from repro.netsim.errors import AddressError, TopologyError
 from repro.spb.bridge import SpbBridge
 from repro.stp.bridge import StpBridge
+from repro.switching import base
 from repro.switching.learning import LearningSwitch
 from repro.testing import graph_of
-from repro.topology import (arppath, factory_for, fat_tree, grid, learning,
-                            line, netfpga_demo, pair, random_graph, ring, spb,
-                            stp)
+from repro.topology import (arppath, fat_tree, grid, learning, line,
+                            netfpga_demo, pair, random_graph, ring, spb, stp)
 from repro.topology.builder import Network
 
 
@@ -112,20 +112,21 @@ class TestBuilder:
 
 
 class TestFactories:
-    def test_factory_for_names(self, sim):
+    def test_family_factories_build_their_bridges(self, sim):
         for name, kind in [("arppath", ArpPathBridge), ("stp", StpBridge),
                            ("spb", SpbBridge),
                            ("learning", LearningSwitch)]:
-            factory = factory_for(name)
+            factory = base.family(name).factory()
             bridge = factory(sim, "X" + name,
                              __import__("repro.frames.mac",
                                         fromlist=["mac_for_bridge"]
                                         ).mac_for_bridge(200 + len(name)))
             assert isinstance(bridge, kind)
+            assert base.family(name).bridge is kind
 
-    def test_factory_for_unknown(self):
-        with pytest.raises(ValueError):
-            factory_for("token-ring")
+    def test_unknown_family_raises(self):
+        with pytest.raises(KeyError, match="token-ring"):
+            base.family("token-ring")
 
 
 class TestLibrary:
