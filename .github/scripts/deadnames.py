@@ -6,7 +6,8 @@ A public function, method or class defined in ``src/`` is dead when
 definitions and the header lines of same-named ones. A package
 ``__init__.py``'s import statements and its ``__all__`` assignment are
 not uses either: a re-export gives a name no caller. Nor is prose: in a
-``.py`` file, comments and docstrings are blanked before the search. Every dead name
+``.py`` file, comments and docstrings are blanked before the search, as
+are comments in a YAML file, and Markdown is not read. Every dead name
 must be in ``deadnames.txt`` beside this script, with a reason; an
 entry that is no longer dead fails too, so the list only shrinks.
 Names reached only through ``getattr`` or HTTP dispatch look dead too
@@ -49,10 +50,15 @@ for path in sorted(p for root in ROOTS for p in Path(root).rglob("__init__.py"))
 
 def lines_of(path, prose):
     """The lines of *path*; unless *prose*, a .py file's comments and
-    docstrings are blanked."""
+    docstrings and a YAML file's comments are blanked, and a Markdown
+    file has none."""
     lines = path.read_text(errors="ignore").splitlines()
-    if prose or path.suffix != ".py":
+    if prose or path.suffix not in (".py", ".md", ".yml", ".yaml"):
         return lines
+    if path.suffix == ".md":
+        return []
+    if path.suffix != ".py":
+        return [re.sub(r"(^|\s)#.*", "", line) for line in lines]
     source = "\n".join(lines) + "\n"
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type == tokenize.COMMENT:

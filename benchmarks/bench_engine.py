@@ -6,8 +6,6 @@ multi-round timing (the numbers are wall-clock performance, not
 simulated results).
 """
 
-from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
-from repro.frames.mac import mac_for_host
 from repro.netsim.engine import Simulator
 from repro.topology import arppath, grid, netfpga_demo
 

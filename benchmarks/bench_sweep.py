@@ -17,7 +17,7 @@ the honest ceiling there).
 import multiprocessing
 import time
 
-from repro.experiments import registry, runner
+from repro.experiments import runner
 
 #: The acceptance grid: the stretch scenario at its default parameters,
 #: one cell per seed.

@@ -16,7 +16,7 @@ each register reads its last record's count, or was zeroed since by
 left in flight are its ``pending``'s (``sent == delivered + in-flight
 drops + len(pending)``); ``in-flight`` — ``pending`` is exactly the
 direction's unfired heap entries in ``(time, seq)`` order;
-``pending-count`` — the engine's pending counter is its heap's; ``aging``
+``pending-count`` — the engine's pending count is its heap's; ``aging``
 — every :class:`AgingStore` seen with a bucket timer keeps the bucket
 invariant of :mod:`repro.netsim.aging`, and a key filed since the
 previous audit was filed from a deadline it held (owners only refresh
@@ -114,9 +114,9 @@ class Checker:
         """Run the between-events checks now."""
         sim, now = self.sim, self.sim._now
         live = sorted(entry for entry in sim._queue if not entry[3].cancelled)
-        if len(live) != sim._pending:
+        if len(live) != sim.pending_events:
             self._fail("pending-count", f"{len(live)} unfired events, "
-                       f"{sim._pending} counted")
+                       f"{sim.pending_events} derived")
         deliveries: Dict[Any, list] = {}
         armed: Dict[AgingStore, Counter] = {}
         for _time, priority, _seq, event in live:
@@ -151,14 +151,23 @@ class Checker:
                            f"say {recorded}", direction=direction)
         if deliveries:
             self._fail("in-flight", "a delivery is in no pending")
+        slots = set().union(*armed.values())    # armed, in any store
         for store in self._stores:
-            self._audit_store(store, armed.get(store, {}), now)
+            self._audit_store(store, armed.get(store, {}), slots, now)
         self._audited_at = now
 
-    def _audit_store(self, store: AgingStore, armed: Counter, now: float):
+    def _audit_store(self, store: AgingStore, armed: Counter, slots: set,
+                     now: float):
         buckets, granule = store._buckets, RECLAIM_GRANULE
-        if armed.keys() != buckets.keys() or set(armed.values()) - {1}:
-            self._fail("aging", f"timers {armed} for buckets {list(buckets)}")
+        shared = store._waiting
+        waiting = [slot for slot, _, due in shared if due.__self__ is store]
+        if (armed.keys() | set(waiting) != buckets.keys()
+                or len(armed) + len(waiting) != len(buckets)
+                or set(armed.values()) - {1} or shared and not (
+                    shared.armed_to in slots
+                    and shared.armed_to < min(shared)[0])):
+            self._fail("aging", f"timers {armed} and waiting {waiting} for "
+                       f"buckets {list(buckets)}, armed to {shared.armed_to}")
         before, history = self._stores[store], {}
         for key, slot in store._orphans.items():
             if key in store.entries or key not in buckets.get(slot, ()):

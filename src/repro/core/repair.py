@@ -15,7 +15,7 @@ The bridge drives it (it owns the simulator clock and the ports).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.frames.ethernet import EthernetFrame

@@ -6,7 +6,7 @@ message or raw bytes) and is never encoded to bytes: a link needs only
 its :attr:`EthernetFrame.wire_size`.
 
 The frame invariant: a frame is never mutated once sent; the idempotent
-``_wire_size`` and ``_kind`` caches are the only exception. So flooded
+``_kind`` cache is the only exception. So flooded
 copies — which race through the network independently, the mechanism
 ARP-Path's path discovery exploits — are one shared object:
 :meth:`~repro.netsim.node.Port.send` hands the same frame to every
@@ -23,6 +23,13 @@ and :class:`~repro.frames.udp.UdpDatagram` stay hand-written
 frame caches a classification code (:data:`KIND_ARP_DISCOVERY` /
 :data:`KIND_MULTICAST` / :data:`KIND_UNICAST`) so the dataplane
 classifies each logical frame once, not once per hop.
+
+Wire size is fixed at construction, layer by layer: a payload that
+carries another (:class:`~repro.frames.ipv4.IPv4Packet`,
+:class:`~repro.frames.udp.UdpDatagram`) stores its ``wire_size`` as a
+plain attribute when it is built, reading its own payload's once, and
+so does the frame. A link reads one attribute per transmit, and a
+datagram is sized once however many hops it crosses.
 """
 
 from __future__ import annotations
@@ -83,12 +90,16 @@ class EthernetFrame:
         correlate the copies of one broadcast race and follow a frame
         hop by hop.
 
-    Hand-written, not a dataclass: the uid counter and the two caches
-    sit in one per-frame constructor.
+    ``wire_size``
+        Total on-wire size: header + payload + FCS, zero-padded to 64
+        bytes. Fixed here: a payload never changes once attached.
+
+    Hand-written, not a dataclass: the uid counter, the size and the
+    kind cache sit in one per-frame constructor.
     """
 
-    __slots__ = ("dst", "src", "ethertype", "payload", "uid",
-                 "_wire_size", "_kind")
+    __slots__ = ("dst", "src", "ethertype", "payload", "uid", "wire_size",
+                 "_kind")
 
     def __init__(self, dst: MAC, src: MAC, ethertype: int,
                  payload: Any = b"", uid: Optional[int] = None):
@@ -97,20 +108,12 @@ class EthernetFrame:
         self.ethertype = ethertype
         self.payload = payload
         self.uid = next(_uid_counter) if uid is None else uid
-        #: Cached on-wire size; payloads are immutable once attached, so
-        #: the size is computed once.
-        self._wire_size: Optional[int] = None
+        try:
+            size = payload.wire_size + ETH_HEADER_LEN + ETH_FCS_LEN
+        except AttributeError:
+            size = payload_size(payload) + ETH_HEADER_LEN + ETH_FCS_LEN
+        self.wire_size = size if size > ETH_MIN_FRAME else ETH_MIN_FRAME
         self._kind: Optional[int] = None
-
-    @property
-    def wire_size(self) -> int:
-        """Total on-wire size: header + payload + FCS, zero-padded to 64."""
-        size = self._wire_size
-        if size is None:
-            size = max(ETH_HEADER_LEN + payload_size(self.payload)
-                       + ETH_FCS_LEN, ETH_MIN_FRAME)
-            self._wire_size = size
-        return size
 
     def kind(self) -> int:
         """This frame's interned classification code.

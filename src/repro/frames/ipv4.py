@@ -7,7 +7,7 @@ intentionally out of scope (the simulator never corrupts frames).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 _MAX = (1 << 32) - 1
@@ -115,13 +115,16 @@ def ip_for_host(index: int, network: str = "10.0.0.0") -> IPv4Address:
     return IPv4Address(base + index + 1)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class IPv4Packet:
     """A simulated IPv4 packet carrying a payload object.
 
     The payload is any object exposing ``wire_size`` (e.g.
     :class:`repro.frames.udp.UdpDatagram`) or raw ``bytes``. No
-    ``__dict__``: one is allocated per data frame.
+    ``__dict__``: one is allocated per data frame. ``wire_size``,
+    header plus payload bytes, is fixed at construction (the payload
+    is never replaced), by a written-out ``__init__``: the generated
+    one would need a ``__post_init__`` call per packet for it.
     """
 
     src: IPv4Address
@@ -130,11 +133,20 @@ class IPv4Packet:
     payload: Any
     ttl: int = DEFAULT_TTL
     ident: int = 0
+    wire_size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def wire_size(self) -> int:
-        """Header plus payload size in bytes."""
-        return IPV4_HEADER_LEN + payload_size(self.payload)
+    def __init__(self, src: IPv4Address, dst: IPv4Address, proto: int,
+                 payload: Any, ttl: int = DEFAULT_TTL, ident: int = 0):
+        self.src = src
+        self.dst = dst
+        self.proto = proto
+        self.payload = payload
+        self.ttl = ttl
+        self.ident = ident
+        try:
+            self.wire_size = IPV4_HEADER_LEN + payload.wire_size
+        except AttributeError:
+            self.wire_size = IPV4_HEADER_LEN + payload_size(payload)
 
 
 def payload_size(payload: Any) -> int:

@@ -14,20 +14,26 @@ class UdpDatagram:
 
     The payload may be raw ``bytes`` or any object exposing
     ``wire_size`` (e.g. a :class:`repro.traffic.video.VideoChunk`).
-    A hand-written ``__slots__`` class, one per stream chunk: as a
-    dataclass its port check would cost a ``__post_init__`` call on
-    every packet.
+    ``wire_size``, header plus payload bytes, is fixed at
+    construction. A hand-written ``__slots__`` class, one per stream
+    chunk: as a dataclass its port check and its size would cost a
+    ``__post_init__`` call on every packet.
     """
 
-    __slots__ = ("sport", "dport", "payload")
+    __slots__ = ("sport", "dport", "payload", "wire_size")
 
     def __init__(self, sport: int, dport: int, payload: Any = b""):
-        for port in (sport, dport):
-            if not 0 <= port <= 0xFFFF:
-                raise ValueError(f"UDP port out of range: {port}")
+        if not 0 <= sport <= 0xFFFF:
+            raise ValueError(f"UDP port out of range: {sport}")
+        if not 0 <= dport <= 0xFFFF:
+            raise ValueError(f"UDP port out of range: {dport}")
         self.sport = sport
         self.dport = dport
         self.payload = payload
+        try:
+            self.wire_size = UDP_HEADER_LEN + payload.wire_size
+        except AttributeError:
+            self.wire_size = UDP_HEADER_LEN + payload_size(payload)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UdpDatagram):
@@ -38,10 +44,6 @@ class UdpDatagram:
     def __repr__(self) -> str:
         return (f"UdpDatagram(sport={self.sport!r}, dport={self.dport!r}, "
                 f"payload={self.payload!r})")
-
-    @property
-    def wire_size(self) -> int:
-        return UDP_HEADER_LEN + payload_size(self.payload)
 
     def __str__(self) -> str:
         return f"UDP {self.sport}->{self.dport} ({self.wire_size}B)"

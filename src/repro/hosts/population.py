@@ -254,8 +254,8 @@ class HostPopulation(Node):
         """Send an IP packet from endpoint *index*, resolving if needed."""
         active = self._active.get(index) or self._activate(index)
         active.ip_ident = ident = (active.ip_ident + 1) & 0xFFFF
-        packet = IPv4Packet(src=active.ip, dst=dst_ip, proto=proto,
-                            payload=payload, ttl=ttl, ident=ident)
+        # Positional: keywords cost a dataclass constructor twice as much.
+        packet = IPv4Packet(active.ip, dst_ip, proto, payload, ttl, ident)
         # The binding is the later-written of the shared and the overlay
         # one, and only while it lives.
         key = dst_ip._value
@@ -272,8 +272,7 @@ class HostPopulation(Node):
     def send_udp(self, dst_ip: IPv4Address, sport: int, dport: int,
                  payload: Any, index: int = 0) -> None:
         """Send a UDP datagram from endpoint *index*."""
-        self.send_ip(dst_ip, PROTO_UDP,
-                     UdpDatagram(sport=sport, dport=dport, payload=payload),
+        self.send_ip(dst_ip, PROTO_UDP, UdpDatagram(sport, dport, payload),
                      DEFAULT_TTL, index)
 
     def bind_udp(self, port: int, handler: UdpHandler,
@@ -334,9 +333,8 @@ class HostPopulation(Node):
             self.sim.schedule(LOCAL_LATENCY, self._receive_ip, sibling,
                               packet)
             return
-        self.port.send(EthernetFrame(dst=dst_mac, src=active.mac,
-                                     ethertype=ETHERTYPE_IPV4,
-                                     payload=packet))
+        self.port.send(EthernetFrame(dst_mac, active.mac, ETHERTYPE_IPV4,
+                                     packet))
 
     # -- ARP resolution ------------------------------------------------------
 

@@ -25,6 +25,10 @@ Two mechanisms cooperate, with a strict division of labour:
   at most one granule past the deadline the key was filed at;
   ``on_reap`` side effects inherit that instant unless a lookup reaps
   first.
+* **Armed when near** — a bucket's timer takes its ``seq`` when made
+  but waits off the heap (:class:`_Waiting`) unless due within
+  :data:`ARM_HORIZON`, no later than the latest armed bucket or with
+  none armed; the latest armed one arms the next when it comes due.
 
 Entries are any objects with mutable ``expires`` and ``filed``
 attributes; owners refresh them **in place** (assign a later ``expires``)
@@ -33,8 +37,9 @@ instead of re-``put``-ting them, which is safe by the store invariant:
     with a simulator attached, every key in ``entries`` with a finite
     deadline is filed under one slot (filed on the entry; a lazily
     reaped key's filing held until its bucket is due); that slot's
-    bucket is pending, holds the key, and has exactly one armed engine
-    timer, at ``slot * RECLAIM_GRANULE`` — later than the filed deadline.
+    bucket is pending, holds the key, and has exactly one engine timer
+    (armed or waiting) at ``slot * RECLAIM_GRANULE`` — later than the
+    filed deadline.
 
 :meth:`put` files only a key not filed yet (a replacing entry inherits
 its filing), a due bucket re-files or deletes, and :meth:`pop` /
@@ -50,8 +55,11 @@ only to reap an entry it found expired.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Tuple, TYPE_CHECKING)
+
+from repro.netsim.engine import PRIORITY_LATE
 
 if TYPE_CHECKING:
     from repro.netsim.engine import Simulator
@@ -65,7 +73,17 @@ ReapHook = Callable[[Hashable, Any], None]
 #: deadline filed under ``slot``.
 RECLAIM_GRANULE = 0.25
 
+#: Buckets due within this many seconds are armed at once (module docs).
+ARM_HORIZON = 4.0
+
 _INF = float("inf")
+
+
+class _Waiting(list):
+    """A simulator's bucket timers off its heap: a heap of ``(slot, seq,
+    bucket_due)``, each due after ``armed_to``, the latest slot armed."""
+
+    armed_to = 0
 
 
 class AgingStore:
@@ -78,7 +96,8 @@ class AgingStore:
     simulated time passes.
     """
 
-    __slots__ = ("entries", "_orphans", "_buckets", "_sim", "_on_reap")
+    __slots__ = ("entries", "_orphans", "_buckets", "_waiting", "_sim",
+                 "_on_reap")
 
     def __init__(self, sim: Optional["Simulator"] = None,
                  on_reap: Optional[ReapHook] = None):
@@ -91,6 +110,10 @@ class AgingStore:
         #: slot → keys filed there; one armed engine timer per slot.
         #: May hold keys since popped or re-filed — skipped when due.
         self._buckets: Dict[int, List[Hashable]] = {}
+        if sim is not None and sim._aging is None:
+            sim._aging = _Waiting()
+        #: The simulator's far bucket timers, shared by its stores.
+        self._waiting = sim and sim._aging
         self._sim = sim
         self._on_reap = on_reap
 
@@ -173,14 +196,29 @@ class AgingStore:
         bucket = self._buckets.get(slot)
         if bucket is None:
             self._buckets[slot] = [key]
-            sim.schedule_timer(slot * RECLAIM_GRANULE - now,
-                               self._bucket_due, slot)
+            waiting = self._waiting
+            heappush(waiting, (slot, next(sim._seq), self._bucket_due))
+            if (slot <= waiting.armed_to
+                    or waiting.armed_to * RECLAIM_GRANULE <= now
+                    or slot * RECLAIM_GRANULE <= now + ARM_HORIZON):
+                self._arm_to(slot)
         else:
             bucket.append(key)
+
+    def _arm_to(self, slot: int) -> None:
+        """Arm every waiting bucket due no later than *slot*."""
+        waiting = self._waiting
+        while waiting and waiting[0][0] <= slot:
+            early, seq, due = heappop(waiting)
+            self._sim._push(early * RECLAIM_GRANULE, PRIORITY_LATE, seq, due,
+                            (early,))
+        waiting.armed_to = max(waiting.armed_to, slot)
 
     def _bucket_due(self, slot: int) -> None:
         entries = self.entries
         now = self._sim._now
+        if slot == self._waiting.armed_to and self._waiting:
+            self._arm_to(self._waiting[0][0])   # the next, before re-filing
         for key in self._buckets.pop(slot):
             entry = entries.get(key)
             if entry is None:   # reaped lazily, or popped

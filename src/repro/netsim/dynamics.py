@@ -17,9 +17,9 @@ An :class:`EventTimeline` is a deterministic, pre-computed schedule of
   same network are identical, and a timeline's effect depends only on
   the cell that built it — which is what keeps ``sweep --jobs N``
   byte-identical at any jobs level.
-* **Timer-driven.** :meth:`EventTimeline.arm` schedules every event on
-  the engine's heap up front (``sim.schedule_timer``, at
-  ``PRIORITY_LATE``), so a flap runs after the same-instant data plane.
+* **Timer-driven.** :meth:`EventTimeline.arm` arms every event at
+  ``PRIORITY_LATE`` (a flap runs after the same-instant data plane),
+  the next one on the heap: each firing pushes the one after it.
 * **Aging stays in the store.** Dispatch never sweeps or expires table
   entries; reclamation remains the :class:`~repro.netsim.aging
   .AgingStore`'s job (the shared-aging invariant). The only state wipes
@@ -40,6 +40,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
+from repro.netsim.engine import PRIORITY_LATE
 from repro.netsim.errors import SchedulingError, TopologyError
 
 if TYPE_CHECKING:
@@ -105,6 +106,8 @@ class EventTimeline:
         #: one link restore carrier once, when the last window ends.
         self._link_depth: Dict[str, int] = {}
         self._armed = False
+        #: The armed script's ``(time, seq, event)`` not on the heap yet.
+        self._script = iter(())
 
     # -- scripting ---------------------------------------------------------
 
@@ -210,7 +213,7 @@ class EventTimeline:
     # -- execution ---------------------------------------------------------
 
     def arm(self) -> int:
-        """Schedule every scripted event as an engine timer.
+        """Arm every scripted event as an engine timer (module docs).
 
         Events keep global (time, priority, seq) order — within one
         instant they fire in scripting order. Returns the number armed.
@@ -220,12 +223,21 @@ class EventTimeline:
         self._armed = True
         sim = self.net.sim
         now = sim.now
+        script = []
         for event in sorted(self.events, key=lambda e: e.time):
             if event.time < now:
                 raise SchedulingError(
                     f"event at {event.time} is in the past (now {now})")
-            sim.schedule_timer(event.time - now, self._fire, event)
-        return len(self.events)
+            # The instant and seq that scheduling it now would give it.
+            script.append((now + (event.time - now), next(sim._seq), event))
+        self._script = iter(script)
+        self._arm_next()
+        return len(script)
+
+    def _arm_next(self) -> None:
+        for time, seq, event in self._script:   # the next one only
+            self.net.sim._push(time, PRIORITY_LATE, seq, self._fire, (event,))
+            return
 
     def _crashed_owner(self, link_name: str) -> Optional[str]:
         """The crashed bridge a link touches, if any."""
@@ -238,6 +250,7 @@ class EventTimeline:
         return None
 
     def _fire(self, event: ChurnEvent) -> None:
+        self._arm_next()
         kind = event.kind
         net = self.net
         if kind == LINK_DOWN:

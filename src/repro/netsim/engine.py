@@ -9,10 +9,18 @@ heap events at :data:`PRIORITY_LATE`, scheduled through
 :meth:`Simulator.schedule_timer`; none of them is cancelled early, so
 a separate cancellation-friendly structure would buy nothing.
 
-The engine also keeps an O(1) :attr:`Simulator.pending_events` counter
-(maintained incrementally on schedule/fire/cancel) and offers
+No counter is written per event. :attr:`Simulator.pending_events` is
+derived, O(1): the heap's length minus the cancelled entries still in
+it (counted by :meth:`Event.cancel`, uncounted when the loop pops one).
+:attr:`Simulator.events_processed` is counted in a local of the loop
+and written back when :meth:`Simulator._run` returns, so a callback
+that reads it sees the count before the current run. The engine offers
 :meth:`Simulator.schedule_bulk` for batched workload injection (one
 O(n) heapify instead of n heap pushes).
+
+Armed when near: a churn timeline or an aging store takes a far timer's
+``seq`` when it would schedule it and pushes it (:meth:`Simulator._push`)
+before it is due — the same firing order, a shallower heap.
 
 Heap entries are ``(time, priority, seq, event)`` tuples rather than
 bare :class:`Event` objects: heap sifts compare machine floats and ints
@@ -69,9 +77,9 @@ class Event:
             sim = self._sim
             if sim is not None:
                 # The simulator clears its reference once the event has
-                # fired, so a live reference means the event still counts
-                # as pending.
-                sim._pending -= 1
+                # fired, so a live reference means the entry is still on
+                # the heap and stops counting as pending.
+                sim._cancelled += 1
                 self._sim = None
 
     def __repr__(self) -> str:
@@ -143,7 +151,9 @@ class Simulator:
         self._queue: List[tuple] = []
         self._seq = itertools.count()
         self._now = 0.0
-        self._pending = 0
+        #: Cancelled entries still on the heap (see the module docs).
+        self._cancelled = 0
+        self._aging = None  # aging._Waiting, made by the first store
         self.rng = random.Random(seed)
         self.tracer = Tracer()
         self.events_processed = 0
@@ -174,7 +184,6 @@ class Simulator:
         event.cancelled = False
         event._sim = self
         heapq.heappush(self._queue, (time, priority, seq, event))
-        self._pending += 1
         return event
 
     def at(self, time: float, callback: Callable[..., Any], *args: Any,
@@ -183,10 +192,13 @@ class Simulator:
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule at {time} (now is {self._now})")
-        seq = next(self._seq)
+        return self._push(time, priority, next(self._seq), callback, args)
+
+    def _push(self, time: float, priority: int, seq: int,
+              callback: Callable[..., Any], args: tuple) -> Event:
+        """Put an event on the heap under a *seq* taken from :attr:`_seq`."""
         event = Event(time, priority, seq, callback, args, self)
         heapq.heappush(self._queue, (time, priority, seq, event))
-        self._pending += 1
         return event
 
     def schedule_timer(self, delay: float, callback: Callable[..., Any],
@@ -237,16 +249,9 @@ class Simulator:
         if events:
             self._queue.extend(entries)
             heapq.heapify(self._queue)
-            self._pending += len(events)
         return events
 
     # -- execution -----------------------------------------------------------
-
-    def step(self) -> bool:
-        """Run the next pending event. Returns False when none remain."""
-        before = self.events_processed
-        self.run(max_events=1)
-        return self.events_processed > before
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -289,40 +294,42 @@ class Simulator:
         it when *inclusive* — in (time, priority, seq) order, leaving
         the clock on the last one. False when *max_events* cut it short.
         """
-        # Hot loop: local bindings avoid repeated attribute lookups, and
-        # events fire without any per-event allocation.
+        # Hot loop: local bindings avoid repeated attribute lookups,
+        # events fire without any per-event allocation, and the only
+        # per-event writes are the clock and the event's own slot.
         queue = self._queue
         heappop = heapq.heappop
         fired = 0
-        while True:
-            if not queue:
-                return True
-            event = queue[0][3]
-            if event.cancelled:
+        try:
+            while queue:
+                event = queue[0][3]
+                if event.cancelled:
+                    heappop(queue)
+                    self._cancelled -= 1
+                    continue
+                time = event.time
+                if time >= limit and (time > limit or not inclusive):
+                    return True
+                if max_events is not None and fired >= max_events:
+                    return False
                 heappop(queue)
-                continue
-            time = event.time
-            if time >= limit and (time > limit or not inclusive):
-                return True
-            if max_events is not None and fired >= max_events:
-                return False
-            heappop(queue)
-            self._now = time
-            self.events_processed += 1
-            self._pending -= 1
-            event._sim = None
-            event.callback(*event.args)
-            fired += 1
+                self._now = time
+                event._sim = None
+                fired += 1
+                event.callback(*event.args)
+            return True
+        finally:
+            self.events_processed += fired
 
     @property
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events — O(1).
 
-        Maintained incrementally: schedule/at/schedule_bulk increment, firing and :meth:`Event.cancel`
-        decrement. :meth:`audit_pending_events` cross-checks the counter
-        against a full scan.
+        The heap's length minus the cancelled entries still on it (a
+        timer not armed yet is not pending). :meth:`audit_pending_events`
+        cross-checks it against a full scan.
         """
-        return self._pending
+        return len(self._queue) - self._cancelled
 
     def next_event_time(self) -> float:
         """Earliest timestamp anything could fire at — O(1), conservative.
@@ -337,12 +344,12 @@ class Simulator:
         return queue[0][0] if queue else _INF
 
     def audit_pending_events(self) -> int:
-        """O(n) debug scan of the heap; asserts it matches the
-        incremental counter and returns the count."""
+        """O(n) debug scan of the heap; asserts it matches
+        :attr:`pending_events` and returns the count."""
         scanned = sum(1 for entry in self._queue if not entry[3].cancelled)
-        assert scanned == self._pending, (
-            f"pending_events counter drifted: counted {scanned}, "
-            f"tracked {self._pending}")
+        assert scanned == self.pending_events, (
+            f"pending_events drifted: counted {scanned}, "
+            f"derived {self.pending_events}")
         return scanned
 
     def __repr__(self) -> str:

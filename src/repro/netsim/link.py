@@ -228,9 +228,7 @@ class Link:
         bytes bump, one ``busy_until`` update, one ``deliver_at`` (module
         docstring). Runs once per flooded copy per hop.
         """
-        size = frame._wire_size
-        if size is None:
-            size = frame.wire_size
+        size = frame.wire_size
         # Inlined _trace (plus the bytes register): a record is built
         # only for listeners.
         ethertype = frame.ethertype
@@ -249,10 +247,10 @@ class Link:
             # one engine event system-wide as the local path below.
             direction.export(now, deliver_at, frame)
             return
-        # Inlined Simulator.at (keep in sync with it): one Event filled
-        # by slot writes, one heap entry in the engine's documented
-        # (time, priority, seq, event) tuple shape. Calling it would put
-        # the hop over tests/test_hotpath_cost.py's budget.
+        # Inlined Simulator._push (keep in sync with it): one Event
+        # filled by slot writes, one heap entry in the engine's
+        # documented (time, priority, seq, event) tuple shape. Calling
+        # it would put the hop over tests/test_hotpath_cost.py's budget.
         sim = self.sim
         seq = next(sim._seq)
         event = Event.__new__(Event)
@@ -264,7 +262,6 @@ class Link:
         event.cancelled = False
         event._sim = sim
         heappush(sim._queue, (deliver_at, PRIORITY_NORMAL, seq, event))
-        sim._pending += 1
         direction.pending.append(event)
 
     def _drain(self, direction: _Direction) -> None:
@@ -393,12 +390,9 @@ class Link:
         # The one record-building call, shared by _start_tx, _deliver
         # and _trace. MAC objects and the direction are passed through:
         # the record renders them lazily.
-        size = frame._wire_size
-        if size is None:
-            size = frame.wire_size
         self.sim.tracer.record(kind, self.sim._now, self.name, frame.uid,
-                               frame.ethertype, size, frame.src, frame.dst,
-                               direction)
+                               frame.ethertype, frame.wire_size, frame.src,
+                               frame.dst, direction)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

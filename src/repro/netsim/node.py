@@ -16,7 +16,6 @@ from typing import List, Optional, TYPE_CHECKING
 
 from repro.frames.ethernet import EthernetFrame
 from repro.netsim.engine import Simulator
-from repro.netsim.errors import TopologyError
 
 if TYPE_CHECKING:
     from repro.netsim.link import Link

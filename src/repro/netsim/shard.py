@@ -29,9 +29,8 @@ shard count. The pieces that make that hold:
 * **Hand-over by reference** — the receiver schedules the very frame
   object the sender transmitted. That is sound for the reason sharing
   one object across a flood is (:mod:`repro.frames.ethernet`): a frame
-  is never mutated once sent, and the only writes, the idempotent
-  ``_wire_size`` / ``_kind`` caches, store the same value whichever
-  engine makes them. So the receiver sees the uid and application
+  is never mutated once sent, and the only write, the idempotent
+  ``_kind`` cache, stores the same value whichever engine makes it. So the receiver sees the uid and application
   payload the single engine would (``tests/test_shard.py::TestHandOver``).
 * **Deterministic boundary ordering** — staged remote frames are
   released in ``(deliver_time, src_shard, src_seq)`` order, so

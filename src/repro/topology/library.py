@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
-from repro.netsim.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
+from repro.netsim.link import DEFAULT_BANDWIDTH
 from repro.topology.builder import BridgeFactory, Network
 
 #: Default fast-link latency (10 µs, a short gigabit cable).

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.topology.builder import Network
-from repro.traffic.ping import PingSeries
 
 DEFAULT_FLOW_PORT_BASE = 20000
 
@@ -72,16 +71,28 @@ class Flow:
     latencies: List[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class _Stamp:
-    """Payload carrying the send timestamp for latency measurement."""
+    """Payload carrying the send timestamp for latency measurement.
+
+    One per packet sent: the ``__init__`` writes the slots directly
+    (as :class:`~repro.traffic.video.VideoChunk`'s does).
+    """
 
     sent_at: float
     size: int
 
+    def __init__(self, sent_at: float, size: int):
+        _set_sent_at(self, sent_at)
+        _set_size(self, size)
+
     @property
     def wire_size(self) -> int:
         return self.size
+
+
+_set_sent_at = _Stamp.sent_at.__set__
+_set_size = _Stamp.size.__set__
 
 
 class TrafficMatrix:
@@ -249,7 +260,7 @@ class TrafficMatrix:
         def send_one() -> None:
             if flow.sent >= flow.packets:
                 return
-            stamp = _Stamp(sent_at=self.net.sim.now, size=flow.size)
+            stamp = _Stamp(self.net.sim._now, flow.size)
             src.send_udp(dst_ip, flow.port, flow.port, stamp)
             flow.sent += 1
             if flow.sent < flow.packets:

@@ -7,7 +7,7 @@ between two hosts and collects per-probe RTTs and losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.frames.ipv4 import IPv4Address

@@ -25,23 +25,38 @@ DEFAULT_PORT = 9000
 DEFAULT_STALL_THRESHOLD = DEFAULT_GAP_THRESHOLD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VideoChunk:
-    """One video frame's worth of payload."""
+    """One video frame's worth of payload.
+
+    The ``__init__`` is written out, one per chunk sent: it checks its
+    arguments and writes the slots directly, where the generated one
+    calls ``object.__setattr__`` per field and then ``__post_init__``
+    for the checks, at twice the cost.
+    """
 
     seq: int
     sent_at: float
     size: int = DEFAULT_CHUNK_SIZE
 
-    def __post_init__(self):
-        if self.seq < 0:
+    def __init__(self, seq: int, sent_at: float,
+                 size: int = DEFAULT_CHUNK_SIZE):
+        if seq < 0:
             raise ValueError("chunk seq must be non-negative")
-        if self.size <= 0:
+        if size <= 0:
             raise ValueError("chunk size must be positive")
+        _set_seq(self, seq)
+        _set_sent_at(self, sent_at)
+        _set_size(self, size)
 
     @property
     def wire_size(self) -> int:
         return self.size
+
+
+_set_seq = VideoChunk.seq.__set__
+_set_sent_at = VideoChunk.sent_at.__set__
+_set_size = VideoChunk.size.__set__
 
 
 @dataclass
@@ -87,8 +102,7 @@ class VideoSource:
             self._timer = None
 
     def _send_chunk(self) -> None:
-        chunk = VideoChunk(seq=self.sent, sent_at=self.host.sim.now,
-                           size=self.chunk_size)
+        chunk = VideoChunk(self.sent, self.host.sim._now, self.chunk_size)
         self.sent += 1
         self.host.send_udp(self.dst_ip, self.port, self.port, chunk)
 
@@ -121,17 +135,17 @@ class VideoSink:
                   packet: IPv4Packet) -> None:
         if not isinstance(payload, VideoChunk):
             return
-        now = self.host.sim.now
-        if payload.seq in self._seen:
+        now, seq = self.host.sim._now, payload.seq
+        if seq in self._seen:
             self.duplicates += 1
             return
-        self._seen.add(payload.seq)
-        if self._highest_seq is not None and payload.seq < self._highest_seq:
+        self._seen.add(seq)
+        if self._highest_seq is not None and seq < self._highest_seq:
             self.reordered += 1
-        self._highest_seq = max(self._highest_seq or 0, payload.seq)
+        self._highest_seq = max(self._highest_seq or 0, seq)
         self.arrivals.append(now)
         self.latencies.append(now - payload.sent_at)
-        self.seqs.append(payload.seq)
+        self.seqs.append(seq)
 
     # -- analysis ----------------------------------------------------------
 

@@ -1,8 +1,12 @@
 """Tests for the shared AgingStore (bucketed table aging)."""
 
+import gc
+import weakref
 from dataclasses import dataclass
 
-from repro.netsim.aging import RECLAIM_GRANULE, AgingStore
+import pytest
+
+from repro.netsim.aging import ARM_HORIZON, RECLAIM_GRANULE, AgingStore
 from repro.netsim.engine import Simulator
 
 
@@ -201,6 +205,28 @@ class TestWheelBacked:
         store.put("served?", Entry("v", expires=1.0))
         assert store.get("served?", sim.now) is None    # reaped on lookup
         assert len(store) == 0
+
+    @pytest.mark.unchecked      # a checker would keep the simulator alive
+    def test_far_buckets_wait_off_the_heap_and_keep_nothing_alive(self):
+        """A bucket due beyond the horizon waits until the latest armed
+        one comes due; what waits is the simulator's, so a dropped
+        simulator is collected with its stores."""
+        sim = Simulator(seed=0)
+        store = AgingStore(sim)
+        store.put("near", Entry("v", expires=1.0))          # armed: 1.25
+        store.put("far", Entry("v", expires=ARM_HORIZON + 2.0))
+        assert sim.audit_pending_events() == 1
+        sim.run(until=1.25)
+        assert sim.audit_pending_events() == 1 and "far" in store
+        sim.run()
+        assert len(store) == 0 and sim.events_processed == 2
+        store.put("near", Entry("v", expires=sim.now + 1.0))
+        store.put("far", Entry("v", expires=sim.now + 60.0))
+        assert sim.audit_pending_events() == 1      # "far" waits
+        alive = weakref.ref(sim)
+        del sim, store
+        gc.collect()
+        assert alive() is None
 
     def test_never_expiring_entry_is_stored_and_filed_nowhere(self):
         sim = Simulator(seed=0)

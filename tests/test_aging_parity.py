@@ -10,12 +10,13 @@ same reap-hook calls at the same instants, have the same bucket timers
 pending and have processed the same number of engine events.
 """
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from aging_reference import ReferenceAgingStore
-from repro.netsim.aging import AgingStore
+from repro import check
+from repro.netsim.aging import ARM_HORIZON, AgingStore
 from repro.netsim.engine import Simulator
 
 keys = st.sampled_from(range(3))
@@ -166,3 +167,57 @@ def test_a_lazily_reaped_key_keeps_its_filing():
     machine.same_entries_reaps_timers_and_events()
     machine.run_for(10.0)
     machine.same_entries_reaps_timers_and_events()
+
+
+#: Deadlines around and far past the arm-when-near horizon, where the
+#: live store's bucket timers wait off the heap and the reference's do
+#: not.
+far_offsets = st.sampled_from([-0.1, 0.3, 1.0, ARM_HORIZON - 0.1,
+                               ARM_HORIZON, ARM_HORIZON + 0.1, 6.0, 30.0,
+                               float("inf")])
+far_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 2), keys, far_offsets),
+    st.tuples(st.just("refresh"), st.integers(0, 2), keys, far_offsets),
+    st.tuples(st.just("pop"), st.integers(0, 2), keys),
+    st.tuples(st.just("run_for"),
+              st.sampled_from([0.05, 0.25, 1.0, 5.0, 40.0]))), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=far_ops)
+def test_far_buckets_reap_in_the_same_order_as_armed_at_once(ops):
+    """Three stores share a simulator, as a fabric's tables do; the
+    reference arms every bucket timer at once. Same-instant buckets of
+    different stores must come due in the same order — the reap log is
+    compared as a sequence — after the same number of engine events,
+    with the live side's bucket invariant audited after every step."""
+    sides = []
+    for store_class in (AgingStore, ReferenceAgingStore):
+        sim, log = Simulator(seed=0), []
+        stores = [store_class(sim, on_reap=lambda key, entry, i=i, log=log,
+                              sim=sim: log.append((i, key, entry.tag,
+                                                   sim.now)))
+                  for i in range(3)]
+        sides.append((sim, stores, log))
+    checker = check.attach(sides[0][0])
+    for tag, op in enumerate(ops):
+        for sim, stores, _log in sides:
+            if op[0] == "put":
+                stores[op[1]].put(op[2], Entry(tag, sim.now + op[3]))
+            elif op[0] == "refresh":
+                entry = stores[op[1]].entries.get(op[2])
+                if entry is not None:
+                    entry.expires = sim.now + op[3]
+            elif op[0] == "pop":
+                stores[op[1]].pop(op[2])
+            else:
+                sim.run_for(op[1])
+        checker.audit()
+        (live, _, live_log), (ref, _, ref_log) = sides
+        assert live_log == ref_log
+        assert live.events_processed == ref.events_processed
+    for sim, _stores, _log in sides:
+        sim.run()
+    checker.close()
+    assert sides[0][2] == sides[1][2]
+    assert sides[0][0].events_processed == sides[1][0].events_processed

@@ -159,12 +159,12 @@ class TestPendingQueue:
     def test_overflow_drops(self):
         sim, host = _host()
         for index in range(MAX_PENDING_PER_IP + 2):
-            host.send_udp(IP0, 1, 2, index)
+            host.send_udp(IP0, 1, 2, bytes([index]))
         assert host.dropped_pending == 2
         _hear(host, IP0, M0)
         assert [frame.payload.payload.payload
                 for frame in _ip_frames(host)] == \
-            list(range(MAX_PENDING_PER_IP))
+            [bytes([index]) for index in range(MAX_PENDING_PER_IP)]
 
     def test_abandon_counts_drops(self):
         sim, host = _host()

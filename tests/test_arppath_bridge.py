@@ -5,14 +5,11 @@ networks: locking, race filtering, path confirmation, loop-free
 broadcast, hellos and the ARP proxy.
 """
 
-import pytest
 
-from repro.core.bridge import ArpPathBridge
 from repro.core.table import EntryState
 from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_ARPPATH,
                                    ETHERTYPE_IPV4)
-from repro.netsim.engine import Simulator
-from repro.topology import arppath, line, netfpga_demo, pair, ring
+from repro.topology import arppath, line, pair, ring
 from repro.topology.builder import Network
 
 from repro.testing import fast_config, ping_once

@@ -5,15 +5,11 @@ cache-answered repairs, unroutable PathFail fallback, multicast (group)
 data, port role churn and proxy interplay with repair.
 """
 
-import pytest
 
-from repro.core.bridge import ArpPathBridge
-from repro.core.config import ArpPathConfig
 from repro.core.table import EntryState
 from repro.frames.ethernet import (ETHERTYPE_ARPPATH, ETHERTYPE_IPV4,
                                    EthernetFrame)
-from repro.frames.mac import MAC, mac_for_host
-from repro.netsim.engine import Simulator
+from repro.frames.mac import MAC
 from repro.topology import arppath, line, netfpga_demo, pair
 from repro.topology.builder import Network
 

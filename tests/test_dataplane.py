@@ -11,8 +11,7 @@ import pytest
 from repro.core.bridge import ArpPathBridge
 from repro.core.table import EntryState
 from repro.frames import arp as arp_proto
-from repro.frames.arp import ArpPacket
-from repro.frames.control import ArpPathControl, HELLO_MULTICAST
+from repro.frames.control import HELLO_MULTICAST
 from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_ARPPATH,
                                    ETHERTYPE_BPDU, ETHERTYPE_IPV4,
                                    ETHERTYPE_LSP, EthernetFrame,
@@ -20,13 +19,12 @@ from repro.frames.ethernet import (ETHERTYPE_ARP, ETHERTYPE_ARPPATH,
                                    STP_MULTICAST)
 from repro.frames import control as ctl_proto
 from repro.frames.ipv4 import IPv4Address
-from repro.frames.mac import BROADCAST, MAC, mac_for_bridge, mac_for_host
+from repro.frames.mac import BROADCAST, mac_for_bridge, mac_for_host
 from repro.netsim.engine import Simulator
 from repro.spb.bridge import SpbBridge
 from repro.spb.lsp import SPB_MULTICAST, SpbHello
 from repro.stp.bpdu import TcnBpdu
 from repro.stp.bridge import StpBridge
-from repro.switching.base import Bridge
 from repro.switching.learning import LearningSwitch
 from repro.topology import arppath, netfpga_demo
 

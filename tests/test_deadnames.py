@@ -55,3 +55,20 @@ def test_a_docstring_or_comment_mention_is_not_a_caller(tmp_path):
     run = ratchet(root)
     assert run.returncode == 1, run.stdout
     assert "dead name helper (src/pkg/core.py:1)" in run.stdout
+
+
+def test_a_markdown_or_yaml_comment_mention_is_not_a_caller(tmp_path):
+    root = tree(tmp_path)
+    (root / "src" / "pkg" / "README.md").write_text(
+        "Call `helper()` once per step.\n")
+    workflows = root / ".github" / "workflows"
+    workflows.mkdir()
+    (workflows / "ci.yml").write_text(
+        "steps:\n  # the helper step\n  - run: echo ok  # helper\n")
+    run = ratchet(root)
+    assert run.returncode == 1, run.stdout
+    assert "dead name helper (src/pkg/core.py:1)" in run.stdout
+
+    (workflows / "ci.yml").write_text("steps:\n  - run: helper\n")
+    run = ratchet(root)
+    assert run.returncode == 0, run.stdout

@@ -3,10 +3,9 @@ dynamics primitives (detach / migrate / crash / restart)."""
 
 import pytest
 
-from repro.netsim.dynamics import (BRIDGE_CRASH, BRIDGE_RESTART, ChurnEvent,
-                                   EventTimeline, HOST_MIGRATE, LINK_DOWN,
-                                   LINK_UP)
-from repro.netsim.engine import PRIORITY_LATE, Simulator
+from repro.netsim.dynamics import (BRIDGE_RESTART, ChurnEvent, EventTimeline,
+                                   HOST_MIGRATE, LINK_DOWN, LINK_UP)
+from repro.netsim.engine import PRIORITY_LATE
 from repro.netsim.errors import SchedulingError, TopologyError
 from repro.topology import arppath, learning, line, netfpga_demo, pair
 from repro.traffic.video import stream_between
@@ -121,14 +120,22 @@ class TestTimelineExecution:
             timeline.arm()
 
     def test_events_are_pending_late_timers(self, demo):
+        """One at a time: each firing puts the next on the heap."""
         timeline = EventTimeline(demo)
         timeline.add_flap("NF1-NF2", at=6.0, down_for=0.5)
         timeline.arm()
-        armed = sorted((time, priority)
-                       for time, priority, _, event in demo.sim._queue
-                       if event.callback == timeline._fire
-                       and not event.cancelled)
-        assert armed == [(6.0, PRIORITY_LATE), (6.5, PRIORITY_LATE)]
+
+        def armed():
+            return sorted((time, priority)
+                          for time, priority, _, event in demo.sim._queue
+                          if event.callback == timeline._fire
+                          and not event.cancelled)
+
+        assert armed() == [(6.0, PRIORITY_LATE)]
+        demo.sim.run(until=6.0)
+        assert armed() == [(6.5, PRIORITY_LATE)]
+        demo.sim.run(until=6.5)
+        assert armed() == []
 
     def test_traffic_flows_again_after_flap(self, demo):
         timeline = EventTimeline(demo)

@@ -118,8 +118,10 @@ class TestRunControl:
 
     def test_step(self, sim):
         sim.schedule(1.0, lambda: None)
-        assert sim.step() is True
-        assert sim.step() is False
+        sim.run(max_events=1)
+        assert (sim.now, sim.events_processed) == (1.0, 1)
+        sim.run(max_events=1)
+        assert (sim.now, sim.events_processed) == (1.0, 1)
 
     def test_events_processed_counter(self, sim):
         for _ in range(7):

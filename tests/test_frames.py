@@ -4,10 +4,9 @@ import pytest
 
 from repro.frames import arp as arp_proto
 from repro.frames import control as ctl_proto
-from repro.frames.arp import ARP_WIRE_SIZE, ArpPacket, OP_REPLY, OP_REQUEST
+from repro.frames.arp import ARP_WIRE_SIZE, ArpPacket, OP_REPLY
 from repro.frames.control import (ArpPathControl, CONTROL_WIRE_SIZE,
-                                  HELLO_MULTICAST, OP_HELLO, OP_PATH_FAIL,
-                                  OP_PATH_REPLY, OP_PATH_REQUEST)
+                                  HELLO_MULTICAST, OP_HELLO, OP_PATH_REQUEST)
 from repro.frames.ethernet import (ETH_MIN_FRAME, ETHERTYPE_ARP,
                                    ETHERTYPE_IPV4, EthernetFrame)
 from repro.frames.icmp import IcmpEcho, TYPE_ECHO_REPLY, make_echo_request

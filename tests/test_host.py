@@ -8,8 +8,6 @@ import pytest
 
 from repro.frames.ethernet import ETHERTYPE_ARP
 from repro.hosts.population import ARP_MAX_RETRIES
-from repro.netsim.engine import Simulator
-from repro.netsim.link import Link
 from repro.topology import learning
 from repro.topology.builder import Network
 

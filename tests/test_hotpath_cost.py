@@ -23,12 +23,19 @@ The fourth guard is on the baseline family: an 802.1D bridge recomputes
 on change, not on receipt (``stp.bridge`` docstring), so the hellos of a
 converged tree run no ``_recompute`` at all and a cut runs a bounded few.
 
-The last three guard the one end-host stack and SPB's attachment
-lookup, which compare addresses as integers (ARCHITECTURE §7, §9): a
-received broadcast ARP and a UDP packet cost a fixed handful of calls,
-for a ``Host`` and for a flyweight population endpoint alike, and
-finding a host's bridge costs no ``MAC.__eq__`` however many hosts the
-LSDB advertises.
+Three more guard the one end-host stack and SPB's attachment lookup,
+which compare addresses as integers (ARCHITECTURE §7, §9): a received
+broadcast ARP and a UDP packet cost a fixed handful of calls, for a
+``Host`` and for a flyweight population endpoint alike, and finding a
+host's bridge costs no ``MAC.__eq__`` however many hosts the LSDB
+advertises.
+
+The last three guard the engine's per-event floor (``netsim.engine``
+docstring): a churn timeline is armed when near, one heap entry
+however long its script; a data frame is sized once, at construction,
+with no call below the frame's own ``__init__``; and the engine writes
+no counter per event, yet ``pending_events`` and ``events_processed``
+stay exact under any interleaving of its calls.
 """
 
 import gc
@@ -36,19 +43,26 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.table import LockedAddressTable
-from repro.frames.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
-from repro.frames.mac import MAC
+from repro.frames.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
+from repro.frames.ipv4 import PROTO_UDP, IPv4Packet, ip_for_host
+from repro.frames.mac import MAC, mac_for_host
+from repro.frames.udp import UdpDatagram
 from repro.hosts.host import Host
 from repro.netsim.aging import RECLAIM_GRANULE
-from repro.netsim.engine import Event, Simulator
+from repro.netsim.dynamics import EventTimeline
+from repro.netsim.engine import (PRIORITY_EARLY, PRIORITY_LATE,
+                                 PRIORITY_NORMAL, Event, Simulator)
 from repro.netsim.tracer import DELIVERED
 from repro.stp import PortState
 from repro.topology import grid, line, ring
 from repro.topology.factories import arppath, spb, stp_scaled
 from repro.topology.library import populate_access_ports
 from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.video import VideoChunk
 
 #: Python calls per link delivery on the warm 8-bridge line. The parent
 #: of the one-probe change measured 28.7; the change itself 13.6.
@@ -379,3 +393,86 @@ def test_spb_finds_a_hosts_bridge_without_comparing_macs(hosts_per_bridge):
     calls, _ = _calls_under(MAC.__eq__.__code__, None, lookup_all)
     assert calls / len(remote) <= MAX_EQ_PER_ATTACHMENT, (
         f"{calls} MAC.__eq__ calls for {len(remote)} lookups")
+
+
+# -- the engine's per-event floor -------------------------------------------
+
+def test_arming_a_timeline_adds_one_heap_entry():
+    """The parent armed every scripted event at once: ~400 heap entries
+    for this script, each sifted past by every event until it fired."""
+    sim = Simulator(seed=1, keep_trace_records=False)
+    net = line(sim, arppath(), 4)
+    timeline = EventTimeline(net)
+    timeline.random_churn(1, start=1.0, duration=100.0, flap_rate=2.0)
+
+    def on_heap():
+        return sum(1 for entry in sim._queue
+                   if entry[3].callback == timeline._fire)
+
+    queued = len(sim._queue)
+    assert timeline.arm() >= 300
+    assert len(sim._queue) == queued + 1 and on_heap() == 1
+    net.run(50.0)
+    assert on_heap() == 1 and 0 < len(timeline.executed) < len(timeline)
+    net.run(60.0)
+    assert on_heap() == 0 and len(timeline.executed) == len(timeline)
+
+
+@pytest.mark.unchecked
+def test_sizing_a_udp_data_frame_calls_nothing_below_the_frame():
+    """The parent sized a frame through three ``wire_size`` properties
+    and three ``payload_size`` calls, once per frame, on its first
+    transmit; each layer now fixes its size when it is built."""
+    packet = IPv4Packet(ip_for_host(0), ip_for_host(1), PROTO_UDP,
+                        UdpDatagram(5000, 5001, VideoChunk(0, 0.0, 1400)))
+    dst, src, sizes = mac_for_host(1), mac_for_host(0), []
+    calls = _python_calls(lambda: sizes.append(
+        EthernetFrame(dst, src, ETHERTYPE_IPV4, packet).wire_size))
+    assert calls == 2                   # the lambda and EthernetFrame.__init__
+    assert sizes == [14 + 20 + 8 + 1400 + 4]
+
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.1, 0.25, 1.0]),
+              st.sampled_from([PRIORITY_EARLY, PRIORITY_NORMAL,
+                               PRIORITY_LATE]),
+              st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("run"), st.integers(0, 4)),
+    st.tuples(st.just("run_below"), st.sampled_from([0.0, 0.1, 0.3, 2.0]))),
+    max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_ops)
+def test_derived_counts_are_exact_under_any_interleaving(ops):
+    """No counter is written per event: ``pending_events`` is derived
+    from the heap, ``events_processed`` written back when a run returns.
+    Both must match a heap scan and the callbacks fired after every
+    call — callbacks that schedule and cancel included."""
+    sim = Simulator(seed=0)
+    events, fired = [], []
+
+    def callback(index, chain):
+        fired.append(index)
+        if chain:   # schedule one more and cancel an earlier event
+            events.append(sim.schedule(0.1, callback, len(events), False))
+            events[index // 2].cancel()
+
+    for op in ops:
+        if op[0] == "schedule":
+            _, delay, priority, chain = op
+            events.append(sim.schedule(delay, callback, len(events), chain,
+                                       priority=priority))
+        elif op[0] == "cancel" and events:
+            events[op[1] % len(events)].cancel()
+        elif op[0] == "run":
+            sim.run(max_events=op[1])
+        elif op[0] == "run_below":
+            sim.run_below(sim.now + op[1])
+        live = sum(1 for entry in sim._queue if not entry[3].cancelled)
+        assert sim.pending_events == live == sim.audit_pending_events()
+        assert sim.events_processed == len(fired)
+    sim.run()
+    assert sim.pending_events == 0 and sim._queue == []
+    assert sim.events_processed == len(fired) == len(set(fired))

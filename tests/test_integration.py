@@ -6,11 +6,9 @@ experiment modules run bigger versions of the same machinery.
 
 import pytest
 
-from repro.core.bridge import ArpPathBridge
 from repro.netsim.engine import Simulator
 from repro.topology import (arppath, fat_tree, grid, learning, line,
-                            netfpga_demo, random_graph, ring, spb, stp,
-                            stp_scaled)
+                            netfpga_demo, random_graph, ring, stp_scaled)
 from repro.traffic.ping import PingSeries
 from repro.traffic.video import stream_between
 

@@ -14,7 +14,7 @@ from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.netsim.link import Link
-from repro.netsim.node import Node, Port
+from repro.netsim.node import Node
 from repro.switching.base import Bridge
 from repro.testing import record_trace
 

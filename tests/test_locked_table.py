@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.table import EntryState, LockedAddressTable
-from repro.frames.mac import MAC, mac_for_host
+from repro.frames.mac import mac_for_host
 
 M0, M1, M2 = mac_for_host(0), mac_for_host(1), mac_for_host(2)
 

@@ -4,13 +4,8 @@ The PathFail → PathRequest → PathReply exchange, exercised inside real
 simulated networks with injected failures.
 """
 
-import pytest
 
-from repro.core.bridge import ArpPathBridge
-from repro.frames.ethernet import EthernetFrame, ETHERTYPE_IPV4
-from repro.netsim.engine import Simulator
-from repro.topology import arppath, line, netfpga_demo, pair, ring
-from repro.topology.builder import Network
+from repro.topology import arppath, line, netfpga_demo, pair
 
 from repro.testing import fast_config
 

@@ -81,7 +81,7 @@ class TestExecution:
         result = runner.execute_cell(cell)
         (row,) = result.rows
         assert result.telemetry == {"events_processed": [323],
-                                    "peak_pending_events": [47]}
+                                    "peak_pending_events": [42]}
         assert not set(result.telemetry) & set(row)
         (payload,) = runner.SweepReport(cells=[result]).as_payload()["cells"]
         assert payload["telemetry"] == result.telemetry

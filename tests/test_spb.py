@@ -3,11 +3,8 @@
 import pytest
 
 from repro.frames.mac import mac_for_bridge, mac_for_host
-from repro.netsim.engine import Simulator
-from repro.spb.bridge import SpbBridge
-from repro.spb.lsp import Adjacency, LinkStatePacket, SpbHello
-from repro.topology import grid, line, pair, ring, spb
-from repro.topology.builder import Network
+from repro.spb.lsp import Adjacency, LinkStatePacket
+from repro.topology import grid, pair, ring, spb
 
 from repro.testing import ping_once
 

@@ -1,10 +1,7 @@
 """Edge-case tests for the SPB baseline: aging, sync, RPF."""
 
-import pytest
 
-from repro.netsim.engine import Simulator
-from repro.spb.bridge import SpbBridge
-from repro.topology import grid, line, pair, ring, spb
+from repro.topology import line, pair, ring, spb
 from repro.topology.builder import Network
 
 from repro.testing import ping_once

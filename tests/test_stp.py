@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.frames.mac import MAC, mac_for_bridge
-from repro.netsim.engine import Simulator
+from repro.frames.mac import mac_for_bridge
 from repro.stp.bpdu import BridgeId, ConfigBpdu, PortId, TcnBpdu
-from repro.stp.bridge import PortRole, PortState, StpBridge, StpTimers
-from repro.topology import netfpga_demo, pair, ring, stp, stp_scaled
+from repro.stp.bridge import PortRole, PortState, StpTimers
+from repro.topology import netfpga_demo, pair, ring, stp
 from repro.topology.builder import Network
 
 from repro.testing import ping_once

@@ -1,13 +1,10 @@
 """Edge-case tests for the 802.1D baseline."""
 
-import pytest
 
 from repro.frames.ethernet import ETHERTYPE_BPDU, EthernetFrame, STP_MULTICAST
-from repro.netsim.engine import Simulator
 from repro.stp.bpdu import BridgeId, ConfigBpdu, PortId
-from repro.stp.bridge import PortRole, PortState, StpBridge, StpTimers
+from repro.stp.bridge import PortRole, PortState, StpTimers
 from repro.topology import pair, ring, stp
-from repro.topology.builder import Network
 
 FAST = StpTimers().scaled(0.1)
 

@@ -6,9 +6,6 @@ from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.frames.mac import BROADCAST, mac_for_host
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import InvariantError
-from repro.netsim.link import Link
-from repro.netsim.node import Node
-from repro.switching.learning import LearningSwitch
 from repro.switching.table import ForwardingTable
 from repro.topology import learning, ring
 from repro.topology.builder import Network

@@ -10,8 +10,8 @@ from repro.stp.bridge import StpBridge
 from repro.switching import base
 from repro.switching.learning import LearningSwitch
 from repro.testing import graph_of
-from repro.topology import (arppath, fat_tree, grid, learning, line,
-                            netfpga_demo, pair, random_graph, ring, spb, stp)
+from repro.topology import (arppath, fat_tree, grid, line, netfpga_demo, pair,
+                            random_graph, ring, stp)
 from repro.topology.builder import Network
 
 

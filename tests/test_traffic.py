@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.netsim.engine import Simulator
 from repro.topology import arppath, fat_tree, pair
 from repro.traffic.matrix import TrafficMatrix, all_pairs_arp_warmup
 from repro.traffic.ping import PingSeries
-from repro.traffic.video import (VideoChunk, VideoSink, VideoSource,
-                                 stream_between)
+from repro.traffic.video import VideoChunk, VideoSource, stream_between
 
 
 class TestVideoChunk:
