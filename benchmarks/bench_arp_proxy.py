@@ -12,7 +12,8 @@ failures either way.
 from conftest import banner, run_once
 
 from repro.experiments import registry
-from repro.metrics.report import format_table
+from repro.experiments.broadcast import suppression
+from repro.metrics.report import format_rows, format_table
 
 proxy = registry.get("proxy")
 
@@ -21,13 +22,13 @@ def test_proxy_suppression(benchmark):
     result = run_once(benchmark, lambda: proxy.execute(rows=3, cols=3,
                                                        rounds=3))
     banner("EXP-A1 — ARP broadcast suppression (proxy off vs on)")
-    print(result.table())
-    reduction = result.reduction()
+    print(format_rows(result, proxy.title))
+    reduction = suppression(result)
     print(f"\nsuppression factor: {reduction:.2f}x")
     benchmark.extra_info["suppression_factor"] = round(reduction, 2)
     assert reduction > 1.5
-    for row in result.rows:
-        assert row.resolution_failures == 0
+    for row in result:
+        assert row["resolution_failures"] == 0
 
 
 def test_proxy_suppression_grows_with_rounds(benchmark):
@@ -35,7 +36,7 @@ def test_proxy_suppression_grows_with_rounds(benchmark):
         out = []
         for rounds in (1, 3, 5):
             result = proxy.execute(rows=2, cols=2, rounds=rounds)
-            out.append((rounds, result.reduction()))
+            out.append((rounds, suppression(result)))
         return out
 
     rows = run_once(benchmark, sweep)

@@ -12,7 +12,7 @@ frame-rate-proportional pile of chunks.
 from conftest import banner, run_once
 
 from repro.experiments import fig3_repair, registry
-from repro.metrics.report import format_table
+from repro.metrics.report import format_rows, format_table
 from repro.metrics.stats import summarize
 
 fig3 = registry.get("fig3")
@@ -21,19 +21,17 @@ fig3 = registry.get("fig3")
 def test_fig3_repair_comparison(benchmark):
     result = run_once(benchmark, lambda: fig3.execute(failures=2))
     banner("Fig. 3 — stream disruption per failure (ARP-Path vs STP)")
-    print(result.table())
-    arp = next(r for r in result.rows if r.protocol == "arppath")
-    stp_row = next(r for r in result.rows if r.protocol.startswith("stp"))
-    print(f"\nARP-Path repair times (bridge-measured): "
-          + ", ".join(f"{t * 1e6:.0f}us" for t in arp.bridge_repair_times))
-    print(f"ARP-Path delivery: {arp.delivery_rate:.3f}, "
-          f"STP delivery: {stp_row.delivery_rate:.3f}")
-    worst_arp = max(o.outage for o in arp.outcomes)
-    worst_stp = max(o.outage for o in stp_row.outcomes)
+    print(format_rows(result, fig3.title))
+    arp = [r for r in result if r["protocol"] == "arppath"]
+    stp_rows = [r for r in result if r["protocol"].startswith("stp")]
+    print(f"\nARP-Path delivery: {arp[0]['delivery_rate']:.3f}, "
+          f"STP delivery: {stp_rows[0]['delivery_rate']:.3f}")
+    worst_arp = max(r["outage"] for r in arp)
+    worst_stp = max(r["outage"] for r in stp_rows)
     benchmark.extra_info["arppath_worst_outage_ms"] = round(worst_arp * 1e3, 3)
     benchmark.extra_info["stp_worst_outage_ms"] = round(worst_stp * 1e3, 1)
     assert worst_stp / worst_arp > 100
-    assert arp.delivery_rate == 1.0
+    assert arp[0]["delivery_rate"] == 1.0
 
 
 def test_fig3_repair_time_distribution(benchmark):

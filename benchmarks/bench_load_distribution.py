@@ -11,25 +11,24 @@ from conftest import banner, run_once
 
 from repro.experiments import loadbalance, registry
 from repro.experiments.common import spec
-from repro.metrics.report import format_table
+from repro.metrics.report import format_rows, format_table
 
 
 def test_load_distribution(benchmark):
     # Note packets=30 (the module default the pre-registry bench used),
     # not the CLI default of 50.
-    result = run_once(benchmark, lambda: registry.get(
-        "loadbalance").execute(packets=30,
-                               protocols=["arppath", "stp", "spb"],
-                               stp_scale=0.1))
+    scenario = registry.get("loadbalance")
+    result = run_once(benchmark, lambda: scenario.execute(
+        packets=30, protocols=["arppath", "stp", "spb"], stp_scale=0.1))
     banner("EXP-A2 — per-link load over a 4-leaf/2-spine fabric")
-    print(result.table())
-    arp = next(r for r in result.rows if r.protocol == "arppath")
-    stp_row = next(r for r in result.rows if r.protocol.startswith("stp"))
-    benchmark.extra_info["arppath_cv"] = round(arp.report.cv, 3)
-    benchmark.extra_info["stp_cv"] = round(stp_row.report.cv, 3)
-    assert arp.report.used_links == arp.report.total_links
-    assert arp.report.cv < stp_row.report.cv
-    assert all(r.delivery_rate == 1.0 for r in result.rows)
+    print(format_rows(result, scenario.title))
+    arp = next(r for r in result if r["protocol"] == "arppath")
+    stp_row = next(r for r in result if r["protocol"].startswith("stp"))
+    benchmark.extra_info["arppath_cv"] = round(arp["load_cv"], 3)
+    benchmark.extra_info["stp_cv"] = round(stp_row["load_cv"], 3)
+    assert arp["links_used"] == arp["links_total"]
+    assert arp["load_cv"] < stp_row["load_cv"]
+    assert all(r["delivery_rate"] == 1.0 for r in result)
 
 
 def test_load_distribution_idle_vs_loaded_resolution(benchmark):

@@ -13,7 +13,7 @@ plain learning switch shows the storm ARP-Path prevents.
 from conftest import banner, run_once
 
 from repro.experiments import registry
-from repro.metrics.report import format_table
+from repro.metrics.report import format_rows, format_table
 
 loopfree = registry.get("loopfree")
 
@@ -23,16 +23,16 @@ def test_loopfree_and_link_usage(benchmark):
         topologies=["grid", "ring"],
         protocols=["arppath", "stp", "spb"], stp_scale=0.1))
     banner("EXP-P2 — loop freedom and link utilisation")
-    print(result.table())
-    for row in result.rows:
-        assert row.duplicate_deliveries == 0
-        assert not row.storm
-    arp_ring = next(r for r in result.rows
-                    if r.protocol == "arppath" and r.topology == "ring")
-    stp_ring = next(r for r in result.rows
-                    if r.protocol.startswith("stp") and r.topology == "ring")
-    assert arp_ring.used_links == arp_ring.total_links
-    assert stp_ring.used_links < stp_ring.total_links
+    print(format_rows(result, loopfree.title))
+    for row in result:
+        assert row["duplicate_deliveries"] == 0
+        assert not row["storm"]
+    arp_ring = next(r for r in result
+                    if r["protocol"] == "arppath" and r["topology"] == "ring")
+    stp_ring = next(r for r in result if r["protocol"].startswith("stp")
+                    and r["topology"] == "ring")
+    assert arp_ring["links_used"] == arp_ring["links_total"]
+    assert stp_ring["links_used"] < stp_ring["links_total"]
 
 
 def test_learning_switch_storms_for_contrast(benchmark):

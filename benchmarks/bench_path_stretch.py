@@ -11,7 +11,7 @@ get worse with size.
 from conftest import banner, run_once
 
 from repro.experiments import registry
-from repro.metrics.report import format_table
+from repro.metrics.report import format_rows, format_table
 
 stretch = registry.get("stretch")
 
@@ -21,9 +21,9 @@ def test_stretch_random_graphs(benchmark):
         bridges=10, hosts=4, seeds=[0, 1, 2],
         protocols=["arppath", "stp"], stp_scale=0.1))
     banner("EXP-P1 — path stretch vs latency oracle (random graphs)")
-    print(result.table())
-    arp_rows = [r for r in result.rows if r.protocol == "arppath"]
-    assert all(r.optimal_fraction == 1.0 for r in arp_rows)
+    print(format_rows(result, stretch.title))
+    arp_rows = [r for r in result if r["protocol"] == "arppath"]
+    assert all(r["optimal_frac"] == 1.0 for r in arp_rows)
 
 
 def test_stretch_scales_with_network_size(benchmark):
@@ -33,8 +33,8 @@ def test_stretch_scales_with_network_size(benchmark):
             result = stretch.execute(bridges=n, hosts=3, seeds=[0],
                                      protocols=["arppath", "stp"],
                                      stp_scale=0.1)
-            row = {r.protocol.split("(")[0]: r.summary().mean
-                   for r in result.rows}
+            row = {r["protocol"].split("(")[0]: r["stretch_mean"]
+                   for r in result}
             out.append((n, row["arppath"], row["stp"]))
         return out
 

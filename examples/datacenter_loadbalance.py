@@ -9,16 +9,20 @@ through its single tree.
 Run:  python examples/datacenter_loadbalance.py
 """
 
-from repro.experiments import registry
-from repro.metrics.report import format_table
+from repro.experiments import loadbalance, registry
+from repro.metrics.report import format_rows, format_table
 
 
 def main() -> None:
-    result = registry.get("loadbalance").execute(
-        protocols=["arppath", "stp"], stp_scale=0.1)
-    print(result.table())
+    scenario = registry.get("loadbalance")
+    protocols = registry.protocol_specs(["arppath", "stp"], stp_scale=0.1)
+    print(format_rows(scenario.execute(protocols=["arppath", "stp"],
+                                       stp_scale=0.1), scenario.title))
     print()
-    for row in result.rows:
+    # The records hold one line per protocol; the per-link bytes come
+    # from the per-cell function, at the scenario's defaults.
+    for protocol in protocols:
+        row = loadbalance.run_protocol(protocol)
         rows = [[link, f"{load / 1000:.1f}"]
                 for link, load in sorted(row.report.per_link.items())]
         print(format_table(["fabric link", "kBytes carried"], rows,

@@ -10,13 +10,15 @@ cites.
 Run:  python examples/proxy_scaling.py
 """
 
-from repro.experiments import registry
+from repro.experiments import broadcast, registry
+from repro.metrics.report import format_rows
 
 
 def main() -> None:
-    result = registry.get("proxy").execute(rows=3, cols=3, rounds=3)
-    print(result.table())
-    reduction = result.reduction()
+    scenario = registry.get("proxy")
+    records = scenario.execute(rows=3, cols=3, rounds=3)
+    print(format_rows(records, scenario.title))
+    reduction = broadcast.suppression(records)
     if reduction is not None:
         print(f"\nARP frames on fabric links reduced {reduction:.1f}x "
               "by the proxy,\nwith zero failed resolutions.")

@@ -9,16 +9,18 @@ can see *why* the numbers differ.
 Run:  python examples/stp_comparison.py
 """
 
-from repro.experiments import registry
+from repro.experiments import fig2_latency, registry
+from repro.metrics.report import format_rows
 
 
 def main() -> None:
     # The `repro fig2` defaults: arppath, stp and spb, STP at 10x
     # scaled timers (its path choice is identical at IEEE timers).
-    result = registry.get("fig2").execute(probes=20)
-    print(result.table())
+    scenario = registry.get("fig2")
+    records = scenario.execute(probes=20)
+    print(format_rows(records, scenario.title))
     print()
-    speedup = result.speedup()
+    speedup = fig2_latency.speedup(records)
     if speedup is not None:
         print(f"ARP-Path RTT advantage over STP: {speedup:.1f}x")
     print("\nWhy: 802.1D path costs depend on bandwidth only, so STP's "

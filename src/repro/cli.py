@@ -14,9 +14,11 @@ subcommands, auto-generated from the scenario registry
     python -m repro.cli occupancy
     python -m repro.cli ping --protocol arppath --count 5
 
-Each subcommand prints the experiment's result table to stdout and
-exits 0 on success. Every subcommand accepts ``--seeds 0 1 2`` (one run
-per seed) and the single-seed alias ``--seed N``.
+Each subcommand prints the experiment's records as one table (plus the
+paper's headline, where the scenario has one: fig2's speedup over STP,
+proxy's suppression factor) to stdout and exits 0 on success. Every
+subcommand accepts ``--seeds 0 1 2`` (one run per seed) and the
+single-seed alias ``--seed N``.
 
 Parameter grids sweep through the parallel runner::
 
@@ -25,7 +27,8 @@ Parameter grids sweep through the parallel runner::
         --seeds 0 1 --jobs 4 --csv stretch.csv --json stretch.json
 
 Per-cell progress goes to stderr; the aggregated mean/ci95 summary
-table goes to stdout and is deterministic at any ``--jobs`` level.
+table, in the same layout, and the headline over the sweep's rows go
+to stdout and are deterministic at any ``--jobs`` level.
 
 ``repro serve`` runs the same registry as a long-lived daemon — sweep
 grids submitted over a local HTTP/JSON API, records streamed
@@ -41,6 +44,8 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments import registry
+from repro.metrics.report import (format_rows, write_csv, write_json,
+                                  write_jsonl)
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser,
@@ -80,10 +85,20 @@ def _collect_overrides(args: argparse.Namespace,
     return overrides
 
 
+def _report(scenario: registry.Scenario, title: str,
+            table: List[Dict[str, Any]],
+            records: List[Dict[str, Any]]) -> str:
+    """*table* under *title*, then the scenario's headline over
+    *records* (the rows the table summarises)."""
+    text = format_rows(table, title)
+    headline = scenario.headline(records) if scenario.headline else None
+    return text if headline is None else f"{text}\n\n{headline}"
+
+
 def _make_run(scenario: registry.Scenario):
     def run(args: argparse.Namespace) -> int:
-        result = scenario.execute(**_collect_overrides(args, scenario))
-        print(scenario.report(result))
+        rows = scenario.execute(**_collect_overrides(args, scenario))
+        print(_report(scenario, scenario.title, rows, rows))
         return 0
     return run
 
@@ -115,8 +130,6 @@ def _parse_axis(token: str, scenarios: List[registry.Scenario]
 
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import runner
-    from repro.metrics.report import (csv_columns, format_table, write_csv,
-                                      write_json)
 
     try:
         scenarios = [registry.get(name) for name in args.scenarios]
@@ -149,29 +162,25 @@ def _run_sweep(args: argparse.Namespace) -> int:
     report = runner.SweepReport(
         cells=sorted(results, key=lambda r: r.cell.index))
 
-    summary = report.summary_rows()
-    by_scenario: Dict[str, List[Dict[str, Any]]] = {}
-    for row in summary:
-        by_scenario.setdefault(str(row["scenario"]), []).append(row)
-    for name in sorted(by_scenario):
-        rows = by_scenario[name]
-        columns = csv_columns(rows)
-        print(format_table(columns,
-                           [[row.get(column) for column in columns]
-                            for row in rows],
-                           title=f"sweep — {name} "
-                                 f"(mean/ci95 over seeds)"))
+    rows = report.rows()
+    summary: Dict[str, List[Dict[str, Any]]] = {}
+    for row in report.summary_rows():
+        summary.setdefault(str(row["scenario"]), []).append(row)
+    for name in sorted(summary):
+        print(_report(registry.get(name),
+                      f"sweep — {name} (mean/ci95 over seeds)",
+                      summary[name],
+                      [row for row in rows if row["scenario"] == name]))
         print()
-    print(f"{len(report.cells)} cells, {len(report.rows())} rows, "
+    print(f"{len(report.cells)} cells, {len(rows)} rows, "
           f"{len(report.errors)} errors")
 
     if args.json:
         write_json(args.json, report.as_payload())
     if args.csv:
-        write_csv(args.csv, report.rows())
+        write_csv(args.csv, rows)
     if args.jsonl:
-        from repro.metrics.report import write_jsonl
-        write_jsonl(args.jsonl, report.rows())
+        write_jsonl(args.jsonl, rows)
     for failed in report.errors:
         print(f"\ncell {failed.cell.label()} failed:\n{failed.error}",
               file=sys.stderr)

@@ -15,14 +15,13 @@ families"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.config import ArpPathConfig
 from repro.experiments import registry
 from repro.experiments.common import build_and_warm, spec
 from repro.metrics.convergence import recovery_from_arrivals
-from repro.metrics.report import format_table
 from repro.topology.library import netfpga_demo
 from repro.traffic.ping import PingSeries
 from repro.traffic.video import stream_between
@@ -52,59 +51,6 @@ class HelloRow:
     static_roles: bool
     repaired: bool
     outage_ms: Optional[float]
-
-
-@dataclass
-class AblationResult:
-    lock_rows: List[LockTimeoutRow] = field(default_factory=list)
-    buffer_rows: List[RepairBufferRow] = field(default_factory=list)
-    hello_rows: List[HelloRow] = field(default_factory=list)
-
-    def table(self) -> str:
-        parts = []
-        parts.append(format_table(
-            ["lock_timeout_s", "rtt_mean_us", "losses", "relocks",
-             "filtered"],
-            [[r.lock_timeout,
-              r.rtt_mean * 1e6 if r.rtt_mean is not None else None,
-              r.losses, r.relocks, r.discovery_filtered]
-             for r in self.lock_rows],
-            title="EXP-A3a — lock timeout sweep"))
-        parts.append(format_table(
-            ["buffer_size", "outage_ms", "chunks_lost", "buffered",
-             "buffer_drops"],
-            [[r.buffer_size, r.outage_ms, r.chunks_lost, r.buffered,
-              r.buffer_drops] for r in self.buffer_rows],
-            title="EXP-A3b — repair buffer"))
-        parts.append(format_table(
-            ["hellos", "static_roles", "repaired", "outage_ms"],
-            [[r.hello_enabled, r.static_roles, r.repaired, r.outage_ms]
-             for r in self.hello_rows],
-            title="EXP-A3c — port classification"))
-        return "\n\n".join(parts)
-
-    def records(self) -> List[Dict[str, Any]]:
-        out: List[Dict[str, Any]] = []
-        for lock in self.lock_rows:
-            out.append({"sweep": "lock_timeout",
-                        "lock_timeout": lock.lock_timeout,
-                        "rtt_mean": lock.rtt_mean, "losses": lock.losses,
-                        "relocks": lock.relocks,
-                        "discovery_filtered": lock.discovery_filtered})
-        for buf in self.buffer_rows:
-            out.append({"sweep": "repair_buffer",
-                        "buffer_size": buf.buffer_size,
-                        "outage_ms": buf.outage_ms,
-                        "chunks_lost": buf.chunks_lost,
-                        "buffered": buf.buffered,
-                        "buffer_drops": buf.buffer_drops})
-        for hello in self.hello_rows:
-            out.append({"sweep": "hello",
-                        "hello_enabled": hello.hello_enabled,
-                        "static_roles": hello.static_roles,
-                        "repaired": hello.repaired,
-                        "outage_ms": hello.outage_ms})
-        return out
 
 
 def sweep_lock_timeout(timeouts: List[float] = [0.0002, 0.002, 0.8, 5.0],
@@ -210,16 +156,20 @@ def sweep_hello(seed: int = 0) -> List[HelloRow]:
 
 
 def ablations(lock_timeouts: List[float], buffer_sizes: List[int],
-              seeds: List[int]) -> AblationResult:
-    """The three sweeps; each sweep's rows run seed by seed."""
-    return AblationResult(
-        lock_rows=[row for seed in seeds
-                   for row in sweep_lock_timeout(timeouts=lock_timeouts,
-                                                 seed=seed)],
-        buffer_rows=[row for seed in seeds
-                     for row in sweep_repair_buffer(sizes=buffer_sizes,
-                                                    seed=seed)],
-        hello_rows=[row for seed in seeds for row in sweep_hello(seed=seed)])
+              seeds: List[int]) -> List[Dict[str, Any]]:
+    """The three sweeps, each a record per row tagged with its
+    ``sweep``; each sweep's rows run seed by seed."""
+    records = [{"sweep": "lock_timeout", **asdict(row)}
+               for seed in seeds
+               for row in sweep_lock_timeout(timeouts=lock_timeouts,
+                                             seed=seed)]
+    records += [{"sweep": "repair_buffer", **asdict(row)}
+                for seed in seeds
+                for row in sweep_repair_buffer(sizes=buffer_sizes,
+                                               seed=seed)]
+    records += [{"sweep": "hello", **asdict(row)}
+                for seed in seeds for row in sweep_hello(seed=seed)]
+    return records
 
 
 registry.register(registry.Scenario(

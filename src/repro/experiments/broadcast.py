@@ -10,14 +10,13 @@ answered at the ingress bridge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.config import ArpPathConfig
 from repro.experiments import registry
 from repro.experiments.common import build_and_warm, spec
 from repro.frames.ethernet import ETHERTYPE_ARP
-from repro.metrics.report import format_table
 from repro.netsim.tracer import SENT
 from repro.topology.library import grid
 
@@ -32,37 +31,17 @@ class BroadcastRow:
     resolution_failures: int
 
 
-@dataclass
-class BroadcastResult:
-    rows: List[BroadcastRow] = field(default_factory=list)
+def suppression(records: List[Dict[str, Any]]) -> Optional[float]:
+    """ARP link frames with the proxy off / on — the suppression factor.
 
-    def table(self) -> str:
-        headers = ["proxy", "hosts", "rounds", "arp_link_frames",
-                   "proxy_answers", "failures"]
-        body = [[r.proxy, r.hosts, r.rounds, r.arp_frames_on_links,
-                 r.proxy_answers, r.resolution_failures] for r in self.rows]
-        return format_table(
-            headers, body,
-            title="EXP-A1 — ARP broadcast suppression with proxy")
-
-    def reduction(self) -> Optional[float]:
-        """Frames(off) / frames(on) — the suppression factor.
-
-        Multi-seed runs hold one off/on row pair per seed; the factor
-        uses the frame totals across all rows of each kind.
-        """
-        off = sum(r.arp_frames_on_links for r in self.rows if not r.proxy)
-        on = sum(r.arp_frames_on_links for r in self.rows if r.proxy)
-        if not any(not r.proxy for r in self.rows) or on == 0:
-            return None
-        return off / on
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [{"proxy": r.proxy, "hosts": r.hosts, "rounds": r.rounds,
-                 "arp_link_frames": r.arp_frames_on_links,
-                 "proxy_answers": r.proxy_answers,
-                 "resolution_failures": r.resolution_failures}
-                for r in self.rows]
+    Multi-seed runs hold one off/on record pair per seed; the factor
+    uses the ``arp_link_frames`` totals across all records of each kind.
+    """
+    off = sum(r["arp_link_frames"] for r in records if not r["proxy"])
+    on = sum(r["arp_link_frames"] for r in records if r["proxy"])
+    if all(r["proxy"] for r in records) or on == 0:
+        return None
+    return off / on
 
 
 def run_case(proxy: bool, rows: int = 3, cols: int = 3, rounds: int = 3,
@@ -111,19 +90,25 @@ def run_case(proxy: bool, rows: int = 3, cols: int = 3, rounds: int = 3,
 
 
 def proxy(rows: int, cols: int, rounds: int,
-          seeds: List[int]) -> BroadcastResult:
+          seeds: List[int]) -> List[Dict[str, Any]]:
     """Proxy off, then on, for each seed."""
-    return BroadcastResult(rows=[
-        run_case(enabled, rows=rows, cols=cols, rounds=rounds, seed=seed)
-        for seed in seeds for enabled in (False, True)])
+    records = []
+    for seed in seeds:
+        for enabled in (False, True):
+            r = run_case(enabled, rows=rows, cols=cols, rounds=rounds,
+                         seed=seed)
+            records.append({
+                "proxy": r.proxy, "hosts": r.hosts, "rounds": r.rounds,
+                "arp_link_frames": r.arp_frames_on_links,
+                "proxy_answers": r.proxy_answers,
+                "resolution_failures": r.resolution_failures})
+    return records
 
 
-def _proxy_render(result: BroadcastResult) -> str:
-    text = result.table()
-    reduction = result.reduction()
-    if reduction is not None:
-        text += f"\n\nsuppression factor: {reduction:.2f}x"
-    return text
+def _headline(records: List[Dict[str, Any]]) -> Optional[str]:
+    factor = suppression(records)
+    return None if factor is None \
+        else f"suppression factor: {factor:.2f}x"
 
 
 registry.register(registry.Scenario(
@@ -136,6 +121,6 @@ registry.register(registry.Scenario(
         registry.seeds_param(),
     ),
     run=proxy,
-    render=_proxy_render,
+    headline=_headline,
     smoke={"rows": 2, "cols": 2, "rounds": 1},
 ))

@@ -29,7 +29,6 @@ from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec
 from repro.metrics.availability import Availability, measure_availability
 from repro.metrics.paths import PathObserver
-from repro.metrics.report import format_table
 from repro.netsim.dynamics import EventTimeline
 from repro.netsim.engine import Simulator
 from repro.topology.library import (CHURN_TOPOLOGIES, LOOP_FREE_TOPOLOGIES,
@@ -69,59 +68,31 @@ class ChurnRow:
             if self.chunks_sent else 0.0
 
 
-@dataclass
-class ChurnResult:
-    rows: List[ChurnRow] = field(default_factory=list)
-
-    def table(self) -> str:
-        headers = ["protocol", "topology", "flaps", "availability",
-                   "downtime_ms", "outages", "mttr_ms", "delivered",
-                   "repairs", "repair_ms"]
-        body = []
-        for row in self.rows:
-            avail = row.availability
-            repairs = row.repair_times
-            body.append([
-                row.protocol, row.topology, row.flaps,
-                f"{avail.availability:.4f}", avail.downtime * 1e3,
-                avail.outages,
-                avail.mttr * 1e3 if avail.repaired else None,
-                f"{row.delivery_rate:.3f}", len(repairs),
-                sum(repairs) / len(repairs) * 1e3 if repairs else None,
-            ])
-        return format_table(
-            headers, body,
-            title="Churn — stream availability under sustained dynamics "
-                  "(flaps + crashes + migrations)")
-
-    def records(self) -> List[Dict[str, Any]]:
-        out = []
-        for row in self.rows:
-            repairs = row.repair_times
-            record: Dict[str, Any] = {
-                "protocol": row.protocol,
-                "topology": row.topology,
-                "flap_rate": row.flap_rate,
-                "down_time": row.down_time,
-                "duration": row.duration,
-                "crashes": row.crashes,
-                "migrations": row.migrations,
-                "scripted_failures": row.scripted_failures,
-                "flaps": row.flaps,
-            }
-            record.update(row.availability.as_row())
-            record.update({
-                "chunks_sent": row.chunks_sent,
-                "chunks_received": row.chunks_received,
-                "delivery_rate": row.delivery_rate,
-                "duplicates": row.duplicates,
-                "repair_count": len(repairs),
-                "repair_latency_mean": (sum(repairs) / len(repairs)
-                                        if repairs else None),
-                "repair_latency_worst": max(repairs) if repairs else None,
-            })
-            out.append(record)
-        return out
+def _record(row: ChurnRow) -> Dict[str, Any]:
+    repairs = row.repair_times
+    record: Dict[str, Any] = {
+        "protocol": row.protocol,
+        "topology": row.topology,
+        "flap_rate": row.flap_rate,
+        "down_time": row.down_time,
+        "duration": row.duration,
+        "crashes": row.crashes,
+        "migrations": row.migrations,
+        "scripted_failures": row.scripted_failures,
+        "flaps": row.flaps,
+    }
+    record.update(row.availability.as_row())
+    record.update({
+        "chunks_sent": row.chunks_sent,
+        "chunks_received": row.chunks_received,
+        "delivery_rate": row.delivery_rate,
+        "duplicates": row.duplicates,
+        "repair_count": len(repairs),
+        "repair_latency_mean": (sum(repairs) / len(repairs)
+                                if repairs else None),
+        "repair_latency_worst": max(repairs) if repairs else None,
+    })
+    return record
 
 
 def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
@@ -197,8 +168,8 @@ def run_protocol(protocol: ProtocolSpec, topology: str = "demo",
 def churn(topology: str, protocols: List[str], flap_rate: float,
           down_time: float, duration: float, crashes: int,
           migrations: int, scripted_failures: int, fps: float,
-          stp_scale: float, seeds: List[int]) -> ChurnResult:
-    """The churn comparison across bridge families, one row per
+          stp_scale: float, seeds: List[int]) -> List[Dict[str, Any]]:
+    """The churn comparison across bridge families, one record per
     protocol per seed.
 
     A plain learning switch storms on any wiring with redundant paths,
@@ -209,10 +180,10 @@ def churn(topology: str, protocols: List[str], flap_rate: float,
             f"protocol 'learning' storms on loopy topologies; use one of "
             f"{', '.join(LOOP_FREE_TOPOLOGIES)} (got {topology!r})")
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return ChurnResult(rows=[
-        run_protocol(protocol, topology, flap_rate, down_time, duration,
-                     crashes, migrations, scripted_failures, fps, seed)
-        for seed in seeds for protocol in chosen])
+    return [_record(run_protocol(protocol, topology, flap_rate, down_time,
+                                 duration, crashes, migrations,
+                                 scripted_failures, fps, seed))
+            for seed in seeds for protocol in chosen]
 
 
 registry.register(registry.Scenario(

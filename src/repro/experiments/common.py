@@ -2,9 +2,10 @@
 
 Each experiment module registers its scenario's one run function in
 :mod:`repro.experiments.registry`; callers reach it through
-``registry.get(name).execute(...)``, which returns a result object with
-``table()`` and ``records()``. The helpers here standardise protocol
-selection and warmup.
+``registry.get(name).execute(...)``, which returns the scenario's
+records (flat dicts, printed by
+:func:`repro.metrics.report.format_rows`). The helpers here
+standardise protocol selection and warmup.
 
 Protocol knowledge (factories, warmup budgets, loop-safety, per-family
 config options) lives in the :class:`~repro.switching.base.BridgeFamily`

@@ -11,13 +11,12 @@ high-latency cross cable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.metrics.paths import PathObserver, min_latency_path
-from repro.metrics.report import format_table
 from repro.metrics.stats import Summary, mean, summarize
 from repro.topology.library import DemoParams, netfpga_demo
 from repro.traffic.ping import PingSeries
@@ -40,42 +39,26 @@ class ProtocolLatency:
         return "->".join(self.bridge_path)
 
 
-@dataclass
-class Fig2Result:
-    """All protocols' results plus the latency oracle."""
+def _record(row: ProtocolLatency) -> Dict[str, Any]:
+    """One row as a record (seconds, raw counts)."""
+    return {"protocol": row.protocol, "path": row.path_str,
+            "rtt_mean": row.rtt.mean, "rtt_p95": row.rtt.p95,
+            "losses": row.losses, "oracle_latency": row.oracle_latency}
 
-    rows: List[ProtocolLatency] = field(default_factory=list)
 
-    def table(self) -> str:
-        headers = ["protocol", "path (bridges)", "rtt_mean_us",
-                   "rtt_p95_us", "losses", "one_way_oracle_us"]
-        body = [[row.protocol, row.path_str, row.rtt.mean * 1e6,
-                 row.rtt.p95 * 1e6, row.losses, row.oracle_latency * 1e6]
-                for row in self.rows]
-        return format_table(headers, body,
-                            title="Fig.2 — ARP-Path vs STP latency (A<->B)")
+def speedup(records: List[Dict[str, Any]]) -> Optional[float]:
+    """STP mean RTT / ARP-Path mean RTT (the headline factor).
 
-    def speedup(self) -> Optional[float]:
-        """STP mean RTT / ARP-Path mean RTT (the headline factor).
-
-        Multi-seed runs hold one row per protocol per seed; the factor
-        averages each protocol's mean RTT over its rows.
-        """
-        by_name: Dict[str, List[float]] = {}
-        for row in self.rows:
-            by_name.setdefault(row.protocol.split("(")[0],
-                               []).append(row.rtt.mean)
-        if "arppath" not in by_name or "stp" not in by_name:
-            return None
-        return mean(by_name["stp"]) / mean(by_name["arppath"])
-
-    def records(self) -> List[Dict[str, Any]]:
-        """Machine-readable rows (seconds, raw counts)."""
-        return [{"protocol": row.protocol, "path": row.path_str,
-                 "rtt_mean": row.rtt.mean, "rtt_p95": row.rtt.p95,
-                 "losses": row.losses,
-                 "oracle_latency": row.oracle_latency}
-                for row in self.rows]
+    Multi-seed runs hold one record per protocol per seed; the factor
+    averages each protocol's ``rtt_mean`` over its records.
+    """
+    by_name: Dict[str, List[float]] = {}
+    for record in records:
+        by_name.setdefault(record["protocol"].split("(")[0],
+                           []).append(record["rtt_mean"])
+    if "arppath" not in by_name or "stp" not in by_name:
+        return None
+    return mean(by_name["stp"]) / mean(by_name["arppath"])
 
 
 def run_protocol(protocol: ProtocolSpec, params: DemoParams = DemoParams(),
@@ -99,51 +82,32 @@ def run_protocol(protocol: ProtocolSpec, params: DemoParams = DemoParams(),
                            oracle_latency=oracle.latency)
 
 
-@dataclass
-class PingResult:
-    """The interactive ping check: one block per seed."""
-
-    rows: List[ProtocolLatency] = field(default_factory=list)
-
-    def table(self) -> str:
-        blocks = []
-        for row in self.rows:
-            blocks.append(
-                f"protocol: {row.protocol}\n"
-                f"path:     A -> {row.path_str} -> B\n"
-                f"rtt:      mean {row.rtt.mean * 1e6:.1f}us  "
-                f"p95 {row.rtt.p95 * 1e6:.1f}us  losses {row.losses}")
-        return "\n\n".join(blocks)
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [{"protocol": row.protocol, "path": row.path_str,
-                 "rtt_mean": row.rtt.mean, "rtt_p95": row.rtt.p95,
-                 "losses": row.losses} for row in self.rows]
-
-
 def fig2(probes: int, cross_latency_us: float, protocols: List[str],
-         stp_scale: float, seeds: List[int]) -> Fig2Result:
-    """The Figure 2 comparison, one row per protocol per seed."""
+         stp_scale: float, seeds: List[int]) -> List[Dict[str, Any]]:
+    """The Figure 2 comparison, one record per protocol per seed."""
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
     params = DemoParams(cross_latency=cross_latency_us * 1e-6)
-    return Fig2Result(rows=[
-        run_protocol(protocol, params=params, probes=probes, seed=seed)
-        for seed in seeds for protocol in chosen])
+    return [_record(run_protocol(protocol, params=params, probes=probes,
+                                 seed=seed))
+            for seed in seeds for protocol in chosen]
 
 
-def _fig2_render(result: Fig2Result) -> str:
-    text = result.table()
-    speedup = result.speedup()
-    if speedup is not None:
-        text += f"\n\nARP-Path speedup over STP: {speedup:.1f}x"
-    return text
+def _headline(records: List[Dict[str, Any]]) -> Optional[str]:
+    factor = speedup(records)
+    return None if factor is None \
+        else f"ARP-Path speedup over STP: {factor:.1f}x"
 
 
-def ping(protocol: str, count: int, seeds: List[int]) -> PingResult:
+def ping(protocol: str, count: int,
+         seeds: List[int]) -> List[Dict[str, Any]]:
     """One ping train A->B per seed (STP at scaled timers)."""
     chosen, = registry.protocol_specs([protocol], stp_scale=0.1)
-    return PingResult(rows=[run_protocol(chosen, probes=count, seed=seed)
-                            for seed in seeds])
+    records = []
+    for seed in seeds:
+        record = _record(run_protocol(chosen, probes=count, seed=seed))
+        del record["oracle_latency"]
+        records.append(record)
+    return records
 
 
 registry.register(registry.Scenario(
@@ -161,7 +125,7 @@ registry.register(registry.Scenario(
         registry.seeds_param(),
     ),
     run=fig2,
-    render=_fig2_render,
+    headline=_headline,
     smoke={"probes": 2, "protocols": ["arppath"]},
 ))
 

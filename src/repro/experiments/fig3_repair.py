@@ -22,7 +22,6 @@ from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.metrics.convergence import Recovery, recoveries_for_failures
 from repro.metrics.paths import PathObserver
-from repro.metrics.report import format_table
 from repro.topology.library import DemoParams, netfpga_demo
 from repro.traffic.video import stream_between
 
@@ -59,40 +58,6 @@ class ProtocolRepair:
     def delivery_rate(self) -> float:
         return self.chunks_received / self.chunks_sent if self.chunks_sent \
             else 0.0
-
-
-@dataclass
-class Fig3Result:
-    rows: List[ProtocolRepair] = field(default_factory=list)
-
-    def table(self) -> str:
-        headers = ["protocol", "failure#", "link", "outage_ms",
-                   "chunks_lost", "delivered"]
-        body = []
-        for row in self.rows:
-            for index, outcome in enumerate(row.outcomes, start=1):
-                outage_ms = (outcome.outage * 1e3
-                             if outcome.outage is not None else None)
-                body.append([row.protocol, index, outcome.link or "-",
-                             outage_ms, outcome.chunks_lost,
-                             f"{row.delivery_rate:.3f}"])
-        return format_table(
-            headers, body,
-            title="Fig.3 — stream disruption per link failure "
-                  "(failures hit the active path)")
-
-    def records(self) -> List[Dict[str, Any]]:
-        out = []
-        for row in self.rows:
-            for index, outcome in enumerate(row.outcomes, start=1):
-                out.append({"protocol": row.protocol,
-                            "failure_index": index,
-                            "link": outcome.link,
-                            "outage": outcome.outage,
-                            "chunks_lost": outcome.chunks_lost,
-                            "delivery_rate": row.delivery_rate,
-                            "duplicates": row.duplicates})
-        return out
 
 
 def run_protocol(protocol: ProtocolSpec, failures: int = 2,
@@ -157,15 +122,16 @@ def run_protocol(protocol: ProtocolSpec, failures: int = 2,
 
 def fig3(failures: int, fps: float, failure_spacing: float,
          stp_scale: float, protocols: List[str],
-         seeds: List[int]) -> Fig3Result:
-    """The Figure 3 comparison, one row per protocol per seed.
+         seeds: List[int]) -> List[Dict[str, Any]]:
+    """The Figure 3 comparison, one record per failure per protocol per
+    seed.
 
     STP runs with scaled timers (default 10x faster) so one run stays
     short; its outages scale linearly with the factor (README.md,
     "Bridge families": ``stp_scale`` compresses timers).
     """
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    result = Fig3Result()
+    records = []
     for seed in seeds:
         for protocol in chosen:
             # STP reconvergence needs max_age + 2*forward_delay between
@@ -173,10 +139,17 @@ def fig3(failures: int, fps: float, failure_spacing: float,
             spacing = failure_spacing
             if protocol.name.startswith("stp"):
                 spacing = max(failure_spacing, 60.0 * stp_scale)
-            result.rows.append(run_protocol(
-                protocol, failures=failures, fps=fps,
-                failure_spacing=spacing, seed=seed))
-    return result
+            row = run_protocol(protocol, failures=failures, fps=fps,
+                               failure_spacing=spacing, seed=seed)
+            for index, outcome in enumerate(row.outcomes, start=1):
+                records.append({"protocol": row.protocol,
+                                "failure_index": index,
+                                "link": outcome.link,
+                                "outage": outcome.outage,
+                                "chunks_lost": outcome.chunks_lost,
+                                "delivery_rate": row.delivery_rate,
+                                "duplicates": row.duplicates})
+    return records
 
 
 registry.register(registry.Scenario(

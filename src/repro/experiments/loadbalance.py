@@ -11,14 +11,13 @@ blocked-link effect directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.frames.ethernet import ETHERTYPE_IPV4
 from repro.metrics.load import LoadReport, fabric_load
-from repro.metrics.report import format_table
 from repro.topology.library import fat_tree
 from repro.traffic.matrix import TrafficMatrix, all_pairs_arp_warmup
 
@@ -29,30 +28,6 @@ class LoadRow:
     flows: int
     delivery_rate: float
     report: LoadReport
-
-
-@dataclass
-class LoadResult:
-    rows: List[LoadRow] = field(default_factory=list)
-
-    def table(self) -> str:
-        headers = ["protocol", "flows", "delivered", "links_used",
-                   "links_total", "load_cv", "max/mean"]
-        body = [[r.protocol, r.flows, f"{r.delivery_rate:.3f}",
-                 r.report.used_links, r.report.total_links, r.report.cv,
-                 r.report.max_over_mean] for r in self.rows]
-        return format_table(
-            headers, body,
-            title="EXP-A2 — load distribution over a leaf/spine fabric")
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [{"protocol": r.protocol, "flows": r.flows,
-                 "delivery_rate": r.delivery_rate,
-                 "links_used": r.report.used_links,
-                 "links_total": r.report.total_links,
-                 "load_cv": r.report.cv,
-                 "max_over_mean": r.report.max_over_mean}
-                for r in self.rows]
 
 
 def run_protocol(protocol: ProtocolSpec, pods: int = 4,
@@ -89,13 +64,23 @@ def run_protocol(protocol: ProtocolSpec, pods: int = 4,
 
 def loadbalance(pods: int, hosts_per_edge: int, packets: int,
                 protocols: List[str], stp_scale: Optional[float],
-                seeds: List[int]) -> LoadResult:
-    """Per-link load for each protocol, one row per protocol per seed."""
+                seeds: List[int]) -> List[Dict[str, Any]]:
+    """Per-link load for each protocol, one record per protocol per
+    seed."""
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return LoadResult(rows=[
-        run_protocol(protocol, pods=pods, hosts_per_edge=hosts_per_edge,
-                     packets=packets, seed=seed)
-        for seed in seeds for protocol in chosen])
+    records = []
+    for seed in seeds:
+        for protocol in chosen:
+            r = run_protocol(protocol, pods=pods,
+                             hosts_per_edge=hosts_per_edge,
+                             packets=packets, seed=seed)
+            records.append({"protocol": r.protocol, "flows": r.flows,
+                            "delivery_rate": r.delivery_rate,
+                            "links_used": r.report.used_links,
+                            "links_total": r.report.total_links,
+                            "load_cv": r.report.cv,
+                            "max_over_mean": r.report.max_over_mean})
+    return records
 
 
 registry.register(registry.Scenario(

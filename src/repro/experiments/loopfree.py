@@ -14,14 +14,13 @@ Two claims in one experiment, run on deliberately loopy topologies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.frames.ethernet import ETHERTYPE_IPV4
 from repro.metrics.load import fabric_load
-from repro.metrics.report import format_table
 from repro.netsim.tracer import DELIVERED
 from repro.topology.library import grid, ring
 from repro.traffic.matrix import TrafficMatrix
@@ -40,26 +39,6 @@ class LoopfreeRow:
     storm: bool
     used_links: int
     total_links: int
-
-
-@dataclass
-class LoopfreeResult:
-    rows: List[LoopfreeRow] = field(default_factory=list)
-
-    def table(self) -> str:
-        headers = ["protocol", "topology", "dup_deliveries", "storm",
-                   "links_used", "links_total"]
-        body = [[r.protocol, r.topology, r.duplicate_deliveries, r.storm,
-                 r.used_links, r.total_links] for r in self.rows]
-        return format_table(
-            headers, body,
-            title="EXP-P2 — loop freedom and link utilisation")
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [{"protocol": r.protocol, "topology": r.topology,
-                 "duplicate_deliveries": r.duplicate_deliveries,
-                 "storm": r.storm, "links_used": r.used_links,
-                 "links_total": r.total_links} for r in self.rows]
 
 
 def _broadcast_phase(net) -> Dict[int, int]:
@@ -133,12 +112,21 @@ def run_protocol(protocol: ProtocolSpec, topology_name: str = "grid",
 
 
 def loopfree(topologies: List[str], protocols: List[str],
-             stp_scale: Optional[float], seeds: List[int]) -> LoopfreeResult:
+             stp_scale: Optional[float],
+             seeds: List[int]) -> List[Dict[str, Any]]:
     """Every protocol on every loopy topology, for each seed."""
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return LoopfreeResult(rows=[
-        run_protocol(protocol, topology_name=name, seed=seed)
-        for seed in seeds for protocol in chosen for name in topologies])
+    records = []
+    for seed in seeds:
+        for protocol in chosen:
+            for name in topologies:
+                r = run_protocol(protocol, topology_name=name, seed=seed)
+                records.append({
+                    "protocol": r.protocol, "topology": r.topology,
+                    "duplicate_deliveries": r.duplicate_deliveries,
+                    "storm": r.storm, "links_used": r.used_links,
+                    "links_total": r.total_links})
+    return records
 
 
 registry.register(registry.Scenario(

@@ -15,12 +15,11 @@ and (b) a sparse traffic matrix — showing ARP-Path state scales with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec, build_and_warm
-from repro.metrics.report import format_table
 from repro.topology.library import populate_access_ports, ring
 from repro.traffic.matrix import TrafficMatrix
 
@@ -41,27 +40,12 @@ class OccupancyRow:
             self.endpoints = self.hosts
 
 
-@dataclass
-class OccupancyResult:
-    rows: List[OccupancyRow] = field(default_factory=list)
-
-    def table(self) -> str:
-        headers = ["protocol", "hosts", "talking_pairs",
-                   "peak_state/bridge", "mean_state/bridge"]
-        body = [[r.protocol, r.hosts, r.active_pairs,
-                 r.peak_entries_per_bridge,
-                 f"{r.mean_entries_per_bridge:.1f}"] for r in self.rows]
-        return format_table(
-            headers, body,
-            title="EXP-S1 — per-bridge state vs hosts and traffic")
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [{"protocol": r.protocol, "hosts": r.hosts,
-                 "endpoints": r.endpoints,
-                 "talking_pairs": r.active_pairs,
-                 "peak_state": r.peak_entries_per_bridge,
-                 "mean_state": r.mean_entries_per_bridge}
-                for r in self.rows]
+def _record(r: OccupancyRow) -> Dict[str, Any]:
+    return {"protocol": r.protocol, "hosts": r.hosts,
+            "endpoints": r.endpoints,
+            "talking_pairs": r.active_pairs,
+            "peak_state": r.peak_entries_per_bridge,
+            "mean_state": r.mean_entries_per_bridge}
 
 
 def run_case(protocol: ProtocolSpec, hosts_per_bridge: int,
@@ -109,23 +93,23 @@ def run_case(protocol: ProtocolSpec, hosts_per_bridge: int,
 
 def occupancy(host_counts: List[int], sparse_pairs: int,
               endpoints_per_port: int, protocols: List[str],
-              seeds: List[int]) -> OccupancyResult:
+              seeds: List[int]) -> List[Dict[str, Any]]:
     """Sweep host density per family, dense and sparse traffic."""
-    result = OccupancyResult()
+    records = []
     for seed in seeds:
         for protocol in registry.protocol_specs(protocols):
             for hosts_per_bridge in host_counts:
-                result.rows.append(run_case(
+                records.append(_record(run_case(
                     protocol, hosts_per_bridge, pairs=None, seed=seed,
-                    endpoints_per_port=endpoints_per_port))
+                    endpoints_per_port=endpoints_per_port)))
                 total_hosts = hosts_per_bridge * 4
                 if total_hosts * (total_hosts - 1) > sparse_pairs:
                     sparse = run_case(protocol, hosts_per_bridge,
                                       pairs=sparse_pairs, seed=seed,
                                       endpoints_per_port=endpoints_per_port)
                     sparse.protocol += " (sparse)"
-                    result.rows.append(sparse)
-    return result
+                    records.append(_record(sparse))
+    return records
 
 
 registry.register(registry.Scenario(

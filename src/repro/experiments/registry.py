@@ -1,9 +1,9 @@
 """Scenario registry: declarative experiment metadata.
 
 Every experiment module declares a :class:`Scenario` — a name, a typed
-parameter spec with defaults, a run function and an optional report
-renderer — and self-registers at import time. Everything downstream is generated from
-this one table:
+parameter spec with defaults, a run function returning the scenario's
+records and an optional headline over them — and self-registers at
+import time. Everything downstream is generated from this one table:
 
 * ``repro.cli`` builds its subcommands (flags, help, defaults) from the
   param specs instead of hand-rolled parser functions,
@@ -198,12 +198,14 @@ class Scenario:
     name: str
     title: str
     params: Tuple[Param, ...]
-    #: ``run(**{p.name: value})`` -> result object with ``table()`` and
-    #: ``records()``; its keywords are exactly the param names, none
-    #: with a default.
-    run: Callable[..., Any]
-    #: Full stdout text for a single CLI run (defaults to ``table()``).
-    render: Optional[Callable[[Any], str]] = None
+    #: ``run(**{p.name: value})`` -> the records: a list of flat dicts
+    #: of primitives, one per row. Its keywords are exactly the param
+    #: names, none with a default.
+    run: Callable[..., List[Dict[str, Any]]]
+    #: The paper's headline over records (e.g. a speedup factor), or
+    #: None when the rows do not hold it; printed under the table.
+    headline: Optional[Callable[[List[Dict[str, Any]]], Optional[str]]] \
+        = None
     #: Row fields (beyond strings/bools) identifying a row when
     #: aggregating repeated seeds — e.g. a failure index.
     row_keys: Tuple[str, ...] = ()
@@ -235,19 +237,9 @@ class Scenario:
             bound[name] = value
         return bound
 
-    def execute(self, **overrides: Any) -> Any:
+    def execute(self, **overrides: Any) -> List[Dict[str, Any]]:
         """Run with defaults filled in: ``scenario.execute(probes=5)``."""
         return self.run(**self.bind(overrides))
-
-    def report(self, result: Any) -> str:
-        """The single-run stdout text (table plus any epilogue lines)."""
-        if self.render is not None:
-            return self.render(result)
-        return result.table()
-
-    def records(self, result: Any) -> List[Dict[str, Any]]:
-        """Flat machine-readable rows for aggregation and artifacts."""
-        return result.records()
 
     def schema(self) -> Dict[str, Any]:
         """This scenario's param spec as a JSON-schema object.

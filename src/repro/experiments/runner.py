@@ -112,8 +112,10 @@ class CellResult:
     succeeded); :attr:`retried` and :attr:`status` are read from it and
     from ``error``.
 
-    ``telemetry`` is engine bookkeeping the scenario reports beside its
-    rows (``scale``'s ``ENGINE_FIELDS``, one entry per row);
+    ``telemetry`` is engine bookkeeping the scenario returns beside its
+    records (the ``telemetry`` attribute of ``scale``'s
+    :class:`~repro.experiments.scale.ScaleRecords`: ``ENGINE_FIELDS``,
+    one entry per row);
     :func:`record_line` never sees it. A resumed serve job rebuilds its
     already-flushed cells from their stored records, so those cells
     carry it empty.
@@ -235,9 +237,9 @@ def execute_cell(cell: SweepCell, attempt: int = 0,
             hook(cell, attempt)
         params = scenario.bind(cell.params())
         params["seeds"] = [cell.seed]
-        result = scenario.run(**params)
+        records = scenario.run(**params)
         rows = []
-        for row in scenario.records(result):
+        for row in records:
             tagged: Dict[str, Any] = {"scenario": cell.scenario}
             tagged.update(row)
             tagged["seed"] = cell.seed
@@ -245,7 +247,7 @@ def execute_cell(cell: SweepCell, attempt: int = 0,
                 tagged.setdefault(name, _brief(value)
                                   if isinstance(value, tuple) else value)
             rows.append(tagged)
-        telemetry = result.telemetry() if hasattr(result, "telemetry") else {}
+        telemetry = getattr(records, "telemetry", {})
     except Exception:
         return CellResult(cell=cell, error=traceback.format_exc(),
                           elapsed=time.perf_counter() - started)

@@ -19,7 +19,7 @@ the bridge families and measures, per (kind, size, protocol) cell:
 * **convergence time** — cold-path discovery latency: the time from
   the first probe until its reply arrives (ARP race + path lock);
 * **engine bookkeeping** — :data:`ENGINE_FIELDS`, beside the records
-  (:meth:`ScaleResult.telemetry`), never in them. Process RSS is
+  (:attr:`ScaleRecords.telemetry`), never in them. Process RSS is
   machine-dependent and recorded only by ``benchmarks/bench_scale.py``.
 
 Traffic is injected with :meth:`Network.announce_hosts`-style bulk
@@ -30,14 +30,13 @@ building a 200-bridge cell stays cheap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, Generator, List, Optional
 
 from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec
 from repro.frames.ethernet import ETHERTYPE_ARP
 from repro.switching import base
-from repro.metrics.report import format_table
 from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
 from repro.netsim.meminfo import MemorySampler
@@ -114,58 +113,36 @@ class ScaleRow:
         return self.events_processed / max(self.payloads_delivered, 1)
 
 
-@dataclass
-class ScaleResult:
-    rows: List[ScaleRow] = field(default_factory=list)
+class ScaleRecords(list):
+    """The size sweep's records, one per :class:`ScaleRow`, with the
+    engine bookkeeping beside them: :attr:`telemetry` holds each of
+    :data:`ENGINE_FIELDS`, one entry per row, and no record holds any
+    of them."""
 
-    def table(self) -> str:
-        headers = ["protocol", "kind", "bridges", "links",
-                   "convergence_ms", "frames/payload", "arp_frames",
-                   "peak_state", "mean_state"]
-        body = []
-        for row in self.rows:
-            body.append([
-                row.protocol, row.kind, row.bridges, row.links,
-                row.convergence_s * 1e3
-                if row.convergence_s is not None else None,
-                f"{row.frames_per_payload:.1f}", row.arp_frames,
-                row.peak_state, f"{row.mean_state:.1f}",
-            ])
-        return format_table(
-            headers, body,
-            title="EXP-X1 — scalability: state, overhead and convergence "
-                  "vs network size")
-
-    def records(self) -> List[Dict[str, Any]]:
-        out = []
-        for row in self.rows:
-            out.append({
-                "protocol": row.protocol,
-                "kind": row.kind,
-                "size": row.size,
-                "bridges": row.bridges,
-                "links": row.links,
-                "hosts": row.hosts,
-                "endpoints": row.endpoints,
-                "convergence_ms": row.convergence_s * 1e3
-                if row.convergence_s is not None else None,
-                "frames_per_payload": row.frames_per_payload,
-                "frames_sent": row.frames_sent,
-                "arp_frames": row.arp_frames,
-                "control_frames": row.control_frames,
-                "payloads_delivered": row.payloads_delivered,
-                "peak_state": row.peak_state,
-                "mean_state": row.mean_state,
-                "probes_sent": row.probes_sent,
-                "probes_answered": row.probes_answered,
-            })
-        return out
-
-    def telemetry(self) -> Dict[str, List[int]]:
-        """The engine bookkeeping beside :meth:`records`: each of
-        :data:`ENGINE_FIELDS`, one entry per row."""
-        return {name: [getattr(row, name) for row in self.rows]
-                for name in ENGINE_FIELDS}
+    def __init__(self, rows: List[ScaleRow]):
+        super().__init__({
+            "protocol": row.protocol,
+            "kind": row.kind,
+            "size": row.size,
+            "bridges": row.bridges,
+            "links": row.links,
+            "hosts": row.hosts,
+            "endpoints": row.endpoints,
+            "convergence_ms": row.convergence_s * 1e3
+            if row.convergence_s is not None else None,
+            "frames_per_payload": row.frames_per_payload,
+            "frames_sent": row.frames_sent,
+            "arp_frames": row.arp_frames,
+            "control_frames": row.control_frames,
+            "payloads_delivered": row.payloads_delivered,
+            "peak_state": row.peak_state,
+            "mean_state": row.mean_state,
+            "probes_sent": row.probes_sent,
+            "probes_answered": row.probes_answered,
+        } for row in rows)
+        self.telemetry: Dict[str, List[int]] = {
+            name: [getattr(row, name) for row in rows]
+            for name in ENGINE_FIELDS}
 
 
 def _natural(names) -> List[str]:
@@ -363,7 +340,7 @@ def run_case(protocol: ProtocolSpec, kind: str, size: int, pairs: int = 3,
 
 def scale(kind: str, sizes: List[int], protocols: List[str], pairs: int,
           probes: int, stp_scale: float, endpoints_per_port: int,
-          seeds: List[int]) -> ScaleResult:
+          seeds: List[int]) -> ScaleRecords:
     """The size sweep across bridge families, one engine per cell.
 
     A plain learning switch storms on any wiring with redundant paths,
@@ -374,7 +351,7 @@ def scale(kind: str, sizes: List[int], protocols: List[str], pairs: int,
             f"protocol 'learning' storms on loopy topologies; use one of "
             f"{', '.join(LOOP_FREE_SCALE)} (got {kind!r})")
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return ScaleResult(rows=[
+    return ScaleRecords([
         run_case(protocol, kind, size, pairs=pairs, probes=probes,
                  seed=seed, endpoints_per_port=endpoints_per_port)
         for seed in seeds for protocol in chosen for size in sizes])

@@ -18,7 +18,6 @@ from repro.experiments import registry
 from repro.experiments.common import ProtocolSpec, build_and_warm
 from repro.metrics.paths import (PathObserver, min_latency_path,
                                  path_latency)
-from repro.metrics.report import format_table
 from repro.metrics.stats import Summary, summarize
 from repro.topology.library import random_graph
 from repro.traffic.ping import PingSeries
@@ -58,39 +57,15 @@ class ProtocolStretch:
         return summarize(values) if values else None
 
 
-@dataclass
-class StretchResult:
-    rows: List[ProtocolStretch] = field(default_factory=list)
-
-    def table(self) -> str:
-        headers = ["protocol", "seed", "pairs", "stretch_mean",
-                   "stretch_p95", "stretch_max", "optimal_frac"]
-        body = []
-        for row in self.rows:
-            stats = row.summary()
-            if stats is None:
-                body.append([row.protocol, row.topology_seed, 0,
-                             None, None, None, None])
-                continue
-            body.append([row.protocol, row.topology_seed, stats.count,
-                         stats.mean, stats.p95, stats.max,
-                         f"{row.optimal_fraction:.2f}"])
-        return format_table(headers, body,
-                            title="EXP-P1 — path stretch vs latency oracle")
-
-    def records(self) -> List[Dict[str, Any]]:
-        out = []
-        for row in self.rows:
-            stats = row.summary()
-            out.append({"protocol": row.protocol,
-                        "seed": row.topology_seed,
-                        "pairs": stats.count if stats else 0,
-                        "stretch_mean": stats.mean if stats else None,
-                        "stretch_p95": stats.p95 if stats else None,
-                        "stretch_max": stats.max if stats else None,
-                        "optimal_frac": row.optimal_fraction
-                        if stats else None})
-        return out
+def _record(row: ProtocolStretch) -> Dict[str, Any]:
+    stats = row.summary()
+    return {"protocol": row.protocol,
+            "seed": row.topology_seed,
+            "pairs": stats.count if stats else 0,
+            "stretch_mean": stats.mean if stats else None,
+            "stretch_p95": stats.p95 if stats else None,
+            "stretch_max": stats.max if stats else None,
+            "optimal_frac": row.optimal_fraction if stats else None}
 
 
 def measure_pair(net, src: str, dst: str, probes: int = 3
@@ -131,13 +106,14 @@ def run_protocol(protocol: ProtocolSpec, n_bridges: int = 10,
 
 
 def stretch(bridges: int, hosts: int, protocols: List[str],
-            stp_scale: Optional[float], seeds: List[int]) -> StretchResult:
-    """Path stretch per protocol, one row per protocol per seed
+            stp_scale: Optional[float],
+            seeds: List[int]) -> List[Dict[str, Any]]:
+    """Path stretch per protocol, one record per protocol per seed
     (protocol-major)."""
     chosen = registry.protocol_specs(protocols, stp_scale=stp_scale)
-    return StretchResult(rows=[
-        run_protocol(protocol, n_bridges=bridges, hosts=hosts, seed=seed)
-        for protocol in chosen for seed in seeds])
+    return [_record(run_protocol(protocol, n_bridges=bridges, hosts=hosts,
+                                 seed=seed))
+            for protocol in chosen for seed in seeds]
 
 
 registry.register(registry.Scenario(

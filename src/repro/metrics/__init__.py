@@ -7,7 +7,8 @@ from repro.metrics.convergence import (Recovery, recoveries_for_failures,
 from repro.metrics.load import LoadReport, fabric_load
 from repro.metrics.paths import (OraclePath, PathObserver, min_latency_path,
                                  path_latency, stretch)
-from repro.metrics.report import format_cell, format_table, ms, s, us
+from repro.metrics.report import (format_cell, format_rows, format_table,
+                                  ms, us)
 from repro.metrics.stats import (Summary, coefficient_of_variation,
                                  mean, percentile, stdev, summarize)
 
@@ -17,7 +18,7 @@ __all__ = [
     "LoadReport", "fabric_load",
     "OraclePath", "PathObserver", "min_latency_path", "path_latency",
     "stretch",
-    "format_cell", "format_table", "ms", "s", "us",
+    "format_cell", "format_rows", "format_table", "ms", "us",
     "Summary", "coefficient_of_variation", "mean",
     "percentile", "stdev", "summarize",
 ]

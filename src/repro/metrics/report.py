@@ -1,13 +1,11 @@
 """Plain-text result tables and machine-readable artifacts.
 
-The demo's Perl/Tk GUI is replaced by text reports: every experiment
-prints a table via :func:`format_table`, and the benches print the
-same rows (README.md, "Performance").
-
-Every experiment result additionally implements the unified row
-protocol — a ``records()`` method returning flat dicts of primitives —
-which :func:`records` adapts and :func:`write_json` / :func:`write_csv`
-persist, so sweep outputs are diffable and scriptable.
+The demo's Perl/Tk GUI is replaced by text reports. Every scenario
+returns its results as records — flat dicts of primitives — and
+:func:`format_rows` is the one table they are printed as, by ``repro
+<scenario>``, ``repro sweep``, the examples and the benches alike;
+:func:`write_json` / :func:`write_csv` / :func:`write_jsonl` persist
+the same rows, so outputs are diffable and scriptable.
 """
 
 from __future__ import annotations
@@ -59,6 +57,14 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
     return "\n".join(parts)
 
 
+def format_rows(rows: Sequence[Dict[str, Any]], title: str) -> str:
+    """*rows* as one table, a column per key in first-seen order."""
+    columns = csv_columns(rows)
+    return format_table(columns,
+                        [[row.get(column) for column in columns]
+                         for row in rows], title=title)
+
+
 def us(seconds: float) -> str:
     """Seconds rendered as microseconds."""
     return f"{seconds * 1e6:.1f}us"
@@ -67,11 +73,6 @@ def us(seconds: float) -> str:
 def ms(seconds: float) -> str:
     """Seconds rendered as milliseconds."""
     return f"{seconds * 1e3:.3f}ms"
-
-
-def s(seconds: float) -> str:
-    """Seconds rendered with 3 decimals."""
-    return f"{seconds:.3f}s"
 
 
 def csv_columns(rows: Sequence[Dict[str, Any]]) -> List[str]:

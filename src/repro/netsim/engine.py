@@ -91,31 +91,25 @@ class Periodic:
     """A repeating timer created by :meth:`Simulator.schedule_periodic`."""
 
     __slots__ = ("_sim", "_interval", "_callback", "_args", "_event",
-                 "_stopped", "_jitter")
+                 "_stopped")
 
     def __init__(self, sim: "Simulator", interval: float,
-                 callback: Callable[..., Any], args: tuple, jitter: float):
+                 callback: Callable[..., Any], args: tuple):
         if interval <= 0:
             raise SchedulingError(f"periodic interval must be > 0: {interval}")
         self._sim = sim
         self._interval = interval
         self._callback = callback
         self._args = args
-        self._jitter = jitter
         self._stopped = False
-        self._event = sim.schedule(self._next_delay(), self._fire)
-
-    def _next_delay(self) -> float:
-        if self._jitter:
-            return self._interval + self._sim.rng.uniform(0, self._jitter)
-        return self._interval
+        self._event = sim.schedule(interval, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:
             return
         self._callback(*self._args)
         if not self._stopped:
-            self._event = self._sim.schedule(self._next_delay(), self._fire)
+            self._event = self._sim.schedule(self._interval, self._fire)
 
     def stop(self) -> None:
         """Stop the timer (idempotent)."""
@@ -213,13 +207,9 @@ class Simulator:
         return self.schedule(0.0, callback, *args, priority=priority)
 
     def schedule_periodic(self, interval: float, callback: Callable[..., Any],
-                          *args: Any, jitter: float = 0.0) -> Periodic:
-        """Run *callback* every *interval* seconds until stopped.
-
-        A positive *jitter* adds a uniform random extra delay in
-        ``[0, jitter)`` before each firing (drawn from :attr:`rng`).
-        """
-        return Periodic(self, interval, callback, args, jitter)
+                          *args: Any) -> Periodic:
+        """Run *callback* every *interval* seconds until stopped."""
+        return Periodic(self, interval, callback, args)
 
     def schedule_bulk(self, specs: Iterable[Sequence],
                       priority: int = PRIORITY_NORMAL) -> List[Event]:

@@ -4,7 +4,7 @@ Each entry pins the records of one scenario cell as the sha256 of its
 ``record_line`` rows joined by newlines. ``rows`` says which rows:
 
 * ``"records"`` — ``registry.get(scenario).execute(seeds=[seed],
-  **params).records()``, the scenario's own rows;
+  **params)``, the records the scenario itself returns;
 * ``"cell"`` — the rows ``runner.execute_cell`` returns for that
   scenario, seed and overrides, tagged with ``scenario`` / ``seed``
   the way sweeps, ``--jsonl`` and the serve daemon emit them.
@@ -86,9 +86,8 @@ def by_id(golden_id: str) -> Golden:
 def rows(golden: Golden) -> List[Dict[str, Any]]:
     """The rows *golden* hashes (see the module docstring)."""
     if golden["rows"] == "records":
-        scenario = registry.get(golden["scenario"])
-        return scenario.records(scenario.execute(
-            seeds=[golden["seed"]], **golden["params"]))
+        return registry.get(golden["scenario"]).execute(
+            seeds=[golden["seed"]], **golden["params"])
     result = runner.execute_cell(runner.SweepCell(
         index=0, scenario=golden["scenario"], seed=golden["seed"],
         overrides=runner.freeze_overrides(golden["params"])))

@@ -99,7 +99,8 @@ class TestSeedUniformity:
 
 class TestExecution:
     """Every registered scenario runs through the CLI entry point at
-    its smallest parameters: exit code 0 and a non-empty report."""
+    its smallest parameters: exit code 0 and its records' table under
+    the scenario's title."""
 
     @pytest.mark.parametrize("name", registry.names())
     def test_scenario_smoke(self, name, capsys):
@@ -107,13 +108,14 @@ class TestExecution:
         code = main(_smoke_argv(scenario))
         out = capsys.readouterr().out
         assert code == 0
-        assert out.strip()
+        title = scenario.title
+        assert out.startswith(f"{title}\n{'=' * len(title)}\n")
 
     def test_ping_reports_demo_path(self, capsys):
         code = main(["ping", "--protocol", "arppath", "--count", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "rtt:" in out and "NF1" in out
+        assert "rtt_mean" in out and "NF1->NF2->NF3" in out
 
 
 class TestSweepCommand:
@@ -128,6 +130,13 @@ class TestSweepCommand:
         assert code == 0
         assert "sweep — proxy" in out
         assert json_path.exists() and csv_path.exists()
+
+    def test_sweep_prints_the_fig2_headline(self, capsys):
+        code = main(["sweep", "fig2", "--seeds", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "sweep — fig2" in out
+        assert "ARP-Path speedup over STP: " in out
 
     def test_sweep_jsonl_is_canonical(self, capsys, tmp_path):
         # --jsonl writes the serve daemon's canonical record encoding:

@@ -83,18 +83,24 @@ class TestOneDeclaration:
 
     @pytest.mark.parametrize("name", registry.names())
     def test_multiple_seeds_concatenate_rows(self, name):
+        """Rows at ``seeds=[0, 1]`` are the per-seed rows in the
+        scenario's order, and every row is a flat dict of primitives."""
         scenario = registry.get(name)
         smoke = dict(scenario.smoke)
         smoke.pop("seeds", None)
-        per_seed = [row for seed in (0, 1) for row in scenario.records(
-            scenario.execute(seeds=[seed], **smoke))]
+        per_seed = [row for seed in (0, 1)
+                    for row in scenario.execute(seeds=[seed], **smoke)]
         outer = self.OUTER_FIELD.get(name)
         if outer is not None:
             groups = list(dict.fromkeys(row[outer] for row in per_seed))
             per_seed.sort(key=lambda row: groups.index(row[outer]))
         assert per_seed
-        assert scenario.records(
-            scenario.execute(seeds=[0, 1], **smoke)) == per_seed
+        for row in per_seed:
+            assert type(row) is dict
+            for value in row.values():
+                assert value is None or isinstance(
+                    value, (str, bool, int, float))
+        assert scenario.execute(seeds=[0, 1], **smoke) == per_seed
 
     def test_empty_seeds_rejected_at_the_boundaries(self):
         parser = build_parser()
@@ -107,26 +113,6 @@ class TestOneDeclaration:
 
 
 class TestResultRowProtocol:
-    """Every scenario's result emits machine-readable rows."""
-
-    @pytest.fixture(scope="class")
-    def proxy_result(self):
-        scenario = registry.get("proxy")
-        return scenario, scenario.execute(**scenario.smoke)
-
-    def test_records_are_flat_primitive_dicts(self, proxy_result):
-        scenario, result = proxy_result
-        rows = scenario.records(result)
-        assert rows
-        for row in rows:
-            for value in row.values():
-                assert value is None or isinstance(
-                    value, (str, bool, int, float))
-
-    def test_report_contains_table(self, proxy_result):
-        scenario, result = proxy_result
-        assert "EXP-A1" in scenario.report(result)
-
     def test_protocol_specs_helper_scales_stp(self):
         full, = registry.protocol_specs(["stp"])
         scaled, = registry.protocol_specs(["stp"], stp_scale=0.1)

@@ -70,13 +70,12 @@ class TestScaleGolden:
         return registry.get("scale").execute(sizes=[9], protocols=["arppath"],
                                              pairs=1, probes=1, seeds=[0])
 
-    def rows(self):
-        return registry.get("scale").records(self.result())
-
     def test_pinned_row(self):
+        from repro.experiments.common import spec
         result = self.result()
-        (row,) = registry.get("scale").records(result)
-        (cell,) = result.rows
+        (row,) = result
+        cell = run_case(spec("arppath"), "grid", 9, pairs=1, probes=1,
+                        seed=0)
         assert row["protocol"] == "arppath"
         assert row["kind"] == "grid"
         assert row["size"] == 9
@@ -105,14 +104,14 @@ class TestScaleGolden:
         assert cell.peak_pending_events == 42
         assert cell.events_processed == 323
         assert cell.events_per_payload == pytest.approx(80.75)
-        assert result.telemetry() == {"events_processed": [323],
-                                      "peak_pending_events": [42]}
+        assert result.telemetry == {"events_processed": [323],
+                                    "peak_pending_events": [42]}
         assert not {"peak_pending_events", "peak_wheel_timers",
                     "events_processed", "events_per_payload"} & set(row)
         assert "peak_rss" not in "".join(row)
 
     def test_rows_are_reproducible(self):
-        assert self.rows() == self.rows()
+        assert self.result() == self.result()
 
 
 def run_scale(**overrides):
@@ -125,15 +124,16 @@ class TestScaleScenario:
                            protocols=["arppath", "spb"], pairs=1,
                            probes=1, seeds=[0])
         by_protocol = {}
-        for row in result.rows:
-            by_protocol.setdefault(row.protocol, []).append(row)
+        for row in result:
+            by_protocol.setdefault(row["protocol"], []).append(
+                row["peak_state"])
         arp_small, arp_large = by_protocol["arppath"]
         spb_small, spb_large = by_protocol["spb"]
         # Link-state replicates the topology everywhere: state grows
         # with the network. ARP-Path state follows conversations only.
-        assert spb_large.peak_state > spb_small.peak_state
-        assert arp_large.peak_state <= spb_small.peak_state
-        assert arp_large.peak_state == arp_small.peak_state
+        assert spb_large > spb_small
+        assert arp_large <= spb_small
+        assert arp_large == arp_small
 
     def test_learning_gated_to_loop_free(self):
         with pytest.raises(ValueError, match="storms"):
@@ -143,9 +143,9 @@ class TestScaleScenario:
         result = run_scale(kind="line", sizes=[4],
                            protocols=["learning"], pairs=1, probes=1,
                            seeds=[0])
-        (row,) = result.rows
-        assert row.probes_answered >= 1
-        assert row.peak_state >= 1
+        (row,) = result
+        assert row["probes_answered"] >= 1
+        assert row["peak_state"] >= 1
 
     def test_run_case_deterministic(self):
         from repro.experiments.common import spec
