@@ -113,6 +113,18 @@ class TestOneDeclaration:
 
 
 class TestResultRowProtocol:
+    """Every scenario emits machine-readable rows."""
+
+    def test_records_are_flat_primitive_dicts(self):
+        scenario = registry.get("proxy")
+        rows = scenario.execute(**scenario.smoke)
+        assert rows
+        for row in rows:
+            assert type(row) is dict
+            for value in row.values():
+                assert value is None or isinstance(
+                    value, (str, bool, int, float))
+
     def test_protocol_specs_helper_scales_stp(self):
         full, = registry.protocol_specs(["stp"])
         scaled, = registry.protocol_specs(["stp"], stp_scale=0.1)
