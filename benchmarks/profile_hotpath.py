@@ -13,16 +13,17 @@ Usage::
 
 The plain invocation (no ``--endpoints``) also profiles
 one warm **unicast train** — a 2 000-packet flow over an 8-bridge
-ARP-Path line whose path is already LEARNT — so ``on_unicast`` /
-``learn`` / ``get`` show their cumulative shares next to the flood's.
+ARP-Path line whose path is already LEARNT — so ``on_unicast`` (whose
+hit path calls into the table only on a miss, an expired entry or a
+moved source) shows its cumulative share next to the flood's.
 
 Beside each cProfile table come the two things cProfile cannot see,
 for the same run: what the **garbage collector** did (collections and
 seconds per generation, from ``gc.callbacks``) and a **census** of the
-delivery events link directions still hold. An object the hot path
+delivery frames link directions still hold. An object the hot path
 keeps past its use costs nothing in any profiled function — it
 survives generation 0 and the collector pays for it later — so a
-retention bug shows here as collector seconds and as *fired* events in
+retention bug shows here as collector seconds and as *fired* frames in
 the census (the invariant is zero: ``netsim.link``'s in-flight FIFO),
 and nowhere in the top-N.
 
@@ -41,6 +42,7 @@ import os
 import pstats
 import sys
 import time
+from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
@@ -87,18 +89,27 @@ def held_deliveries():
     """Census of ``_Direction.pending`` per engine: ``{id(sim):
     [directions, in_flight, fired]}`` over every direction alive.
 
-    Found through the collector, not through a network handle, so it
-    works on workloads that only hand back a simulator.
+    A held frame is in flight while a live heap entry carries its
+    direction's flight token; a frame held beyond those was delivered
+    and retained. Found through the collector, not through a network
+    handle, so it works on workloads that only hand back a simulator.
     """
     from repro.netsim.link import _Direction
 
-    census = {}
+    census, flights = {}, {}
     for obj in gc.get_objects():
         if type(obj) is _Direction:
-            cell = census.setdefault(id(obj.to_port.node.sim), [0, 0, 0])
+            sim = obj.to_port.node.sim
+            if id(sim) not in flights:
+                flights[id(sim)] = Counter(
+                    id(entry[3]) for entry in sim._queue
+                    if not entry[3].cancelled)
+            cell = census.setdefault(id(sim), [0, 0, 0])
             cell[0] += 1
-            for event in obj.pending:
-                cell[2 if event._sim is None else 1] += 1
+            held = len(obj.pending)
+            flying = min(held, flights[id(sim)][id(obj.flight)])
+            cell[1] += flying
+            cell[2] += held - flying
     return census
 
 

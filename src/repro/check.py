@@ -13,9 +13,10 @@ send order; ``tally`` — the record's register was bumped once.
 Per :meth:`Checker.audit`, at any point between events: ``tally`` —
 each register reads its last record's count, or was zeroed since by
 ``Tracer.reset``; ``conservation`` — the uids a direction's records
-left in flight are its ``pending``'s (``sent == delivered + in-flight
-drops + len(pending)``); ``in-flight`` — ``pending`` is exactly the
-direction's unfired heap entries in ``(time, seq)`` order;
+left in flight are its ``pending`` frames' (``sent == delivered +
+in-flight drops + len(pending)``); ``in-flight`` — every unfired
+delivery on the heap carries its direction's current flight token, and
+a direction has exactly ``len(pending)`` of them;
 ``pending-count`` — the engine's pending count is its heap's; ``aging``
 — every :class:`AgingStore` seen with a bucket timer keeps the bucket
 invariant of :mod:`repro.netsim.aging`, and a key filed since the
@@ -29,7 +30,7 @@ exports or whose sender is a ghost; ``in-flight`` covers the import side.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Any, Deque, Dict, Hashable, Optional
+from typing import Deque, Dict, Hashable, Optional
 
 from repro.frames.mac import BROADCAST
 from repro.netsim import tracer as trc
@@ -37,7 +38,7 @@ from repro.netsim.tracer import DELIVERED, DROP_LINK_DOWN, SENT
 from repro.netsim.aging import RECLAIM_GRANULE, AgingStore
 from repro.netsim.engine import PRIORITY_LATE, Simulator
 from repro.netsim.errors import InvariantError
-from repro.netsim.link import Link
+from repro.netsim.link import _Flight
 
 
 class _Watch:
@@ -50,7 +51,7 @@ class _Watch:
             direction.from_port) is direction else None
         #: uids in flight, oldest first (unused across a shard cut).
         self.in_flight: Deque[int] = deque(
-            event.args[1].uid for event in direction.pending if snapshot)
+            frame.uid for frame in direction.pending if snapshot)
         self.broadcasts = set()         # broadcast uids carried
         #: kind -> ethertype -> the register's value at the last record.
         self.tallies = {kind: dict(getattr(direction, kind) if snapshot
@@ -117,13 +118,17 @@ class Checker:
         if len(live) != sim.pending_events:
             self._fail("pending-count", f"{len(live)} unfired events, "
                        f"{sim.pending_events} derived")
-        deliveries: Dict[Any, list] = {}
+        deliveries: Counter = Counter()
         armed: Dict[AgingStore, Counter] = {}
         for _time, priority, _seq, event in live:
-            owner = getattr(event.callback, "__func__", None)
-            if owner is Link._deliver:
-                deliveries.setdefault(event.args[0], []).append(event)
-            elif owner is AgingStore._bucket_due:
+            if type(event) is _Flight:
+                (direction,) = event.args
+                if direction.flight is not event:
+                    self._fail("in-flight", "a delivery holds a stale "
+                               "flight token", direction=direction)
+                deliveries[direction] += 1
+            elif getattr(event.callback, "__func__",
+                         None) is AgingStore._bucket_due:
                 (slot,) = event.args
                 if not (event.time == slot * RECLAIM_GRANULE > now
                         and priority == PRIORITY_LATE):
@@ -133,8 +138,8 @@ class Checker:
                 self._stores.setdefault(store, None)
                 armed.setdefault(store, Counter())[slot] += 1
         for direction in sim.tracer._directions:
-            pending = list(direction.pending)
-            if pending != deliveries.pop(direction, []):
+            pending = direction.pending
+            if len(pending) != deliveries.pop(direction, 0):
                 self._fail("in-flight", "pending is not its unfired heap "
                            "entries", direction=direction)
             watch = self._watches.get(direction) or _Watch(direction, False)
@@ -144,7 +149,7 @@ class Checker:
                     self._fail("tally", f"{kind} bumped with no record",
                                direction=direction)
             recorded = list(watch.in_flight)
-            uids = [event.args[1].uid for event in pending]
+            uids = [frame.uid for frame in pending]
             if uids != recorded and direction.export is None \
                     and not direction.from_port.node.shard_ghost:
                 self._fail("conservation", f"pending holds {uids}, records "

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 from repro.core.config import ArpPathConfig, DEFAULT_CONFIG
 from repro.core.proxy import ArpProxy
 from repro.core.repair import RepairManager, RepairState
-from repro.core.table import LockedAddressTable
+from repro.core.table import LEARNT, LockedAddressTable
 from repro.frames import control as ctl_proto
 from repro.frames.arp import ArpPacket
 from repro.frames.control import ArpPathControl, HELLO_MULTICAST
@@ -307,19 +307,34 @@ class ArpPathBridge(Bridge):
 
     def on_unicast(self, port: Port, frame: EthernetFrame) -> None:
         """One pass, one table probe per address: learn the source,
-        look the destination up once, confirm *that* entry, forward."""
+        look the destination up once, confirm *that* entry, forward.
+
+        The hit path stays in this frame: a live entry is confirmed by
+        ``table.confirm_entry``'s two slot writes, and the table is
+        called only to learn a new, expired or moved source or to reap
+        an expired destination."""
         now = self.sim._now
         table = self.table
+        probe = table._probe
+        learnt_until = now + table.learnt_timeout
         # The frame's source travelled to here: establish/confirm the
         # reverse direction in LEARNT state.
-        table.learn(frame.src, port, now)
+        src = frame.src
+        entry = probe(src._value)
+        if entry is not None and entry.expires > now and entry.port is port:
+            entry.state = LEARNT
+            entry.expires = learnt_until
+        else:
+            table.learn(src, port, now)
         if self.proxy is not None and frame.ethertype == ETHERTYPE_ARP \
                 and isinstance(frame.payload, ArpPacket):
             self.proxy.snoop(frame.payload, now)
         dst = frame.dst
         if dst._value == self.mac._value:
             return
-        entry = table.get(dst, now)
+        entry = probe(dst._value)
+        if entry is not None and entry.expires <= now:
+            entry = table.get(dst, now)  # reaps; None
         if entry is not None:
             out_port = entry.port
             link = out_port.link  # out_port.is_up inlined
@@ -330,8 +345,10 @@ class ArpPathBridge(Bridge):
                 # Using the path keeps it alive (and upgrades LOCKED
                 # entries created by the discovery broadcast — the
                 # §2.1.2 step).
-                table.confirm_entry(entry, now)
-                self.forward(out_port, frame)
+                entry.state = LEARNT
+                entry.expires = learnt_until
+                self.counters.forwarded += 1
+                link.transmit(out_port, frame)
                 return
         self._unicast_miss(port, frame)
 

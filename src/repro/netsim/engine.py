@@ -11,7 +11,8 @@ a separate cancellation-friendly structure would buy nothing.
 
 No counter is written per event. :attr:`Simulator.pending_events` is
 derived, O(1): the heap's length minus the cancelled entries still in
-it (counted by :meth:`Event.cancel`, uncounted when the loop pops one).
+it (counted by :meth:`Event.cancel`, or by ``Link.take_down`` for a
+direction's deliveries, and uncounted when the loop pops one).
 :attr:`Simulator.events_processed` is counted in a local of the loop
 and written back when :meth:`Simulator._run` returns, so a callback
 that reads it sees the count before the current run. The engine offers
@@ -26,9 +27,12 @@ Heap entries are ``(time, priority, seq, event)`` tuples rather than
 bare :class:`Event` objects: heap sifts compare machine floats and ints
 in C, with no Python frame per comparison on any push/pop of the hot
 loop. ``seq`` is unique, so a comparison never falls through to the
-event object itself — :class:`Event` defines no ordering. They are
-popped in one loop, :meth:`Simulator._run`, behind :meth:`Simulator.run`
-(closed bound) and :meth:`Simulator.run_below` (open bound).
+event object itself — :class:`Event` defines no ordering. A link
+delivery's event is its direction's flight token (:mod:`repro.netsim
+.link`), which has no ``time``: the loop reads the time off the entry.
+They are popped in one loop, :meth:`Simulator._run`, behind
+:meth:`Simulator.run` (closed bound) and :meth:`Simulator.run_below`
+(open bound).
 """
 
 from __future__ import annotations
@@ -109,7 +113,10 @@ class Periodic:
             return
         self._callback(*self._args)
         if not self._stopped:
-            self._event = self._sim.schedule(self._interval, self._fire)
+            sim = self._sim
+            self._event = sim._push(sim._now + self._interval,
+                                    PRIORITY_NORMAL, next(sim._seq),
+                                    self._fire, ())
 
     def stop(self) -> None:
         """Stop the timer (idempotent)."""
@@ -141,7 +148,7 @@ class Simulator:
             raise RecordRetentionError(
                 "the tracer keeps no records; attach a listener instead, "
                 "e.g. repro.testing.record_trace(sim)")
-        #: Heap of (time, priority, seq, Event) — see the module docs.
+        #: Heap of (time, priority, seq, event) — see the module docs.
         self._queue: List[tuple] = []
         self._seq = itertools.count()
         self._now = 0.0
@@ -166,9 +173,8 @@ class Simulator:
             raise SchedulingError(f"cannot schedule in the past: {delay}")
         time = self._now + delay
         seq = next(self._seq)
-        # Event filled via __new__ + slot writes: this is the hottest
-        # allocation site in the simulator (once per frame hop), and
-        # skipping the __init__ call is worth the inelegance.
+        # Event filled via __new__ + slot writes: skipping the __init__
+        # call is worth the inelegance on every timer and drain event.
         event = Event.__new__(Event)
         event.time = time
         event.priority = priority
@@ -292,12 +298,13 @@ class Simulator:
         fired = 0
         try:
             while queue:
-                event = queue[0][3]
+                entry = queue[0]
+                event = entry[3]
                 if event.cancelled:
                     heappop(queue)
                     self._cancelled -= 1
                     continue
-                time = event.time
+                time = entry[0]
                 if time >= limit and (time > limit or not inclusive):
                     return True
                 if max_events is not None and fired >= max_events:

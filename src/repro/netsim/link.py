@@ -55,18 +55,24 @@ shard's ``export`` hook alike — an arrival cannot move by an ulp with
 how the frame left (``tests/test_link.py::TestOneDeliveryInstant``).
 
 In-flight FIFO: a direction's ``pending`` deque holds **exactly the
-deliveries in flight**, oldest first — scheduling appends, the delivery
-pops the head as its first act, :meth:`Link.take_down` cancels the
-rest — so nothing fired is retained and a delivered frame dies by
-reference count. Sound because one direction's deliveries fire in
-scheduling order: ``busy_until`` never falls while carrier holds (the
-transmitter serialises), ``latency`` / ``bandwidth`` are fixed at
-construction and float addition is monotonic; ties fall to the engine's
-ascending ``seq``; a shard's import side releases sorted, under rising
-bounds (guard: :mod:`repro.check`'s ``in-flight`` and ``fifo``
-invariants, which every tier-1 simulator runs under and
-``tests/test_link.py::TestInFlightFifo`` audits after every engine
-step).
+frames in flight**, oldest first — scheduling appends the frame, the
+delivery pops the head as its first act, :meth:`Link.take_down` drops
+the rest — so nothing fired is retained and a delivered frame dies by
+reference count. A delivery carries no :class:`~repro.netsim.engine
+.Event`: its heap entry is ``(deliver_at, PRIORITY_NORMAL, seq,
+direction.flight)``, where the direction's one *flight token*
+(:class:`_Flight`) calls ``_deliver(direction)``, which takes its frame
+from the head of ``pending``. ``take_down`` cancels every entry at
+once by cancelling the token (and counting ``len(pending)`` cancelled
+heap entries), then gives the direction a fresh one. Sound because one
+direction's deliveries fire in scheduling order: ``busy_until`` never
+falls while carrier holds (the transmitter serialises), ``latency`` /
+``bandwidth`` are fixed at construction and float addition is
+monotonic; ties fall to the engine's ascending ``seq``; a shard's
+import side releases sorted, under rising bounds (guard:
+:mod:`repro.check`'s ``in-flight`` and ``fifo`` invariants, which every
+tier-1 simulator runs under and ``tests/test_link.py::TestInFlightFifo``
+audits after every engine step).
 """
 
 from __future__ import annotations
@@ -89,14 +95,28 @@ DEFAULT_LATENCY = 10e-6
 DEFAULT_QUEUE_CAPACITY = 64
 
 
+class _Flight:
+    """The event of every delivery in flight on one direction: fired
+    by the engine like an :class:`~repro.netsim.engine.Event`, made once
+    per direction, not per frame (module docstring)."""
+
+    __slots__ = ("cancelled", "callback", "args", "_sim")
+
+    def __init__(self, callback, args: tuple):
+        self.cancelled = False
+        self.callback = callback
+        self.args = args
+        self._sim = None
+
+
 class _Direction:
     """Transmitter state and statistics registers for one direction of
     the link."""
 
-    __slots__ = ("queue", "busy_until", "pending", "drain_event",
+    __slots__ = ("queue", "busy_until", "pending", "flight", "drain_event",
                  "from_port", "to_port", "export") + trc.TALLIES
 
-    def __init__(self, from_port: Port, to_port: Port):
+    def __init__(self, link: "Link", from_port: Port, to_port: Port):
         # The queue is unbounded here; Link.transmit enforces the
         # capacity (not deque maxlen) so overflow tail-drops are
         # observable and counted.
@@ -106,8 +126,10 @@ class _Direction:
         #: plain float comparison replaces the old per-frame tx_done
         #: event on the uncongested path.
         self.busy_until = 0.0
-        #: Exactly the deliveries in flight, oldest first (module docstring).
-        self.pending: Deque[Event] = deque()
+        #: Exactly the frames in flight, oldest first (module docstring).
+        self.pending: Deque[EthernetFrame] = deque()
+        #: The heap entry payload of each of them (module docstring).
+        self.flight = _Flight(link._deliver, (self,))
         #: Armed only while frames wait in the queue; fires at
         #: ``busy_until`` to start the next serialisation (the only
         #: moment the old tx_done event is still needed).
@@ -169,16 +191,12 @@ class Link:
         self.queue_capacity = queue_capacity
         self.up = True
         self.name = name or f"{port_a.name}<->{port_b.name}"
-        self._dirs = {port_a: _Direction(port_a, port_b),
-                      port_b: _Direction(port_b, port_a)}
+        self._dirs = {port_a: _Direction(self, port_a, port_b),
+                      port_b: _Direction(self, port_b, port_a)}
         #: The tracer's listener list (never rebound): whether it is
         #: empty is the hop's one tracing branch.
         self._listeners = sim.tracer._listeners
         sim.tracer.register(*self._dirs.values())
-        #: One bound method shared by every delivery this link ever
-        #: schedules (a fresh `self._deliver` per transmit is an
-        #: allocation the fast path can skip).
-        self._deliver_cb = self._deliver
         port_a.link = self
         port_b.link = self
         port_a.node.invalidate_port_cache()
@@ -247,22 +265,10 @@ class Link:
             # one engine event system-wide as the local path below.
             direction.export(now, deliver_at, frame)
             return
-        # Inlined Simulator._push (keep in sync with it): one Event
-        # filled by slot writes, one heap entry in the engine's
-        # documented (time, priority, seq, event) tuple shape. Calling
-        # it would put the hop over tests/test_hotpath_cost.py's budget.
         sim = self.sim
-        seq = next(sim._seq)
-        event = Event.__new__(Event)
-        event.time = deliver_at
-        event.priority = PRIORITY_NORMAL
-        event.seq = seq
-        event.callback = self._deliver_cb
-        event.args = (direction, frame)
-        event.cancelled = False
-        event._sim = sim
-        heappush(sim._queue, (deliver_at, PRIORITY_NORMAL, seq, event))
-        direction.pending.append(event)
+        heappush(sim._queue, (deliver_at, PRIORITY_NORMAL, next(sim._seq),
+                              direction.flight))
+        direction.pending.append(frame)
 
     def _drain(self, direction: _Direction) -> None:
         """The transmitter went idle with frames queued: start the next.
@@ -279,10 +285,10 @@ class Link:
             direction.drain_event = self.sim.schedule(
                 direction.busy_until - self.sim._now, self._drain, direction)
 
-    def _deliver(self, direction: _Direction, frame: EthernetFrame) -> None:
+    def _deliver(self, direction: _Direction) -> None:
         # Head of the in-flight FIFO (module docstring); the link is up,
         # because take_down cancels every delivery still in flight.
-        direction.pending.popleft()
+        frame = direction.pending.popleft()
         # Inlined DELIVERED _trace: this is the single hottest callback
         # in the simulator.
         tally = direction.delivered
@@ -304,10 +310,12 @@ class Link:
             for frame in direction.queue:
                 self._trace(direction, trc.DROP_LINK_DOWN, frame)
             direction.queue.clear()
-            for event in direction.pending:
-                event.cancel()
-                # args = (direction, frame) of _deliver.
-                self._trace(direction, trc.DROP_LINK_DOWN, event.args[1])
+            flight = direction.flight
+            flight.cancelled = True
+            self.sim._cancelled += len(direction.pending)
+            direction.flight = _Flight(flight.callback, flight.args)
+            for frame in direction.pending:
+                self._trace(direction, trc.DROP_LINK_DOWN, frame)
             direction.pending.clear()
             if direction.drain_event is not None:
                 direction.drain_event.cancel()

@@ -76,11 +76,12 @@ from __future__ import annotations
 
 import traceback
 import types
+from heapq import heappush
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.netsim import tracer as trc
-from repro.netsim.engine import Simulator
-from repro.netsim.errors import TopologyError
+from repro.netsim.engine import PRIORITY_NORMAL, Simulator
+from repro.netsim.errors import SchedulingError, TopologyError
 from repro.netsim.link import Link
 from repro.topology.builder import Network
 from repro.topology.partition import ShardPlan
@@ -297,8 +298,12 @@ class ShardRuntime:
                 wire._trace(direction, trc.DROP_LINK_DOWN, frame)
                 continue
             # Sorted, under rising bounds: FIFO order (netsim.link).
-            direction.pending.append(
-                sim.at(t2, wire._deliver_cb, direction, frame))
+            if t2 < sim._now:
+                raise SchedulingError(
+                    f"cannot schedule at {t2} (now is {sim._now})")
+            heappush(sim._queue, (t2, PRIORITY_NORMAL, next(sim._seq),
+                                  direction.flight))
+            direction.pending.append(frame)
 
     # -- lockstep execution --------------------------------------------------
 

@@ -176,9 +176,15 @@ class Bridge(Node):
     # -- data-plane helpers ------------------------------------------------
 
     def forward(self, out_port: Port, frame: EthernetFrame) -> None:
-        """Send a data frame out of one specific port."""
+        """Send a data frame out of one specific port.
+
+        The frame goes to the link directly, as :meth:`Node.flood` hands
+        it; a port without carrier discards it, as in :meth:`Port.send`.
+        """
         self.counters.forwarded += 1
-        out_port.send(frame)
+        link = out_port.link
+        if link is not None and link.up:
+            link.transmit(out_port, frame)
 
     def flood_data(self, frame: EthernetFrame,
                    exclude: Optional[Port] = None) -> int:

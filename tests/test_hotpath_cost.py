@@ -39,8 +39,10 @@ stay exact under any interleaving of its calls.
 """
 
 import gc
+import heapq
 import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,7 @@ from repro.frames.mac import MAC, mac_for_host
 from repro.frames.udp import UdpDatagram
 from repro.hosts.host import Host
 from repro.netsim.aging import RECLAIM_GRANULE
+from repro.netsim import engine
 from repro.netsim.dynamics import EventTimeline
 from repro.netsim.engine import (PRIORITY_EARLY, PRIORITY_LATE,
                                  PRIORITY_NORMAL, Event, Simulator)
@@ -65,8 +68,10 @@ from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.video import VideoChunk
 
 #: Python calls per link delivery on the warm 8-bridge line. The parent
-#: of the one-probe change measured 28.7; the change itself 13.6.
-MAX_CALLS_PER_DELIVERY = 16
+#: of the one-probe change measured 28.7; the change itself 13.6. The
+#: parent of the event-free delivery and the one-frame unicast hit path
+#: measured 13.7; that change 8.3.
+MAX_CALLS_PER_DELIVERY = 9
 
 
 def _python_calls(run, *args) -> int:
@@ -107,7 +112,7 @@ def _warm_train():
 
 
 @pytest.mark.unchecked
-def test_unicast_hop_costs_at_most_16_python_calls_per_delivery():
+def test_unicast_hop_costs_at_most_9_python_calls_per_delivery():
     sim, _net, flow = _warm_train()
     received, delivered = flow.received, sim.tracer.count(DELIVERED)
     calls = _python_calls(sim.run_for, 0.02)
@@ -121,8 +126,12 @@ def test_unicast_hop_costs_at_most_16_python_calls_per_delivery():
         f"({calls / delivered:.1f} per delivery)")
 
 
-def test_unicast_hop_retains_nothing_it_delivered():
-    sim, net, _flow = _warm_train()
+def test_unicast_hop_retains_nothing_it_delivered(monkeypatch):
+    """``pending`` holds only the frames in flight, and a delivery's
+    heap entry carries its direction's flight token, not an ``Event``:
+    the parent made one ``Event`` per delivery and held it in
+    ``pending`` until it fired."""
+    sim, net, flow = _warm_train()
     delivered = sim.tracer.count(DELIVERED)
     was_enabled = gc.isenabled()
     gc.collect()
@@ -137,13 +146,38 @@ def test_unicast_hop_retains_nothing_it_delivered():
     delivered = sim.tracer.count(DELIVERED) - delivered
     assert delivered >= 1_800
 
-    held = [event for wire in net.links.values()
+    held = [direction for wire in net.links.values()
             for direction in wire._dirs.values()
-            for event in direction.pending]
-    assert all(event._sim is sim for event in held)   # none has fired
+            for _frame in direction.pending]
+    on_heap = [entry[3] for entry in sim._queue]
+    # none has fired: each held frame has its direction's token on the heap
+    assert all(on_heap.count(direction.flight) == len(direction.pending)
+               for direction in held)
     assert len(held) <= 4                # a frame or two mid-flight
     assert growth <= MAX_GEN0_GROWTH, (
         f"{growth} container objects outlived {delivered} deliveries")
+
+    # A second window, what every popped heap entry carries counted: a
+    # fired Event dies by reference count, so no scan of live objects
+    # would see one made per delivery.
+    popped = []
+
+    def heappop(queue):
+        entry = heapq.heappop(queue)
+        popped.append(type(entry[3]))
+        return entry
+
+    monkeypatch.setattr(engine, "heapq", types.SimpleNamespace(
+        heappop=heappop, heappush=heapq.heappush, heapify=heapq.heapify))
+    received, delivered = flow.received, sim.tracer.count(DELIVERED)
+    sim.run_for(0.02)
+    received = flow.received - received
+    delivered = sim.tracer.count(DELIVERED) - delivered
+    assert delivered >= 9 * received >= 9 * 199
+    assert len(popped) >= delivered
+    # One per packet the flow sends (its next-packet timer), none per hop.
+    assert popped.count(Event) <= received + 4, (
+        f"{popped.count(Event)} Events for {delivered} link deliveries")
 
 
 def _live_events() -> int:

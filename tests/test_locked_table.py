@@ -127,12 +127,12 @@ class TestConfirm:
     def test_confirm_missing_returns_none(self, table):
         assert table.confirm(M0, now=0.0) is None
 
-    def test_counters_distinguish_confirm_and_refresh(self, table):
+    def test_confirm_and_refresh_count_no_lock_or_learn(self, table):
         table.lock(M0, P0, now=0.0)
         table.confirm(M0, now=0.1)
         table.confirm(M0, now=0.2)
-        assert table.counters.confirms == 1
-        assert table.counters.refreshes == 1
+        assert (table.counters.locks, table.counters.relocks,
+                table.counters.learns) == (1, 0, 0)
 
 
 class TestRefreshLock:

@@ -387,9 +387,10 @@ class TestHandOver:
             return spy
 
         def spy_deliver(deliver):
-            def spy(direction, frame):
+            def spy(direction):
+                frame = direction.pending[0]    # what _deliver delivers
                 delivered.append((frame, repr(frame)))
-                deliver(direction, frame)
+                deliver(direction)
             return spy
 
         def spying_adopt(runtime, net, plan):
@@ -397,8 +398,9 @@ class TestHandOver:
             for wire in runtime._links.values():
                 # A cut link's deliveries on this engine are exactly the
                 # frames released from the peer's exports.
-                wire._deliver_cb = spy_deliver(wire._deliver_cb)
                 for direction in wire._dirs.values():
+                    flight = direction.flight
+                    flight.callback = spy_deliver(flight.callback)
                     if direction.export is not None:
                         direction.export = spy_export(direction.export)
 

@@ -84,8 +84,6 @@ class LockedReference:
         return self.paths[value]
 
     def _refresh_learnt(self, rec, now):
-        locked = rec["state"] is EntryState.LOCKED
-        self.counters["confirms" if locked else "refreshes"] += 1
         rec.update(state=EntryState.LEARNT, expires=now + LEARNT)
         return rec
 
@@ -109,7 +107,6 @@ class LockedReference:
         rec = self.get(value, now)
         if rec is None:
             return None
-        self.counters["refreshes"] += 1
         locked = rec["state"] is EntryState.LOCKED
         rec.update(expires=now + (LOCK if locked else LEARNT),
                    race_until=now + LOCK)
