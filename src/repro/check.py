@@ -16,7 +16,9 @@ each register reads its last record's count, or was zeroed since by
 left in flight are its ``pending`` frames' (``sent == delivered +
 in-flight drops + len(pending)``); ``in-flight`` — every unfired
 delivery on the heap carries its direction's current flight token, and
-a direction has exactly ``len(pending)`` of them;
+a direction has exactly ``len(pending)`` of them; ``drain`` — a
+direction's queue is non-empty exactly when its drain event is armed
+(the transmitter's busy test, :mod:`repro.netsim.link`);
 ``pending-count`` — the engine's pending count is its heap's; ``aging``
 — every :class:`AgingStore` seen with a bucket timer keeps the bucket
 invariant of :mod:`repro.netsim.aging`, and a key filed since the
@@ -54,8 +56,10 @@ class _Watch:
             frame.uid for frame in direction.pending if snapshot)
         self.broadcasts = set()         # broadcast uids carried
         #: kind -> ethertype -> the register's value at the last record.
-        self.tallies = {kind: dict(getattr(direction, kind) if snapshot
-                                   else ()) for kind in trc.KINDS}
+        self.tallies = {kind: {ethertype: getattr(registers, kind)
+                               for ethertype, registers
+                               in direction.tallies.items() if snapshot}
+                        for kind in trc.KINDS}
 
 
 class Checker:
@@ -88,7 +92,7 @@ class Checker:
         if watch is None:   # registered after attach: every bump recorded
             watch = self._watches[direction] = _Watch(direction, False)
         last = watch.tallies[kind]
-        count = getattr(direction, kind).get(ethertype, 0)
+        count = getattr(direction.tallies.get(ethertype), kind, 0)
         if count != last.get(ethertype, 0) + 1 and count != 1:
             self._fail("tally", f"{kind} register reads {count}", uid,
                        direction)
@@ -142,10 +146,14 @@ class Checker:
             if len(pending) != deliveries.pop(direction, 0):
                 self._fail("in-flight", "pending is not its unfired heap "
                            "entries", direction=direction)
+            if bool(direction.queue) != (direction.drain_event is not None):
+                self._fail("drain", f"{len(direction.queue)} frames queued, "
+                           f"drain event {direction.drain_event}",
+                           direction=direction)
             watch = self._watches.get(direction) or _Watch(direction, False)
             for kind, last in watch.tallies.items():
-                if any(count != last.get(ethertype, 0) for ethertype, count
-                       in getattr(direction, kind).items()):
+                if any(0 != getattr(registers, kind) != last.get(ethertype, 0)
+                       for ethertype, registers in direction.tallies.items()):
                     self._fail("tally", f"{kind} bumped with no record",
                                direction=direction)
             recorded = list(watch.in_flight)

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 from repro.core.config import ArpPathConfig, DEFAULT_CONFIG
 from repro.core.proxy import ArpProxy
 from repro.core.repair import RepairManager, RepairState
-from repro.core.table import LEARNT, LockedAddressTable
+from repro.core.table import LEARNT, LOCKED, LockedAddressTable
 from repro.frames import control as ctl_proto
 from repro.frames.arp import ArpPacket
 from repro.frames.control import ArpPathControl, HELLO_MULTICAST
@@ -98,6 +98,7 @@ class ArpPathBridge(Bridge):
     def __init__(self, sim: Simulator, name: str, mac: MAC,
                  config: ArpPathConfig = DEFAULT_CONFIG):
         super().__init__(sim, name, mac)
+        self._own_src = mac._value  # our own floods die on arrival
         self.config = config
         self.table = LockedAddressTable(lock_timeout=config.lock_timeout,
                                         learnt_timeout=config.learnt_timeout,
@@ -214,17 +215,6 @@ class ArpPathBridge(Bridge):
         self._control_seq += 1
         return self._control_seq
 
-    # -- dataplane admission ----------------------------------------------
-
-    def admit_frame(self, port: Port, frame: EthernetFrame) -> bool:
-        """Copies of our own control floods returning over loops die here.
-
-        Integer compare on the raw address value: this gate runs once
-        per delivered frame, and a ``MAC.__eq__`` call is measurable
-        there.
-        """
-        return frame.src._value != self.mac._value
-
     # -- discovery (paper §2.1.1) ----------------------------------------
 
     def _accept_discovery(self, port: Port, src: MAC) -> bool:
@@ -242,31 +232,34 @@ class ArpPathBridge(Bridge):
         retransmitted ARP Request or a repair PathRequest route around
         entries left behind by a failed path. Loop-freedom holds
         because each re-lock re-arms the guard, so later copies of the
-        same race are discarded for a full lock timeout.
+        same race are discarded for a full lock timeout. One probe: a
+        losing copy makes no call, the table is called only to reap an
+        expired entry, lock or refresh.
         """
         now = self.sim._now
         table = self.table
-        entry = table.get(src, now)
-        if entry is None:
-            table.lock(src, port, now, entry)
-            return True
-        if entry.port is port:
-            table.refresh_lock(src, now, entry)
-            return True
-        if entry.is_locked or entry.race_active(now):
-            return False
+        entry = table._probe(src._value)
+        if entry is not None:
+            if entry.expires <= now:
+                entry = table.get(src, now)     # reaps; None
+            elif entry.port is port:
+                table.refresh_lock(src, now, entry)
+                return True
+            elif entry.state is LOCKED or entry.race_until > now:
+                return False
         table.lock(src, port, now, entry)
         return True
 
     def on_arp(self, port: Port, frame: EthernetFrame) -> None:
         """A broadcast ARP frame: the path-discovery race probe."""
-        self.apc.discovery_frames += 1
+        apc = self.apc
+        apc.discovery_frames += 1
         pkt: ArpPacket = frame.payload
         if self.proxy is not None:
             self.proxy.snoop(pkt, self.sim._now)
         if not self._accept_discovery(port, frame.src):
-            self.apc.discovery_filtered += 1
-            self.filter_frame()
+            apc.discovery_filtered += 1
+            self.counters.filtered += 1
             return
         if self.proxy is not None:
             answer = self.proxy.answer(pkt, self.sim._now)

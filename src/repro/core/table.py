@@ -71,10 +71,11 @@ class PathEntry:
     triple the table's footprint for nothing.
 
     ``race_until`` marks the end of the discovery race that created the
-    entry: while armed, discovery broadcasts from this address arriving
-    on *other* ports are losers of that race and must be discarded —
-    even after a unicast has already confirmed the entry to LEARNT
-    (the confirmation can arrive long before the slowest race copy).
+    entry: while ``race_until > now``, discovery broadcasts from this
+    address arriving on *other* ports are losers of that race and must
+    be discarded — even after a unicast has already confirmed the entry
+    to LEARNT (the confirmation can arrive long before the slowest race
+    copy).
     """
 
     mac: MAC
@@ -87,10 +88,6 @@ class PathEntry:
     @property
     def is_locked(self) -> bool:
         return self.state is LOCKED
-
-    def race_active(self, now: float) -> bool:
-        """True while the discovery race that set this entry is running."""
-        return self.race_until > now
 
 
 @dataclass(slots=True)
@@ -107,7 +104,7 @@ class TableCounters:
     locks: int = 0
     relocks: int = 0
     learns: int = 0
-    expiries: int = 0
+    expiries: int = 0   # read off the path store's reap count
     port_flushes: int = 0
     blocked_moves: int = 0
 
@@ -131,15 +128,19 @@ class LockedAddressTable:
         self.lock_timeout = lock_timeout
         self.learnt_timeout = learnt_timeout
         self.guard_timeout = guard_timeout
-        self.counters = TableCounters()
-        self._entries = AgingStore(sim, on_reap=self._note_expiry)
+        self._counters = TableCounters()
+        self._entries = AgingStore(sim)
         self._guards = AgingStore(sim)
         # The hit path's one probe: bound ``dict.get`` of the path store
         # (the dict object lives as long as the store does).
         self._probe = self._entries.entries.get
 
-    def _note_expiry(self, key: int, entry: PathEntry) -> None:
-        self.counters.expiries += 1
+    @property
+    def counters(self) -> TableCounters:
+        """The table's counters, ``expiries`` read off the path store."""
+        counters = self._counters
+        counters.expiries = self._entries.reaped
+        return counters
 
     # -- path entries ----------------------------------------------------
 
@@ -165,12 +166,12 @@ class LockedAddressTable:
         if live is _UNPROBED:
             live = self.get(mac, now)
         if live is not None:
-            self.counters.relocks += 1
+            self._counters.relocks += 1
         else:
-            self.counters.locks += 1
+            self._counters.locks += 1
         until = now + self.lock_timeout
-        return self._entries.put(mac._value, PathEntry(
-            mac, port, LOCKED, expires=until, race_until=until))
+        return self._entries.put(mac._value,
+                                 PathEntry(mac, port, LOCKED, until, until))
 
     def learn(self, mac: MAC, port: Port, now: float) -> PathEntry:
         """Learn/refresh *mac* on *port* in LEARNT state (unicast source).
@@ -186,12 +187,12 @@ class LockedAddressTable:
         if entry is not None and entry.expires <= now:
             entry = self._entries.get(key, now)  # reaps; None
         if entry is None:
-            self.counters.learns += 1
+            self._counters.learns += 1
             return self._entries.put(key, PathEntry(
                 mac=mac, port=port, state=LEARNT,
                 expires=now + self.learnt_timeout))
         if entry.port is not port:
-            self.counters.blocked_moves += 1
+            self._counters.blocked_moves += 1
             return entry
         return self.confirm_entry(entry, now)
 
@@ -224,7 +225,8 @@ class LockedAddressTable:
             if entry is None:
                 return None
         until = entry.race_until = now + self.lock_timeout
-        entry.expires = until if entry.is_locked else now + self.learnt_timeout
+        entry.expires = (until if entry.state is LOCKED
+                         else now + self.learnt_timeout)
         return entry
 
     def remove(self, mac: MAC) -> bool:
@@ -249,7 +251,7 @@ class LockedAddressTable:
         """Erase every entry and guard on *port* (carrier lost)."""
         flushed = self._entries.pop_matching(
             lambda key, entry: entry.port is port)
-        self.counters.port_flushes += flushed
+        self._counters.port_flushes += flushed
         self._guards.pop_matching(lambda key, guard: guard.port is port)
         return flushed
 

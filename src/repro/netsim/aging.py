@@ -22,9 +22,8 @@ Two mechanisms cooperate, with a strict division of labour:
   new deadline's bucket (kernel-style lazy re-arm). No timer per entry — the way a NetFPGA
   table has a coarse background scan and no per-row timer — no
   O(table) sweep, and an idle store schedules nothing. Memory is held
-  at most one granule past the deadline the key was filed at;
-  ``on_reap`` side effects inherit that instant unless a lookup reaps
-  first.
+  at most one granule past the deadline the key was filed at, and a
+  reap is counted then unless a lookup reaps first.
 * **Armed when near** — a bucket's timer takes its ``seq`` when made
   but waits off the heap (:class:`_Waiting`) unless due within
   :data:`ARM_HORIZON`, no later than the latest armed bucket or with
@@ -51,6 +50,10 @@ audits it after every step).
 The hit path belongs to the owning table: it probes :attr:`AgingStore
 .entries` itself, compares ``expires > now``, and enters :meth:`get`
 only to reap an entry it found expired.
+
+The store counts its own reaps in :attr:`AgingStore.reaped`, so a reap
+costs no call; ``on_reap`` is only for a side effect beyond the count
+(the controller family's flow table reports FLOW_EXPIRED).
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ class AgingStore:
     simulated time passes.
     """
 
-    __slots__ = ("entries", "_orphans", "_buckets", "_waiting", "_sim",
-                 "_on_reap")
+    __slots__ = ("entries", "reaped", "_orphans", "_buckets", "_waiting",
+                 "_sim", "_on_reap")
 
     def __init__(self, sim: Optional["Simulator"] = None,
                  on_reap: Optional[ReapHook] = None):
@@ -105,6 +108,8 @@ class AgingStore:
         #: may *read* it on their hit path; every mutation goes through
         #: the methods below so the bucket invariant holds.
         self.entries: Dict[Hashable, Any] = {}
+        #: Expired entries reaped so far (not :meth:`pop` / :meth:`clear`).
+        self.reaped = 0
         #: key → slot of a key reaped lazily while its bucket is pending.
         self._orphans: Dict[Hashable, int] = {}
         #: slot → keys filed there; one armed engine timer per slot.
@@ -125,6 +130,7 @@ class AgingStore:
         if entry is None or entry.expires > now:
             return entry
         del self.entries[key]
+        self.reaped += 1
         if self._sim is not None and entry.filed:
             self._orphans[key] = entry.filed
         if self._on_reap is not None:
@@ -148,14 +154,14 @@ class AgingStore:
     def pop(self, key: Hashable) -> Optional[Any]:
         """Remove and return the raw entry for *key* (None when absent).
 
-        An explicit removal, not an expiry: the reap hook is NOT called.
+        An explicit removal, not an expiry: not counted, no reap hook.
         """
         self._orphans.pop(key, None)
         return self.entries.pop(key, None)
 
     def pop_matching(self, predicate: Callable[[Hashable, Any], bool]) -> int:
         """Remove every entry matching *predicate(key, entry)*; returns
-        how many (explicit removal — no reap hook)."""
+        how many (explicit removal — not counted, no reap hook)."""
         stale = [key for key, entry in self.entries.items()
                  if predicate(key, entry)]
         for key in stale:
@@ -175,6 +181,7 @@ class AgingStore:
         """
         stale = [key for key, entry in self.entries.items()
                  if entry.expires <= now]
+        self.reaped += len(stale)
         for key in stale:
             entry = self.entries.pop(key)
             if self._on_reap is not None:
@@ -228,6 +235,7 @@ class AgingStore:
                 continue        # popped or re-filed since; not ours
             elif entry.expires <= now:
                 del entries[key]
+                self.reaped += 1
                 if self._on_reap is not None:
                     self._on_reap(key, entry)
             else:

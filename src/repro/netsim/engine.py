@@ -171,20 +171,8 @@ class Simulator:
         """Schedule *callback(\\*args)* to run *delay* seconds from now."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past: {delay}")
-        time = self._now + delay
-        seq = next(self._seq)
-        # Event filled via __new__ + slot writes: skipping the __init__
-        # call is worth the inelegance on every timer and drain event.
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._sim = self
-        heapq.heappush(self._queue, (time, priority, seq, event))
-        return event
+        return self._push(self._now + delay, priority, next(self._seq),
+                          callback, args)
 
     def at(self, time: float, callback: Callable[..., Any], *args: Any,
            priority: int = PRIORITY_NORMAL) -> Event:
@@ -196,8 +184,18 @@ class Simulator:
 
     def _push(self, time: float, priority: int, seq: int,
               callback: Callable[..., Any], args: tuple) -> Event:
-        """Put an event on the heap under a *seq* taken from :attr:`_seq`."""
-        event = Event(time, priority, seq, callback, args, self)
+        """Put an event on the heap under a *seq* taken from :attr:`_seq`
+        — the one body behind every timer, drain and periodic tick."""
+        # Event filled via __new__ + slot writes: skipping the __init__
+        # call is worth the inelegance on every timer and drain event.
+        event = Event.__new__(Event)
+        event.time = time
+        event.priority = priority
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event._sim = self
         heapq.heappush(self._queue, (time, priority, seq, event))
         return event
 

@@ -10,8 +10,10 @@ A link joins exactly two ports and models, per direction:
   endpoints get a carrier notification, queued and in-flight frames on a
   downed link are lost (exactly what a cable pull does to the NetFPGA),
 * **statistics** — frames sent, delivered and dropped per ethertype,
-  and bytes sent, like a NetFPGA port's registers; the simulator's
-  tracer sums them on read (:mod:`repro.netsim.tracer`).
+  and bytes sent, like a NetFPGA port's registers: a send is one
+  subscript of the direction's ``tallies`` and two slot bumps, a
+  delivery one subscript and one bump; the simulator's tracer sums
+  them on read (:mod:`repro.netsim.tracer`).
 
 Heterogeneous per-link latency is what makes the ARP race meaningful:
 the first ARP copy to arrive travelled the lowest-latency path.
@@ -23,36 +25,25 @@ are one object, and the path a copy took is read from the link
 records (:class:`repro.metrics.paths.PathObserver`), not from the
 frame.
 
-The transmitter is *free-running* (PR 5): instead of a per-frame
-``tx_done`` callback it keeps an arithmetic ``busy_until`` timestamp,
-so an uncongested transmit schedules exactly **one** event — the
-delivery, with the serialisation delay folded into it. A drain event
-is armed lazily, only when a queue actually forms, and fires at the
-instant the old model's ``tx_done`` would have: delivery times and
-trace records are identical, at half the event count on the
-uncongested path. Drop points are identical too, with one measure-zero
-exception: a transmit firing at *exactly* ``busy_until`` against a
-*full* queue now always tail-drops, where the retired model admitted
-or dropped depending on whether its ``tx_done`` happened to carry an
-earlier heap sequence number than the competing event — seq-lottery
-behaviour, not link semantics, and unreachable with continuous
-latencies (the golden traces and congestion tests pin every realistic
-drop path equal).
+The transmitter is *free-running*: instead of a per-frame ``tx_done``
+callback it keeps an arithmetic ``busy_until`` timestamp, so an
+uncongested transmit schedules exactly **one** event — the delivery,
+with the serialisation delay folded into it. A drain event is armed
+only when a queue forms, and fires at ``busy_until``. A transmit at
+*exactly* ``busy_until`` against a *full* queue tail-drops. An
+infinite-bandwidth link (``bandwidth=None``) never queues and never
+tail-drops: its transmitter is idle again the instant it starts.
 
-One deliberate semantic cleanup rides along: an infinite-bandwidth
-link (``bandwidth=None``) never queues and never tail-drops — its
-transmitter is idle again the instant it starts, which is what
-"serialisation skipped" means. (The retired model briefly held
-``busy`` across a zero-duration window, so a large enough same-instant
-burst could tail-drop; that was an event-model artifact, not link
-semantics. Delivery times were and are identical either way.)
-
-One transmit body: every frame that gets onto the wire, at once or out
-of the queue, leaves through :meth:`Link._start_tx`, which evaluates
-the delivery instant in **one** expression, ``deliver_at = now + ser +
-latency`` (= ``busy_until + latency``), for the local delivery and a
-shard's ``export`` hook alike — an arrival cannot move by an ulp with
-how the frame left (``tests/test_link.py::TestOneDeliveryInstant``).
+One transmit body: every frame that gets onto the wire leaves through
+:meth:`Link.transmit`, at once or handed there by ``_drain`` as the
+queue's head, and its delivery instant is **one** expression,
+``deliver_at = now + ser + latency`` (= ``busy_until + latency``), for
+the local delivery and a shard's ``export`` hook alike — an arrival
+cannot move by an ulp with how the frame left
+(``tests/test_link.py::TestOneDeliveryInstant``). The transmitter is
+busy while ``busy_until > now`` or a drain is armed: outside
+``_drain``, a direction's queue is non-empty exactly when its
+``drain_event`` is armed (:mod:`repro.check`'s ``drain`` invariant).
 
 In-flight FIFO: a direction's ``pending`` deque holds **exactly the
 frames in flight**, oldest first — scheduling appends the frame, the
@@ -114,7 +105,7 @@ class _Direction:
     the link."""
 
     __slots__ = ("queue", "busy_until", "pending", "flight", "drain_event",
-                 "from_port", "to_port", "export") + trc.TALLIES
+                 "tallies", "from_port", "to_port", "export")
 
     def __init__(self, link: "Link", from_port: Port, to_port: Port):
         # The queue is unbounded here; Link.transmit enforces the
@@ -122,28 +113,20 @@ class _Direction:
         # observable and counted.
         self.queue: Deque[EthernetFrame] = deque(maxlen=None)
         #: The transmitter is busy strictly before this instant; at or
-        #: after it the next frame starts serialising immediately. A
-        #: plain float comparison replaces the old per-frame tx_done
-        #: event on the uncongested path.
+        #: after it the next frame starts serialising immediately.
         self.busy_until = 0.0
         #: Exactly the frames in flight, oldest first (module docstring).
         self.pending: Deque[EthernetFrame] = deque()
         #: The heap entry payload of each of them (module docstring).
         self.flight = _Flight(link._deliver, (self,))
-        #: Armed only while frames wait in the queue; fires at
-        #: ``busy_until`` to start the next serialisation (the only
-        #: moment the old tx_done event is still needed).
+        #: Armed exactly while frames wait in the queue; fires at
+        #: ``busy_until`` to start the next serialisation.
         self.drain_event: Optional[Event] = None
-        #: Statistics registers (``trc.TALLIES``), per ethertype: frames
-        #: sent, delivered, tail-dropped (queue full), lost to carrier
-        #: loss (queued or in flight when the link went down, or handed
-        #: to a downed transmitter), and wire bytes sent. The tracer sums
-        #: them on read; ``Tracer.reset`` clears them in place.
-        self.sent: Dict[int, int] = {}
-        self.delivered: Dict[int, int] = {}
-        self.drop_queue: Dict[int, int] = {}
-        self.drop_link_down: Dict[int, int] = {}
-        self.sent_bytes: Dict[int, int] = {}
+        #: Statistics registers, one record per ethertype: frames sent,
+        #: delivered, tail-dropped (queue full), lost to carrier loss
+        #: (queued or in flight when the link went down, or handed to a
+        #: downed transmitter), and wire bytes sent.
+        self.tallies = trc.Tallies()
         #: The sending endpoint, which names the direction (the key of
         #: :meth:`Link.stats`, a record's rendered ``direction``).
         self.from_port = from_port
@@ -199,8 +182,8 @@ class Link:
         sim.tracer.register(*self._dirs.values())
         port_a.link = self
         port_b.link = self
-        port_a.node.invalidate_port_cache()
-        port_b.node.invalidate_port_cache()
+        port_a.node.refresh_attached_ports()
+        port_b.node.refresh_attached_ports()
 
     # -- wiring --------------------------------------------------------------
 
@@ -214,50 +197,41 @@ class Link:
     # -- data plane ----------------------------------------------------------
 
     def transmit(self, from_port: Port, frame: EthernetFrame) -> None:
-        """Queue *frame* for transmission from *from_port*.
+        """Send *frame* from *from_port* — the one transmit body.
 
-        An idle transmitter starts serialising at once
-        (:meth:`_start_tx`); a busy one queues the frame behind a lazily
-        armed drain event, tail-dropping at ``queue_capacity``.
+        A busy transmitter queues the frame behind a lazily armed drain
+        event, tail-dropping at ``queue_capacity``; an idle one starts
+        serialising at once: one SENT frames and bytes bump, one
+        ``busy_until`` update, one ``deliver_at`` (module docstring).
+        Runs once per flooded copy per hop.
         """
         direction = self._dirs[from_port]
         if not self.up:
             self._trace(direction, trc.DROP_LINK_DOWN, frame)
             return
-        now = self.sim._now
-        # A non-empty queue keeps the FIFO order even at the exact
-        # busy_until instant (the drain event for it is already armed
-        # and fires this instant): new frames go behind, never ahead.
-        if direction.busy_until > now or direction.queue:
+        sim = self.sim
+        now = sim._now
+        # An armed drain keeps the FIFO order even at the exact
+        # busy_until instant (it fires this instant): new frames go
+        # behind the queue, never ahead of it.
+        if direction.busy_until > now or direction.drain_event is not None:
             if len(direction.queue) >= self.queue_capacity:
                 self._trace(direction, trc.DROP_QUEUE, frame)
                 return
             direction.queue.append(frame)
             if direction.drain_event is None:
-                direction.drain_event = self.sim.schedule(
+                direction.drain_event = sim.schedule(
                     direction.busy_until - now, self._drain, direction)
             return
-        self._start_tx(direction, frame, now)
-
-    def _start_tx(self, direction: _Direction, frame: EthernetFrame,
-                  now: float) -> None:
-        """Start serialising *frame* now — the one transmit body, behind
-        :meth:`transmit` and :meth:`_drain` alike: one SENT frames and
-        bytes bump, one ``busy_until`` update, one ``deliver_at`` (module
-        docstring). Runs once per flooded copy per hop.
-        """
         size = frame.wire_size
         # Inlined _trace (plus the bytes register): a record is built
         # only for listeners.
-        ethertype = frame.ethertype
-        tally = direction.sent
-        tally[ethertype] = tally.get(ethertype, 0) + 1
-        tally = direction.sent_bytes
-        tally[ethertype] = tally.get(ethertype, 0) + size
+        registers = direction.tallies[frame.ethertype]
+        registers.sent += 1
+        registers.sent_bytes += size
         if self._listeners:
             self._record(trc.SENT, frame, direction)
-        ser = size * self._ser_per_byte
-        busy_until = direction.busy_until = now + ser
+        busy_until = direction.busy_until = now + size * self._ser_per_byte
         deliver_at = busy_until + self.latency
         if direction.export is not None:
             # Shard boundary: the frame leaves this engine. The receiving
@@ -265,25 +239,26 @@ class Link:
             # one engine event system-wide as the local path below.
             direction.export(now, deliver_at, frame)
             return
-        sim = self.sim
         heappush(sim._queue, (deliver_at, PRIORITY_NORMAL, next(sim._seq),
                               direction.flight))
         direction.pending.append(frame)
 
     def _drain(self, direction: _Direction) -> None:
-        """The transmitter went idle with frames queued: start the next.
+        """The transmitter went idle with frames queued: send the next.
 
         Fires at exactly the instant the retired per-frame ``tx_done``
         event used to, so queued frames serialise back-to-back with
         identical timing; re-arms itself while the queue is non-empty.
+        ``take_down`` cancels it, so the link is up and the queue holds
+        a frame.
         """
         direction.drain_event = None
-        if not self.up or not direction.queue:
-            return
-        self._start_tx(direction, direction.queue.popleft(), self.sim._now)
+        # Idle now, even where the armed delay rounded an ulp short.
+        direction.busy_until = now = self.sim._now
+        self.transmit(direction.from_port, direction.queue.popleft())
         if direction.queue:
             direction.drain_event = self.sim.schedule(
-                direction.busy_until - self.sim._now, self._drain, direction)
+                direction.busy_until - now, self._drain, direction)
 
     def _deliver(self, direction: _Direction) -> None:
         # Head of the in-flight FIFO (module docstring); the link is up,
@@ -291,9 +266,7 @@ class Link:
         frame = direction.pending.popleft()
         # Inlined DELIVERED _trace: this is the single hottest callback
         # in the simulator.
-        tally = direction.delivered
-        ethertype = frame.ethertype
-        tally[ethertype] = tally.get(ethertype, 0) + 1
+        direction.tallies[frame.ethertype].delivered += 1
         if self._listeners:
             self._record(trc.DELIVERED, frame, direction)
         to_port = direction.to_port
@@ -357,9 +330,10 @@ class Link:
     def bytes_sent(self, ethertype: Optional[int] = None) -> int:
         """Wire bytes sent in both directions, optionally of one
         ethertype."""
-        return sum(sum(direction.sent_bytes.values()) if ethertype is None
-                   else direction.sent_bytes.get(ethertype, 0)
-                   for direction in self._dirs.values())
+        return sum(registers.sent_bytes
+                   for direction in self._dirs.values()
+                   for key, registers in direction.tallies.items()
+                   if ethertype is None or key == ethertype)
 
     def stats(self) -> Dict[str, Dict[str, object]]:
         """Per-direction transmitter state, keyed by the sending port name.
@@ -370,32 +344,35 @@ class Link:
         sent, tail drops and carrier-loss drops.
         """
         now = self.sim._now
-        return {port.name: {"queued": len(direction.queue),
-                            "busy": direction.busy_until > now,
-                            "sent": sum(direction.sent.values()),
-                            "delivered": sum(direction.delivered.values()),
-                            "sent_bytes": sum(direction.sent_bytes.values()),
-                            "queue_drops": sum(direction.drop_queue.values()),
-                            "carrier_drops":
-                                sum(direction.drop_link_down.values())}
-                for port, direction in self._dirs.items()}
+        stats = {}
+        for port, direction in self._dirs.items():
+            tallies = direction.tallies.values()
+            stats[port.name] = {
+                "queued": len(direction.queue),
+                "busy": direction.busy_until > now,
+                "sent": sum(tally.sent for tally in tallies),
+                "delivered": sum(tally.delivered for tally in tallies),
+                "sent_bytes": sum(tally.sent_bytes for tally in tallies),
+                "queue_drops": sum(tally.drop_queue for tally in tallies),
+                "carrier_drops": sum(tally.drop_link_down
+                                     for tally in tallies)}
+        return stats
 
     # -- tracing ---------------------------------------------------------
 
     def _trace(self, direction: _Direction, kind: str,
                frame: EthernetFrame) -> None:
-        # The drop kinds (_start_tx and _deliver inline this for SENT /
+        # The drop kinds (transmit and _deliver inline this for SENT /
         # DELIVERED): one bump on the direction's register for *kind*,
         # and a record only if someone listens.
-        tally = getattr(direction, kind)
-        ethertype = frame.ethertype
-        tally[ethertype] = tally.get(ethertype, 0) + 1
+        registers = direction.tallies[frame.ethertype]
+        setattr(registers, kind, getattr(registers, kind) + 1)
         if self._listeners:
             self._record(kind, frame, direction)
 
     def _record(self, kind: str, frame: EthernetFrame,
                 direction: _Direction) -> None:
-        # The one record-building call, shared by _start_tx, _deliver
+        # The one record-building call, shared by transmit, _deliver
         # and _trace. MAC objects and the direction are passed through:
         # the record renders them lazily.
         self.sim.tracer.record(kind, self.sim._now, self.name, frame.uid,

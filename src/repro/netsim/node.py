@@ -93,13 +93,14 @@ class Node:
         self.name = name
         self.ports: List[Port] = []
         self.started = False
-        self._attached_cache: Optional[List[Port]] = None
+        #: The attached ports, rebuilt on attach/detach, not per flood
+        #: (:meth:`refresh_attached_ports`) — treat it as read-only.
+        self.attached_ports: List[Port] = []
 
     def add_port(self) -> Port:
         """Create and return a new (unattached) port."""
         port = Port(self, len(self.ports))
         self.ports.append(port)
-        self._attached_cache = None
         return port
 
     def free_port(self) -> Port:
@@ -109,24 +110,10 @@ class Node:
                 return port
         return self.add_port()
 
-    @property
-    def attached_ports(self) -> List[Port]:
-        """The node's attached ports, cached.
-
-        Attachment changes only when a link is constructed or a host is
-        unplugged, so the list is rebuilt lazily after
-        :meth:`invalidate_port_cache` instead of on every flood. The
-        cached list is returned as-is — treat it as read-only.
-        """
-        cached = self._attached_cache
-        if cached is None:
-            cached = [port for port in self.ports if port.link is not None]
-            self._attached_cache = cached
-        return cached
-
-    def invalidate_port_cache(self) -> None:
-        """Drop the attached-port cache (called on attach/detach)."""
-        self._attached_cache = None
+    def refresh_attached_ports(self) -> None:
+        """Rebuild :attr:`attached_ports` (called on attach/detach)."""
+        self.attached_ports = [port for port in self.ports
+                               if port.link is not None]
 
     def start(self) -> None:
         """Hook called once after the topology is wired.

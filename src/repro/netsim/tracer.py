@@ -1,10 +1,12 @@
 """Frame-level counting and observation.
 
 Each link direction keeps its own statistics registers, bumped where
-the event happens (:mod:`repro.netsim.link`); each link registers its
-two directions with its simulator's :class:`Tracer`, whose totals are
-sums over them taken when read. A :class:`TraceRecord` is built only
-for attached listeners.
+the event happens (:mod:`repro.netsim.link`): one :class:`Registers`
+record per ethertype in the direction's :class:`Tallies`. Each link
+registers its two directions with its simulator's :class:`Tracer`,
+whose totals are sums over them taken when read; a register reading 0
+is absent from every view. A :class:`TraceRecord` is built only for
+attached listeners.
 """
 
 from __future__ import annotations
@@ -20,9 +22,31 @@ DROP_QUEUE = "drop_queue"
 DROP_LINK_DOWN = "drop_link_down"
 
 KINDS = (SENT, DELIVERED, DROP_QUEUE, DROP_LINK_DOWN)
-#: A registered direction's per-ethertype dicts, by attribute name:
-#: frames per kind, then wire bytes sent.
+#: The fields of a :class:`Registers` record: frames per kind, then
+#: wire bytes sent.
 TALLIES = KINDS + ("sent_bytes",)
+
+
+class Registers:
+    """One link direction's statistics registers for one ethertype."""
+
+    __slots__ = TALLIES
+
+    def __init__(self):
+        self.sent = self.delivered = self.drop_queue = 0
+        self.drop_link_down = self.sent_bytes = 0
+
+
+class Tallies(dict):
+    """ethertype -> :class:`Registers`; subscripting an ethertype not
+    seen yet makes its record (the first send, or a delivery imported
+    across a shard cut)."""
+
+    __slots__ = ()
+
+    def __missing__(self, ethertype: int) -> Registers:
+        registers = self[ethertype] = Registers()
+        return registers
 
 
 _BROADCAST_STR = str(BROADCAST)
@@ -126,11 +150,14 @@ class Tracer:
     # -- queries (sums taken on read; writing to a result changes nothing)
 
     def tally(self, name: str) -> Dict[int, int]:
-        """One of :data:`TALLIES` per ethertype, over every direction."""
+        """One of :data:`TALLIES` per ethertype, over every direction;
+        an ethertype whose registers all read 0 is absent."""
         total: Dict[int, int] = {}
         for direction in self._directions:
-            for ethertype, value in getattr(direction, name).items():
-                total[ethertype] = total.get(ethertype, 0) + value
+            for ethertype, registers in direction.tallies.items():
+                value = getattr(registers, name)
+                if value:
+                    total[ethertype] = total.get(ethertype, 0) + value
         return total
 
     @property
@@ -161,10 +188,10 @@ class Tracer:
         return self.count(DROP_QUEUE) + self.count(DROP_LINK_DOWN)
 
     def reset(self) -> None:
-        """Zero every registered direction's tallies, in place."""
+        """Zero every registered direction's registers, in place."""
         for direction in self._directions:
-            for name in TALLIES:
-                getattr(direction, name).clear()
+            for registers in direction.tallies.values():
+                registers.__init__()
 
     def __repr__(self) -> str:
         return (f"<Tracer sent={self.frames_sent} "

@@ -24,14 +24,14 @@ broadcast/multicast     :meth:`Bridge.on_broadcast`
 unicast                 :meth:`Bridge.on_unicast`
 ======================  =====================================================
 
-Two admission hooks bracket classification: :meth:`Bridge.admit_frame`
-runs before anything (ARP-Path drops its own frames here) and
-:meth:`Bridge.admit_data` runs after control dispatch but before the
-data hooks (STP applies its port-state gate and learns there, SPB
-learns local hosts). This mirrors the packet-in pipelines of
-event-driven SDN controllers: one classification ladder, per-protocol
-handlers. The ladder's order is pinned by the golden discovery trace
-and ``tests/test_dataplane.py``.
+Two admission gates bracket classification: a datum, ``_own_src``,
+drops a frame from that source address before anything (ARP-Path's
+own floods), and the optional :attr:`Bridge.admit_data` hook runs after
+control dispatch, before the data hooks (STP applies its port-state
+gate and learns there, SPB learns local hosts). This mirrors the
+packet-in pipelines of event-driven SDN controllers: one
+classification ladder, per-protocol handlers. The ladder's order is
+pinned by the golden discovery trace and ``tests/test_dataplane.py``.
 """
 
 from __future__ import annotations
@@ -82,6 +82,13 @@ class Bridge(Node):
     #: A frame with a control ethertype but a foreign payload falls
     #: through to the data path, exactly like unknown traffic.
     control_payload: Optional[Type] = None
+    #: Frames from this source address value are dropped on arrival,
+    #: before classification (-1: none are).
+    _own_src = -1
+    #: The data gate ``admit_data(port, frame) -> bool``, for per-port
+    #: forwarding-state checks and source learning on every data frame;
+    #: None admits every frame without a call.
+    admit_data: Optional[Callable[[Port, EthernetFrame], bool]] = None
 
     def __init__(self, sim: Simulator, name: str, mac: MAC):
         super().__init__(sim, name)
@@ -121,7 +128,7 @@ class Bridge(Node):
         runs per call, because it differs between families.
         """
         self.counters.received += 1
-        if not self.admit_frame(port, frame):
+        if frame.src._value == self._own_src:
             return
         if frame.ethertype in self._control_ethertypes:
             payload_type = self._control_payload
@@ -129,7 +136,8 @@ class Bridge(Node):
                                                   payload_type):
                 self.on_control(port, frame)
                 return
-        if not self.admit_data(port, frame):
+        admit_data = self.admit_data
+        if admit_data is not None and not admit_data(port, frame):
             return
         kind = frame._kind
         if kind is None:
@@ -140,20 +148,6 @@ class Bridge(Node):
             self.on_broadcast(port, frame)
         else:
             self.on_unicast(port, frame)
-
-    # -- admission hooks ---------------------------------------------------
-
-    def admit_frame(self, port: Port, frame: EthernetFrame) -> bool:
-        """First gate: reject before any classification (default: accept)."""
-        return True
-
-    def admit_data(self, port: Port, frame: EthernetFrame) -> bool:
-        """Data gate: runs after control dispatch, before the data hooks.
-
-        The place for per-port forwarding-state checks and source
-        learning that applies to every data frame (default: accept).
-        """
-        return True
 
     # -- classification hooks ----------------------------------------------
 

@@ -70,7 +70,6 @@ class ControllerBridgeCounters:
     packet_ins: int = 0
     flow_installs: int = 0
     flow_removes: int = 0
-    flow_expired: int = 0
     misses: int = 0
     frames_buffered: int = 0
     drops_buffer: int = 0
@@ -94,7 +93,8 @@ class ControllerBridge(Bridge):
         self.config = config
         self.ctl_counters = ControllerBridgeCounters()
         #: Installed flow entries; reclamation notifies the controller
-        #: (at most one store granule after the idle / hard deadline).
+        #: (at most one store granule after the idle / hard deadline),
+        #: and the store counts it (``flow_expired``).
         self.flows = AgingStore(sim=sim, on_reap=self._on_flow_reap)
         #: Frames buffered per flow key while a PACKET_IN is outstanding.
         self._pending: Dict[FlowKey, List[Tuple[Port, EthernetFrame]]] = {}
@@ -254,7 +254,6 @@ class ControllerBridge(Bridge):
                 self._flood_tree(pending_frame, exclude=in_port)
 
     def _on_flow_reap(self, key: FlowKey, entry: FlowEntry) -> None:
-        self.ctl_counters.flow_expired += 1
         if isinstance(key, tuple):
             src, dst = key
         else:
@@ -392,7 +391,7 @@ class ControllerBridge(Bridge):
             "packet_ins": c.packet_ins,
             "flow_installs": c.flow_installs,
             "flow_removes": c.flow_removes,
-            "flow_expired": c.flow_expired,
+            "flow_expired": self.flows.reaped,
             "misses": c.misses,
             "frames_buffered": c.frames_buffered,
             "drops_buffer": c.drops_buffer + c.drops_broadcast_buffer,

@@ -242,8 +242,8 @@ class Network:
         del self.links[wire.name]
         wire.port_a.link = None
         wire.port_b.link = None
-        wire.port_a.node.invalidate_port_cache()
-        wire.port_b.node.invalidate_port_cache()
+        wire.port_a.node.refresh_attached_ports()
+        wire.port_b.node.refresh_attached_ports()
         return bridge_name
 
     def migrate_host(self, host_name: str, bridge_name: str,

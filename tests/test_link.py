@@ -12,7 +12,7 @@ from repro.frames.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.frames.mac import mac_for_host
 from repro.netsim import tracer as trc
 from repro.netsim.engine import Simulator
-from repro.netsim.errors import TopologyError
+from repro.netsim.errors import InvariantError, TopologyError
 from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.switching.base import Bridge
@@ -179,6 +179,31 @@ class TestQueueing:
         sim.run()
         received_uids = [f.uid for _t, _p, f in b.received]
         assert received_uids == [f.uid for f in frames]
+
+    def test_a_queue_is_non_empty_exactly_while_its_drain_is_armed(
+            self, invariant_checks):
+        """The busy test reads the drain, not the queue: between events
+        one holds exactly when the other does, and the checker's
+        ``drain`` rule names a drain left armed over an empty queue."""
+        invariant_checks.on = False     # one checker: this test's own
+        sim = Simulator(seed=1)
+        checker = check.attach(sim)
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        link = Link(sim, a.add_port(), b.add_port(), latency=1e-3,
+                    bandwidth=1e6, queue_capacity=2)
+        direction = link._dirs[a.ports[0]]
+        for _ in range(3):
+            a.ports[0].send(make_frame())
+        assert len(direction.queue) == 2 and direction.drain_event
+        while sim.pending_events:
+            sim.run(max_events=1)
+            checker.audit()
+            assert bool(direction.queue) == bool(direction.drain_event)
+        assert len(b.received) == 3
+        direction.drain_event = sim.schedule(1.0, link._drain, direction)
+        with pytest.raises(InvariantError, match="^drain: "):
+            checker.audit()
+        direction.drain_event.cancel()
 
 
 class TestCarrier:
@@ -464,8 +489,9 @@ class TestCongestedTransmitter:
 
 
 class TestOneDeliveryInstant:
-    """Every frame gets onto the wire through ``Link._start_tx``, so
-    its delivery instant is one float expression, ``(start + ser) +
+    """Every frame gets onto the wire through ``Link.transmit``'s one
+    body (``_drain`` hands the queue's head there), so its delivery
+    instant is one float expression, ``(start + ser) +
     latency`` — whether it started at once or out of the queue, and
     whether it is delivered here or exported across a shard cut. (The
     drained path used to stamp ``start + (ser + latency)``: 12 of this
@@ -566,7 +592,8 @@ class TestInFlightFifo:
             def audit():
                 if checker is not None:
                     checker.audit()
-                assert [sum(direction.delivered.values())
+                assert [sum(registers.delivered for registers
+                            in direction.tallies.values())
                         for direction in directions] == [
                             len(node.received) for node in reversed(nodes)]
 
@@ -601,7 +628,8 @@ class TestInFlightFifo:
             assert all(not direction.pending and not direction.queue
                        for direction in directions)
             assert sim.tracer.counts[trc.SENT] == sum(
-                sum(direction.sent.values()) for direction in directions)
+                registers.sent for direction in directions
+                for registers in direction.tallies.values())
             return sim.events_processed, link.stats(), [
                 [(t, port.name, frame.wire_size)
                  for t, port, frame in node.received] for node in nodes]

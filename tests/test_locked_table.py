@@ -40,8 +40,8 @@ class TestLocking:
 
     def test_lock_arms_race_guard(self, table):
         entry = table.lock(M0, P0, now=0.0)
-        assert entry.race_active(0.5)
-        assert not entry.race_active(1.0)
+        assert entry.race_until > 0.5
+        assert not entry.race_until > 1.0
 
     def test_relock_replaces_port(self, table):
         table.lock(M0, P0, now=0.0)
@@ -101,11 +101,11 @@ class TestLearning:
         """A unicast confirm must not erase the race window."""
         table.lock(M0, P0, now=0.0)
         entry = table.learn(M0, P0, now=0.1)
-        assert entry.race_active(0.5)
+        assert entry.race_until > 0.5
 
     def test_learn_without_lock_has_no_guard(self, table):
         entry = table.learn(M0, P0, now=0.0)
-        assert not entry.race_active(0.0)
+        assert not entry.race_until > 0.0
 
 
 class TestConfirm:
@@ -144,7 +144,7 @@ class TestRefreshLock:
     def test_rearms_race_guard(self, table):
         table.lock(M0, P0, now=0.0)
         entry = table.refresh_lock(M0, now=0.9)
-        assert entry.race_active(1.5)
+        assert entry.race_until > 1.5
 
     def test_learnt_entry_keeps_learnt_timeout(self, table):
         table.learn(M0, P0, now=0.0)

@@ -31,6 +31,7 @@ import goldens
 from repro.core.config import ArpPathConfig
 from repro.experiments import common, scale
 from repro.experiments.registry import protocol_specs
+from repro.frames.ethernet import ETHERTYPE_IPV4
 from repro.netsim.engine import Simulator
 from repro.netsim.errors import TopologyError
 from repro.netsim.shard import (ShardedSimulator, ShardRuntime,
@@ -221,7 +222,7 @@ class TestDrainPathAcrossTheCut:
     """A frame leaving through ``Link._drain`` crosses the cut at the
     local instant, to the ulp.
 
-    On this congested population cell ``_start_tx`` used to export
+    On this congested population cell the transmit body used to export
     ``now + ser + latency`` while scheduling the local delivery at
     ``now + (ser + latency)``; one ulp apart, which flipped a
     downstream ``busy_until > now`` test and queued one frame more or
@@ -323,6 +324,10 @@ def _cut_flap_worker(shard_id, shard_count, peers):
         "delivered": sim.tracer.count(DELIVERED),
         "cut_pending": sum(len(direction.pending) for direction in cut),
         "pending_adjust": runtime.pending_adjust(),
+        # The import side's registers: (sent, delivered) per ethertype.
+        "imported": {ethertype: (registers.sent, registers.delivered)
+                     for direction in cut if direction.export is None
+                     for ethertype, registers in direction.tallies.items()},
     }
 
 
@@ -348,6 +353,16 @@ class TestInFlightFifoAcrossTheCut:
         # Quiescent at the end: nothing in flight, nothing retained.
         assert [half["cut_pending"] for half in halves] == [0, 0]
         assert [half["pending_adjust"] for half in halves] == [0, 0]
+
+    def test_an_import_makes_its_ethertypes_registers(self):
+        """The importing side of a cut direction sends nothing: its
+        first delivery of an ethertype makes that ethertype's record."""
+        halves = run_sharded(_cut_flap_worker, 2)
+        imported = [half["imported"] for half in halves]
+        assert all(imported)
+        assert all(sent == 0 < delivered for half in imported
+                   for sent, delivered in half.values())
+        assert ETHERTYPE_IPV4 in imported[0] or ETHERTYPE_IPV4 in imported[1]
 
     def test_no_fired_import_is_retained_after_a_scale_cell(self, runtimes):
         # Each shard's engine is audited at teardown (``in-flight``).

@@ -11,7 +11,7 @@ from repro.netsim.errors import RecordRetentionError
 from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.netsim.tracer import (DELIVERED, DROP_LINK_DOWN, DROP_QUEUE,
-                                 KINDS, SENT, TraceRecord, Tracer)
+                                 KINDS, SENT, TALLIES, TraceRecord, Tracer)
 from repro.testing import record_trace
 from repro.topology import line
 from repro.topology.factories import arppath
@@ -85,8 +85,8 @@ class TestDerivedTotals:
                       for direction in link._dirs.values()]
         for kind in KINDS:
             per_ethertype = tracer.by_ethertype[kind]
-            total = sum(sum(getattr(direction, kind).values())
-                        for direction in directions)
+            total = sum(getattr(registers, kind) for direction in directions
+                        for registers in direction.tallies.values())
             assert tracer.counts[kind] == tracer.count(kind) == total \
                 == sum(per_ethertype.values())
             for ethertype, count in per_ethertype.items():
@@ -119,23 +119,59 @@ class TestDerivedTotals:
         assert not tracer._listeners
 
     def test_reset_mid_run_keeps_links_counting(self, sim):
-        """``reset`` empties every direction's registers in place
+        """``reset`` zeroes every direction's register records in place
         (``loadbalance`` / ``loopfree`` / ``scale`` reset after
-        warm-up), and links go on bumping them."""
+        warm-up), and links go on bumping the same records."""
         link = wire(sim)
         direction = link._dirs[link.port_a]
-        registers = {name: getattr(direction, name)
-                     for name in KINDS + ("sent_bytes",)}
         self.burst(sim, link, ETHERTYPE_IPV4)
+        records = dict(direction.tallies)
+        assert list(records) == [ETHERTYPE_IPV4]
         sim.tracer.reset()
         assert dict(sim.tracer.counts) == {} and sim.tracer.frames_sent == 0
-        assert all(not register for register in registers.values())
+        assert all(not getattr(registers, name)
+                   for registers in records.values() for name in TALLIES)
         self.burst(sim, link, ETHERTYPE_ARP)
-        assert all(getattr(direction, name) is register
-                   for name, register in registers.items())
-        assert dict(sim.tracer.counts) == {SENT: 2, DELIVERED: 2,
-                                           DROP_QUEUE: 2}
-        assert sim.tracer.by_ethertype[SENT] == {ETHERTYPE_ARP: 2}
+        self.burst(sim, link, ETHERTYPE_IPV4)
+        assert direction.tallies[ETHERTYPE_IPV4] is records[ETHERTYPE_IPV4]
+        assert dict(sim.tracer.counts) == {SENT: 4, DELIVERED: 4,
+                                           DROP_QUEUE: 4}
+        assert sim.tracer.by_ethertype[SENT] == {ETHERTYPE_ARP: 2,
+                                                 ETHERTYPE_IPV4: 2}
+
+    def test_reset_with_frames_in_flight_counts_their_deliveries(self, sim):
+        """Frames on the wire or queued at a reset are counted as they
+        are delivered (and sent, out of the queue) after it: one on the
+        wire, two queued, so 2 sent and 3 delivered since the reset."""
+        link = wire(sim, queue_capacity=8)
+        for _ in range(3):
+            link.transmit(link.port_a, EthernetFrame(
+                dst=MAC(2), src=MAC(1), ethertype=ETHERTYPE_IPV4,
+                payload=b"x"))
+        assert sim.tracer.counts == {SENT: 1}
+        sim.tracer.reset()
+        sim.run()
+        assert dict(sim.tracer.counts) == {SENT: 2, DELIVERED: 3}
+        assert sim.tracer.by_ethertype[DELIVERED] == {ETHERTYPE_IPV4: 3}
+        stats = link.stats()[link.port_a.name]
+        assert (stats["sent"], stats["delivered"]) == (2, 3)
+        assert stats["sent_bytes"] == link.bytes_sent(ETHERTYPE_IPV4) \
+            == 2 * 64
+
+    def test_a_kind_never_seen_is_absent_beside_its_record(self, sim):
+        """A send makes its ethertype's record with every register at
+        0; the kinds that never happened stay out of every view."""
+        link = wire(sim, "x")
+        send(sim, link)
+        direction = link._dirs[link.port_a]
+        assert direction.tallies[ETHERTYPE_IPV4].drop_queue == 0
+        tracer = sim.tracer
+        assert tracer.by_ethertype == {SENT: {ETHERTYPE_IPV4: 1},
+                                       DELIVERED: {ETHERTYPE_IPV4: 1},
+                                       DROP_QUEUE: {}, DROP_LINK_DOWN: {}}
+        assert tracer.tally("sent_bytes") == {ETHERTYPE_IPV4: 64}
+        assert link.bytes_sent(ETHERTYPE_ARP) == 0
+        assert link.stats()[link.port_b.name]["sent"] == 0
 
     def test_never_seen_kind_reads_zero_and_is_absent(self, sim):
         send(sim, wire(sim))
@@ -204,9 +240,10 @@ class TestPortTallies:
             sent(link) for link in [*net.links.values(), *gone])
         tracer.reset()
         assert tracer.frames_sent == 0
-        assert all(not getattr(direction, name)
+        assert all(not getattr(registers, name)
                    for link in gone for direction in link._dirs.values()
-                   for name in KINDS + ("sent_bytes",))
+                   for registers in direction.tallies.values()
+                   for name in TALLIES)
 
     def test_retention_is_refused_with_a_pointer_to_listeners(self):
         Simulator(keep_trace_records=False)             # old callers

@@ -92,8 +92,9 @@ class UnicastHitPathMachine(RuleBasedStateMachine):
     def _sent(self):
         """Frames handed to each bridge port's transmitter so far:
         sent, queued behind a busy one or tail-dropped."""
-        return [sum(direction.sent.values()) + len(direction.queue)
-                + sum(direction.drop_queue.values())
+        return [sum(registers.sent + registers.drop_queue
+                    for registers in direction.tallies.values())
+                + len(direction.queue)
                 for direction in (link._dirs[port] for port, link
                                   in zip(self.bridge.ports, self.links))]
 
