@@ -42,9 +42,8 @@ class ArpPacket:
     def is_request(self) -> bool:
         return self.op == OP_REQUEST
 
-    @property
-    def wire_size(self) -> int:
-        return ARP_WIRE_SIZE
+    #: A class constant, not a field: every ARP packet is the same size.
+    wire_size = ARP_WIRE_SIZE
 
     def __str__(self) -> str:
         if self.is_request:

@@ -297,7 +297,7 @@ class HostPopulation(Node):
         active.ping_ident = ident = (active.ping_ident + 1) & 0xFFFF
         if on_reply is not None:
             self._ping_handlers[(index, ident)] = on_reply
-        self._ping_sent_at[(index, ident, seq)] = self.sim.now
+        self._ping_sent_at[(index, ident, seq)] = self.sim._now
         echo = make_echo_request(ident=ident, seq=seq,
                                  payload=b"\x00" * payload_size)
         self.send_ip(dst_ip, PROTO_ICMP, echo, DEFAULT_TTL, index)
@@ -333,8 +333,13 @@ class HostPopulation(Node):
             self.sim.schedule(LOCAL_LATENCY, self._receive_ip, sibling,
                               packet)
             return
-        self.port.send(EthernetFrame(dst_mac, active.mac, ETHERTYPE_IPV4,
-                                     packet))
+        # Straight to the link, as Node.flood hands a frame: a port
+        # without carrier discards it, as in Port.send.
+        frame = EthernetFrame(dst_mac, active.mac, ETHERTYPE_IPV4, packet)
+        port = self.port
+        link = port.link
+        if link is not None and link.up:
+            link.transmit(port, frame)
 
     # -- ARP resolution ------------------------------------------------------
 
@@ -546,7 +551,7 @@ class HostPopulation(Node):
         sent_at = self._ping_sent_at.pop((index, echo.ident, echo.seq), None)
         handler = self._ping_handlers.get((index, echo.ident))
         if sent_at is not None and handler is not None:
-            handler(echo.seq, self.sim.now - sent_at)
+            handler(echo.seq, self.sim._now - sent_at)
 
     # -- accounting ----------------------------------------------------------
 

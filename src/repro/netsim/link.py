@@ -220,8 +220,9 @@ class Link:
                 return
             direction.queue.append(frame)
             if direction.drain_event is None:
-                direction.drain_event = sim.schedule(
-                    direction.busy_until - now, self._drain, direction)
+                direction.drain_event = sim._push(
+                    now + (direction.busy_until - now), PRIORITY_NORMAL,
+                    next(sim._seq), self._drain, (direction,))
             return
         size = frame.wire_size
         # Inlined _trace (plus the bytes register): a record is built
@@ -254,11 +255,13 @@ class Link:
         """
         direction.drain_event = None
         # Idle now, even where the armed delay rounded an ulp short.
-        direction.busy_until = now = self.sim._now
+        sim = self.sim
+        direction.busy_until = now = sim._now
         self.transmit(direction.from_port, direction.queue.popleft())
         if direction.queue:
-            direction.drain_event = self.sim.schedule(
-                direction.busy_until - now, self._drain, direction)
+            direction.drain_event = sim._push(
+                now + (direction.busy_until - now), PRIORITY_NORMAL,
+                next(sim._seq), self._drain, (direction,))
 
     def _deliver(self, direction: _Direction) -> None:
         # Head of the in-flight FIFO (module docstring); the link is up,

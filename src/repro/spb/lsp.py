@@ -30,9 +30,8 @@ class SpbHello:
     origin: MAC
     seq: int
 
-    @property
-    def wire_size(self) -> int:
-        return HELLO_WIRE_SIZE
+    #: A class constant, not a field: every hello is the same size.
+    wire_size = HELLO_WIRE_SIZE
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,9 @@ class LinkStatePacket:
 
     ``host_values`` is the set of the hosts' integer values, filled once
     at construction so "does this LSP advertise host H?" is one int hash
-    instead of a scan of ``hosts``. It is not part of ``==``, ``hash``,
-    ``repr`` or ``wire_size``.
+    instead of a scan of ``hosts``; ``wire_size`` is filled there too,
+    since an LSP is flooded once per bridge port it crosses. Neither is
+    part of ``==``, ``hash`` or ``repr``.
     """
 
     origin: MAC
@@ -69,17 +69,16 @@ class LinkStatePacket:
     hosts: Tuple[MAC, ...] = ()
     host_values: FrozenSet[int] = field(init=False, repr=False,
                                         compare=False)
+    wire_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.seq < 0:
             raise ValueError("LSP sequence must be non-negative")
         object.__setattr__(self, "host_values",
                            frozenset(mac._value for mac in self.hosts))
-
-    @property
-    def wire_size(self) -> int:
-        return (LSP_FIXED_SIZE + LSP_NEIGHBOR_SIZE * len(self.adjacencies)
-                + LSP_HOST_SIZE * len(self.hosts))
+        object.__setattr__(self, "wire_size", (
+            LSP_FIXED_SIZE + LSP_NEIGHBOR_SIZE * len(self.adjacencies)
+            + LSP_HOST_SIZE * len(self.hosts)))
 
     def newer_than(self, other: "LinkStatePacket") -> bool:
         """True when this packet supersedes *other* (same origin)."""

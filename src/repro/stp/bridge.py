@@ -179,6 +179,8 @@ class StpBridge(Bridge):
         self.default_path_cost = path_cost
         self.fdb = ForwardingTable(aging_time=fdb_aging, sim=sim)
         self.stp_counters = StpCounters()
+        #: Port index -> its STP state, made with the port
+        #: (:meth:`add_port`), so the data plane reads it by subscript.
         self._port_info: Dict[int, StpPortInfo] = {}
         self.root_id = self.bid
         self.root_cost = 0
@@ -190,13 +192,15 @@ class StpBridge(Bridge):
 
     # -- port bookkeeping --------------------------------------------------
 
+    def add_port(self) -> Port:
+        port = super().add_port()
+        self._port_info[port.index] = StpPortInfo(port,
+                                                  self.default_path_cost)
+        return port
+
     def info_for(self, port: Port) -> StpPortInfo:
-        """The STP state for *port* (created on first access)."""
-        info = self._port_info.get(port.index)
-        if info is None:
-            info = StpPortInfo(port, self.default_path_cost)
-            self._port_info[port.index] = info
-        return info
+        """The STP state for *port*."""
+        return self._port_info[port.index]
 
     @property
     def is_root(self) -> bool:
@@ -278,7 +282,7 @@ class StpBridge(Bridge):
     def admit_data(self, port: Port, frame: EthernetFrame) -> bool:
         """The 802.1D port-state gate: learn only in LEARNING or
         FORWARDING, forward only in FORWARDING."""
-        info = self.info_for(port)
+        info = self._port_info[port.index]
         if not info.can_learn:
             self.stp_counters.discards_not_forwarding += 1
             self.filter_frame()
@@ -299,7 +303,7 @@ class StpBridge(Bridge):
             self._flood_forwarding(frame, exclude=port)
         elif out_port is port:
             self.filter_frame()
-        elif self.info_for(out_port).can_forward:
+        elif self._port_info[out_port.index].can_forward:
             self.forward(out_port, frame)
         else:
             self.filter_frame()
@@ -307,13 +311,14 @@ class StpBridge(Bridge):
     def _flood_forwarding(self, frame: EthernetFrame,
                           exclude: Optional[Port]) -> None:
         copies = 0
-        for port in self.ports:
-            if port is exclude or not port.is_attached:
+        for info in self._port_info.values():
+            port = info.port
+            link = port.link
+            if port is exclude or link is None or not info.can_forward:
                 continue
-            if not self.info_for(port).can_forward:
-                continue
-            port.send(frame)
             copies += 1
+            if link.up:
+                link.transmit(port, frame)
         self.counters.flooded_frames += 1
         self.counters.flooded_copies += copies
 

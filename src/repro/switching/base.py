@@ -28,7 +28,7 @@ Two admission gates bracket classification: a datum, ``_own_src``,
 drops a frame from that source address before anything (ARP-Path's
 own floods), and the optional :attr:`Bridge.admit_data` hook runs after
 control dispatch, before the data hooks (STP applies its port-state
-gate and learns there, SPB learns local hosts). This mirrors the
+gate and learns there). This mirrors the
 packet-in pipelines of event-driven SDN controllers: one
 classification ladder, per-protocol handlers. The ladder's order is
 pinned by the golden discovery trace and ``tests/test_dataplane.py``.

@@ -33,7 +33,7 @@ def shortest_path_tree(root: MAC, graph: Graph) -> ShortestPathTree:
     parent: Dict[MAC, Optional[MAC]] = {root: None}
     # Heap entries: (distance, node MAC value, node) — the MAC value
     # makes pops deterministic; parents are chosen lowest-MAC-first.
-    heap: List[Tuple[float, int, MAC]] = [(0.0, root.value, root)]
+    heap: List[Tuple[float, int, MAC]] = [(0.0, root._value, root)]
     done: Set[MAC] = set()
     while heap:
         d, _tie, node = heapq.heappop(heap)
@@ -46,9 +46,9 @@ def shortest_path_tree(root: MAC, graph: Graph) -> ShortestPathTree:
             better = old is None or nd < old
             same_but_lower = (old is not None and nd == old
                               and parent[neighbor] is not None
-                              and node.value < parent[neighbor].value)
+                              and node._value < parent[neighbor]._value)
             if better or same_but_lower:
                 dist[neighbor] = nd
                 parent[neighbor] = node
-                heapq.heappush(heap, (nd, neighbor.value, neighbor))
+                heapq.heappush(heap, (nd, neighbor._value, neighbor))
     return ShortestPathTree(dist, parent)

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.netsim.engine import PRIORITY_NORMAL
 from repro.topology.builder import Network
 
 DEFAULT_FLOW_PORT_BASE = 20000
@@ -114,6 +115,10 @@ class TrafficMatrix:
                  interval: float = 1e-3, size: int = 500) -> Flow:
         if src == dst:
             raise ValueError(f"flow endpoints must differ: {src}")
+        if interval < 0:
+            # Checked here: a flow re-arms through Simulator._push,
+            # which does not check.
+            raise ValueError(f"negative flow interval: {interval}")
         port = self._next_port
         self._next_port += 1
         flow = Flow(src=src, dst=dst, packets=packets, interval=interval,
@@ -249,22 +254,24 @@ class TrafficMatrix:
         def on_packet(src_ip, sport, payload, packet, flow=flow):
             flow.received += 1
             if isinstance(payload, _Stamp):
-                flow.latencies.append(self.net.sim.now - payload.sent_at)
+                flow.latencies.append(self.net.sim._now - payload.sent_at)
 
         sink.bind_udp(flow.port, on_packet)
 
     def _run_flow(self, flow: Flow) -> None:
         src = self.net.endpoint(flow.src)
         dst_ip = self.net.endpoint(flow.dst).ip
+        sim = self.net.sim
 
         def send_one() -> None:
             if flow.sent >= flow.packets:
                 return
-            stamp = _Stamp(self.net.sim._now, flow.size)
+            stamp = _Stamp(sim._now, flow.size)
             src.send_udp(dst_ip, flow.port, flow.port, stamp)
             flow.sent += 1
             if flow.sent < flow.packets:
-                self.net.sim.schedule(flow.interval, send_one)
+                sim._push(sim._now + flow.interval, PRIORITY_NORMAL,
+                          next(sim._seq), send_one, ())
 
         send_one()
 

@@ -23,12 +23,13 @@ The fourth guard is on the baseline family: an 802.1D bridge recomputes
 on change, not on receipt (``stp.bridge`` docstring), so the hellos of a
 converged tree run no ``_recompute`` at all and a cut runs a bounded few.
 
-Three more guard the one end-host stack and SPB's attachment lookup,
-which compare addresses as integers (ARCHITECTURE §7, §9): a received
-broadcast ARP and a UDP packet cost a fixed handful of calls, for a
-``Host`` and for a flyweight population endpoint alike, and finding a
-host's bridge costs no ``MAC.__eq__`` however many hosts the LSDB
-advertises.
+Four more guard the one end-host stack and SPB, which compare
+addresses as integers (ARCHITECTURE §7, §9): a received broadcast ARP
+and a UDP packet cost a fixed handful of calls, for a ``Host`` and for
+a flyweight population endpoint alike; finding a host's bridge costs
+no ``MAC.__eq__`` however many hosts the LSDB advertises; and an SPB
+hop is one probe of installed forwarding state, a few calls per
+delivery.
 
 The last three guard the engine's per-event floor (``netsim.engine``
 docstring): a churn timeline is armed when near, one heap entry
@@ -405,8 +406,10 @@ def test_a_host_hears_a_broadcast_arp_in_a_few_python_calls():
 #: (itself included). The parent of the integer host stack measured
 #: 19.4, the integer stack 13.4; one stack 11.4 for hosts and
 #: population endpoints alike (no ARP lookup call, and one receive call
-#: where there were two).
-MAX_CALLS_PER_UDP_PACKET = 12.4
+#: where there were two). Read again with ``Link.transmit`` counted:
+#: 12.1 while the send body went through ``Port.send``, 11.05 since it
+#: hands the frame to the link.
+MAX_CALLS_PER_UDP_PACKET = 11.5
 
 
 def test_a_udp_packet_costs_the_hosts_a_fixed_handful_of_calls():
@@ -461,6 +464,43 @@ def test_spb_finds_a_hosts_bridge_without_comparing_macs(hosts_per_bridge):
     calls, _ = _calls_under(MAC.__eq__.__code__, None, lookup_all)
     assert calls / len(remote) <= MAX_EQ_PER_ATTACHMENT, (
         f"{calls} MAC.__eq__ calls for {len(remote)} lookups")
+
+
+#: Python calls per link delivery on the warm SPB ``occupancy`` ring:
+#: every host announced, then all-pairs UDP beside gratuitous ARPs (the
+#: unicast and broadcast mix of an ``occupancy`` cell). The parent of
+#: the installed forwarding state measured 19.4 (an LSDB scan, a parent
+#: walk and a neighbour scan per unicast hop, per-port helper calls per
+#: broadcast copy); the change itself 8.1.
+MAX_CALLS_PER_SPB_DELIVERY = 9
+
+
+@pytest.mark.unchecked
+def test_spb_forwards_in_a_few_python_calls_per_delivery():
+    sim, net = _occupancy_ring(spb())
+    sim.run_for(8.0)                      # SPB warm-up: adjacencies, LSDB
+    hosts = sorted(net.hosts)
+    for name in hosts:
+        net.hosts[name].gratuitous_arp()  # attaches every host
+    sim.run_for(0.5)
+    matrix = TrafficMatrix(net)
+    matrix.all_pairs(hosts=hosts, packets=5, interval=2e-3, size=200)
+    matrix.start(stagger=1e-4)
+    sim.run_for(0.005)                    # ARP resolved: the rest is warm
+
+    def window():
+        for name in hosts[::3]:
+            net.hosts[name].gratuitous_arp()
+        sim.run_for(0.05)
+
+    delivered = sim.tracer.count(DELIVERED)
+    calls = _python_calls(window)
+    delivered = sim.tracer.count(DELIVERED) - delivered
+    assert delivered >= 3_000
+    assert matrix.total_received == matrix.total_sent == 240 * 5
+    assert calls / delivered <= MAX_CALLS_PER_SPB_DELIVERY, (
+        f"{calls} Python calls for {delivered} link deliveries "
+        f"({calls / delivered:.1f} per delivery)")
 
 
 # -- the engine's per-event floor -------------------------------------------

@@ -4,8 +4,14 @@ The PathFail → PathRequest → PathReply exchange, exercised inside real
 simulated networks with injected failures.
 """
 
+import pytest
 
-from repro.topology import arppath, line, netfpga_demo, pair
+from repro import check
+from repro.netsim.dynamics import EventTimeline
+from repro.netsim.engine import Simulator
+from repro.netsim.errors import InvariantError
+from repro.topology import arppath, grid, line, netfpga_demo, pair
+from repro.traffic.matrix import TrafficMatrix
 
 from repro.testing import fast_config
 
@@ -234,3 +240,26 @@ class TestHostTransparency:
         for host in demo_net.hosts.values():
             assert host.counters.udp_unbound == 0
             assert host.counters.ip_foreign == 0
+
+
+# -- the open repair-race loop -----------------------------------------------
+
+@pytest.mark.unchecked    # the checker is attached below, not by conftest
+@pytest.mark.xfail(strict=True, raises=InvariantError, reason=(
+    "a PathFail toward a host erases the race memory of that host's own "
+    "PathRequest, so a late copy is relayed a second time (ROADMAP "
+    "item 9); the change that fixes it removes this mark"))
+def test_a_repair_race_under_churn_relays_no_copy_twice():
+    sim = Simulator(seed=1)
+    checker = check.attach(sim)
+    net = grid(sim, arppath(), 3, 3, latency_jitter=0.3, seed=1)
+    net.run(2.0)
+    timeline = EventTimeline(net)
+    timeline.random_churn(1, start=3.0, duration=40.0, flap_rate=0.5,
+                          mean_down_time=0.5)
+    timeline.arm()
+    matrix = TrafficMatrix(net)
+    matrix.random_pairs(4, packets=300, interval=0.1)
+    matrix.start()
+    net.run(45.0)
+    checker.close()
