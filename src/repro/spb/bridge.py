@@ -358,16 +358,10 @@ class SpbBridge(Bridge):
                 return None
         return node
 
-    def attachment_bridge(self, host: MAC,
-                          local: bool = True) -> Optional[MAC]:
-        """The bridge advertising *host*: this one while *host* is a
-        live local host (unless *local* is false), else the first LSDB
-        origin that lists it."""
+    def attachment_bridge(self, host: MAC) -> Optional[MAC]:
+        """The first LSDB origin advertising *host* (our own LSP lists
+        every local host we learned)."""
         value = host._value
-        if local:
-            record = self._local_hosts.get(value)
-            if record is not None and record[1] > self.sim._now:
-                return self.mac
         for origin, (lsp, _received) in self._lsdb.items():
             if value in lsp.host_values:
                 return origin
@@ -380,7 +374,7 @@ class SpbBridge(Bridge):
         and, for when that lapses, the ports toward its LSDB origin."""
         value = host._value
         candidates = ()
-        origin = self.attachment_bridge(host, local=False)
+        origin = self.attachment_bridge(host)
         if origin is not None and origin._value != self.mac._value:
             hop = self._first_hop(origin)
             if hop is not None:
@@ -396,7 +390,7 @@ class SpbBridge(Bridge):
     def _source_entry(self, host: MAC) -> tuple:
         """Install the RPF state of broadcasts from *host*."""
         value = host._value
-        origin = self.attachment_bridge(host, local=False)
+        origin = self.attachment_bridge(host)
         expected = plan = None
         if origin is not None:
             hop = self._first_hop(origin)
@@ -457,13 +451,7 @@ class SpbBridge(Bridge):
         neighbor = self._neighbor
         held = neighbor.get(port.index)
         if (held is None or held[1] <= now) and port.link is not None:
-            # From a host port: a known host on it is refreshed here.
-            src = frame.src
-            known = self._local_hosts.get(src._value)
-            if known is not None and known[0] is port:
-                known[1] = now + self.host_aging
-            else:
-                self._learn_local_host(port, src, now)
+            self._learn_local_host(port, frame.src, now)
         entry = self._unicast.get(frame.dst._value)
         if entry is None:
             entry = self._unicast_entry(frame.dst)

@@ -471,7 +471,8 @@ def test_spb_finds_a_hosts_bridge_without_comparing_macs(hosts_per_bridge):
 #: unicast and broadcast mix of an ``occupancy`` cell). The parent of
 #: the installed forwarding state measured 19.4 (an LSDB scan, a parent
 #: walk and a neighbour scan per unicast hop, per-port helper calls per
-#: broadcast copy); the change itself 8.1.
+#: broadcast copy); the change itself 8.4, learning through one
+#: ``_learn_local_host`` call per frame from a host port.
 MAX_CALLS_PER_SPB_DELIVERY = 9
 
 

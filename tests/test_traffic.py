@@ -198,6 +198,13 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError):
             matrix.add_flow("H0", "H0")
 
+    def test_negative_interval_rejected(self, sim):
+        net = pair(sim, arppath())
+        matrix = TrafficMatrix(net)
+        with pytest.raises(ValueError, match="negative flow interval"):
+            matrix.add_flow("H0", "H1", interval=-1)
+        assert matrix.flows == []
+
     def test_warmup_resolves_everyone(self, sim):
         net = fat_tree(sim, arppath(), pods=2, hosts_per_edge=1)
         net.run(5.0)
