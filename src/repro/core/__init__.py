@@ -9,13 +9,14 @@ from repro.core.bridge import ArpPathBridge, ArpPathCounters
 from repro.core.config import ArpPathConfig, DEFAULT_CONFIG
 from repro.core.proxy import ArpProxy, ProxyBinding, ProxyCounters
 from repro.core.repair import RepairCounters, RepairManager, RepairState
-from repro.core.table import (EntryState, LockedAddressTable, PathEntry,
-                              TableCounters)
+from repro.core.table import (EntryState, Lock, LockedAddressTable,
+                              PathEntry, TableCounters)
 
 __all__ = [
     "ArpPathBridge", "ArpPathCounters",
     "ArpPathConfig", "DEFAULT_CONFIG",
     "ArpProxy", "ProxyBinding", "ProxyCounters",
     "RepairCounters", "RepairManager", "RepairState",
-    "EntryState", "LockedAddressTable", "PathEntry", "TableCounters",
+    "EntryState", "Lock", "LockedAddressTable", "PathEntry",
+    "TableCounters",
 ]

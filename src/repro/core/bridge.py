@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 from repro.core.config import ArpPathConfig, DEFAULT_CONFIG
 from repro.core.proxy import ArpProxy
 from repro.core.repair import RepairManager, RepairState
-from repro.core.table import LEARNT, LOCKED, LockedAddressTable
+from repro.core.table import LEARNT, LockedAddressTable
 from repro.frames import control as ctl_proto
 from repro.frames.arp import ArpPacket
 from repro.frames.control import ArpPathControl, HELLO_MULTICAST
@@ -206,7 +206,8 @@ class ArpPathBridge(Bridge):
                 self._send_hellos()
             return
         # Carrier lost: every path through this port is dead. Flushing
-        # makes the next unicast miss, which triggers Path Repair.
+        # makes the next unicast miss, which triggers Path Repair; the
+        # locks stay, so late copies of their races still lose.
         self.table.flush_port(port)
         self._neighbor_until.pop(port.index, None)
         self.neighbors.pop(port.index, None)
@@ -218,36 +219,26 @@ class ArpPathBridge(Bridge):
     # -- discovery (paper §2.1.1) ----------------------------------------
 
     def _accept_discovery(self, port: Port, src: MAC) -> bool:
-        """Apply the locking rule to one copy of a discovery broadcast.
+        """Apply the locking rule to one copy of a discovery broadcast:
+        True when it won and must be processed further, False when it
+        travelled a slower path and must be discarded.
 
-        Returns True when this copy won and must be processed further;
-        False when it travelled a slower path and must be discarded.
-
-        The rule (paper §2.1.1): while the entry's discovery race is
-        still running (its *race guard* is armed — a unicast confirm
-        may already have upgraded the entry to LEARNT while slow race
-        copies are in flight), copies arriving on other ports lose.
-        After the race window a discovery broadcast on a different port
-        is a *new* race and re-locks the entry — which is what lets a
-        retransmitted ARP Request or a repair PathRequest route around
-        entries left behind by a failed path. Loop-freedom holds
-        because each re-lock re-arms the guard, so later copies of the
-        same race are discarded for a full lock timeout. One probe: a
-        losing copy makes no call, the table is called only to reap an
-        expired entry, lock or refresh.
+        The rule (paper §2.1.1): while *src*'s lock is live, copies on
+        other ports lose, whatever happened to its path since. A
+        same-port copy refreshes the lock, and a copy after it ended
+        starts a *new* race — which lets a retransmitted ARP Request or
+        a repair PathRequest route around a failed link. One probe: a
+        losing copy makes no call.
         """
         now = self.sim._now
         table = self.table
-        entry = table._probe(src._value)
-        if entry is not None:
-            if entry.expires <= now:
-                entry = table.get(src, now)     # reaps; None
-            elif entry.port is port:
-                table.refresh_lock(src, now, entry)
-                return True
-            elif entry.state is LOCKED or entry.race_until > now:
+        lock = table._race(src._value)
+        if lock is not None:
+            if lock.expires <= now:
+                lock = table.race(src, now)     # reaps; None
+            elif lock.port is not port:
                 return False
-        table.lock(src, port, now, entry)
+        table.lock(src, port, now, lock)
         return True
 
     def on_arp(self, port: Port, frame: EthernetFrame) -> None:
@@ -280,32 +271,31 @@ class ArpPathBridge(Bridge):
     def on_broadcast(self, port: Port, frame: EthernetFrame) -> None:
         """Loop-free flooding of broadcast/multicast data frames.
 
-        Frames from a source are accepted only at the port that received
-        the first such frame (or at the source's established path port
-        when one exists); they never create or modify path entries.
+        Frames from a source are accepted only on the port of its live
+        lock, else of its path when it has one, else anywhere; every
+        accepted copy arms or extends the source's lock on its port.
+        They never create or modify paths.
         """
         now = self.sim._now
-        entry = self.table.get(frame.src, now)
-        accept_port = entry.port if entry is not None \
-            else self.table.guard_port(frame.src, now)
-        if accept_port is not None and accept_port is not port:
+        table, src = self.table, frame.src
+        accept = table.race(src, now) or table.get(src, now)
+        if accept is not None and accept.port is not port:
             self.apc.broadcast_guard_filtered += 1
             self.filter_frame()
             return
-        if entry is None:
-            self.table.set_guard(frame.src, port, now)
+        table.guard(src, port, now)
         self.flood_data(frame, exclude=port)
 
     # -- unicast data plane (paper §2.1.2) --------------------------------
 
     def on_unicast(self, port: Port, frame: EthernetFrame) -> None:
         """One pass, one table probe per address: learn the source,
-        look the destination up once, confirm *that* entry, forward.
+        look the destination up once, confirm *that* path, forward.
 
-        The hit path stays in this frame: a live entry is confirmed by
-        ``table.confirm_entry``'s two slot writes, and the table is
-        called only to learn a new, expired or moved source or to reap
-        an expired destination."""
+        The hit path stays in this frame: a live LEARNT entry is
+        refreshed by one slot write, and the table is called only to
+        learn a new, expired or moved source, to reap an expired
+        destination or to confirm a LOCKED one."""
         now = self.sim._now
         table = self.table
         probe = table._probe
@@ -315,7 +305,6 @@ class ArpPathBridge(Bridge):
         src = frame.src
         entry = probe(src._value)
         if entry is not None and entry.expires > now and entry.port is port:
-            entry.state = LEARNT
             entry.expires = learnt_until
         else:
             table.learn(src, port, now)
@@ -326,8 +315,8 @@ class ArpPathBridge(Bridge):
         if dst._value == self.mac._value:
             return
         entry = probe(dst._value)
-        if entry is not None and entry.expires <= now:
-            entry = table.get(dst, now)  # reaps; None
+        if entry is None or entry.expires <= now:
+            entry = table.get(dst, now)  # reaps; a LOCKED path or None
         if entry is not None:
             out_port = entry.port
             link = out_port.link  # out_port.is_up inlined
@@ -335,11 +324,12 @@ class ArpPathBridge(Bridge):
                 if out_port is port:
                     self.filter_frame()
                     return
-                # Using the path keeps it alive (and upgrades LOCKED
-                # entries created by the discovery broadcast — the
-                # §2.1.2 step).
-                entry.state = LEARNT
-                entry.expires = learnt_until
+                # Using the path keeps it alive (and confirms a LOCKED
+                # one the discovery broadcast left — the §2.1.2 step).
+                if entry.state is LEARNT:
+                    entry.expires = learnt_until
+                else:
+                    table.confirm_entry(entry, now)
                 self.counters.forwarded += 1
                 link.transmit(out_port, frame)
                 return
@@ -448,11 +438,11 @@ class ArpPathBridge(Bridge):
         what makes every bridge lock S's address during the race, so the
         winning copy leaves a minimum-latency reverse path behind it.
 
-        Before flooding, the originator arms the race guard on its own
-        entry for S — it plays the role the ingress lock plays for a
-        host-sent ARP Request. Without it, copies of our own flood
-        arriving back over fabric loops would count as a *new* race,
-        re-lock, and re-flood forever.
+        Before flooding, the originator re-arms its own lock for S on
+        S's path port — it plays the role the ingress lock plays for a
+        host-sent ARP Request. Copies of our own flood arriving back
+        over fabric loops lose on their origin, even where no path to S
+        is left to lock (a repair started here as a fallback).
         """
         self.table.refresh_lock(state.source, self.sim._now)
         request = ctl_proto.make_path_request(self.mac, state.source,
@@ -497,10 +487,12 @@ class ArpPathBridge(Bridge):
     def _handle_path_request(self, port: Port, frame: EthernetFrame,
                              ctl: ArpPathControl) -> None:
         """A flooded repair probe: lock like an ARP Request, answer if we
-        are the target's edge bridge, otherwise relay the race."""
+        are the target's edge bridge, otherwise relay the race. Our own
+        request coming back loses like a late copy, whatever our lock."""
         self.apc.path_requests_seen += 1
         now = self.sim._now
-        if not self._accept_discovery(port, frame.src):
+        if ctl.origin._value == self._own_src \
+                or not self._accept_discovery(port, frame.src):
             self.apc.discovery_filtered += 1
             self.filter_frame()
             return
@@ -569,7 +561,7 @@ class ArpPathBridge(Bridge):
             self.apc.drops_buffer += len(buffered)
             return
         for parked in buffered:
-            self.table.confirm_entry(entry, now)
+            entry = self.table.confirm_entry(entry, now)
             self.forward(entry.port, parked)
 
     def _handle_path_fail(self, port: Port, frame: EthernetFrame,

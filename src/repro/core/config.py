@@ -17,13 +17,20 @@ from dataclasses import dataclass
 class ArpPathConfig:
     """Configuration for :class:`repro.core.bridge.ArpPathBridge`."""
 
-    #: Seconds a LOCKED entry (created by a discovery broadcast) lives.
+    #: Seconds a discovery race's lock (and the LOCKED path it leaves)
+    #: lives. Loop-freedom needs it above the race spread — the latest
+    #: a copy of one broadcast can trail its first copy at a bridge, at
+    #: most the sum of the fabric's link latencies: a copy arriving
+    #: after the lock ended starts a new race and is relayed again. The
+    #: default suits the microsecond links of the paper's testbed; on
+    #: a 3x3 grid with up to 0.3 s of jitter per link, one PathRequest
+    #: reached a bridge by two copies 0.817 s apart.
     lock_timeout: float = 0.8
     #: Seconds a LEARNT entry (confirmed by unicast traffic) lives;
     #: refreshed by every frame that uses it.
     learnt_timeout: float = 120.0
-    #: Seconds a broadcast-guard entry (non-ARP broadcast first-arrival
-    #: filter, paper §2.1.3) lives.
+    #: Seconds a non-ARP broadcast (paper §2.1.3) arms or extends its
+    #: source's lock for; the same precondition as ``lock_timeout``.
     guard_timeout: float = 1.0
 
     #: Send neighbour-discovery hellos (classifies ports as

@@ -39,9 +39,10 @@ class TestLocking:
         assert table.get(M0, now=1.0) is None
 
     def test_lock_arms_race_guard(self, table):
-        entry = table.lock(M0, P0, now=0.0)
-        assert entry.race_until > 0.5
-        assert not entry.race_until > 1.0
+        table.lock(M0, P0, now=0.0)
+        lock = table.race(M0, now=0.5)
+        assert lock is not None and lock.port is P0 and lock.path
+        assert table.race(M0, now=1.0) is None
 
     def test_relock_replaces_port(self, table):
         table.lock(M0, P0, now=0.0)
@@ -98,14 +99,17 @@ class TestLearning:
         assert entry.state is EntryState.LEARNT
 
     def test_learn_preserves_race_guard(self, table):
-        """A unicast confirm must not erase the race window."""
+        """A unicast confirm must not erase the race window: the path
+        moves into a LEARNT entry, and the lock stays, path-less."""
         table.lock(M0, P0, now=0.0)
         entry = table.learn(M0, P0, now=0.1)
-        assert entry.race_until > 0.5
+        lock = table.race(M0, now=0.5)
+        assert entry is not lock and entry.port is P0
+        assert lock is not None and lock.port is P0 and not lock.path
 
     def test_learn_without_lock_has_no_guard(self, table):
-        entry = table.learn(M0, P0, now=0.0)
-        assert not entry.race_until > 0.0
+        table.learn(M0, P0, now=0.0)
+        assert table.race(M0, now=0.0) is None
 
 
 class TestConfirm:
@@ -143,8 +147,9 @@ class TestRefreshLock:
 
     def test_rearms_race_guard(self, table):
         table.lock(M0, P0, now=0.0)
-        entry = table.refresh_lock(M0, now=0.9)
-        assert entry.race_until > 1.5
+        lock = table.refresh_lock(M0, now=0.9)
+        assert lock is table.race(M0, now=1.5)
+        assert lock.expires > 1.5
 
     def test_learnt_entry_keeps_learnt_timeout(self, table):
         table.learn(M0, P0, now=0.0)
@@ -167,48 +172,78 @@ class TestRemoveAndFlush:
         assert table.flush_port(P0) == 1
         assert M0 not in table and M1 in table
 
-    def test_flush_port_erases_guards(self, table):
-        table.set_guard(M0, P0, now=0.0)
-        table.flush_port(P0)
-        assert table.guard_port(M0, now=0.0) is None
+    def test_flush_port_keeps_guards(self, table):
+        """Carrier loss erases paths, never a race: late copies of a
+        broadcast that won on the dead port must still lose."""
+        table.guard(M0, P0, now=0.0)
+        table.lock(M1, P0, now=0.0)
+        assert table.flush_port(P0) == 1        # M1's LOCKED path
+        assert table.race(M0, now=0.1).port is P0
+        lock = table.race(M1, now=0.1)
+        assert lock.port is P0 and not lock.path
+        assert table.get(M1, now=0.1) is None
+
+    def test_remove_keeps_the_lock(self, table):
+        """PathFail erases the path and leaves its race running."""
+        table.lock(M0, P0, now=0.0)
+        table.confirm(M0, now=0.1)
+        assert table.remove(M0) is True
+        assert table.get(M0, now=0.2) is None
+        assert table.race(M0, now=0.2).port is P0
 
     def test_flush_all(self, table):
         table.learn(M0, P0, now=0.0)
-        table.set_guard(M1, P1, now=0.0)
+        table.guard(M1, P1, now=0.0)
         table.flush()
         assert len(table) == 0
-        assert table.guard_port(M1, now=0.0) is None
+        assert table.race(M1, now=0.0) is None
 
     def test_expire_sweep(self, table):
         table.lock(M0, P0, now=0.0)
         table.learn(M1, P1, now=0.0)
         assert table.expire(now=2.0) == 1  # lock gone, learnt alive
-        assert M1 in table
+        assert M1 in table and M0 not in table
 
 
 class TestGuards:
+    """A guard is a path-less lock armed for guard_timeout."""
+
     def test_guard_lifecycle(self, table):
-        table.set_guard(M0, P0, now=0.0)
-        assert table.guard_port(M0, now=0.4) is P0
-        assert table.guard_port(M0, now=0.5) is None
+        table.guard(M0, P0, now=0.0)
+        assert table.race(M0, now=0.4).port is P0
+        assert table.race(M0, now=0.5) is None
 
     def test_guard_does_not_create_path_entry(self, table):
-        table.set_guard(M0, P0, now=0.0)
+        table.guard(M0, P0, now=0.0)
         assert table.get(M0, now=0.1) is None
 
     def test_guard_replaced(self, table):
-        table.set_guard(M0, P0, now=0.0)
-        table.set_guard(M0, P1, now=0.1)
-        assert table.guard_port(M0, now=0.2) is P1
+        table.guard(M0, P0, now=0.0)
+        table.guard(M0, P1, now=0.6)        # after the first one ended
+        assert table.race(M0, now=0.7).port is P1
+
+    def test_guard_extends_a_discovery_lock_and_keeps_its_path(self, table):
+        table.lock(M0, P0, now=0.0)
+        table.guard(M0, P0, now=0.9)        # 0.9 + 0.5 > 1.0
+        assert table.get(M0, now=1.2).port is P0
+        table.lock(M0, P0, now=1.25)        # never shortens the lock
+        assert table.race(M0, now=1.25).expires == 2.25
+
+    def test_a_lock_takes_over_a_guard(self, table):
+        """A discovery copy on the guard's port locks the path there."""
+        table.guard(M0, P0, now=0.0)
+        lock = table.lock(M0, P0, now=0.1)
+        assert lock.path and table.get(M0, now=0.2) is lock
+        assert table.counters.locks == 1
 
 
 class TestIntrospection:
     def test_occupancy(self, table):
         table.lock(M0, P0, now=0.0)
         table.learn(M1, P1, now=0.0)
-        table.set_guard(M2, P0, now=0.0)
+        table.guard(M2, P0, now=0.0)
         occ = table.occupancy(now=0.1)
-        assert occ == {"locked": 1, "learnt": 1, "guards": 1}
+        assert occ == {"locked": 1, "learnt": 1}
 
     def test_entries_filtered_by_time(self, table):
         table.lock(M0, P0, now=0.0)

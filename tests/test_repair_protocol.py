@@ -9,7 +9,6 @@ import pytest
 from repro import check
 from repro.netsim.dynamics import EventTimeline
 from repro.netsim.engine import Simulator
-from repro.netsim.errors import InvariantError
 from repro.topology import arppath, grid, line, netfpga_demo, pair
 from repro.traffic.matrix import TrafficMatrix
 
@@ -242,14 +241,14 @@ class TestHostTransparency:
             assert host.counters.ip_foreign == 0
 
 
-# -- the open repair-race loop -----------------------------------------------
+# -- the repair-race loop ------------------------------------------------------
 
 @pytest.mark.unchecked    # the checker is attached below, not by conftest
-@pytest.mark.xfail(strict=True, raises=InvariantError, reason=(
-    "a PathFail toward a host erases the race memory of that host's own "
-    "PathRequest, so a late copy is relayed a second time (ROADMAP "
-    "item 9); the change that fixes it removes this mark"))
 def test_a_repair_race_under_churn_relays_no_copy_twice():
+    """A PathFail toward a host erases its path, not the race of that
+    host's own PathRequest: were the race erased with the path, a late
+    copy of the request would win again and be relayed a second time
+    (``loop`` at 6.6854 s on this run)."""
     sim = Simulator(seed=1)
     checker = check.attach(sim)
     net = grid(sim, arppath(), 3, 3, latency_jitter=0.3, seed=1)

@@ -61,92 +61,126 @@ MODEL_SETTINGS = settings(max_examples=60, stateful_step_count=40,
 # -- references --------------------------------------------------------------
 
 class LockedReference:
-    """``LockedAddressTable`` restated over two plain dicts."""
+    """``LockedAddressTable`` restated over two plain dicts: paths and
+    race locks."""
 
     def __init__(self):
-        self.paths = {}     # value -> dict(port, state, expires, race_until)
-        self.guards = {}    # value -> (port, expires)
+        self.paths = {}     # value -> dict(port, expires)      LEARNT
+        self.locks = {}     # value -> dict(port, expires, path)
         self.counters = Counter()
 
-    def get(self, value, now):
-        rec = self.paths.get(value)
+    def _live(self, store, value, now):
+        rec = store.get(value)
         if rec is not None and rec["expires"] <= now:
-            del self.paths[value]               # lazy reap
+            del store[value]                    # lazy reap
             self.counters["expiries"] += 1
             return None
         return rec
 
-    def lock(self, value, port, now):
-        live = self.get(value, now)
-        self.counters["relocks" if live is not None else "locks"] += 1
-        self.paths[value] = dict(port=port, state=EntryState.LOCKED,
-                                 expires=now + LOCK, race_until=now + LOCK)
-        return self.paths[value]
+    def get(self, value, now):
+        rec = self._live(self.paths, value, now)
+        if rec is not None:
+            return rec
+        lock = self._live(self.locks, value, now)
+        return lock if lock is not None and lock["path"] else None
 
-    def _refresh_learnt(self, rec, now):
-        rec.update(state=EntryState.LEARNT, expires=now + LEARNT)
+    def race(self, value, now):
+        return self._live(self.locks, value, now)
+
+    def lock(self, value, port, now):
+        live = self.race(value, now)
+        rec = self._live(self.paths, value, now)
+        path = True
+        if rec is not None:
+            if rec["port"] is port:             # a confirmed path: refresh
+                rec["expires"] = now + LEARNT
+                path = False
+            else:                               # a new race moves it
+                del self.paths[value]
+                self.counters["relocks"] += 1
+        elif live is None or not live["path"]:
+            self.counters["locks"] += 1
+        elif live["port"] is not port:
+            self.counters["relocks"] += 1
+        if live is None:
+            live = self.locks[value] = dict(port=port, expires=0.0)
+        live.update(port=port, path=path,
+                    expires=max(live["expires"], now + LOCK))
+        return live
+
+    def confirm_entry(self, value, rec, now):
+        if "path" in rec:                       # a LOCKED path
+            rec["path"] = False
+            rec = self.paths[value] = dict(port=rec["port"])
+        rec["expires"] = now + LEARNT
         return rec
 
     def learn(self, value, port, now):
         rec = self.get(value, now)
         if rec is None:
             self.counters["learns"] += 1
-            self.paths[value] = dict(port=port, state=EntryState.LEARNT,
-                                     expires=now + LEARNT, race_until=0.0)
+            self.paths[value] = dict(port=port, expires=now + LEARNT)
             return self.paths[value]
         if rec["port"] is not port:
             self.counters["blocked_moves"] += 1
             return rec
-        return self._refresh_learnt(rec, now)
+        return self.confirm_entry(value, rec, now)
 
     def confirm(self, value, now):
         rec = self.get(value, now)
-        return None if rec is None else self._refresh_learnt(rec, now)
+        return None if rec is None else self.confirm_entry(value, rec, now)
 
     def refresh_lock(self, value, now):
         rec = self.get(value, now)
-        if rec is None:
-            return None
-        locked = rec["state"] is EntryState.LOCKED
-        rec.update(expires=now + (LOCK if locked else LEARNT),
-                   race_until=now + LOCK)
-        return rec
+        return None if rec is None else self.lock(value, rec["port"], now)
+
+    def guard(self, value, port, now):
+        live = self.race(value, now)
+        if live is None:
+            self.locks[value] = dict(port=port, expires=now + GUARD,
+                                     path=False)
+        else:
+            live["expires"] = max(live["expires"], now + GUARD)
 
     def remove(self, value):
-        return self.paths.pop(value, None) is not None
-
-    def guard_port(self, value, now):
-        guard = self.guards.get(value)
-        if guard is not None and guard[1] <= now:
-            del self.guards[value]
-            return None
-        return guard[0] if guard is not None else None
-
-    def set_guard(self, value, port, now):
-        self.guards[value] = (port, now + GUARD)
+        lock = self.locks.get(value)
+        held = lock is not None and lock["path"]
+        if held:
+            lock["path"] = False
+        return self.paths.pop(value, None) is not None or held
 
     def flush_port(self, port):
         stale = [v for v, rec in self.paths.items() if rec["port"] is port]
         for value in stale:
             del self.paths[value]
-        self.counters["port_flushes"] += len(stale)
-        self.guards = {v: g for v, g in self.guards.items()
-                       if g[0] is not port}
-        return len(stale)
+        flushed = len(stale)
+        for lock in self.locks.values():
+            if lock["path"] and lock["port"] is port:
+                lock["path"] = False
+                flushed += 1
+        return flushed
 
     def expire(self, now):
-        stale = [v for v, rec in self.paths.items() if rec["expires"] <= now]
-        for value in stale:
-            del self.paths[value]
-        self.counters["expiries"] += len(stale)
-        self.guards = {v: g for v, g in self.guards.items() if g[1] > now}
-        return len(stale)
+        reaped = 0
+        for store in (self.paths, self.locks):
+            stale = [v for v, rec in store.items() if rec["expires"] <= now]
+            for value in stale:
+                del store[value]
+            reaped += len(stale)
+        self.counters["expiries"] += reaped
+        return reaped
+
+    def live_paths(self, now):
+        live = {v: rec for v, rec in self.paths.items()
+                if rec["expires"] > now}
+        live.update((v, lock) for v, lock in self.locks.items()
+                    if lock["path"] and lock["expires"] > now)
+        return live
 
     def occupancy(self, now):
-        live = [rec for rec in self.paths.values() if rec["expires"] > now]
-        locked = sum(rec["state"] is EntryState.LOCKED for rec in live)
-        return {"locked": locked, "learnt": len(live) - locked,
-                "guards": sum(g[1] > now for g in self.guards.values())}
+        live = self.live_paths(now).values()
+        locked = sum("path" in rec for rec in live)
+        return {"locked": locked, "learnt": len(live) - locked}
 
 
 class FdbReference:
@@ -228,6 +262,14 @@ class ClockedMachine(RuleBasedStateMachine):
 
 # -- LockedAddressTable ------------------------------------------------------
 
+def live_locks(table, now):
+    """The table's live locks as ``value -> (port, expires)``, read raw
+    (a lookup would reap)."""
+    return {value: (lock.port, lock.expires)
+            for value, lock in table._locks.entries.items()
+            if lock.expires > now}
+
+
 class LockedTableMachine(ClockedMachine):
     def __init__(self):
         super().__init__()
@@ -240,18 +282,27 @@ class LockedTableMachine(ClockedMachine):
             return
         assert entry.mac == MAC(value)
         assert entry.port is rec["port"]
-        assert (entry.state, entry.expires, entry.race_until) \
-            == (rec["state"], rec["expires"], rec["race_until"])
+        assert entry.expires == rec["expires"]
+        if "path" in rec:
+            assert (entry.state, entry.path) == (EntryState.LOCKED,
+                                                 rec["path"])
+        else:
+            assert entry.state is EntryState.LEARNT
 
     @rule(value=values)
     def get(self, value):
         self.same_entry(self.table.get(MAC(value), self.now),
                         self.ref.get(value, self.now), value)
 
+    @rule(value=values)
+    def race(self, value):
+        self.same_entry(self.table.race(MAC(value), self.now),
+                        self.ref.race(value, self.now), value)
+
     @rule(value=values, port=ports, probed=st.booleans())
     def lock(self, value, port, probed):
         if probed:      # the bridge's way: hand lock the probe it made
-            live = self.table.get(MAC(value), self.now)
+            live = self.table.race(MAC(value), self.now)
             entry = self.table.lock(MAC(value), port, self.now, live)
         else:
             entry = self.table.lock(MAC(value), port, self.now)
@@ -271,35 +322,35 @@ class LockedTableMachine(ClockedMachine):
             entry = self.table.confirm(MAC(value), self.now)
         self.same_entry(entry, self.ref.confirm(value, self.now), value)
 
-    @rule(value=values, probed=st.booleans())
-    def refresh_lock(self, value, probed):
-        live = self.table.get(MAC(value), self.now) if probed else None
-        entry = self.table.refresh_lock(MAC(value), self.now, live)
-        self.same_entry(entry, self.ref.refresh_lock(value, self.now), value)
+    @rule(value=values)
+    def refresh_lock(self, value):
+        self.same_entry(self.table.refresh_lock(MAC(value), self.now),
+                        self.ref.refresh_lock(value, self.now), value)
 
     @rule(value=values, port=ports)
-    def set_guard(self, value, port):
-        self.table.set_guard(MAC(value), port, self.now)
-        self.ref.set_guard(value, port, self.now)
-
-    @rule(value=values)
-    def guard_port(self, value):
-        assert self.table.guard_port(MAC(value), self.now) \
-            is self.ref.guard_port(value, self.now)
+    def guard(self, value, port):
+        self.table.guard(MAC(value), port, self.now)
+        self.ref.guard(value, port, self.now)
 
     @rule(value=values)
     def remove(self, value):
+        locks = live_locks(self.table, self.now)
         removed = self.table.remove(MAC(value))
         expected = self.ref.remove(value)
         if not self.sim_backed:
             assert removed == expected
+        # Only time ends a race: PathFail never ends or re-ports a lock.
+        assert live_locks(self.table, self.now) == locks
 
     @rule(port=ports)
     def flush_port(self, port):
+        locks = live_locks(self.table, self.now)
         flushed = self.table.flush_port(port)
         expected = self.ref.flush_port(port)
         if not self.sim_backed:
             assert flushed == expected
+        # ... and neither does carrier loss.
+        assert live_locks(self.table, self.now) == locks
 
     @rule()
     def expire(self):
@@ -312,22 +363,27 @@ class LockedTableMachine(ClockedMachine):
     def same_observables(self):
         now = self.now
         assert self.table.occupancy(now) == self.ref.occupancy(now)
-        live = {entry.mac.value: entry for entry in self.table.entries(now)}
-        expected = {v: rec for v, rec in self.ref.paths.items()
-                    if rec["expires"] > now}
-        assert live.keys() == expected.keys()
+        paths = self.table.entries(now)
+        live = {entry.mac.value: entry for entry in paths}
+        expected = self.ref.live_paths(now)
+        assert len(paths) == len(live) and live.keys() == expected.keys()
         for value, entry in live.items():
             self.same_entry(entry, expected[value], value)
+        assert live_locks(self.table, now) == {
+            value: (lock["port"], lock["expires"])
+            for value, lock in self.ref.locks.items()
+            if lock["expires"] > now}
         counters = asdict(self.table.counters)
         reference = {name: self.ref.counters[name] for name in counters}
         if self.sim_backed:
             # Counted when memory is reclaimed, which the buckets decide.
-            for name in ("expiries", "port_flushes"):
-                del counters[name], reference[name]
+            del counters["expiries"], reference["expiries"]
         else:
-            assert len(self.table) == len(self.ref.paths)
+            assert len(self.table) == len(self.ref.paths) + len(
+                self.ref.locks)
             for value in VALUES:
-                assert (MAC(value) in self.table) == (value in self.ref.paths)
+                assert (MAC(value) in self.table) == (
+                    value in self.ref.paths or value in self.ref.locks)
         assert counters == reference
 
     def teardown(self):
@@ -335,7 +391,6 @@ class LockedTableMachine(ClockedMachine):
             # Memory comes back with no lookup at all.
             self.sim.run_for(2 * (LOCK + LEARNT))
             assert len(self.table) == 0
-            assert len(self.table._guards) == 0
             assert self.sim.pending_events == 0
 
 

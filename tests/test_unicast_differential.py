@@ -1,19 +1,20 @@
 """Differential test of the ARP-Path unicast hit path.
 
-``ArpPathBridge.on_unicast`` refreshes a live source entry and confirms
-the destination entry by slot writes in its own frame, calling into the
-table only to learn a new, expired or moved source and to reap an
-expired destination. The table's own model test
-(``tests/test_table_model.py``) drives the table's methods, so it cannot
-see that inlined path. Here Hypothesis feeds one bridge a sequence of
-unicast frames, table locks, clock steps and carrier changes, and
-applies the same sequence to a twin :class:`LockedAddressTable` through
-``learn`` / ``get`` / ``confirm_entry`` exactly as the hook did before
-it was inlined. After every step both tables must hold the same entries
-(``port``, ``state``, ``expires``, ``race_until``, ``filed``) and the
-same counters, and the bridge must have done with the frame what the
-reference did: forwarded it out of the same port, filtered it, missed
-or kept it.
+``ArpPathBridge.on_unicast`` refreshes a live LEARNT source entry and a
+live LEARNT destination entry by one slot write each in its own frame,
+calling into the table only to learn a new, expired or moved source,
+to reap an expired destination or to confirm a LOCKED one (the lock
+of a won discovery race). The table's own model test
+(``tests/test_table_model.py``) drives the table's methods, so it
+cannot see that inlined path. Here Hypothesis feeds one bridge a
+sequence of unicast frames, table locks, clock steps, PathFails and
+carrier changes, and applies the same sequence to a twin
+:class:`LockedAddressTable` through ``learn`` / ``get`` /
+``confirm_entry``. After every step both tables must hold the same
+paths (``port``, ``state``, ``expires``, ``filed``), the same locks
+(``port``, ``expires``, ``path``, ``filed``) and the same counters, and
+the bridge must have done with the frame what the reference did:
+forwarded it out of the same port, filtered it, missed or kept it.
 """
 
 from dataclasses import asdict
@@ -56,7 +57,7 @@ class Sink(Node):
 
 
 def reference_unicast(table, port, frame, now):
-    """The hook before its hit path was inlined: what the bridge does
+    """The hook through the table's API: what the bridge does
     with *frame* on *port* — an out port, ``"filtered"``, ``"miss"`` or
     ``"own"`` — with the table writes it made."""
     table.learn(frame.src, port, now)
@@ -72,9 +73,11 @@ def reference_unicast(table, port, frame, now):
 
 
 def rows(table):
-    return {key: (entry.port, entry.state, entry.expires, entry.race_until,
-                  entry.filed)
-            for key, entry in table._entries.entries.items()}
+    paths = {key: (entry.port, entry.state, entry.expires, entry.filed)
+             for key, entry in table._entries.entries.items()}
+    locks = {key: (lock.port, lock.expires, lock.path, lock.filed)
+             for key, lock in table._locks.entries.items()}
+    return paths, locks
 
 
 class UnicastHitPathMachine(RuleBasedStateMachine):
@@ -128,11 +131,17 @@ class UnicastHitPathMachine(RuleBasedStateMachine):
 
     @rule(value=hosts, index=port_indexes)
     def lock(self, value, index):
-        """A discovery race won on *index*: the LOCKED entry a unicast
+        """A discovery race won on *index*: the LOCKED path a unicast
         later confirms to LEARNT."""
         mac, now = MAC(VALUES[value]), self.sim.now
         self.bridge.table.lock(mac, self.bridge.ports[index], now)
         self.twin.lock(mac, self.bridge.ports[index], now)
+
+    @rule(value=hosts)
+    def path_fail(self, value):
+        """A PathFail erased the path; the lock stays."""
+        self.bridge.table.remove(MAC(VALUES[value]))
+        self.twin.remove(MAC(VALUES[value]))
 
     @rule(dt=steps)
     def advance(self, dt):
@@ -141,7 +150,7 @@ class UnicastHitPathMachine(RuleBasedStateMachine):
     @rule(index=port_indexes)
     def flip_carrier(self, index):
         """A cable pull or its repair. On carrier loss the bridge
-        flushes the port's entries, once the notification fires; a
+        flushes the port's paths, once the notification fires; a
         frame later learnt on the dead port makes a down out-link."""
         link = self.links[index]
         if link.up:
